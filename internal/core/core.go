@@ -412,7 +412,7 @@ func (t *Tester) FilterIntersects(p, q *geom.Polygon, pc PairContext) Verdict {
 	// Step 1: software point-in-polygon test, both directions. Linear and
 	// cache friendly; also the only step that can see containment, which
 	// the edge rendering cannot.
-	if sweep.ContainmentPossible(p, q) {
+	if containmentPossible(p, q, pc) {
 		t.Stats.PIPHits++
 		return VerdictHit
 	}
@@ -584,6 +584,21 @@ func (t *Tester) sigReject(p, q *geom.Polygon, d float64, pc PairContext) bool {
 	return true
 }
 
+// containmentPossible is sweep.ContainmentPossible — step 1 of the software
+// test, a vertex of one polygon inside or on the other — asking each
+// polygon through its edge index when the PairContext carries one, which
+// examines only the edge runs the point's ray can reach.
+func containmentPossible(p, q *geom.Polygon, pc PairContext) bool {
+	return containsPoint(q, pc.QIndex, p.Verts[0]) || containsPoint(p, pc.PIndex, q.Verts[0])
+}
+
+func containsPoint(p *geom.Polygon, ix *edgeindex.Index, pt geom.Point) bool {
+	if ix != nil && ix.Polygon() == p {
+		return ix.ContainsPoint(pt)
+	}
+	return p.ContainsPoint(pt)
+}
+
 // collectPair gathers the candidate edges of p and q touching r into the
 // tester's scratch buffers, going through each side's edge index when the
 // PairContext carries one (blue is skipped when red comes back empty,
@@ -647,7 +662,7 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 		t.cfg.Faults.Apply(faultinject.SiteWithinDistance)
 	}
 	t.Stats.Tests++
-	if p.Bounds().Dist(q.Bounds()) > d {
+	if p.Bounds().DistSq(q.Bounds()) > geom.SqBound(d) {
 		t.Stats.MBRRejects++
 		return VerdictMiss
 	}
@@ -655,7 +670,7 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	// Containment makes the region distance zero but leaves boundaries
 	// arbitrarily far apart, so it must be handled before edge rendering,
 	// exactly as in Algorithm 3.1.
-	if sweep.ContainmentPossible(p, q) {
+	if containmentPossible(p, q, pc) {
 		t.Stats.PIPHits++
 		return VerdictHit
 	}
@@ -675,14 +690,14 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
 	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= t.cfg.SWThreshold {
 		t.Stats.SWDirect++
-		return t.softwareWithin(p, q, d)
+		return t.softwareWithin(p, q, d, pc)
 	}
 
 	// Circuit-breaker gate; see IntersectsCtx.
 	useHW, probe := pc.Breaker.Allow()
 	if !useHW {
 		t.Stats.BreakerOpenSkips++
-		return t.softwareWithin(p, q, d)
+		return t.softwareWithin(p, q, d, pc)
 	}
 
 	// Viewport: the MBR of the smaller object expanded by d (§3.2 projects
@@ -708,7 +723,7 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 			pc.Breaker.ProbeAbort()
 		}
 		t.Stats.HWFallbacks++
-		return t.softwareWithin(p, q, d)
+		return t.softwareWithin(p, q, d, pc)
 	}
 
 	// Only edges whose widened capsule can reach the viewport matter:
@@ -737,19 +752,13 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 		if probe && pc.Breaker.ProbeSuccess() {
 			t.Stats.BreakerRecoveries++
 		}
-		start = time.Now()
-		ok := t.softwareWithin(p, q, d)
-		t.Stats.SWTime += time.Since(start)
-		return ok
+		return t.softwareWithin(p, q, d, pc)
 	}
 	// Sentinel verification of the trusted negative, with the exact
 	// distance test as the oracle; see IntersectsCtx.
 	if t.sentinelPick(probe) {
 		t.Stats.SentinelChecks++
-		start = time.Now()
-		ok := t.softwareWithin(p, q, d)
-		t.Stats.SWTime += time.Since(start)
-		if ok {
+		if t.softwareWithin(p, q, d, pc) {
 			t.Stats.SentinelDisagreements++
 			t.Stats.HWPassed++
 			if pc.Breaker.Trip() {
@@ -772,11 +781,11 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 // early — the common case for the mostly-positive pairs the filters leave
 // behind. Only a > d report needs the boundary-crossing check to confirm
 // that the disjointness assumption held.
-func (t *Tester) softwareWithin(p, q *geom.Polygon, d float64) bool {
-	if dist.BoundaryWithinScratch(p, q, d, t.cfg.Dist, &t.distScratch) {
-		return true
-	}
-	return p.Bounds().Intersects(q.Bounds()) && t.sweeper.BoundariesIntersect(p, q, t.cfg.Software)
+func (t *Tester) softwareWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
+	start := time.Now()
+	within := t.distScratch.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, t.cfg.Dist)
+	t.Stats.SWTime += time.Since(start)
+	return within || p.Bounds().Intersects(q.Bounds()) && t.softwareIntersects(p, q, pc)
 }
 
 // hwOverlap runs the hardware overlap test (Algorithm 3.1 steps 2.1–2.8)

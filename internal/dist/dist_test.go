@@ -112,14 +112,15 @@ func TestFrontierEdgesCulls(t *testing.T) {
 	// right square must drop the left (back-facing) edge.
 	a := square(0, 0, 1)
 	b := square(5, 0, 1)
-	edges := FrontierEdges(a, b, math.Inf(1), Options{})
-	if len(edges) >= a.NumEdges() {
-		t.Errorf("frontier did not cull any edge: %d of %d kept", len(edges), a.NumEdges())
+	var s Scratch
+	s.boundarySq(a, b, nil, nil, math.Inf(1), Options{})
+	if n := len(s.inner.ax); n >= a.NumEdges() {
+		t.Errorf("frontier did not cull any edge: %d of %d kept", n, a.NumEdges())
 	}
 	// The right edge (x=1) must be kept.
 	found := false
-	for _, e := range edges {
-		if e.A.X == 1 && e.B.X == 1 {
+	for i := range s.inner.ax {
+		if e := s.inner.segment(i); e.A.X == 1 && e.B.X == 1 {
 			found = true
 		}
 	}
@@ -127,8 +128,11 @@ func TestFrontierEdgesCulls(t *testing.T) {
 		t.Error("frontier culled the facing edge")
 	}
 	// Clipping with a small radius removes everything (distance 4 > 1).
-	if got := FrontierEdges(a, b, 1, Options{}); got != nil {
-		t.Errorf("expected nil frontier under tight clip, got %d edges", len(got))
+	if got := s.boundarySq(a, b, nil, nil, 1, Options{}); !math.IsInf(got, 1) {
+		t.Errorf("expected an empty frontier under tight clip, got distance² %v", got)
+	}
+	if len(s.pe) != 0 {
+		t.Errorf("expected no gathered edges under tight clip, got %d", len(s.pe))
 	}
 }
 

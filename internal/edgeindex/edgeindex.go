@@ -142,6 +142,48 @@ func (ix *Index) walk(level, node int, r geom.Rect, dst []geom.Segment, examined
 	return dst
 }
 
+// ContainsPoint is geom.Polygon.ContainsPoint of the indexed polygon,
+// answered through the hierarchy: only runs whose box meets the degenerate
+// ray rectangle [q.X, mbr.MaxX]×[q.Y, q.Y] are handed to
+// geom.Polygon.RayCrossings, the per-edge rule both paths share, so the
+// verdict equals the linear scan's — an edge in a pruned run lies wholly
+// left of q or off the ray line, where that rule neither finds q on it nor
+// counts a crossing.
+func (ix *Index) ContainsPoint(q geom.Point) bool {
+	if ix.levels == nil {
+		return ix.poly.ContainsPoint(q)
+	}
+	mbr := ix.poly.Bounds()
+	if !mbr.ContainsPoint(q) {
+		return false
+	}
+	ray := geom.Rect{MinX: q.X, MinY: q.Y, MaxX: mbr.MaxX, MaxY: q.Y}
+	onBoundary, odd := ix.rayWalk(len(ix.levels)-1, 0, ray, q)
+	return onBoundary || odd
+}
+
+// rayWalk is walk for the ray-crossing count: it combines the crossing
+// parities of the leaf runs under node and stops at the first run that
+// holds q on an edge.
+func (ix *Index) rayWalk(level, node int, ray geom.Rect, q geom.Point) (onBoundary, odd bool) {
+	if !ix.levels[level][node].Intersects(ray) {
+		return false, false
+	}
+	lo := node * Fanout
+	if level == 0 {
+		return ix.poly.RayCrossings(q, lo, min(lo+Fanout, ix.poly.NumEdges()))
+	}
+	hi := min(lo+Fanout, len(ix.levels[level-1]))
+	for c := lo; c < hi; c++ {
+		on, o := ix.rayWalk(level-1, c, ray, q)
+		if on {
+			return true, false
+		}
+		odd = odd != o
+	}
+	return false, odd
+}
+
 // NumEdges returns the number of indexed edges.
 func (ix *Index) NumEdges() int { return ix.poly.NumEdges() }
 

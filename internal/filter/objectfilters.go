@@ -19,18 +19,16 @@ func UpperBound0(a, b geom.Rect) float64 {
 		ea := geom.Segment{A: ca[i], B: ca[(i+1)%4]}
 		for j := range 4 {
 			eb := geom.Segment{A: cb[j], B: cb[(j+1)%4]}
-			if d := segMaxDist(ea, eb); d < best {
-				best = d
-			}
+			best = min(best, segMaxDistSq(ea, eb))
 		}
 	}
-	return best
+	return math.Sqrt(best)
 }
 
-// segMaxDist returns the maximum distance between any point of s and any
-// point of u. Distance is convex over the two segments, so the maximum is
-// attained at an endpoint pair.
-func segMaxDist(s, u geom.Segment) float64 {
+// segMaxDistSq returns the squared maximum distance between any point of s
+// and any point of u. Distance is convex over the two segments, so the
+// maximum is attained at an endpoint pair.
+func segMaxDistSq(s, u geom.Segment) float64 {
 	d := s.A.DistSq(u.A)
 	if v := s.A.DistSq(u.B); v > d {
 		d = v
@@ -41,7 +39,7 @@ func segMaxDist(s, u geom.Segment) float64 {
 	if v := s.B.DistSq(u.B); v > d {
 		d = v
 	}
-	return math.Sqrt(d)
+	return d
 }
 
 // UpperBound1 is the 1-Object filter: an upper bound on the distance from
@@ -53,9 +51,20 @@ func segMaxDist(s, u geom.Segment) float64 {
 func UpperBound1(p *geom.Polygon, other geom.Rect) float64 {
 	best := math.Inf(1)
 	for _, v := range p.Verts {
-		if d := other.MinMaxDist(v); d < best {
-			best = d
+		best = min(best, other.MinMaxDistSq(v))
+	}
+	return math.Sqrt(best)
+}
+
+// UpperBound1Within reports whether UpperBound1(p, other) <= d, stopping at
+// the first vertex that proves it: a filter hit usually needs a few
+// vertices, only a miss scans them all.
+func UpperBound1Within(p *geom.Polygon, other geom.Rect, d float64) bool {
+	dSq := geom.SqBound(d)
+	for _, v := range p.Verts {
+		if other.MinMaxDistSq(v) <= dSq {
+			return true
 		}
 	}
-	return best
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Polygon is a simple polygon given as a closed chain of vertices. The edge
@@ -16,7 +17,17 @@ import (
 type Polygon struct {
 	Verts []Point
 	mbr   Rect
+	// winding caches the vertex order for CCW: windingUnknown until the
+	// first call. Atomic — polygons are shared by the workers of a
+	// parallel join.
+	winding atomic.Uint32
 }
+
+const (
+	windingUnknown uint32 = iota
+	windingCCW
+	windingCW
+)
 
 // NewPolygon builds a polygon from verts. It returns an error when fewer
 // than three vertices are supplied or when any vertex has a non-finite
@@ -55,14 +66,15 @@ func MustPolygon(verts ...Point) *Polygon {
 	return p
 }
 
-// Recompute refreshes cached derived data (the MBR) after the vertex slice
-// has been modified in place.
+// Recompute refreshes cached derived data (the MBR, the winding) after the
+// vertex slice has been modified in place.
 func (p *Polygon) Recompute() {
 	mbr := EmptyRect()
 	for _, v := range p.Verts {
 		mbr = mbr.ExtendPoint(v)
 	}
 	p.mbr = mbr
+	p.winding.Store(windingUnknown)
 }
 
 // NumVerts returns the number of vertices.
@@ -98,6 +110,22 @@ func (p *Polygon) SignedArea() float64 {
 	return sum / 2
 }
 
+// CCW reports whether the vertices are in counter-clockwise order
+// (SignedArea > 0). The O(n) area pass runs once per polygon and is cached:
+// the distance kernel asks on every pair test which side of an edge is
+// outward.
+func (p *Polygon) CCW() bool {
+	w := p.winding.Load()
+	if w == windingUnknown {
+		w = windingCW
+		if p.SignedArea() > 0 {
+			w = windingCCW
+		}
+		p.winding.Store(w)
+	}
+	return w == windingCCW
+}
+
 // Perimeter returns the total edge length of p.
 func (p *Polygon) Perimeter() float64 {
 	var sum float64
@@ -117,29 +145,66 @@ func (p *Polygon) Clone() *Polygon {
 // ContainsPoint reports whether q lies inside or on the boundary of p,
 // using the ray-crossing algorithm: a ray shot in +x from q crosses the
 // boundary an odd number of times iff q is interior. This is the linear,
-// cache-friendly Point-in-Polygon test of Algorithm 3.1 step 1.
+// cache-friendly Point-in-Polygon test of Algorithm 3.1 step 1; indexed
+// polygons answer the same question through edgeindex.Index.ContainsPoint,
+// which hands only the edge runs the ray can reach to RayCrossings.
 func (p *Polygon) ContainsPoint(q Point) bool {
 	if !p.mbr.ContainsPoint(q) {
 		return false
 	}
-	inside := false
-	n := len(p.Verts)
-	for i := range n {
-		a, b := p.Verts[i], p.Verts[(i+1)%n]
-		// Boundary counts as contained.
-		if Orient(a, b, q) == Collinear && onSegment(Segment{a, b}, q) {
-			return true
+	onBoundary, odd := p.RayCrossings(q, 0, len(p.Verts))
+	return onBoundary || odd
+}
+
+// RayCrossings examines edges lo..hi-1 of p against the +x ray from q: it
+// reports whether q lies on one of them (the boundary counts as contained)
+// and otherwise whether the ray crosses an odd number of them. Crossing
+// parities of disjoint edge ranges combine by XOR, so an edge index may
+// skip every run whose box misses the ray rectangle
+// [q.X, +Inf)×[q.Y, q.Y]: an edge outside it neither holds q nor is
+// crossed.
+//
+// The y-range decides first whether an edge can matter at all — for most
+// edges that is two comparisons. Only an edge whose closed y-range holds
+// q.Y is tested for holding q, and only one that straddles the ray line
+// (half-open, so a vertex on the line counts once) for a crossing; an
+// edge wholly left or right of q decides its crossing without the
+// division.
+func (p *Polygon) RayCrossings(q Point, lo, hi int) (onBoundary, odd bool) {
+	if lo >= hi {
+		return false, false
+	}
+	verts := p.Verts
+	a := verts[lo]
+	aAbove := a.Y > q.Y
+	for i := lo + 1; i <= hi; i++ {
+		b := verts[0]
+		if i < len(verts) {
+			b = verts[i]
 		}
-		if (a.Y > q.Y) != (b.Y > q.Y) {
-			// Edge straddles the horizontal line through q; find the x of
-			// the crossing and count it when right of q.
-			xc := a.X + (q.Y-a.Y)*(b.X-a.X)/(b.Y-a.Y)
-			if xc > q.X {
-				inside = !inside
+		bAbove := b.Y > q.Y
+		// straddles is half-open, so a vertex on the ray line counts once;
+		// an edge that only touches the line from below cannot be crossed
+		// but can still hold q (at an endpoint, or along a horizontal edge).
+		straddles := aAbove != bAbove
+		if straddles || !aAbove && (a.Y == q.Y || b.Y == q.Y) {
+			if Orient(a, b, q) == Collinear && onSegment(Segment{a, b}, q) {
+				return true, false
 			}
 		}
+		if straddles {
+			switch {
+			case a.X > q.X && b.X > q.X:
+				odd = !odd
+			case a.X <= q.X && b.X <= q.X:
+				// the crossing is not right of q
+			case a.X+(q.Y-a.Y)*(b.X-a.X)/(b.Y-a.Y) > q.X:
+				odd = !odd
+			}
+		}
+		a, aAbove = b, bAbove
 	}
-	return inside
+	return false, odd
 }
 
 // IsSimple reports whether p is a simple polygon: no two non-adjacent edges

@@ -83,10 +83,10 @@ func (r Rect) Intersects(s Rect) bool {
 // they do not intersect.
 func (r Rect) Intersection(s Rect) Rect {
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}
 }
 
@@ -99,10 +99,10 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -122,9 +122,48 @@ func (r Rect) Expand(d float64) Rect {
 // It is zero when they intersect. This is the lower bound used by MBR
 // filtering for within-distance joins.
 func (r Rect) Dist(s Rect) float64 {
-	dx := math.Max(0, math.Max(r.MinX-s.MaxX, s.MinX-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-s.MaxY, s.MinY-r.MaxY))
-	return math.Hypot(dx, dy)
+	return math.Hypot(gap(r.MinX, r.MaxX, s.MinX, s.MaxX), gap(r.MinY, r.MaxY, s.MinY, s.MaxY))
+}
+
+// DistSq returns the squared minimum distance between r and s: the form
+// to use wherever the distance is only compared (against SqBound(d)), as
+// in the MBR pre-tests and the R-tree distance join.
+func (r Rect) DistSq(s Rect) float64 {
+	dx := gap(r.MinX, r.MaxX, s.MinX, s.MaxX)
+	dy := gap(r.MinY, r.MaxY, s.MinY, s.MaxY)
+	return dx*dx + dy*dy
+}
+
+// gap returns the distance between the intervals [lo1, hi1] and
+// [lo2, hi2], zero when they overlap.
+func gap(lo1, hi1, lo2, hi2 float64) float64 {
+	if v := lo1 - hi2; v > 0 {
+		return v
+	}
+	if v := lo2 - hi1; v > 0 {
+		return v
+	}
+	return 0
+}
+
+// SqBound returns the largest s with math.Sqrt(s) <= d, so that for any
+// squared distance x, x <= SqBound(d) decides exactly as math.Sqrt(x) <= d
+// would: squared-space comparisons against it cannot lose a pair at
+// exactly distance d to the rounding of d*d. A negative or NaN d bounds
+// nothing (-1 is below every squared distance).
+func SqBound(d float64) float64 {
+	if !(d >= 0) {
+		return -1
+	}
+	s := d * d
+	for !math.IsInf(s, 1) {
+		next := math.Nextafter(s, math.Inf(1))
+		if math.Sqrt(next) > d {
+			break
+		}
+		s = next
+	}
+	return s
 }
 
 // MaxDist returns the maximum distance between any point of r and any point
@@ -142,6 +181,12 @@ func (r Rect) MaxDist(s Rect) float64 {
 // nearest-neighbor bound, reused here for the 0-Object and 1-Object
 // filters of within-distance joins.
 func (r Rect) MinMaxDist(p Point) float64 {
+	return math.Sqrt(r.MinMaxDistSq(p))
+}
+
+// MinMaxDistSq is MinMaxDist squared, for callers that take a minimum
+// over many points and need one root at the end.
+func (r Rect) MinMaxDistSq(p Point) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)
 	}
@@ -161,7 +206,7 @@ func (r Rect) MinMaxDist(p Point) float64 {
 	dxFar := p.X - rMX
 	d2 := dy*dy + dxFar*dxFar
 
-	return math.Sqrt(math.Min(d1, d2))
+	return min(d1, d2)
 }
 
 func nearerEdge(v, lo, hi float64) float64 {

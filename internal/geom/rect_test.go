@@ -93,6 +93,39 @@ func TestRectDist(t *testing.T) {
 	}
 }
 
+// TestRectDistSqAtExactlyD pins the MBR pre-test's tie: boxes whose gap is
+// non-zero on both axes and whose distance is exactly d are kept at d and
+// dropped just below it, and x ≤ SqBound(d) decides as Sqrt(x) ≤ d does
+// around the rounding of d·d.
+func TestRectDistSqAtExactlyD(t *testing.T) {
+	a := R(0, 0, 1, 1)
+	for _, k := range []float64{1, 0.1, 1e-3, 7} { // 3-4-5 gaps, scaled off the exact grid
+		b := R(1+3*k, 1+4*k, 2+3*k, 2+4*k)
+		sq := a.DistSq(b)
+		d := math.Sqrt(sq)
+		if sq > SqBound(d) {
+			t.Errorf("k=%g: DistSq %v above SqBound(%v) = %v", k, sq, d, SqBound(d))
+		}
+		if below := math.Nextafter(d, 0); sq <= SqBound(below) {
+			t.Errorf("k=%g: DistSq %v within SqBound(%v)", k, sq, below)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 2000 {
+		d := rng.Float64() * 100
+		x := d * d
+		for range 4 {
+			x = math.Nextafter(x, 0)
+		}
+		for range 9 {
+			if (x <= SqBound(d)) != (math.Sqrt(x) <= d) {
+				t.Fatalf("d=%v x=%v: SqBound says %v, Sqrt says %v", d, x, x <= SqBound(d), math.Sqrt(x) <= d)
+			}
+			x = math.Nextafter(x, math.Inf(1))
+		}
+	}
+}
+
 func TestRectMaxDist(t *testing.T) {
 	a, b := R(0, 0, 1, 1), R(2, 2, 3, 3)
 	// Farthest corners are (0,0) and (3,3).

@@ -22,10 +22,10 @@ func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 // Bounds returns the MBR of s.
 func (s Segment) Bounds() Rect {
 	return Rect{
-		MinX: math.Min(s.A.X, s.B.X),
-		MinY: math.Min(s.A.Y, s.B.Y),
-		MaxX: math.Max(s.A.X, s.B.X),
-		MaxY: math.Max(s.A.Y, s.B.Y),
+		MinX: min(s.A.X, s.B.X),
+		MinY: min(s.A.Y, s.B.Y),
+		MaxX: max(s.A.X, s.B.X),
+		MaxY: max(s.A.Y, s.B.Y),
 	}
 }
 
@@ -37,8 +37,8 @@ func (s Segment) Midpoint() Point {
 // onSegment reports whether collinear point p lies on segment s (inclusive
 // of endpoints). The caller must ensure p is collinear with s.
 func onSegment(s Segment, p Point) bool {
-	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
-		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
+	return min(s.A.X, s.B.X) <= p.X && p.X <= max(s.A.X, s.B.X) &&
+		min(s.A.Y, s.B.Y) <= p.Y && p.Y <= max(s.A.Y, s.B.Y)
 }
 
 // Intersects reports whether segments s and t share at least one point.
@@ -116,7 +116,5 @@ func (s Segment) DistSq(t Segment) float64 {
 	if s.Intersects(t) {
 		return 0
 	}
-	d := math.Min(s.DistSqToPoint(t.A), s.DistSqToPoint(t.B))
-	d = math.Min(d, t.DistSqToPoint(s.A))
-	return math.Min(d, t.DistSqToPoint(s.B))
+	return min(s.DistSqToPoint(t.A), s.DistSqToPoint(t.B), t.DistSqToPoint(s.A), t.DistSqToPoint(s.B))
 }

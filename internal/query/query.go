@@ -22,8 +22,9 @@
 package query
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -613,7 +614,7 @@ func WithinDistanceSelect(ctx context.Context, layer *Layer, query *geom.Polygon
 				results = append(results, id)
 				continue
 			}
-			if opt.Use1Object && filter.UpperBound1(query, obj.Bounds()) <= d {
+			if opt.Use1Object && filter.UpperBound1Within(query, obj.Bounds(), d) {
 				results = append(results, id)
 				continue
 			}
@@ -692,12 +693,12 @@ type JoinOptions struct {
 // each outer object's pairs consecutively: the outer polygon's vertices
 // and edge index stay cache-hot across its whole run, and the lazily
 // built per-object indexes are reused immediately after construction.
+//
+// A and B are object-slice indices, far below 2³², so (A, B) order is the
+// order of the packed key A<<32|B and one comparison decides.
 func sortPairsByOuter(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
+	slices.SortFunc(pairs, func(x, y Pair) int {
+		return cmp.Compare(uint64(x.A)<<32|uint64(x.B), uint64(y.A)<<32|uint64(y.B))
 	})
 }
 
@@ -872,7 +873,7 @@ func WithinDistanceJoin(ctx context.Context, a, b *Layer, d float64, tester *cor
 				if pb.NumVerts() > pa.NumVerts() {
 					big, smallBounds = pb, pa.Bounds()
 				}
-				if filter.UpperBound1(big, smallBounds) <= d {
+				if filter.UpperBound1Within(big, smallBounds, d) {
 					results = append(results, pr)
 					continue
 				}

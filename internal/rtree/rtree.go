@@ -351,16 +351,19 @@ func searchNode(n *rnode, r geom.Rect, visit func(Entry) bool) bool {
 
 // SearchWithin visits every entry whose MBR is within distance d of r.
 func (t *Tree) SearchWithin(r geom.Rect, d float64, visit func(Entry) bool) bool {
-	return searchWithinNode(t.root, r, d, visit)
+	return searchWithinNode(t.root, r, geom.SqBound(d), visit)
 }
 
-func searchWithinNode(n *rnode, r geom.Rect, d float64, visit func(Entry) bool) bool {
-	if n.bounds.Dist(r) > d {
+// searchWithinNode compares squared MBR distances against dSq =
+// geom.SqBound(d): the same verdicts as rooted distances against d, without
+// the roots.
+func searchWithinNode(n *rnode, r geom.Rect, dSq float64, visit func(Entry) bool) bool {
+	if n.bounds.DistSq(r) > dSq {
 		return true
 	}
 	if n.leaf {
 		for _, e := range n.entries {
-			if e.Bounds.Dist(r) <= d {
+			if e.Bounds.DistSq(r) <= dSq {
 				if !visit(e) {
 					return false
 				}
@@ -369,7 +372,7 @@ func searchWithinNode(n *rnode, r geom.Rect, d float64, visit func(Entry) bool) 
 		return true
 	}
 	for _, c := range n.children {
-		if !searchWithinNode(c, r, d, visit) {
+		if !searchWithinNode(c, r, dSq, visit) {
 			return false
 		}
 	}
@@ -389,18 +392,19 @@ func JoinWithin(t, other *Tree, d float64, visit func(a, b Entry) bool) bool {
 	if t.size == 0 || other.size == 0 {
 		return true
 	}
-	return joinNodes(t.root, other.root, d, visit)
+	return joinNodes(t.root, other.root, geom.SqBound(d), visit)
 }
 
-func joinNodes(a, b *rnode, d float64, visit func(a, b Entry) bool) bool {
-	if a.bounds.Dist(b.bounds) > d {
+// joinNodes, like searchWithinNode, works on squared distances.
+func joinNodes(a, b *rnode, dSq float64, visit func(a, b Entry) bool) bool {
+	if a.bounds.DistSq(b.bounds) > dSq {
 		return true
 	}
 	switch {
 	case a.leaf && b.leaf:
 		for _, ea := range a.entries {
 			for _, eb := range b.entries {
-				if ea.Bounds.Dist(eb.Bounds) <= d {
+				if ea.Bounds.DistSq(eb.Bounds) <= dSq {
 					if !visit(ea, eb) {
 						return false
 					}
@@ -409,20 +413,20 @@ func joinNodes(a, b *rnode, d float64, visit func(a, b Entry) bool) bool {
 		}
 	case a.leaf:
 		for _, cb := range b.children {
-			if !joinNodes(a, cb, d, visit) {
+			if !joinNodes(a, cb, dSq, visit) {
 				return false
 			}
 		}
 	case b.leaf:
 		for _, ca := range a.children {
-			if !joinNodes(ca, b, d, visit) {
+			if !joinNodes(ca, b, dSq, visit) {
 				return false
 			}
 		}
 	default:
 		for _, ca := range a.children {
 			for _, cb := range b.children {
-				if !joinNodes(ca, cb, d, visit) {
+				if !joinNodes(ca, cb, dSq, visit) {
 					return false
 				}
 			}

@@ -1,6 +1,7 @@
 #!/bin/sh
-# check.sh — the full local gate: vet, race-enabled tests, and a short
-# fuzz smoke pass over the input parsers. Run from the repo root.
+# check.sh — the full local gate: vet, race-enabled tests (the bench/
+# module included), and a short fuzz smoke pass over the input parsers and
+# the distance kernel. Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -14,6 +15,15 @@ go vet ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== bench module (vet + tests: tier-1 does not see bench/)"
+# bench/ is its own module reaching the program through a replace
+# directive, so an API change in dist/filter/core can break the benchmark
+# build without go build ./... noticing.
+(cd bench && go vet ./... && go test ./...)
+
+echo "== kernel micro-benchmark smoke (one pass each)"
+go test -run '^$' -bench 'BoundaryWithin|ContainsPoint' -benchtime 1x ./internal/dist/ ./internal/geom/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -386,5 +396,6 @@ go test ./internal/data/ -fuzz FuzzWKTParse -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzSnapshotOpen -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
 go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
+go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
 
 echo "== all checks passed"
