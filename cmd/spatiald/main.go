@@ -308,6 +308,10 @@ func runClient(addr, script string, retries int) int {
 		return 1
 	}
 	w := bufio.NewWriter(conn)
+	// A response prints through a buffer flushed after its status line: a
+	// streamed join is thousands of lines, not thousands of writes. Nothing
+	// stays buffered between commands, so stderr notes keep their place.
+	stdout := bufio.NewWriter(os.Stdout)
 	failed := false
 	// exec1 sends one command and collects its framed response; ok is
 	// false when the connection died mid-exchange.
@@ -347,9 +351,10 @@ func runClient(addr, script string, retries int) int {
 				continue
 			}
 			for _, l := range lines {
-				fmt.Println(l)
+				fmt.Fprintln(stdout, l)
 			}
-			fmt.Println(status)
+			fmt.Fprintln(stdout, status)
+			_ = stdout.Flush() // as with Println before: a closed stdout is not reported
 			if strings.HasPrefix(status, "error:") {
 				failed = true
 			}

@@ -27,6 +27,7 @@ package coord
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -378,8 +379,12 @@ type Result struct {
 // RowSink streams merged result rows out of a fan-out as the shard
 // streams parse: ids already deduplicated (border objects answer from
 // every overlapping tile), pairs already unique by the shard-side
-// reference-point rule. Calls are serialized under the coordinator's
-// merge lock but interleave across shards in arrival order — callers
+// reference-point rule. Rows arrive a chunk at a time — every complete
+// line one shard read found buffered — as per-row ID/Pair calls followed
+// by one Flush (when set), so a sink that encodes rows into a buffer
+// pays its write once per chunk and the first rows still leave the
+// moment they arrive. Calls are serialized under the coordinator's merge
+// lock but chunks interleave across shards in arrival order — callers
 // needing a sorted answer must use the buffering API. A non-nil return
 // stops the fan-out (remaining rows are dropped, shard breakers are NOT
 // tripped) and surfaces as the *query.PartialError cause.
@@ -394,8 +399,9 @@ type Result struct {
 // commits a shard's rows only after its "ok"/"partial" status, so a
 // buffered Result never contains rows from a failed shard.
 type RowSink struct {
-	ID   func(uint64) error
-	Pair func([2]uint64) error
+	ID    func(uint64) error
+	Pair  func([2]uint64) error
+	Flush func() error // optional; called at the end of every chunk
 }
 
 func (s RowSink) active() bool { return s.ID != nil || s.Pair != nil }
@@ -405,11 +411,11 @@ func (s RowSink) active() bool { return s.ID != nil || s.Pair != nil }
 var errAbortStream = errors.New("coord: result sink failed")
 
 // merger is the fan-out's shared incremental merge state. In streaming
-// (RowSink) mode shard reader goroutines push rows in as their streams
-// parse and rows flow straight out through the sink; in buffered mode
-// each shard's rows stage in its shardAnswer and commit here only after
-// the shard's status line proves the stream complete, so a shard that
-// fails mid-stream contributes nothing to the Result.
+// (RowSink) mode shard reader goroutines commit each parsed chunk of rows
+// and the rows flow straight out through the sink; in buffered mode each
+// shard's rows stage in its shardAnswer and commit here only after the
+// shard's status line proves the stream complete, so a shard that fails
+// mid-stream contributes nothing to the Result.
 type merger struct {
 	mu    sync.Mutex
 	sink  RowSink
@@ -426,63 +432,57 @@ type merger struct {
 	sinkErr error
 }
 
-func (m *merger) id(v uint64) error {
+// commit merges one chunk of a shard's rows under one hold of the merge
+// lock: dedup, then out through the sink (ending in its Flush) or into
+// the buffered Result. A sink error is sticky and aborts every shard's
+// read loop.
+func (m *merger) commit(ids []uint64, pairs [][2]uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.sinkErr != nil {
 		return errAbortStream
 	}
-	if m.idSet[v] {
-		return nil
-	}
-	m.idSet[v] = true
-	m.rows++
-	if m.sink.ID != nil {
-		if err := m.sink.ID(v); err != nil {
-			m.sinkErr = err
+	streaming := m.streaming()
+	for _, v := range ids {
+		if m.idSet[v] {
+			continue
+		}
+		m.idSet[v] = true
+		m.rows++
+		if m.sink.ID == nil {
+			m.res.IDs = append(m.res.IDs, v)
+		} else if m.sinkErr = m.sink.ID(v); m.sinkErr != nil {
 			return errAbortStream
 		}
-		return nil
 	}
-	m.res.IDs = append(m.res.IDs, v)
-	m.bump()
-	return nil
-}
-
-func (m *merger) pair(p [2]uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sinkErr != nil {
-		return errAbortStream
-	}
-	if m.streaming() {
-		if m.pairSet[p] {
-			return nil
+	for _, p := range pairs {
+		if streaming {
+			if m.pairSet[p] {
+				continue
+			}
+			m.pairSet[p] = true
 		}
-		m.pairSet[p] = true
-	}
-	m.rows++
-	if m.sink.Pair != nil {
-		if err := m.sink.Pair(p); err != nil {
-			m.sinkErr = err
+		m.rows++
+		if m.sink.Pair == nil {
+			m.res.Pairs = append(m.res.Pairs, p)
+		} else if m.sinkErr = m.sink.Pair(p); m.sinkErr != nil {
 			return errAbortStream
 		}
-		return nil
 	}
-	m.res.Pairs = append(m.res.Pairs, p)
-	m.bump()
+	if streaming && m.sink.Flush != nil {
+		if m.sinkErr = m.sink.Flush(); m.sinkErr != nil {
+			return errAbortStream
+		}
+	}
+	if n := len(m.res.IDs) + len(m.res.Pairs); n > m.res.MaxBuffered {
+		m.res.MaxBuffered = n
+	}
 	return nil
 }
 
 // streaming reports whether rows flow out through a sink as they parse
 // (versus staging per shard and committing on status).
 func (m *merger) streaming() bool { return m.sink.active() }
-
-func (m *merger) bump() {
-	if n := len(m.res.IDs) + len(m.res.Pairs); n > m.res.MaxBuffered {
-		m.res.MaxBuffered = n
-	}
-}
 
 // Select routes an intersection selection to the tiles overlapping the
 // query polygon's MBR and merges their stable-id streams (buffered,
@@ -548,17 +548,18 @@ func (c *Coordinator) allTiles() []int {
 	return tiles
 }
 
-// shardAnswer is one shard's response bookkeeping. In streaming mode
-// result rows do not pass through it — they flow into the fan-out's
-// merger as the stream parses. In buffered mode the rows stage in ids/
-// pairs and fanout commits them into the merger only once the shard's
-// status line arrives, so a shard that fails mid-stream (read error,
-// parse error, trailing "error:" status) contributes no rows.
+// shardAnswer is one shard's response bookkeeping. Parsed rows stage in
+// ids/pairs: in streaming mode for the length of one chunk, then they
+// commit into the fan-out's merger and the slices are reused; in
+// buffered mode for the whole response, and fanout commits them only
+// once the shard's status line arrives, so a shard that fails mid-stream
+// (read error, parse error, trailing "error:" status) contributes no
+// rows.
 type shardAnswer struct {
 	tile    int
 	replica int         // replica index that produced the answer
-	ids     []uint64    // staged rows (buffered mode only)
-	pairs   [][2]uint64 // staged rows (buffered mode only)
+	ids     []uint64    // staged rows
+	pairs   [][2]uint64 // staged rows
 	stats   query.Stats
 	wallMS  float64
 	partial string // non-empty: shard answered "partial: <reason>"
@@ -566,14 +567,14 @@ type shardAnswer struct {
 }
 
 // fanout runs cmdFor(tile) on every listed shard concurrently. With a
-// RowSink each shard reader pushes parsed rows into the shared merger
-// the moment they arrive, so the caller sees first rows while slow
-// shards are still refining; without one, each shard's rows stage until
-// its status line arrives and only complete ("ok"/"partial") streams
-// commit into the Result — a shard that dies mid-stream contributes
-// zero rows, so a reported-missing tile can be re-queried without
-// double-counting. Missing shards degrade to a *query.PartialError;
-// zero answering shards is a hard error.
+// RowSink each shard reader commits its parsed rows into the shared
+// merger a chunk at a time, as they arrive, so the caller sees first rows
+// while slow shards are still refining; without one, each shard's rows
+// stage until its status line arrives and only complete ("ok"/"partial")
+// streams commit into the Result — a shard that dies mid-stream
+// contributes zero rows, so a reported-missing tile can be re-queried
+// without double-counting. Missing shards degrade to a
+// *query.PartialError; zero answering shards is a hard error.
 func (c *Coordinator) fanout(ctx context.Context, op string, tiles []int, cmdFor func(int) string, sink RowSink) (Result, error) {
 	if len(tiles) == 0 {
 		return Result{Stats: query.Stats{Op: "coord." + op}}, nil
@@ -625,12 +626,7 @@ func (c *Coordinator) fanout(ctx context.Context, op string, tiles []int, cmdFor
 		// Commit the shard's staged rows (buffered mode; empty otherwise):
 		// its status line arrived, so the stream is complete. The merge
 		// cannot fail here — there is no sink to error.
-		for _, id := range a.ids {
-			_ = m.id(id)
-		}
-		for _, p := range a.pairs {
-			_ = m.pair(p)
-		}
+		_ = m.commit(a.ids, a.pairs)
 		if a.partial != "" {
 			partialReasons++
 			if firstErr == nil {
@@ -989,6 +985,11 @@ type wireConn struct {
 	timeout time.Duration
 }
 
+// readBufSize is the connection read buffer: what one read can hold is
+// what one chunk can carry into the merger, so it is sized to take a
+// shard's whole emitted batch (256 rows of at most 47 bytes) in one go.
+const readBufSize = 16 << 10
+
 // role names the replica for operators: the primary serves by default,
 // replicas take failover and hedge traffic.
 func (r *replica) role() string {
@@ -1088,14 +1089,14 @@ func (r *replica) acquire() (w *wireConn, pooled bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	w = &wireConn{conn: conn, r: bufio.NewReader(conn)}
+	w = &wireConn{conn: conn, r: bufio.NewReaderSize(conn, readBufSize)}
 	conn.SetReadDeadline(time.Now().Add(r.cfg.dialTimeout()))
 	greeting, err := w.readLine(r.cfg.Faults)
 	if err != nil {
 		conn.Close()
 		return nil, false, fmt.Errorf("greeting: %w", err)
 	}
-	if !strings.Contains(greeting, "ready") {
+	if !bytes.Contains(greeting, []byte("ready")) {
 		conn.Close()
 		return nil, false, fmt.Errorf("unexpected greeting %q", greeting)
 	}
@@ -1125,7 +1126,7 @@ func (r *replica) probe() error {
 			return err
 		}
 		w.conn.SetDeadline(time.Now().Add(r.cfg.dialTimeout()))
-		_, status, err := w.exchange("layers", r.cfg.Faults)
+		status, err := w.exchange("layers", r.cfg.Faults)
 		if err != nil {
 			w.conn.Close()
 			if pooled && attempt == 0 {
@@ -1171,23 +1172,52 @@ func (r *replica) probeSuccess() {
 	r.fails = 0
 }
 
-func (w *wireConn) readLine(f *faultinject.Injector) (string, error) {
+// readLine returns the next response line without its terminator. The
+// bytes point into the read buffer and are valid until the next read.
+func (w *wireConn) readLine(f *faultinject.Injector) ([]byte, error) {
 	if f != nil && f.Disconnect(faultinject.SiteCoordRead) {
 		w.conn.Close()
-		return "", errors.New("injected read fault")
+		return nil, errors.New("injected read fault")
 	}
-	line, err := w.r.ReadString('\n')
+	line, err := w.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// A line longer than the read buffer (only a stats record could
+		// be): collect it the way ReadBytes does.
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = w.r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// lineBuffered reports whether a complete line is already in the read
+// buffer, so the next readLine cannot block.
+func (w *wireConn) lineBuffered() bool {
+	buf, _ := w.r.Peek(w.r.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// isStatus reports whether a response line is the terminal status line.
+func isStatus(line []byte) bool {
+	return string(line) == "ok" || bytes.HasPrefix(line, []byte("partial:")) || bytes.HasPrefix(line, []byte("error:"))
 }
 
 // exchangeStream sends one command and hands each data line to onLine
-// the moment it is read, returning the trailing status line. An onLine
+// as it is read, returning the trailing status line. The response is
+// consumed in chunks — every complete line one socket read left in the
+// buffer — and endChunk runs after the last line of each, before the
+// read that may block and before the status line is returned: the first
+// rows move on the moment they arrive, and a long stream costs its
+// consumer one hand-over per chunk instead of one per row. A callback
 // error aborts the read loop and is returned as-is, leaving the
 // connection mid-stream — the caller must close it.
-func (w *wireConn) exchangeStream(cmd string, f *faultinject.Injector, onLine func(string) error) (status string, err error) {
+func (w *wireConn) exchangeStream(cmd string, f *faultinject.Injector, onLine func([]byte) error, endChunk func() error) (status string, err error) {
 	if _, err := fmt.Fprintf(w.conn, "%s\n", cmd); err != nil {
 		return "", err
 	}
@@ -1196,23 +1226,25 @@ func (w *wireConn) exchangeStream(cmd string, f *faultinject.Injector, onLine fu
 		if err != nil {
 			return "", err
 		}
-		if line == "ok" || strings.HasPrefix(line, "partial:") || strings.HasPrefix(line, "error:") {
-			return line, nil
+		if isStatus(line) {
+			return string(line), endChunk()
 		}
 		if err := onLine(line); err != nil {
 			return "", err
 		}
+		if !w.lineBuffered() {
+			if err := endChunk(); err != nil {
+				return "", err
+			}
+		}
 	}
 }
 
-// exchange is exchangeStream with the data lines collected — used for
-// small fixed exchanges like timeout arming.
-func (w *wireConn) exchange(cmd string, f *faultinject.Injector) (data []string, status string, err error) {
-	status, err = w.exchangeStream(cmd, f, func(line string) error {
-		data = append(data, line)
-		return nil
-	})
-	return data, status, err
+// exchange is exchangeStream with the data lines dropped — used for
+// small fixed exchanges like timeout arming and probes, which read only
+// the status.
+func (w *wireConn) exchange(cmd string, f *faultinject.Injector) (status string, err error) {
+	return w.exchangeStream(cmd, f, func([]byte) error { return nil }, func() error { return nil })
 }
 
 // errAttemptCancelled marks a replica attempt cut short by its own
@@ -1277,8 +1309,11 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 		}
 		w.conn.SetDeadline(time.Now().Add(readCeil + 500*time.Millisecond))
 
-		if budget > 0 && w.timeout != budget {
-			if _, st, err := w.exchange("timeout "+budget.Round(time.Millisecond).String(), r.cfg.Faults); err != nil {
+		// The shard is told the budget rounded to the millisecond, and that
+		// is the value remembered: the nanosecond-exact budget differs on
+		// every query, the rounded one only when the session's timeout does.
+		if armed := budget.Round(time.Millisecond); budget > 0 && w.timeout != armed {
+			if st, err := w.exchange("timeout "+armed.String(), r.cfg.Faults); err != nil {
 				stop()
 				w.conn.Close()
 				if staleRetry() {
@@ -1291,12 +1326,17 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 				w.conn.Close()
 				return nil, func() {}, time.Time{}, "", fmt.Errorf("arming timeout: %s", st)
 			}
-			w.timeout = budget
+			w.timeout = armed
 		}
 
 		begin := time.Now()
-		status, err := w.exchangeStream(cmd, r.cfg.Faults, func(line string) error {
-			return parseLine(line, m, ans)
+		status, err := w.exchangeStream(cmd, r.cfg.Faults, ans.stage, func() error {
+			if !m.streaming() {
+				return nil
+			}
+			err := m.commit(ans.ids, ans.pairs)
+			ans.ids, ans.pairs = ans.ids[:0], ans.pairs[:0]
+			return err
 		})
 		if err != nil {
 			stop()
@@ -1441,48 +1481,24 @@ func (r *replica) epoch() uint64 {
 	return r.okEpoch
 }
 
-// parseLine decodes one shard data line — "id <N>" and "pair <A> <B>"
-// rows go straight into the fan-out merger when it streams, and stage in
-// the shard's answer otherwise (committed by fanout once the status line
-// proves the stream complete); "stats <json>" goes into the shard's
-// answer, other lines (notes) are ignored.
-func parseLine(line string, m *merger, ans *shardAnswer) error {
-	word, rest, _ := strings.Cut(line, " ")
-	switch word {
-	case "id":
-		id, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad id line %q: %w", line, err)
-		}
-		if m.streaming() {
-			return m.id(id)
-		}
-		ans.ids = append(ans.ids, id)
-		return nil
-	case "pair":
-		af, bf, ok := strings.Cut(strings.TrimSpace(rest), " ")
-		if !ok {
-			return fmt.Errorf("bad pair line %q", line)
-		}
-		a, err := strconv.ParseUint(af, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad pair line %q: %w", line, err)
-		}
-		b, err := strconv.ParseUint(strings.TrimSpace(bf), 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad pair line %q: %w", line, err)
-		}
-		if m.streaming() {
-			return m.pair([2]uint64{a, b})
-		}
+// stage decodes one shard data line into the answer: "id <N>" and
+// "pair <A> <B>" rows stage in ids/pairs (committed into the merger at
+// the end of the chunk when it streams, by fanout once the status line
+// proves the stream complete otherwise), "stats <json>" is the shard's
+// stats record, other lines (notes) are ignored.
+func (ans *shardAnswer) stage(line []byte) error {
+	kind, a, b, err := parseRow(line)
+	switch {
+	case err != nil:
+		return err
+	case kind == rowID:
+		ans.ids = append(ans.ids, a)
+	case kind == rowPair:
 		ans.pairs = append(ans.pairs, [2]uint64{a, b})
-		return nil
-	case "stats":
-		if err := json.Unmarshal([]byte(rest), &ans.stats); err != nil {
+	case bytes.HasPrefix(line, []byte("stats ")):
+		if err := json.Unmarshal(line[len("stats "):], &ans.stats); err != nil {
 			return fmt.Errorf("bad stats line: %w", err)
 		}
-	default:
-		// note: ... and any future informational lines are ignored.
 	}
 	return nil
 }

@@ -163,11 +163,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleStream is /query's streaming sibling: it runs one command and
 // delivers the output as a chunked plain-text stream in the TCP wire
-// framing — data lines flushed to the client as the command produces
-// them, then exactly one status line ("ok" / "partial: <reason>" /
-// "error: <reason>"). Admission control, watchdog coverage, and metrics
-// match /query; a client that goes away mid-stream cancels the command
-// so its sinks wind down. Pre-execution failures (bad request,
+// framing and under the TCP session's flush contract — data lines
+// flushed to the client once per batch the command emits, then exactly
+// one status line ("ok" / "partial: <reason>" / "error: <reason>")
+// flushed together with whatever the command wrote last. Admission
+// control, watchdog coverage, and metrics match /query; a client that
+// goes away mid-stream cancels the command so its sinks wind down. Pre-execution failures (bad request,
 // overload) still get proper HTTP status codes — once streaming starts
 // the response is committed as 200 and the trailing status line is
 // authoritative.
@@ -246,18 +247,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(start)
 	s.metrics.observe(st, status, dur)
 	s.logCommand(r.RemoteAddr, st, status, dur)
-	if fw.err == nil {
-		_, _ = fw.Write([]byte(statusLine + "\n"))
-	}
+	_, _ = fw.Write([]byte(statusLine + "\n"))
+	_ = fw.Flush()
 }
 
-// flushWriter streams Exec output over an HTTP response: each Write is
-// pushed to the client immediately via the chunked encoder, and a
-// failed write — the client hung up — is sticky and cancels the running
-// command. Each write+flush carries its own deadline (http.Server has
-// no per-flush WriteTimeout), so a client that merely stops reading
-// fails the stream instead of pinning the handler and its admission
-// slot in a write the context cancel cannot unblock.
+// flushWriter streams Exec output over an HTTP response: Write appends
+// to the response's buffer, Flush — called by streaming verbs once per
+// emitted batch, and by the handler with the status line — pushes it to
+// the client through the chunked encoder. A failed write or flush — the
+// client hung up — is sticky and cancels the running command. Write and
+// Flush each arm the write deadline anew (http.Server has no per-flush
+// WriteTimeout, and a Write that outgrows the buffer reaches the socket
+// too), so a client that merely stops reading fails the stream instead
+// of pinning the handler and its admission slot in a write the context
+// cancel cannot unblock.
 type flushWriter struct {
 	w      io.Writer
 	rc     *http.ResponseController
@@ -270,27 +273,37 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 	if fw.err != nil {
 		return 0, fw.err
 	}
+	fw.arm()
+	n, err := fw.w.Write(p)
+	if err != nil {
+		return n, fw.fail(err)
+	}
+	return n, nil
+}
+
+func (fw *flushWriter) Flush() error {
+	if fw.err != nil {
+		return fw.err
+	}
+	fw.arm()
+	if err := fw.rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return fw.fail(err)
+	}
+	return nil
+}
+
+func (fw *flushWriter) arm() {
 	if fw.d > 0 {
 		// ErrNotSupported (a recording ResponseWriter in tests) just means
 		// no deadline; real server connections support it.
 		_ = fw.rc.SetWriteDeadline(time.Now().Add(fw.d))
 	}
-	n, err := fw.w.Write(p)
-	if err != nil {
-		fw.err = err
-		if fw.cancel != nil {
-			fw.cancel(err)
-		}
-		return n, err
-	}
-	if ferr := fw.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
-		fw.err = ferr
-		if fw.cancel != nil {
-			fw.cancel(ferr)
-		}
-		return n, ferr
-	}
-	return n, nil
+}
+
+func (fw *flushWriter) fail(err error) error {
+	fw.err = err
+	fw.cancel(err)
+	return err
 }
 
 // retryAfterSeconds converts an OverloadError's backoff hint to the

@@ -28,14 +28,28 @@ import (
 // frame responses by scanning for those prefixes. "quit" (or "exit")
 // answers "ok" and closes the connection.
 //
-// Data lines stream: each line goes to the client the moment the
-// executing command produces it (one flush per emitted batch), so a
-// join's first rows arrive while refinement is still running. The
-// framing is unchanged — data lines, then exactly one status line. A
-// hard error still usually means "no results": the verbs validate
-// before emitting, and the rare exception (every shard of a fan-out
-// dying mid-stream) leaves valid-but-incomplete rows above an "error:"
-// status.
+// Data lines stream, a batch at a time. Command output is appended to the
+// connection's buffered writer and reaches the socket only when someone
+// flushes:
+//
+//   - a streaming verb (shardselect, shardjoin, shardwithin, and the
+//     coordinator's select/join/within) flushes once per batch its sink
+//     emits, through the optional Flush() error of the io.Writer handed to
+//     Exec, so a join's first rows arrive while refinement is still
+//     running and a batch costs one socket write, not one per row;
+//   - the session flushes once more with the status line, which therefore
+//     shares a write with whatever the command wrote last (a stats line, a
+//     summary);
+//   - a verb that never flushes reaches the client in that one write, or
+//     earlier in buffer-sized pieces if its output outgrows the buffer.
+//
+// Every socket write, explicit or buffer-full, arms the write deadline
+// anew, so the deadline bounds one write, not a whole response. The
+// framing is unchanged — data lines, then exactly one status line — and
+// so are the bytes: only where they are cut into writes differs. A hard
+// error still usually means "no results": the verbs validate before
+// emitting, and the rare exception (every shard of a fan-out dying
+// mid-stream) leaves valid-but-incomplete rows above an "error:" status.
 
 // serveConn runs one TCP session. Any panic — an injected accept-site
 // fault or a session-handler bug — is contained here: the connection
@@ -57,15 +71,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	eng := s.newEngine()
-	w := bufio.NewWriter(conn)
-	if s.send(conn, w, "spatiald ready") != nil {
+	w := s.newConnWriter(conn)
+	if w.line("spatiald ready") != nil {
 		return
 	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	for {
 		if s.draining() {
-			_ = s.send(conn, w, "error: shutting down")
+			_ = w.line("error: shutting down")
 			return
 		}
 		if inj := s.cfg.Faults; inj != nil && inj.Disconnect(faultinject.SiteServerRead) {
@@ -76,10 +90,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "quit" || line == "exit" {
-			_ = s.send(conn, w, "ok")
+			_ = w.line("ok")
 			return
 		}
-		if !s.runCommand(eng, conn, w, line) {
+		if !s.runCommand(eng, w, line) {
 			return
 		}
 	}
@@ -89,12 +103,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // query verbs, execution against the shared catalog, metrics and access
 // logging, and the framed response. It reports whether the session can
 // continue (false on write failure or injected disconnect).
-func (s *Server) runCommand(eng *shellcmd.Engine, conn net.Conn, w *bufio.Writer, line string) bool {
+func (s *Server) runCommand(eng *shellcmd.Engine, w *connWriter, line string) bool {
 	start := time.Now()
-	remote := conn.RemoteAddr().String()
+	remote := w.conn.RemoteAddr().String()
 	verb := shellcmd.Verb(line)
 	if verb == "" || strings.HasPrefix(verb, "#") {
-		return s.send(conn, w, "ok") == nil
+		return w.line("ok") == nil
 	}
 
 	acquired := false
@@ -110,7 +124,7 @@ func (s *Server) runCommand(eng *shellcmd.Engine, conn net.Conn, w *bufio.Writer
 			}
 			s.metrics.observe(st, status, time.Since(start))
 			s.logCommand(remote, st, status, time.Since(start))
-			return s.send(conn, w, msg) == nil
+			return w.line(msg) == nil
 		}
 		acquired = true
 	}
@@ -118,26 +132,26 @@ func (s *Server) runCommand(eng *shellcmd.Engine, conn net.Conn, w *bufio.Writer
 	// session's recover — from leaking its admission slot; the deferred
 	// deregister keeps the watchdog's registry consistent on every exit,
 	// including a watchdog kill itself (deregister tolerates the double
-	// removal). Output streams through lw: complete lines reach the
-	// client while the command is still running, and a write failure
-	// cancels the command's context so streaming sinks wind down instead
-	// of refining for a dead connection.
-	lw := &lineWriter{s: s, conn: conn, w: w}
+	// removal). Output goes through w: batches reach the client while the
+	// command is still running, and a write failure cancels the command's
+	// context so streaming sinks wind down instead of refining for a dead
+	// connection.
 	res, err := func() (shellcmd.Result, error) {
 		if acquired {
 			defer s.lim.release()
 		}
 		ctx, cancel := context.WithCancelCause(s.baseCtx)
 		defer cancel(nil)
-		lw.cancel = cancel
+		w.cancel = cancel
+		defer func() { w.cancel = nil }()
 		if acquired && s.dog.enabled() {
 			// The sever hook closes the connection if the query is still
 			// pinned a grace period after the kill — the cancel cannot
 			// unblock a conn.Write, but the close can.
-			id := s.dog.register(verb, cancel, func() { conn.Close() })
+			id := s.dog.register(verb, cancel, func() { w.conn.Close() })
 			defer s.dog.deregister(id)
 		}
-		return eng.Exec(ctx, line, lw)
+		return eng.Exec(ctx, line, w)
 	}()
 
 	status, statusLine := StatusOK, "ok"
@@ -156,86 +170,119 @@ func (s *Server) runCommand(eng *shellcmd.Engine, conn net.Conn, w *bufio.Writer
 	s.metrics.observe(st, status, dur)
 	s.logCommand(remote, st, status, dur)
 
-	lw.finish()
-	if lw.err != nil {
-		return false
-	}
-	return s.send(conn, w, statusLine) == nil
+	return w.line(statusLine) == nil
 }
 
-// lineWriter is the io.Writer a session hands to Exec: every complete
-// line written into it goes to the client immediately through s.send —
-// one protocol line per data line, flushed — so streaming sinks deliver
-// rows as batches complete. The write-site disconnect fault keeps
-// striking per line, exactly as it did when responses were buffered. A
-// send failure is sticky: it cancels the command's context (winding
-// streaming sinks down) and every later Write fails fast.
-type lineWriter struct {
-	s      *Server
+// sessionBufSize is the connection's write buffer. It bounds what a
+// session holds back between flushes and is sized so that a default
+// batch of rows (256 of at most 47 bytes) and any summary fit without a
+// buffer-full write in the middle.
+const sessionBufSize = 16 << 10
+
+// connWriter is a session's way to its client, and the io.Writer the
+// session hands to Exec. Write appends to a buffer; the bytes reach the
+// socket at Flush (streaming verbs call it once per emitted batch,
+// through the optional Flush() error shellcmd looks for) and with the
+// next protocol line. The write-site disconnect fault keeps striking per
+// line, exactly as it did when every line was its own write. A socket
+// error is sticky: it cancels the running command's context (winding
+// streaming sinks down), fails every later call fast, and ends the
+// session without a status line.
+type connWriter struct {
+	faults *faultinject.Injector
 	conn   net.Conn
-	w      *bufio.Writer
-	rest   []byte // trailing bytes of an unterminated line
+	w      *bufio.Writer // over a deadlineWriter on conn
+	open   bool          // the last byte written did not end a line
 	err    error
-	cancel context.CancelCauseFunc
+	cancel context.CancelCauseFunc // the running command's, nil between commands
 }
 
-func (lw *lineWriter) Write(p []byte) (int, error) {
-	if lw.err != nil {
-		return 0, lw.err
+func (s *Server) newConnWriter(conn net.Conn) *connWriter {
+	return &connWriter{
+		faults: s.cfg.Faults,
+		conn:   conn,
+		w:      bufio.NewWriterSize(deadlineWriter{conn: conn, d: s.writeTimeout()}, sessionBufSize),
 	}
-	n := len(p)
-	for {
-		i := bytes.IndexByte(p, '\n')
-		if i < 0 {
-			lw.rest = append(lw.rest, p...)
-			return n, nil
-		}
-		lw.rest = append(lw.rest, p[:i]...)
-		line := string(lw.rest)
-		lw.rest = lw.rest[:0]
-		p = p[i+1:]
-		if err := lw.s.send(lw.conn, lw.w, line); err != nil {
-			lw.err = err
-			if lw.cancel != nil {
-				lw.cancel(err)
+}
+
+// deadlineWriter arms the connection's write deadline before every
+// socket write. Sitting under the bufio.Writer it sees each write the
+// session causes, a buffer-full one in the middle of a Write included: a
+// client that stops reading (without disconnecting) fails the write once
+// its socket buffer fills, instead of pinning the session — and,
+// mid-query, the admission slot — in a conn.Write that no context
+// cancellation can unblock.
+type deadlineWriter struct {
+	conn net.Conn
+	d    time.Duration // per-write deadline; 0 means unbounded
+}
+
+func (dw deadlineWriter) Write(p []byte) (int, error) {
+	if dw.d > 0 {
+		_ = dw.conn.SetWriteDeadline(time.Now().Add(dw.d))
+	}
+	return dw.conn.Write(p)
+}
+
+func (cw *connWriter) Write(p []byte) (int, error) {
+	if cw.err != nil {
+		return 0, cw.err
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if cw.faults != nil {
+		// One decision per line, as when lines were written one by one: a
+		// strike delivers the lines before it and severs the connection —
+		// the mid-response disconnect clients must survive.
+		for end := 0; end < len(p); {
+			i := bytes.IndexByte(p[end:], '\n')
+			if i < 0 {
+				break
 			}
-			return 0, err
+			if cw.faults.Disconnect(faultinject.SiteServerWrite) {
+				_, _ = cw.w.Write(p[:end])
+				_ = cw.w.Flush()
+				cw.conn.Close()
+				return end, cw.fail(net.ErrClosed)
+			}
+			end += i + 1
 		}
 	}
+	n, err := cw.w.Write(p)
+	if err != nil {
+		return n, cw.fail(err)
+	}
+	cw.open = p[len(p)-1] != '\n'
+	return n, nil
 }
 
-// finish sends a trailing unterminated line, if any, so no output is
-// lost when a command ends without a final newline.
-func (lw *lineWriter) finish() {
-	if lw.err == nil && len(lw.rest) > 0 {
-		line := string(lw.rest)
-		lw.rest = lw.rest[:0]
-		if err := lw.s.send(lw.conn, lw.w, line); err != nil {
-			lw.err = err
-		}
+// Flush sends what is buffered in one socket write.
+func (cw *connWriter) Flush() error {
+	if cw.err != nil {
+		return cw.err
 	}
+	if err := cw.w.Flush(); err != nil {
+		return cw.fail(err)
+	}
+	return nil
 }
 
-// send writes one protocol line and flushes. A disconnect fault armed at
-// the write site severs the connection instead — the mid-response
-// disconnect clients must survive. Every write is bounded by the
-// server's write deadline: a client that stops reading (without
-// disconnecting) fails the write once its socket buffer fills, instead
-// of pinning the session — and, mid-query, the admission slot — in a
-// conn.Write that no context cancellation can unblock.
-func (s *Server) send(conn net.Conn, w *bufio.Writer, line string) error {
-	if inj := s.cfg.Faults; inj != nil && inj.Disconnect(faultinject.SiteServerWrite) {
-		conn.Close()
-		return net.ErrClosed
+// line sends one protocol line — greeting or status — together with
+// everything buffered before it, first closing a data line the command
+// left without its newline.
+func (cw *connWriter) line(text string) error {
+	if cw.open {
+		_, _ = cw.Write([]byte{'\n'})
 	}
-	if d := s.writeTimeout(); d > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(d))
+	_, _ = cw.Write(append([]byte(text), '\n'))
+	return cw.Flush()
+}
+
+func (cw *connWriter) fail(err error) error {
+	cw.err = err
+	if cw.cancel != nil {
+		cw.cancel(err)
 	}
-	if _, err := w.WriteString(line); err != nil {
-		return err
-	}
-	if err := w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return w.Flush()
+	return err
 }

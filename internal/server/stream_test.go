@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -203,7 +202,7 @@ func TestSendWriteDeadlineUnblocksStalledClient(t *testing.T) {
 	defer client.Close() // never read from: the stalled client
 
 	start := time.Now()
-	err := s.send(srv, bufio.NewWriter(srv), "row nobody reads")
+	err := s.newConnWriter(srv).line("row nobody reads")
 	if err == nil {
 		t.Fatal("send to a client that never reads returned nil, want deadline error")
 	}

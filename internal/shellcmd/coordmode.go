@@ -139,23 +139,27 @@ func (e *Engine) coordSelect(ctx context.Context, line string, out io.Writer) (R
 }
 
 // coordFan runs one fanned-out query with the session's deadline,
-// streaming each merged id/pair line to the client the moment the
-// merger releases it (no coordinator-side buffering), and folds a shard
-// miss into the typed partial. Rows arrive in cross-shard merge order,
-// not sorted — dedup and the reference-point rule still hold.
+// streaming the merged id/pair rows to the client a chunk at a time: the
+// sink encodes each row the merger releases into one buffer and the
+// chunk's end writes and flushes it (no coordinator-side buffering beyond
+// the chunk), and folds a shard miss into the typed partial. Rows arrive
+// in cross-shard merge order, not sorted — dedup and the reference-point
+// rule still hold.
 func (e *Engine) coordFan(ctx context.Context, op string, out io.Writer, run func(context.Context, coord.RowSink) (coord.Result, error)) (Result, error) {
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
 	start := time.Now()
+	rows := rowBatch{out: out}
 	sink := coord.RowSink{
 		ID: func(id uint64) error {
-			_, err := fmt.Fprintf(out, "id %d\n", id)
-			return err
+			rows.buf = coord.AppendIDRow(rows.buf, id)
+			return nil
 		},
 		Pair: func(p [2]uint64) error {
-			_, err := fmt.Fprintf(out, "pair %d %d\n", p[0], p[1])
-			return err
+			rows.buf = coord.AppendPairRow(rows.buf, p[0], p[1])
+			return nil
 		},
+		Flush: rows.send,
 	}
 	res, cerr := run(qctx, sink)
 	if cerr != nil {

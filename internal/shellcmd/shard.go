@@ -21,7 +21,6 @@ package shellcmd
 //     comparable with a single-node run.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/coord"
 	"repro/internal/geom"
 	"repro/internal/partition"
 	"repro/internal/query"
@@ -71,6 +71,33 @@ func parseRect(args []string) (geom.Rect, error) {
 func FormatRect(r geom.Rect) string {
 	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 	return f(r.MinX) + " " + f(r.MinY) + " " + f(r.MaxX) + " " + f(r.MaxY)
+}
+
+// rowBatch carries one emitted sink batch to the client: the rows are
+// encoded into one reused buffer and leave in one Write followed by one
+// flush, so a batch is one socket write on a spatiald session and the
+// client sees it while the next batch is still refining.
+type rowBatch struct {
+	out io.Writer
+	buf []byte
+}
+
+// send writes the encoded rows, if any, and flushes when the writer
+// buffers: an optional Flush() error, in the manner of http.Flusher (a
+// spatiald session, a bufio.Writer). Any other writer already has them.
+func (b *rowBatch) send() error {
+	if len(b.buf) == 0 {
+		return nil
+	}
+	_, err := b.out.Write(b.buf)
+	b.buf = b.buf[:0]
+	if err != nil {
+		return err
+	}
+	if f, ok := b.out.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return nil
 }
 
 // writeStats terminates a shard response's data section with the uniform
@@ -149,14 +176,12 @@ func (e *Engine) shardSelect(ctx context.Context, store Store, line string, out 
 	// returned by the view were already streamed, so nothing is re-printed
 	// below — on a partial, the rows out are exactly the rows found.
 	stable := globalIDs(v)
-	var buf bytes.Buffer
+	rows := rowBatch{out: out}
 	sink := func(batch []int) error {
-		buf.Reset()
 		for _, i := range batch {
-			fmt.Fprintf(&buf, "id %d\n", gid(stable, i))
+			rows.buf = coord.AppendIDRow(rows.buf, gid(stable, i))
 		}
-		_, werr := out.Write(buf.Bytes())
-		return werr
+		return rows.send()
 	}
 	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester,
 		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
@@ -208,22 +233,17 @@ func (e *Engine) shardJoin(ctx context.Context, store Store, args []string, out 
 	da, db := a.Dataset(), b.Dataset()
 	idsA, idsB := globalIDs(a), globalIDs(b)
 	owned := 0
-	var buf bytes.Buffer
+	rows := rowBatch{out: out}
 	opt.Sink = func(pairs []query.Pair) error {
-		buf.Reset()
 		for _, p := range pairs {
 			ref := partition.RefPoint(da.Objects[p.A].Bounds(), db.Objects[p.B].Bounds())
 			if !partition.OwnsRect(region, ref) {
 				continue
 			}
 			owned++
-			fmt.Fprintf(&buf, "pair %d %d\n", gid(idsA, p.A), gid(idsB, p.B))
+			rows.buf = coord.AppendPairRow(rows.buf, gid(idsA, p.A), gid(idsB, p.B))
 		}
-		if buf.Len() == 0 {
-			return nil
-		}
-		_, werr := out.Write(buf.Bytes())
-		return werr
+		return rows.send()
 	}
 	_, stats, qerr := query.PipelineIntersectionJoinView(qctx, a, b, opt)
 	var be *query.BudgetError
@@ -276,22 +296,17 @@ func (e *Engine) shardWithin(ctx context.Context, store Store, args []string, ou
 	da, db := a.Dataset(), b.Dataset()
 	idsA, idsB := globalIDs(a), globalIDs(b)
 	owned := 0
-	var buf bytes.Buffer
+	rows := rowBatch{out: out}
 	opt.Sink = func(pairs []query.Pair) error {
-		buf.Reset()
 		for _, p := range pairs {
 			ref := partition.RefPointWithin(da.Objects[p.A].Bounds(), db.Objects[p.B].Bounds(), d)
 			if !partition.OwnsRect(region, ref) {
 				continue
 			}
 			owned++
-			fmt.Fprintf(&buf, "pair %d %d\n", gid(idsA, p.A), gid(idsB, p.B))
+			rows.buf = coord.AppendPairRow(rows.buf, gid(idsA, p.A), gid(idsB, p.B))
 		}
-		if buf.Len() == 0 {
-			return nil
-		}
-		_, werr := out.Write(buf.Bytes())
-		return werr
+		return rows.send()
 	}
 	_, stats, qerr := query.PipelineWithinDistanceJoinView(qctx, a, b, d, opt)
 	var be *query.BudgetError

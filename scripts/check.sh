@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, race-enabled tests (the bench/
-# module included), and a short fuzz smoke pass over the input parsers and
-# the distance kernel. Run from the repo root.
+# module included), and a short fuzz smoke pass over the input parsers,
+# the wire row parser and the distance kernel. Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -375,6 +375,17 @@ cmp -s "$STDIR/pipe.pairs" "$STDIR/wire.pairs" || {
 	diff "$STDIR/pipe.pairs" "$STDIR/wire.pairs" | head -10
 	exit 1
 }
+# Byte for byte, in emit order: the recorded wire response must be the
+# in-process Exec output's rows, then one stats record (its timings
+# differ), then the status line, and nothing else. A framing slip in the
+# session's batch writer (a lost newline, a split or repeated row) fails
+# the gate here, not a client.
+sed 's/^> //' "$STDIR/pipe.txt" | grep '^pair ' >"$STDIR/pipe.rows"
+grep -v -e '^stats ' -e '^ok$' "$STDIR/wire.txt" >"$STDIR/wire.rows" || true
+cmp "$STDIR/pipe.rows" "$STDIR/wire.rows" || { echo "wire shardjoin response is not byte-identical to the in-process output"; exit 1; }
+[ "$(grep -c -v '^pair ' "$STDIR/wire.txt")" -eq 2 ] && [ "$(tail -n 1 "$STDIR/wire.txt")" = ok ] || {
+	echo "wire shardjoin response is not rows + stats + ok"; grep -v '^pair ' "$STDIR/wire.txt"; exit 1
+}
 echo "batch join a b sw; shardjoin a b -Inf -Inf +Inf +Inf" | "$STDIR/spatiald" -connect "$ST_ADDR" >"$STDIR/batch.txt"
 grep -q 'sub 1 ok: join' "$STDIR/batch.txt" || { echo "batch sub 1 trailer missing"; cat "$STDIR/batch.txt"; exit 1; }
 grep -q 'sub 2 ok: shardjoin' "$STDIR/batch.txt" || { echo "batch sub 2 trailer missing"; cat "$STDIR/batch.txt"; exit 1; }
@@ -397,5 +408,6 @@ go test ./internal/store/ -fuzz FuzzSnapshotOpen -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
 go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
+go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
 
 echo "== all checks passed"
