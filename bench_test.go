@@ -121,7 +121,7 @@ func BenchmarkFig12(b *testing.B) {
 			b.ReportAllocs()
 			tester := core.NewTester(core.Config{DisableHardware: true})
 			for range b.N {
-				query.IntersectionJoin(context.Background(), ls[j[0]], ls[j[1]], tester)
+				query.IntersectionJoinView(context.Background(), ls[j[0]].View(), ls[j[1]].View(), tester, query.JoinOptions{})
 			}
 		})
 		for _, res := range experiments.Resolutions {
@@ -129,7 +129,7 @@ func BenchmarkFig12(b *testing.B) {
 				b.ReportAllocs()
 				tester := core.NewTester(core.Config{Resolution: res})
 				for range b.N {
-					query.IntersectionJoin(context.Background(), ls[j[0]], ls[j[1]], tester)
+					query.IntersectionJoinView(context.Background(), ls[j[0]].View(), ls[j[1]].View(), tester, query.JoinOptions{})
 				}
 			})
 		}
@@ -146,7 +146,7 @@ func BenchmarkFig13(b *testing.B) {
 				b.ReportAllocs()
 				tester := core.NewTester(core.Config{Resolution: res, SWThreshold: th})
 				for range b.N {
-					query.IntersectionJoin(context.Background(), ls["LANDC"], ls["LANDO"], tester)
+					query.IntersectionJoinView(context.Background(), ls["LANDC"].View(), ls["LANDO"].View(), tester, query.JoinOptions{})
 				}
 			})
 		}
@@ -157,7 +157,7 @@ func BenchmarkFig13(b *testing.B) {
 // filters across the distance sweep (Figure 14).
 func BenchmarkFig14(b *testing.B) {
 	ls := benchLayers()
-	filters := query.DistanceFilterOptions{Use0Object: true, Use1Object: true}
+	filters := query.JoinOptions{Use0Object: true, Use1Object: true}
 	for _, j := range []string{"LANDC⋈LANDO", "WATER⋈PRISM"} {
 		a, c := splitJoin(ls, j)
 		for _, mult := range experiments.DistanceMultipliers {
@@ -166,7 +166,7 @@ func BenchmarkFig14(b *testing.B) {
 				tester := core.NewTester(core.Config{DisableHardware: true})
 				d := baseDs[j] * mult
 				for range b.N {
-					query.WithinDistanceJoin(context.Background(), a, c, d, tester, filters)
+					query.WithinDistanceJoinView(context.Background(), a.View(), c.View(), d, tester, filters)
 				}
 			})
 		}
@@ -177,7 +177,7 @@ func BenchmarkFig14(b *testing.B) {
 // D=1×BaseD across window resolutions (Figure 15).
 func BenchmarkFig15(b *testing.B) {
 	ls := benchLayers()
-	filters := query.DistanceFilterOptions{Use0Object: true, Use1Object: true}
+	filters := query.JoinOptions{Use0Object: true, Use1Object: true}
 	for _, j := range []string{"LANDC⋈LANDO", "WATER⋈PRISM"} {
 		a, c := splitJoin(ls, j)
 		d := baseDs[j]
@@ -185,7 +185,7 @@ func BenchmarkFig15(b *testing.B) {
 			b.ReportAllocs()
 			tester := core.NewTester(core.Config{DisableHardware: true})
 			for range b.N {
-				query.WithinDistanceJoin(context.Background(), a, c, d, tester, filters)
+				query.WithinDistanceJoinView(context.Background(), a.View(), c.View(), d, tester, filters)
 			}
 		})
 		for _, res := range experiments.Resolutions {
@@ -193,7 +193,7 @@ func BenchmarkFig15(b *testing.B) {
 				b.ReportAllocs()
 				tester := core.NewTester(core.Config{Resolution: res})
 				for range b.N {
-					query.WithinDistanceJoin(context.Background(), a, c, d, tester, filters)
+					query.WithinDistanceJoinView(context.Background(), a.View(), c.View(), d, tester, filters)
 				}
 			})
 		}
@@ -205,7 +205,7 @@ func BenchmarkFig15(b *testing.B) {
 // (Figure 16).
 func BenchmarkFig16(b *testing.B) {
 	ls := benchLayers()
-	filters := query.DistanceFilterOptions{Use0Object: true, Use1Object: true}
+	filters := query.JoinOptions{Use0Object: true, Use1Object: true}
 	for _, j := range []string{"LANDC⋈LANDO", "WATER⋈PRISM"} {
 		a, c := splitJoin(ls, j)
 		for _, mult := range experiments.DistanceMultipliers {
@@ -214,14 +214,14 @@ func BenchmarkFig16(b *testing.B) {
 				b.ReportAllocs()
 				tester := core.NewTester(core.Config{DisableHardware: true})
 				for range b.N {
-					query.WithinDistanceJoin(context.Background(), a, c, d, tester, filters)
+					query.WithinDistanceJoinView(context.Background(), a.View(), c.View(), d, tester, filters)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/hw/D=%gxBaseD", j, mult), func(b *testing.B) {
 				b.ReportAllocs()
 				tester := core.NewTester(core.Config{Resolution: 8, SWThreshold: 500})
 				for range b.N {
-					query.WithinDistanceJoin(context.Background(), a, c, d, tester, filters)
+					query.WithinDistanceJoinView(context.Background(), a.View(), c.View(), d, tester, filters)
 				}
 			})
 		}
@@ -263,7 +263,7 @@ func BenchmarkJoinLocality(b *testing.B) {
 			b.ReportAllocs()
 			tester := core.NewTester(cfg.core)
 			for range b.N {
-				query.IntersectionJoinOpt(context.Background(), ls["LANDC"], ls["LANDO"], tester, cfg.opt)
+				query.IntersectionJoinView(context.Background(), ls["LANDC"].View(), ls["LANDO"].View(), tester, cfg.opt)
 			}
 		})
 	}

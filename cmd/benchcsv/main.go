@@ -39,7 +39,7 @@ func main() {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"source", "experiment", "workload", "tester", "param",
-		"scale", "wall_ms", "ttfr_ms", "candidates", "results", "tests", "hw_reject_rate",
+		"scale", "wall_ms", "candidates", "results", "tests", "hw_reject_rate",
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcsv:", err)
 		os.Exit(1)
@@ -55,7 +55,6 @@ func main() {
 				path, r.Experiment, r.Workload, r.Tester, r.Param,
 				strconv.FormatFloat(r.Scale, 'g', -1, 64),
 				strconv.FormatFloat(r.WallMS, 'f', 3, 64),
-				strconv.FormatFloat(r.TTFRMS, 'f', 3, 64),
 				strconv.Itoa(r.Candidates),
 				strconv.Itoa(r.Results),
 				strconv.FormatInt(r.Tests, 10),

@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: table2,fig10,...,fig16,hull,locality,coldstart,ingest,shard,pipeline,intervals,failover or all")
+	exp := flag.String("exp", "all", "comma-separated experiments: table2,fig10,...,fig16,hull,locality,coldstart,ingest,shard,intervals,failover or all")
 	scale := flag.Float64("scale", experiments.DefaultScale,
 		"dataset scale in (0,1]: fraction of the paper's object counts")
 	timeout := flag.Duration("timeout", 0,
@@ -77,7 +77,7 @@ func main() {
 		defer cancel()
 		r.Ctx = ctx
 	}
-	all := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "hull", "locality", "coldstart", "ingest", "shard", "pipeline", "intervals", "failover"}
+	all := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "hull", "locality", "coldstart", "ingest", "shard", "intervals", "failover"}
 	want := map[string]bool{}
 	if *exp == "all" {
 		for _, e := range all {
@@ -111,9 +111,6 @@ func main() {
 		},
 		"shard": func() []experiments.BenchRecord {
 			return experiments.ShardRecords(r.Shard(), sc)
-		},
-		"pipeline": func() []experiments.BenchRecord {
-			return experiments.PipelineRecords(r.Pipeline(), sc)
 		},
 		"intervals": func() []experiments.BenchRecord {
 			return experiments.IntervalRecords(r.Intervals(), sc)

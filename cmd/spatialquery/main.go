@@ -63,7 +63,7 @@ func main() {
 	switch *op {
 	case "join":
 		run = func(t *core.Tester) (int, query.Cost, error) {
-			pairs, cost, err := query.IntersectionJoinOpt(ctx, a, b, t,
+			pairs, cost, err := query.IntersectionJoinView(ctx, a.View(), b.View(), t,
 				query.JoinOptions{MaxCandidates: *budget})
 			return len(pairs), cost, err
 		}
@@ -73,8 +73,8 @@ func main() {
 			fmt.Printf("using D = BaseD = %.4f\n", *d)
 		}
 		run = func(t *core.Tester) (int, query.Cost, error) {
-			pairs, cost, err := query.WithinDistanceJoin(ctx, a, b, *d, t,
-				query.DistanceFilterOptions{Use0Object: true, Use1Object: true, MaxCandidates: *budget})
+			pairs, cost, err := query.WithinDistanceJoinView(ctx, a.View(), b.View(), *d, t,
+				query.JoinOptions{Use0Object: true, Use1Object: true, MaxCandidates: *budget})
 			return len(pairs), cost, err
 		}
 	case "select":

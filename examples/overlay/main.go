@@ -28,7 +28,7 @@ func main() {
 
 	ctx := context.Background()
 	run := func(name string, tester *core.Tester) []query.Pair {
-		pairs, cost, err := query.IntersectionJoin(ctx, landc, lando, tester)
+		pairs, cost, err := query.IntersectionJoinView(ctx, landc.View(), lando.View(), tester, query.JoinOptions{})
 		if err != nil {
 			panic(err)
 		}

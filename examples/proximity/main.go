@@ -26,17 +26,17 @@ func main() {
 		len(water.Data.Objects), len(prism.Data.Objects), baseD)
 
 	ctx := context.Background()
-	filters := query.DistanceFilterOptions{Use0Object: true, Use1Object: true}
+	filters := query.JoinOptions{Use0Object: true, Use1Object: true}
 	fmt.Printf("\n%8s %10s %12s %12s %10s\n", "D/BaseD", "results", "sw geom", "hw geom", "hw saves")
 	for _, mult := range []float64{0.1, 0.5, 1, 2, 4} {
 		d := baseD * mult
 		sw := core.NewTester(core.Config{DisableHardware: true})
-		swPairs, swCost, err := query.WithinDistanceJoin(ctx, water, prism, d, sw, filters)
+		swPairs, swCost, err := query.WithinDistanceJoinView(ctx, water.View(), prism.View(), d, sw, filters)
 		if err != nil {
 			panic(err)
 		}
 		hw := core.NewTester(core.Config{Resolution: 8, SWThreshold: core.DefaultSWThreshold})
-		hwPairs, hwCost, err := query.WithinDistanceJoin(ctx, water, prism, d, hw, filters)
+		hwPairs, hwCost, err := query.WithinDistanceJoinView(ctx, water.View(), prism.View(), d, hw, filters)
 		if err != nil {
 			panic(err)
 		}

@@ -229,7 +229,7 @@ func TestCoordinatorWithinMatchesSingleNode(t *testing.T) {
 	}
 	tester := core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
 	pairs, _, err := query.WithinDistanceJoinView(context.Background(), f.a.View(), f.b.View(), d, tester,
-		query.DistanceFilterOptions{Use0Object: true, Use1Object: true})
+		query.JoinOptions{Use0Object: true, Use1Object: true})
 	if err != nil {
 		t.Fatal(err)
 	}

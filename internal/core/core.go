@@ -54,11 +54,11 @@ const (
 	// re-check overhead on the rejected population.
 	DefaultSentinelEvery = 64
 
-	// DefaultBatchSize is the pipeline's candidate-pair batch size. Large
-	// enough that the per-batch queue handoff amortizes to noise, small
-	// enough that the first refined batch — the client's time-to-first-row
-	// — arrives after a fraction of a percent of the join.
-	// spatialbench -exp pipeline sweeps the value.
+	// DefaultBatchSize is the join executor's candidate-pair batch size
+	// (query.JoinOptions.BatchSize). Large enough that the per-batch queue
+	// handoff amortizes to noise, small enough that the first refined batch
+	// — the client's time-to-first-row — arrives after a fraction of a
+	// percent of the join.
 	DefaultBatchSize = 256
 )
 
@@ -111,19 +111,6 @@ type Config struct {
 	// draw path). Production configurations leave it nil; the resilience
 	// tests use it to prove degradation semantics. See internal/faultinject.
 	Faults *faultinject.Injector
-
-	// BatchSize is the candidate-pair batch size of the staged join
-	// pipeline (query.PipelineIntersectionJoin): how many pairs travel
-	// together through the filter → refine → emit stages. Zero means
-	// DefaultBatchSize. Batches bound the queue memory between stages and
-	// set the streaming granularity — a smaller batch delivers the first
-	// rows sooner at more per-batch overhead.
-	BatchSize int
-	// NoPipeline is the ablation knob: it reconstructs the pre-pipeline
-	// per-pair call chain (filter and refine interleaved per candidate on
-	// one goroutine set, results emitted only at the end). Differential
-	// tests pin the two paths bit-identical.
-	NoPipeline bool
 }
 
 // Stats counts how pair tests were resolved; the evaluation harness reads
@@ -162,7 +149,7 @@ type Stats struct {
 	IntervalRejects      int64 // pairs resolved negative by span disjointness
 	IntervalInconclusive int64 // interval checks that decided nothing
 
-	// Resilience accounting, filled by the parallel join's panic
+	// Resilience accounting, filled by the join executor's panic
 	// isolation (pair tests that fault are not part of the Tests
 	// partition above: a panic at the test entry fires before Tests is
 	// incremented, and a pair recovered mid-test is re-counted by its
@@ -191,12 +178,12 @@ type Stats struct {
 	SWTime      time.Duration // software segment / distance tests
 	CollectTime time.Duration // candidate-edge collection (shared by both)
 
-	// Pipeline accounting, filled by the staged batch drivers
-	// (query.PipelineIntersectionJoin and friends) rather than by the
-	// tester itself: batches that crossed the stage queues, wall time the
-	// filter and refine worker pools spent, the deepest queue backlog
-	// observed (a bounded gauge — Add keeps the max, not the sum), and
-	// result rows handed to a streaming sink.
+	// Pipeline accounting, filled by the join executor (internal/query)
+	// rather than by the tester itself: batches that crossed the stages,
+	// time the filter and refine stages spent on them (summed over the
+	// workers), the deepest queue backlog observed (a bounded gauge — Add
+	// keeps the max, not the sum), and result rows handed to a streaming
+	// sink.
 	PipelineBatches    int64
 	PipelineFilterNS   int64
 	PipelineRefineNS   int64

@@ -128,6 +128,6 @@ func snapArm(forceCopy bool) func(path string) (*query.Layer, func(), error) {
 // R-tree, the polygon views and the refinement path.
 func touchQuery(r *Runner, l *query.Layer) (int, error) {
 	tester := core.NewTester(core.Config{DisableHardware: true})
-	pairs, _, err := query.IntersectionJoinOpt(r.ctx(), l, l, tester, query.JoinOptions{})
+	pairs, _, err := query.IntersectionJoinView(r.ctx(), l.View(), l.View(), tester, query.JoinOptions{})
 	return len(pairs), err
 }

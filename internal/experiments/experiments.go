@@ -257,7 +257,7 @@ func (r *Runner) joinSweep(title string, joins [][2]string, swThreshold int) []S
 		res := SweepResult{Workload: j[0] + "⋈" + j[1]}
 
 		swTester := core.NewTester(core.Config{DisableHardware: true})
-		_, swCost, err := query.IntersectionJoin(r.ctx(), a, b, swTester)
+		_, swCost, err := query.IntersectionJoinView(r.ctx(), a.View(), b.View(), swTester, query.JoinOptions{})
 		if r.check(err) {
 			return out
 		}
@@ -268,7 +268,7 @@ func (r *Runner) joinSweep(title string, joins [][2]string, swThreshold int) []S
 		r.printf("%6s %12s %12s %9s\n", "res", "sw(ms)", "hw(ms)", "hw/sw")
 		for _, resn := range Resolutions {
 			tester := core.NewTester(core.Config{Resolution: resn, SWThreshold: swThreshold})
-			_, hwCost, err := query.IntersectionJoin(r.ctx(), a, b, tester)
+			_, hwCost, err := query.IntersectionJoinView(r.ctx(), a.View(), b.View(), tester, query.JoinOptions{})
 			if r.check(err) {
 				return out
 			}
@@ -305,7 +305,7 @@ func (r *Runner) Fig13() []Fig13Result {
 	a, b := r.Layer("LANDC"), r.Layer("LANDO")
 	var out []Fig13Result
 	swTester := core.NewTester(core.Config{DisableHardware: true})
-	_, swCost, err := query.IntersectionJoin(r.ctx(), a, b, swTester)
+	_, swCost, err := query.IntersectionJoinView(r.ctx(), a.View(), b.View(), swTester, query.JoinOptions{})
 	if r.check(err) {
 		return out
 	}
@@ -316,7 +316,7 @@ func (r *Runner) Fig13() []Fig13Result {
 		r.printf("%10s %12s %9s\n", "threshold", "hw(ms)", "hw/sw")
 		for _, th := range Thresholds {
 			tester := core.NewTester(core.Config{Resolution: resn, SWThreshold: th})
-			_, hwCost, err := query.IntersectionJoin(r.ctx(), a, b, tester)
+			_, hwCost, err := query.IntersectionJoinView(r.ctx(), a.View(), b.View(), tester, query.JoinOptions{})
 			if r.check(err) {
 				return out
 			}
@@ -360,8 +360,8 @@ func (r *Runner) Fig14() []Fig14Result {
 		for _, m := range DistanceMultipliers {
 			d := baseD * m
 			tester := core.NewTester(core.Config{DisableHardware: true})
-			_, c, err := query.WithinDistanceJoin(r.ctx(), a, b, d, tester,
-				query.DistanceFilterOptions{Use0Object: true, Use1Object: true})
+			_, c, err := query.WithinDistanceJoinView(r.ctx(), a.View(), b.View(), d, tester,
+				query.JoinOptions{Use0Object: true, Use1Object: true})
 			if r.check(err) {
 				return out
 			}
@@ -382,14 +382,14 @@ func (r *Runner) Fig14() []Fig14Result {
 // with sw_threshold 0 across window resolutions.
 func (r *Runner) Fig15() []SweepResult {
 	var out []SweepResult
-	filters := query.DistanceFilterOptions{Use0Object: true, Use1Object: true}
+	filters := query.JoinOptions{Use0Object: true, Use1Object: true}
 	for _, j := range [][2]string{{"LANDC", "LANDO"}, {"WATER", "PRISM"}} {
 		a, b := r.Layer(j[0]), r.Layer(j[1])
 		d := data.BaseD(a.Data, b.Data)
 		res := SweepResult{Workload: j[0] + "⋈dis" + j[1]}
 
 		swTester := core.NewTester(core.Config{DisableHardware: true})
-		_, swCost, err := query.WithinDistanceJoin(r.ctx(), a, b, d, swTester, filters)
+		_, swCost, err := query.WithinDistanceJoinView(r.ctx(), a.View(), b.View(), d, swTester, filters)
 		if r.check(err) {
 			return out
 		}
@@ -399,7 +399,7 @@ func (r *Runner) Fig15() []SweepResult {
 		r.printf("%6s %12s %12s %9s\n", "res", "sw(ms)", "hw(ms)", "hw/sw")
 		for _, resn := range Resolutions {
 			tester := core.NewTester(core.Config{Resolution: resn})
-			_, hwCost, err := query.WithinDistanceJoin(r.ctx(), a, b, d, tester, filters)
+			_, hwCost, err := query.WithinDistanceJoinView(r.ctx(), a.View(), b.View(), d, tester, filters)
 			if r.check(err) {
 				return out
 			}
@@ -435,7 +435,7 @@ type Fig16Result struct {
 // sweep at an 8×8 window with sw_threshold 500, as in the paper.
 func (r *Runner) Fig16() []Fig16Result {
 	var out []Fig16Result
-	filters := query.DistanceFilterOptions{Use0Object: true, Use1Object: true}
+	filters := query.JoinOptions{Use0Object: true, Use1Object: true}
 	for _, j := range [][2]string{{"LANDC", "LANDO"}, {"WATER", "PRISM"}} {
 		a, b := r.Layer(j[0]), r.Layer(j[1])
 		baseD := data.BaseD(a.Data, b.Data)
@@ -445,12 +445,12 @@ func (r *Runner) Fig16() []Fig16Result {
 		for _, m := range DistanceMultipliers {
 			d := baseD * m
 			swTester := core.NewTester(core.Config{DisableHardware: true})
-			_, swCost, err := query.WithinDistanceJoin(r.ctx(), a, b, d, swTester, filters)
+			_, swCost, err := query.WithinDistanceJoinView(r.ctx(), a.View(), b.View(), d, swTester, filters)
 			if r.check(err) {
 				return out
 			}
 			hwTester := core.NewTester(core.Config{Resolution: 8, SWThreshold: 500})
-			_, hwCost, err := query.WithinDistanceJoin(r.ctx(), a, b, d, hwTester, filters)
+			_, hwCost, err := query.WithinDistanceJoinView(r.ctx(), a.View(), b.View(), d, hwTester, filters)
 			if r.check(err) {
 				return out
 			}

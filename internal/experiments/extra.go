@@ -52,7 +52,7 @@ func (r *Runner) ExtraHull() []HullResult {
 		}
 		for _, c := range configs {
 			tester := core.NewTester(c.cfg)
-			_, cost, err := query.IntersectionJoinOpt(r.ctx(), a, b, tester, c.opt)
+			_, cost, err := query.IntersectionJoinView(r.ctx(), a.View(), b.View(), tester, c.opt)
 			if r.check(err) {
 				return out
 			}
@@ -116,7 +116,7 @@ func (r *Runner) ExtraLocality() []LocalityResult {
 	for _, c := range configs {
 		tester := core.NewTester(c.cfg)
 		start := time.Now()
-		pairs, _, err := query.IntersectionJoinOpt(r.ctx(), a, b, tester, c.opt)
+		pairs, _, err := query.IntersectionJoinView(r.ctx(), a.View(), b.View(), tester, c.opt)
 		wall := time.Since(start)
 		if r.check(err) {
 			return nil

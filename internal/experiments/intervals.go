@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -67,15 +66,8 @@ func (r *Runner) Intervals() []IntervalResult {
 		base := -1
 		for _, arm := range arms {
 			start := time.Now()
-			pairs, stats, err := query.PipelineIntersectionJoin(r.ctx(), w.a, w.b, query.PipelineOptions{
-				ParallelOptions: query.ParallelOptions{
-					Tester: func() *core.Tester {
-						return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
-					},
-					NoIntervals:   arm.noIval,
-					IntervalOrder: arm.order,
-				},
-			})
+			pairs, stats, err := query.PipelineIntersectionJoinView(r.ctx(), w.a.View(), w.b.View(),
+				query.JoinOptions{NoIntervals: arm.noIval, IntervalOrder: arm.order})
 			wall := time.Since(start)
 			if r.check(err) {
 				return out

@@ -20,7 +20,6 @@ type BenchRecord struct {
 	Param        string  `json:"param,omitempty"` // swept x-value, e.g. "res=8", "level=3"
 	Scale        float64 `json:"scale"`
 	WallMS       float64 `json:"wall_ms"`
-	TTFRMS       float64 `json:"ttfr_ms,omitempty"` // time to first streamed row
 	Candidates   int     `json:"candidates,omitempty"`
 	Results      int     `json:"results,omitempty"`
 	Tests        int64   `json:"tests,omitempty"`

@@ -108,7 +108,7 @@ func expectParity(t *testing.T, tab *Table, want *data.Dataset) {
 		}
 	}
 	scratch := query.NewLayer(want)
-	wantPairs, _, err := query.IntersectionJoin(bg, scratch, scratch, tester())
+	wantPairs, _, err := query.IntersectionJoinView(bg, scratch.View(), scratch.View(), tester(), query.JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

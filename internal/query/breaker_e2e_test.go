@@ -29,7 +29,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	a, b := freshLayers()
 
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoinOpt(bg, a, b, sw, JoinOptions{NoBreaker: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), sw, JoinOptions{NoBreaker: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	br := core.NewBreaker(8)
 	a.SetBreaker(b, br)
 
-	got, _, err := IntersectionJoinOpt(bg, a, b, faulted, JoinOptions{})
+	got, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	// again the probe closes the breaker and the hardware path resumes.
 	inj.Disarm(faultinject.SiteHWFilter)
 	for i := 0; i < 50 && br.State() != core.BreakerClosed; i++ {
-		if _, _, err := IntersectionJoinOpt(bg, a, b, faulted, JoinOptions{}); err != nil {
+		if _, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	// genuinely back: a fresh join must record hardware rejects again and
 	// still match the baseline.
 	faulted.ResetStats()
-	got, _, err = IntersectionJoinOpt(bg, a, b, faulted, JoinOptions{})
+	got, _, err = IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +108,13 @@ func TestBreakerSharedAcrossParallelWorkers(t *testing.T) {
 	inj := faultinject.New(13).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
 	br := core.NewBreaker(8)
 	a.SetBreaker(b, br)
-	opt := ParallelOptions{
-		Workers: 4,
+	got, stats, err := pooledJoin(a, b, JoinOptions{
+		Workers:   4,
+		BatchSize: 16,
 		Tester: func() *core.Tester {
 			return core.NewTester(core.Config{SWThreshold: 0, SentinelEvery: 1, Faults: inj})
 		},
-	}
-	got, stats, err := ParallelIntersectionJoin(bg, a, b, opt)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBreakerSharedAcrossParallelWorkers(t *testing.T) {
 func mustJoin(t *testing.T, a, b *Layer) []Pair {
 	t.Helper()
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoinOpt(bg, a, b, sw, JoinOptions{NoBreaker: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), sw, JoinOptions{NoBreaker: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDeadlineErrorCause(t *testing.T) {
 	<-ctx.Done()
 
 	tester := core.NewTester(core.Config{DisableHardware: true})
-	_, _, err := IntersectionJoin(ctx, layerA, layerB, tester)
+	_, _, err := IntersectionJoinView(ctx, layerA.View(), layerB.View(), tester, JoinOptions{})
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("expired-budget join error = %v, want *PartialError", err)

@@ -23,7 +23,7 @@ func TestEdgeIndexCached(t *testing.T) {
 	}
 }
 
-// TestEdgeIndexSharedAcrossWorkers drives 8 workers through one Layer's
+// TestEdgeIndexSharedAcrossWorkers drives 8 pooled joins through one Layer's
 // edge indexes simultaneously — racing the lazy CompareAndSwap publication
 // and then reading the shared hierarchies — and checks every worker's
 // join result against the serial answer. Run under -race this is the
@@ -33,8 +33,7 @@ func TestEdgeIndexSharedAcrossWorkers(t *testing.T) {
 	b := NewLayer(data.MustLoad("LANDO", 0.001))
 
 	serialTester := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoinOpt(bg, a, b, serialTester,
-		JoinOptions{NoEdgeIndex: true, NoLocalityOrder: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), serialTester, JoinOptions{NoEdgeIndex: true, NoLocalityOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +47,9 @@ func TestEdgeIndexSharedAcrossWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tester := core.NewTester(core.Config{DisableHardware: true})
-			results[w], _, errs[w] = IntersectionJoinOpt(bg, a, b, tester, JoinOptions{})
+			results[w], _, errs[w] = pooledJoin(a, b, JoinOptions{Workers: 2, BatchSize: 8, Tester: func() *core.Tester {
+				return core.NewTester(core.Config{DisableHardware: true})
+			}})
 		}()
 	}
 	wg.Wait()
@@ -64,55 +64,6 @@ func TestEdgeIndexSharedAcrossWorkers(t *testing.T) {
 		for i := range wantSorted {
 			if got[i] != wantSorted[i] {
 				t.Fatalf("worker %d: pair %d = %v, want %v", w, i, got[i], wantSorted[i])
-			}
-		}
-	}
-}
-
-// TestJoinAblationsAgree checks that the four combinations of the
-// refinement ablation knobs compute the same pair set: the edge index and
-// the locality ordering are pure performance levers.
-func TestJoinAblationsAgree(t *testing.T) {
-	d := data.BaseD(layerA.Data, layerB.Data)
-	combos := []JoinOptions{
-		{},
-		{NoEdgeIndex: true},
-		{NoLocalityOrder: true},
-		{NoEdgeIndex: true, NoLocalityOrder: true},
-	}
-	var wantJoin, wantWithin []Pair
-	for i, opt := range combos {
-		tester := core.NewTester(core.Config{Resolution: 8, SWThreshold: core.DefaultSWThreshold})
-		got, _, err := IntersectionJoinOpt(bg, layerA, layerB, tester, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotW, _, err := WithinDistanceJoin(bg, layerA, layerB, d, tester, DistanceFilterOptions{
-			NoEdgeIndex: opt.NoEdgeIndex, NoLocalityOrder: opt.NoLocalityOrder,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			wantJoin, wantWithin = sortedPairs(got), sortedPairs(gotW)
-			continue
-		}
-		if g := sortedPairs(got); len(g) != len(wantJoin) {
-			t.Fatalf("combo %+v: %d intersection pairs, want %d", opt, len(g), len(wantJoin))
-		} else {
-			for j := range g {
-				if g[j] != wantJoin[j] {
-					t.Fatalf("combo %+v: pair %d = %v, want %v", opt, j, g[j], wantJoin[j])
-				}
-			}
-		}
-		if g := sortedPairs(gotW); len(g) != len(wantWithin) {
-			t.Fatalf("combo %+v: %d within pairs, want %d", opt, len(g), len(wantWithin))
-		} else {
-			for j := range g {
-				if g[j] != wantWithin[j] {
-					t.Fatalf("combo %+v: within pair %d = %v, want %v", opt, j, g[j], wantWithin[j])
-				}
 			}
 		}
 	}

@@ -8,11 +8,11 @@ import (
 
 func TestHullFilterPreservesResults(t *testing.T) {
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, plainCost, err := IntersectionJoin(bg, layerA, layerB, sw)
+	want, plainCost, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, hullCost, err := IntersectionJoinOpt(bg, layerA, layerB, sw, JoinOptions{UseHullFilter: true})
+	got, hullCost, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{UseHullFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

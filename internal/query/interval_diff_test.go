@@ -34,7 +34,7 @@ func TestIntervalJoinDifferentialGrid(t *testing.T) {
 			// backing this is the v1 signature path; in memory it is the
 			// plain exact path.
 			base := swTester()
-			want, _, err := IntersectionJoinOpt(bg, a, b, base, JoinOptions{NoIntervals: true})
+			want, _, err := IntersectionJoinView(bg, a.View(), b.View(), base, JoinOptions{NoIntervals: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,45 +48,36 @@ func TestIntervalJoinDifferentialGrid(t *testing.T) {
 
 			// Serial with intervals on: identical result, filter engaged.
 			ser := swTester()
-			got, _, err := IntersectionJoinOpt(bg, a, b, ser, JoinOptions{})
+			got, _, err := IntersectionJoinView(bg, a.View(), b.View(), ser, JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			samePairsExact(t, "serial intervals", sortedPairs(got), want)
+			samePairs(t, "serial intervals", sortedPairs(got), want)
 			if ser.Stats.IntervalChecks == 0 || ser.Stats.IntervalTrueHits == 0 {
 				t.Fatalf("interval filter idle on %s backing: %+v", backing, ser.Stats)
 			}
 			checkStatsPartition(t, "serial intervals", ser.Stats)
 
-			// Pipeline and per-pair ablation, intervals on/off, grid orders.
+			// Pooled, intervals on/off, grid orders.
 			for _, order := range []int{0, 6, 9} {
 				for _, noIval := range []bool{false, true} {
-					for _, noPipe := range []bool{false, true} {
-						if noIval && order != 0 {
-							continue // order is meaningless with intervals off
-						}
-						name := fmt.Sprintf("order=%d nointervals=%v nopipeline=%v", order, noIval, noPipe)
-						opt := PipelineOptions{
-							ParallelOptions: ParallelOptions{
-								Workers:       4,
-								Tester:        swTester,
-								NoIntervals:   noIval,
-								IntervalOrder: order,
-							},
-							NoPipeline: noPipe,
-						}
-						got, stats, err := PipelineIntersectionJoin(bg, a, b, opt)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						samePairsExact(t, name, sortedPairs(got), want)
-						checkStatsPartition(t, name, stats)
-						if !noIval && stats.IntervalChecks == 0 {
-							t.Errorf("%s: interval filter idle", name)
-						}
-						if noIval && stats.IntervalChecks != 0 {
-							t.Errorf("%s: NoIntervals leaked %d interval checks", name, stats.IntervalChecks)
-						}
+					if noIval && order != 0 {
+						continue // order is meaningless with intervals off
+					}
+					name := fmt.Sprintf("order=%d nointervals=%v", order, noIval)
+					got, stats, err := pooledJoin(a, b, JoinOptions{
+						Workers: 4, Tester: swTester, NoIntervals: noIval, IntervalOrder: order,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					samePairs(t, name, got, want)
+					checkStatsPartition(t, name, stats)
+					if !noIval && stats.IntervalChecks == 0 {
+						t.Errorf("%s: interval filter idle", name)
+					}
+					if noIval && stats.IntervalChecks != 0 {
+						t.Errorf("%s: NoIntervals leaked %d interval checks", name, stats.IntervalChecks)
 					}
 				}
 			}
@@ -102,30 +93,28 @@ func TestIntervalJoinDifferentialSynthetic(t *testing.T) {
 	a := NewLayer(data.MustLoad("PRISM", 0.02))
 	b := NewLayer(data.MustLoad("WATER", 0.02))
 
-	want, _, err := IntersectionJoinOpt(bg, a, b, swTester(), JoinOptions{NoIntervals: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), swTester(), JoinOptions{NoIntervals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = sortedPairs(want)
 
 	tester := swTester()
-	got, _, err := IntersectionJoinOpt(bg, a, b, tester, JoinOptions{})
+	got, _, err := IntersectionJoinView(bg, a.View(), b.View(), tester, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePairsExact(t, "synthetic serial", sortedPairs(got), want)
+	samePairs(t, "synthetic serial", sortedPairs(got), want)
 	if tester.Stats.IntervalChecks == 0 {
 		t.Fatalf("interval filter idle on synthetic pair: %+v", tester.Stats)
 	}
 	checkStatsPartition(t, "synthetic serial", tester.Stats)
 
-	pgot, pstats, err := PipelineIntersectionJoin(bg, a, b, PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4, Tester: swTester},
-	})
+	pgot, pstats, err := pooledJoin(a, b, JoinOptions{Workers: 4, Tester: swTester})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePairsExact(t, "synthetic pipeline", sortedPairs(pgot), want)
+	samePairs(t, "synthetic pipeline", pgot, want)
 	checkStatsPartition(t, "synthetic pipeline", pstats)
 }
 
@@ -137,7 +126,7 @@ func TestIntervalJoinDifferentialSynthetic(t *testing.T) {
 func TestIntervalConcurrentLazyBuild(t *testing.T) {
 	a := NewLayer(data.MustLoad("LANDC", 0.01))
 	b := NewLayer(data.MustLoad("LANDO", 0.01))
-	want, _, err := IntersectionJoinOpt(bg, a, b, swTester(), JoinOptions{NoIntervals: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), swTester(), JoinOptions{NoIntervals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +142,8 @@ func TestIntervalConcurrentLazyBuild(t *testing.T) {
 			if i%2 == 1 {
 				order = 8
 			}
-			got, _, err := ParallelIntersectionJoin(bg, a, b, ParallelOptions{
-				Workers: 2, Tester: swTester, IntervalOrder: order,
+			got, _, err := pooledJoin(a, b, JoinOptions{
+				Workers: 2, BatchSize: 64, Tester: swTester, IntervalOrder: order,
 			})
 			if err != nil {
 				errs <- err

@@ -100,7 +100,7 @@ func TestLiveViewParity(t *testing.T) {
 	}
 
 	// Self-join over the composed view (the crash harness's parity oracle).
-	want, _, err := IntersectionJoin(bg, scratch, scratch, swTester())
+	want, _, err := IntersectionJoinView(bg, scratch.View(), scratch.View(), swTester(), JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLiveViewParity(t *testing.T) {
 	samePairs(t, "self-join", got, want)
 
 	// Cross join live × plain layer.
-	wantX, _, err := IntersectionJoin(bg, scratch, layerB, swTester())
+	wantX, _, err := IntersectionJoinView(bg, scratch.View(), layerB.View(), swTester(), JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +125,19 @@ func TestLiveViewParity(t *testing.T) {
 
 	// Within-distance join.
 	d := data.BaseD(layerA.Data, layerB.Data)
-	wantW, _, err := WithinDistanceJoin(bg, scratch, layerB, d, swTester(), DistanceFilterOptions{Use0Object: true})
+	wantW, _, err := WithinDistanceJoinView(bg, scratch.View(), layerB.View(), d, swTester(), JoinOptions{Use0Object: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sortPairsByOuter(wantW)
-	gotW, _, err := WithinDistanceJoinView(bg, v, layerB.View(), d, swTester(), DistanceFilterOptions{Use0Object: true})
+	gotW, _, err := WithinDistanceJoinView(bg, v, layerB.View(), d, swTester(), JoinOptions{Use0Object: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	samePairs(t, "within-join", gotW, wantW)
 
-	// Parallel join agrees with the serial composed join.
-	gotP, _, err := ParallelIntersectionJoinView(bg, v, v, ParallelOptions{Workers: 4})
+	// The pooled join agrees with the inline composed join.
+	gotP, _, err := PipelineIntersectionJoinView(bg, v, v, JoinOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestForceCopyDeltaOverlayParity(t *testing.T) {
 		sameIDs(t, fmt.Sprintf("mmap select %d", qi), gotM, sortedIDs(want))
 		sameIDs(t, fmt.Sprintf("copy select %d", qi), gotC, gotM)
 	}
-	wantJ, _, err := IntersectionJoin(bg, scratch, scratch, swTester())
+	wantJ, _, err := IntersectionJoinView(bg, scratch.View(), scratch.View(), swTester(), JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ type OverlayPair struct {
 // computations: an interrupted call returns the overlays finished so far
 // plus a *PartialError.
 func OverlayAreaJoin(ctx context.Context, a, b *Layer, tester *core.Tester) ([]OverlayPair, Cost, error) {
-	pairs, cost, err := IntersectionJoin(ctx, a, b, tester)
+	pairs, cost, err := IntersectionJoinView(ctx, a.View(), b.View(), tester, JoinOptions{})
 	if err != nil {
 		return nil, cost, err
 	}

@@ -11,7 +11,7 @@ import (
 func TestOverlayAreaJoin(t *testing.T) {
 	sw := core.NewTester(core.Config{DisableHardware: true})
 	hw := core.NewTester(core.Config{Resolution: 8})
-	wantPairs, _, err := IntersectionJoin(bg, layerA, layerB, sw)
+	wantPairs, _, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

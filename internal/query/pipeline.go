@@ -2,43 +2,48 @@ package query
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/filter"
+	"repro/internal/interval"
 	"repro/internal/rtree"
 )
 
-// This file implements the staged batch pipeline for joins: candidate
-// generation → filter (MBR / containment / persisted-signature, the
-// render-free front of Algorithm 3.1) → refine (hardware filter + exact
-// software tests) → emit, with bounded batch queues between the stages
-// and a worker pool per stage. Batching keeps each stage's working set
-// hot (the filter stage runs dense and branch-light over whole batches,
-// modeled on 3DPipe's pipelined join framework), and the emit stage
-// delivers refined batches to a streaming sink as they complete — clients
-// measure time-to-first-row instead of time-to-last-row.
-//
-// Determinism: batches are numbered at generation and the emit stage
-// restores sequence order, so with the default locality order the
-// complete result — returned and streamed — is exactly the serial
-// driver's candidate-sorted output, bit for bit. Config.NoPipeline (or
-// PipelineOptions.NoPipeline) reconstructs the pre-pipeline per-pair
-// worker path, emitting one final batch; differential tests pin the two
-// paths identical.
+// This file is the join executor — the one driver behind every join
+// verb: candidate generation → filter (optional prefilter, then the
+// render-free front of Algorithm 3.1: MBR / interval / containment /
+// persisted signature) → refine (hardware filter + exact software tests)
+// → emit, in batches. Batching keeps each stage's working set hot (the
+// filter stage runs dense and branch-light over whole batches, modeled on
+// 3DPipe's pipelined join framework), and the emit stage delivers refined
+// batches to a streaming sink as they complete — clients measure
+// time-to-first-row instead of time-to-last-row. The same per-batch stage
+// functions run inline on the calling goroutine or on worker pools (see
+// runStages); either way the result — returned and streamed — is in
+// candidate order: with the default locality order, sorted by (A, B).
 
-// PipelineOptions configure the staged batch join drivers.
-type PipelineOptions struct {
-	ParallelOptions
-
-	// BatchSize is the candidate-pair batch size; 0 falls back to the
-	// tester configuration's Config.BatchSize, then core.DefaultBatchSize.
+// JoinOptions configure a join: how it executes, what it guards against,
+// which intermediate filters run, and the ablation knobs.
+type JoinOptions struct {
+	// Workers is the number of refinement workers of the tester-less entry
+	// points; 0 means GOMAXPROCS, and the executor clamps it (see
+	// maxWorkersPerCPU). Tester builds each worker's tester — every worker
+	// needs its own (a Tester owns a rendering context, like a per-thread
+	// GL context); nil means hardware-assisted defaults.
+	Workers int
+	Tester  func() *core.Tester
+	// MaxCandidates, when positive, aborts the join with a *BudgetError
+	// if the MBR join yields more candidate pairs than this — the guard
+	// against pathological MBR skew materializing an unbounded pair list.
+	MaxCandidates int
+	// BatchSize is the candidate-pair batch size — how many pairs travel
+	// together through the stages, which bounds the memory between them
+	// and sets the streaming granularity; 0 means core.DefaultBatchSize.
 	BatchSize int
-	// NoPipeline reconstructs the per-pair worker path (one emit at the
-	// end); OR-ed with the tester configuration's Config.NoPipeline.
-	NoPipeline bool
 	// Sink, when non-nil, receives each completed batch's positive pairs
 	// in sequence order as refinement finishes, from the calling
 	// goroutine. The slice is reused between calls — consume it before
@@ -47,9 +52,258 @@ type PipelineOptions struct {
 	// error surfaces as the *PartialError cause (the streaming wind-down
 	// path).
 	Sink func(pairs []Pair) error
+
+	// UseHullFilter enables Brinkhoff's geometric filter on intersection
+	// joins: candidate pairs whose pre-computed convex hulls are disjoint
+	// are rejected before geometry comparison. Hull construction (a
+	// pre-processing cost the paper's hardware technique avoids) happens
+	// lazily on first use and is charged to the intermediate-filter stage
+	// of that first query.
+	UseHullFilter bool
+	// Use0Object enables the MBR-only distance upper-bound filter on
+	// within-distance queries.
+	Use0Object bool
+	// Use1Object enables the upper bound using the larger object's actual
+	// geometry (paper §4.1.1: "very aggressive filtering").
+	Use1Object bool
+
+	// NoEdgeIndex disables the cached per-object edge indexes during
+	// refinement (every pair falls back to the linear edge scan).
+	NoEdgeIndex bool
+	// NoLocalityOrder disables sorting candidate pairs by outer object
+	// (and cutting batches at outer-object boundaries), leaving them in
+	// R-tree join emission order.
+	NoLocalityOrder bool
+	// NoBreaker, NoSignatures and NoIntervals detach the layer pair's
+	// circuit breaker, the persisted raster-signature filter and the v2
+	// interval-approximation filter, as in SelectionOptions.
+	NoBreaker, NoSignatures, NoIntervals bool
+	// IntervalOrder forces the shared interval grid's order (2..15); 0
+	// derives it from the layers. The benchmark sweep's resolution knob.
+	IntervalOrder int
 }
 
-// pipeBatch is one candidate batch traveling through the stage queues.
+type DistanceFilterOptions = JoinOptions // for bench/ until a benchmark PR re-points it
+type PipelineOptions = JoinOptions       // for bench/ until a benchmark PR re-points it
+
+// maxWorkersPerCPU bounds the refine pool at this multiple of GOMAXPROCS
+// whatever JoinOptions.Workers asks for: every worker owns a tester with
+// its raster buffer, and the count can arrive straight off the wire.
+const maxWorkersPerCPU = 4
+
+func (o JoinOptions) newTester() *core.Tester {
+	if o.Tester != nil {
+		return o.Tester()
+	}
+	return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
+}
+
+// IntersectionJoinView returns all pairs (a from view a, b from view b)
+// whose regions intersect, executed inline on the calling goroutine with
+// the caller's tester, which also accumulates the refinement counters. A
+// cancelled or expired context yields the pairs found so far plus a
+// *PartialError; an overflowing candidate budget a *BudgetError.
+func IntersectionJoinView(ctx context.Context, a, b *View, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
+	pairs, cost, stats, err := joinViews(ctx, a, b, intersects, tester, opt)
+	tester.Stats.Add(stats)
+	return pairs, cost, err
+}
+
+// WithinDistanceJoinView is IntersectionJoinView for the buffer query:
+// all pairs whose regions are within distance d of each other.
+func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
+	pairs, cost, stats, err := joinViews(ctx, a, b, withinDistance(d), tester, opt)
+	tester.Stats.Add(stats)
+	return pairs, cost, err
+}
+
+// PipelineIntersectionJoinView is the intersection join on the worker
+// pools (opt.Workers, opt.Tester); the returned record carries the stage
+// costs and the workers' summed counters.
+func PipelineIntersectionJoinView(ctx context.Context, a, b *View, opt JoinOptions) ([]Pair, Stats, error) {
+	pairs, cost, stats, err := joinViews(ctx, a, b, intersects, nil, opt)
+	return pairs, NewStats("join", len(pairs), cost, stats), err
+}
+
+// PipelineWithinDistanceJoinView is PipelineIntersectionJoinView for the
+// buffer query.
+func PipelineWithinDistanceJoinView(ctx context.Context, a, b *View, d float64, opt JoinOptions) ([]Pair, Stats, error) {
+	pairs, cost, stats, err := joinViews(ctx, a, b, withinDistance(d), nil, opt)
+	return pairs, NewStats("within-join", len(pairs), cost, stats), err
+}
+
+// joinKind is the join condition: intersects, or within distance d.
+type joinKind struct {
+	op     string
+	within bool
+	d      float64
+}
+
+var intersects = joinKind{op: "join"}
+
+func withinDistance(d float64) joinKind { return joinKind{op: "within-join", within: true, d: d} }
+
+// predicate is a join condition bound to two layers and cut the way the
+// stages consume it.
+type predicate struct {
+	op string
+	// pre is the prefilter step at the head of the filter stage (hull
+	// reject, 0-/1-Object accept), deciding pairs without a tester; nil
+	// when no intermediate filter is on. preSetup is what building it cost.
+	pre      func(Pair) core.Verdict
+	preSetup time.Duration
+	filter   func(*core.Tester, Pair) core.Verdict
+	refine   func(*core.Tester, Pair) bool
+}
+
+// bind resolves the per-pair inputs (edge indexes, breaker, signatures,
+// interval columns, hulls) of a join between layers a and b.
+func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
+	var iva, ivb *interval.Column
+	if !k.within { // distance tests ignore intervals
+		iva, ivb = intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
+	}
+	pcFor := pairContexts(a, b, opt, iva, ivb)
+	d := k.d
+	p := predicate{
+		op: k.op,
+		filter: func(t *core.Tester, pr Pair) core.Verdict {
+			if k.within {
+				return t.FilterWithin(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
+			}
+			return t.FilterIntersects(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
+		},
+		refine: func(t *core.Tester, pr Pair) bool {
+			if k.within {
+				return t.RefineWithin(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
+			}
+			return t.RefineIntersects(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
+		},
+	}
+	switch {
+	case k.within && (opt.Use0Object || opt.Use1Object):
+		// Distance upper bounds identify positives early.
+		p.pre = func(pr Pair) core.Verdict {
+			pa, pb := a.Data.Objects[pr.A], b.Data.Objects[pr.B]
+			if opt.Use0Object && filter.UpperBound0(pa.Bounds(), pb.Bounds()) <= d {
+				return core.VerdictHit
+			}
+			if opt.Use1Object {
+				// The larger object's geometry against the smaller
+				// object's MBR.
+				big, smallBounds := pa, pb.Bounds()
+				if pb.NumVerts() > pa.NumVerts() {
+					big, smallBounds = pb, pa.Bounds()
+				}
+				if filter.UpperBound1Within(big, smallBounds, d) {
+					return core.VerdictHit
+				}
+			}
+			return core.VerdictUndecided
+		}
+	case !k.within && opt.UseHullFilter:
+		// The geometric filter rejects provably disjoint pairs. (The paper
+		// evaluates its joins without an intermediate filter — this is the
+		// Table 1 pre-processing technique, kept for comparison.)
+		start := time.Now()
+		ha, hb := a.Hulls(), b.Hulls()
+		p.preSetup = time.Since(start)
+		p.pre = func(pr Pair) core.Verdict {
+			if filter.PairMayIntersect(ha, pr.A, hb, pr.B) {
+				return core.VerdictUndecided
+			}
+			return core.VerdictMiss
+		}
+	}
+	return p
+}
+
+// joinViews composes joinLayers across the views' components (up to
+// base×base, base×delta, delta×base, delta×delta), remaps pairs — the
+// returned ones and the streamed batches — to canonical positions, drops
+// tombstoned participants, and returns the union sorted by (A, B).
+// Single×single views are one component pair with nothing to remap.
+// Tombstoned objects still pass through the component joins (they live
+// in the base layer's R-tree), so the summed Cost includes their
+// filtering work — the honest price of querying an uncompacted view.
+func joinViews(ctx context.Context, a, b *View, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, core.Stats, error) {
+	la, aok := a.Single()
+	lb, bok := b.Single()
+	if aok && bok {
+		return joinLayers(ctx, la, lb, k, tester, opt)
+	}
+	var (
+		out   []Pair
+		cost  Cost
+		stats core.Stats
+		err   error
+	)
+run:
+	for _, ca := range a.components() {
+		for _, cb := range b.components() {
+			remap := func(dst, pairs []Pair) []Pair {
+				for _, pr := range pairs {
+					if pa, pb := ca.canon(pr.A), cb.canon(pr.B); pa >= 0 && pb >= 0 {
+						dst = append(dst, Pair{int(pa), int(pb)})
+					}
+				}
+				return dst
+			}
+			o := opt
+			if opt.Sink != nil {
+				var buf []Pair
+				o.Sink = func(pairs []Pair) error {
+					if buf = remap(buf[:0], pairs); len(buf) == 0 {
+						return nil
+					}
+					return opt.Sink(buf)
+				}
+			}
+			pairs, cc, st, jerr := joinLayers(ctx, ca.layer, cb.layer, k, tester, o)
+			cost.Add(cc)
+			stats.Add(st)
+			if _, budget := jerr.(*BudgetError); budget {
+				return nil, cost, stats, jerr
+			}
+			out = remap(out, pairs)
+			if err = jerr; err != nil {
+				break run
+			}
+		}
+	}
+	sortPairsByOuter(out)
+	cost.Results = len(out)
+	return out, cost, stats, err
+}
+
+// joinLayers runs one layer pair through the pipeline of Figure 8: the
+// MBR join via synchronized R-tree traversal (MBR distance lower-bounds
+// object distance, so the distance join loses no pair either), then the
+// candidates through runStages in outer-object order.
+func joinLayers(ctx context.Context, a, b *Layer, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, core.Stats, error) {
+	start := time.Now()
+	col := collector[Pair]{ctx: ctx, op: k.op, budget: opt.MaxCandidates}
+	visit := func(ea, eb rtree.Entry) bool { return col.add(Pair{ea.ID, eb.ID}) }
+	if k.within {
+		rtree.JoinWithin(a.Index, b.Index, k.d, visit)
+	} else {
+		rtree.Join(a.Index, b.Index, visit)
+	}
+	mbr := time.Since(start)
+	if col.err != nil {
+		return nil, Cost{MBRFilter: mbr, Candidates: len(col.items)}, core.Stats{}, col.err
+	}
+
+	start = time.Now()
+	if !opt.NoLocalityOrder {
+		sortPairsByOuter(col.items)
+	}
+	p := k.bind(a, b, opt)
+	return runStages(ctx, col.items, p, tester, opt, Cost{MBRFilter: mbr, Candidates: len(col.items),
+		IntermediateFilter: p.preSetup, GeometryComparison: time.Since(start) - p.preSetup})
+}
+
+// pipeBatch is one candidate batch traveling through the stages.
 type pipeBatch struct {
 	seq   int
 	pairs []Pair
@@ -59,231 +313,255 @@ type pipeBatch struct {
 	keep []bool
 	// undecided indexes into pairs the filter stage could not resolve.
 	undecided []int32
+
+	// The batch's share of the cost record, summed at emit.
+	preHits, preRejects          int
+	preTime, filterTime, refTime time.Duration
 }
 
-// PipelineIntersectionJoin computes the same result set as
-// IntersectionJoinOpt through the staged batch pipeline, streaming
-// completed batches to opt.Sink. The result slice (and the concatenated
-// sink batches) are in candidate order — with the default locality order,
-// sorted by (A, B). Cancellation, budget, and panic-quarantine semantics
-// match ParallelIntersectionJoin.
-func PipelineIntersectionJoin(ctx context.Context, a, b *Layer, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	col := collector[Pair]{ctx: ctx, op: "pipeline-join", budget: opt.MaxCandidates}
-	rtree.Join(a.Index, b.Index, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	if col.err != nil {
-		return nil, core.Stats{}, col.err
-	}
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(col.items)
-	}
-	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, iva, ivb)
-	return pipelineRun(ctx, col.items, opt, "pipeline-join",
-		func(t *core.Tester, pr Pair) core.Verdict {
-			return t.FilterIntersects(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.RefineIntersects(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.IntersectsCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr))
-		})
+// stageWorker is one goroutine's refinement state: its tester, and the
+// software-only retry tester built on the first panic.
+type stageWorker struct {
+	t, sw *core.Tester
+	// own marks a tester the executor built: its counters belong to the
+	// run's stats. A caller's tester keeps its counters itself.
+	own bool
 }
 
-// PipelineWithinDistanceJoin is PipelineIntersectionJoin for the buffer
-// query (no intermediate distance filters, matching
-// ParallelWithinDistanceJoin).
-func PipelineWithinDistanceJoin(ctx context.Context, a, b *Layer, d float64, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	col := collector[Pair]{ctx: ctx, op: "pipeline-within-join", budget: opt.MaxCandidates}
-	rtree.JoinWithin(a.Index, b.Index, d, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	if col.err != nil {
-		return nil, core.Stats{}, col.err
+// fold adds the worker's counters to the run's stats.
+func (w *stageWorker) fold(into *core.Stats) {
+	if w.own {
+		into.Add(w.t.Stats)
 	}
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(col.items)
+	if w.sw != nil {
+		into.Add(w.sw.Stats)
 	}
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, nil, nil)
-	return pipelineRun(ctx, col.items, opt, "pipeline-within-join",
-		func(t *core.Tester, pr Pair) core.Verdict {
-			return t.FilterWithin(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.RefineWithin(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
-		},
-		func(t *core.Tester, pr Pair) bool {
-			return t.WithinDistanceCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr))
-		})
 }
 
-// PipelineIntersectionJoinView composes PipelineIntersectionJoin across
-// the views' components. Single×single views take the exact single-layer
-// path; composed views stream each component join through a
-// canonical-remapping sink (tombstoned participants dropped) and return
-// the union sorted by (A, B).
-func PipelineIntersectionJoinView(ctx context.Context, a, b *View, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return PipelineIntersectionJoin(ctx, la, lb, opt)
-	}
-	return composePipelineJoin(a, b, opt, func(x, y *Layer, o PipelineOptions) ([]Pair, core.Stats, error) {
-		return PipelineIntersectionJoin(ctx, x, y, o)
-	})
+// safe runs one stage function with panic isolation: a panic never
+// escapes, the caller is told instead.
+func safe[T any](t *core.Tester, pr Pair, f func(*core.Tester, Pair) T) (v T, panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			v, panicked = zero, true
+		}
+	}()
+	return f(t, pr), false
 }
 
-// PipelineWithinDistanceJoinView is PipelineIntersectionJoinView for the
-// buffer query.
-func PipelineWithinDistanceJoinView(ctx context.Context, a, b *View, d float64, opt PipelineOptions) ([]Pair, core.Stats, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return PipelineWithinDistanceJoin(ctx, la, lb, d, opt)
+// retry is the hw→sw degradation path for a pair whose stage function
+// panicked on the worker's tester: the pair runs once more on a tester
+// degraded to the pure software path with fault injection disarmed (so
+// an injected fault cannot re-fire), and a second panic quarantines it —
+// counted, excluded from the result. A panicked filter verdict never
+// counted Tests, so its retry is the whole test from the top; a panicked
+// refine retries refine-only, its filter half having counted already.
+func (w *stageWorker) retry(p *predicate, pr Pair, whole bool) bool {
+	w.t.Stats.Panics++
+	if w.sw == nil {
+		cfg := w.t.Config()
+		cfg.DisableHardware = true
+		cfg.Faults = nil
+		w.sw = core.NewTester(cfg)
 	}
-	return composePipelineJoin(a, b, opt, func(x, y *Layer, o PipelineOptions) ([]Pair, core.Stats, error) {
-		return PipelineWithinDistanceJoin(ctx, x, y, d, o)
-	})
+	v, panicked := core.VerdictUndecided, false
+	if whole {
+		v, panicked = safe(w.sw, pr, p.filter)
+	}
+	keep := v == core.VerdictHit
+	if !panicked && v == core.VerdictUndecided {
+		keep, panicked = safe(w.sw, pr, p.refine)
+	}
+	if panicked {
+		w.t.Stats.Quarantined++
+		return false
+	}
+	return keep
 }
 
-// composePipelineJoin runs a pipeline join per component combination,
-// remapping streamed batches to canonical positions inside the sink so
-// composed views still deliver rows incrementally.
-func composePipelineJoin(a, b *View, opt PipelineOptions, join func(x, y *Layer, o PipelineOptions) ([]Pair, core.Stats, error)) ([]Pair, core.Stats, error) {
-	var out []Pair
-	var stats core.Stats
-	for _, ca := range a.components() {
-		for _, cb := range b.components() {
-			o := opt
-			if opt.Sink != nil {
-				canonA, canonB := ca.canon, cb.canon
-				var remapped []Pair
-				o.Sink = func(pairs []Pair) error {
-					remapped = remapped[:0]
-					for _, pr := range pairs {
-						pa, pb := canonA(pr.A), canonB(pr.B)
-						if pa >= 0 && pb >= 0 {
-							remapped = append(remapped, Pair{int(pa), int(pb)})
-						}
-					}
-					if len(remapped) == 0 {
-						return nil
-					}
-					return opt.Sink(remapped)
-				}
-			}
-			pairs, st, err := join(ca.layer, cb.layer, o)
-			stats.Add(st)
-			for _, pr := range pairs {
-				pa, pb := ca.canon(pr.A), cb.canon(pr.B)
-				if pa >= 0 && pb >= 0 {
-					out = append(out, Pair{int(pa), int(pb)})
-				}
-			}
-			if err != nil {
-				if _, ok := err.(*BudgetError); ok {
-					return nil, stats, err
-				}
-				sortPairsByOuter(out)
-				return out, stats, err
-			}
+// filterBatch is the filter stage over one batch: the prefilter step,
+// then the tester's render-free verdict for what it left. It reports
+// false when ctx ended mid-batch; the batch is then incomplete and must
+// not be emitted.
+func (w *stageWorker) filterBatch(ctx context.Context, p *predicate, b *pipeBatch) bool {
+	start := time.Now()
+	b.keep = make([]bool, len(b.pairs))
+	b.undecided = make([]int32, 0, len(b.pairs))
+	for i, pr := range b.pairs {
+		v := core.VerdictUndecided
+		if p.pre != nil {
+			v = p.pre(pr)
+		}
+		switch v {
+		case core.VerdictHit:
+			b.keep[i] = true
+			b.preHits++
+		case core.VerdictMiss:
+			b.preRejects++
+		default:
+			b.undecided = append(b.undecided, int32(i))
 		}
 	}
-	sortPairsByOuter(out)
-	return out, stats, nil
+	if p.pre != nil {
+		b.preTime = time.Since(start)
+	}
+	rest := b.undecided[:0]
+	for _, i := range b.undecided {
+		if ctx.Err() != nil {
+			return false
+		}
+		pr := b.pairs[i]
+		v, panicked := safe(w.t, pr, p.filter)
+		switch {
+		case panicked:
+			b.keep[i] = w.retry(p, pr, true)
+		case v == core.VerdictHit:
+			b.keep[i] = true
+		case v == core.VerdictUndecided:
+			rest = append(rest, i)
+		}
+	}
+	b.undecided = rest
+	b.filterTime = time.Since(start) - b.preTime
+	return true
 }
 
-// resolvePipeline reads the effective batch size and ablation flag from
-// the options and the tester factory's configuration. The tester built
-// to probe the configuration is returned for reuse as the first
-// worker's — a Tester owns a raster rendering context (a
-// resolution-squared buffer), too expensive to build and discard once
-// per pipeline join (once per component pair for composed views).
-func resolvePipeline(opt PipelineOptions) (batch int, noPipe bool, seed *core.Tester) {
-	seed = opt.newTester()
-	cfg := seed.Config()
-	batch = opt.BatchSize
-	if batch <= 0 {
-		batch = cfg.BatchSize
+// refineBatch is the refine stage over one batch: the pairs the filter
+// stage left undecided. It reports false when ctx ended mid-batch.
+func (w *stageWorker) refineBatch(ctx context.Context, p *predicate, b *pipeBatch) bool {
+	start := time.Now()
+	for _, i := range b.undecided {
+		if ctx.Err() != nil {
+			return false
+		}
+		pr := b.pairs[i]
+		keep, panicked := safe(w.t, pr, p.refine)
+		if panicked {
+			keep = w.retry(p, pr, false)
+		}
+		b.keep[i] = keep
 	}
+	b.refTime = time.Since(start)
+	return true
+}
+
+// emitter is the emit stage: it appends each completed batch's hits to
+// the result, hands them to the sink, and sums the batch's share of the
+// cost and pipeline counters. It runs on the calling goroutine.
+type emitter struct {
+	sink    func([]Pair) error
+	results []Pair
+	cost    Cost
+	stats   core.Stats
+	done    int   // pairs in emitted batches
+	sinkErr error // first sink failure; nothing is sunk after it
+}
+
+func (e *emitter) emit(b *pipeBatch) {
+	n := len(e.results)
+	for i, keep := range b.keep {
+		if keep {
+			e.results = append(e.results, b.pairs[i])
+		}
+	}
+	e.done += len(b.pairs)
+	e.cost.FilterHits += b.preHits
+	e.cost.FilterRejects += b.preRejects
+	e.cost.Compared += len(b.pairs) - b.preHits - b.preRejects
+	e.cost.IntermediateFilter += b.preTime
+	e.cost.GeometryComparison += b.filterTime + b.refTime
+	e.stats.PipelineBatches++
+	e.stats.PipelineFilterNS += int64(b.preTime + b.filterTime)
+	e.stats.PipelineRefineNS += int64(b.refTime)
+	if e.sink != nil && e.sinkErr == nil && len(e.results) > n {
+		if err := e.sink(e.results[n:]); err != nil {
+			e.sinkErr = err
+		} else {
+			e.stats.StreamRowsEmitted += int64(len(e.results) - n)
+		}
+	}
+}
+
+// finish closes the cost record and types the interruption, if any: a
+// sink failure always (its rows never arrived), a dead context only when
+// it cost the result some batch.
+func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Cost, core.Stats, error) {
+	e.cost.Results = len(e.results)
+	var err error
+	if e.sinkErr != nil {
+		err = &PartialError{Op: op, Done: e.done, Total: total, Err: e.sinkErr}
+	} else if e.done < total && ctx.Err() != nil {
+		err = &PartialError{Op: op, Done: e.done, Total: total, Err: ctxCause(ctx)}
+	}
+	return e.results, e.cost, e.stats, err
+}
+
+// runStages drives a candidate list through filter → refine → emit and
+// returns the result pairs in candidate order, the cost record (the
+// stages' costs added to what the caller spent before them) and the
+// counters of every tester it built.
+// Batches extend past the nominal size to the end of the current outer
+// object's run (bounded at 4×, so a monster outer group cannot serialize
+// the join) so one outer polygon's pairs — and its lazily built edge
+// index — stay on one worker pass.
+//
+// Inline: a caller-owned tester, or one effective worker, runs filter,
+// refine and emit batch after batch on the calling goroutine — no
+// goroutines, no channels. Pooled: a generator goroutine feeds a bounded
+// filter queue; filter workers pass batches to a bounded refine queue;
+// refine workers decide the undecided pairs; the emit stage — the calling
+// goroutine — restores sequence order and hands each completed batch to
+// the sink. Bounded queues give backpressure end to end: a slow sink (a
+// congested client connection) stalls emit, which stalls refine, which
+// stalls filter and generation, so in-flight memory stays proportional to
+// workers × batch size, never to the result set.
+//
+// Failure semantics are the same on both paths: a panicking stage
+// function goes through retry; ctx is checked per pair and an interrupted
+// batch is dropped whole, so a partial result is made of complete
+// batches; the pooled stages wind down through channel closes — no
+// goroutine outlives the call. A sink error stops the run and surfaces as
+// the *PartialError cause.
+func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core.Tester, opt JoinOptions, spent Cost) ([]Pair, Cost, core.Stats, error) {
+	batch := opt.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultBatchSize
 	}
-	return batch, opt.NoPipeline || cfg.NoPipeline, seed
-}
-
-// maxInt64 raises the atomic gauge to v if larger (the queue-depth
-// high-water mark shared by the stage goroutines).
-func maxInt64(g *atomic.Int64, v int64) {
-	for {
-		cur := g.Load()
-		if v <= cur || g.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// pipelineRun drives candidates through the staged pipeline.
-//
-// Topology: a generator goroutine cuts the (locality-sorted) candidate
-// slice into batches aligned to outer-object group boundaries and feeds a
-// bounded filter queue; filter workers resolve the render-free verdicts
-// and pass batches to a bounded refine queue; refine workers decide the
-// undecided pairs; the emit stage — the calling goroutine — restores
-// sequence order and hands each completed batch to the sink. Bounded
-// queues give backpressure end to end: a slow sink (a congested client
-// connection) stalls emit, which stalls refine, which stalls filter and
-// generation, so in-flight memory stays proportional to
-// workers × batch size, never to the result set.
-//
-// Failure semantics match parallelRefine: a panicking filter verdict is
-// retried as a whole test on a software-only tester; a panicking refine
-// is retried refine-only (its filter half already counted); a second
-// panic quarantines the pair. Workers check ctx per pair and the whole
-// pipeline winds down through channel closes — no goroutine outlives the
-// call. A sink error cancels the pipeline's derived context and surfaces
-// as the *PartialError cause.
-func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op string,
-	filter func(*core.Tester, Pair) core.Verdict,
-	refine func(*core.Tester, Pair) bool,
-	full func(*core.Tester, Pair) bool) ([]Pair, core.Stats, error) {
-
-	batch, noPipe, seed := resolvePipeline(opt)
-	// The config-probe tester seeds exactly one worker (whichever asks
-	// first); everyone else builds their own as before.
-	var seedUsed atomic.Bool
-	newTester := func() *core.Tester {
-		if seedUsed.CompareAndSwap(false, true) {
-			return seed
-		}
-		return opt.newTester()
-	}
-	if noPipe {
-		// Ablation: the pre-pipeline per-pair worker path. One terminal
-		// emit models the buffered delivery the pipeline replaces.
-		po := opt.ParallelOptions
-		po.Tester = newTester
-		pairs, stats, err := parallelRefine(ctx, candidates, po, op, full)
-		sortPairsByOuter(pairs)
-		if _, budget := err.(*BudgetError); !budget && opt.Sink != nil && len(pairs) > 0 {
-			if serr := opt.Sink(pairs); serr != nil {
-				if err == nil {
-					err = &PartialError{Op: op, Done: len(candidates), Total: len(candidates), Err: serr}
-				}
-			} else {
-				// Count only successfully sunk rows, exactly like the
-				// pipelined emit stage — the two modes must not diverge on
-				// this counter in the sink-failure case.
-				stats.StreamRowsEmitted += int64(len(pairs))
+	cut := func(lo int) int {
+		hi := min(lo+batch, len(candidates))
+		if !opt.NoLocalityOrder {
+			limit := min(lo+4*batch, len(candidates))
+			for hi < limit && candidates[hi].A == candidates[hi-1].A {
+				hi++
 			}
 		}
-		return pairs, stats, err
+		return hi
 	}
+	e := emitter{sink: opt.Sink, cost: spent}
 
-	refineWorkers := min(opt.workers(), max(1, (len(candidates)+batch-1)/batch))
-	filterWorkers := max(1, (refineWorkers+1)/2)
+	refineWorkers := runtime.GOMAXPROCS(0)
+	if opt.Workers > 0 {
+		refineWorkers = min(opt.Workers, maxWorkersPerCPU*refineWorkers)
+	}
+	refineWorkers = min(refineWorkers, (len(candidates)+batch-1)/batch)
+	if tester != nil || refineWorkers <= 1 {
+		w := &stageWorker{t: tester, own: tester == nil}
+		if w.own {
+			w.t = opt.newTester()
+		}
+		for lo := 0; lo < len(candidates) && e.sinkErr == nil; {
+			b := &pipeBatch{pairs: candidates[lo:cut(lo)]}
+			if !w.filterBatch(ctx, &p, b) || !w.refineBatch(ctx, &p, b) {
+				break
+			}
+			e.emit(b)
+			lo += len(b.pairs)
+		}
+		w.fold(&e.stats)
+		return e.finish(ctx, p.op, len(candidates))
+	}
+	filterWorkers := (refineWorkers + 1) / 2
 
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
@@ -291,242 +569,92 @@ func pipelineRun(ctx context.Context, candidates []Pair, opt PipelineOptions, op
 	filterCh := make(chan *pipeBatch, filterWorkers)
 	refineCh := make(chan *pipeBatch, refineWorkers)
 	emitCh := make(chan *pipeBatch, refineWorkers)
-	var queueDepth atomic.Int64
-	var filterNS, refineNS atomic.Int64
-	workerStats := make([]core.Stats, filterWorkers+refineWorkers)
+	// workerStats gathers what the stage goroutines report, under mu: each
+	// worker's counters when it exits, and the deepest queue backlog seen.
+	var mu sync.Mutex
+	var workerStats core.Stats
+	sent := func(ch chan<- *pipeBatch) {
+		mu.Lock()
+		workerStats.PipelineQueueDepth = max(workerStats.PipelineQueueDepth, int64(len(ch)))
+		mu.Unlock()
+	}
 
-	// Stage 0: generation. Batches extend past the nominal size to the end
-	// of the current outer object's run (bounded at 4×) so one outer
-	// polygon's pairs — and its lazily built edge index — stay on one
-	// filter/refine worker pass.
 	go func() {
 		defer close(filterCh)
-		seq := 0
-		for lo := 0; lo < len(candidates); {
-			hi := min(lo+batch, len(candidates))
-			if !opt.NoLocalityOrder {
-				limit := min(lo+4*batch, len(candidates))
-				for hi < limit && candidates[hi].A == candidates[hi-1].A {
-					hi++
-				}
-			}
-			b := &pipeBatch{seq: seq, pairs: candidates[lo:hi]}
+		for seq, lo := 0, 0; lo < len(candidates); seq++ {
+			b := &pipeBatch{seq: seq, pairs: candidates[lo:cut(lo)]}
 			select {
 			case filterCh <- b:
-				maxInt64(&queueDepth, int64(len(filterCh)))
+				sent(filterCh)
 			case <-pctx.Done():
 				return
 			}
-			seq++
-			lo = hi
+			lo += len(b.pairs)
 		}
 	}()
 
-	var filterWG sync.WaitGroup
-	for w := range filterWorkers {
-		filterWG.Add(1)
-		go func() {
-			defer filterWG.Done()
-			tester := newTester()
-			var swRetry *core.Tester
-			start := time.Now()
-			for b := range filterCh {
-				if pctx.Err() != nil {
-					continue // drain so the generator never blocks
-				}
-				b.keep = make([]bool, len(b.pairs))
-				for i, pr := range b.pairs {
-					if pctx.Err() != nil {
-						b.keep = nil // mark unprocessed; emit skips it
-						break
-					}
-					v, panicked := safeFilter(tester, pr, filter)
-					if panicked {
-						// The whole test retries on the software path: the
-						// panicked attempt never counted Tests, so the
-						// retry re-counts from the top (see parallelRefine).
-						tester.Stats.Panics++
-						if swRetry == nil {
-							swRetry = softwareRetryTester(tester)
-						}
-						keep, panicked := safeTest(swRetry, pr, full)
-						if panicked {
-							tester.Stats.Quarantined++
-							keep = false
-						}
-						b.keep[i] = keep
+	// stage starts n workers that move batches from in to out through
+	// step, and closes out when the last one is done. After cancellation
+	// the workers keep draining in, so no sender upstream ever blocks.
+	stage := func(n int, in <-chan *pipeBatch, out chan<- *pipeBatch, step func(*stageWorker, *pipeBatch) bool) {
+		var wg sync.WaitGroup
+		for range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := &stageWorker{t: opt.newTester(), own: true}
+				for b := range in {
+					if pctx.Err() != nil || !step(w, b) {
 						continue
 					}
-					switch v {
-					case core.VerdictHit:
-						b.keep[i] = true
-					case core.VerdictUndecided:
-						b.undecided = append(b.undecided, int32(i))
+					select {
+					case out <- b:
+						sent(out)
+					case <-pctx.Done():
 					}
 				}
-				if b.keep == nil {
-					continue
-				}
-				select {
-				case refineCh <- b:
-					maxInt64(&queueDepth, int64(len(refineCh)))
-				case <-pctx.Done():
-				}
-			}
-			filterNS.Add(int64(time.Since(start)))
-			stats := tester.Stats
-			if swRetry != nil {
-				stats.Add(swRetry.Stats)
-			}
-			workerStats[w] = stats
-		}()
-	}
-	go func() {
-		filterWG.Wait()
-		close(refineCh)
-	}()
-
-	var refineWG sync.WaitGroup
-	for w := range refineWorkers {
-		refineWG.Add(1)
+				mu.Lock()
+				w.fold(&workerStats)
+				mu.Unlock()
+			}()
+		}
 		go func() {
-			defer refineWG.Done()
-			tester := newTester()
-			var swRetry *core.Tester
-			start := time.Now()
-			for b := range refineCh {
-				if pctx.Err() != nil {
-					continue
-				}
-				done := true
-				for _, i := range b.undecided {
-					if pctx.Err() != nil {
-						done = false
-						break
-					}
-					pr := b.pairs[i]
-					keep, panicked := safeTest(tester, pr, refine)
-					if panicked {
-						// Refine-only retry: the pair's filter half already
-						// counted on the filter worker's tester, so the
-						// software retry supplies just the resolution.
-						tester.Stats.Panics++
-						if swRetry == nil {
-							swRetry = softwareRetryTester(tester)
-						}
-						keep, panicked = safeTest(swRetry, pr, refine)
-						if panicked {
-							tester.Stats.Quarantined++
-							keep = false
-						}
-					}
-					b.keep[i] = keep
-				}
-				if !done {
-					continue
-				}
-				select {
-				case emitCh <- b:
-					maxInt64(&queueDepth, int64(len(emitCh)))
-				case <-pctx.Done():
-				}
-			}
-			refineNS.Add(int64(time.Since(start)))
-			stats := tester.Stats
-			if swRetry != nil {
-				stats.Add(swRetry.Stats)
-			}
-			workerStats[filterWorkers+w] = stats
+			wg.Wait()
+			close(out)
 		}()
 	}
-	go func() {
-		refineWG.Wait()
-		close(emitCh)
-	}()
+	stage(filterWorkers, filterCh, refineCh, func(w *stageWorker, b *pipeBatch) bool { return w.filterBatch(pctx, &p, b) })
+	stage(refineWorkers, refineCh, emitCh, func(w *stageWorker, b *pipeBatch) bool { return w.refineBatch(pctx, &p, b) })
 
-	// Stage 3: emit, on the calling goroutine. Batches are re-sequenced so
-	// the stream (and the returned slice) follow candidate order; on
-	// wind-down the completed out-of-order tail still drains, ascending.
-	var results []Pair
-	var stats core.Stats
-	processed := 0
-	var sinkErr error
+	// Emit, on the calling goroutine. Batches are re-sequenced so the
+	// stream (and the returned slice) follow candidate order; on wind-down
+	// the completed out-of-order tail still drains, ascending.
+	emit := func(b *pipeBatch) {
+		e.emit(b)
+		if e.sinkErr != nil {
+			cancel(e.sinkErr)
+		}
+	}
 	pending := map[int]*pipeBatch{}
 	next := 0
-	handle := func(b *pipeBatch) {
-		n := len(results)
-		for i, keep := range b.keep {
-			if keep {
-				results = append(results, b.pairs[i])
-			}
-		}
-		processed += len(b.pairs)
-		stats.PipelineBatches++
-		if opt.Sink != nil && sinkErr == nil && len(results) > n {
-			if err := opt.Sink(results[n:]); err != nil {
-				sinkErr = err
-				cancel(sinkErr)
-			} else {
-				stats.StreamRowsEmitted += int64(len(results) - n)
-			}
-		}
-	}
 	for b := range emitCh {
 		pending[b.seq] = b
-		for {
-			nb, ok := pending[next]
-			if !ok {
-				break
-			}
+		for nb, ok := pending[next]; ok; nb, ok = pending[next] {
 			delete(pending, next)
 			next++
-			handle(nb)
+			emit(nb)
 		}
 	}
-	if len(pending) > 0 {
-		seqs := make([]int, 0, len(pending))
-		for s := range pending {
-			seqs = append(seqs, s)
-		}
-		sort.Ints(seqs)
-		for _, s := range seqs {
-			handle(pending[s])
-		}
+	seqs := make([]int, 0, len(pending))
+	for s := range pending {
+		seqs = append(seqs, s)
+	}
+	sort.Ints(seqs)
+	for _, s := range seqs {
+		emit(pending[s])
 	}
 
-	for _, ws := range workerStats {
-		stats.Add(ws)
-	}
-	stats.PipelineFilterNS += filterNS.Load()
-	stats.PipelineRefineNS += refineNS.Load()
-	maxInt64(&queueDepth, stats.PipelineQueueDepth)
-	stats.PipelineQueueDepth = queueDepth.Load()
-
-	if sinkErr != nil {
-		return results, stats, &PartialError{Op: op, Done: processed, Total: len(candidates), Err: sinkErr}
-	}
-	if ctx.Err() != nil {
-		return results, stats, &PartialError{Op: op, Done: processed, Total: len(candidates), Err: ctxCause(ctx)}
-	}
-	return results, stats, nil
-}
-
-// safeFilter runs one filter verdict with panic isolation, mirroring
-// safeTest.
-func safeFilter(t *core.Tester, pr Pair, filter func(*core.Tester, Pair) core.Verdict) (v core.Verdict, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			v, panicked = core.VerdictMiss, true
-		}
-	}()
-	return filter(t, pr), false
-}
-
-// softwareRetryTester degrades a worker's configuration to the pure
-// software path with fault injection disarmed, for post-panic retries.
-func softwareRetryTester(t *core.Tester) *core.Tester {
-	cfg := t.Config()
-	cfg.DisableHardware = true
-	cfg.Faults = nil
-	return core.NewTester(cfg)
+	// emitCh is closed: every worker has folded.
+	e.stats.Add(workerStats)
+	return e.finish(ctx, p.op, len(candidates))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,19 +14,9 @@ import (
 	"repro/internal/faultinject"
 )
 
-// samePairsExact requires element-wise equality including order — the
-// pipeline's bit-identical contract, not just set equality.
-func samePairsExact(t *testing.T, name string, got, want []Pair) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d pairs, want %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: pair %d = %v, want %v", name, i, got[i], want[i])
-		}
-	}
-}
+// Behaviour tests of the join executor. Each case runs on both execution
+// forms — inline on the caller's tester and pooled — through execForms;
+// result parity against the oracles is query_test.go's matrix.
 
 func checkStatsPartition(t *testing.T, name string, s core.Stats) {
 	t.Helper()
@@ -36,235 +27,188 @@ func checkStatsPartition(t *testing.T, name string, s core.Stats) {
 	}
 }
 
-// TestPipelineJoinMatchesSerial is the core differential: the staged
-// pipeline must return the serial driver's result bit-identically (same
-// pairs, same order) across batch sizes and worker counts, and the
-// NoPipeline ablation must match both.
-func TestPipelineJoinMatchesSerial(t *testing.T) {
-	want, _, err := IntersectionJoin(bg, layerA, layerB, swTester())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairsByOuter(want)
-	for _, batch := range []int{1, 7, 64, 4096} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("batch=%d workers=%d", batch, workers)
-			opt := PipelineOptions{
-				ParallelOptions: ParallelOptions{Workers: workers},
-				BatchSize:       batch,
-			}
-			got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			samePairsExact(t, name, got, want)
-			checkStatsPartition(t, name, stats)
-			if stats.PipelineBatches == 0 {
-				t.Errorf("%s: no pipeline batches recorded", name)
-			}
-
-			opt.NoPipeline = true
-			ablated, astats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-			if err != nil {
-				t.Fatalf("%s ablation: %v", name, err)
-			}
-			samePairsExact(t, name+" ablation", ablated, want)
-			checkStatsPartition(t, name+" ablation", astats)
-		}
-	}
+// execForm runs an intersection join of layerA and layerB one way. The
+// returned stats carry the tester counters on both forms.
+type execForm struct {
+	name string
+	join func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, core.Stats, error)
 }
 
-// TestPipelineWithinMatchesSerial repeats the differential for the
-// within-distance join.
-func TestPipelineWithinMatchesSerial(t *testing.T) {
-	d := data.BaseD(layerA.Data, layerB.Data)
-	want, _, err := WithinDistanceJoin(bg, layerA, layerB, d, swTester(), DistanceFilterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairsByOuter(want)
-	for _, batch := range []int{3, 256} {
-		name := fmt.Sprintf("batch=%d", batch)
-		opt := PipelineOptions{
-			ParallelOptions: ParallelOptions{Workers: 4},
-			BatchSize:       batch,
-		}
-		got, stats, err := PipelineWithinDistanceJoin(bg, layerA, layerB, d, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		samePairsExact(t, name, got, want)
-		checkStatsPartition(t, name, stats)
-
-		opt.NoPipeline = true
-		ablated, _, err := PipelineWithinDistanceJoin(bg, layerA, layerB, d, opt)
-		if err != nil {
-			t.Fatalf("%s ablation: %v", name, err)
-		}
-		samePairsExact(t, name+" ablation", ablated, want)
-	}
+var execForms = []execForm{
+	{"inline", func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, core.Stats, error) {
+		tester := core.NewTester(cfg)
+		pairs, _, err := IntersectionJoinView(ctx, layerA.View(), layerB.View(), tester, opt)
+		return pairs, tester.Stats, err
+	}},
+	{"pooled", func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, core.Stats, error) {
+		opt.Workers = 4
+		opt.Tester = func() *core.Tester { return core.NewTester(cfg) }
+		pairs, _, stats, err := joinViews(ctx, layerA.View(), layerB.View(), intersects, nil, opt)
+		return pairs, stats, err
+	}},
 }
 
-// TestPipelineConfigKnobs verifies the tester-config fallbacks: a factory
-// whose Config carries BatchSize/NoPipeline drives the run when the
-// options leave them zero.
-func TestPipelineConfigKnobs(t *testing.T) {
-	want, _, err := IntersectionJoin(bg, layerA, layerB, swTester())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairsByOuter(want)
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{
-			Workers: 2,
-			Tester: func() *core.Tester {
-				return core.NewTester(core.Config{DisableHardware: true, BatchSize: 5, NoPipeline: false})
-			},
+// pooledJoin is the intersection join on the worker pools with the raw
+// tester counters (the public form flattens them into a Stats record).
+func pooledJoin(a, b *Layer, opt JoinOptions) ([]Pair, core.Stats, error) {
+	pairs, _, stats, err := joinViews(bg, a.View(), b.View(), intersects, nil, opt)
+	return pairs, stats, err
+}
+
+// TestParallelCustomTester: the factory runs once per stage worker (so
+// its counter must be atomic) — 3 refine workers and their 2 filter
+// workers.
+func TestParallelCustomTester(t *testing.T) {
+	var made atomic.Int32
+	opt := JoinOptions{
+		Workers:   3,
+		BatchSize: 16,
+		Tester: func() *core.Tester {
+			made.Add(1)
+			return core.NewTester(core.Config{DisableHardware: true})
 		},
 	}
-	got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-	if err != nil {
+	if _, _, err := PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), opt); err != nil {
 		t.Fatal(err)
 	}
-	samePairsExact(t, "config batch", got, want)
-	// Batch 5 over hundreds of candidates must cut more than one batch.
-	if stats.PipelineBatches < 2 {
-		t.Errorf("PipelineBatches = %d, want ≥ 2 with batch size 5", stats.PipelineBatches)
-	}
-
-	opt.ParallelOptions.Tester = func() *core.Tester {
-		return core.NewTester(core.Config{DisableHardware: true, NoPipeline: true})
-	}
-	got, stats, err = PipelineIntersectionJoin(bg, layerA, layerB, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairsExact(t, "config ablation", got, want)
-	if stats.PipelineBatches != 0 {
-		t.Errorf("ablated run recorded %d pipeline batches", stats.PipelineBatches)
+	if n := made.Load(); n != 5 {
+		t.Errorf("tester factory called %d times, want 5", n)
 	}
 }
 
-// TestPipelineSinkStreamsExactResult pins the streaming contract: the
-// concatenation of sink batches equals the returned slice exactly, and
-// the emission counters account for every streamed row.
+// TestWorkerCountClamped: a worker count off the wire cannot make the
+// executor build more testers than its per-CPU bound allows, and the
+// clamped run still answers exactly.
+func TestWorkerCountClamped(t *testing.T) {
+	var made atomic.Int32
+	opt := JoinOptions{
+		Workers:   1 << 20,
+		BatchSize: 1, // one batch per candidate: only the clamp bounds the pool
+		Tester: func() *core.Tester {
+			made.Add(1)
+			return core.NewTester(core.Config{DisableHardware: true})
+		},
+	}
+	got, _, err := PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refine := maxWorkersPerCPU * runtime.GOMAXPROCS(0)
+	if n, bound := int(made.Load()), refine+(refine+1)/2; n > bound {
+		t.Errorf("Workers 1<<20 built %d testers, bound %d", n, bound)
+	}
+	samePairs(t, "clamped", got, sortedPairs(softwareOracle(t)))
+}
+
+func TestParallelEmptyLayers(t *testing.T) {
+	empty := NewLayer(&data.Dataset{Name: "empty"})
+	pairs, _, err := PipelineIntersectionJoinView(bg, empty.View(), layerB.View(), JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 0 {
+		t.Error("empty layer produced pairs")
+	}
+}
+
+// TestPipelineSinkStreamsExactResult pins the streaming contract: rows
+// arrive incrementally, batch by batch, their concatenation is the
+// returned slice, and the emission counters account for every one.
 func TestPipelineSinkStreamsExactResult(t *testing.T) {
-	for _, noPipe := range []bool{false, true} {
+	for _, f := range execForms {
 		var streamed []Pair
 		calls := 0
-		opt := PipelineOptions{
-			ParallelOptions: ParallelOptions{Workers: 4},
-			BatchSize:       16,
-			NoPipeline:      noPipe,
+		got, stats, err := f.join(bg, core.Config{DisableHardware: true}, JoinOptions{
+			BatchSize: 16,
 			Sink: func(pairs []Pair) error {
 				calls++
 				streamed = append(streamed, pairs...) // copy: the slice is reused
 				return nil
 			},
-		}
-		got, stats, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("noPipeline=%v", noPipe)
-		samePairsExact(t, name+" stream", streamed, got)
+		samePairs(t, f.name+" stream", streamed, got)
 		if stats.StreamRowsEmitted != int64(len(got)) {
-			t.Errorf("%s: StreamRowsEmitted = %d, want %d", name, stats.StreamRowsEmitted, len(got))
+			t.Errorf("%s: StreamRowsEmitted = %d, want %d", f.name, stats.StreamRowsEmitted, len(got))
 		}
-		if noPipe {
-			if calls != 1 {
-				t.Errorf("%s: sink called %d times, want exactly 1 terminal emit", name, calls)
-			}
-		} else if calls < 2 {
-			t.Errorf("%s: sink called %d times; batch 16 should stream incrementally", name, calls)
+		if stats.PipelineBatches < 2 || calls < 2 {
+			t.Errorf("%s: %d batches, sink called %d times; batch 16 should stream incrementally",
+				f.name, stats.PipelineBatches, calls)
 		}
 	}
 }
 
 // TestPipelineSinkErrorWindsDown exercises the streaming wind-down: a
 // failing sink must stop the join with a typed partial error carrying the
-// sink's error, without leaking a single pipeline goroutine.
+// sink's error, without leaking a single goroutine.
 func TestPipelineSinkErrorWindsDown(t *testing.T) {
 	boom := errors.New("client went away")
-	before := runtime.NumGoroutine()
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4},
-		BatchSize:       4,
-		Sink: func(pairs []Pair) error {
-			return boom
-		},
-	}
-	got, _, err := PipelineIntersectionJoin(bg, layerA, layerB, opt)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("partial error does not carry the sink error: %v", err)
-	}
-	if pe.Total == 0 {
-		t.Error("partial error lost the candidate total")
-	}
-	// The failed batch's pairs never streamed, so the returned slice is
-	// whatever drained before wind-down; it must still be a prefix-ordered
-	// subset of the full result.
-	full, _, ferr := PipelineIntersectionJoin(bg, layerA, layerB, PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4},
-	})
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	fullSet := pairSet(full)
-	for _, pr := range got {
-		if !fullSet[pr] {
-			t.Fatalf("wind-down emitted %v, not in the full result", pr)
+	fullSet := pairSet(softwareOracle(t))
+	for _, f := range execForms {
+		before := runtime.NumGoroutine()
+		got, _, err := f.join(bg, core.Config{DisableHardware: true}, JoinOptions{
+			BatchSize: 4,
+			Sink:      func([]Pair) error { return boom },
+		})
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *PartialError", f.name, err)
 		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s: partial error does not carry the sink error: %v", f.name, err)
+		}
+		if pe.Total == 0 {
+			t.Errorf("%s: partial error lost the candidate total", f.name)
+		}
+		// The failed batch's pairs never streamed, so the returned slice is
+		// whatever drained before wind-down; it must still be a subset of
+		// the full result.
+		for _, pr := range got {
+			if !fullSet[pr] {
+				t.Fatalf("%s: wind-down emitted %v, not in the full result", f.name, pr)
+			}
+		}
+		checkNoGoroutineLeak(t, before)
 	}
-	checkNoGoroutineLeak(t, before)
 }
 
 // TestPipelineCancellationPartial cancels mid-stream and requires the
 // typed partial with the cancellation cause, plus full goroutine
 // wind-down.
 func TestPipelineCancellationPartial(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(bg)
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 2},
-		BatchSize:       2,
-		Sink: func(pairs []Pair) error {
-			cancel() // first streamed batch pulls the plug
-			return nil
-		},
+	for _, f := range execForms {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(bg)
+		_, _, err := f.join(ctx, core.Config{DisableHardware: true}, JoinOptions{
+			BatchSize: 2,
+			Sink: func([]Pair) error {
+				cancel() // first streamed batch pulls the plug
+				return nil
+			},
+		})
+		cancel()
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *PartialError", f.name, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: partial error cause = %v, want context.Canceled", f.name, err)
+		}
+		if pe.Done == 0 || pe.Done >= pe.Total {
+			t.Errorf("%s: partial progress %d/%d, want some but not all", f.name, pe.Done, pe.Total)
+		}
+		checkNoGoroutineLeak(t, before)
 	}
-	_, _, err := PipelineIntersectionJoin(ctx, layerA, layerB, opt)
-	cancel()
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("partial error cause = %v, want context.Canceled", err)
-	}
-	checkNoGoroutineLeak(t, before)
 }
 
-// TestPipelineRecoversPanickingTester mirrors the parallel-path panic
-// regression: a tester that panics on every intersection test (filter
-// stage) must be quarantined onto software retries, with the exact
-// software result set and zero quarantined pairs.
-func TestPipelineRecoversPanickingTester(t *testing.T) {
+// panickingJoin runs a join whose tester configuration panics, with a
+// deadlock guard, and requires the exact software result set with every
+// panic recovered onto the software retry and nothing quarantined.
+func panickingJoin(t *testing.T, f execForm, cfg core.Config) {
+	t.Helper()
 	want := pairSet(softwareOracle(t))
-	inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{
-			Workers: 4,
-			Tester: func() *core.Tester {
-				return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
-			},
-		},
-		BatchSize: 8,
-	}
 	before := runtime.NumGoroutine()
 	done := make(chan struct{})
 	var (
@@ -274,67 +218,183 @@ func TestPipelineRecoversPanickingTester(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		got, stats, err = PipelineIntersectionJoin(bg, layerA, layerB, opt)
+		got, stats, err = f.join(bg, cfg, JoinOptions{BatchSize: 8})
 	}()
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("pipeline join deadlocked with a panicking tester")
+		t.Fatalf("%s: join deadlocked with a panicking tester", f.name)
 	}
 	if err != nil {
-		t.Fatalf("join failed: %v", err)
+		t.Fatalf("%s: join failed: %v", f.name, err)
 	}
 	checkNoGoroutineLeak(t, before)
 	if stats.Panics == 0 {
-		t.Error("no panics recorded despite rate-1 injection")
+		t.Errorf("%s: no panics recorded despite rate-1 injection", f.name)
 	}
 	if stats.Quarantined != 0 {
-		t.Errorf("%d pairs quarantined; software retries should all succeed", stats.Quarantined)
+		t.Errorf("%s: %d pairs quarantined; software retries should all succeed", f.name, stats.Quarantined)
 	}
 	g := pairSet(got)
 	if len(g) != len(want) {
-		t.Fatalf("degraded join: %d pairs, software oracle %d", len(g), len(want))
+		t.Fatalf("%s: degraded join: %d pairs, software oracle %d", f.name, len(g), len(want))
 	}
 	for pr := range want {
 		if !g[pr] {
-			t.Fatalf("degraded join lost pair %v", pr)
+			t.Fatalf("%s: degraded join lost pair %v", f.name, pr)
 		}
 	}
 }
 
-// TestPipelineViewComposition runs the composed-view path (live view with
-// deletes and inserts) through the pipeline and requires parity with the
-// serial composed join, streamed and returned.
+// TestPipelineRecoversPanickingTester: a tester that panics at the entry
+// of every intersection test — the filter stage — is retried whole on the
+// software path. Before panic isolation such a panic escaped the worker
+// goroutine and killed the process.
+func TestPipelineRecoversPanickingTester(t *testing.T) {
+	for _, f := range execForms {
+		inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
+		panickingJoin(t, f, core.Config{DisableHardware: true, Faults: inj})
+	}
+}
+
+// TestParallelJoinRecoversPanickingTester: a tester whose raster draw
+// path panics mid-test — the refine stage — is retried refine-only on the
+// software path.
+func TestParallelJoinRecoversPanickingTester(t *testing.T) {
+	for _, f := range execForms {
+		inj := faultinject.New(7).Inject(faultinject.SiteRenderDraw, faultinject.KindPanic, 1)
+		panickingJoin(t, f, core.Config{Resolution: 8, SWThreshold: 0, Faults: inj})
+	}
+}
+
+// stagesForms runs runStages over synthetic candidates with a stand-in
+// refine function, inline on a caller's tester and pooled.
+func stagesForms(t *testing.T, cfg core.Config, refine func(*core.Tester, Pair) bool,
+	check func(name string, got []Pair, stats core.Stats)) {
+	candidates := make([]Pair, 100)
+	for i := range candidates {
+		candidates[i] = Pair{i, i}
+	}
+	p := predicate{
+		op:     "test",
+		filter: func(*core.Tester, Pair) core.Verdict { return core.VerdictUndecided },
+		refine: refine,
+	}
+	opt := JoinOptions{Workers: 3, BatchSize: 8, Tester: func() *core.Tester { return core.NewTester(cfg) }}
+	for _, inline := range []bool{true, false} {
+		var tester *core.Tester
+		if inline {
+			tester = opt.Tester()
+		}
+		got, _, stats, err := runStages(bg, candidates, p, tester, opt, Cost{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inline {
+			stats.Add(tester.Stats)
+		}
+		check(fmt.Sprintf("inline=%v", inline), got, stats)
+	}
+}
+
+// TestParallelRefineRetriesOnSoftware checks the retry tester's exact
+// configuration: hardware disabled, fault injection disarmed, everything
+// else inherited from the worker tester.
+func TestParallelRefineRetriesOnSoftware(t *testing.T) {
+	inj := faultinject.New(1) // armed with nothing; only its presence is checked
+	stagesForms(t, core.Config{Resolution: 4, SWThreshold: 123, Faults: inj},
+		func(tt *core.Tester, pr Pair) bool {
+			cfg := tt.Config()
+			if !cfg.DisableHardware {
+				panic("primary path poisoned")
+			}
+			if cfg.Faults != nil {
+				t.Error("retry tester still carries the fault injector")
+			}
+			if cfg.SWThreshold != 123 {
+				t.Errorf("retry tester lost configuration: SWThreshold = %d", cfg.SWThreshold)
+			}
+			return true
+		},
+		func(name string, got []Pair, stats core.Stats) {
+			if len(got) != 100 {
+				t.Fatalf("%s: retry kept %d of 100 pairs", name, len(got))
+			}
+			if stats.Panics != 100 || stats.Quarantined != 0 {
+				t.Errorf("%s: Panics/Quarantined = %d/%d, want 100/0", name, stats.Panics, stats.Quarantined)
+			}
+		})
+}
+
+// TestParallelRefineQuarantinesPoisonPair: a pair that panics on the
+// software retry too is dropped and counted, and every other pair is
+// unaffected.
+func TestParallelRefineQuarantinesPoisonPair(t *testing.T) {
+	poison := Pair{13, 13}
+	stagesForms(t, core.Config{DisableHardware: true},
+		func(_ *core.Tester, pr Pair) bool {
+			if pr == poison {
+				panic("poisoned geometry")
+			}
+			return pr.A%2 == 0
+		},
+		func(name string, got []Pair, stats core.Stats) {
+			if stats.Panics != 1 || stats.Quarantined != 1 {
+				t.Errorf("%s: Panics/Quarantined = %d/%d, want 1/1", name, stats.Panics, stats.Quarantined)
+			}
+			if g := pairSet(got); len(g) != 50 || g[poison] {
+				t.Errorf("%s: %d pairs kept (poison kept: %v), want the 50 even ones", name, len(g), g[poison])
+			}
+		})
+}
+
+// TestPipelineViewComposition joins a live view (deletes and inserts)
+// with itself — all four component pairs, delta×delta included — and
+// requires the pooled, streamed result to be the inline one and both to
+// be a from-scratch layer's.
 func TestPipelineViewComposition(t *testing.T) {
 	deletes := map[uint64]bool{3: true, 17: true, 40: true}
 	inserts := layerB.Data.Objects[:8]
 	lv := NewLive(layerA, nil, 0, 0)
 	applyScript(t, lv, deletes, inserts)
 	v := lv.View()
-	if _, ok := v.Single(); ok {
-		t.Fatal("mutated view claims to be single-component")
-	}
+	scratch := NewLayer(scratchState(layerA.Data, deletes, inserts)).View()
 
-	want, _, err := IntersectionJoinView(bg, v, layerB.View(), swTester(), JoinOptions{})
+	want, _, err := IntersectionJoinView(bg, scratch, scratch, swTester(), JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inline, _, err := IntersectionJoinView(bg, v, v, swTester(), JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePairs(t, "composed inline", inline, want)
 	var streamed []Pair
-	opt := PipelineOptions{
-		ParallelOptions: ParallelOptions{Workers: 4},
-		BatchSize:       16,
+	got, stats, err := PipelineIntersectionJoinView(bg, v, v, JoinOptions{
+		Workers:   4,
+		BatchSize: 16,
 		Sink: func(pairs []Pair) error {
 			streamed = append(streamed, pairs...)
 			return nil
 		},
-	}
-	got, _, err := PipelineIntersectionJoinView(bg, v, layerB.View(), opt)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePairsExact(t, "composed", got, want)
-	// Streamed union is the same set (stream order is per-component, the
-	// returned slice is re-sorted).
-	sg, sw := sortedPairs(streamed), sortedPairs(want)
-	samePairsExact(t, "composed stream", sg, sw)
+	samePairs(t, "composed pooled", got, want)
+	// The stream is per component pair; the returned slice is re-sorted.
+	samePairs(t, "composed stream", sortedPairs(streamed), want)
+	if stats.Results != len(want) || stats.Candidates < stats.Results {
+		t.Errorf("composed stats: %d results of %d candidates, want %d results", stats.Results, stats.Candidates, len(want))
+	}
+}
+
+func BenchmarkJoinWorkers(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			for range b.N {
+				_, _, _ = PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), JoinOptions{Workers: workers})
+			}
+		})
+	}
 }

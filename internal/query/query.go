@@ -1,24 +1,31 @@
 // Package query implements the paper's three-stage query processing
 // pipeline (Figure 8): MBR filtering over an R-tree, intermediate
-// filtering (the interior filter for selections, the 0-Object and
-// 1-Object filters for within-distance joins), and geometry comparison
-// with either the software tests or the hardware-assisted tests from
+// filtering (the interior filter for selections, the hull filter and the
+// 0-Object and 1-Object filters for joins), and geometry comparison with
+// either the software tests or the hardware-assisted tests from
 // internal/core. Each stage's wall-clock cost and candidate counts are
 // recorded, which is what the evaluation figures plot.
+//
+// Joins have one driver, the staged batch executor in pipeline.go:
+// intersects and within-distance are two predicates over it, the
+// tester-taking entry points run it inline on the caller's goroutine and
+// the tester-less ones on worker pools, and views with a live delta are
+// composed over it per component pair. Selections keep their own loop —
+// over tens of candidates a batch hand-off costs more than the work.
 //
 // # Failure semantics
 //
 // Every query takes a context.Context and honors cancellation and
-// deadlines at chunk granularity (cancelStride refinement units between
-// checks): an interrupted query returns the results computed so far plus
-// a *PartialError that unwraps to the context's error, and leaks no
+// deadlines (per pair in joins, every cancelStride refinement units in
+// selections): an interrupted query returns the results computed so far
+// plus a *PartialError that unwraps to the context's error, and leaks no
 // goroutines. Queries with a candidate budget fail fast with a
 // *BudgetError before any refinement work when MBR filtering overflows
-// the budget. The parallel joins additionally isolate panicking
-// refinement tests: a pair whose test panics is retried once on the exact
-// software path and, failing that, quarantined (counted in core.Stats,
-// excluded from the result set) — one poisoned geometry pair can no
-// longer take down a join. See DESIGN.md §7.
+// the budget. Joins additionally isolate panicking refinement tests: a
+// pair whose test panics is retried once on the exact software path and,
+// failing that, quarantined (counted in core.Stats, excluded from the
+// result set) — one poisoned geometry pair can no longer take down a
+// join. See DESIGN.md §7.
 package query
 
 import (
@@ -586,9 +593,10 @@ func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, 
 // regions lie within distance d of the query polygon — the buffer query
 // restricted to one query object. The pipeline mirrors the join: MBR
 // distance filtering via the index, the 0-Object/1-Object upper-bound
-// filters, then geometry comparison. Cancellation and budget semantics
+// filters, then geometry comparison (of opt it reads those two, the
+// budget, NoBreaker and NoSignatures). Cancellation and budget semantics
 // match IntersectionSelect.
-func WithinDistanceSelect(ctx context.Context, layer *Layer, query *geom.Polygon, d float64, tester *core.Tester, opt DistanceFilterOptions) ([]int, Cost, error) {
+func WithinDistanceSelect(ctx context.Context, layer *Layer, query *geom.Polygon, d float64, tester *core.Tester, opt JoinOptions) ([]int, Cost, error) {
 	var cost Cost
 
 	start := time.Now()
@@ -654,41 +662,6 @@ type Pair struct {
 	A, B int
 }
 
-// JoinOptions configure an intersection join's intermediate filtering and
-// resource guards.
-type JoinOptions struct {
-	// UseHullFilter enables Brinkhoff's geometric filter: candidate pairs
-	// whose pre-computed convex hulls are disjoint are rejected before
-	// geometry comparison. Hull construction (a pre-processing cost the
-	// paper's hardware technique avoids) happens lazily on first use and
-	// is charged to the intermediate-filter stage of that first query.
-	UseHullFilter bool
-	// MaxCandidates, when positive, aborts the join with a *BudgetError
-	// if the MBR join yields more candidate pairs than this — the guard
-	// against pathological MBR skew materializing an unbounded pair list.
-	MaxCandidates int
-	// NoEdgeIndex disables the cached per-object edge indexes during
-	// refinement (every pair falls back to the linear edge scan). Ablation
-	// knob for the locality benchmarks.
-	NoEdgeIndex bool
-	// NoLocalityOrder disables sorting candidate pairs by outer object
-	// before refinement, leaving them in R-tree join emission order.
-	// Ablation knob for the locality benchmarks.
-	NoLocalityOrder bool
-	// NoBreaker detaches the layer pair's circuit breaker; see
-	// SelectionOptions.NoBreaker.
-	NoBreaker bool
-	// NoSignatures disables the persisted raster-signature filter; see
-	// SelectionOptions.NoSignatures.
-	NoSignatures bool
-	// NoIntervals disables the v2 interval-approximation filter; see
-	// SelectionOptions.NoIntervals.
-	NoIntervals bool
-	// IntervalOrder forces the shared interval grid's order (2..15); 0
-	// derives it from the layers. The benchmark sweep's resolution knob.
-	IntervalOrder int
-}
-
 // sortPairsByOuter orders candidate pairs by (A, B) so refinement visits
 // each outer object's pairs consecutively: the outer polygon's vertices
 // and edge index stay cache-hot across its whole run, and the lazily
@@ -712,19 +685,16 @@ func sortPairsByOuter(pairs []Pair) {
 // interval spans — always from one shared grid, which is what makes
 // them comparable; the v1 signatures stay attached too and still decide
 // pairs the interval check leaves inconclusive.
-func pairContexts(a, b *Layer, noIndex, noBreaker, noSig bool, iva, ivb *interval.Column) func(Pair) core.PairContext {
+func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(Pair) core.PairContext {
 	var br *core.Breaker
-	if !noBreaker {
+	if !opt.NoBreaker {
 		br = a.Breaker(b)
 	}
-	sigA, sigB := a.sigs != nil && !noSig, b.sigs != nil && !noSig
+	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil
-	if noIndex && !sigA && !sigB && !ivals {
-		return func(Pair) core.PairContext { return core.PairContext{Breaker: br} }
-	}
 	return func(pr Pair) core.PairContext {
 		pc := core.PairContext{Breaker: br}
-		if !noIndex {
+		if !opt.NoEdgeIndex {
 			pc.PIndex, pc.QIndex = a.EdgeIndex(pr.A), b.EdgeIndex(pr.B)
 		}
 		if sigA {
@@ -738,172 +708,4 @@ func pairContexts(a, b *Layer, noIndex, noBreaker, noSig bool, iva, ivb *interva
 		}
 		return pc
 	}
-}
-
-// IntersectionJoin returns all pairs (a from layer a, b from layer b)
-// whose regions intersect. A cancelled or expired context yields the
-// pairs found so far plus a *PartialError.
-func IntersectionJoin(ctx context.Context, a, b *Layer, tester *core.Tester) ([]Pair, Cost, error) {
-	return IntersectionJoinOpt(ctx, a, b, tester, JoinOptions{})
-}
-
-// IntersectionJoinOpt is IntersectionJoin with intermediate-filter options
-// and resource guards.
-func IntersectionJoinOpt(ctx context.Context, a, b *Layer, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
-	var cost Cost
-
-	// Stage 1: MBR join via synchronized R-tree traversal.
-	start := time.Now()
-	col := collector[Pair]{ctx: ctx, op: "join", budget: opt.MaxCandidates}
-	rtree.Join(a.Index, b.Index, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	// Stage 2: the optional geometric (convex hull) filter rejects
-	// provably disjoint pairs. (The paper evaluates its joins without an
-	// intermediate filter — this is the Table 1 pre-processing technique,
-	// kept for comparison.)
-	remaining := candidates
-	if opt.UseHullFilter {
-		start = time.Now()
-		ha, hb := a.Hulls(), b.Hulls()
-		remaining = remaining[:0]
-		for _, pr := range candidates {
-			if filter.PairMayIntersect(ha, pr.A, hb, pr.B) {
-				remaining = append(remaining, pr)
-			}
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterRejects = len(candidates) - len(remaining)
-	}
-
-	// Stage 3: geometry comparison, cancellable every cancelStride pairs.
-	// Pairs are refined in outer-object order so each outer polygon's data
-	// (and its edge index) is touched in one consecutive run.
-	start = time.Now()
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(remaining)
-	}
-	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, iva, ivb)
-	var results []Pair
-	for i, pr := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "join", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		if tester.IntersectsCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], pcFor(pr)) {
-			results = append(results, pr)
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	return results, cost, nil
-}
-
-// DistanceFilterOptions configure the within-distance join's intermediate
-// filters and resource guards.
-type DistanceFilterOptions struct {
-	// Use0Object enables the MBR-only distance upper-bound filter.
-	Use0Object bool
-	// Use1Object enables the upper bound using the larger object's actual
-	// geometry (paper §4.1.1: "very aggressive filtering").
-	Use1Object bool
-	// MaxCandidates, when positive, aborts the query with a *BudgetError
-	// if MBR filtering yields more candidates than this.
-	MaxCandidates int
-	// NoEdgeIndex and NoLocalityOrder are the join-refinement ablation
-	// knobs, as in JoinOptions. They have no effect on selections.
-	NoEdgeIndex     bool
-	NoLocalityOrder bool
-	// NoBreaker detaches the layer pair's circuit breaker; see
-	// SelectionOptions.NoBreaker.
-	NoBreaker bool
-	// NoSignatures disables the persisted raster-signature filter; see
-	// SelectionOptions.NoSignatures.
-	NoSignatures bool
-}
-
-// WithinDistanceJoin returns all pairs whose regions are within distance d
-// of each other (the buffer query), processed through the three-stage
-// pipeline with the 0-Object and 1-Object filters. Cancellation and
-// budget semantics match IntersectionJoinOpt.
-func WithinDistanceJoin(ctx context.Context, a, b *Layer, d float64, tester *core.Tester, opt DistanceFilterOptions) ([]Pair, Cost, error) {
-	var cost Cost
-
-	// Stage 1: MBR distance join. MBR distance lower-bounds object
-	// distance, so no within-distance pair is lost.
-	start := time.Now()
-	col := collector[Pair]{ctx: ctx, op: "within-join", budget: opt.MaxCandidates}
-	rtree.JoinWithin(a.Index, b.Index, d, func(ea, eb rtree.Entry) bool {
-		return col.add(Pair{ea.ID, eb.ID})
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	// Stage 2: distance upper bounds identify positives early.
-	var results []Pair
-	remaining := candidates
-	if opt.Use0Object || opt.Use1Object {
-		start = time.Now()
-		remaining = remaining[:0]
-		for _, pr := range candidates {
-			pa, pb := a.Data.Objects[pr.A], b.Data.Objects[pr.B]
-			if opt.Use0Object && filter.UpperBound0(pa.Bounds(), pb.Bounds()) <= d {
-				results = append(results, pr)
-				continue
-			}
-			if opt.Use1Object {
-				// Use the larger object's geometry against the smaller
-				// object's MBR.
-				big, smallBounds := pa, pb.Bounds()
-				if pb.NumVerts() > pa.NumVerts() {
-					big, smallBounds = pb, pa.Bounds()
-				}
-				if filter.UpperBound1Within(big, smallBounds, d) {
-					results = append(results, pr)
-					continue
-				}
-			}
-			remaining = append(remaining, pr)
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterHits = len(results)
-	}
-
-	// Stage 3: geometry comparison in outer-object order, cancellable
-	// every cancelStride pairs.
-	start = time.Now()
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(remaining)
-	}
-	pcFor := pairContexts(a, b, opt.NoEdgeIndex, opt.NoBreaker, opt.NoSignatures, nil, nil)
-	for i, pr := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "within-join", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		if tester.WithinDistanceCtx(a.Data.Objects[pr.A], b.Data.Objects[pr.B], d, pcFor(pr)) {
-			results = append(results, pr)
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	return results, cost, nil
 }

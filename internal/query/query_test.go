@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -83,95 +84,153 @@ func TestIntersectionSelectMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestIntersectionJoinMatchesOracle(t *testing.T) {
-	// Oracle: nested loop with brute-force software test.
+// The join oracle matrix: every way of running the join executor against
+// brute-force nested-loop oracles (sweep.BruteForce, dist.MinDistBrute).
+// One table, two predicates.
+
+// The matrix runs thousands of joins, so its layers are half the size of
+// the package's (~100 candidate pairs): matrixA as a plain layer view and
+// as a live view with a delta and tombstones, joined against matrixB.
+var (
+	matrixA = NewLayer(data.MustLoad("LANDC", 0.002))
+	matrixB = NewLayer(data.MustLoad("LANDO", 0.001))
+)
+
+func matrixViews(t *testing.T) map[string]*View {
+	lv := NewLive(matrixA, nil, 0, 0)
+	applyScript(t, lv, map[uint64]bool{3: true, 17: true, 25: true}, matrixB.Data.Objects[:8])
+	v := lv.View()
+	if _, ok := v.Single(); ok {
+		t.Fatal("mutated view claims to be single-component")
+	}
+	return map[string]*View{"layer": matrixA.View(), "live": v}
+}
+
+// oraclePairs is the nested loop over the views' canonical object lists.
+func oraclePairs(a, b *View, test func(p, q *geom.Polygon) bool) []Pair {
 	var want []Pair
-	for i, p := range layerA.Data.Objects {
-		for j, q := range layerB.Data.Objects {
-			if p.Bounds().Intersects(q.Bounds()) &&
-				sweep.PolygonsIntersect(p, q, sweep.Options{Algorithm: sweep.BruteForce}) {
+	for i, p := range a.Dataset().Objects {
+		for j, q := range b.Dataset().Objects {
+			if test(p, q) {
 				want = append(want, Pair{i, j})
 			}
 		}
 	}
-	if len(want) == 0 {
-		t.Fatal("test layers do not overlap; generator broken")
+	return want
+}
+
+// runOracleMatrix runs kind k — with each prefilter setting in pres — over
+// {inline with the caller's tester, pooled workers 1/2/8} × batch {1, 7,
+// 256} × tester {sw, hw res 8, hw res 16 + SWThreshold 100} × NoEdgeIndex
+// × NoLocalityOrder × NoIntervals (where the predicate reads them: knobs
+// is 8 with, 4 without) × {layer view, live view}, and checks
+// each run against want: the pair set, (A, B) order whenever the executor
+// promises it, the stage counts, and that the concatenated sink batches
+// are the returned slice.
+func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, want func(a, b *View) []Pair) {
+	testers := map[string]core.Config{
+		"sw":   {DisableHardware: true},
+		"hw8":  {Resolution: 8},
+		"hw16": {Resolution: 16, SWThreshold: 100},
 	}
-	sw := core.NewTester(core.Config{DisableHardware: true})
-	hw := core.NewTester(core.Config{Resolution: 8})
-	hwT := core.NewTester(core.Config{Resolution: 16, SWThreshold: 100})
-	for _, tester := range []*core.Tester{sw, hw, hwT} {
-		got, cost, err := IntersectionJoin(bg, layerA, layerB, tester)
-		if err != nil {
-			t.Fatal(err)
+	for vname, a := range matrixViews(t) {
+		b := matrixB.View()
+		w := want(a, b)
+		if len(w) == 0 {
+			t.Fatal("test layers do not overlap; generator broken")
 		}
-		g, w := sortedPairs(got), sortedPairs(want)
-		if len(g) != len(w) {
-			t.Fatalf("join: %d pairs, oracle %d", len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("join pair %d = %v, want %v", i, g[i], w[i])
+		_, single := a.Single()
+		for tname, cfg := range testers {
+			inline := core.NewTester(cfg)
+			for _, workers := range []int{-1, 1, 2, 8} { // -1: inline, caller's tester
+				for _, batch := range []int{1, 7, 256} {
+					for _, pre := range pres {
+						for knob := range knobs {
+							opt := pre
+							opt.Workers, opt.BatchSize = workers, batch
+							opt.Tester = func() *core.Tester { return core.NewTester(cfg) }
+							opt.NoEdgeIndex = knob&1 != 0
+							opt.NoLocalityOrder = knob&2 != 0
+							opt.NoIntervals = knob&4 != 0
+							var streamed []Pair
+							opt.Sink = func(pairs []Pair) error {
+								streamed = append(streamed, pairs...) // copy: the slice is reused
+								return nil
+							}
+							name := fmt.Sprintf("%s %s workers=%d batch=%d %+v", vname, tname, workers, batch,
+								[]bool{opt.UseHullFilter, opt.Use0Object, opt.Use1Object, opt.NoIntervals, opt.NoEdgeIndex, opt.NoLocalityOrder})
+							tester := inline
+							if workers > 0 {
+								tester = nil
+							}
+							got, cost, stats, err := joinViews(bg, a, b, k, tester, opt)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							// Candidate order is (A, B) under the locality
+							// order, and composed views sort their union.
+							if !opt.NoLocalityOrder || !single {
+								samePairs(t, name, got, w)
+							} else {
+								samePairs(t, name, sortedPairs(got), w)
+							}
+							// A composed view streams per component pair.
+							if single {
+								samePairs(t, name+" stream", streamed, got)
+							} else {
+								samePairs(t, name+" stream", sortedPairs(streamed), got)
+							}
+							if cost.Results != len(got) || cost.Candidates < cost.Results ||
+								cost.FilterHits+cost.FilterRejects+cost.Compared != cost.Candidates {
+								t.Fatalf("%s: stage counts inconsistent: %+v", name, cost)
+							}
+							if workers > 0 {
+								checkStatsPartition(t, name, stats)
+								// A composed view's remap drops tombstoned rows
+								// after the executor counted them.
+								emitted, n := stats.StreamRowsEmitted, int64(len(streamed))
+								if stats.Tests != int64(cost.Compared) || emitted < n || single && emitted != n {
+									t.Fatalf("%s: %d tests for %d compared, %d rows emitted for %d streamed",
+										name, stats.Tests, cost.Compared, emitted, n)
+								}
+							}
+						}
+					}
+				}
 			}
-		}
-		if cost.Candidates < cost.Results {
-			t.Errorf("candidates %d < results %d", cost.Candidates, cost.Results)
 		}
 	}
 }
 
+func TestIntersectionJoinMatchesOracle(t *testing.T) {
+	runOracleMatrix(t, intersects, []JoinOptions{{}, {UseHullFilter: true}}, 8,
+		func(a, b *View) []Pair {
+			return oraclePairs(a, b, func(p, q *geom.Polygon) bool {
+				return p.Bounds().Intersects(q.Bounds()) &&
+					sweep.PolygonsIntersect(p, q, sweep.Options{Algorithm: sweep.BruteForce})
+			})
+		})
+}
+
 func TestWithinDistanceJoinMatchesOracle(t *testing.T) {
-	baseD := data.BaseD(layerA.Data, layerB.Data)
-	sw := core.NewTester(core.Config{DisableHardware: true})
-	hw := core.NewTester(core.Config{Resolution: 8})
+	pres := []JoinOptions{{}, {Use0Object: true}, {Use1Object: true}, {Use0Object: true, Use1Object: true}}
+	baseD := data.BaseD(matrixA.Data, matrixB.Data)
 	for _, mult := range []float64{0.1, 1.0} {
 		d := baseD * mult
-		// Oracle: nested loop brute-force distance.
-		var want []Pair
-		for i, p := range layerA.Data.Objects {
-			for j, q := range layerB.Data.Objects {
-				if dist.MinDistBrute(p, q) <= d {
-					want = append(want, Pair{i, j})
-				}
-			}
-		}
-		opts := []DistanceFilterOptions{
-			{},
-			{Use0Object: true},
-			{Use0Object: true, Use1Object: true},
-		}
-		for _, tester := range []*core.Tester{sw, hw} {
-			for _, opt := range opts {
-				got, cost, err := WithinDistanceJoin(bg, layerA, layerB, d, tester, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g, w := sortedPairs(got), sortedPairs(want)
-				if len(g) != len(w) {
-					t.Fatalf("d=%.2f opt=%+v: %d pairs, oracle %d", d, opt, len(g), len(w))
-				}
-				for i := range w {
-					if g[i] != w[i] {
-						t.Fatalf("d=%.2f: pair %d = %v, want %v", d, i, g[i], w[i])
-					}
-				}
-				if opt.Use0Object && cost.FilterHits+cost.Compared != cost.Candidates {
-					t.Errorf("stage counts inconsistent: %+v", cost)
-				}
-			}
-		}
+		runOracleMatrix(t, withinDistance(d), pres, 4, func(a, b *View) []Pair {
+			return oraclePairs(a, b, func(p, q *geom.Polygon) bool { return dist.MinDistBrute(p, q) <= d })
+		})
 	}
 }
 
 func TestFiltersReduceComparisons(t *testing.T) {
 	baseD := data.BaseD(layerA.Data, layerB.Data)
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	_, noFilter, err := WithinDistanceJoin(bg, layerA, layerB, baseD, sw, DistanceFilterOptions{})
+	_, noFilter, err := WithinDistanceJoinView(bg, layerA.View(), layerB.View(), baseD, sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, filtered, err := WithinDistanceJoin(bg, layerA, layerB, baseD, sw,
-		DistanceFilterOptions{Use0Object: true, Use1Object: true})
+	_, filtered, err := WithinDistanceJoinView(bg, layerA.View(), layerB.View(), baseD, sw, JoinOptions{Use0Object: true, Use1Object: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 func softwareOracle(t *testing.T) []Pair {
 	t.Helper()
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoin(bg, layerA, layerB, sw)
+	want, _, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,199 +47,59 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 	t.Errorf("goroutine leak: %d at start, %d after join", before, runtime.NumGoroutine())
 }
 
-// TestParallelJoinRecoversPanickingTester is the regression test for the
-// worker-pool deadlock class: before panic isolation, a tester that
-// panicked mid-refinement escaped the worker goroutine, killing the whole
-// process (an unrecovered panic in the old worker loop; with recover
-// anywhere above it, the skipped results-channel send would have hung the
-// collector instead). Now every pair's test runs under recover, the pair
-// is retried on the software path, and the join completes with the exact
-// software result set.
-func TestParallelJoinRecoversPanickingTester(t *testing.T) {
-	want := pairSet(softwareOracle(t))
-
-	inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
-	opt := ParallelOptions{
-		Workers: 4,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
-		},
-	}
-	before := runtime.NumGoroutine()
-	done := make(chan struct{})
-	var (
-		got   []Pair
-		stats core.Stats
-		err   error
-	)
-	go func() {
-		defer close(done)
-		got, stats, err = ParallelIntersectionJoin(bg, layerA, layerB, opt)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("parallel join deadlocked with a panicking tester")
-	}
-	if err != nil {
-		t.Fatalf("join failed: %v", err)
-	}
-	checkNoGoroutineLeak(t, before)
-
-	if stats.Panics == 0 {
-		t.Error("no panics recorded despite rate-1 injection")
-	}
-	if stats.Quarantined != 0 {
-		t.Errorf("%d pairs quarantined; software retries should all succeed", stats.Quarantined)
-	}
-	g := pairSet(got)
-	if len(g) != len(want) {
-		t.Fatalf("degraded join: %d pairs, software oracle %d", len(g), len(want))
-	}
-	for pr := range want {
-		if !g[pr] {
-			t.Fatalf("degraded join lost pair %v", pr)
-		}
-	}
-}
-
-// TestParallelRefineRetriesOnSoftware checks the retry tester's exact
-// configuration: hardware disabled, fault injection disarmed, everything
-// else inherited from the worker tester.
-func TestParallelRefineRetriesOnSoftware(t *testing.T) {
-	candidates := make([]Pair, 100)
-	for i := range candidates {
-		candidates[i] = Pair{i, i}
-	}
-	inj := faultinject.New(1) // armed with nothing; only its presence is checked
-	opt := ParallelOptions{
-		Workers: 3,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{Resolution: 4, SWThreshold: 123, Faults: inj})
-		},
-	}
-	got, stats, err := parallelRefine(bg, candidates, opt, "test", func(tt *core.Tester, pr Pair) bool {
-		cfg := tt.Config()
-		if !cfg.DisableHardware {
-			panic("primary path poisoned")
-		}
-		if cfg.Faults != nil {
-			t.Error("retry tester still carries the fault injector")
-		}
-		if cfg.SWThreshold != 123 {
-			t.Errorf("retry tester lost configuration: SWThreshold = %d", cfg.SWThreshold)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(candidates) {
-		t.Fatalf("retry kept %d of %d pairs", len(got), len(candidates))
-	}
-	if stats.Panics != int64(len(candidates)) {
-		t.Errorf("Panics = %d, want %d", stats.Panics, len(candidates))
-	}
-	if stats.Quarantined != 0 {
-		t.Errorf("Quarantined = %d, want 0", stats.Quarantined)
-	}
-}
-
-// TestParallelRefineQuarantinesPoisonPair: a pair that panics on the
-// software retry too is dropped and counted, and every other pair is
-// unaffected.
-func TestParallelRefineQuarantinesPoisonPair(t *testing.T) {
-	candidates := make([]Pair, 100)
-	for i := range candidates {
-		candidates[i] = Pair{i, i}
-	}
-	poison := Pair{13, 13}
-	opt := ParallelOptions{Workers: 4, Tester: func() *core.Tester {
-		return core.NewTester(core.Config{DisableHardware: true})
-	}}
-	got, stats, err := parallelRefine(bg, candidates, opt, "test", func(_ *core.Tester, pr Pair) bool {
-		if pr == poison {
-			panic("poisoned geometry")
-		}
-		return pr.A%2 == 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Panics != 1 || stats.Quarantined != 1 {
-		t.Errorf("Panics/Quarantined = %d/%d, want 1/1", stats.Panics, stats.Quarantined)
-	}
-	want := 0
-	for _, pr := range candidates {
-		if pr.A%2 == 0 && pr != poison {
-			want++
-		}
-	}
-	g := pairSet(got)
-	if len(g) != want {
-		t.Errorf("%d pairs kept, want %d", len(g), want)
-	}
-	if g[poison] {
-		t.Error("quarantined pair leaked into the result set")
-	}
-}
-
 // TestParallelJoinCancellation exercises mid-join cancellation: with every
 // refinement slowed by an injected delay, cancelling the context must
 // return promptly (long before the remaining work), leak no goroutines,
 // and report partial progress through a typed *PartialError.
 func TestParallelJoinCancellation(t *testing.T) {
-	inj := faultinject.New(3).
-		Inject(faultinject.SiteIntersects, faultinject.KindDelay, 1).
-		SetDelay(2 * time.Millisecond)
-	opt := ParallelOptions{
-		Workers: 2,
-		Tester: func() *core.Tester {
-			return core.NewTester(core.Config{DisableHardware: true, Faults: inj})
-		},
-	}
-	ctx, cancel := context.WithCancel(bg)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	before := runtime.NumGoroutine()
-	start := time.Now()
-	got, stats, err := ParallelIntersectionJoin(ctx, layerA, layerB, opt)
-	elapsed := time.Since(start)
-	checkNoGoroutineLeak(t, before)
-
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err does not unwrap to context.Canceled: %v", err)
-	}
-	if pe.Done >= pe.Total {
-		t.Errorf("PartialError reports full completion: %d/%d", pe.Done, pe.Total)
-	}
-	// The whole join would take Total×2ms/2 workers; prompt cancellation
-	// must beat that by a wide margin. The bound is loose for CI noise.
-	if budget := time.Duration(pe.Total) * time.Millisecond; elapsed > budget {
-		t.Errorf("cancellation took %v, full join would be ~%v", elapsed, budget)
-	}
-	if stats.Tests == 0 {
-		t.Error("no partial stats returned")
-	}
-	// Partial results must still be sound: every returned pair is a real
-	// software-verified intersection.
 	want := pairSet(softwareOracle(t))
-	for _, pr := range got {
-		if !want[pr] {
-			t.Errorf("partial result %v is not in the software result set", pr)
+	for _, f := range execForms {
+		inj := faultinject.New(3).
+			Inject(faultinject.SiteIntersects, faultinject.KindDelay, 1).
+			SetDelay(2 * time.Millisecond)
+		ctx, cancel := context.WithCancel(bg)
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			cancel()
+		}()
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		got, stats, err := f.join(ctx, core.Config{DisableHardware: true, Faults: inj}, JoinOptions{BatchSize: 2})
+		elapsed := time.Since(start)
+		checkNoGoroutineLeak(t, before)
+
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *PartialError", f.name, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err does not unwrap to context.Canceled: %v", f.name, err)
+		}
+		if pe.Done >= pe.Total {
+			t.Errorf("%s: PartialError reports full completion: %d/%d", f.name, pe.Done, pe.Total)
+		}
+		// The whole join would take at least Total×2ms/4 workers; prompt
+		// cancellation must beat that by a wide margin. The bound is loose
+		// for CI noise.
+		if budget := time.Duration(pe.Total) * time.Millisecond / 2; elapsed > budget {
+			t.Errorf("%s: cancellation took %v, full join would be ~%v", f.name, elapsed, budget)
+		}
+		if stats.Tests == 0 {
+			t.Errorf("%s: no partial stats returned", f.name)
+		}
+		// Partial results must still be sound: every returned pair is a real
+		// software-verified intersection.
+		for _, pr := range got {
+			if !want[pr] {
+				t.Errorf("%s: partial result %v is not in the software result set", f.name, pr)
+			}
 		}
 	}
 }
 
-// TestSerialCancellation covers the serial pipelines: an already-cancelled
-// context stops each query at its next stride check with a typed partial
-// error, returning whatever was computed.
+// TestSerialCancellation covers every query type on the calling
+// goroutine: an already-cancelled context stops each at its next check
+// with a typed partial error, returning whatever was computed.
 func TestSerialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
@@ -252,17 +112,17 @@ func TestSerialCancellation(t *testing.T) {
 		t.Errorf("select: err = %v, want PartialError wrapping Canceled", err)
 	}
 
-	_, _, err = IntersectionJoin(ctx, layerA, layerB, sw)
+	_, _, err = IntersectionJoinView(ctx, layerA.View(), layerB.View(), sw, JoinOptions{})
 	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
 		t.Errorf("join: err = %v, want PartialError wrapping Canceled", err)
 	}
 
-	_, _, err = WithinDistanceJoin(ctx, layerA, layerB, 1, sw, DistanceFilterOptions{})
+	_, _, err = WithinDistanceJoinView(ctx, layerA.View(), layerB.View(), 1, sw, JoinOptions{})
 	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
 		t.Errorf("within-join: err = %v, want PartialError wrapping Canceled", err)
 	}
 
-	_, _, err = WithinDistanceSelect(ctx, layerA, q, 1, sw, DistanceFilterOptions{})
+	_, _, err = WithinDistanceSelect(ctx, layerA, q, 1, sw, JoinOptions{})
 	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
 		t.Errorf("within-select: err = %v, want PartialError wrapping Canceled", err)
 	}
@@ -287,7 +147,7 @@ func TestSerialCancellation(t *testing.T) {
 func TestCandidateBudget(t *testing.T) {
 	sw := core.NewTester(core.Config{DisableHardware: true})
 
-	pairs, cost, err := IntersectionJoinOpt(bg, layerA, layerB, sw, JoinOptions{MaxCandidates: 1})
+	pairs, cost, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{MaxCandidates: 1})
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BudgetError", err)
@@ -305,9 +165,9 @@ func TestCandidateBudget(t *testing.T) {
 		t.Errorf("budget-tripped join ran %d pair tests", sw.Stats.Tests)
 	}
 
-	_, _, err = ParallelIntersectionJoin(bg, layerA, layerB, ParallelOptions{MaxCandidates: 1})
-	if !errors.As(err, &be) {
-		t.Errorf("parallel join: err = %v, want *BudgetError", err)
+	pairs, st, err := PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), JoinOptions{MaxCandidates: 1})
+	if !errors.As(err, &be) || pairs != nil || st.Tests != 0 {
+		t.Errorf("pooled join: err = %v with %d pairs after %d tests, want a bare *BudgetError", err, len(pairs), st.Tests)
 	}
 
 	q := layerB.Data.Objects[0]
@@ -317,7 +177,7 @@ func TestCandidateBudget(t *testing.T) {
 	}
 
 	// A budget above the candidate count changes nothing.
-	got, _, err := IntersectionJoinOpt(bg, layerA, layerB, sw, JoinOptions{MaxCandidates: 1 << 30})
+	got, _, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{MaxCandidates: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +196,13 @@ func TestCandidateBudget(t *testing.T) {
 // typed partial error, partial stats, and no goroutine leak.
 func TestAcceptanceFaultedJoinUnderDeadline(t *testing.T) {
 	want := pairSet(softwareOracle(t))
-	newOpt := func(seed int64, delay time.Duration) ParallelOptions {
+	newOpt := func(seed int64, delay time.Duration) JoinOptions {
 		inj := faultinject.New(seed).
 			Inject(faultinject.SiteIntersects, faultinject.KindPanic, 0.3).
 			Inject(faultinject.SiteIntersects, faultinject.KindDelay, 0.2).
 			Inject(faultinject.SiteRenderDraw, faultinject.KindPanic, 0.02).
 			SetDelay(delay)
-		return ParallelOptions{
+		return JoinOptions{
 			Workers: 4,
 			Tester: func() *core.Tester {
 				// Hardware path armed, threshold 0: every non-trivial pair
@@ -353,7 +213,7 @@ func TestAcceptanceFaultedJoinUnderDeadline(t *testing.T) {
 	}
 
 	// Part 1: panics and delays, no deadline — exact software results.
-	got, stats, err := ParallelIntersectionJoin(bg, layerA, layerB, newOpt(11, 10*time.Microsecond))
+	got, stats, err := PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), newOpt(11, 10*time.Microsecond))
 	if err != nil {
 		t.Fatalf("faulted join failed: %v", err)
 	}
@@ -377,7 +237,7 @@ func TestAcceptanceFaultedJoinUnderDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
 	defer cancel()
 	before := runtime.NumGoroutine()
-	got, stats, err = ParallelIntersectionJoin(ctx, layerA, layerB, newOpt(11, 2*time.Millisecond))
+	got, stats, err = PipelineIntersectionJoinView(ctx, layerA.View(), layerB.View(), newOpt(11, 2*time.Millisecond))
 	checkNoGoroutineLeak(t, before)
 	var pe *PartialError
 	if !errors.As(err, &pe) {

@@ -24,7 +24,7 @@ func TestWithinDistanceSelectMatchesOracle(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			opts := []DistanceFilterOptions{{}, {Use0Object: true, Use1Object: true}}
+			opts := []JoinOptions{{}, {Use0Object: true, Use1Object: true}}
 			for _, tester := range []*core.Tester{sw, hw} {
 				for _, opt := range opts {
 					got, cost, err := WithinDistanceSelect(bg, layerA, q, d, tester, opt)
@@ -60,7 +60,7 @@ func TestWithinDistanceSelectZeroDistanceIsIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, _, err := WithinDistanceSelect(bg, layerA, q, 0, sw, DistanceFilterOptions{})
+	gotIDs, _, err := WithinDistanceSelect(bg, layerA, q, 0, sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,11 +79,11 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 					}
 				}
 
-				wantW, _, err := WithinDistanceSelect(bg, layerA, q, d, swTester(), DistanceFilterOptions{Use0Object: true})
+				wantW, _, err := WithinDistanceSelect(bg, layerA, q, d, swTester(), JoinOptions{Use0Object: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotW, _, err := WithinDistanceSelect(bg, snapA, q, d, swTester(), DistanceFilterOptions{Use0Object: true})
+				gotW, _, err := WithinDistanceSelect(bg, snapA, q, d, swTester(), JoinOptions{Use0Object: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,11 +99,11 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 			}
 
 			// Joins: snapshot layers on both sides.
-			wantJ, _, err := IntersectionJoinOpt(bg, layerA, layerB, swTester(), JoinOptions{})
+			wantJ, _, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), swTester(), JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotJ, _, err := IntersectionJoinOpt(bg, snapA, snapB, swTester(), JoinOptions{})
+			gotJ, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), swTester(), JoinOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +117,11 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 				}
 			}
 
-			wantD, _, err := WithinDistanceJoin(bg, layerA, layerB, d, swTester(), DistanceFilterOptions{Use0Object: true, Use1Object: true})
+			wantD, _, err := WithinDistanceJoinView(bg, layerA.View(), layerB.View(), d, swTester(), JoinOptions{Use0Object: true, Use1Object: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, _, err := WithinDistanceJoin(bg, snapA, snapB, d, swTester(), DistanceFilterOptions{Use0Object: true, Use1Object: true})
+			gotD, _, err := WithinDistanceJoinView(bg, snapA.View(), snapB.View(), d, swTester(), JoinOptions{Use0Object: true, Use1Object: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,8 +135,8 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 				}
 			}
 
-			// Parallel join over snapshot layers agrees with serial memory.
-			gotP, _, err := ParallelIntersectionJoin(bg, snapA, snapB, ParallelOptions{Workers: 4})
+			// Pooled join over snapshot layers agrees with inline memory.
+			gotP, _, err := PipelineIntersectionJoinView(bg, snapA.View(), snapB.View(), JoinOptions{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestSnapshotLayerSignatureAblation(t *testing.T) {
 	snapB := snapshotLayer(t, layerB.Data, false)
 
 	with := swTester()
-	if _, _, err := IntersectionJoinOpt(bg, snapA, snapB, with, JoinOptions{}); err != nil {
+	if _, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), with, JoinOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if with.Stats.SigChecks == 0 {
@@ -188,7 +188,7 @@ func TestSnapshotLayerSignatureAblation(t *testing.T) {
 	}
 
 	without := swTester()
-	if _, _, err := IntersectionJoinOpt(bg, snapA, snapB, without, JoinOptions{NoSignatures: true}); err != nil {
+	if _, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), without, JoinOptions{NoSignatures: true}); err != nil {
 		t.Fatal(err)
 	}
 	if without.Stats.SigChecks != 0 {

@@ -190,101 +190,3 @@ func IntersectionSelectView(ctx context.Context, v *View, query *geom.Polygon, t
 	cost.Results = len(out)
 	return out, cost, nil
 }
-
-// IntersectionJoinView composes IntersectionJoinOpt across the views'
-// components (up to base×base, base×delta, delta×base, delta×delta),
-// remaps pairs to canonical positions, drops tombstoned participants,
-// and returns the union sorted by (A, B). Single×single views take the
-// exact legacy path, byte for byte.
-func IntersectionJoinView(ctx context.Context, a, b *View, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return IntersectionJoinOpt(ctx, la, lb, tester, opt)
-	}
-	join := func(x, y *Layer) ([]Pair, Cost, error) {
-		return IntersectionJoinOpt(ctx, x, y, tester, opt)
-	}
-	return composeJoin(a, b, join)
-}
-
-// WithinDistanceJoinView is IntersectionJoinView for the buffer query.
-func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *core.Tester, opt DistanceFilterOptions) ([]Pair, Cost, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return WithinDistanceJoin(ctx, la, lb, d, tester, opt)
-	}
-	join := func(x, y *Layer) ([]Pair, Cost, error) {
-		return WithinDistanceJoin(ctx, x, y, d, tester, opt)
-	}
-	return composeJoin(a, b, join)
-}
-
-// ParallelIntersectionJoinView is IntersectionJoinView over the
-// worker-pool join: component joins run one after another, each
-// internally parallel, with the testers' stats summed across components.
-func ParallelIntersectionJoinView(ctx context.Context, a, b *View, opt ParallelOptions) ([]Pair, core.Stats, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return ParallelIntersectionJoin(ctx, la, lb, opt)
-	}
-	var out []Pair
-	var stats core.Stats
-	for _, ca := range a.components() {
-		for _, cb := range b.components() {
-			pairs, st, err := ParallelIntersectionJoin(ctx, ca.layer, cb.layer, opt)
-			stats.Add(st)
-			for _, pr := range pairs {
-				pa, pb := ca.canon(pr.A), cb.canon(pr.B)
-				if pa >= 0 && pb >= 0 {
-					out = append(out, Pair{int(pa), int(pb)})
-				}
-			}
-			if err != nil {
-				if _, ok := err.(*BudgetError); ok {
-					return nil, stats, err
-				}
-				sortPairsByOuter(out)
-				return out, stats, err
-			}
-		}
-	}
-	sortPairsByOuter(out)
-	return out, stats, nil
-}
-
-// composeJoin runs one pairwise join function across every component
-// combination of the two views and merges into canonical coordinates.
-// Tombstoned objects still pass through the component joins (they live in
-// the base layer's R-tree) and are dropped at the remap; the summed Cost
-// therefore includes their filtering work, which is the honest price of
-// querying an uncompacted view.
-func composeJoin(a, b *View, join func(x, y *Layer) ([]Pair, Cost, error)) ([]Pair, Cost, error) {
-	var out []Pair
-	var cost Cost
-	for _, ca := range a.components() {
-		for _, cb := range b.components() {
-			pairs, cc, err := join(ca.layer, cb.layer)
-			cost.Add(cc)
-			for _, pr := range pairs {
-				pa, pb := ca.canon(pr.A), cb.canon(pr.B)
-				if pa >= 0 && pb >= 0 {
-					out = append(out, Pair{int(pa), int(pb)})
-				}
-			}
-			if err != nil {
-				if _, ok := err.(*BudgetError); ok {
-					return nil, cost, err
-				}
-				sortPairsByOuter(out)
-				cost.Results = len(out)
-				return out, cost, err
-			}
-		}
-	}
-	sortPairsByOuter(out)
-	cost.Results = len(out)
-	return out, cost, nil
-}

@@ -150,7 +150,7 @@ func TestE2EConcurrentClients(t *testing.T) {
 	water := query.NewLayer(waterData)
 	prism := query.NewLayer(data.MustLoad("PRISM", e2eScale))
 	tester := core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
-	pairs, _, err := query.IntersectionJoin(context.Background(), water, prism, tester)
+	pairs, _, err := query.IntersectionJoinView(context.Background(), water.View(), prism.View(), tester, query.JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func checkCatalogIntact(t *testing.T, s *Server, water, prism *query.Layer, want
 	a, _ := s.Catalog().Get("water")
 	b, _ := s.Catalog().Get("prism")
 	tester := core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
-	pairs, _, err := query.IntersectionJoin(context.Background(), a.(*query.Layer), b.(*query.Layer), tester)
+	pairs, _, err := query.IntersectionJoinView(context.Background(), a.(*query.Layer).View(), b.(*query.Layer).View(), tester, query.JoinOptions{})
 	if err != nil || len(pairs) != wantJoin {
 		t.Errorf("join over post-fault catalog = %d results, err %v; want %d",
 			len(pairs), err, wantJoin)
@@ -53,7 +53,7 @@ func checkCatalogIntact(t *testing.T, s *Server, water, prism *query.Layer, want
 func directJoinCount(t *testing.T, a, b *query.Layer) int {
 	t.Helper()
 	tester := core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
-	pairs, _, err := query.IntersectionJoin(context.Background(), a, b, tester)
+	pairs, _, err := query.IntersectionJoinView(context.Background(), a.View(), b.View(), tester, query.JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +107,11 @@ func TestFaultAcceptPanicContained(t *testing.T) {
 }
 
 // TestFaultQueryPanicContained arms a panic inside the refinement tester:
-// a serial join served to one session blows up mid-query. The session
-// dies (panic containment is per-connection), but the server, the other
-// sessions' view of the catalog, and non-refinement commands all survive.
+// a selection (whose loop runs the tester unguarded) served to one
+// session blows up mid-query. The session dies (panic containment is
+// per-connection), but the server, the other sessions' view of the
+// catalog, and non-refinement commands all survive — and so does every
+// join verb, whose executor isolates the panic per pair.
 func TestFaultQueryPanicContained(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	inj := faultinject.New(1).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
@@ -121,13 +123,13 @@ func TestFaultQueryPanicContained(t *testing.T) {
 	wantJoin := directJoinCount(t, water, prism)
 
 	c := dialWire(t, s.Addr().String())
-	if err := c.send("join water prism hw"); err != nil {
+	if err := c.send(fmt.Sprintf("select water %s", e2eQueryWKT)); err != nil {
 		t.Fatal(err)
 	}
 	// The panic escapes Exec and is contained by the session's recover:
 	// the connection closes with no status line.
 	if lines, status, err := c.readResponse(); err == nil {
-		t.Errorf("panicked join returned status %q lines %q, want closed connection", status, lines)
+		t.Errorf("panicked select returned status %q lines %q, want closed connection", status, lines)
 	}
 	waitFor(t, "panicked session to unwind", func() bool {
 		return s.Metrics().SessionsActive.Load() == 0
@@ -145,11 +147,13 @@ func TestFaultQueryPanicContained(t *testing.T) {
 		t.Errorf("layers after panic = %q", lines)
 	}
 	c2.mustOK(t, fmt.Sprintf("knn water %s 3", e2eQueryWKT))
-	// pjoin survives the same injected faults end to end: its workers
-	// quarantine panicking tests and retry on the software path.
-	plines := c2.mustOK(t, "pjoin water prism 2")
-	if got := countFrom(t, plines, "pjoin: %d results"); got != wantJoin {
-		t.Errorf("pjoin under panic faults = %d results, want %d", got, wantJoin)
+	// The join verbs survive the same injected faults end to end: the
+	// executor retries panicking tests on the software path.
+	for _, verb := range []string{"join", "pjoin"} {
+		lines := c2.mustOK(t, verb+" water prism")
+		if got := countFrom(t, lines, verb+": %d results"); got != wantJoin {
+			t.Errorf("%s under panic faults = %d results, want %d", verb, got, wantJoin)
+		}
 	}
 	checkCatalogIntact(t, s, water, prism, wantJoin)
 

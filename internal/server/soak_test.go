@@ -247,7 +247,7 @@ func runCoordSoakPhase(t *testing.T, seed int64) {
 	const withinD = 1.5 // inside the replication margin
 	withinPairs, _, err := query.WithinDistanceJoinView(truthCtx, la.View(), lb.View(), withinD,
 		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}),
-		query.DistanceFilterOptions{Use0Object: true, Use1Object: true})
+		query.JoinOptions{Use0Object: true, Use1Object: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,14 @@ package shellcmd
 //     without scraping prose. None of these prefixes collides with the
 //     wire status words (ok / partial: / error:).
 //
-//   - The join verbs take the shard's ownership region on the wire and
-//     apply the reference-point rule locally: a pair is emitted only if
-//     this shard owns the reference point of its MBR intersection, so
-//     the coordinator can concatenate shard outputs without
-//     deduplication. Ids are the stable global ids persisted in the tile
-//     snapshots (SaveOptions.IDs), so merged results are directly
-//     comparable with a single-node run.
+//   - The join verbs (shardjoin, shardwithin — handled with their
+//     single-node counterparts, see runJoin) take the shard's ownership
+//     region on the wire and apply the reference-point rule locally: a
+//     pair is emitted only if this shard owns the reference point of its
+//     MBR intersection, so the coordinator can concatenate shard outputs
+//     without deduplication. Ids are the stable global ids persisted in
+//     the tile snapshots (SaveOptions.IDs), so merged results are
+//     directly comparable with a single-node run.
 
 import (
 	"context"
@@ -192,129 +193,6 @@ func (e *Engine) shardSelect(ctx context.Context, store Store, line string, out 
 	}
 	st := query.NewStats("shardselect", len(ids), cost, tester.Stats)
 	liveStats(&st, v)
-	writeStats(out, st)
-	return Result{Stats: st, Partial: note(out, qerr)}, nil
-}
-
-// shardJoin runs an intersection join and emits only the pairs whose
-// reference point this shard owns:
-// shardjoin <a> <b> <minx> <miny> <maxx> <maxy> [sw|hw]
-func (e *Engine) shardJoin(ctx context.Context, store Store, args []string, out io.Writer) (Result, error) {
-	if len(args) < 6 || len(args) > 7 {
-		return Result{}, fmt.Errorf("usage: shardjoin <a> <b> <minx> <miny> <maxx> <maxy> [sw|hw]")
-	}
-	a, err := viewOf(store, args[0])
-	if err != nil {
-		return Result{}, err
-	}
-	b, err := viewOf(store, args[1])
-	if err != nil {
-		return Result{}, err
-	}
-	region, err := parseRect(args[2:6])
-	if err != nil {
-		return Result{}, err
-	}
-	mode := ""
-	if len(args) == 7 {
-		mode = args[6]
-	}
-	opt, err := e.pipelineOpts(mode, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	qctx, cancel := e.qctx(ctx)
-	defer cancel()
-	// The join runs through the staged batch pipeline; each refined batch
-	// streams its owned pairs to the client immediately (the emit stage),
-	// so the coordinator and wire clients see first rows while refinement
-	// is still running. The reference-point ownership filter runs inside
-	// the sink.
-	da, db := a.Dataset(), b.Dataset()
-	idsA, idsB := globalIDs(a), globalIDs(b)
-	owned := 0
-	rows := rowBatch{out: out}
-	opt.Sink = func(pairs []query.Pair) error {
-		for _, p := range pairs {
-			ref := partition.RefPoint(da.Objects[p.A].Bounds(), db.Objects[p.B].Bounds())
-			if !partition.OwnsRect(region, ref) {
-				continue
-			}
-			owned++
-			rows.buf = coord.AppendPairRow(rows.buf, gid(idsA, p.A), gid(idsB, p.B))
-		}
-		return rows.send()
-	}
-	_, stats, qerr := query.PipelineIntersectionJoinView(qctx, a, b, opt)
-	var be *query.BudgetError
-	if errors.As(qerr, &be) {
-		return Result{}, qerr
-	}
-	st := query.NewStats("shardjoin", owned, query.Cost{}, stats)
-	liveStats(&st, a, b)
-	writeStats(out, st)
-	return Result{Stats: st, Partial: note(out, qerr)}, nil
-}
-
-// shardWithin is the within-distance counterpart of shardJoin; the
-// reference point is taken over the d-expanded MBR intersection, which
-// is only guaranteed to fall in the owning tile's replicas when the
-// partitioning margin is ≥ d (the coordinator enforces that).
-// shardwithin <a> <b> <D> <minx> <miny> <maxx> <maxy> [sw|hw]
-func (e *Engine) shardWithin(ctx context.Context, store Store, args []string, out io.Writer) (Result, error) {
-	if len(args) < 7 || len(args) > 8 {
-		return Result{}, fmt.Errorf("usage: shardwithin <a> <b> <D> <minx> <miny> <maxx> <maxy> [sw|hw]")
-	}
-	a, err := viewOf(store, args[0])
-	if err != nil {
-		return Result{}, err
-	}
-	b, err := viewOf(store, args[1])
-	if err != nil {
-		return Result{}, err
-	}
-	d, err := strconv.ParseFloat(args[2], 64)
-	if err != nil {
-		return Result{}, fmt.Errorf("bad distance: %w", err)
-	}
-	region, err := parseRect(args[3:7])
-	if err != nil {
-		return Result{}, err
-	}
-	mode := ""
-	if len(args) == 8 {
-		mode = args[7]
-	}
-	opt, err := e.pipelineOpts(mode, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	qctx, cancel := e.qctx(ctx)
-	defer cancel()
-	// Same staged pipeline + streaming emit as shardJoin; the d-expanded
-	// reference-point ownership filter runs inside the sink.
-	da, db := a.Dataset(), b.Dataset()
-	idsA, idsB := globalIDs(a), globalIDs(b)
-	owned := 0
-	rows := rowBatch{out: out}
-	opt.Sink = func(pairs []query.Pair) error {
-		for _, p := range pairs {
-			ref := partition.RefPointWithin(da.Objects[p.A].Bounds(), db.Objects[p.B].Bounds(), d)
-			if !partition.OwnsRect(region, ref) {
-				continue
-			}
-			owned++
-			rows.buf = coord.AppendPairRow(rows.buf, gid(idsA, p.A), gid(idsB, p.B))
-		}
-		return rows.send()
-	}
-	_, stats, qerr := query.PipelineWithinDistanceJoinView(qctx, a, b, d, opt)
-	var be *query.BudgetError
-	if errors.As(qerr, &be) {
-		return Result{}, qerr
-	}
-	st := query.NewStats("shardwithin", owned, query.Cost{}, stats)
-	liveStats(&st, a, b)
 	writeStats(out, st)
 	return Result{Stats: st, Partial: note(out, qerr)}, nil
 }

@@ -3,6 +3,7 @@ package shellcmd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/partition"
+	"repro/internal/query"
 )
 
 func mustExec(t *testing.T, e *Engine, line string) string {
@@ -54,8 +56,22 @@ func TestShardJoinWholePlaneMatchesJoin(t *testing.T) {
 	if len(pairs) != res.Stats.Results {
 		t.Fatalf("whole-plane shardjoin emitted %d pairs, single-node join found %d", len(pairs), res.Stats.Results)
 	}
-	if len(dataLines(out, "stats")) != 1 {
+	stats := dataLines(out, "stats")
+	if len(stats) != 1 {
 		t.Fatalf("shardjoin must emit exactly one stats line:\n%s", out)
+	}
+	// The stats line is what the coordinator, /metrics and the access log
+	// read: it must carry the executor's cost record, not a blank one.
+	var st query.Stats
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(stats[0], "stats ")), &st); err != nil {
+		t.Fatalf("stats line %q: %v", stats[0], err)
+	}
+	if st.Results != len(pairs) || st.Results == 0 || st.Candidates < st.Results || st.Compared == 0 {
+		t.Errorf("stats line: %d results, %d candidates, %d compared for %d pairs",
+			st.Results, st.Candidates, st.Compared, len(pairs))
+	}
+	if st.Candidates != res.Stats.Candidates {
+		t.Errorf("shardjoin saw %d candidates, join %d on the same layers", st.Candidates, res.Stats.Candidates)
 	}
 }
 

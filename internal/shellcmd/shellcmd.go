@@ -30,6 +30,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/ingest"
+	"repro/internal/partition"
 	"repro/internal/query"
 	snap "repro/internal/store"
 )
@@ -86,14 +87,10 @@ type Settings struct {
 	MaxTimeout time.Duration
 	// Budget caps MBR-filter candidates per query; zero means unlimited.
 	Budget int
-	// BatchSize overrides the staged join pipeline's candidate batch size
-	// and the selection sink's flush granularity; zero means
+	// BatchSize overrides the join executor's candidate batch size and the
+	// selection sink's flush granularity; zero means
 	// core.DefaultBatchSize.
 	BatchSize int
-	// NoPipeline ablates the staged join pipeline back to the per-pair
-	// worker path (one terminal emit). Differential knob for the pipeline
-	// verb.
-	NoPipeline bool
 	// NoIntervals ablates the v2 interval-approximation filter back to
 	// the v1 raster-signature path. Differential knob for the intervals
 	// verb.
@@ -234,14 +231,12 @@ func (e *Engine) Exec(ctx context.Context, line string, out io.Writer) (Result, 
 		return e.deleteCmd(ctx, store, args, out)
 	case "compact":
 		return e.compact(ctx, store, args, out)
-	case "join":
-		return e.join(ctx, store, args, out)
-	case "pjoin":
-		return e.pjoin(ctx, store, args, out)
+	case "join", "pjoin", "shardjoin":
+		return e.joinCmd(ctx, store, cmd, args, out)
+	case "within", "shardwithin":
+		return e.withinCmd(ctx, store, cmd, args, out)
 	case "overlay":
 		return e.overlay(ctx, store, args, out)
-	case "within":
-		return e.within(ctx, store, args, out)
 	case "select":
 		return e.selectCmd(ctx, store, line, out)
 	case "knn":
@@ -250,10 +245,6 @@ func (e *Engine) Exec(ctx context.Context, line string, out io.Writer) (Result, 
 		return e.partitionCmd(store, args, out)
 	case "shardselect":
 		return e.shardSelect(ctx, store, line, out)
-	case "shardjoin":
-		return e.shardJoin(ctx, store, args, out)
-	case "shardwithin":
-		return e.shardWithin(ctx, store, args, out)
 	default:
 		return Result{}, fmt.Errorf("unknown command %q (try help)", cmd)
 	}
@@ -267,14 +258,14 @@ const Help = `commands:
   layers                            list loaded layers
   stats <name>                      Table 2 statistics of a layer
   join <a> <b> [sw|hw]              intersection join (default hw)
-  pjoin <a> <b> [workers]           parallel intersection join (panic-isolating)
+  pjoin <a> <b> [workers]           intersection join with a worker count (0 = one per CPU)
   overlay <a> <b>                   map overlay: per-pair intersection areas
   within <a> <b> <D> [sw|hw]        within-distance join
   select <layer> <WKT POLYGON>      intersection selection with a query polygon
   knn <layer> <WKT POLYGON> <k>     k nearest objects to a query polygon
   timeout <duration|off>            bound each query (e.g. timeout 2s)
   budget <n|off>                    cap MBR candidates per query
-  pipeline <on|off> [batch]         staged batch pipeline for pjoin/shard verbs (off = per-pair path)
+  pipeline on [batch]               candidate batch size of the join executor and the select row stream
   intervals <on|off>                v2 interval-approximation filter (off = v1 signature path)
   batch <cmd>; <cmd>; ...           run N commands in one round trip under one admission slot
   partition <layer> <n> <dir> [m [r]]  split a layer into n spatial tiles under dir (replication margin m, r replicas per tile)
@@ -516,21 +507,16 @@ func (e *Engine) setBudget(args []string, out io.Writer) (Result, error) {
 	return Result{Stats: query.Stats{Op: "budget"}, Mutation: true}, nil
 }
 
-// setPipeline toggles the staged batch pipeline and its batch size:
-// pipeline <on|off> [batch]. "off" reconstructs the per-pair execution
-// path (the ablation baseline); the batch size also governs the
-// selection sink's streaming flush granularity.
+// setPipeline sets the join executor's batch size: pipeline on [batch].
+// The batch size also governs the selection sink's streaming flush
+// granularity. The executor is the only join driver, so there is no
+// "off".
 func (e *Engine) setPipeline(args []string, out io.Writer) (Result, error) {
 	if len(args) < 1 || len(args) > 2 {
-		return Result{}, fmt.Errorf("usage: pipeline <on|off> [batch]")
+		return Result{}, fmt.Errorf("usage: pipeline on [batch]")
 	}
-	switch args[0] {
-	case "on":
-		e.Settings.NoPipeline = false
-	case "off":
-		e.Settings.NoPipeline = true
-	default:
-		return Result{}, fmt.Errorf("pipeline must be on or off, got %q", args[0])
+	if args[0] != "on" {
+		return Result{}, fmt.Errorf("pipeline is always on (usage: pipeline on [batch]), got %q", args[0])
 	}
 	if len(args) == 2 {
 		n, err := strconv.Atoi(args[1])
@@ -539,14 +525,11 @@ func (e *Engine) setPipeline(args []string, out io.Writer) (Result, error) {
 		}
 		e.Settings.BatchSize = n
 	}
-	state, batch := "on", e.Settings.BatchSize
-	if e.Settings.NoPipeline {
-		state = "off"
-	}
+	batch := e.Settings.BatchSize
 	if batch == 0 {
 		batch = core.DefaultBatchSize
 	}
-	fmt.Fprintf(out, "pipeline %s (batch %d)\n", state, batch)
+	fmt.Fprintf(out, "pipeline on (batch %d)\n", batch)
 	return Result{Stats: query.Stats{Op: "pipeline"}, Mutation: true}, nil
 }
 
@@ -624,7 +607,7 @@ func (e *Engine) batchCmd(ctx context.Context, line string, out io.Writer) (Resu
 }
 
 // testerFactory validates the tester mode once and returns the
-// per-worker constructor the pipeline drivers need (core.Tester is not
+// per-worker constructor the join executor needs (core.Tester is not
 // safe for concurrent use, so each stage worker builds its own).
 func (e *Engine) testerFactory(mode string) (func() *core.Tester, error) {
 	if _, err := e.tester(mode); err != nil {
@@ -639,19 +622,15 @@ func (e *Engine) testerFactory(mode string) (func() *core.Tester, error) {
 	}, nil
 }
 
-// pipelineOpts assembles the staged-pipeline options from the session
-// settings for the given tester mode.
-func (e *Engine) pipelineOpts(mode string, workers int) (query.PipelineOptions, error) {
+// pipelineOpts assembles the join options from the session settings for
+// the given tester mode and worker count.
+func (e *Engine) pipelineOpts(mode string, workers int) (query.JoinOptions, error) {
 	tf, err := e.testerFactory(mode)
 	if err != nil {
-		return query.PipelineOptions{}, err
+		return query.JoinOptions{}, err
 	}
-	return query.PipelineOptions{
-		ParallelOptions: query.ParallelOptions{Workers: workers, Tester: tf,
-			MaxCandidates: e.Settings.Budget, NoIntervals: e.Settings.NoIntervals},
-		BatchSize:  e.Settings.BatchSize,
-		NoPipeline: e.Settings.NoPipeline,
-	}, nil
+	return query.JoinOptions{Workers: workers, Tester: tf, MaxCandidates: e.Settings.Budget,
+		BatchSize: e.Settings.BatchSize, NoIntervals: e.Settings.NoIntervals}, nil
 }
 
 // qctx derives the per-query context from the session's timeout setting
@@ -694,131 +673,146 @@ func (e *Engine) tester(mode string) (*core.Tester, error) {
 	}
 }
 
-func (e *Engine) join(ctx context.Context, store Store, args []string, out io.Writer) (Result, error) {
-	if len(args) < 2 || len(args) > 3 {
-		return Result{}, fmt.Errorf("usage: join <a> <b> [sw|hw]")
-	}
-	a, err := viewOf(store, args[0])
-	if err != nil {
-		return Result{}, err
-	}
-	b, err := viewOf(store, args[1])
-	if err != nil {
-		return Result{}, err
-	}
-	mode := ""
-	if len(args) == 3 {
-		mode = args[2]
-	}
-	tester, err := e.tester(mode)
-	if err != nil {
-		return Result{}, err
-	}
-	qctx, cancel := e.qctx(ctx)
-	defer cancel()
-	pairs, cost, qerr := query.IntersectionJoinView(qctx, a, b, tester,
-		query.JoinOptions{MaxCandidates: e.Settings.Budget, NoIntervals: e.Settings.NoIntervals})
-	var be *query.BudgetError
-	if errors.As(qerr, &be) {
-		return Result{}, qerr
-	}
-	report(out, "join", len(pairs), cost)
-	st := query.NewStats("join", len(pairs), cost, tester.Stats)
-	reportIntervals(out, st)
-	liveStats(&st, a, b)
-	return Result{
-		Stats:   st,
-		Partial: note(out, qerr),
-	}, nil
+// joinUsage is the argument grammar of the join verbs.
+var joinUsage = map[string]string{
+	"join":        "usage: join <a> <b> [sw|hw]",
+	"pjoin":       "usage: pjoin <a> <b> [workers]",
+	"shardjoin":   "usage: shardjoin <a> <b> <minx> <miny> <maxx> <maxy> [sw|hw]",
+	"within":      "usage: within <a> <b> <D> [sw|hw]",
+	"shardwithin": "usage: shardwithin <a> <b> <D> <minx> <miny> <maxx> <maxy> [sw|hw]",
 }
 
-func (e *Engine) pjoin(ctx context.Context, store Store, args []string, out io.Writer) (Result, error) {
-	if len(args) < 2 || len(args) > 3 {
-		return Result{}, fmt.Errorf("usage: pjoin <a> <b> [workers]")
+// joinCmd is join, pjoin and shardjoin: one intersection join on the
+// worker pools. The verbs differ in what follows the layer names (see
+// joinTail) and in how the result leaves (see runJoin).
+func (e *Engine) joinCmd(ctx context.Context, store Store, verb string, args []string, out io.Writer) (Result, error) {
+	if len(args) < 2 {
+		return Result{}, errors.New(joinUsage[verb])
 	}
-	a, err := viewOf(store, args[0])
+	j, err := e.joinTail(store, verb, args[:2], args[2:])
 	if err != nil {
 		return Result{}, err
 	}
-	b, err := viewOf(store, args[1])
-	if err != nil {
-		return Result{}, err
-	}
-	workers := 0
-	if len(args) == 3 {
-		if workers, err = strconv.Atoi(args[2]); err != nil || workers < 0 {
-			return Result{}, fmt.Errorf("bad worker count %q", args[2])
-		}
-	}
-	qctx, cancel := e.qctx(ctx)
-	defer cancel()
-	start := time.Now()
-	// pjoin runs the staged batch pipeline (pipeline off reconstructs the
-	// per-pair worker path); testers stay the parallel defaults.
-	pairs, stats, qerr := query.PipelineIntersectionJoinView(qctx, a, b, query.PipelineOptions{
-		ParallelOptions: query.ParallelOptions{Workers: workers, MaxCandidates: e.Settings.Budget,
-			NoIntervals: e.Settings.NoIntervals},
-		BatchSize:  e.Settings.BatchSize,
-		NoPipeline: e.Settings.NoPipeline,
-	})
-	var be *query.BudgetError
-	if errors.As(qerr, &be) {
-		return Result{}, qerr
-	}
-	fmt.Fprintf(out, "pjoin: %d results in %v (%d tests", len(pairs),
-		time.Since(start).Round(time.Microsecond), stats.Tests)
-	if stats.Panics > 0 || stats.Quarantined > 0 {
-		fmt.Fprintf(out, "; %d panics recovered, %d pairs quarantined", stats.Panics, stats.Quarantined)
-	}
-	fmt.Fprintln(out, ")")
-	st := query.NewStats("pjoin", len(pairs), query.Cost{}, stats)
-	reportIntervals(out, st)
-	liveStats(&st, a, b)
-	return Result{
-		Stats:   st,
-		Partial: note(out, qerr),
-	}, nil
+	return e.runJoin(ctx, verb, j, out, partition.RefPoint,
+		func(ctx context.Context, opt query.JoinOptions) ([]query.Pair, query.Stats, error) {
+			return query.PipelineIntersectionJoinView(ctx, j.a, j.b, opt)
+		})
 }
 
-func (e *Engine) within(ctx context.Context, store Store, args []string, out io.Writer) (Result, error) {
-	if len(args) < 3 || len(args) > 4 {
-		return Result{}, fmt.Errorf("usage: within <a> <b> <D> [sw|hw]")
-	}
-	a, err := viewOf(store, args[0])
-	if err != nil {
-		return Result{}, err
-	}
-	b, err := viewOf(store, args[1])
-	if err != nil {
-		return Result{}, err
+// withinCmd is within and shardwithin: one within-distance join on the
+// worker pools, without the 0-/1-Object upper-bound filters — since the
+// distance kernel of PR 14 they cost more than the tests they save
+// (within_single p50_ms 29 ms without, 39 ms with; EXPERIMENTS.md
+// "PR 17"). A shard's reference point is taken over the d-expanded
+// MBR intersection, which is only guaranteed to fall in the owning tile's
+// replicas when the partitioning margin is ≥ d (the coordinator enforces
+// that).
+func (e *Engine) withinCmd(ctx context.Context, store Store, verb string, args []string, out io.Writer) (Result, error) {
+	if len(args) < 3 {
+		return Result{}, errors.New(joinUsage[verb])
 	}
 	d, err := strconv.ParseFloat(args[2], 64)
 	if err != nil {
 		return Result{}, fmt.Errorf("bad distance: %w", err)
 	}
-	mode := ""
-	if len(args) == 4 {
-		mode = args[3]
-	}
-	tester, err := e.tester(mode)
+	j, err := e.joinTail(store, verb, args[:2], args[3:])
 	if err != nil {
 		return Result{}, err
 	}
+	return e.runJoin(ctx, verb, j, out,
+		func(ra, rb geom.Rect) geom.Point { return partition.RefPointWithin(ra, rb, d) },
+		func(ctx context.Context, opt query.JoinOptions) ([]query.Pair, query.Stats, error) {
+			return query.PipelineWithinDistanceJoinView(ctx, j.a, j.b, d, opt)
+		})
+}
+
+// joinCall is a join verb's parsed argument list.
+type joinCall struct {
+	a, b *query.View
+	opt  query.JoinOptions
+	// region is a shard verb's ownership region; nil for the others.
+	region *geom.Rect
+}
+
+// joinTail resolves the two layer names and parses what follows them
+// (and the distance): the shard verbs carry their ownership region as
+// four floats, then every verb takes one optional argument — pjoin a
+// worker count, the others the tester mode.
+func (e *Engine) joinTail(store Store, verb string, names, rest []string) (j joinCall, err error) {
+	if j.a, err = viewOf(store, names[0]); err != nil {
+		return j, err
+	}
+	if j.b, err = viewOf(store, names[1]); err != nil {
+		return j, err
+	}
+	if strings.HasPrefix(verb, "shard") {
+		if len(rest) < 4 {
+			return j, errors.New(joinUsage[verb])
+		}
+		region, err := parseRect(rest[:4])
+		if err != nil {
+			return j, err
+		}
+		j.region, rest = &region, rest[4:]
+	}
+	if len(rest) > 1 {
+		return j, errors.New(joinUsage[verb])
+	}
+	mode, workers := "", 0
+	if len(rest) == 1 {
+		if verb != "pjoin" {
+			mode = rest[0]
+		} else if workers, err = strconv.Atoi(rest[0]); err != nil || workers < 0 {
+			return j, fmt.Errorf("bad worker count %q", rest[0])
+		}
+	}
+	j.opt, err = e.pipelineOpts(mode, workers)
+	return j, err
+}
+
+// runJoin executes a join verb and writes its result. join, pjoin and
+// within print the human summary. The shard verbs stream machine-readable
+// rows instead: each refined batch's pairs go to the client as the emit
+// stage completes it, so the coordinator and wire clients see first rows
+// while refinement is still running — but only the pairs whose reference
+// point (refPoint of the two MBRs) this shard's region owns, and under
+// the stable global ids; one stats line closes the stream.
+func (e *Engine) runJoin(ctx context.Context, verb string, j joinCall, out io.Writer,
+	refPoint func(ra, rb geom.Rect) geom.Point,
+	run func(context.Context, query.JoinOptions) ([]query.Pair, query.Stats, error)) (Result, error) {
+	owned := 0
+	if j.region != nil {
+		da, db := j.a.Dataset(), j.b.Dataset()
+		idsA, idsB := globalIDs(j.a), globalIDs(j.b)
+		rows := rowBatch{out: out}
+		j.opt.Sink = func(pairs []query.Pair) error {
+			for _, p := range pairs {
+				ref := refPoint(da.Objects[p.A].Bounds(), db.Objects[p.B].Bounds())
+				if !partition.OwnsRect(*j.region, ref) {
+					continue
+				}
+				owned++
+				rows.buf = coord.AppendPairRow(rows.buf, gid(idsA, p.A), gid(idsB, p.B))
+			}
+			return rows.send()
+		}
+	}
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
-	pairs, cost, qerr := query.WithinDistanceJoinView(qctx, a, b, d, tester,
-		query.DistanceFilterOptions{Use0Object: true, Use1Object: true, MaxCandidates: e.Settings.Budget})
+	_, st, qerr := run(qctx, j.opt)
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr
 	}
-	report(out, "within", len(pairs), cost)
-	st := query.NewStats("within", len(pairs), cost, tester.Stats)
-	liveStats(&st, a, b)
-	return Result{
-		Stats:   st,
-		Partial: note(out, qerr),
-	}, nil
+	st.Op = verb
+	liveStats(&st, j.a, j.b)
+	if j.region != nil {
+		st.Results = owned
+		writeStats(out, st)
+	} else {
+		report(out, st)
+	}
+	return Result{Stats: st, Partial: note(out, qerr)}, nil
 }
 
 func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io.Writer) (Result, error) {
@@ -884,9 +878,8 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, line string, out io
 	if errors.As(qerr, &be) {
 		return Result{}, qerr
 	}
-	report(out, "select", len(ids), cost)
 	st := query.NewStats("select", len(ids), cost, tester.Stats)
-	reportIntervals(out, st)
+	report(out, st)
 	liveStats(&st, v)
 	return Result{
 		Stats:   st,
@@ -1018,21 +1011,18 @@ func (e *Engine) compact(ctx context.Context, store Store, args []string, out io
 	return Result{Stats: query.Stats{Op: "compact", Results: st.Objects}, Mutation: true}, nil
 }
 
-// reportIntervals writes the v2 interval-filter resolution line when the
-// filter participated; scripted smoke checks grep these key=value fields.
-func reportIntervals(out io.Writer, st query.Stats) {
-	if st.IntervalChecks == 0 {
-		return
+// report writes a query's summary line and, when the v2 interval filter
+// participated, its resolution line; scripted smoke checks grep the
+// latter's key=value fields.
+func report(out io.Writer, st query.Stats) {
+	ms := func(v float64) time.Duration {
+		return time.Duration(v * float64(time.Millisecond)).Round(time.Microsecond)
 	}
-	fmt.Fprintf(out, "intervals: interval_checks=%d interval_true_hits=%d interval_rejects=%d interval_inconclusive=%d\n",
-		st.IntervalChecks, st.IntervalTrueHits, st.IntervalRejects, st.IntervalInconclusive)
-}
-
-func report(out io.Writer, op string, results int, cost query.Cost) {
 	fmt.Fprintf(out, "%s: %d results (mbr %v, filter %v, geometry %v; %d candidates, %d compared)\n",
-		op, results,
-		cost.MBRFilter.Round(time.Microsecond),
-		cost.IntermediateFilter.Round(time.Microsecond),
-		cost.GeometryComparison.Round(time.Microsecond),
-		cost.Candidates, cost.Compared)
+		st.Op, st.Results, ms(st.MBRFilterMS), ms(st.IntermediateMS), ms(st.GeometryMS),
+		st.Candidates, st.Compared)
+	if st.IntervalChecks > 0 {
+		fmt.Fprintf(out, "intervals: interval_checks=%d interval_true_hits=%d interval_rejects=%d interval_inconclusive=%d\n",
+			st.IntervalChecks, st.IntervalTrueHits, st.IntervalRejects, st.IntervalInconclusive)
+	}
 }

@@ -88,6 +88,15 @@ func TestSettingsCommands(t *testing.T) {
 	if e.Settings.Timeout != 0 || e.Settings.Budget != 0 {
 		t.Errorf("off did not reset: %+v", e.Settings)
 	}
+	exec(t, e, "pipeline on 8")
+	if e.Settings.BatchSize != 8 {
+		t.Errorf("BatchSize = %d", e.Settings.BatchSize)
+	}
+	// The executor is the only join driver: there is nothing to turn off.
+	var sb strings.Builder
+	if _, err := e.Exec(context.Background(), "pipeline off", &sb); err == nil || e.Settings.BatchSize != 8 {
+		t.Errorf("pipeline off: err = %v, batch %d; want an error and batch 8", err, e.Settings.BatchSize)
+	}
 }
 
 func TestBudgetIsHardError(t *testing.T) {
@@ -105,7 +114,11 @@ func TestBudgetIsHardError(t *testing.T) {
 
 func TestErrorsAndEmptyLines(t *testing.T) {
 	e := &Engine{Store: MapStore{}}
-	for _, line := range []string{"bogus", "join", "join nosuch other", "gen x", "stats nosuch"} {
+	exec(t, e, "gen a LANDC 0.002")
+	exec(t, e, "gen b LANDO 0.002")
+	for _, line := range []string{"bogus", "join", "join nosuch other", "gen x", "stats nosuch",
+		"join a", "join a b hw extra", "pjoin a b -1", "pjoin a b many", "within a b", "within a b far",
+		"shardjoin a b 0 0 1", "shardjoin a b 0 0 1 x", "shardwithin a b 1 0 0 1"} {
 		var sb strings.Builder
 		if _, err := e.Exec(context.Background(), line, &sb); err == nil {
 			t.Errorf("Exec(%q) succeeded, want error", line)
@@ -182,7 +195,7 @@ func TestParityWithDirectCalls(t *testing.T) {
 	a := query.NewLayer(data.MustLoad("WATER", 0.01))
 	b := query.NewLayer(data.MustLoad("PRISM", 0.01))
 	tester := core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
-	pairs, _, err := query.IntersectionJoin(context.Background(), a, b, tester)
+	pairs, _, err := query.IntersectionJoinView(context.Background(), a.View(), b.View(), tester, query.JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

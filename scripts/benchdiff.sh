@@ -9,7 +9,7 @@
 # list (default locality,fig12) fresh at the baseline's scale:
 #
 #   scripts/benchdiff.sh BENCH_baseline.json
-#   EXPERIMENTS=pipeline scripts/benchdiff.sh BENCH_pipeline.json
+#   EXPERIMENTS=intervals scripts/benchdiff.sh BENCH_intervals.json
 #
 # Exit status: 0 clean, 1 regressions found, 2 usage/IO error.
 set -eu

@@ -16,10 +16,13 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== bench module (vet + tests: tier-1 does not see bench/)"
+echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
-# directive, so an API change in dist/filter/core can break the benchmark
-# build without go build ./... noticing.
+# directive, so an API change in dist/filter/core/query can break the
+# benchmark build without go build ./... noticing — and the harness is
+# frozen between benchmark PRs, so it is the program that must keep
+# compiling against it, never the other way round.
+git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.json differs from HEAD: the benchmark is frozen"; exit 1; }
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
@@ -56,18 +59,6 @@ if [ -f BENCH_baseline.json ]; then
 	fi
 else
 	echo "benchdiff: no BENCH_baseline.json, skipping"
-fi
-if [ -f BENCH_pipeline.json ]; then
-	if EXPERIMENTS=pipeline SCALE=0.01 scripts/benchdiff.sh BENCH_pipeline.json; then
-		:
-	else
-		echo "benchdiff: pipeline wall/TTFR regressions vs committed baseline (warn-only; STRICT_BENCH=1 to enforce)"
-		if [ "${STRICT_BENCH:-0}" = "1" ]; then
-			exit 1
-		fi
-	fi
-else
-	echo "benchdiff: no BENCH_pipeline.json, skipping"
 fi
 if [ -f BENCH_intervals.json ]; then
 	if EXPERIMENTS=intervals SCALE=0.01 scripts/benchdiff.sh BENCH_intervals.json; then
@@ -214,7 +205,9 @@ grep -c 'partitioned' "$SHDIR/single.txt" | grep -q 2 || { echo "partition faile
 bound_addr() {
 	i=0
 	while [ $i -lt 100 ]; do
-		a="$(sed -n 's/.*serving wire protocol on \([0-9.]*:[0-9]*\).*/\1/p' "$1")"
+		# The log may not exist yet: the shell creates it when it starts the
+		# backgrounded server, not before this function is entered.
+		a="$(sed -n 's/.*serving wire protocol on \([0-9.]*:[0-9]*\).*/\1/p' "$1" 2>/dev/null || true)"
 		if [ -n "$a" ]; then echo "$a"; return 0; fi
 		i=$((i + 1)); sleep 0.1
 	done
@@ -329,12 +322,13 @@ FOPIDS=""
 trap - EXIT
 rm -rf "$FODIR"
 
-echo "== streaming + batch smoke (in-process vs wire-streamed vs pipeline-off parity)"
-# The staged pipeline must never change answers: the same full-extent
-# join must produce line-identical pairs run in-process (pipelined),
-# over the wire (rows streamed as batches complete), and with the
-# pipeline ablated ("pipeline off"). The batch verb must run its
-# ";"-separated sub-commands in one round trip with per-sub trailers.
+echo "== streaming + batch smoke (in-process vs wire-streamed rows, join-verb parity)"
+# One executor answers every join verb: the same full-extent join must
+# produce line-identical pairs run in-process and over the wire (rows
+# streamed as batches complete), and on one server join, pjoin and
+# whole-plane shardjoin must report the same result count, within and
+# shardwithin likewise. The batch verb must run its ";"-separated
+# sub-commands in one round trip with per-sub trailers.
 STDIR="$(mktemp -d /tmp/stream_smoke.XXXXXX)"
 STPID=""
 trap '[ -z "$STPID" ] || kill $STPID 2>/dev/null || true; rm -rf "$STDIR"' EXIT
@@ -348,28 +342,31 @@ save a a
 save b b
 shardjoin a b -Inf -Inf +Inf +Inf
 EOF
-"$STDIR/spatialdb" -data "$STDIR/snap" >"$STDIR/nopipe.txt" <<'EOF'
-load a a
-load b b
-pipeline off
-shardjoin a b -Inf -Inf +Inf +Inf
-EOF
-grep -q 'pipeline off' "$STDIR/nopipe.txt" || { echo "pipeline off verb failed"; cat "$STDIR/nopipe.txt"; exit 1; }
 "$STDIR/spatiald" -addr 127.0.0.1:0 -http "" -data "$STDIR/snap" -quiet >"$STDIR/stream.log" 2>&1 &
 STPID=$!
 ST_ADDR="$(bound_addr "$STDIR/stream.log")"
 # One stdin line so the ";" reaches the server inside the batch verb
 # (the client's -e flag splits scripts on ";" before sending).
 echo "shardjoin a b -Inf -Inf +Inf +Inf" | "$STDIR/spatiald" -connect "$ST_ADDR" >"$STDIR/wire.txt"
-for f in pipe nopipe wire; do
+for f in pipe wire; do
 	grep -oE 'pair [0-9]+ [0-9]+' "$STDIR/$f.txt" | sort >"$STDIR/$f.pairs"
 done
-[ -s "$STDIR/pipe.pairs" ] || { echo "pipelined shardjoin produced no pairs"; cat "$STDIR/pipe.txt"; exit 1; }
-cmp -s "$STDIR/pipe.pairs" "$STDIR/nopipe.pairs" || {
-	echo "pipeline off changed the join answer"
-	diff "$STDIR/pipe.pairs" "$STDIR/nopipe.pairs" | head -10
-	exit 1
+[ -s "$STDIR/pipe.pairs" ] || { echo "in-process shardjoin produced no pairs"; cat "$STDIR/pipe.txt"; exit 1; }
+# verb_count <command>: the result count a verb reports on the server —
+# the "<verb>: N results" summary, or for a shard verb its stats record.
+verb_count() {
+	echo "$1" | "$STDIR/spatiald" -connect "$ST_ADDR" |
+		sed -n -e 's/^[a-z]*: \([0-9]*\) results.*/\1/p' -e 's/^stats .*"results":\([0-9]*\).*/\1/p'
 }
+WANT_JOIN="$(wc -l <"$STDIR/pipe.pairs" | tr -d ' ')"
+for cmd in "join a b" "pjoin a b" "shardjoin a b -Inf -Inf +Inf +Inf"; do
+	got="$(verb_count "$cmd")"
+	[ "$got" = "$WANT_JOIN" ] || { echo "'$cmd' reports '$got' results, in-process shardjoin emitted $WANT_JOIN pairs"; exit 1; }
+done
+WANT_WITHIN="$(verb_count "within a b 1")"
+[ -n "$WANT_WITHIN" ] && [ "$WANT_WITHIN" -ge "$WANT_JOIN" ] || { echo "within reports '$WANT_WITHIN' results, fewer than the $WANT_JOIN intersecting pairs"; exit 1; }
+got="$(verb_count "shardwithin a b 1 -Inf -Inf +Inf +Inf")"
+[ "$got" = "$WANT_WITHIN" ] || { echo "shardwithin reports '$got' results, within $WANT_WITHIN"; exit 1; }
 cmp -s "$STDIR/pipe.pairs" "$STDIR/wire.pairs" || {
 	echo "wire-streamed join differs from in-process join"
 	diff "$STDIR/pipe.pairs" "$STDIR/wire.pairs" | head -10

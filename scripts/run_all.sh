@@ -12,7 +12,7 @@ set -euo pipefail
 #   scripts/run_all.sh [outdir]
 #
 # Environment knobs:
-#   EXPERIMENTS   comma list passed to spatialbench -exp  (default: shard,ingest,pipeline,intervals,failover)
+#   EXPERIMENTS   comma list passed to spatialbench -exp  (default: shard,ingest,intervals,failover)
 #   SCALE         dataset scale                            (default: spatialbench default)
 #   REPEATS       repeats per experiment                   (default: 3)
 
@@ -21,7 +21,7 @@ cd "$ROOT_DIR"
 
 STAMP="$(date +%Y-%m-%d_%H%M%S)"
 OUT_DIR="${1:-$ROOT_DIR/bench_runs/$STAMP}"
-EXPERIMENTS="${EXPERIMENTS:-shard,ingest,pipeline,intervals,failover}"
+EXPERIMENTS="${EXPERIMENTS:-shard,ingest,intervals,failover}"
 REPEATS="${REPEATS:-3}"
 SCALE="${SCALE:-}"
 
