@@ -1,16 +1,21 @@
-// Command spatialbench reproduces the paper's evaluation: it runs any (or
-// all) of Table 2 and Figures 10–16 on the synthetic evaluation datasets
-// and prints the same series the paper plots. With -json it additionally
-// writes every measured point as a machine-readable BenchRecord, so the
-// repository's performance trajectory can be tracked run over run.
+// Command spatialbench is the paper-figure runner: it measures any (or
+// all) of Table 2, Figures 10–16 and the Table 1 pre-processing comparison
+// on the synthetic evaluation datasets. Every experiment runs once as a
+// discarded warm-up and then -repeats times in a pinned environment; the
+// summary prints n, mean and stddev per plotted point and the ratio to the
+// point's software baseline, and -json writes every repeat of every point.
+// The system benchmark is bench/, not this command.
 //
 // Usage:
 //
-//	spatialbench -exp all            # everything, default scale
-//	spatialbench -exp fig12 -scale 0.1
-//	spatialbench -exp table2,fig10,fig11
-//	spatialbench -exp fig12 -json BENCH_fig12.json
-//	spatialbench -exp locality -cpuprofile cpu.out   # hot-path diagnosis
+//	spatialbench                                   # everything, scale 0.05, 5 repeats
+//	spatialbench -exp table2,fig10,fig11 -scale 0.1
+//	spatialbench -exp fig12 -repeats 10 -json fig12.json
+//	spatialbench -exp fig15 -cpuprofile cpu.out    # hot-path diagnosis
+//
+// Exit status: 0 on a full run, 1 when -timeout interrupted it (the
+// completed experiments are still summarized, written and profiled), 2 on
+// a usage error (nothing is run).
 package main
 
 import (
@@ -18,149 +23,118 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: table2,fig10,...,fig16,hull,locality,coldstart,ingest,shard,intervals,failover or all")
-	scale := flag.Float64("scale", experiments.DefaultScale,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("spatialbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiments: table2,fig10,...,fig16,hull or all")
+	scale := fs.Float64("scale", experiments.DefaultScale,
 		"dataset scale in (0,1]: fraction of the paper's object counts")
-	timeout := flag.Duration("timeout", 0,
-		"overall time limit (0 = none); an expired run stops after the current point and exits nonzero")
-	jsonOut := flag.String("json", "",
-		"write machine-readable BenchRecord measurements to this file (e.g. BENCH_all.json)")
-	cpuProfile := flag.String("cpuprofile", "",
-		"write a CPU profile of the experiment run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "",
-		"write an allocation profile taken at exit to this file (go tool pprof)")
-	flag.Parse()
+	repeats := fs.Int("repeats", 5, "timed passes per experiment, after one discarded warm-up pass")
+	timeout := fs.Duration("timeout", 0,
+		"overall time limit (0 = none); an expired run keeps the completed experiments and exits 1")
+	jsonOut := fs.String("json", "", "write the environment and every repeat's Record to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(rc int, err error) int {
+		fmt.Fprintln(stderr, "spatialbench:", err)
+		return rc
+	}
+	exps, err := experiments.Select(*exp)
+	switch {
+	case err != nil:
+		return fail(2, err)
+	case fs.NArg() > 0:
+		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
+	case !(*scale > 0 && *scale <= 1):
+		return fail(2, fmt.Errorf("-scale %v out of (0, 1]", *scale))
+	case *repeats < 1:
+		return fail(2, fmt.Errorf("-repeats %d: need at least 1", *repeats))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spatialbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "spatialbench:", err)
-			os.Exit(1)
+			f.Close()
+			return fail(1, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			if err := f.Close(); err != nil {
+				code = max(code, fail(1, err))
+			}
 		}()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "spatialbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the steady-state heap before sampling
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "spatialbench:", err)
+			if err := writeHeapProfile(*memProfile); err != nil {
+				code = max(code, fail(1, err))
 			}
 		}()
 	}
 
-	r := experiments.NewRunner(*scale, os.Stdout)
+	r := experiments.NewRunner(*scale)
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
 		r.Ctx = ctx
 	}
-	all := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "hull", "locality", "coldstart", "ingest", "shard", "intervals", "failover"}
-	want := map[string]bool{}
-	if *exp == "all" {
-		for _, e := range all {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*exp, ",") {
-			want[strings.TrimSpace(strings.ToLower(e))] = true
-		}
-	}
-
-	sc := *scale
-	run := map[string]func() []experiments.BenchRecord{
-		"table2": func() []experiments.BenchRecord { return experiments.Table2Records(r.Table2(), sc) },
-		"fig10":  func() []experiments.BenchRecord { return experiments.Fig10Records(r.Fig10(), sc) },
-		"fig11":  func() []experiments.BenchRecord { return experiments.SweepRecords("fig11", r.Fig11(), sc) },
-		"fig12":  func() []experiments.BenchRecord { return experiments.SweepRecords("fig12", r.Fig12(), sc) },
-		"fig13":  func() []experiments.BenchRecord { return experiments.Fig13Records(r.Fig13(), sc) },
-		"fig14":  func() []experiments.BenchRecord { return experiments.Fig14Records(r.Fig14(), sc) },
-		"fig15":  func() []experiments.BenchRecord { return experiments.SweepRecords("fig15", r.Fig15(), sc) },
-		"fig16":  func() []experiments.BenchRecord { return experiments.Fig16Records(r.Fig16(), sc) },
-		"hull":   func() []experiments.BenchRecord { return experiments.HullRecords(r.ExtraHull(), sc) },
-		"locality": func() []experiments.BenchRecord {
-			return experiments.LocalityRecords(r.ExtraLocality(), sc)
-		},
-		"coldstart": func() []experiments.BenchRecord {
-			return experiments.ColdstartRecords(r.Coldstart(), sc)
-		},
-		"ingest": func() []experiments.BenchRecord {
-			return experiments.IngestRecords(r.Ingest(), sc)
-		},
-		"shard": func() []experiments.BenchRecord {
-			return experiments.ShardRecords(r.Shard(), sc)
-		},
-		"intervals": func() []experiments.BenchRecord {
-			return experiments.IntervalRecords(r.Intervals(), sc)
-		},
-		"failover": func() []experiments.BenchRecord {
-			return experiments.FailoverRecords(r.Failover(), sc)
-		},
-	}
-	var records []experiments.BenchRecord
-	ran := 0
-	for _, name := range all {
-		if !want[name] {
-			continue
-		}
-		start := time.Now()
-		records = append(records, run[name]()...)
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "spatialbench: %s interrupted: %v\n", name, r.Err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- %s done in %v\n", name, time.Since(start).Round(time.Millisecond))
-		ran++
-		delete(want, name)
-	}
-	for name := range want {
-		fmt.Fprintf(os.Stderr, "spatialbench: unknown experiment %q (have %s, all)\n",
-			name, strings.Join(all, ", "))
-		os.Exit(2)
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "spatialbench: nothing to run")
-		os.Exit(2)
-	}
+	records, env := r.Run(exps, *repeats, stdout)
+	experiments.WriteSummary(stdout, env, experiments.Summarize(records))
 	if *jsonOut != "" {
-		if err := writeRecords(*jsonOut, records); err != nil {
-			fmt.Fprintln(os.Stderr, "spatialbench:", err)
-			os.Exit(1)
+		if err := writeJSON(*jsonOut, report{Env: env, Records: records}); err != nil {
+			return fail(1, err)
 		}
-		fmt.Printf("-- wrote %d records to %s\n", len(records), *jsonOut)
+		fmt.Fprintf(stdout, "-- wrote %d records to %s\n", len(records), *jsonOut)
 	}
+	if r.Err != nil {
+		return fail(1, fmt.Errorf("interrupted, %d records kept: %w", len(records), r.Err))
+	}
+	return 0
 }
 
-func writeRecords(path string, records []experiments.BenchRecord) error {
+// report is the -json file.
+type report struct {
+	Env     experiments.Env      `json:"env"`
+	Records []experiments.Record `json:"records"`
+}
+
+func writeJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize the steady-state heap before sampling
+	if err := pprof.WriteHeapProfile(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -41,7 +41,7 @@ const (
 	// work product the O(n·m) scan with its bbox pre-test beats the plane
 	// sweep's sort-and-tree overhead by a wide margin; above it the
 	// O((n+m)log(n+m)) sweep takes over. Both algorithms are exact, so the
-	// cutoff is purely a performance knob. 16384 (128×128 edges) captures
+	// cutoff is purely a performance choice. 16384 (128×128 edges) captures
 	// nearly all of the all-pairs win on the evaluation joins while keeping
 	// the worst-case cross test subquadratic.
 	DefaultCrossCutoff = 16384
@@ -85,13 +85,6 @@ type Config struct {
 	// buffer-test variants of exactly this kind; results are identical,
 	// and the accumulation path remains for the protocol ablation bench.
 	UseAccum bool
-	// CrossCutoff overrides the adaptive software cross-test dispatch:
-	// candidate-set products at or below the cutoff use the all-pairs scan,
-	// larger ones the plane sweep. Zero means DefaultCrossCutoff; negative
-	// disables the dispatch entirely (every pair goes to the sweep, the
-	// pre-edge-index behaviour the locality benchmarks use as baseline).
-	// Ignored when Software.Algorithm selects a specific algorithm.
-	CrossCutoff int
 	// SentinelEvery controls the sentinel verifier: every Nth hardware-
 	// filter negative is re-checked against the exact software test, and a
 	// disagreement trips the PairContext's circuit breaker. Zero means
@@ -873,11 +866,7 @@ func (t *Tester) crossIntersects(red, blue []geom.Segment) bool {
 	case sweep.BruteForce:
 		return sweep.CrossIntersectsBrute(red, blue)
 	default:
-		cutoff := t.cfg.CrossCutoff
-		if cutoff == 0 {
-			cutoff = DefaultCrossCutoff
-		}
-		if cutoff > 0 && len(red)*len(blue) <= cutoff {
+		if len(red)*len(blue) <= DefaultCrossCutoff {
 			return sweep.CrossIntersectsBrute(red, blue)
 		}
 		return t.sweeper.CrossIntersects(red, blue)

@@ -67,13 +67,6 @@ type JoinOptions struct {
 	// geometry (paper §4.1.1: "very aggressive filtering").
 	Use1Object bool
 
-	// NoEdgeIndex disables the cached per-object edge indexes during
-	// refinement (every pair falls back to the linear edge scan).
-	NoEdgeIndex bool
-	// NoLocalityOrder disables sorting candidate pairs by outer object
-	// (and cutting batches at outer-object boundaries), leaving them in
-	// R-tree join emission order.
-	NoLocalityOrder bool
 	// NoBreaker, NoSignatures and NoIntervals detach the layer pair's
 	// circuit breaker, the persisted raster-signature filter and the v2
 	// interval-approximation filter, as in SelectionOptions.
@@ -295,9 +288,7 @@ func joinLayers(ctx context.Context, a, b *Layer, k joinKind, tester *core.Teste
 	}
 
 	start = time.Now()
-	if !opt.NoLocalityOrder {
-		sortPairsByOuter(col.items)
-	}
+	sortPairsByOuter(col.items)
 	p := k.bind(a, b, opt)
 	return runStages(ctx, col.items, p, tester, opt, Cost{MBRFilter: mbr, Candidates: len(col.items),
 		IntermediateFilter: p.preSetup, GeometryComparison: time.Since(start) - p.preSetup})
@@ -530,11 +521,9 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 	}
 	cut := func(lo int) int {
 		hi := min(lo+batch, len(candidates))
-		if !opt.NoLocalityOrder {
-			limit := min(lo+4*batch, len(candidates))
-			for hi < limit && candidates[hi].A == candidates[hi-1].A {
-				hi++
-			}
+		limit := min(lo+4*batch, len(candidates))
+		for hi < limit && candidates[hi].A == candidates[hi-1].A {
+			hi++
 		}
 		return hi
 	}

@@ -676,7 +676,7 @@ func sortPairsByOuter(pairs []Pair) {
 }
 
 // pairContexts returns a per-pair PairContext source for a join between
-// layers a and b, honoring the NoEdgeIndex, NoBreaker, and NoSignatures
+// layers a and b, honoring the NoBreaker and NoSignatures
 // ablations. All contexts share the pair's breaker, so any worker's
 // sentinel disagreement degrades the whole join. Persisted signatures
 // attach only on the sides that carry them; the tester's bounds check
@@ -693,10 +693,7 @@ func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil
 	return func(pr Pair) core.PairContext {
-		pc := core.PairContext{Breaker: br}
-		if !opt.NoEdgeIndex {
-			pc.PIndex, pc.QIndex = a.EdgeIndex(pr.A), b.EdgeIndex(pr.B)
-		}
+		pc := core.PairContext{Breaker: br, PIndex: a.EdgeIndex(pr.A), QIndex: b.EdgeIndex(pr.B)}
 		if sigA {
 			pc.PSig = a.Signature(pr.A)
 		}

@@ -121,11 +121,10 @@ func oraclePairs(a, b *View, test func(p, q *geom.Polygon) bool) []Pair {
 
 // runOracleMatrix runs kind k — with each prefilter setting in pres — over
 // {inline with the caller's tester, pooled workers 1/2/8} × batch {1, 7,
-// 256} × tester {sw, hw res 8, hw res 16 + SWThreshold 100} × NoEdgeIndex
-// × NoLocalityOrder × NoIntervals (where the predicate reads them: knobs
-// is 8 with, 4 without) × {layer view, live view}, and checks
-// each run against want: the pair set, (A, B) order whenever the executor
-// promises it, the stage counts, and that the concatenated sink batches
+// 256} × tester {sw, hw res 8, hw res 16 + SWThreshold 100} × NoIntervals
+// (where the predicate reads it: knobs is 2 with, 1 without) × {layer
+// view, live view}, and checks each run against want: the pair set in
+// (A, B) order, the stage counts, and that the concatenated sink batches
 // are the returned slice.
 func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, want func(a, b *View) []Pair) {
 	testers := map[string]core.Config{
@@ -149,16 +148,14 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 							opt := pre
 							opt.Workers, opt.BatchSize = workers, batch
 							opt.Tester = func() *core.Tester { return core.NewTester(cfg) }
-							opt.NoEdgeIndex = knob&1 != 0
-							opt.NoLocalityOrder = knob&2 != 0
-							opt.NoIntervals = knob&4 != 0
+							opt.NoIntervals = knob == 1
 							var streamed []Pair
 							opt.Sink = func(pairs []Pair) error {
 								streamed = append(streamed, pairs...) // copy: the slice is reused
 								return nil
 							}
 							name := fmt.Sprintf("%s %s workers=%d batch=%d %+v", vname, tname, workers, batch,
-								[]bool{opt.UseHullFilter, opt.Use0Object, opt.Use1Object, opt.NoIntervals, opt.NoEdgeIndex, opt.NoLocalityOrder})
+								[]bool{opt.UseHullFilter, opt.Use0Object, opt.Use1Object, opt.NoIntervals})
 							tester := inline
 							if workers > 0 {
 								tester = nil
@@ -167,13 +164,9 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							// Candidate order is (A, B) under the locality
-							// order, and composed views sort their union.
-							if !opt.NoLocalityOrder || !single {
-								samePairs(t, name, got, w)
-							} else {
-								samePairs(t, name, sortedPairs(got), w)
-							}
+							// Candidates run in (A, B) order, and composed
+							// views sort their union.
+							samePairs(t, name, got, w)
 							// A composed view streams per component pair.
 							if single {
 								samePairs(t, name+" stream", streamed, got)
@@ -203,13 +196,14 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 }
 
 func TestIntersectionJoinMatchesOracle(t *testing.T) {
-	runOracleMatrix(t, intersects, []JoinOptions{{}, {UseHullFilter: true}}, 8,
-		func(a, b *View) []Pair {
-			return oraclePairs(a, b, func(p, q *geom.Polygon) bool {
-				return p.Bounds().Intersects(q.Bounds()) &&
-					sweep.PolygonsIntersect(p, q, sweep.Options{Algorithm: sweep.BruteForce})
-			})
-		})
+	runOracleMatrix(t, intersects, []JoinOptions{{}, {UseHullFilter: true}}, 2,
+		func(a, b *View) []Pair { return oraclePairs(a, b, bruteIntersects) })
+}
+
+// bruteIntersects is the intersection oracle: the all-pairs edge test.
+func bruteIntersects(p, q *geom.Polygon) bool {
+	return p.Bounds().Intersects(q.Bounds()) &&
+		sweep.PolygonsIntersect(p, q, sweep.Options{Algorithm: sweep.BruteForce})
 }
 
 func TestWithinDistanceJoinMatchesOracle(t *testing.T) {
@@ -217,7 +211,7 @@ func TestWithinDistanceJoinMatchesOracle(t *testing.T) {
 	baseD := data.BaseD(matrixA.Data, matrixB.Data)
 	for _, mult := range []float64{0.1, 1.0} {
 		d := baseD * mult
-		runOracleMatrix(t, withinDistance(d), pres, 4, func(a, b *View) []Pair {
+		runOracleMatrix(t, withinDistance(d), pres, 1, func(a, b *View) []Pair {
 			return oraclePairs(a, b, func(p, q *geom.Polygon) bool { return dist.MinDistBrute(p, q) <= d })
 		})
 	}

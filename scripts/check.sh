@@ -38,40 +38,22 @@ echo "== spatiald chaos mini-soak (10s, randomized faults, -race)"
 SOAKDUR="${SOAKDUR:-10s}"
 go test -race -count 1 ./internal/server/ -run TestSoak -soakdur "$SOAKDUR"
 
-echo "== spatialbench -json smoke"
-BENCH_JSON="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-go run ./cmd/spatialbench -exp table2 -scale 0.02 -json "$BENCH_JSON" >/dev/null
-grep -q '"experiment"' "$BENCH_JSON" || { echo "no records in $BENCH_JSON"; exit 1; }
-rm -f "$BENCH_JSON"
-
-echo "== benchdiff smoke (committed baseline vs current run)"
-# Wall-clock deltas against a baseline recorded on another machine are
-# noise, so this only warns by default; set STRICT_BENCH=1 to make
-# regressions fatal (intended for same-machine baseline refreshes).
-if [ -f BENCH_baseline.json ]; then
-	if SCALE=0.01 scripts/benchdiff.sh BENCH_baseline.json; then
-		:
-	else
-		echo "benchdiff: wall-clock regressions vs committed baseline (warn-only; STRICT_BENCH=1 to enforce)"
-		if [ "${STRICT_BENCH:-0}" = "1" ]; then
-			exit 1
-		fi
-	fi
-else
-	echo "benchdiff: no BENCH_baseline.json, skipping"
-fi
-if [ -f BENCH_intervals.json ]; then
-	if EXPERIMENTS=intervals SCALE=0.01 scripts/benchdiff.sh BENCH_intervals.json; then
-		:
-	else
-		echo "benchdiff: interval-sweep regressions vs committed baseline (warn-only; STRICT_BENCH=1 to enforce)"
-		if [ "${STRICT_BENCH:-0}" = "1" ]; then
-			exit 1
-		fi
-	fi
-else
-	echo "benchdiff: no BENCH_intervals.json, skipping"
-fi
+echo "== spatialbench smoke (two repeats per point in the JSON and the summary; a bad name runs nothing)"
+SBDIR="$(mktemp -d /tmp/bench_smoke.XXXXXX)"
+go build -o "$SBDIR/spatialbench" ./cmd/spatialbench
+"$SBDIR/spatialbench" -exp table2,fig12 -scale 0.02 -repeats 2 -json "$SBDIR/out.json" >"$SBDIR/out.txt"
+# table2 has 5 points, fig12 2 x (sw + 6 resolutions) = 14: each once as repeat 1, once as repeat 2.
+[ "$(grep -c '"repeat": 1' "$SBDIR/out.json")" -eq 19 ] && [ "$(grep -c '"repeat": 2' "$SBDIR/out.json")" -eq 19 ] ||
+	{ echo "JSON does not hold two repeats of each of 19 points"; exit 1; }
+grep -q '"go_version"' "$SBDIR/out.json" || { echo "JSON records no environment"; exit 1; }
+[ "$(grep -c ' n=2 ' "$SBDIR/out.txt")" -eq 19 ] || { echo "summary does not print n=2 for each of 19 points"; cat "$SBDIR/out.txt"; exit 1; }
+set +e
+"$SBDIR/spatialbench" -exp bogus -json "$SBDIR/bogus.json" >"$SBDIR/bogus.txt" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "-exp bogus exited $rc, want 2"; cat "$SBDIR/bogus.txt"; exit 1; }
+[ ! -e "$SBDIR/bogus.json" ] || { echo "-exp bogus wrote a -json file"; exit 1; }
+rm -rf "$SBDIR"
 
 echo "== snapshot round-trip + corruption-rejection smoke"
 # A layer saved as a binary snapshot must reload and join identically to
