@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/query"
+	"repro/internal/raster"
 )
 
 func main() {
@@ -31,12 +32,17 @@ func main() {
 	bPath := flag.String("b", "", "second / query dataset JSON (required)")
 	d := flag.Float64("d", 0, "distance for -op within")
 	queryIdx := flag.Int("query", 0, "query polygon index for -op select")
-	res := flag.Int("res", core.DefaultResolution, "hardware window resolution")
+	res := flag.Int("res", core.DefaultResolution, fmt.Sprintf("hardware window resolution, 1..%d", raster.MaxResolution))
 	threshold := flag.Int("threshold", core.DefaultSWThreshold, "software threshold")
 	swOnly := flag.Bool("sw", false, "software only, skip the hardware run")
 	timeout := flag.Duration("timeout", 0, "per-run time limit (0 = none); an expired run reports its partial results")
 	budget := flag.Int("budget", 0, "max MBR candidates per run (0 = unlimited)")
 	flag.Parse()
+	if *res < 1 || *res > raster.MaxResolution {
+		fmt.Fprintf(os.Stderr, "spatialquery: -res %d outside 1..%d\n", *res, raster.MaxResolution)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

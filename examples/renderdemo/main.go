@@ -1,7 +1,8 @@
 // Renderdemo: visualizes how the hardware segment-intersection filter
 // works, rendering a near-miss polygon pair into small windows at several
-// resolutions and dumping the framebuffer as ASCII art. Cells covered only
-// by the first polygon print '/', only by the second '\', by both '#'.
+// resolutions and dumping the two bit planes as ASCII art. Cells covered
+// only by the first polygon (plane A) print '/', only by the second
+// (plane B) '\', by both '#'.
 // When no '#' appears, the hardware has *proven* the boundaries disjoint —
 // that is the conservative rejection of Algorithm 3.1. It also shows the
 // basic (non-anti-aliased) diamond-exit rule losing a segment entirely,
@@ -20,21 +21,12 @@ func renderPair(p, q *geom.Polygon, res int) {
 	region := p.Bounds().Intersection(q.Bounds())
 	ctx.SetViewport(region)
 
-	ctx.SetColorBits(1)
-	ctx.DrawPolygonEdges(p)
-	ctx.SetColorBits(2)
-	ctx.DrawPolygonEdges(q)
-	ctx.SetColorBits(0)
+	ctx.DrawPolygonEdges(&ctx.A, p)
+	ctx.DrawPolygonEdges(&ctx.B, q)
 
 	fmt.Printf("\n%dx%d window over the common MBR region:\n", res, res)
-	fmt.Print(ctx.Color().ASCII(nil))
-	overlap := false
-	for _, v := range ctx.Color().Pix {
-		if v == 3 {
-			overlap = true
-			break
-		}
-	}
+	fmt.Print(ctx.ASCII())
+	overlap := ctx.A.Overlaps(&ctx.B)
 	if overlap {
 		fmt.Println("=> shared pixels: inconclusive, software test required")
 	} else {
@@ -73,21 +65,11 @@ func main() {
 	fmt.Println("\n--- diamond-exit rule demo (basic vs anti-aliased lines) ---")
 	ctx := raster.NewContext(3, 3)
 	s := geom.Seg(geom.Pt(1.35, 1.45), geom.Pt(1.65, 1.55))
-	ctx.DrawSegmentBasic(s)
-	basic := countColored(ctx)
+	ctx.DrawSegmentBasic(&ctx.A, s)
+	basic := ctx.A.Count()
 	ctx.Clear()
-	ctx.DrawSegment(s)
-	aa := countColored(ctx)
+	ctx.DrawSegment(&ctx.A, s)
+	aa := ctx.A.Count()
 	fmt.Printf("segment %v: basic rule colored %d pixels, anti-aliased colored %d\n", s, basic, aa)
 	fmt.Println("(the basic rule loses the segment entirely — why Algorithm 3.1 enables anti-aliasing)")
-}
-
-func countColored(ctx *raster.Context) int {
-	n := 0
-	for _, v := range ctx.Color().Pix {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -65,36 +65,21 @@ const (
 // Config controls a Tester.
 type Config struct {
 	// Resolution is the rendering window's width and height in pixels
-	// (the paper sweeps 1–32). Zero means DefaultResolution.
+	// (the paper sweeps 1–32). Zero means DefaultResolution; values above
+	// raster.MaxResolution are capped at it.
 	Resolution int
 	// SWThreshold skips the hardware filter when the two polygons have
 	// n+m vertices at or below it (paper §4.3). Zero is a valid setting
 	// (always use hardware); use DefaultSWThreshold for the tuned value.
 	SWThreshold int
-	// LineWidth is the anti-aliased line width in pixels for the
-	// intersection filter. Zero means the OpenGL default √2; the value is
-	// capped by raster.MaxLineWidth.
-	LineWidth float64
 	// DisableHardware turns the Tester into the software-only baseline.
 	DisableHardware bool
-	// UseAccum selects the accumulation-buffer overlap protocol of
-	// Algorithm 3.1 (two half-intensity renderings added, then a Minmax
-	// search for full intensity) instead of the default occlusion-query
-	// protocol (render the first layer, test the second layer's fragments
-	// against the buffer with early exit). Hoff et al., cited in §3, list
-	// buffer-test variants of exactly this kind; results are identical,
-	// and the accumulation path remains for the protocol ablation bench.
-	UseAccum bool
 	// SentinelEvery controls the sentinel verifier: every Nth hardware-
 	// filter negative is re-checked against the exact software test, and a
 	// disagreement trips the PairContext's circuit breaker. Zero means
 	// DefaultSentinelEvery; negative disables verification. The sample is
 	// a deterministic per-tester counter, so runs are reproducible.
 	SentinelEvery int
-	// SentinelRate adds a hash-sampled extra fraction (0–1) of negatives
-	// to the sentinel stream on top of the every-Nth picks, for callers
-	// that want denser verification without lockstep sampling.
-	SentinelRate float64
 	// Software selects the software segment-intersection algorithm.
 	Software sweep.Options
 	// Dist selects the software distance-test options.
@@ -162,9 +147,6 @@ type Stats struct {
 	// Edge-index effectiveness (see internal/edgeindex and PairContext).
 	EdgeIndexHits         int64 // pair tests that consulted at least one edge index
 	EdgeIndexSkippedEdges int64 // edges the index hierarchies pruned unexamined
-	// DirtyClearPixelsSaved counts framebuffer pixels the dirty-region
-	// clear did not have to zero between pair tests (internal/raster).
-	DirtyClearPixelsSaved int64
 
 	// Wall-clock decomposition of the refinement work.
 	HWTime      time.Duration // rendering + buffer search
@@ -208,7 +190,6 @@ func (s *Stats) Add(other Stats) {
 	s.BreakerRecoveries += other.BreakerRecoveries
 	s.EdgeIndexHits += other.EdgeIndexHits
 	s.EdgeIndexSkippedEdges += other.EdgeIndexSkippedEdges
-	s.DirtyClearPixelsSaved += other.DirtyClearPixelsSaved
 	s.HWTime += other.HWTime
 	s.SWTime += other.SWTime
 	s.CollectTime += other.CollectTime
@@ -283,18 +264,14 @@ func NewTester(cfg Config) *Tester {
 	if cfg.Resolution <= 0 {
 		cfg.Resolution = DefaultResolution
 	}
+	// Cap at the hardware limit rather than failing: the caller asked for
+	// a finer window than the hardware supports.
+	cfg.Resolution = min(cfg.Resolution, raster.MaxResolution)
 	t := &Tester{cfg: cfg}
 	if !cfg.DisableHardware {
 		t.ctx = raster.NewContext(cfg.Resolution, cfg.Resolution)
 		if cfg.Faults != nil {
 			t.ctx.Hook = cfg.Faults.Hook()
-		}
-		if cfg.LineWidth > 0 {
-			if err := t.ctx.SetLineWidth(cfg.LineWidth); err != nil {
-				// Cap at the hardware limit rather than failing: the caller
-				// asked for a wider filter than the hardware supports.
-				_ = t.ctx.SetLineWidth(raster.MaxLineWidth)
-			}
 		}
 	}
 	return t
@@ -310,9 +287,6 @@ func (t *Tester) Context() *raster.Context { return t.ctx }
 // ResetStats zeroes the counters.
 func (t *Tester) ResetStats() {
 	t.Stats = Stats{}
-	if t.ctx != nil {
-		t.ctx.ResetCounters()
-	}
 }
 
 // Intersects is Algorithm 3.1: it reports whether the closed regions of p
@@ -508,10 +482,9 @@ func (t *Tester) softwareIntersects(p, q *geom.Polygon, pc PairContext) bool {
 
 // sentinelPick decides whether a hardware-filter negative joins the
 // sentinel sample. Deterministic: a per-tester counter picks every
-// SentinelEvery-th negative, plus an optional hash-sampled extra fraction
-// (SentinelRate); half-open probes are always verified. The counter
-// starts at 1, so with the default cadence the first 63 negatives ride
-// unsampled — sampling bounds detection latency, not per-pair cost.
+// SentinelEvery-th negative; half-open probes are always verified. The
+// counter starts at 1, so with the default cadence the first 63 negatives
+// ride unsampled — sampling bounds detection latency, not per-pair cost.
 func (t *Tester) sentinelPick(probe bool) bool {
 	t.sentinelSeq++
 	if probe {
@@ -524,22 +497,7 @@ func (t *Tester) sentinelPick(probe bool) bool {
 	if every == 0 {
 		every = DefaultSentinelEvery
 	}
-	if t.sentinelSeq%uint64(every) == 0 {
-		return true
-	}
-	if r := t.cfg.SentinelRate; r > 0 {
-		return float64(sentinelMix(t.sentinelSeq)>>11)/(1<<53) < r
-	}
-	return false
-}
-
-// sentinelMix is splitmix64, decorrelating the sequence counter for the
-// rate-based sentinel sample.
-func sentinelMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return t.sentinelSeq%uint64(every) == 0
 }
 
 // sigReject consults the pair's persisted raster signatures and reports
@@ -770,8 +728,14 @@ func (t *Tester) softwareWithin(p, q *geom.Polygon, d float64, pc PairContext) b
 
 // hwOverlap runs the hardware overlap test (Algorithm 3.1 steps 2.1–2.8)
 // on the given edge sets under the caller-established viewport and reports
-// whether any pixel was colored by both sets. widthPx 0 uses the context's
-// anti-aliased default width.
+// whether any pixel was covered by both sets: one set is rendered into a
+// plane, the other set's fragments are tested against it, stopping at the
+// first shared pixel (the plane-AND that stands for the paper's
+// accumulate-and-Minmax search; see the raster package's substitution
+// note). Rendering the smaller set and testing the larger one bounds the
+// stored pass by the cheap side and lets overlapping pairs exit during
+// the expensive side. widthPx 0 uses the context's anti-aliased default
+// width.
 //
 // A wrong-answer fault armed at SiteHWFilter flips the verdict here. The
 // reject→inconclusive direction is harmless (inconclusive pairs go to the
@@ -779,79 +743,29 @@ func (t *Tester) softwareWithin(p, q *geom.Polygon, d float64, pc PairContext) b
 // results, which is precisely the trust the engine places in conservative
 // rasterization — the fault-injection tests document that boundary.
 func (t *Tester) hwOverlap(red, blue []geom.Segment, widthPx float64) bool {
-	saved0 := t.ctx.DirtyClearPixelsSaved
-	overlap := t.hwOverlapRaw(red, blue, widthPx)
-	t.Stats.DirtyClearPixelsSaved += t.ctx.DirtyClearPixelsSaved - saved0
+	ctx := t.ctx
+	ctx.Clear()
+	if len(red) > len(blue) {
+		red, blue = blue, red
+	}
+	if widthPx > 0 {
+		for _, s := range red {
+			ctx.DrawSegmentWidth(&ctx.A, s, widthPx)
+		}
+	} else {
+		ctx.DrawEdges(&ctx.A, red)
+	}
+	overlap := false
+	for _, s := range blue {
+		if ctx.SegmentTouches(&ctx.A, s, widthPx) {
+			overlap = true
+			break
+		}
+	}
 	if t.cfg.Faults != nil && t.cfg.Faults.Wrong(faultinject.SiteHWFilter) {
 		overlap = !overlap
 	}
 	return overlap
-}
-
-func (t *Tester) hwOverlapRaw(red, blue []geom.Segment, widthPx float64) bool {
-	ctx := t.ctx
-	ctx.Clear()
-	if t.cfg.UseAccum {
-		// Accumulation protocol: two half-intensity layers sum to full
-		// intensity exactly on overlap pixels.
-		ctx.SetColor(0.5)
-		drawSet(ctx, red, widthPx)
-		ctx.AccumLoad(1)
-		ctx.Clear()
-		drawSet(ctx, blue, widthPx)
-		ctx.AccumAdd(1)
-		_, maxV := minMaxAccum(ctx)
-		return maxV >= 1
-	}
-	// Occlusion-query protocol: render one layer, then test the other
-	// layer's fragments against the buffer, stopping at the first covered
-	// fragment. Semantically identical to the accumulation search; the
-	// early exit mirrors hardware occlusion tests. Rendering the smaller
-	// set and testing the larger one bounds the stored pass by the cheap
-	// side and lets overlapping pairs exit during the expensive side.
-	if len(red) > len(blue) {
-		red, blue = blue, red
-	}
-	ctx.SetColor(1)
-	drawSet(ctx, red, widthPx)
-	for _, s := range blue {
-		if ctx.SegmentTouches(s, widthPx) {
-			return true
-		}
-	}
-	return false
-}
-
-// drawSet renders segments at the given width, 0 meaning the context
-// default.
-func drawSet(ctx *raster.Context, segs []geom.Segment, widthPx float64) {
-	if widthPx > 0 {
-		for _, s := range segs {
-			ctx.DrawSegmentWidth(s, widthPx)
-		}
-	} else {
-		ctx.DrawEdges(segs)
-	}
-}
-
-// minMaxAccum is the Minmax hardware query over the accumulation buffer:
-// cost proportional to the window area, matching the fixed per-test
-// overhead the paper attributes to the buffer search.
-func minMaxAccum(ctx *raster.Context) (minV, maxV float32) {
-	buf := ctx.Accum()
-	if len(buf.Pix) == 0 {
-		return 0, 0
-	}
-	minV, maxV = buf.Pix[0], buf.Pix[0]
-	for _, v := range buf.Pix[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV
 }
 
 // crossIntersects dispatches the software segment test on pre-restricted

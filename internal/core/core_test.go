@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/geom"
+	"repro/internal/raster"
 	"repro/internal/sweep"
 )
 
@@ -239,9 +240,10 @@ func TestNewTesterDefaults(t *testing.T) {
 	if swOnly.Context() != nil {
 		t.Error("software-only tester has a context")
 	}
-	// Absurd line width gets capped, not rejected.
-	wide := NewTester(Config{LineWidth: 99})
-	if wide.Context().LineWidth() > 10 {
-		t.Errorf("line width not capped: %v", wide.Context().LineWidth())
+	// A resolution beyond the window's word width gets capped, not
+	// rejected (and allocates no 100000² window on the way).
+	fine := NewTester(Config{Resolution: 100000})
+	if got := fine.Config().Resolution; got != raster.MaxResolution || fine.Context().Width() != got {
+		t.Errorf("resolution not capped: config %d, window %d", got, fine.Context().Width())
 	}
 }

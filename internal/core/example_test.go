@@ -35,11 +35,3 @@ func ExampleTester_WithinDistance() {
 	// false
 	// true
 }
-
-func ExampleEstimateIntersectionArea() {
-	a := geom.MustPolygon(geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4))
-	b := geom.MustPolygon(geom.Pt(2, 2), geom.Pt(6, 2), geom.Pt(6, 6), geom.Pt(2, 6))
-	est := core.EstimateIntersectionArea(a, b, 256)
-	fmt.Printf("≈%.1f (exact 4)\n", est)
-	// Output: ≈4.0 (exact 4)
-}

@@ -95,8 +95,9 @@ const (
 	SiteWithinDistance = "tester.withindistance"
 	// SiteHWFilter decides whether the hardware overlap verdict is flipped.
 	SiteHWFilter = "tester.hwfilter"
-	// SiteRenderDraw fires inside the raster draw calls (mid-test), the
-	// hook point for faults that strike after counters moved.
+	// SiteRenderDraw fires once per rasterized segment (mid-test), stored
+	// into a plane or tested against one: the hook point for faults that
+	// strike after counters moved.
 	SiteRenderDraw = "raster.draw"
 
 	// Server protocol sites, instrumented by internal/server's TCP

@@ -12,7 +12,7 @@
 // geometry is ever constructed, which sidesteps the degeneracy surgery
 // that clipping algorithms require; the cost is O(s·(n+m)) for s slabs,
 // fine for analysis workloads (use geom.ClipConvex for the convex fast
-// path and core.EstimateIntersectionArea for approximate bulk pricing).
+// path).
 package overlay
 
 import (

@@ -57,10 +57,9 @@ type Stats struct {
 	BreakerRecoveries     int64 `json:"breaker_recoveries"`
 	BreakerOpenSkips      int64 `json:"breaker_open_skips"`
 
-	// Edge-index and raster hot-path effectiveness counters.
+	// Edge-index hot-path effectiveness counters.
 	EdgeIndexHits         int64 `json:"edge_index_hits"`
 	EdgeIndexSkippedEdges int64 `json:"edge_index_skipped_edges"`
-	DirtyClearPixelsSaved int64 `json:"dirty_clear_pixels_saved"`
 
 	// Staged-pipeline and streaming-delivery counters (see core.Stats;
 	// zero for the ablated per-pair path and non-streaming queries).
@@ -122,7 +121,6 @@ func NewStats(op string, results int, cost Cost, refine core.Stats) Stats {
 
 		EdgeIndexHits:         refine.EdgeIndexHits,
 		EdgeIndexSkippedEdges: refine.EdgeIndexSkippedEdges,
-		DirtyClearPixelsSaved: refine.DirtyClearPixelsSaved,
 
 		PipelineBatches:    refine.PipelineBatches,
 		PipelineFilterNS:   refine.PipelineFilterNS,
@@ -174,7 +172,6 @@ func (s *Stats) Merge(o Stats) {
 	s.BreakerOpenSkips += o.BreakerOpenSkips
 	s.EdgeIndexHits += o.EdgeIndexHits
 	s.EdgeIndexSkippedEdges += o.EdgeIndexSkippedEdges
-	s.DirtyClearPixelsSaved += o.DirtyClearPixelsSaved
 	s.PipelineBatches += o.PipelineBatches
 	s.PipelineFilterNS += o.PipelineFilterNS
 	s.PipelineRefineNS += o.PipelineRefineNS

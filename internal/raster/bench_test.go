@@ -23,7 +23,7 @@ func BenchmarkDrawSegment8(b *testing.B) {
 	segs := benchSegs(512, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DrawSegment(segs[i&511])
+		c.DrawSegment(&c.A, segs[i&511])
 	}
 }
 
@@ -33,29 +33,22 @@ func BenchmarkDrawSegment32(b *testing.B) {
 	segs := benchSegs(512, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DrawSegment(segs[i&511])
+		c.DrawSegment(&c.A, segs[i&511])
 	}
 }
 
 func BenchmarkHWTestCycle8(b *testing.B) {
 	// Full per-pair hardware test cycle at 8×8: viewport, clear, render
-	// 200 edges, accumulate, render 200, accumulate, minmax.
+	// 200 edges into a plane, test 200 against it.
 	c := NewContext(8, 8)
 	segs := benchSegs(400, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SetViewport(geom.R(0, 0, 100, 100))
 		c.Clear()
-		c.SetColor(0.5)
-		for _, s := range segs[:200] {
-			c.DrawSegment(s)
-		}
-		c.AccumLoad(1)
-		c.Clear()
+		c.DrawEdges(&c.A, segs[:200])
 		for _, s := range segs[200:] {
-			c.DrawSegment(s)
+			c.SegmentTouches(&c.A, s, 0)
 		}
-		c.AccumAdd(1)
-		c.MinMax()
 	}
 }

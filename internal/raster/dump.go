@@ -1,72 +1,28 @@
 package raster
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strings"
-)
+import "strings"
 
-// ASCII renders the buffer as one text row per pixel row, top row first
-// (window y grows upward, so row H-1 prints first). The default palette
-// maps 0 to '.', the layer bits 1/2/3 to '/', '\\', '#', and anything else
-// to '*'; pass a custom palette to override.
-func (b *Buffer) ASCII(palette func(float32) byte) string {
-	if palette == nil {
-		palette = DefaultPalette
-	}
+// ASCII renders the window as one text row per pixel row, top row first
+// (window y grows upward, so row H-1 prints first): '.' for a pixel
+// covered in neither plane, '/' in plane A only, '\\' in plane B only,
+// '#' in both.
+func (c *Context) ASCII() string {
 	var sb strings.Builder
-	sb.Grow((b.W + 1) * b.H)
-	for y := b.H - 1; y >= 0; y-- {
-		for x := range b.W {
-			sb.WriteByte(palette(b.At(x, y)))
+	sb.Grow((c.w + 1) * c.h)
+	for y := c.h - 1; y >= 0; y-- {
+		for x := range c.w {
+			ch := byte('.')
+			switch a, b := c.A.At(x, y), c.B.At(x, y); {
+			case a && b:
+				ch = '#'
+			case a:
+				ch = '/'
+			case b:
+				ch = '\\'
+			}
+			sb.WriteByte(ch)
 		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// DefaultPalette is the ASCII mapping used by the examples: background,
-// layer 1, layer 2, overlap, other.
-func DefaultPalette(v float32) byte {
-	switch v {
-	case 0:
-		return '.'
-	case 1:
-		return '/'
-	case 2:
-		return '\\'
-	case 3:
-		return '#'
-	default:
-		return '*'
-	}
-}
-
-// WritePGM writes the buffer as a binary PGM image (P5), mapping values
-// linearly from [0, maxVal] to [0, 255]; values outside clamp. PGM loads
-// everywhere and keeps the debugging loop dependency-free.
-func (b *Buffer) WritePGM(w io.Writer, maxVal float32) error {
-	if maxVal <= 0 {
-		maxVal = 1
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", b.W, b.H); err != nil {
-		return err
-	}
-	for y := b.H - 1; y >= 0; y-- {
-		for x := range b.W {
-			v := b.At(x, y) / maxVal * 255
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			if err := bw.WriteByte(byte(v)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

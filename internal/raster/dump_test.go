@@ -1,68 +1,15 @@
 package raster
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-
-	"repro/internal/geom"
-)
+import "testing"
 
 func TestASCII(t *testing.T) {
 	c := NewContext(3, 2)
-	c.Color().Set(0, 1, 1) // top-left in window coords
-	c.Color().Set(2, 0, 3)
-	got := c.Color().ASCII(nil)
-	want := "/..\n..#\n"
+	c.A[1] |= 1 << 0 // top-left in window coords
+	c.A[0] |= 1 << 2
+	c.B[0] |= 1<<2 | 1<<1
+	got := c.ASCII()
+	want := "/..\n.\\#\n"
 	if got != want {
 		t.Errorf("ASCII =\n%q, want\n%q", got, want)
-	}
-	// Custom palette.
-	got = c.Color().ASCII(func(v float32) byte {
-		if v != 0 {
-			return 'X'
-		}
-		return ' '
-	})
-	if got != "X  \n  X\n" {
-		t.Errorf("custom palette = %q", got)
-	}
-	if DefaultPalette(0.5) != '*' {
-		t.Error("unexpected value not mapped to '*'")
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	c := NewContext(4, 4)
-	c.SetColor(1)
-	c.DrawSegment(geom.Seg(geom.Pt(0, 0), geom.Pt(4, 4)))
-	var buf bytes.Buffer
-	if err := c.Color().WritePGM(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !strings.HasPrefix(string(out), "P5\n4 4\n255\n") {
-		t.Fatalf("bad header: %q", out[:12])
-	}
-	if len(out) != len("P5\n4 4\n255\n")+16 {
-		t.Fatalf("payload size %d", len(out))
-	}
-	// Some pixels fully on, some off.
-	payload := out[len(out)-16:]
-	has0, has255 := false, false
-	for _, b := range payload {
-		if b == 0 {
-			has0 = true
-		}
-		if b == 255 {
-			has255 = true
-		}
-	}
-	if !has0 || !has255 {
-		t.Errorf("expected both 0 and 255 pixels, got %v", payload)
-	}
-	// maxVal <= 0 falls back to 1 rather than dividing by zero.
-	if err := c.Color().WritePGM(&buf, 0); err != nil {
-		t.Fatal(err)
 	}
 }

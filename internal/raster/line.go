@@ -6,68 +6,80 @@ import (
 	"repro/internal/geom"
 )
 
-// DrawSegment rasterizes the data-space segment s as an anti-aliased line
-// of the current width with blending disabled: every pixel whose cell
-// overlaps the width-w capsule around the segment is written with the
-// current color. This is the conservative coverage guarantee of paper
-// §2.2.2: with anti-aliasing on, a pixel touched by the segment is always
-// colored, so two intersecting segments always share a colored pixel.
-func (c *Context) DrawSegment(s geom.Segment) {
-	c.drawCapsule(c.Project(s.A), c.Project(s.B), c.lineWidth/2)
+// DrawSegment rasterizes the data-space segment s into plane pl as an
+// anti-aliased line of the current width with blending disabled: every
+// pixel whose cell overlaps the width-w capsule around the segment is
+// covered. This is the conservative coverage guarantee of paper §2.2.2:
+// with anti-aliasing on, a pixel touched by the segment is always colored,
+// so two intersecting segments always share a colored pixel.
+func (c *Context) DrawSegment(pl *Plane, s geom.Segment) {
+	c.walk(pl, c.Project(s.A), c.Project(s.B), c.lineWidth/2, false)
 }
 
 // DrawSegmentWidth is DrawSegment with an explicit width in pixels,
 // bypassing the context line width. Used by tests and by callers that vary
 // width per primitive.
-func (c *Context) DrawSegmentWidth(s geom.Segment, widthPx float64) {
-	c.drawCapsule(c.Project(s.A), c.Project(s.B), widthPx/2)
+func (c *Context) DrawSegmentWidth(pl *Plane, s geom.Segment, widthPx float64) {
+	c.walk(pl, c.Project(s.A), c.Project(s.B), widthPx/2, false)
 }
 
-// DrawPoint rasterizes the data-space point p as a round anti-aliased
-// point of diameter sizePx pixels, the widened end caps of the paper's
-// distance test (Figure 6).
-func (c *Context) DrawPoint(p geom.Point, sizePx float64) {
-	w := c.Project(p)
-	c.drawCapsule(w, w, sizePx/2)
-}
-
-// DrawEdges rasterizes a batch of data-space segments.
-func (c *Context) DrawEdges(segs []geom.Segment) {
+// DrawEdges rasterizes a batch of data-space segments into pl.
+func (c *Context) DrawEdges(pl *Plane, segs []geom.Segment) {
 	for _, s := range segs {
-		c.DrawSegment(s)
+		c.DrawSegment(pl, s)
 	}
 }
 
-// DrawPolygonEdges rasterizes the boundary chain of p, the per-polygon
-// render call of Algorithm 3.1 steps 2.3 and 2.5.
-func (c *Context) DrawPolygonEdges(p *geom.Polygon) {
+// DrawPolygonEdges rasterizes the boundary chain of p into pl, the
+// per-polygon render call of Algorithm 3.1 steps 2.3 and 2.5.
+func (c *Context) DrawPolygonEdges(pl *Plane, p *geom.Polygon) {
 	for i := range p.NumEdges() {
-		c.DrawSegment(p.Edge(i))
+		c.DrawSegment(pl, p.Edge(i))
 	}
 }
 
-// drawCapsule colors a conservative superset of the cells whose closed
-// unit square intersects the capsule of half-width hw around the
-// window-space segment a-b, by walking columns along the segment's major
-// axis and coloring the segment's per-column y-extent widened by the
-// slope-corrected margin hw·√(1+m²) (the band's vertical half-extent).
-// With the major-axis transpose the margin is at most √2·hw, so the
-// over-coverage relative to the exact capsule stays well under one cell —
-// the same order as real hardware's anti-aliased coverage — while the
-// inner loop is a handful of flops per column. This is the simulated card's fill path; the exact-coverage
-// reference implementation drawCapsuleExact backs the tests.
-func (c *Context) drawCapsule(a, b geom.Point, hw float64) {
+// SegmentTouches reports whether any cell the data-space segment s covers
+// (at the given width, 0 meaning the context line width) is already
+// covered in pl. It is the overlap search run fragment by fragment: after
+// the first polygon's edges are rendered into a plane, the second
+// polygon's edges are tested against it without being stored, and the
+// search stops at the first shared cell. The cell walk is DrawSegment's,
+// so the answer is exactly "would the two renderings overlap".
+func (c *Context) SegmentTouches(pl *Plane, s geom.Segment, widthPx float64) bool {
+	hw := c.lineWidth / 2
+	if widthPx > 0 {
+		hw = widthPx / 2
+	}
+	return c.walk(pl, c.Project(s.A), c.Project(s.B), hw, true)
+}
+
+// walk visits a conservative superset of the cells that the capsule of
+// half-width hw around the window-space segment a-b reaches, by walking
+// columns along the segment's major axis and taking the segment's
+// per-column y-extent widened by the slope-corrected margin hw·√(1+m²)
+// (the band's vertical half-extent). With the major-axis transpose the
+// margin is at most √2·hw, so the over-coverage relative to the exact
+// capsule stays well under one cell — the same order as real hardware's
+// anti-aliased coverage — while the inner loop is a handful of flops per
+// column. Cells are half-open, [x, x+1)×[y, y+1): a capsule that only
+// touches a cell's max border does not cover it, so at width exactly 0 a
+// segment lying on the window's max edge covers nothing (the filter never
+// draws at width 0).
+//
+// With test false the cells are ORed into pl and the result is false; with
+// test true nothing is stored and walk returns true at the first cell
+// already covered in pl. This is the simulated card's one fill path; the
+// exact-coverage reference drawCapsuleExact backs the tests.
+func (c *Context) walk(pl *Plane, a, b geom.Point, hw float64, test bool) bool {
 	if c.Hook != nil {
 		c.Hook("raster.draw")
 	}
-	c.SegmentsDrawn++
-	w, h := c.color.W, c.color.H
-	fw, fh := float64(w), float64(h)
+	w, h := c.w, c.h
 
 	// Trivial reject against the window.
 	if math.Max(a.X, b.X)+hw < 0 || math.Max(a.Y, b.Y)+hw < 0 ||
-		math.Min(a.X, b.X)-hw > fw || math.Min(a.Y, b.Y)-hw > fh {
-		return
+		math.Min(a.X, b.X)-hw > float64(w) || math.Min(a.Y, b.Y)-hw > float64(h) {
+		return false
 	}
 
 	dx, dy := b.X-a.X, b.Y-a.Y
@@ -96,22 +108,17 @@ func (c *Context) drawCapsule(a, b geom.Point, hw float64) {
 	x0, x1 := 0, w-1
 	if v := a.X - hw; v > 0 {
 		if v >= float64(w) {
-			return
+			return false
 		}
 		x0 = int(v)
 	}
 	if v := b.X + hw; v < float64(w-1) {
 		if v < 0 {
-			return
+			return false
 		}
 		x1 = int(v)
 	}
-	pix, stride, color, written := c.color.Pix, c.color.W, c.drawColor, int64(0)
-	orMode := c.orBits != 0
-	bits := int32(c.orBits)
-	fh = float64(h) // h may have been swapped by the transpose
-	// Written bounds in loop coordinates, for the dirty-region tracking.
-	wc0, wc1, wr0, wr1 := x1+1, x0-1, h, -1
+	fh := float64(h)
 	for cx := x0; cx <= x1; cx++ {
 		// Segment y-extent over the column's x-interval clamped to the
 		// segment's x-range; cap columns clamp to the nearest endpoint.
@@ -147,175 +154,42 @@ func (c *Context) drawCapsule(a, b geom.Point, hw float64) {
 		if yh < float64(h-1) {
 			cy1 = int(yh)
 		}
-		if cx < wc0 {
-			wc0 = cx
-		}
-		if cx > wc1 {
-			wc1 = cx
-		}
-		if cy0 < wr0 {
-			wr0 = cy0
-		}
-		if cy1 > wr1 {
-			wr1 = cy1
-		}
-		switch {
-		case orMode:
-			// Logical-operation path: OR the bit pattern into each pixel.
-			if transposed {
-				base := cx * stride
-				for cy := cy0; cy <= cy1; cy++ {
-					pix[base+cy] = float32(int32(pix[base+cy]) | bits)
-				}
-			} else {
-				for i := cy0*stride + cx; i <= cy1*stride+cx; i += stride {
-					pix[i] = float32(int32(pix[i]) | bits)
-				}
-			}
-		case transposed:
-			// Walking the original y axis: original pixel is (cy, cx).
-			base := cx * stride
-			for cy := cy0; cy <= cy1; cy++ {
-				pix[base+cy] = color
-			}
-		default:
-			for i := cy0*stride + cx; i <= cy1*stride+cx; i += stride {
-				pix[i] = color
-			}
-		}
-		written += int64(cy1 - cy0 + 1)
-	}
-	if written > 0 {
 		if transposed {
-			// Loop columns walked the original y axis: pixel was (cy, cx).
-			c.color.MarkDirty(wr0, wc0, wr1, wc1)
-		} else {
-			c.color.MarkDirty(wc0, wr0, wc1, wr1)
-		}
-	}
-	c.PixelsWritten += written
-}
-
-// DrawSegmentExact is DrawSegment using the exact-coverage reference
-// rasterizer; tests use it to pin down the fast path's conservative
-// contract, and callers that need the tightest possible filter may trade
-// speed for it.
-func (c *Context) DrawSegmentExact(s geom.Segment, widthPx float64) {
-	c.drawCapsuleExact(c.Project(s.A), c.Project(s.B), widthPx/2)
-}
-
-// SegmentTouches reports whether any cell the data-space segment s covers
-// (at the given width, 0 meaning the context line width) is already
-// colored non-zero in the color buffer. It is the occlusion-query flavor
-// of the overlap search: after the first polygon's edges are rendered, the
-// second polygon's edges are tested fragment-by-fragment without being
-// stored, and the query can stop at the first covered fragment. The cell
-// walk is identical to DrawSegment's, so the conservativeness guarantee is
-// unchanged.
-func (c *Context) SegmentTouches(s geom.Segment, widthPx float64) bool {
-	hw := c.lineWidth / 2
-	if widthPx > 0 {
-		hw = widthPx / 2
-	}
-	a, b := c.Project(s.A), c.Project(s.B)
-	c.SegmentsDrawn++
-	w, h := c.color.W, c.color.H
-	fw, fh := float64(w), float64(h)
-	if math.Max(a.X, b.X)+hw < 0 || math.Max(a.Y, b.Y)+hw < 0 ||
-		math.Min(a.X, b.X)-hw > fw || math.Min(a.Y, b.Y)-hw > fh {
-		return false
-	}
-	dx, dy := b.X-a.X, b.Y-a.Y
-	transposed := math.Abs(dy) > math.Abs(dx)
-	if transposed {
-		a.X, a.Y = a.Y, a.X
-		b.X, b.Y = b.Y, b.X
-		dx, dy = dy, dx
-		w, h = h, w
-	}
-	if a.X > b.X {
-		a, b = b, a
-		dx, dy = -dx, -dy
-	}
-	var m float64
-	if dx != 0 {
-		m = dy / dx
-	}
-	margin := hw * math.Sqrt(1+m*m)
-
-	x0, x1 := 0, w-1
-	if v := a.X - hw; v > 0 {
-		if v >= float64(w) {
-			return false
-		}
-		x0 = int(v)
-	}
-	if v := b.X + hw; v < float64(w-1) {
-		if v < 0 {
-			return false
-		}
-		x1 = int(v)
-	}
-	pix, stride := c.color.Pix, c.color.W
-	fh = float64(h)
-	for cx := x0; cx <= x1; cx++ {
-		lo, hi := float64(cx), float64(cx)+1
-		if lo < a.X {
-			lo = a.X
-		}
-		if hi > b.X {
-			hi = b.X
-		}
-		if lo > hi {
-			if float64(cx) < a.X {
-				lo, hi = a.X, a.X
-			} else {
-				lo, hi = b.X, b.X
+			// Walking the window's y axis: the span cy0..cy1 runs along x
+			// in row cx, one mask of cy1-cy0+1 bits.
+			span := ^uint64(0) >> uint(63-(cy1-cy0)) << uint(cy0)
+			if !test {
+				pl[cx] |= span
+			} else if pl[cx]&span != 0 {
+				return true
 			}
-		}
-		yl := a.Y + m*(lo-a.X)
-		yh := a.Y + m*(hi-a.X)
-		if yl > yh {
-			yl, yh = yh, yl
-		}
-		yl -= margin
-		yh += margin
-		if yh < 0 || yl >= fh {
 			continue
 		}
-		cy0, cy1 := 0, h-1
-		if yl > 0 {
-			cy0 = int(yl)
-		}
-		if yh < float64(h-1) {
-			cy1 = int(yh)
-		}
-		if transposed {
-			base := cx * stride
-			for cy := cy0; cy <= cy1; cy++ {
-				if pix[base+cy] != 0 {
-					return true
-				}
-			}
-		} else {
-			for i := cy0*stride + cx; i <= cy1*stride+cx; i += stride {
-				if pix[i] != 0 {
-					return true
-				}
+		bit := uint64(1) << uint(cx)
+		for cy := cy0; cy <= cy1; cy++ {
+			if !test {
+				pl[cy] |= bit
+			} else if pl[cy]&bit != 0 {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// drawCapsuleExact colors exactly the cells whose closed unit square
+// DrawSegmentExact is DrawSegment using the exact-coverage reference
+// rasterizer; tests use it to pin down the fast path's conservative
+// contract.
+func (c *Context) DrawSegmentExact(pl *Plane, s geom.Segment, widthPx float64) {
+	c.drawCapsuleExact(pl, c.Project(s.A), c.Project(s.B), widthPx/2)
+}
+
+// drawCapsuleExact covers in pl exactly the cells whose closed unit square
 // intersects the capsule of half-width hw around the window-space segment
 // a-b. It is the reference implementation that defines the coverage
-// contract; the fast path drawCapsule must color a superset of these
-// cells.
-func (c *Context) drawCapsuleExact(a, b geom.Point, hw float64) {
-	c.SegmentsDrawn++
-	w, h := c.color.W, c.color.H
+// contract; the fast path walk must cover a superset of these cells.
+func (c *Context) drawCapsuleExact(pl *Plane, a, b geom.Point, hw float64) {
+	w, h := c.w, c.h
 	seg := geom.Segment{A: a, B: b}
 
 	minX := math.Min(a.X, b.X) - hw
@@ -329,8 +203,6 @@ func (c *Context) drawCapsuleExact(a, b geom.Point, hw float64) {
 	x1 := clampInt(int(math.Floor(maxX))+1, 0, w-1)
 	y0 := clampInt(int(math.Floor(minY))-1, 0, h-1)
 	y1 := clampInt(int(math.Floor(maxY))+1, 0, h-1)
-	// Conservative dirty bound: every write below falls in this box.
-	c.color.MarkDirty(x0, y0, x1, y1)
 
 	accept := hw + 0.5          // cell inradius
 	reject := hw + math.Sqrt2/2 // cell circumradius
@@ -339,7 +211,6 @@ func (c *Context) drawCapsuleExact(a, b geom.Point, hw float64) {
 	hwSq := hw * hw
 
 	for cy := y0; cy <= y1; cy++ {
-		row := cy * w
 		fy := float64(cy)
 		for cx := x0; cx <= x1; cx++ {
 			center := geom.Pt(float64(cx)+0.5, fy+0.5)
@@ -355,12 +226,7 @@ func (c *Context) drawCapsuleExact(a, b geom.Point, hw float64) {
 					continue
 				}
 			}
-			if c.orBits != 0 {
-				c.color.Pix[row+cx] = float32(int32(c.color.Pix[row+cx]) | int32(c.orBits))
-			} else {
-				c.color.Pix[row+cx] = c.drawColor
-			}
-			c.PixelsWritten++
+			pl[cy] |= 1 << uint(cx)
 		}
 	}
 }
@@ -398,27 +264,25 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// DrawSegmentBasic rasterizes s with the *basic* (non-anti-aliased)
-// OpenGL rule: a pixel is colored iff the segment exits its diamond region
-// R_f = {|x-x_f| + |y-y_f| < 1/2} (the diamond-exit rule, paper §2.2.2).
-// Segments can disappear entirely under this rule, which is exactly why
-// the paper's algorithms require anti-aliased lines; the method exists to
-// demonstrate and test that behaviour.
-func (c *Context) DrawSegmentBasic(s geom.Segment) {
+// DrawSegmentBasic rasterizes s into pl with the *basic*
+// (non-anti-aliased) OpenGL rule: a pixel is colored iff the segment exits
+// its diamond region R_f = {|x-x_f| + |y-y_f| < 1/2} (the diamond-exit
+// rule, paper §2.2.2). Segments can disappear entirely under this rule,
+// which is exactly why the paper's algorithms require anti-aliased lines;
+// the method exists to demonstrate and test that behaviour.
+func (c *Context) DrawSegmentBasic(pl *Plane, s geom.Segment) {
 	a, b := c.Project(s.A), c.Project(s.B)
-	w, h := c.color.W, c.color.H
+	w, h := c.w, c.h
 	x0 := clampInt(int(math.Floor(math.Min(a.X, b.X)))-1, 0, w-1)
 	x1 := clampInt(int(math.Floor(math.Max(a.X, b.X)))+1, 0, w-1)
 	y0 := clampInt(int(math.Floor(math.Min(a.Y, b.Y)))-1, 0, h-1)
 	y1 := clampInt(int(math.Floor(math.Max(a.Y, b.Y)))+1, 0, h-1)
-	c.color.MarkDirty(x0, y0, x1, y1)
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
 			center := geom.Pt(float64(cx)+0.5, float64(cy)+0.5)
 			enters, exits := diamondCrossing(a, b, center)
 			if enters && exits {
-				c.color.Pix[cy*w+cx] = c.drawColor
-				c.PixelsWritten++
+				pl[cy] |= 1 << uint(cx)
 			}
 		}
 	}

@@ -7,43 +7,32 @@ import (
 	"repro/internal/geom"
 )
 
-// TestSegmentTouchesMatchesDraw: the occlusion test must answer exactly
-// what "draw the segment into a scratch buffer and intersect the coverage"
-// would answer, since both walk the same cells.
+// TestSegmentTouchesMatchesDraw: the fragment test must answer exactly
+// what "draw the segment into the other plane and AND the two planes"
+// answers, since both walk the same cells.
 func TestSegmentTouchesMatchesDraw(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	base := NewContext(16, 16)
-	scratch := NewContext(16, 16)
+	c := NewContext(16, 16)
 	for trial := range 600 {
 		width := rng.Float64() * 6
-		base.Clear()
-		scratch.Clear()
+		c.Clear()
 		// Random pre-rendered content.
 		s1 := geom.Seg(
 			geom.Pt(rng.Float64()*16, rng.Float64()*16),
 			geom.Pt(rng.Float64()*16, rng.Float64()*16),
 		)
-		base.SetColor(1)
-		base.DrawSegmentWidth(s1, width)
+		c.DrawSegmentWidth(&c.A, s1, width)
 
 		s2 := geom.Seg(
 			geom.Pt(rng.Float64()*16, rng.Float64()*16),
 			geom.Pt(rng.Float64()*16, rng.Float64()*16),
 		)
-		got := base.SegmentTouches(s2, width)
+		got := c.SegmentTouches(&c.A, s2, width)
 
-		// Oracle: render s2 elsewhere and compare the coverage sets.
-		scratch.SetColor(1)
-		scratch.DrawSegmentWidth(s2, width)
-		want := false
-		for i, v := range scratch.Color().Pix {
-			if v != 0 && base.Color().Pix[i] != 0 {
-				want = true
-				break
-			}
-		}
-		if got != want {
-			t.Fatalf("trial %d: SegmentTouches = %v, coverage overlap = %v (s1=%v s2=%v w=%v)",
+		// Oracle: render s2 into the other plane and compare the planes.
+		c.DrawSegmentWidth(&c.B, s2, width)
+		if want := c.A.Overlaps(&c.B); got != want {
+			t.Fatalf("trial %d: SegmentTouches = %v, plane overlap = %v (s1=%v s2=%v w=%v)",
 				trial, got, want, s1, s2, width)
 		}
 	}
@@ -51,86 +40,64 @@ func TestSegmentTouchesMatchesDraw(t *testing.T) {
 
 func TestSegmentTouchesUsesContextWidth(t *testing.T) {
 	c := NewContext(8, 8)
-	c.SetColor(1)
-	c.DrawSegment(geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)))
+	c.DrawSegment(&c.A, geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)))
 	if err := c.SetLineWidth(4); err != nil {
 		t.Fatal(err)
 	}
 	// widthPx 0 must fall back to the context's width-4 line: a segment two
 	// cells away now touches.
-	if !c.SegmentTouches(geom.Seg(geom.Pt(0, 6.4), geom.Pt(8, 6.4)), 0) {
+	if !c.SegmentTouches(&c.A, geom.Seg(geom.Pt(0, 6.4), geom.Pt(8, 6.4)), 0) {
 		t.Error("context width not honored")
 	}
 }
 
 func TestSegmentTouchesOffscreen(t *testing.T) {
 	c := NewContext(8, 8)
-	c.SetColor(1)
-	c.DrawSegment(geom.Seg(geom.Pt(0, 0), geom.Pt(8, 8)))
-	if c.SegmentTouches(geom.Seg(geom.Pt(100, 100), geom.Pt(200, 200)), 1) {
+	c.DrawSegment(&c.A, geom.Seg(geom.Pt(0, 0), geom.Pt(8, 8)))
+	if c.SegmentTouches(&c.A, geom.Seg(geom.Pt(100, 100), geom.Pt(200, 200)), 1) {
 		t.Error("offscreen segment reported touching")
 	}
 }
 
-func TestSetColorBitsOR(t *testing.T) {
-	c := NewContext(8, 8)
-	c.SetColorBits(1)
-	c.DrawSegment(geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)))
-	c.SetColorBits(2)
-	c.DrawSegment(geom.Seg(geom.Pt(4, 0), geom.Pt(4, 8)))
-	c.SetColorBits(0)
-	_, maxV := c.MinMax()
-	if maxV != 3 {
-		t.Errorf("crossing OR-rendered segments: max = %v, want 3", maxV)
-	}
-	// Disjoint bits stay separate.
-	counts := map[float32]int{}
-	for _, v := range c.Color().Pix {
-		counts[v]++
-	}
-	if counts[1] == 0 || counts[2] == 0 || counts[3] == 0 {
-		t.Errorf("expected all three bit values present: %v", counts)
-	}
-	// Back to replace mode.
-	c.SetColor(0.25)
-	c.DrawSegment(geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)))
-	found := false
-	for _, v := range c.Color().Pix {
-		if v == 0.25 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("SetColorBits(0) did not restore replace mode")
-	}
-}
-
+// TestDrawEdgesAndPolygonEdges also pins the fault hook's contract: it
+// fires once per rasterized primitive, whether the primitive is stored
+// into a plane or tested against one.
 func TestDrawEdgesAndPolygonEdges(t *testing.T) {
 	c := NewContext(8, 8)
-	c.SetColor(1)
-	square := geom.MustPolygon(geom.Pt(1, 1), geom.Pt(7, 1), geom.Pt(7, 7), geom.Pt(1, 7))
-	c.DrawPolygonEdges(square)
-	if c.SegmentsDrawn != 4 {
-		t.Errorf("SegmentsDrawn = %d, want 4", c.SegmentsDrawn)
+	calls := 0
+	c.Hook = func(site string) {
+		if site != "raster.draw" {
+			t.Errorf("hook site %q", site)
+		}
+		calls++
 	}
-	boundary := coveredCells(c.Color())
-	if len(boundary) == 0 {
+	square := geom.MustPolygon(geom.Pt(1, 1), geom.Pt(7, 1), geom.Pt(7, 7), geom.Pt(1, 7))
+	c.DrawPolygonEdges(&c.A, square)
+	if calls != 4 {
+		t.Errorf("hook fired %d times for 4 edges", calls)
+	}
+	if c.A.Count() == 0 {
 		t.Fatal("no coverage")
 	}
 	// Interior cell untouched by edges.
-	if c.Color().At(4, 4) != 0 {
+	if c.A.At(4, 4) {
 		t.Error("edge rendering filled the interior")
 	}
 
 	c.Clear()
-	c.ResetCounters()
+	calls = 0
 	segs := []geom.Segment{
 		geom.Seg(geom.Pt(0, 0), geom.Pt(8, 8)),
 		geom.Seg(geom.Pt(0, 8), geom.Pt(8, 0)),
 	}
-	c.DrawEdges(segs)
-	if c.SegmentsDrawn != 2 {
-		t.Errorf("SegmentsDrawn = %d, want 2", c.SegmentsDrawn)
+	c.DrawEdges(&c.A, segs)
+	// Three tested after two drawn, one of them off the window and one
+	// that stops at its first shared cell: n + m calls all the same.
+	c.SegmentTouches(&c.A, geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)), 0)
+	c.SegmentTouches(&c.A, geom.Seg(geom.Pt(100, 100), geom.Pt(200, 200)), 1)
+	c.SegmentTouches(&c.A, geom.Seg(geom.Pt(7, 0), geom.Pt(7.5, 0.5)), 0)
+	if calls != 2+3 {
+		t.Errorf("hook fired %d times for 2 drawn + 3 tested segments", calls)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package raster is the simulated graphics hardware: a deterministic
 // software implementation of the OpenGL 1.x rendering behaviour that the
-// paper's hardware-assisted algorithms rely on. It provides a framebuffer
-// with a color buffer and an accumulation buffer, a data-space-to-window
-// viewport transform, conservative anti-aliased line rasterization,
-// widened lines with round end caps for distance tests, center-sample
-// polygon fill, and the MinMax buffer query.
+// paper's hardware-assisted algorithms rely on. It provides a window of
+// two bit planes, a data-space-to-window viewport transform, conservative
+// anti-aliased line rasterization with widened lines and round end caps
+// for distance tests, and the overlap search between the two planes.
 //
 // # Substitution note
 //
@@ -21,22 +20,29 @@
 //     renderings reach full intensity exactly on overlapping pixels;
 //   - the Minmax query inspects the buffer without an expensive readback.
 //
-// This package implements those properties exactly, with one documented
-// deviation: wide lines are rendered as capsules (round caps) rather than
+// The first two are implemented exactly, with one documented deviation:
+// wide lines are rendered as capsules (round caps) rather than
 // flat-capped rectangles plus separate widened endpoints. The capsule is
 // the union of the paper's rectangle and its endpoint squares' inscribed
 // disks, is still a superset of the segment, and directly realizes the
 // "boundary expanded by D/2" geometry the distance test needs, so every
 // conservativeness guarantee carries over.
 //
-// Colors are grayscale float32 intensities; the paper's algorithms only
-// ever use gray levels (0.5 per layer, 1.0 = overlap), so the R=G=B
-// channels of the real hardware collapse to one channel here.
+// The last two are one word operation here. Algorithm 3.1 renders each
+// boundary at half intensity, adds the two images and asks Minmax whether
+// any pixel reached full intensity; since a rendered pixel holds either
+// zero or the line color, "full intensity" is exactly "covered in both
+// renderings". A rendering is therefore one bit per pixel (a Plane), and
+// the accumulate-then-Minmax search is the AND of two planes being
+// nonzero — the same verdict on every input, with no intensities, no
+// buffer copies and no readback to simulate. The window is at most
+// MaxResolution pixels a side, so a row of pixels is one machine word.
 package raster
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 )
@@ -47,188 +53,87 @@ import (
 // query distances (paper §4.4); we reproduce the same limit.
 const MaxLineWidth = 10.0
 
-// Buffer is a W×H grayscale pixel buffer. Pixel (x, y) is Pix[y*W+x];
-// following the OpenGL convention, a pixel at integer coordinates (x, y)
-// owns the unit square [x, x+1]×[y, y+1] and its center is at
-// (x+0.5, y+0.5).
-//
-// A Buffer tracks the dirty region — the bounding rectangle of pixels
-// written since the last Clear — so that Clear only has to zero what was
-// actually touched. The paper's protocol clears the window before every
-// pair test, but a test's edges typically cover a fraction of it; the
-// dirty-region clear turns the per-test clear cost from O(window area)
-// into O(pixels drawn). Writers that bypass Set (the package's own draw
-// loops) maintain the region via MarkDirty; the invariant is that every
-// nonzero pixel lies inside the dirty rectangle.
-type Buffer struct {
-	W, H int
-	Pix  []float32
+// MaxResolution is the largest window width and height, in pixels: a
+// plane keeps one row per uint64. The paper sweeps windows of 1 to 32
+// pixels a side and settles on 8.
+const MaxResolution = 64
 
-	// Dirty region, inclusive pixel bounds; empty when dx1 < dx0.
-	dx0, dy0, dx1, dy1 int
+// Plane is one rendering of the window, one bit per pixel: bit x of
+// element y is pixel (x, y). Following the OpenGL convention, a pixel at
+// integer coordinates (x, y) owns the unit square [x, x+1]×[y, y+1] and
+// its center is at (x+0.5, y+0.5).
+type Plane [MaxResolution]uint64
+
+// At reports whether pixel (x, y) is covered.
+func (p *Plane) At(x, y int) bool { return p[y]>>uint(x)&1 != 0 }
+
+// Count returns the number of covered pixels.
+func (p *Plane) Count() int {
+	n := 0
+	for _, row := range p {
+		n += bits.OnesCount64(row)
+	}
+	return n
 }
 
-// NewBuffer allocates a zeroed W×H buffer.
-func NewBuffer(w, h int) *Buffer {
-	b := &Buffer{W: w, H: h, Pix: make([]float32, w*h)}
-	b.resetDirty()
-	return b
-}
-
-func (b *Buffer) resetDirty() {
-	b.dx0, b.dy0, b.dx1, b.dy1 = b.W, b.H, -1, -1
-}
-
-// MarkDirty grows the dirty region to include the inclusive pixel
-// rectangle [x0, x1]×[y0, y1], clamped to the buffer. Callers that write
-// Pix directly must cover their writes with a MarkDirty call or the next
-// Clear may miss them.
-func (b *Buffer) MarkDirty(x0, y0, x1, y1 int) {
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= b.W {
-		x1 = b.W - 1
-	}
-	if y1 >= b.H {
-		y1 = b.H - 1
-	}
-	if x1 < x0 || y1 < y0 {
-		return
-	}
-	if x0 < b.dx0 {
-		b.dx0 = x0
-	}
-	if y0 < b.dy0 {
-		b.dy0 = y0
-	}
-	if x1 > b.dx1 {
-		b.dx1 = x1
-	}
-	if y1 > b.dy1 {
-		b.dy1 = y1
-	}
-}
-
-// MarkAllDirty marks the whole buffer dirty.
-func (b *Buffer) MarkAllDirty() { b.MarkDirty(0, 0, b.W-1, b.H-1) }
-
-// Clear sets every pixel to zero. Only the dirty region is actually
-// written; pixels outside it are already zero by the dirty-region
-// invariant.
-func (b *Buffer) Clear() { b.clearDirty() }
-
-// clearDirty zeroes the dirty region, resets it, and returns the number
-// of pixels zeroed (the savings relative to a full clear are
-// len(Pix) - zeroed).
-func (b *Buffer) clearDirty() (zeroed int64) {
-	if b.dx1 < b.dx0 {
-		return 0
-	}
-	if b.dx0 == 0 && b.dx1 == b.W-1 {
-		// Full-width rows: one contiguous span.
-		clear(b.Pix[b.dy0*b.W : (b.dy1+1)*b.W])
-	} else {
-		for y := b.dy0; y <= b.dy1; y++ {
-			row := y * b.W
-			clear(b.Pix[row+b.dx0 : row+b.dx1+1])
+// Overlaps reports whether some pixel is covered in both p and q: the
+// buffer search of Algorithm 3.1 (see the package's substitution note).
+func (p *Plane) Overlaps(q *Plane) bool {
+	for y, row := range p {
+		if row&q[y] != 0 {
+			return true
 		}
 	}
-	zeroed = int64(b.dx1-b.dx0+1) * int64(b.dy1-b.dy0+1)
-	b.resetDirty()
-	return zeroed
-}
-
-// At returns the value of pixel (x, y).
-func (b *Buffer) At(x, y int) float32 { return b.Pix[y*b.W+x] }
-
-// Set writes pixel (x, y).
-func (b *Buffer) Set(x, y int, v float32) {
-	b.Pix[y*b.W+x] = v
-	b.MarkDirty(x, y, x, y)
+	return false
 }
 
 // Context is a rendering context: the simulated graphics card's state
-// (current color, line width, viewport projection) plus its color and
-// accumulation buffers. A Context is reusable across many renders; Clear
-// and SetViewport reset it between tests without reallocating, which
-// mirrors how the paper's implementation reuses one small rendering
-// window for millions of pair tests.
+// (line width, viewport projection) plus its two planes, one per polygon
+// boundary of a pair test. Draw calls name the plane they render into. A
+// Context is reusable across many renders; Clear and SetViewport reset it
+// between tests without reallocating, which mirrors how the paper's
+// implementation reuses one small rendering window for millions of pair
+// tests.
 //
 // Context is not safe for concurrent use; give each worker its own, as one
 // would with a GL context.
 type Context struct {
-	color *Buffer
-	accum *Buffer
+	A, B Plane
+
+	w, h int
 
 	// Viewport transform: window = (data - offset) * scale, per axis.
 	sx, sy, ox, oy float64
 
-	drawColor float32
-	orBits    float32 // nonzero: OR this bit pattern instead of replacing
 	lineWidth float64 // total width in pixels; 0 means exact segment coverage
 
-	// Counters for the evaluation harness.
-	PixelsWritten int64 // cells colored by draw calls
-	SegmentsDrawn int64
-	// DirtyClearPixelsSaved counts pixels the dirty-region Clear did not
-	// have to zero (window area minus the dirty region, summed over
-	// clears) — the work the tracking saved versus full clears.
-	DirtyClearPixelsSaved int64
-
 	// Hook, when non-nil, is called with a site name ("raster.draw") once
-	// per rasterized primitive, before any buffer is touched. It exists
-	// for fault injection (internal/faultinject installs it via
-	// core.Config.Faults) and may panic or stall; the render path makes no
-	// attempt to recover — isolation is the caller's job.
+	// per rasterized primitive — stored or tested against a plane — before
+	// any plane is touched. It exists for fault injection
+	// (internal/faultinject installs it via core.Config.Faults) and may
+	// panic or stall; the render path makes no attempt to recover —
+	// isolation is the caller's job.
 	Hook func(site string)
 }
 
-// NewContext creates a context with a w×h window, a unit viewport, color
-// 1.0 and the default anti-aliased line width √2 (the pixel diagonal, as
-// in paper §2.2.2).
+// NewContext creates a context with a w×h window, a unit viewport and the
+// default anti-aliased line width √2 (the pixel diagonal, as in paper
+// §2.2.2). It panics when w or h is outside 1..MaxResolution; callers
+// taking a resolution from outside the program validate it first.
 func NewContext(w, h int) *Context {
-	c := &Context{
-		color:     NewBuffer(w, h),
-		accum:     NewBuffer(w, h),
-		drawColor: 1,
-		lineWidth: math.Sqrt2,
+	if w < 1 || h < 1 || w > MaxResolution || h > MaxResolution {
+		panic(fmt.Sprintf("raster: window %dx%d outside 1..%d", w, h, MaxResolution))
 	}
+	c := &Context{w: w, h: h, lineWidth: math.Sqrt2}
 	c.SetViewport(geom.R(0, 0, float64(w), float64(h)))
 	return c
 }
 
 // Width returns the window width in pixels.
-func (c *Context) Width() int { return c.color.W }
+func (c *Context) Width() int { return c.w }
 
 // Height returns the window height in pixels.
-func (c *Context) Height() int { return c.color.H }
-
-// Color exposes the color buffer for inspection (tests, demos).
-func (c *Context) Color() *Buffer { return c.color }
-
-// Accum exposes the accumulation buffer for inspection.
-func (c *Context) Accum() *Buffer { return c.accum }
-
-// Resize changes the window resolution, reallocating only when growing.
-func (c *Context) Resize(w, h int) {
-	if n := w * h; n <= cap(c.color.Pix) {
-		c.color.W, c.color.H, c.color.Pix = w, h, c.color.Pix[:n]
-		c.accum.W, c.accum.H, c.accum.Pix = w, h, c.accum.Pix[:n]
-		// The dirty coordinates were tracked under the old geometry
-		// (row stride changed), so a full clear is the only safe reset.
-		c.color.MarkAllDirty()
-		c.accum.MarkAllDirty()
-		c.color.Clear()
-		c.accum.Clear()
-	} else {
-		c.color = NewBuffer(w, h)
-		c.accum = NewBuffer(w, h)
-	}
-}
+func (c *Context) Height() int { return c.h }
 
 // SetViewport maps the data-space rectangle r onto the full window,
 // scaling each axis independently to maximize resolution utilization
@@ -242,8 +147,8 @@ func (c *Context) SetViewport(r geom.Rect) {
 	if h <= 0 {
 		h = math.SmallestNonzeroFloat32
 	}
-	c.sx = float64(c.color.W) / w
-	c.sy = float64(c.color.H) / h
+	c.sx = float64(c.w) / w
+	c.sy = float64(c.h) / h
 	c.ox, c.oy = r.MinX, r.MinY
 }
 
@@ -257,7 +162,7 @@ func (c *Context) SetViewportUniform(r geom.Rect) float64 {
 	if ext <= 0 {
 		ext = math.SmallestNonzeroFloat32
 	}
-	s := float64(min(c.color.W, c.color.H)) / ext
+	s := float64(min(c.w, c.h)) / ext
 	c.sx, c.sy = s, s
 	c.ox, c.oy = r.MinX, r.MinY
 	return s
@@ -270,9 +175,6 @@ func (c *Context) Scale() (sx, sy float64) { return c.sx, c.sy }
 func (c *Context) Project(p geom.Point) geom.Point {
 	return geom.Pt((p.X-c.ox)*c.sx, (p.Y-c.oy)*c.sy)
 }
-
-// SetColor sets the intensity written by subsequent draw calls.
-func (c *Context) SetColor(v float32) { c.drawColor = v }
 
 // SetLineWidth sets the anti-aliased line width in pixels. Width 0 gives
 // exact segment coverage (only cells the segment passes through); the
@@ -293,103 +195,8 @@ func (c *Context) SetLineWidth(px float64) error {
 // LineWidth returns the current line width in pixels.
 func (c *Context) LineWidth() float64 { return c.lineWidth }
 
-// Clear zeroes the color buffer. Only the region written since the last
-// clear is zeroed (see Buffer); the pixels skipped are added to the
-// DirtyClearPixelsSaved counter.
+// Clear zeroes both planes.
 func (c *Context) Clear() {
-	zeroed := c.color.clearDirty()
-	c.DirtyClearPixelsSaved += int64(len(c.color.Pix)) - zeroed
-}
-
-// ClearAccum zeroes the accumulation buffer.
-func (c *Context) ClearAccum() { c.accum.Clear() }
-
-// AccumLoad replaces the accumulation buffer with the color buffer scaled
-// by v (glAccum(GL_LOAD, v)).
-func (c *Context) AccumLoad(v float32) {
-	for i, p := range c.color.Pix {
-		c.accum.Pix[i] = p * v
-	}
-	c.accum.MarkAllDirty()
-}
-
-// AccumAdd adds the color buffer scaled by v into the accumulation buffer
-// (glAccum(GL_ACCUM, v)).
-func (c *Context) AccumAdd(v float32) {
-	for i, p := range c.color.Pix {
-		c.accum.Pix[i] += p * v
-	}
-	c.accum.MarkAllDirty()
-}
-
-// AccumReturn copies the accumulation buffer scaled by v back into the
-// color buffer (glAccum(GL_RETURN, v)).
-func (c *Context) AccumReturn(v float32) {
-	for i, p := range c.accum.Pix {
-		c.color.Pix[i] = p * v
-	}
-	c.color.MarkAllDirty()
-}
-
-// MinMax returns the minimum and maximum values in the color buffer,
-// simulating the hardware Minmax function the paper uses to avoid reading
-// pixels back over the AGP bus (§3.2). Cost is proportional to the window
-// area, which is exactly the per-test overhead term that makes the
-// resolution trade-off curves U-shaped.
-func (c *Context) MinMax() (minV, maxV float32) {
-	if len(c.color.Pix) == 0 {
-		return 0, 0
-	}
-	minV, maxV = c.color.Pix[0], c.color.Pix[0]
-	for _, p := range c.color.Pix[1:] {
-		if p < minV {
-			minV = p
-		}
-		if p > maxV {
-			maxV = p
-		}
-	}
-	return minV, maxV
-}
-
-// MaxAtLeast reports whether any color-buffer pixel reaches threshold,
-// scanning with early exit. This is the ablation variant of MinMax: real
-// hardware returns min and max in bounded time; a CPU can stop at the
-// first hit.
-func (c *Context) MaxAtLeast(threshold float32) bool {
-	for _, p := range c.color.Pix {
-		if p >= threshold {
-			return true
-		}
-	}
-	return false
-}
-
-// AccumMaxAtLeast is MaxAtLeast over the accumulation buffer, allowing
-// callers to skip the AccumReturn step when they only need the test.
-func (c *Context) AccumMaxAtLeast(threshold float32) bool {
-	for _, p := range c.accum.Pix {
-		if p >= threshold {
-			return true
-		}
-	}
-	return false
-}
-
-// ResetCounters zeroes the instrumentation counters.
-func (c *Context) ResetCounters() {
-	c.PixelsWritten = 0
-	c.SegmentsDrawn = 0
-	c.DirtyClearPixelsSaved = 0
-}
-
-// SetColorBits switches subsequent draw calls to OR the given bit pattern
-// into the color buffer instead of replacing it, the hardware "logical
-// operation" path (glLogicOp(GL_OR)) that Hoff et al. and the paper's §3
-// list as an implementation alternative to the accumulation buffer. With
-// layer A drawn as bit 1 and layer B as bit 2, a MinMax maximum of 3
-// witnesses an overlapping pixel after a single clear and no accumulation
-// copies. Pass 0 to return to replace mode.
-func (c *Context) SetColorBits(bits uint8) {
-	c.orBits = float32(bits)
+	clear(c.A[:c.h])
+	clear(c.B[:c.h])
 }

@@ -8,6 +8,18 @@ import (
 	"repro/internal/geom"
 )
 
+// starPoly builds a random star-shaped polygon (always simple).
+func starPoly(rng *rand.Rand, cx, cy, rMax float64, n int) *geom.Polygon {
+	step := 2 * math.Pi / float64(n)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		a := float64(i)*step + rng.Float64()*step*0.9
+		r := rMax * (0.2 + 0.8*rng.Float64())
+		pts[i] = geom.Pt(cx+r*math.Cos(a), cy+r*math.Sin(a))
+	}
+	return geom.MustPolygon(pts...)
+}
+
 // boundaryDist is the brute-force minimum distance between the two
 // polygons' boundaries — the ground truth the signature test is judged
 // against.

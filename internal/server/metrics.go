@@ -52,11 +52,10 @@ type Metrics struct {
 	Panics      atomic.Int64
 	Quarantined atomic.Int64
 
-	// Hot-path effectiveness counters (edge index, dirty-region clear, and
-	// the persisted raster-signature filter).
+	// Hot-path effectiveness counters (edge index and the persisted
+	// raster-signature filter).
 	EdgeIndexHits         atomic.Int64
 	EdgeIndexSkippedEdges atomic.Int64
-	DirtyClearPixelsSaved atomic.Int64
 	SigChecks             atomic.Int64
 	SigRejects            atomic.Int64
 
@@ -143,7 +142,6 @@ func (m *Metrics) observe(st query.Stats, status Status, dur time.Duration) {
 	m.Quarantined.Add(st.Quarantined)
 	m.EdgeIndexHits.Add(st.EdgeIndexHits)
 	m.EdgeIndexSkippedEdges.Add(st.EdgeIndexSkippedEdges)
-	m.DirtyClearPixelsSaved.Add(st.DirtyClearPixelsSaved)
 	m.SigChecks.Add(st.SigChecks)
 	m.SigRejects.Add(st.SigRejects)
 	m.IntervalChecks.Add(st.IntervalChecks)
@@ -222,7 +220,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges Gauges) {
 	g("spatiald_refine_quarantined_total", m.Quarantined.Load())
 	g("spatiald_refine_edge_index_hits_total", m.EdgeIndexHits.Load())
 	g("spatiald_refine_edge_index_skipped_edges_total", m.EdgeIndexSkippedEdges.Load())
-	g("spatiald_refine_dirty_clear_pixels_saved_total", m.DirtyClearPixelsSaved.Load())
 	g("spatiald_refine_sig_checks_total", m.SigChecks.Load())
 	g("spatiald_refine_sig_rejects_total", m.SigRejects.Load())
 	g("spatiald_refine_interval_checks_total", m.IntervalChecks.Load())

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, race-enabled tests (the bench/
 # module included), and a short fuzz smoke pass over the input parsers,
-# the wire row parser and the distance kernel. Run from the repo root.
+# the wire row parser, the distance kernel and the rasterizer's cell walk.
+# Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -26,7 +27,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|ContainsPoint' -benchtime 1x ./internal/dist/ ./internal/geom/
+go test -run '^$' -bench 'BoundaryWithin|ContainsPoint|DrawSegment|HWTestCycle' -benchtime 1x ./internal/dist/ ./internal/geom/ ./internal/raster/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -387,6 +388,7 @@ go test ./internal/store/ -fuzz FuzzSnapshotOpen -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
 go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
+go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
 
 echo "== all checks passed"
