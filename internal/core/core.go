@@ -55,10 +55,10 @@ const (
 	DefaultSentinelEvery = 64
 
 	// DefaultBatchSize is the join executor's candidate-pair batch size
-	// (query.JoinOptions.BatchSize). Large enough that the per-batch queue
-	// handoff amortizes to noise, small enough that the first refined batch
-	// — the client's time-to-first-row — arrives after a fraction of a
-	// percent of the join.
+	// (query.JoinOptions.BatchSize). Large enough that a batch's trip
+	// through the work and emit queues amortizes to noise, small enough that
+	// the first refined batch — the client's time-to-first-row — arrives
+	// after a fraction of a percent of the join.
 	DefaultBatchSize = 256
 )
 
@@ -156,9 +156,9 @@ type Stats struct {
 	// Pipeline accounting, filled by the join executor (internal/query)
 	// rather than by the tester itself: batches that crossed the stages,
 	// time the filter and refine stages spent on them (summed over the
-	// workers), the deepest queue backlog observed (a bounded gauge — Add
-	// keeps the max, not the sum), and result rows handed to a streaming
-	// sink.
+	// workers), the deepest backlog seen on the executor's work or emit
+	// queue (a bounded gauge — Add keeps the max, not the sum), and result
+	// rows handed to a streaming sink.
 	PipelineBatches    int64
 	PipelineFilterNS   int64
 	PipelineRefineNS   int64
@@ -328,11 +328,11 @@ func (t *Tester) IntersectsCtx(p, q *geom.Polygon, pc PairContext) bool {
 // MBR pre-test, point-in-polygon containment, persisted-signature
 // disjointness — and reports whether the pair is resolved or must go to
 // RefineIntersects. It is the pipeline's filter stage: dense, branch-light
-// work that touches no rendering context, so filter workers stay hot while
-// refine workers own the expensive edge tests. Exactly one Refine call per
-// Undecided verdict keeps the Stats resolution partition (Tests == sum of
-// the resolution counters) intact even when filter and refine run on
-// different testers and the stats are summed afterwards.
+// work that touches no rendering context, run over a whole batch before
+// RefineIntersects takes on the expensive edge tests. Exactly one Refine
+// call per Undecided verdict keeps the Stats resolution partition (Tests
+// == sum of the resolution counters) intact even when a panicked pair is
+// retried on another tester and the stats are summed afterwards.
 func (t *Tester) FilterIntersects(p, q *geom.Polygon, pc PairContext) Verdict {
 	// The fault hook runs before any counter moves, so an injected panic
 	// leaves the Stats partition (Tests == sum of resolution paths) intact.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -21,19 +22,22 @@ import (
 // filter stage runs dense and branch-light over whole batches, modeled on
 // 3DPipe's pipelined join framework), and the emit stage delivers refined
 // batches to a streaming sink as they complete — clients measure
-// time-to-first-row instead of time-to-last-row. The same per-batch stage
-// functions run inline on the calling goroutine or on worker pools (see
-// runStages); either way the result — returned and streamed — is in
-// candidate order: with the default locality order, sorted by (A, B).
+// time-to-first-row instead of time-to-last-row. One worker pool does all
+// of it — generates the candidates task by task (generate), then takes
+// each batch through filter and refine (runStages) — and a caller-owned
+// tester, or a pool of one, runs the same functions on the calling
+// goroutine. Either way the result — returned and streamed — is in
+// candidate order, which is (A, B) order: candidates are born sorted.
 
 // JoinOptions configure a join: how it executes, what it guards against,
 // which intermediate filters run, and the ablation knobs.
 type JoinOptions struct {
-	// Workers is the number of refinement workers of the tester-less entry
-	// points; 0 means GOMAXPROCS, and the executor clamps it (see
-	// maxWorkersPerCPU). Tester builds each worker's tester — every worker
-	// needs its own (a Tester owns a rendering context, like a per-thread
-	// GL context); nil means hardware-assisted defaults.
+	// Workers is the size of the tester-less entry points' worker pool —
+	// the goroutines that generate the candidates and then filter and
+	// refine them; 0 means GOMAXPROCS, and the executor clamps it (see
+	// poolSize). Tester builds each worker's tester — every worker needs
+	// its own (a Tester owns a rendering context, like a per-thread GL
+	// context); nil means hardware-assisted defaults.
 	Workers int
 	Tester  func() *core.Tester
 	// MaxCandidates, when positive, aborts the join with a *BudgetError
@@ -79,10 +83,23 @@ type JoinOptions struct {
 type DistanceFilterOptions = JoinOptions // for bench/ until a benchmark PR re-points it
 type PipelineOptions = JoinOptions       // for bench/ until a benchmark PR re-points it
 
-// maxWorkersPerCPU bounds the refine pool at this multiple of GOMAXPROCS
-// whatever JoinOptions.Workers asks for: every worker owns a tester with
-// its raster buffer, and the count can arrive straight off the wire.
+// maxWorkersPerCPU bounds the pool at this multiple of GOMAXPROCS whatever
+// JoinOptions.Workers asks for: every worker owns a tester with its
+// raster buffer, and the count can arrive straight off the wire.
 const maxWorkersPerCPU = 4
+
+// poolSize is the worker count before the amount of work bounds it
+// further: one — the calling goroutine — when the caller owns the tester.
+func (o JoinOptions) poolSize(tester *core.Tester) int {
+	if tester != nil {
+		return 1
+	}
+	n := runtime.GOMAXPROCS(0)
+	if o.Workers > 0 {
+		n = min(o.Workers, maxWorkersPerCPU*n)
+	}
+	return n
+}
 
 func (o JoinOptions) newTester() *core.Tester {
 	if o.Tester != nil {
@@ -111,7 +128,7 @@ func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *
 }
 
 // PipelineIntersectionJoinView is the intersection join on the worker
-// pools (opt.Workers, opt.Tester); the returned record carries the stage
+// pool (opt.Workers, opt.Tester); the returned record carries the stage
 // costs and the workers' summed counters.
 func PipelineIntersectionJoinView(ctx context.Context, a, b *View, opt JoinOptions) ([]Pair, Stats, error) {
 	pairs, cost, stats, err := joinViews(ctx, a, b, intersects, nil, opt)
@@ -270,28 +287,106 @@ run:
 }
 
 // joinLayers runs one layer pair through the pipeline of Figure 8: the
-// MBR join via synchronized R-tree traversal (MBR distance lower-bounds
-// object distance, so the distance join loses no pair either), then the
-// candidates through runStages in outer-object order.
+// MBR join (generate), then the candidates through runStages.
 func joinLayers(ctx context.Context, a, b *Layer, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, core.Stats, error) {
 	start := time.Now()
-	col := collector[Pair]{ctx: ctx, op: k.op, budget: opt.MaxCandidates}
-	visit := func(ea, eb rtree.Entry) bool { return col.add(Pair{ea.ID, eb.ID}) }
-	if k.within {
-		rtree.JoinWithin(a.Index, b.Index, k.d, visit)
-	} else {
-		rtree.Join(a.Index, b.Index, visit)
-	}
+	candidates, seen, err := generate(ctx, a, b, k, opt.poolSize(tester), opt.MaxCandidates)
 	mbr := time.Since(start)
-	if col.err != nil {
-		return nil, Cost{MBRFilter: mbr, Candidates: len(col.items)}, core.Stats{}, col.err
+	if err != nil {
+		return nil, Cost{MBRFilter: mbr, Candidates: seen}, core.Stats{}, err
 	}
 
 	start = time.Now()
-	sortPairsByOuter(col.items)
 	p := k.bind(a, b, opt)
-	return runStages(ctx, col.items, p, tester, opt, Cost{MBRFilter: mbr, Candidates: len(col.items),
+	return runStages(ctx, candidates, p, tester, opt, Cost{MBRFilter: mbr, Candidates: seen,
 		IntermediateFilter: p.preSetup, GeometryComparison: time.Since(start) - p.preSetup})
+}
+
+// A generation task is a contiguous run of outer object ids, sized to give
+// every worker genTasksPerWorker of them to balance skewed probe costs
+// with, inside bounds that keep a claim rare against the probes it buys
+// and the next cancellation check a few milliseconds away at most.
+const (
+	genTasksPerWorker = 8
+	genMinRun         = 16
+	genMaxRun         = 1024
+)
+
+// generate is the MBR join as an index-nested-loop: every object of a, in
+// id order, probes b's R-tree with its MBR (MBR distance lower-bounds
+// object distance, so the distance join loses no pair either). The pool —
+// the calling goroutine and workers-1 more — claims tasks from an atomic
+// counter; a task orders each of its objects' mates by inner id and writes
+// its own slot, so the slots' concatenation is the candidate list in
+// (A, B) order with no sort over the list: an outer polygon's pairs are
+// consecutive, its vertices and edge index cache-hot across its run.
+//
+// It returns the list and the number of candidates seen. A budget
+// overflow is a *BudgetError, a context that ended before the last task a
+// *PartialError with nothing done; either way no tester has run.
+func generate(ctx context.Context, a, b *Layer, k joinKind, workers, budget int) ([]Pair, int, error) {
+	n := len(a.Data.Objects)
+	run := min(max(n/(genTasksPerWorker*workers), genMinRun), genMaxRun)
+	slots := make([][]Pair, (n+run-1)/run)
+	var (
+		next, seen   atomic.Int64
+		over, ctxEnd atomic.Bool
+	)
+	claim := func() {
+		var out []Pair
+		var outer int
+		visit := func(e rtree.Entry) bool {
+			out = append(out, Pair{outer, e.ID})
+			return true
+		}
+		for !over.Load() {
+			t := int(next.Add(1)) - 1
+			if t >= len(slots) {
+				return
+			}
+			if ctx.Err() != nil {
+				ctxEnd.Store(true)
+				return
+			}
+			out = nil
+			for outer = t * run; outer < min((t+1)*run, n) && !over.Load(); outer++ {
+				from := len(out)
+				if r := a.Data.Objects[outer].Bounds(); k.within {
+					b.Index.SearchWithin(r, k.d, visit)
+				} else {
+					b.Index.Search(r, visit)
+				}
+				sortPairsByOuter(out[from:]) // one outer id: by inner id
+				if total := seen.Add(int64(len(out) - from)); budget > 0 && total > int64(budget) {
+					over.Store(true)
+				}
+			}
+			slots[t] = out
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, len(slots)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+
+	total := int(seen.Load())
+	switch {
+	case over.Load():
+		return nil, budget, &BudgetError{Op: k.op, Candidates: budget + 1, Budget: budget}
+	case ctxEnd.Load():
+		return nil, total, &PartialError{Op: k.op, Done: 0, Total: total, Err: ctxCause(ctx)}
+	}
+	candidates := make([]Pair, 0, total)
+	for _, s := range slots {
+		candidates = append(candidates, s...)
+	}
+	return candidates, total, nil
 }
 
 // pipeBatch is one candidate batch traveling through the stages.
@@ -499,21 +594,24 @@ func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Cos
 //
 // Inline: a caller-owned tester, or one effective worker, runs filter,
 // refine and emit batch after batch on the calling goroutine — no
-// goroutines, no channels. Pooled: a generator goroutine feeds a bounded
-// filter queue; filter workers pass batches to a bounded refine queue;
-// refine workers decide the undecided pairs; the emit stage — the calling
-// goroutine — restores sequence order and hands each completed batch to
-// the sink. Bounded queues give backpressure end to end: a slow sink (a
-// congested client connection) stalls emit, which stalls refine, which
-// stalls filter and generation, so in-flight memory stays proportional to
-// workers × batch size, never to the result set.
+// goroutines, no channels. Pooled: a feeder goroutine cuts the batches
+// into a bounded work queue; each worker owns one tester, takes the next
+// batch, filters it, refines what that left undecided while the batch's
+// polygons are still in its core's cache, and queues it for the emit
+// stage — the calling goroutine — which restores sequence order and hands
+// each completed batch to the sink. With no per-stage pools no worker
+// idles while a batch waits, whichever stage is the slow one. Bounded
+// queues give backpressure end to end: a slow sink (a congested client
+// connection) stalls emit, which stalls the workers, which stall the
+// feeder, so in-flight memory stays proportional to workers × batch size,
+// never to the result set.
 //
 // Failure semantics are the same on both paths: a panicking stage
 // function goes through retry; ctx is checked per pair and an interrupted
 // batch is dropped whole, so a partial result is made of complete
-// batches; the pooled stages wind down through channel closes — no
-// goroutine outlives the call. A sink error stops the run and surfaces as
-// the *PartialError cause.
+// batches; the pool winds down through channel closes — no goroutine
+// outlives the call. A sink error stops the run and surfaces as the
+// *PartialError cause.
 func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core.Tester, opt JoinOptions, spent Cost) ([]Pair, Cost, core.Stats, error) {
 	batch := opt.BatchSize
 	if batch <= 0 {
@@ -529,12 +627,8 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 	}
 	e := emitter{sink: opt.Sink, cost: spent}
 
-	refineWorkers := runtime.GOMAXPROCS(0)
-	if opt.Workers > 0 {
-		refineWorkers = min(opt.Workers, maxWorkersPerCPU*refineWorkers)
-	}
-	refineWorkers = min(refineWorkers, (len(candidates)+batch-1)/batch)
-	if tester != nil || refineWorkers <= 1 {
+	workers := min(opt.poolSize(tester), (len(candidates)+batch-1)/batch)
+	if workers <= 1 {
 		w := &stageWorker{t: tester, own: tester == nil}
 		if w.own {
 			w.t = opt.newTester()
@@ -550,15 +644,15 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 		w.fold(&e.stats)
 		return e.finish(ctx, p.op, len(candidates))
 	}
-	filterWorkers := (refineWorkers + 1) / 2
 
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	filterCh := make(chan *pipeBatch, filterWorkers)
-	refineCh := make(chan *pipeBatch, refineWorkers)
-	emitCh := make(chan *pipeBatch, refineWorkers)
-	// workerStats gathers what the stage goroutines report, under mu: each
+	// One slot per worker on either side of the pool: a batch is always
+	// waiting for a free worker, and a finished one never waits for emit.
+	workCh := make(chan *pipeBatch, workers)
+	emitCh := make(chan *pipeBatch, workers)
+	// workerStats gathers what the pool's goroutines report, under mu: each
 	// worker's counters when it exits, and the deepest queue backlog seen.
 	var mu sync.Mutex
 	var workerStats core.Stats
@@ -568,52 +662,42 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 		mu.Unlock()
 	}
 
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := &stageWorker{t: opt.newTester(), own: true}
+			for b := range workCh {
+				if pctx.Err() != nil || !w.filterBatch(pctx, &p, b) || !w.refineBatch(pctx, &p, b) {
+					continue
+				}
+				select {
+				case emitCh <- b:
+					sent(emitCh)
+				case <-pctx.Done():
+				}
+			}
+			mu.Lock()
+			w.fold(&workerStats)
+			mu.Unlock()
+		}()
+	}
+	// The feeder; it also closes the emit queue behind the last worker.
 	go func() {
-		defer close(filterCh)
-		for seq, lo := 0, 0; lo < len(candidates); seq++ {
+		for seq, lo := 0, 0; lo < len(candidates) && pctx.Err() == nil; seq++ {
 			b := &pipeBatch{seq: seq, pairs: candidates[lo:cut(lo)]}
 			select {
-			case filterCh <- b:
-				sent(filterCh)
+			case workCh <- b:
+				sent(workCh)
 			case <-pctx.Done():
-				return
 			}
 			lo += len(b.pairs)
 		}
+		close(workCh)
+		wg.Wait()
+		close(emitCh)
 	}()
-
-	// stage starts n workers that move batches from in to out through
-	// step, and closes out when the last one is done. After cancellation
-	// the workers keep draining in, so no sender upstream ever blocks.
-	stage := func(n int, in <-chan *pipeBatch, out chan<- *pipeBatch, step func(*stageWorker, *pipeBatch) bool) {
-		var wg sync.WaitGroup
-		for range n {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := &stageWorker{t: opt.newTester(), own: true}
-				for b := range in {
-					if pctx.Err() != nil || !step(w, b) {
-						continue
-					}
-					select {
-					case out <- b:
-						sent(out)
-					case <-pctx.Done():
-					}
-				}
-				mu.Lock()
-				w.fold(&workerStats)
-				mu.Unlock()
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(out)
-		}()
-	}
-	stage(filterWorkers, filterCh, refineCh, func(w *stageWorker, b *pipeBatch) bool { return w.filterBatch(pctx, &p, b) })
-	stage(refineWorkers, refineCh, emitCh, func(w *stageWorker, b *pipeBatch) bool { return w.refineBatch(pctx, &p, b) })
 
 	// Emit, on the calling goroutine. Batches are re-sequenced so the
 	// stream (and the returned slice) follow candidate order; on wind-down

@@ -55,9 +55,9 @@ func pooledJoin(a, b *Layer, opt JoinOptions) ([]Pair, core.Stats, error) {
 	return pairs, stats, err
 }
 
-// TestParallelCustomTester: the factory runs once per stage worker (so
-// its counter must be atomic) — 3 refine workers and their 2 filter
-// workers.
+// TestParallelCustomTester: the factory runs once per pool worker (so its
+// counter must be atomic), and only for the stages — generation builds no
+// tester.
 func TestParallelCustomTester(t *testing.T) {
 	var made atomic.Int32
 	opt := JoinOptions{
@@ -71,8 +71,8 @@ func TestParallelCustomTester(t *testing.T) {
 	if _, _, err := PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), opt); err != nil {
 		t.Fatal(err)
 	}
-	if n := made.Load(); n != 5 {
-		t.Errorf("tester factory called %d times, want 5", n)
+	if n := made.Load(); n != 3 {
+		t.Errorf("tester factory called %d times, want 3, one per worker", n)
 	}
 }
 
@@ -93,8 +93,7 @@ func TestWorkerCountClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refine := maxWorkersPerCPU * runtime.GOMAXPROCS(0)
-	if n, bound := int(made.Load()), refine+(refine+1)/2; n > bound {
+	if n, bound := int(made.Load()), maxWorkersPerCPU*runtime.GOMAXPROCS(0); n > bound {
 		t.Errorf("Workers 1<<20 built %d testers, bound %d", n, bound)
 	}
 	samePairs(t, "clamped", got, sortedPairs(softwareOracle(t)))

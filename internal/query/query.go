@@ -9,7 +9,7 @@
 // Joins have one driver, the staged batch executor in pipeline.go:
 // intersects and within-distance are two predicates over it, the
 // tester-taking entry points run it inline on the caller's goroutine and
-// the tester-less ones on worker pools, and views with a live delta are
+// the tester-less ones on a worker pool, and views with a live delta are
 // composed over it per component pair. Selections keep their own loop —
 // over tens of candidates a batch hand-off costs more than the work.
 //
@@ -445,33 +445,6 @@ type SelectionOptions struct {
 	Sink func(ids []int) error
 }
 
-// collectBudget gathers MBR-filter output while enforcing a candidate
-// budget and periodic context checks inside the index traversal. The
-// returned visit wrapper is handed to the index; after traversal the
-// caller consults err.
-type collector[T any] struct {
-	ctx    context.Context
-	op     string
-	budget int
-	items  []T
-	err    error
-	visits int
-}
-
-func (c *collector[T]) add(item T) bool {
-	c.visits++
-	if c.visits&1023 == 0 && c.ctx.Err() != nil {
-		c.err = &PartialError{Op: c.op, Done: 0, Total: len(c.items), Err: ctxCause(c.ctx)}
-		return false
-	}
-	if c.budget > 0 && len(c.items) >= c.budget {
-		c.err = &BudgetError{Op: c.op, Candidates: len(c.items) + 1, Budget: c.budget}
-		return false
-	}
-	c.items = append(c.items, item)
-	return true
-}
-
 // IntersectionSelect returns the IDs of the layer's objects whose regions
 // intersect the query polygon, processed through the three-stage pipeline.
 // The tester decides software vs hardware-assisted refinement. A
@@ -480,17 +453,28 @@ func (c *collector[T]) add(item T) bool {
 func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
 	var cost Cost
 
-	// Stage 1: MBR filtering.
+	// Stage 1: MBR filtering, under the candidate budget and a context
+	// check every 1024 index visits.
 	start := time.Now()
-	col := collector[int]{ctx: ctx, op: "select", budget: opt.MaxCandidates}
+	var candidates []int
+	var stopped error
+	visits := 0
 	layer.Index.Search(query.Bounds(), func(e rtree.Entry) bool {
-		return col.add(e.ID)
+		visits++
+		switch {
+		case visits&1023 == 0 && ctx.Err() != nil:
+			stopped = &PartialError{Op: "select", Done: 0, Total: len(candidates), Err: ctxCause(ctx)}
+		case opt.MaxCandidates > 0 && len(candidates) >= opt.MaxCandidates:
+			stopped = &BudgetError{Op: "select", Candidates: len(candidates) + 1, Budget: opt.MaxCandidates}
+		default:
+			candidates = append(candidates, e.ID)
+		}
+		return stopped == nil
 	})
-	candidates := col.items
 	cost.MBRFilter = time.Since(start)
 	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
+	if stopped != nil {
+		return nil, cost, stopped
 	}
 
 	var results []int
@@ -589,86 +573,16 @@ func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, 
 	return results, cost, nil
 }
 
-// WithinDistanceSelect returns the IDs of the layer's objects whose
-// regions lie within distance d of the query polygon — the buffer query
-// restricted to one query object. The pipeline mirrors the join: MBR
-// distance filtering via the index, the 0-Object/1-Object upper-bound
-// filters, then geometry comparison (of opt it reads those two, the
-// budget, NoBreaker and NoSignatures). Cancellation and budget semantics
-// match IntersectionSelect.
-func WithinDistanceSelect(ctx context.Context, layer *Layer, query *geom.Polygon, d float64, tester *core.Tester, opt JoinOptions) ([]int, Cost, error) {
-	var cost Cost
-
-	start := time.Now()
-	col := collector[int]{ctx: ctx, op: "within-select", budget: opt.MaxCandidates}
-	layer.Index.SearchWithin(query.Bounds(), d, func(e rtree.Entry) bool {
-		return col.add(e.ID)
-	})
-	candidates := col.items
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if col.err != nil {
-		return nil, cost, col.err
-	}
-
-	var results []int
-	remaining := candidates
-	if opt.Use0Object || opt.Use1Object {
-		start = time.Now()
-		remaining = remaining[:0]
-		for _, id := range candidates {
-			obj := layer.Data.Objects[id]
-			if opt.Use0Object && filter.UpperBound0(query.Bounds(), obj.Bounds()) <= d {
-				results = append(results, id)
-				continue
-			}
-			if opt.Use1Object && filter.UpperBound1Within(query, obj.Bounds(), d) {
-				results = append(results, id)
-				continue
-			}
-			remaining = append(remaining, id)
-		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterHits = len(results)
-	}
-
-	start = time.Now()
-	qIdx := edgeindex.New(query)
-	qSig := layer.querySignature(query, opt.NoSignatures)
-	var br *core.Breaker
-	if !opt.NoBreaker {
-		br = layer.Breaker(layer)
-	}
-	for i, id := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "within-select", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		pc := core.PairContext{PIndex: qIdx, QIndex: layer.EdgeIndex(id), Breaker: br, PSig: qSig, QSig: layer.Signature(id)}
-		if tester.WithinDistanceCtx(query, layer.Data.Objects[id], d, pc) {
-			results = append(results, id)
-		}
-	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	return results, cost, nil
-}
-
 // Pair is one join result: indices into the two layers' object slices.
 type Pair struct {
 	A, B int
 }
 
-// sortPairsByOuter orders candidate pairs by (A, B) so refinement visits
-// each outer object's pairs consecutively: the outer polygon's vertices
-// and edge index stay cache-hot across its whole run, and the lazily
-// built per-object indexes are reused immediately after construction.
-//
-// A and B are object-slice indices, far below 2³², so (A, B) order is the
-// order of the packed key A<<32|B and one comparison decides.
+// sortPairsByOuter orders pairs by (A, B), the candidate and result order:
+// generation applies it to one outer object's mates at a time, joinViews
+// to a multi-component join's union. A and B are object-slice indices,
+// far below 2³², so (A, B) order is the order of the packed key A<<32|B
+// and one comparison decides.
 func sortPairsByOuter(pairs []Pair) {
 	slices.SortFunc(pairs, func(x, y Pair) int {
 		return cmp.Compare(uint64(x.A)<<32|uint64(x.B), uint64(y.A)<<32|uint64(y.B))

@@ -78,24 +78,6 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 						t.Fatalf("query %d: select id[%d]=%d, want %d", qi, i, gs[i], ws[i])
 					}
 				}
-
-				wantW, _, err := WithinDistanceSelect(bg, layerA, q, d, swTester(), JoinOptions{Use0Object: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotW, _, err := WithinDistanceSelect(bg, snapA, q, d, swTester(), JoinOptions{Use0Object: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				gw, ww := sortedIDs(gotW), sortedIDs(wantW)
-				if len(gw) != len(ww) {
-					t.Fatalf("query %d: within-select %d ids, want %d", qi, len(gw), len(ww))
-				}
-				for i := range ww {
-					if gw[i] != ww[i] {
-						t.Fatalf("query %d: within-select id[%d]=%d, want %d", qi, i, gw[i], ww[i])
-					}
-				}
 			}
 
 			// Joins: snapshot layers on both sides.

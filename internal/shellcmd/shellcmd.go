@@ -683,7 +683,7 @@ var joinUsage = map[string]string{
 }
 
 // joinCmd is join, pjoin and shardjoin: one intersection join on the
-// worker pools. The verbs differ in what follows the layer names (see
+// worker pool. The verbs differ in what follows the layer names (see
 // joinTail) and in how the result leaves (see runJoin).
 func (e *Engine) joinCmd(ctx context.Context, store Store, verb string, args []string, out io.Writer) (Result, error) {
 	if len(args) < 2 {
@@ -700,7 +700,7 @@ func (e *Engine) joinCmd(ctx context.Context, store Store, verb string, args []s
 }
 
 // withinCmd is within and shardwithin: one within-distance join on the
-// worker pools, without the 0-/1-Object upper-bound filters — since the
+// worker pool, without the 0-/1-Object upper-bound filters — since the
 // distance kernel of PR 14 they cost more than the tests they save
 // (within_single p50_ms 29 ms without, 39 ms with; EXPERIMENTS.md
 // "PR 17"). A shard's reference point is taken over the d-expanded

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, race-enabled tests (the bench/
-# module included), and a short fuzz smoke pass over the input parsers,
+# module included), the join executor's concurrent failure paths ten times
+# over under -race, and a short fuzz smoke pass over the input parsers,
 # the wire row parser, the distance kernel and the rasterizer's cell walk.
 # Run from the repo root.
 #
@@ -16,6 +17,11 @@ go vet ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== join executor failure paths (-race -count=10: cancel in generation and mid-refine, late budget trip, failing sink)"
+# The blanket run above executes them once; a lost wake-up or a goroutine
+# left behind shows only over repeats, and as a hang — hence the timeout.
+go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
 
 echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
