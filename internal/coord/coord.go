@@ -487,6 +487,8 @@ func (m *merger) streaming() bool { return m.sink.active() }
 // Select routes an intersection selection to the tiles overlapping the
 // query polygon's MBR and merges their stable-id streams (buffered,
 // sorted ascending).
+//
+//reach:keep the buffered form coord_test, failover_test and stream_test compare the streamed selection with
 func (c *Coordinator) Select(ctx context.Context, layer, wkt string, bounds geom.Rect) (Result, error) {
 	return c.SelectStream(ctx, layer, wkt, bounds, RowSink{})
 }
@@ -521,6 +523,8 @@ func (c *Coordinator) JoinStream(ctx context.Context, a, b, mode string, sink Ro
 
 // Within fans a within-distance join out shard-wise. Distances beyond
 // the deployment's replication margin are refused with a *MarginError.
+//
+//reach:keep the buffered form coord_test and failover_test drive (margin refusal, parity with single-node within)
 func (c *Coordinator) Within(ctx context.Context, a, b string, d float64, mode string) (Result, error) {
 	return c.WithinStream(ctx, a, b, d, mode, RowSink{})
 }

@@ -18,8 +18,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/coord"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/faultinject"
 	"repro/internal/geom"

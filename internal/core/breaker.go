@@ -59,9 +59,6 @@ type Breaker struct {
 	cooldown int64
 	state    atomic.Int32
 	denied   atomic.Int64 // software-routed pairs since the breaker opened
-
-	trips      atomic.Int64
-	recoveries atomic.Int64
 }
 
 // NewBreaker builds a closed breaker; cooldownPairs <= 0 means
@@ -75,6 +72,8 @@ func NewBreaker(cooldownPairs int) *Breaker {
 
 // State reports the breaker's current state (a claimed probe reports as
 // half-open). A nil breaker is permanently closed.
+//
+//reach:keep fault probe: core's breaker tests and query's TestBreakerTripsJoinBitIdentical follow the state machine through it
 func (b *Breaker) State() BreakerState {
 	if b == nil {
 		return BreakerClosed
@@ -85,15 +84,6 @@ func (b *Breaker) State() BreakerState {
 	}
 	return s
 }
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 { return b.trips.Load() }
-
-// Recoveries returns how many half-open probes have closed the breaker.
-func (b *Breaker) Recoveries() int64 { return b.recoveries.Load() }
-
-// Cooldown returns the configured cooldown in pairs.
-func (b *Breaker) Cooldown() int64 { return b.cooldown }
 
 // Allow is consulted once per pair test that would use the hardware
 // filter. useHW reports whether the filter may run; probe reports that
@@ -140,7 +130,6 @@ func (b *Breaker) Trip() bool {
 		}
 		if b.state.CompareAndSwap(s, int32(BreakerOpen)) {
 			b.denied.Store(0)
-			b.trips.Add(1)
 			return true
 		}
 	}
@@ -152,11 +141,7 @@ func (b *Breaker) ProbeSuccess() bool {
 	if b == nil {
 		return false
 	}
-	if b.state.CompareAndSwap(int32(breakerProbing), int32(BreakerClosed)) {
-		b.recoveries.Add(1)
-		return true
-	}
-	return false
+	return b.state.CompareAndSwap(int32(breakerProbing), int32(BreakerClosed))
 }
 
 // ProbeAbort releases a claimed probe that resolved without a hardware

@@ -26,9 +26,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state after trip = %v, want open", got)
 	}
-	if got := b.Trips(); got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
 
 	// The first cooldown-1 denials stay open; the cooldown-th flips to
 	// half-open and the same call claims the probe.
@@ -62,9 +59,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("state after recovery = %v, want closed", got)
-	}
-	if got := b.Recoveries(); got != 1 {
-		t.Fatalf("recoveries = %d, want 1", got)
 	}
 }
 

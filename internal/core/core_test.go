@@ -171,16 +171,13 @@ func TestStatsAccounting(t *testing.T) {
 	}
 
 	// Hardware reject for near-miss complex pair.
-	rng := rand.New(rand.NewSource(53))
 	hw := NewTester(Config{Resolution: 32})
-	p := star(rng, 0, 0, 1, 40)
-	q := p.Translate(2.05, 0) // MBRs overlap? star radius up to 1 -> bounds ~[-1,1]; translated [1.05,3.05]: disjoint.
-	q2 := p.Translate(1.5, 0)
-	hw.Intersects(p, q2)
+	p := star(rand.New(rand.NewSource(53)), 0, 0, 1, 40)
+	q := star(rand.New(rand.NewSource(53)), 1.5, 0, 1, 40) // the same star, 1.5 to the right
+	hw.Intersects(p, q)
 	if hw.Stats.HWRejects+hw.Stats.HWPassed+hw.Stats.PIPHits+hw.Stats.MBRRejects != 1 {
 		t.Errorf("stats did not account for the test: %+v", hw.Stats)
 	}
-	_ = q
 }
 
 func TestStatsAdd(t *testing.T) {

@@ -188,61 +188,6 @@ func Generate(spec Spec) (*Dataset, error) {
 	return d, nil
 }
 
-// Worm builds a simple polygon of n vertices shaped like a thickened
-// meandering path: the region between two vertically offset copies of a
-// smooth random function graph, rotated to a random orientation. Because
-// the top and bottom chains are offset graphs of the same function they
-// can never cross, so the polygon is simple by construction. Worms model
-// rivers, roads and precipitation bands. A non-nil error means the sampled
-// parameters produced a degenerate vertex chain (for example a non-finite
-// coordinate from an extreme length), which callers surface instead of
-// crashing dataset generation.
-func Worm(rng *rand.Rand, center geom.Point, length, thickness float64, n int) (*geom.Polygon, error) {
-	if n < 8 {
-		n = 8
-	}
-	half := n / 2
-	// f(x): a few random sinusoids with amplitude scaled to the length.
-	nh := 2 + rng.Intn(3)
-	type harmonic struct{ k, amp, phase float64 }
-	hs := make([]harmonic, nh)
-	for i := range hs {
-		hs[i] = harmonic{
-			k:     (1 + rng.Float64()*3) * 2 * math.Pi / length,
-			amp:   length * (0.05 + 0.10*rng.Float64()) / float64(nh),
-			phase: rng.Float64() * 2 * math.Pi,
-		}
-	}
-	f := func(x float64) float64 {
-		y := 0.0
-		for _, hm := range hs {
-			y += hm.amp * math.Sin(hm.k*x+hm.phase)
-		}
-		return y
-	}
-	theta := rng.Float64() * math.Pi
-	cos, sin := math.Cos(theta), math.Sin(theta)
-	verts := make([]geom.Point, 0, 2*half)
-	emit := func(x, y float64) {
-		rx, ry := x*cos-y*sin, x*sin+y*cos
-		verts = append(verts, geom.Pt(center.X+rx, center.Y+ry))
-	}
-	// Bottom chain left-to-right, then top chain right-to-left (CCW).
-	for i := range half {
-		x := -length/2 + length*float64(i)/float64(half-1)
-		emit(x, f(x)-thickness/2)
-	}
-	for i := half - 1; i >= 0; i-- {
-		x := -length/2 + length*float64(i)/float64(half-1)
-		emit(x, f(x)+thickness/2)
-	}
-	p, err := geom.NewPolygon(verts)
-	if err != nil {
-		return nil, fmt.Errorf("data: worm generation: %w", err)
-	}
-	return p, nil
-}
-
 // ShapedBlob builds a Blob stretched by aspect along a random axis while
 // keeping its area roughly constant, producing the elongated features
 // (rivers, bands, parcels along roads) that dominate real GIS layers. The

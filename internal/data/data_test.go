@@ -93,6 +93,9 @@ func TestPaperSpecErrors(t *testing.T) {
 	if _, err := PaperSpec("LANDC", 1.5); err == nil {
 		t.Error("scale > 1 accepted")
 	}
+	if _, err := Load("NOPE", 1); err == nil {
+		t.Error("Load generated an unknown dataset")
+	}
 }
 
 func TestStates50KeepsFullQuerySet(t *testing.T) {

@@ -24,7 +24,7 @@ func FuzzDataRead(f *testing.F) {
 	f.Add([]byte(`{"name":"x","objects":[[[0,0],[1,0],[1,1],[0,0],[0,0]]]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"oBjeCts":[[[],[],[0]]]}`)) // case-folded key, zero-area ring
-	f.Add([]byte(`{"name":"x","objects":`)) // truncated
+	f.Add([]byte(`{"name":"x","objects":`))    // truncated
 	f.Add([]byte{0xff, 0xfe, 0x00})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d, err := ReadLimits(bytes.NewReader(in), fuzzLimits)

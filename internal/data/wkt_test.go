@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/geom"
 )
 
 func TestWKTRoundTrip(t *testing.T) {
@@ -69,16 +67,17 @@ func TestWKTFileRoundTrip(t *testing.T) {
 
 func TestWormShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	paths := buildGuidePaths(Domain)
 	for range 50 {
-		n := 8 + rng.Intn(200)
+		n := 4 + rng.Intn(200) // below 8 the generator rounds up to 8
 		length := 5 + rng.Float64()*50
 		thickness := 0.2 + rng.Float64()*2
-		w, err := Worm(rng, geom.Pt(rng.Float64()*100, rng.Float64()*100), length, thickness, n)
+		w, err := pathWorm(rng, paths[rng.Intn(len(paths))], length, (rng.Float64()-0.5)*4, thickness, n)
 		if err != nil {
-			t.Fatalf("Worm: %v", err)
+			t.Fatalf("pathWorm: %v", err)
 		}
-		if w.NumVerts() != 2*(n/2) {
-			t.Fatalf("Worm verts = %d for n = %d", w.NumVerts(), n)
+		if w.NumVerts() != 2*(max(n, 8)/2) {
+			t.Fatalf("worm verts = %d for n = %d", w.NumVerts(), n)
 		}
 		if err := w.Validate(); err != nil {
 			t.Fatalf("worm invalid: %v", err)

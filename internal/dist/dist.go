@@ -70,6 +70,8 @@ func MinDist(p, q *geom.Polygon, opt Options) float64 {
 
 // MinDistBrute returns the region distance computed over all edge pairs
 // with no pruning. The testing oracle.
+//
+//reach:keep reference implementation under dist's tests and fuzz target, core's kernels_test, and the filter and query distance tests
 func MinDistBrute(p, q *geom.Polygon) float64 {
 	if p.Bounds().Intersects(q.Bounds()) && sweep.PolygonsIntersect(p, q, sweep.Options{}) {
 		return 0

@@ -18,7 +18,7 @@
 // could catch it. The flip in the other direction (reject → inconclusive)
 // is absorbed, because inconclusive pairs always go to the exact software
 // test. Tests use both directions to document this boundary; see
-// DESIGN.md §7.
+// DESIGN.md §5.
 package faultinject
 
 import (
@@ -98,6 +98,8 @@ const (
 	// SiteRenderDraw fires once per rasterized segment (mid-test), stored
 	// into a plane or tested against one: the hook point for faults that
 	// strike after counters moved.
+	//
+	//reach:keep names the site raster/line.go fires by its literal; armed by query's TestParallelJoinRecoversPanickingTester, TestAcceptanceFaultedJoinUnderDeadline and server's soak
 	SiteRenderDraw = "raster.draw"
 
 	// Server protocol sites, instrumented by internal/server's TCP
@@ -179,8 +181,8 @@ func Crash() {
 	os.Exit(CrashExitCode)
 }
 
-// Panic is the value thrown by an injected KindPanic fault. Recovery code
-// can use IsInjected to distinguish scheduled faults from genuine bugs.
+// Panic is the value thrown by an injected KindPanic fault; recovery code
+// can assert the type to distinguish scheduled faults from genuine bugs.
 type Panic struct {
 	Site string
 	Seq  uint64 // the site-local call number that fired
@@ -190,13 +192,6 @@ type Panic struct {
 // value.
 func (p Panic) Error() string {
 	return fmt.Sprintf("faultinject: injected panic at %s (call %d)", p.Site, p.Seq)
-}
-
-// IsInjected reports whether a recovered panic value came from an
-// Injector.
-func IsInjected(r any) bool {
-	_, ok := r.(Panic)
-	return ok
 }
 
 type rule struct {
@@ -261,6 +256,8 @@ func (in *Injector) InjectAt(site string, kind Kind, seq uint64) *Injector {
 // Disarm removes every rule at the site, leaving its call counter intact
 // so later re-arming continues the same deterministic schedule. Recovery
 // tests use it to model a fault condition clearing.
+//
+//reach:keep fault probe: query's TestBreakerTripsJoinBitIdentical and core's TestSentinelTripsAndRecovers clear the fault to watch recovery
 func (in *Injector) Disarm(site string) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -269,6 +266,8 @@ func (in *Injector) Disarm(site string) *Injector {
 }
 
 // SetDelay sets the stall duration of KindDelay faults (default 1ms).
+//
+//reach:keep fault probe: server's e2e, flush, governance, stream and soak tests and query's resilient_test size their injected stalls with it
 func (in *Injector) SetDelay(d time.Duration) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -277,23 +276,12 @@ func (in *Injector) SetDelay(d time.Duration) *Injector {
 }
 
 // Fired returns how many faults of the kind have fired at the site.
+//
+//reach:keep fault probe: server's fault, e2e, stream and soak tests and coord's failover_test assert an armed fault actually struck
 func (in *Injector) Fired(site string, kind Kind) int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.fired[site][kind]
-}
-
-// FiredTotal returns the total number of faults fired across all sites.
-func (in *Injector) FiredTotal() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n int64
-	for _, kinds := range in.fired {
-		for _, c := range kinds {
-			n += c
-		}
-	}
-	return n
 }
 
 // decide advances the site's call counter and returns which kinds fire on

@@ -14,7 +14,7 @@ func TestDeterministicBySeed(t *testing.T) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						if !IsInjected(r) {
+						if _, ok := r.(Panic); !ok {
 							panic(r)
 						}
 						out[i] = true
@@ -55,7 +55,7 @@ func TestRateZeroAndOne(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				panicked = IsInjected(r)
+				_, panicked = r.(Panic)
 			}
 		}()
 		in.Apply(SiteWithinDistance)
@@ -84,8 +84,8 @@ func TestApproximateRate(t *testing.T) {
 	if frac < 0.20 || frac > 0.30 {
 		t.Errorf("wrong-answer rate %.3f, want ≈0.25", frac)
 	}
-	if in.FiredTotal() != int64(fired) {
-		t.Errorf("FiredTotal = %d, want %d", in.FiredTotal(), fired)
+	if got := in.Fired(SiteHWFilter, KindWrongAnswer); got != int64(fired) {
+		t.Errorf("Fired = %d, want %d", got, fired)
 	}
 }
 
@@ -114,14 +114,5 @@ func TestConcurrentUseCountsEveryCall(t *testing.T) {
 	wg.Wait()
 	if got := in.Fired(SiteIntersects, KindDelay); got != workers*per {
 		t.Errorf("fired %d delays, want %d", got, workers*per)
-	}
-}
-
-func TestIsInjectedRejectsForeignPanics(t *testing.T) {
-	if IsInjected("boom") || IsInjected(nil) {
-		t.Error("IsInjected accepted a non-injected value")
-	}
-	if !IsInjected(Panic{Site: SiteIntersects}) {
-		t.Error("IsInjected rejected an injected value")
 	}
 }

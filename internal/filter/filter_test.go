@@ -33,12 +33,12 @@ func TestInteriorSquare(t *testing.T) {
 	q := square(0, 0, 16)
 	for _, level := range []int{0, 1, 2, 4} {
 		f := NewInterior(q, level)
-		n := f.TilesPerSide()
+		n := f.n
 		if n != 1<<level {
-			t.Fatalf("level %d: TilesPerSide = %d", level, n)
+			t.Fatalf("level %d: %d tiles per side", level, n)
 		}
-		if f.InteriorTiles() != n*n {
-			t.Errorf("level %d: interior tiles = %d, want %d (square query)", level, f.InteriorTiles(), n*n)
+		if f.count != n*n {
+			t.Errorf("level %d: interior tiles = %d, want %d (square query)", level, f.count, n*n)
 		}
 		if !f.CoversRect(geom.R(1, 1, 15, 15)) {
 			t.Errorf("level %d: inner rect not covered", level)
@@ -64,8 +64,8 @@ func TestInteriorLShape(t *testing.T) {
 	// Level 0: a single tile equal to the MBR can never be interior for a
 	// non-rectangular polygon.
 	f0 := NewInterior(q, 0)
-	if f0.InteriorTiles() != 0 {
-		t.Errorf("level 0 interior tiles = %d, want 0", f0.InteriorTiles())
+	if f0.count != 0 {
+		t.Errorf("level 0 interior tiles = %d, want 0", f0.count)
 	}
 }
 

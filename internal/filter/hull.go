@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/sweep"
 )
@@ -33,17 +32,6 @@ func (hs *HullSet) Len() int { return len(hs.hulls) }
 // Hull returns object i's hull, or nil when unavailable.
 func (hs *HullSet) Hull(i int) *geom.Polygon { return hs.hulls[i] }
 
-// MayIntersect reports whether object i's hull intersects the other hull;
-// false proves the objects disjoint. A missing hull returns true
-// (no filtering).
-func (hs *HullSet) MayIntersect(i int, other *geom.Polygon) bool {
-	h := hs.hulls[i]
-	if h == nil || other == nil {
-		return true
-	}
-	return sweep.PolygonsIntersect(h, other, sweep.Options{})
-}
-
 // PairMayIntersect applies the hull test between object i of hs and object
 // j of other.
 func PairMayIntersect(a *HullSet, i int, b *HullSet, j int) bool {
@@ -53,18 +41,4 @@ func PairMayIntersect(a *HullSet, i int, b *HullSet, j int) bool {
 		return true
 	}
 	return sweep.PolygonsIntersect(ha, hb, sweep.Options{})
-}
-
-// PairMayBeWithin reports whether the pair could be within distance d:
-// hulls are supersets of their polygons, so the hull distance lower-bounds
-// the object distance, and a hull distance above d proves the pair out of
-// range. A tighter lower bound than the MBR distance, at the cost of the
-// pre-computed hulls. Missing hulls return true (no filtering).
-func PairMayBeWithin(a *HullSet, i int, b *HullSet, j int, d float64) bool {
-	ha := a.Hull(i)
-	hb := b.Hull(j)
-	if ha == nil || hb == nil {
-		return true
-	}
-	return dist.MinDist(ha, hb, dist.Options{}) <= d
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/sweep"
 )
@@ -26,19 +25,13 @@ func TestHullSetBasics(t *testing.T) {
 		t.Fatal("degenerate polygon produced a hull")
 	}
 	// Degenerate objects never filter.
-	if !hs.MayIntersect(2, objs[0]) {
-		t.Error("missing hull filtered a pair")
-	}
 	if !PairMayIntersect(hs, 2, hs, 0) {
-		t.Error("missing hull filtered a pair (pairwise)")
-	}
-	if !PairMayBeWithin(hs, 2, hs, 0, 0.1) {
-		t.Error("missing hull filtered a distance pair")
+		t.Error("missing hull filtered a pair")
 	}
 }
 
-// TestHullFilterSound: whenever the filter claims disjointness or
-// out-of-range, brute force agrees.
+// TestHullFilterSound: whenever the filter claims disjointness, the exact
+// test agrees.
 func TestHullFilterSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
 	var objs []*geom.Polygon
@@ -54,12 +47,6 @@ func TestHullFilterSound(t *testing.T) {
 				rejected++
 				if sweep.PolygonsIntersect(objs[i], objs[j], sweep.Options{}) {
 					t.Fatalf("hull filter rejected an intersecting pair (%d,%d)", i, j)
-				}
-			}
-			d := rng.Float64() * 5
-			if !PairMayBeWithin(hs, i, hs, j, d) {
-				if dist.MinDistBrute(objs[i], objs[j]) <= d {
-					t.Fatalf("hull distance filter rejected an in-range pair (%d,%d)", i, j)
 				}
 			}
 		}

@@ -183,19 +183,6 @@ func oddCrossingsRight(xs []float64, xc float64) bool {
 	return odd
 }
 
-// Level-independent accessors for harness reporting.
-
-// TilesPerSide returns the grid dimension 2^l.
-func (f *Interior) TilesPerSide() int { return f.n }
-
-// InteriorTiles returns how many tiles were classified interior.
-func (f *Interior) InteriorTiles() int { return f.count }
-
-// IsInterior reports whether tile (tx, ty) is an interior tile.
-func (f *Interior) IsInterior(tx, ty int) bool {
-	return f.rangeCount(tx, ty, tx, ty) == 1
-}
-
 // rangeCount returns the number of interior tiles in the inclusive tile
 // range [tx0..tx1]×[ty0..ty1].
 func (f *Interior) rangeCount(tx0, ty0, tx1, ty1 int) int32 {

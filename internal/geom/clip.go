@@ -1,48 +1,13 @@
 package geom
 
-// ClipToRect clips polygon p to the closed rectangle r using
-// Sutherland–Hodgman, returning the clipped vertex ring (nil when the
-// intersection is empty or degenerate). For convex subjects the result is
-// the exact intersection polygon. For concave subjects Sutherland–Hodgman
-// may join disjoint intersection pieces with zero-width bridges along the
-// clip boundary — the ring is then non-simple, but its signed area still
-// equals the true intersection area, which is what area-based consumers
-// (tile coverage, overlay statistics) need.
-func ClipToRect(p *Polygon, r Rect) *Polygon {
-	if r.IsEmpty() || p.NumVerts() < 3 {
-		return nil
-	}
-	verts := append([]Point(nil), p.Verts...)
-	// Ensure CCW so "inside" is consistent for each half-plane pass.
-	if p.SignedArea() < 0 {
-		for i, j := 0, len(verts)-1; i < j; i, j = i+1, j-1 {
-			verts[i], verts[j] = verts[j], verts[i]
-		}
-	}
-	// Clip against each boundary half-plane in turn.
-	verts = clipHalfPlane(verts, func(q Point) bool { return q.X >= r.MinX },
-		func(a, b Point) Point { return intersectVertical(a, b, r.MinX) })
-	verts = clipHalfPlane(verts, func(q Point) bool { return q.X <= r.MaxX },
-		func(a, b Point) Point { return intersectVertical(a, b, r.MaxX) })
-	verts = clipHalfPlane(verts, func(q Point) bool { return q.Y >= r.MinY },
-		func(a, b Point) Point { return intersectHorizontal(a, b, r.MinY) })
-	verts = clipHalfPlane(verts, func(q Point) bool { return q.Y <= r.MaxY },
-		func(a, b Point) Point { return intersectHorizontal(a, b, r.MaxY) })
-	if len(verts) < 3 {
-		return nil
-	}
-	out := &Polygon{Verts: verts}
-	out.Recompute()
-	if out.Area() == 0 {
-		return nil
-	}
-	return out
-}
-
 // ClipConvex clips polygon p to the convex CCW polygon clip
-// (Sutherland–Hodgman with an arbitrary convex window). The same
-// area-exactness caveat for concave subjects applies as in ClipToRect.
-// For two convex polygons this computes their exact intersection.
+// (Sutherland–Hodgman with an arbitrary convex window). For two convex
+// polygons this computes their exact intersection; for a concave subject
+// the pass may join disjoint pieces with zero-width bridges along the clip
+// boundary — the ring is then non-simple, but its signed area still equals
+// the true intersection area.
+//
+//reach:keep independent oracle of overlay's TestOverlayMatchesConvexClip
 func ClipConvex(p, clip *Polygon) *Polygon {
 	if p.NumVerts() < 3 || clip.NumVerts() < 3 {
 		return nil
@@ -75,15 +40,6 @@ func ClipConvex(p, clip *Polygon) *Polygon {
 	return out
 }
 
-// IntersectionAreaWithRect returns the area of p ∩ r.
-func IntersectionAreaWithRect(p *Polygon, r Rect) float64 {
-	c := ClipToRect(p, r)
-	if c == nil {
-		return 0
-	}
-	return c.Area()
-}
-
 // clipHalfPlane keeps the parts of the ring inside one half-plane,
 // inserting boundary crossings computed by cross.
 func clipHalfPlane(verts []Point, inside func(Point) bool, cross func(a, b Point) Point) []Point {
@@ -106,18 +62,6 @@ func clipHalfPlane(verts []Point, inside func(Point) bool, cross func(a, b Point
 		prev, prevIn = cur, curIn
 	}
 	return out
-}
-
-// intersectVertical returns the crossing of segment a-b with the line x=x0.
-func intersectVertical(a, b Point, x0 float64) Point {
-	t := (x0 - a.X) / (b.X - a.X)
-	return Point{X: x0, Y: a.Y + t*(b.Y-a.Y)}
-}
-
-// intersectHorizontal returns the crossing of segment a-b with the line y=y0.
-func intersectHorizontal(a, b Point, y0 float64) Point {
-	t := (y0 - a.Y) / (b.Y - a.Y)
-	return Point{X: a.X + t*(b.X-a.X), Y: y0}
 }
 
 // lineIntersection returns the intersection of the infinite line through

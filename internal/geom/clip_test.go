@@ -6,73 +6,6 @@ import (
 	"testing"
 )
 
-func TestClipToRectBasic(t *testing.T) {
-	sq := MustPolygon(Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4))
-	tests := []struct {
-		name string
-		r    Rect
-		area float64
-	}{
-		{"full overlap", R(-1, -1, 5, 5), 16},
-		{"identical", R(0, 0, 4, 4), 16},
-		{"half", R(0, 0, 2, 4), 8},
-		{"corner", R(3, 3, 6, 6), 1},
-		{"disjoint", R(10, 10, 12, 12), 0},
-		{"edge touch", R(4, 0, 6, 4), 0},
-	}
-	for _, tc := range tests {
-		got := IntersectionAreaWithRect(sq, tc.r)
-		if math.Abs(got-tc.area) > 1e-12 {
-			t.Errorf("%s: area = %v, want %v", tc.name, got, tc.area)
-		}
-	}
-	if c := ClipToRect(sq, EmptyRect()); c != nil {
-		t.Error("clip to empty rect returned a polygon")
-	}
-}
-
-func TestClipToRectClockwiseInput(t *testing.T) {
-	cw := MustPolygon(Pt(0, 4), Pt(4, 4), Pt(4, 0), Pt(0, 0))
-	if got := IntersectionAreaWithRect(cw, R(0, 0, 2, 2)); math.Abs(got-4) > 1e-12 {
-		t.Errorf("CW input: area = %v, want 4", got)
-	}
-}
-
-// monteCarloArea estimates area(p ∩ r) by sampling.
-func monteCarloArea(p *Polygon, r Rect, rng *rand.Rand, samples int) float64 {
-	hits := 0
-	for range samples {
-		q := Pt(r.MinX+rng.Float64()*r.Width(), r.MinY+rng.Float64()*r.Height())
-		if p.ContainsPoint(q) {
-			hits++
-		}
-	}
-	return r.Area() * float64(hits) / float64(samples)
-}
-
-func TestClipToRectAreaMatchesMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(151))
-	for trial := range 40 {
-		// Random star polygon (possibly concave).
-		n := 5 + rng.Intn(30)
-		pts := make([]Point, n)
-		step := 2 * math.Pi / float64(n)
-		for i := range pts {
-			a := float64(i)*step + rng.Float64()*step*0.9
-			rad := 2 + 6*rng.Float64()
-			pts[i] = Pt(10+rad*math.Cos(a), 10+rad*math.Sin(a))
-		}
-		p := MustPolygon(pts...)
-		r := R(rng.Float64()*12, rng.Float64()*12, 12+rng.Float64()*8, 12+rng.Float64()*8)
-		got := IntersectionAreaWithRect(p, r)
-		want := monteCarloArea(p, r, rng, 60000)
-		tol := 0.06*r.Area() + 0.3
-		if math.Abs(got-want) > tol {
-			t.Fatalf("trial %d: clip area %v vs MC %v (tol %v)", trial, got, want, tol)
-		}
-	}
-}
-
 func TestClipConvexPair(t *testing.T) {
 	// Two axis-aligned squares with known overlap.
 	a := MustPolygon(Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4))

@@ -38,23 +38,3 @@ func ExampleParsePolygonWKT() {
 	// 4 12
 	// POLYGON ((0 0, 4 0, 4 3, 0 3, 0 0))
 }
-
-func ExamplePolygon_Simplify() {
-	// A square digitized with redundant collinear vertices.
-	p := geom.MustPolygon(
-		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(4, 0),
-		geom.Pt(4, 4), geom.Pt(2, 4), geom.Pt(0, 4), geom.Pt(0, 2),
-	)
-	s := p.Simplify(0.001)
-	fmt.Println(p.NumVerts(), "->", s.NumVerts(), "area", s.Area())
-	// Output: 8 -> 4 area 16
-}
-
-func ExampleOrientRobust() {
-	a, b := geom.Pt(0, 0), geom.Pt(10, 10)
-	fmt.Println(geom.OrientRobust(a, b, geom.Pt(5, 5)))
-	fmt.Println(geom.OrientRobust(a, b, geom.Pt(5, 6)) == geom.CounterClockwise)
-	// Output:
-	// 0
-	// true
-}

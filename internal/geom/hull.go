@@ -64,50 +64,3 @@ func ConvexHull(pts []Point) *Polygon {
 func (p *Polygon) Hull() *Polygon {
 	return ConvexHull(p.Verts)
 }
-
-// IsConvex reports whether p's vertices form a convex polygon (collinear
-// runs allowed), in either winding order.
-func (p *Polygon) IsConvex() bool {
-	n := len(p.Verts)
-	if n < 3 {
-		return false
-	}
-	var dir Orientation
-	for i := range n {
-		o := Orient(p.Verts[i], p.Verts[(i+1)%n], p.Verts[(i+2)%n])
-		if o == Collinear {
-			continue
-		}
-		if dir == Collinear {
-			dir = o
-		} else if o != dir {
-			return false
-		}
-	}
-	return true
-}
-
-// ConvexContainsPoint reports whether q lies in the closed convex polygon
-// p (which must be convex and CCW) in O(log n) by binary search on the fan
-// of triangles from vertex 0.
-func (p *Polygon) ConvexContainsPoint(q Point) bool {
-	n := len(p.Verts)
-	if n < 3 {
-		return false
-	}
-	v0 := p.Verts[0]
-	if Orient(v0, p.Verts[1], q) == Clockwise || Orient(v0, p.Verts[n-1], q) == CounterClockwise {
-		return false
-	}
-	// Find the fan wedge containing q.
-	lo, hi := 1, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if Orient(v0, p.Verts[mid], q) != Clockwise {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return Orient(p.Verts[lo], p.Verts[hi], q) != Clockwise
-}

@@ -50,8 +50,10 @@ func TestConvexHullProperties(t *testing.T) {
 		if h == nil {
 			continue // extremely unlikely with random floats
 		}
-		if !h.IsConvex() {
-			t.Fatalf("hull not convex: %v", h.Verts)
+		for i, n := 0, len(h.Verts); i < n; i++ {
+			if Orient(h.Verts[i], h.Verts[(i+1)%n], h.Verts[(i+2)%n]) != CounterClockwise {
+				t.Fatalf("hull not strictly convex and CCW at vertex %d: %v", i, h.Verts)
+			}
 		}
 		if !h.IsSimple() {
 			t.Fatal("hull not simple")
@@ -88,55 +90,6 @@ func TestPolygonHullContainsPolygon(t *testing.T) {
 		}
 		if h.Area() < p.Area()-1e-9 {
 			t.Fatalf("hull area %v below polygon area %v", h.Area(), p.Area())
-		}
-	}
-}
-
-func TestIsConvex(t *testing.T) {
-	if !MustPolygon(Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)).IsConvex() {
-		t.Error("square not convex")
-	}
-	// Clockwise square is still convex.
-	if !MustPolygon(Pt(0, 2), Pt(2, 2), Pt(2, 0), Pt(0, 0)).IsConvex() {
-		t.Error("CW square not convex")
-	}
-	// L-shape is concave.
-	if MustPolygon(Pt(0, 0), Pt(3, 0), Pt(3, 1), Pt(1, 1), Pt(1, 3), Pt(0, 3)).IsConvex() {
-		t.Error("L reported convex")
-	}
-	// Collinear run on a convex boundary.
-	if !MustPolygon(Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)).IsConvex() {
-		t.Error("collinear-edge convex polygon rejected")
-	}
-}
-
-func TestConvexContainsPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	for range 100 {
-		// Random convex polygon via a hull.
-		pts := make([]Point, 20)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*10, rng.Float64()*10)
-		}
-		h := ConvexHull(pts)
-		if h == nil {
-			continue
-		}
-		for range 50 {
-			q := Pt(rng.Float64()*12-1, rng.Float64()*12-1)
-			want := h.ContainsPoint(q) // linear oracle
-			if got := h.ConvexContainsPoint(q); got != want {
-				t.Fatalf("ConvexContainsPoint(%v) = %v, oracle %v (hull %v)", q, got, want, h.Verts)
-			}
-		}
-		// Vertices are contained. (Edge midpoints are not asserted: the
-		// float midpoint of an edge can land an ulp outside the exact
-		// line, where both the oracle and the fan search correctly report
-		// "outside".)
-		for _, v := range h.Verts {
-			if !h.ConvexContainsPoint(v) {
-				t.Fatalf("vertex %v not contained", v)
-			}
 		}
 	}
 }

@@ -126,22 +126,6 @@ func (p *Polygon) CCW() bool {
 	return w == windingCCW
 }
 
-// Perimeter returns the total edge length of p.
-func (p *Polygon) Perimeter() float64 {
-	var sum float64
-	for i := range p.Verts {
-		sum += p.Edge(i).Length()
-	}
-	return sum
-}
-
-// Clone returns a deep copy of p.
-func (p *Polygon) Clone() *Polygon {
-	verts := make([]Point, len(p.Verts))
-	copy(verts, p.Verts)
-	return &Polygon{Verts: verts, mbr: p.mbr}
-}
-
 // ContainsPoint reports whether q lies inside or on the boundary of p,
 // using the ray-crossing algorithm: a ray shot in +x from q crosses the
 // boundary an odd number of times iff q is interior. This is the linear,
@@ -210,6 +194,8 @@ func (p *Polygon) RayCrossings(q Point, lo, hi int) (onBoundary, odd bool) {
 // IsSimple reports whether p is a simple polygon: no two non-adjacent edges
 // intersect, and adjacent edges share only their common endpoint. The check
 // is O(n²) and intended for validation and tests rather than query paths.
+//
+//reach:keep simplicity oracle for what other tests generate: data's TestGeneratedPolygonsAreSimple and TestWormShape, geom's TestConvexHullProperties, core's TestKernelsKnownDistances
 func (p *Polygon) IsSimple() bool {
 	n := len(p.Verts)
 	if n < 3 {
@@ -282,38 +268,4 @@ func (p *Polygon) Validate() error {
 		return errors.New("geom: polygon has zero area")
 	}
 	return nil
-}
-
-// Translate returns a copy of p moved by (dx, dy).
-func (p *Polygon) Translate(dx, dy float64) *Polygon {
-	verts := make([]Point, len(p.Verts))
-	for i, v := range p.Verts {
-		verts[i] = Point{v.X + dx, v.Y + dy}
-	}
-	q := &Polygon{Verts: verts}
-	q.Recompute()
-	return q
-}
-
-// Centroid returns the area centroid of p. For zero-area polygons it falls
-// back to the vertex average.
-func (p *Polygon) Centroid() Point {
-	var cx, cy, a float64
-	n := len(p.Verts)
-	for i := range n {
-		v, w := p.Verts[i], p.Verts[(i+1)%n]
-		c := v.Cross(w)
-		cx += (v.X + w.X) * c
-		cy += (v.Y + w.Y) * c
-		a += c
-	}
-	if a == 0 {
-		var sx, sy float64
-		for _, v := range p.Verts {
-			sx += v.X
-			sy += v.Y
-		}
-		return Point{sx / float64(n), sy / float64(n)}
-	}
-	return Point{cx / (3 * a), cy / (3 * a)}
 }

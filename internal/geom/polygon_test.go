@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
@@ -25,16 +24,13 @@ func TestNewPolygonErrors(t *testing.T) {
 	}
 }
 
-func TestPolygonAreaPerimeter(t *testing.T) {
+func TestPolygonArea(t *testing.T) {
 	sq := unitSquare()
 	if got := sq.Area(); got != 1 {
 		t.Errorf("Area = %v", got)
 	}
 	if got := sq.SignedArea(); got != 1 {
 		t.Errorf("SignedArea = %v (CCW should be positive)", got)
-	}
-	if got := sq.Perimeter(); got != 4 {
-		t.Errorf("Perimeter = %v", got)
 	}
 	l := concaveL()
 	if got := l.Area(); got != 5 {
@@ -131,29 +127,6 @@ func TestEdgeIteration(t *testing.T) {
 	}
 }
 
-func TestTranslateClone(t *testing.T) {
-	sq := unitSquare()
-	moved := sq.Translate(10, -5)
-	if got := moved.Bounds(); got != R(10, -5, 11, -4) {
-		t.Errorf("translated Bounds = %v", got)
-	}
-	if sq.Bounds() != R(0, 0, 1, 1) {
-		t.Error("Translate mutated the original")
-	}
-	c := sq.Clone()
-	c.Verts[0] = Pt(100, 100)
-	if sq.Verts[0] == c.Verts[0] {
-		t.Error("Clone shares vertex storage")
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	sq := unitSquare()
-	if got := sq.Centroid(); math.Abs(got.X-0.5) > 1e-12 || math.Abs(got.Y-0.5) > 1e-12 {
-		t.Errorf("Centroid = %v", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := unitSquare().Validate(); err != nil {
 		t.Errorf("valid polygon rejected: %v", err)
@@ -184,8 +157,5 @@ func TestCCWCachedAndRecomputed(t *testing.T) {
 	p.Recompute()
 	if p.CCW() {
 		t.Error("Recompute kept the winding of the old vertex order")
-	}
-	if c := p.Clone(); c.CCW() != p.CCW() {
-		t.Error("clone disagrees with its original about the winding")
 	}
 }

@@ -47,14 +47,6 @@ func (r Rect) Area() float64 {
 	return r.Width() * r.Height()
 }
 
-// Perimeter returns the perimeter of r, or 0 for an empty rectangle.
-func (r Rect) Perimeter() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return 2 * (r.Width() + r.Height())
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
@@ -166,26 +158,12 @@ func SqBound(d float64) float64 {
 	return s
 }
 
-// MaxDist returns the maximum distance between any point of r and any point
-// of s: a trivially valid upper bound on the distance between objects
-// bounded by r and s.
-func (r Rect) MaxDist(s Rect) float64 {
-	dx := math.Max(math.Abs(r.MaxX-s.MinX), math.Abs(s.MaxX-r.MinX))
-	dy := math.Max(math.Abs(r.MaxY-s.MinY), math.Abs(s.MaxY-r.MinY))
-	return math.Hypot(dx, dy)
-}
-
-// MinMaxDist returns the MinMaxDist bound from p to r: the smallest
-// distance within which a point of any object that touches all four edges
-// of its MBR r is guaranteed to be found. It is the classic R-tree
-// nearest-neighbor bound, reused here for the 0-Object and 1-Object
-// filters of within-distance joins.
-func (r Rect) MinMaxDist(p Point) float64 {
-	return math.Sqrt(r.MinMaxDistSq(p))
-}
-
-// MinMaxDistSq is MinMaxDist squared, for callers that take a minimum
-// over many points and need one root at the end.
+// MinMaxDistSq returns the square of the MinMaxDist bound from p to r: the
+// smallest distance within which a point of any object that touches all
+// four edges of its MBR r is guaranteed to be found. It is the classic
+// R-tree nearest-neighbor bound, reused here for the 0-Object and 1-Object
+// filters of within-distance joins; callers take a minimum over many
+// points and one root at the end.
 func (r Rect) MinMaxDistSq(p Point) float64 {
 	if r.IsEmpty() {
 		return math.Inf(1)

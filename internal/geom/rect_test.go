@@ -9,8 +9,8 @@ import (
 
 func TestRectBasics(t *testing.T) {
 	r := R(0, 0, 4, 2)
-	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 || r.Perimeter() != 12 {
-		t.Errorf("basics wrong: %v %v %v %v", r.Width(), r.Height(), r.Area(), r.Perimeter())
+	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 {
+		t.Errorf("basics wrong: %v %v %v", r.Width(), r.Height(), r.Area())
 	}
 	if got := r.Center(); got != Pt(2, 1) {
 		t.Errorf("Center = %v", got)
@@ -126,26 +126,12 @@ func TestRectDistSqAtExactlyD(t *testing.T) {
 	}
 }
 
-func TestRectMaxDist(t *testing.T) {
-	a, b := R(0, 0, 1, 1), R(2, 2, 3, 3)
-	// Farthest corners are (0,0) and (3,3).
-	if got := a.MaxDist(b); math.Abs(got-3*math.Sqrt2) > 1e-12 {
-		t.Errorf("MaxDist = %v", got)
-	}
-	// MaxDist of a rect with itself is its diagonal.
-	if got := a.MaxDist(a); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Errorf("self MaxDist = %v", got)
-	}
-}
-
 func TestRectDistBounds(t *testing.T) {
-	// Dist <= MaxDist always, and both are symmetric.
+	// Dist is symmetric and zero exactly on intersecting rectangles.
 	f := func(ax, ay, aw, ah, bx, by, bw, bh uint8) bool {
 		a := R(float64(ax), float64(ay), float64(ax)+float64(aw)+1, float64(ay)+float64(ah)+1)
 		b := R(float64(bx), float64(by), float64(bx)+float64(bw)+1, float64(by)+float64(bh)+1)
-		return a.Dist(b) <= a.MaxDist(b)+1e-9 &&
-			a.Dist(b) == b.Dist(a) &&
-			a.MaxDist(b) == b.MaxDist(a)
+		return a.Dist(b) == b.Dist(a) && (a.Dist(b) == 0) == a.Intersects(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -155,7 +141,7 @@ func TestRectDistBounds(t *testing.T) {
 func TestMinMaxDist(t *testing.T) {
 	r := R(0, 0, 2, 2)
 	p := Pt(-1, 1)
-	got := r.MinMaxDist(p)
+	got := math.Sqrt(r.MinMaxDistSq(p))
 	// Along x: nearer edge x=0, farthest y corner y=2 (p.Y=1 -> farther is
 	// y=... both 2 away? fartherEdge(1,0,2) picks 0 since 1>=1): corner
 	// (0,0): dist sqrt(1+1). Along y: nearer edge y=0? nearerEdge(1,0,2)=0,
@@ -164,8 +150,8 @@ func TestMinMaxDist(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("MinMaxDist = %v, want %v", got, want)
 	}
-	if !math.IsInf(EmptyRect().MinMaxDist(p), 1) {
-		t.Error("MinMaxDist of empty rect should be +Inf")
+	if !math.IsInf(EmptyRect().MinMaxDistSq(p), 1) {
+		t.Error("MinMaxDistSq of empty rect should be +Inf")
 	}
 }
 
@@ -191,7 +177,7 @@ func TestMinMaxDistIsUpperBound(t *testing.T) {
 				minD = d
 			}
 		}
-		if bound := r.MinMaxDist(p); minD > bound+1e-9 {
+		if bound := math.Sqrt(r.MinMaxDistSq(p)); minD > bound+1e-9 {
 			t.Fatalf("object dist %v exceeds MinMaxDist %v (r=%v p=%v)", minD, bound, r, p)
 		}
 	}

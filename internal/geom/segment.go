@@ -16,9 +16,6 @@ func Seg(a, b Point) Segment { return Segment{a, b} }
 // String implements fmt.Stringer.
 func (s Segment) String() string { return fmt.Sprintf("[%v - %v]", s.A, s.B) }
 
-// Length returns the Euclidean length of s.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
 // Bounds returns the MBR of s.
 func (s Segment) Bounds() Rect {
 	return Rect{
@@ -27,11 +24,6 @@ func (s Segment) Bounds() Rect {
 		MaxX: max(s.A.X, s.B.X),
 		MaxY: max(s.A.Y, s.B.Y),
 	}
-}
-
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
 }
 
 // onSegment reports whether collinear point p lies on segment s (inclusive
@@ -78,11 +70,6 @@ func (s Segment) IntersectsProper(t Segment) bool {
 	d4 := Orient(s.A, s.B, t.B)
 	return d1 != Collinear && d2 != Collinear && d3 != Collinear && d4 != Collinear &&
 		d1 != d2 && d3 != d4
-}
-
-// DistToPoint returns the minimum distance from p to the closed segment s.
-func (s Segment) DistToPoint(p Point) float64 {
-	return math.Sqrt(s.DistSqToPoint(p))
 }
 
 // DistSqToPoint returns the squared minimum distance from p to the closed

@@ -62,8 +62,8 @@ func TestSegmentDistToPoint(t *testing.T) {
 		{Pt(0, 0), 0},
 	}
 	for _, tc := range tests {
-		if got := s.DistToPoint(tc.p); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tc.p, got, tc.want)
+		if got := s.DistSqToPoint(tc.p); math.Abs(got-tc.want*tc.want) > 1e-12 {
+			t.Errorf("DistSqToPoint(%v) = %v, want %v", tc.p, got, tc.want*tc.want)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func TestSegmentBounds(t *testing.T) {
 	if got := s.Bounds(); got != want {
 		t.Errorf("Bounds = %v, want %v", got, want)
 	}
-	if got := s.Midpoint(); got != Pt(2, 1.5) {
-		t.Errorf("Midpoint = %v", got)
+	if got := s.String(); got != "[(3, -1) - (1, 4)]" {
+		t.Errorf("String = %q", got)
 	}
 }

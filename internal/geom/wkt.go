@@ -69,15 +69,6 @@ func ParsePolygonWKT(s string) (*Polygon, error) {
 	return NewPolygon(verts)
 }
 
-// ParsePointWKT parses POINT (x y).
-func ParsePointWKT(s string) (Point, error) {
-	body, err := wktBody(s, "POINT")
-	if err != nil {
-		return Point{}, err
-	}
-	return parseCoord(strings.TrimSpace(body))
-}
-
 // wktBody validates the geometry tag and strips the outermost parentheses.
 func wktBody(s, tag string) (string, error) {
 	t := strings.TrimSpace(s)

@@ -100,17 +100,4 @@ func TestPointWKT(t *testing.T) {
 	if got := p.WKT(); got != "POINT (1.5 -2)" {
 		t.Errorf("WKT = %q", got)
 	}
-	q, err := ParsePointWKT("point( 1.5   -2 )")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Eq(p) {
-		t.Errorf("parsed %v", q)
-	}
-	if _, err := ParsePointWKT("POINT (1)"); err == nil {
-		t.Error("1-coordinate point accepted")
-	}
-	if _, err := ParsePointWKT("POLYGON ((0 0, 1 0, 1 1))"); err == nil {
-		t.Error("polygon accepted as point")
-	}
 }

@@ -138,7 +138,7 @@ func TestRasterizeSoundness(t *testing.T) {
 		// the neighbor; skip those to keep the check exact).
 		for i := 0; i < p.NumEdges(); i++ {
 			e := p.Edge(i)
-			for _, pt := range []geom.Point{e.A, e.Midpoint()} {
+			for _, pt := range []geom.Point{e.A, e.A.Add(e.B).Scale(0.5)} {
 				fx := (pt.X - g.MinX) / cs
 				fy := (pt.Y - g.MinY) / cs
 				if math.Abs(fx-math.Round(fx)) < 1e-9 || math.Abs(fy-math.Round(fy)) < 1e-9 {
@@ -276,8 +276,8 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid spans rejected: %v", err)
 	}
 	bad := []interval.Spans{
-		{pack(5, 2, false)},               // inverted
-		{pack(0, 256, false)},             // beyond 4^4 cells
+		{pack(5, 2, false)},                    // inverted
+		{pack(0, 256, false)},                  // beyond 4^4 cells
 		{pack(4, 8, false), pack(2, 3, false)}, // unsorted
 		{pack(0, 5, false), pack(5, 9, true)},  // overlapping
 	}

@@ -47,16 +47,6 @@ func IntersectionArea(p, q *geom.Polygon) float64 {
 	return area
 }
 
-// UnionArea returns the area of p ∪ q by inclusion–exclusion.
-func UnionArea(p, q *geom.Polygon) float64 {
-	return p.Area() + q.Area() - IntersectionArea(p, q)
-}
-
-// SymmetricDifferenceArea returns the area of (p ∪ q) \ (p ∩ q).
-func SymmetricDifferenceArea(p, q *geom.Polygon) float64 {
-	return p.Area() + q.Area() - 2*IntersectionArea(p, q)
-}
-
 // slabBoundaries returns the sorted, deduplicated slab boundary
 // x-coordinates: all vertices of both polygons plus every boundary
 // crossing between them, clipped to the common x-range.

@@ -106,7 +106,7 @@ func TestManifestV1Compat(t *testing.T) {
 			{"id": 1, "bounds": {"MinX": 1, "MinY": 0, "MaxX": 2, "MaxY": 1}, "dir": "shard-1", "addr": "h:2", "objects": {"land": 6}}
 		]
 	}`
-	m, err := Decode([]byte(v1))
+	m, err := decode([]byte(v1), ManifestName)
 	if err != nil {
 		t.Fatalf("v1 manifest rejected: %v", err)
 	}
@@ -117,10 +117,6 @@ func TestManifestV1Compat(t *testing.T) {
 		if len(tile.Replicas) != 1 || tile.Replicas[0].Dir != tile.Dir || tile.Replicas[0].Addr != tile.Addr {
 			t.Fatalf("tile %d did not normalize to its own single replica: %+v", i, tile)
 		}
-	}
-	addrs, err := m.Addrs()
-	if err != nil || len(addrs) != 2 || addrs[0] != "h:1" {
-		t.Fatalf("v1 Addrs() = %v, %v", addrs, err)
 	}
 	ra, err := m.ReplicaAddrs()
 	if err != nil || len(ra) != 2 || len(ra[0]) != 1 || ra[0][0] != "h:1" {
@@ -159,7 +155,7 @@ func TestDecodeFailsClosed(t *testing.T) {
 			tile(0, b0, `, "replicas": [`+strings.Repeat(`{"dir": "a"},`, MaxReplicas)+`{"dir": "b"}]`)+","+tile(1, b1, `, "replicas": [{"dir": "shard-1"}]`)), "implausible replica count"},
 	}
 	for _, c := range cases {
-		_, err := Decode([]byte(c.doc))
+		_, err := decode([]byte(c.doc), ManifestName)
 		var me *ManifestError
 		if !errors.As(err, &me) {
 			t.Errorf("%s: got %v, want *ManifestError", c.name, err)
@@ -171,7 +167,7 @@ func TestDecodeFailsClosed(t *testing.T) {
 	}
 }
 
-func itoa(i int) string            { return string(rune('0' + i)) }
+func itoa(i int) string { return string(rune('0' + i)) }
 func sprintf(f string, a ...any) string {
 	out := f
 	for _, v := range a {
@@ -203,7 +199,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := Decode(b)
+		m, err := decode(b, ManifestName)
 		if err != nil {
 			var me *ManifestError
 			if !errors.As(err, &me) {
@@ -227,7 +223,7 @@ func FuzzManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal of accepted manifest: %v", err)
 		}
-		if _, err := Decode(out); err != nil {
+		if _, err := decode(out, ManifestName); err != nil {
 			t.Fatalf("round trip of accepted manifest rejected: %v", err)
 		}
 	})

@@ -194,15 +194,9 @@ func (m *Manifest) Region(id int) geom.Rect {
 	return r
 }
 
-// Owns reports whether tile id's ownership region contains the point
-// under the half-open rule: MinX ≤ x < MaxX and MinY ≤ y < MaxY.
-func (m *Manifest) Owns(id int, p geom.Point) bool {
-	return OwnsRect(m.Region(id), p)
-}
-
 // OwnsRect is the half-open containment test shards apply to reference
-// points against the ownership region the coordinator hands them.
-// Exported so the shard side and the coordinator share one definition.
+// points against the ownership region the coordinator hands them:
+// MinX ≤ x < MaxX and MinY ≤ y < MaxY.
 func OwnsRect(region geom.Rect, p geom.Point) bool {
 	return p.X >= region.MinX && p.X < region.MaxX &&
 		p.Y >= region.MinY && p.Y < region.MaxY
@@ -241,19 +235,6 @@ func (m *Manifest) OverlappingTiles(r geom.Rect) []int {
 		}
 	}
 	return out
-}
-
-// Addrs returns the per-tile *primary* shard addresses in tile order,
-// or an error naming the first tile without one.
-func (m *Manifest) Addrs() ([]string, error) {
-	addrs := make([]string, len(m.Tiles))
-	for i, t := range m.Tiles {
-		if t.Addr == "" {
-			return nil, fmt.Errorf("partition: tile %d has no shard address (record it in the manifest or pass -shards)", i)
-		}
-		addrs[i] = t.Addr
-	}
-	return addrs, nil
 }
 
 // ReplicaAddrs returns every tile's replica addresses (primary first) in
@@ -456,12 +437,10 @@ func Load(dir string) (*Manifest, error) {
 	return decode(b, path)
 }
 
-// Decode parses and validates a manifest from its JSON encoding. Every
+// decode parses and validates a manifest from its JSON encoding. Every
 // failure is a typed *ManifestError — corrupt bytes fail closed, they
 // never panic and never yield a half-usable manifest. This is the fuzz
 // target behind FuzzManifest.
-func Decode(b []byte) (*Manifest, error) { return decode(b, ManifestName) }
-
 func decode(b []byte, path string) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(b, &m); err != nil {

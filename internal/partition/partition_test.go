@@ -45,7 +45,7 @@ func TestRegionsTileThePlane(t *testing.T) {
 	for _, p := range pts {
 		owners := 0
 		for id := 0; id < m.NumTiles(); id++ {
-			if m.Owns(id, p) {
+			if OwnsRect(m.Region(id), p) {
 				owners++
 			}
 		}
@@ -161,7 +161,7 @@ func TestTileSnapshotsInheritIntervals(t *testing.T) {
 			s.Close()
 			continue
 		}
-		if !s.HasIntervals() {
+		if s.Intervals() == nil {
 			t.Fatalf("tile %d snapshot lost the interval section", tile.ID)
 		}
 		col := s.Intervals()

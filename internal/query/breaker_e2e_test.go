@@ -17,6 +17,14 @@ func freshLayers() (*Layer, *Layer) {
 	return NewLayer(data.MustLoad("LANDC", 0.004)), NewLayer(data.MustLoad("LANDO", 0.002))
 }
 
+// shortBreaker gives the layer pair a breaker with an 8-pair cooldown, so
+// recovery shows within a few small joins.
+func shortBreaker(a, b *Layer) *core.Breaker {
+	br := core.NewBreaker(8)
+	a.breakers = map[*Layer]*core.Breaker{b: br}
+	return br
+}
+
 // TestBreakerTripsJoinBitIdentical is the tentpole acceptance test at the
 // library level: with KindWrongAnswer injected at SiteHWFilter, a join
 // whose tester verifies every hardware negative (SentinelEvery 1)
@@ -29,15 +37,14 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	a, b := freshLayers()
 
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), sw, JoinOptions{NoBreaker: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	inj := faultinject.New(11).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
 	faulted := core.NewTester(core.Config{SWThreshold: 0, SentinelEvery: 1, Faults: inj})
-	br := core.NewBreaker(8)
-	a.SetBreaker(b, br)
+	br := shortBreaker(a, b)
 
 	got, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})
 	if err != nil {
@@ -55,7 +62,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	if faulted.Stats.SentinelDisagreements == 0 {
 		t.Error("expected sentinel disagreements under a lying filter")
 	}
-	if br.Trips() == 0 {
+	if faulted.Stats.BreakerTrips == 0 {
 		t.Error("breaker never tripped under a lying filter")
 	}
 	if faulted.Stats.BreakerOpenSkips == 0 {
@@ -74,7 +81,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	if br.State() != core.BreakerClosed {
 		t.Fatalf("breaker did not recover after fault removal: state %v", br.State())
 	}
-	if br.Recoveries() == 0 {
+	if faulted.Stats.BreakerRecoveries == 0 {
 		t.Error("recovery not counted")
 	}
 
@@ -106,8 +113,7 @@ func TestBreakerSharedAcrossParallelWorkers(t *testing.T) {
 	want := pairSet(mustJoin(t, a, b))
 
 	inj := faultinject.New(13).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
-	br := core.NewBreaker(8)
-	a.SetBreaker(b, br)
+	shortBreaker(a, b)
 	got, stats, err := pooledJoin(a, b, JoinOptions{
 		Workers:   4,
 		BatchSize: 16,
@@ -126,7 +132,7 @@ func TestBreakerSharedAcrossParallelWorkers(t *testing.T) {
 			t.Fatalf("parallel faulted join produced spurious pair %v", pr)
 		}
 	}
-	if br.Trips() == 0 {
+	if stats.BreakerTrips == 0 {
 		t.Error("shared breaker never tripped")
 	}
 	if stats.SentinelChecks == 0 {
@@ -137,7 +143,7 @@ func TestBreakerSharedAcrossParallelWorkers(t *testing.T) {
 func mustJoin(t *testing.T, a, b *Layer) []Pair {
 	t.Helper()
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), sw, JoinOptions{NoBreaker: true})
+	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), sw, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

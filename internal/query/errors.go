@@ -28,10 +28,10 @@ func (e *BudgetError) Error() string {
 // context's error, so errors.Is(err, context.Canceled) and
 // context.DeadlineExceeded work as expected.
 type PartialError struct {
-	Op   string
-	Done int // refinement units completed
+	Op    string
+	Done  int // refinement units completed
 	Total int
-	Err  error // the context's error
+	Err   error // the context's error
 }
 
 func (e *PartialError) Error() string {

@@ -71,12 +71,13 @@ type JoinOptions struct {
 	// geometry (paper §4.1.1: "very aggressive filtering").
 	Use1Object bool
 
-	// NoBreaker, NoSignatures and NoIntervals detach the layer pair's
-	// circuit breaker, the persisted raster-signature filter and the v2
-	// interval-approximation filter, as in SelectionOptions.
-	NoBreaker, NoSignatures, NoIntervals bool
+	// NoSignatures and NoIntervals detach the persisted raster-signature
+	// filter and the v2 interval-approximation filter, as in
+	// SelectionOptions.
+	NoSignatures, NoIntervals bool
 	// IntervalOrder forces the shared interval grid's order (2..15); 0
-	// derives it from the layers. The benchmark sweep's resolution knob.
+	// derives it from the layers. No verb sets it; the interval
+	// differential tests run the joins across forced orders.
 	IntervalOrder int
 }
 

@@ -25,7 +25,7 @@
 // pair whose test panics is retried once on the exact software path and,
 // failing that, quarantined (counted in core.Stats, excluded from the
 // result set) — one poisoned geometry pair can no longer take down a
-// join. See DESIGN.md §7.
+// join. See DESIGN.md §5.
 package query
 
 import (
@@ -353,17 +353,6 @@ func (l *Layer) Breaker(other *Layer) *core.Breaker {
 	return b
 }
 
-// SetBreaker installs a custom breaker (e.g. a shorter cooldown) for
-// queries pairing this layer with other, replacing any existing one.
-func (l *Layer) SetBreaker(other *Layer, b *core.Breaker) {
-	l.breakerMu.Lock()
-	defer l.breakerMu.Unlock()
-	if l.breakers == nil {
-		l.breakers = map[*Layer]*core.Breaker{}
-	}
-	l.breakers[other] = b
-}
-
 // Cost is the per-stage cost breakdown of one query, mirroring the cost
 // bars in the paper's figures.
 type Cost struct {
@@ -421,10 +410,6 @@ type SelectionOptions struct {
 	// MaxCandidates, when positive, aborts the selection with a
 	// *BudgetError if MBR filtering yields more candidates than this.
 	MaxCandidates int
-	// NoBreaker detaches the layer's circuit breaker from this query's
-	// pair tests: the hardware filter runs (and sentinel samples are
-	// taken) regardless of prior disagreements. Ablation/baseline knob.
-	NoBreaker bool
 	// NoSignatures disables the persisted raster-signature filter for
 	// snapshot-backed layers. Ablation knob; no effect on layers without
 	// signatures.
@@ -538,10 +523,7 @@ func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, 
 			}
 		}
 	}
-	var br *core.Breaker
-	if !opt.NoBreaker {
-		br = layer.Breaker(layer)
-	}
+	br := layer.Breaker(layer)
 	for i, id := range remaining {
 		if i%cancelStride == 0 && ctx.Err() != nil {
 			flush(true) // best effort: the partial rows stream out too
@@ -590,20 +572,17 @@ func sortPairsByOuter(pairs []Pair) {
 }
 
 // pairContexts returns a per-pair PairContext source for a join between
-// layers a and b, honoring the NoBreaker and NoSignatures
-// ablations. All contexts share the pair's breaker, so any worker's
-// sentinel disagreement degrades the whole join. Persisted signatures
-// attach only on the sides that carry them; the tester's bounds check
-// makes a one-sided or absent signature merely inconclusive. iva and
-// ivb, when both non-nil (see intervalColumns), attach the objects' v2
-// interval spans — always from one shared grid, which is what makes
-// them comparable; the v1 signatures stay attached too and still decide
-// pairs the interval check leaves inconclusive.
+// layers a and b, honoring the NoSignatures ablation. All contexts share
+// the pair's breaker, so any worker's sentinel disagreement degrades the
+// whole join. Persisted signatures attach only on the sides that carry
+// them; the tester's bounds check makes a one-sided or absent signature
+// merely inconclusive. iva and ivb, when both non-nil (see
+// intervalColumns), attach the objects' v2 interval spans — always from
+// one shared grid, which is what makes them comparable; the v1 signatures
+// stay attached too and still decide pairs the interval check leaves
+// inconclusive.
 func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(Pair) core.PairContext {
-	var br *core.Breaker
-	if !opt.NoBreaker {
-		br = a.Breaker(b)
-	}
+	br := a.Breaker(b)
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil
 	return func(pr Pair) core.PairContext {

@@ -31,11 +31,11 @@ type Stats struct {
 
 	// Refinement resolution counters (from core.Stats; zero when no
 	// tester ran).
-	Tests       int64 `json:"tests"`
-	MBRRejects  int64 `json:"mbr_rejects"`
-	PIPHits     int64 `json:"pip_hits"`
-	SigChecks   int64 `json:"sig_checks,omitempty"`
-	SigRejects  int64 `json:"sig_rejects,omitempty"`
+	Tests      int64 `json:"tests"`
+	MBRRejects int64 `json:"mbr_rejects"`
+	PIPHits    int64 `json:"pip_hits"`
+	SigChecks  int64 `json:"sig_checks,omitempty"`
+	SigRejects int64 `json:"sig_rejects,omitempty"`
 
 	// Interval-approximation (v2) filter counters; see core.Stats.
 	IntervalChecks       int64 `json:"interval_checks,omitempty"`
@@ -61,8 +61,9 @@ type Stats struct {
 	EdgeIndexHits         int64 `json:"edge_index_hits"`
 	EdgeIndexSkippedEdges int64 `json:"edge_index_skipped_edges"`
 
-	// Staged-pipeline and streaming-delivery counters (see core.Stats;
-	// zero for the ablated per-pair path and non-streaming queries).
+	// Join-executor and streaming-delivery counters (see core.Stats): the
+	// pipeline fields are zero for selections, the row count for a query
+	// without a sink.
 	PipelineBatches    int64 `json:"pipeline_batches,omitempty"`
 	PipelineFilterNS   int64 `json:"pipeline_filter_ns,omitempty"`
 	PipelineRefineNS   int64 `json:"pipeline_refine_ns,omitempty"`
@@ -106,12 +107,12 @@ func NewStats(op string, results int, cost Cost, refine core.Stats) Stats {
 		IntervalRejects:      refine.IntervalRejects,
 		IntervalInconclusive: refine.IntervalInconclusive,
 
-		SWDirect:       refine.SWDirect,
-		HWRejects:      refine.HWRejects,
-		HWPassed:       refine.HWPassed,
-		HWFallbacks:    refine.HWFallbacks,
-		Panics:         refine.Panics,
-		Quarantined:    refine.Quarantined,
+		SWDirect:    refine.SWDirect,
+		HWRejects:   refine.HWRejects,
+		HWPassed:    refine.HWPassed,
+		HWFallbacks: refine.HWFallbacks,
+		Panics:      refine.Panics,
+		Quarantined: refine.Quarantined,
 
 		SentinelChecks:        refine.SentinelChecks,
 		SentinelDisagreements: refine.SentinelDisagreements,
@@ -193,12 +194,3 @@ func (s *Stats) Merge(o Stats) {
 // decided in software: inconclusive filter verdicts plus line-width
 // fallbacks.
 func (s Stats) SWFallbacks() int64 { return s.HWPassed + s.HWFallbacks }
-
-// HWRejectRate is the fraction of started pair tests the hardware filter
-// rejected; zero when no tests ran.
-func (s Stats) HWRejectRate() float64 {
-	if s.Tests == 0 {
-		return 0
-	}
-	return float64(s.HWRejects) / float64(s.Tests)
-}

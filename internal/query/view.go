@@ -73,9 +73,6 @@ func (v *View) Single() (*Layer, bool) {
 	return nil, false
 }
 
-// Base returns the view's base layer (always non-nil).
-func (v *View) Base() *Layer { return v.base }
-
 // Counts breaks the view down: base objects (before tombstones), alive
 // delta objects, and tombstoned base objects.
 func (v *View) Counts() (base, delta, tombs int) {
@@ -95,15 +92,9 @@ func (v *View) Dataset() *data.Dataset {
 		return l.Data
 	}
 	objs := make([]*geom.Polygon, 0, v.numObjects)
-	for _, p := range v.base.Data.Objects {
-		objs = append(objs, p)
-	}
-	if v.baseCanon != nil {
-		objs = objs[:0]
-		for i, p := range v.base.Data.Objects {
-			if v.baseCanon[i] >= 0 {
-				objs = append(objs, p)
-			}
+	for i, p := range v.base.Data.Objects {
+		if v.baseCanon == nil || v.baseCanon[i] >= 0 {
+			objs = append(objs, p)
 		}
 	}
 	if v.delta != nil {
@@ -127,9 +118,9 @@ func (v *View) components() []viewComponent {
 }
 
 // LiveUnsupportedError reports a query that requires a single-component
-// view (kNN's ordered index walk, the overlay join's accumulation
-// protocol) being aimed at a view with live mutations. Compact the table
-// to fold the delta down, then retry.
+// view (kNN's ordered index walk, the overlay join's per-pair overlay of
+// two layers' objects) being aimed at a view with live mutations. Compact
+// the table to fold the delta down, then retry.
 type LiveUnsupportedError struct {
 	Op string
 }

@@ -17,9 +17,9 @@ import (
 //
 //   - Coverage (licenses rejects): every window cell whose closed
 //     rectangle touches p's closed region is reported. Boundary cells
-//     come from the same conservative closed-cell walk as
-//     ComputeSignature (outward cellEps slack, clamped attribution);
-//     interior cells from the fill below.
+//     come from the conservative closed-cell walk ComputeSignature
+//     also uses (markSegment: outward cellEps slack, clamped
+//     attribution); interior cells from the fill below.
 //
 //   - Full labels are exact (licenses true hits): fn(x, y, true) is only
 //     called when cell (x, y) provably lies entirely inside p's closed
@@ -40,55 +40,11 @@ func CellCover(p *geom.Polygon, ox, oy, cs float64, x0, y0, x1, y1 int, fn func(
 	h := y1 - y0 + 1
 	marks := make([]uint64, (w*h+63)/64)
 	bit := func(lx, ly int) int { return ly*w + lx }
-	clampX := func(v float64) int {
-		i := int(math.Floor(v)) - x0
-		if i < 0 {
-			return 0
-		}
-		if i >= w {
-			return w - 1
-		}
-		return i
-	}
-	clampY := func(v float64) int {
-		i := int(math.Floor(v)) - y0
-		if i < 0 {
-			return 0
-		}
-		if i >= h {
-			return h - 1
-		}
-		return i
-	}
 
-	// Boundary walk: identical column sweep to ComputeSignature, in the
-	// caller's global cell coordinates.
+	// Boundary walk, in the caller's global cell coordinates.
 	for i := 0; i < p.NumEdges(); i++ {
 		e := p.Edge(i)
-		ax, ay := (e.A.X-ox)/cs, (e.A.Y-oy)/cs
-		bx, by := (e.B.X-ox)/cs, (e.B.Y-oy)/cs
-		if ax > bx {
-			ax, ay, bx, by = bx, by, ax, ay
-		}
-		cx0, cx1 := clampX(ax-cellEps), clampX(bx+cellEps)
-		for cx := cx0; cx <= cx1; cx++ {
-			var yl, yh float64
-			if bx-ax <= cellEps {
-				yl, yh = math.Min(ay, by), math.Max(ay, by)
-			} else {
-				m := (by - ay) / (bx - ax)
-				lo := math.Max(float64(cx+x0), ax)
-				hi := math.Min(float64(cx+x0+1), bx)
-				yl = ay + m*(lo-ax)
-				yh = ay + m*(hi-ax)
-				if yl > yh {
-					yl, yh = yh, yl
-				}
-			}
-			for cy, cy1 := clampY(yl-cellEps), clampY(yh+cellEps); cy <= cy1; cy++ {
-				marks[bit(cx, cy)>>6] |= 1 << uint(bit(cx, cy)&63)
-			}
-		}
+		markSegment(marks, (e.A.X-ox)/cs, (e.A.Y-oy)/cs, (e.B.X-ox)/cs, (e.B.Y-oy)/cs, x0, y0, w, h)
 	}
 
 	// Row scan: emit boundary cells as partial; classify each maximal run
@@ -121,4 +77,55 @@ func CellCover(p *geom.Polygon, ox, oy, cs float64, x0, y0, x1, y1 int, fn func(
 		}
 		flushRun(w)
 	}
+}
+
+// markSegment is the conservative closed-cell boundary walk under both
+// raster approximations (signatures and interval lists): it sets, in the
+// row-major bitmap marks of a w×h cell window whose cell (0, 0) is grid
+// cell (x0, y0), every cell whose closed square the segment
+// (ax, ay)–(bx, by), given in cell units, may touch. The segment is swept
+// column by column; each point is attributed to the closed cell holding
+// it with cellEps of outward slack, and indexes are clamped into the
+// window, so a segment on the window's max edge still marks the last row
+// or column.
+func markSegment(marks []uint64, ax, ay, bx, by float64, x0, y0, w, h int) {
+	if ax > bx {
+		ax, ay, bx, by = bx, by, ax, ay
+	}
+	cx0, cx1 := clampCell(ax-cellEps, x0, w), clampCell(bx+cellEps, x0, w)
+	for cx := cx0; cx <= cx1; cx++ {
+		var yl, yh float64
+		if bx-ax <= cellEps {
+			// (Near-)vertical in cell space: the whole y extent lands in
+			// this column.
+			yl, yh = math.Min(ay, by), math.Max(ay, by)
+		} else {
+			// y range of the segment across this column's x span.
+			m := (by - ay) / (bx - ax)
+			lo := math.Max(float64(cx+x0), ax)
+			hi := math.Min(float64(cx+x0+1), bx)
+			yl = ay + m*(lo-ax)
+			yh = ay + m*(hi-ax)
+			if yl > yh {
+				yl, yh = yh, yl
+			}
+		}
+		for cy, cy1 := clampCell(yl-cellEps, y0, h), clampCell(yh+cellEps, y0, h); cy <= cy1; cy++ {
+			i := cy*w + cx
+			marks[i>>6] |= 1 << uint(i&63)
+		}
+	}
+}
+
+// clampCell maps cell coordinate v to its index in a window of n cells
+// starting at cell origin, clamped into the window.
+func clampCell(v float64, origin, n int) int {
+	i := int(math.Floor(v)) - origin
+	if i < 0 {
+		return 0
+	}
+	if i >= n {
+		return n - 1
+	}
+	return i
 }

@@ -7,18 +7,18 @@ import (
 )
 
 // DrawSegment rasterizes the data-space segment s into plane pl as an
-// anti-aliased line of the current width with blending disabled: every
+// anti-aliased line of the default width with blending disabled: every
 // pixel whose cell overlaps the width-w capsule around the segment is
 // covered. This is the conservative coverage guarantee of paper §2.2.2:
 // with anti-aliasing on, a pixel touched by the segment is always colored,
 // so two intersecting segments always share a colored pixel.
 func (c *Context) DrawSegment(pl *Plane, s geom.Segment) {
-	c.walk(pl, c.Project(s.A), c.Project(s.B), c.lineWidth/2, false)
+	c.walk(pl, c.Project(s.A), c.Project(s.B), lineWidth/2, false)
 }
 
-// DrawSegmentWidth is DrawSegment with an explicit width in pixels,
-// bypassing the context line width. Used by tests and by callers that vary
-// width per primitive.
+// DrawSegmentWidth is DrawSegment with an explicit width in pixels (0
+// gives exact segment coverage: only cells the segment passes through),
+// for callers that vary width per primitive.
 func (c *Context) DrawSegmentWidth(pl *Plane, s geom.Segment, widthPx float64) {
 	c.walk(pl, c.Project(s.A), c.Project(s.B), widthPx/2, false)
 }
@@ -39,14 +39,14 @@ func (c *Context) DrawPolygonEdges(pl *Plane, p *geom.Polygon) {
 }
 
 // SegmentTouches reports whether any cell the data-space segment s covers
-// (at the given width, 0 meaning the context line width) is already
+// (at the given width, 0 meaning the default line width) is already
 // covered in pl. It is the overlap search run fragment by fragment: after
 // the first polygon's edges are rendered into a plane, the second
 // polygon's edges are tested against it without being stored, and the
 // search stops at the first shared cell. The cell walk is DrawSegment's,
 // so the answer is exactly "would the two renderings overlap".
 func (c *Context) SegmentTouches(pl *Plane, s geom.Segment, widthPx float64) bool {
-	hw := c.lineWidth / 2
+	hw := lineWidth / 2
 	if widthPx > 0 {
 		hw = widthPx / 2
 	}
@@ -177,9 +177,11 @@ func (c *Context) walk(pl *Plane, a, b geom.Point, hw float64, test bool) bool {
 	return false
 }
 
-// DrawSegmentExact is DrawSegment using the exact-coverage reference
+// DrawSegmentExact is DrawSegmentWidth using the exact-coverage reference
 // rasterizer; tests use it to pin down the fast path's conservative
 // contract.
+//
+//reach:keep reference rasterizer (drawCapsuleExact) behind raster_test's assertSuperset and FuzzCoverageSuperset
 func (c *Context) DrawSegmentExact(pl *Plane, s geom.Segment, widthPx float64) {
 	c.drawCapsuleExact(pl, c.Project(s.A), c.Project(s.B), widthPx/2)
 }

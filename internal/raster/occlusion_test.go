@@ -40,14 +40,15 @@ func TestSegmentTouchesMatchesDraw(t *testing.T) {
 
 func TestSegmentTouchesUsesContextWidth(t *testing.T) {
 	c := NewContext(8, 8)
-	c.DrawSegment(&c.A, geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)))
-	if err := c.SetLineWidth(4); err != nil {
-		t.Fatal(err)
+	c.DrawSegmentWidth(&c.A, geom.Seg(geom.Pt(0, 4.5), geom.Pt(8, 4.5)), 0) // row 4 alone
+	// widthPx 0 must fall back to the default √2 line: a segment half a
+	// cell above row 4 reaches into it, the exact segment does not.
+	above := geom.Seg(geom.Pt(0, 5.5), geom.Pt(8, 5.5))
+	if !c.SegmentTouches(&c.A, above, 0) {
+		t.Error("default width not honored")
 	}
-	// widthPx 0 must fall back to the context's width-4 line: a segment two
-	// cells away now touches.
-	if !c.SegmentTouches(&c.A, geom.Seg(geom.Pt(0, 6.4), geom.Pt(8, 6.4)), 0) {
-		t.Error("context width not honored")
+	if c.SegmentTouches(&c.A, above, 1e-9) {
+		t.Error("an explicit hairline width was widened")
 	}
 }
 
@@ -98,15 +99,5 @@ func TestDrawEdgesAndPolygonEdges(t *testing.T) {
 	c.SegmentTouches(&c.A, geom.Seg(geom.Pt(7, 0), geom.Pt(7.5, 0.5)), 0)
 	if calls != 2+3 {
 		t.Errorf("hook fired %d times for 2 drawn + 3 tested segments", calls)
-	}
-}
-
-func TestLineWidthAccessor(t *testing.T) {
-	c := NewContext(4, 4)
-	if err := c.SetLineWidth(3); err != nil {
-		t.Fatal(err)
-	}
-	if c.LineWidth() != 3 {
-		t.Errorf("LineWidth = %v", c.LineWidth())
 	}
 }

@@ -53,6 +53,12 @@ import (
 // query distances (paper §4.4); we reproduce the same limit.
 const MaxLineWidth = 10.0
 
+// lineWidth is the anti-aliased line width DrawSegment renders at, in
+// pixels: √2, the pixel diagonal (paper §2.2.2), the OpenGL default for
+// the paper's algorithms. Distance tests pass their own width per
+// primitive (DrawSegmentWidth, SegmentTouches).
+const lineWidth = math.Sqrt2
+
 // MaxResolution is the largest window width and height, in pixels: a
 // plane keeps one row per uint64. The paper sweeps windows of 1 to 32
 // pixels a side and settles on 8.
@@ -105,8 +111,6 @@ type Context struct {
 	// Viewport transform: window = (data - offset) * scale, per axis.
 	sx, sy, ox, oy float64
 
-	lineWidth float64 // total width in pixels; 0 means exact segment coverage
-
 	// Hook, when non-nil, is called with a site name ("raster.draw") once
 	// per rasterized primitive — stored or tested against a plane — before
 	// any plane is touched. It exists for fault injection
@@ -116,15 +120,14 @@ type Context struct {
 	Hook func(site string)
 }
 
-// NewContext creates a context with a w×h window, a unit viewport and the
-// default anti-aliased line width √2 (the pixel diagonal, as in paper
-// §2.2.2). It panics when w or h is outside 1..MaxResolution; callers
-// taking a resolution from outside the program validate it first.
+// NewContext creates a context with a w×h window and a unit viewport. It
+// panics when w or h is outside 1..MaxResolution; callers taking a
+// resolution from outside the program validate it first.
 func NewContext(w, h int) *Context {
 	if w < 1 || h < 1 || w > MaxResolution || h > MaxResolution {
 		panic(fmt.Sprintf("raster: window %dx%d outside 1..%d", w, h, MaxResolution))
 	}
-	c := &Context{w: w, h: h, lineWidth: math.Sqrt2}
+	c := &Context{w: w, h: h}
 	c.SetViewport(geom.R(0, 0, float64(w), float64(h)))
 	return c
 }
@@ -175,25 +178,6 @@ func (c *Context) Scale() (sx, sy float64) { return c.sx, c.sy }
 func (c *Context) Project(p geom.Point) geom.Point {
 	return geom.Pt((p.X-c.ox)*c.sx, (p.Y-c.oy)*c.sy)
 }
-
-// SetLineWidth sets the anti-aliased line width in pixels. Width 0 gives
-// exact segment coverage (only cells the segment passes through); the
-// OpenGL default for the paper's algorithms is √2. Widths above
-// MaxLineWidth return an error, matching the hardware limit that triggers
-// the paper's software fallback.
-func (c *Context) SetLineWidth(px float64) error {
-	if px < 0 {
-		return fmt.Errorf("raster: negative line width %g", px)
-	}
-	if px > MaxLineWidth {
-		return fmt.Errorf("raster: line width %g exceeds hardware limit %g", px, MaxLineWidth)
-	}
-	c.lineWidth = px
-	return nil
-}
-
-// LineWidth returns the current line width in pixels.
-func (c *Context) LineWidth() float64 { return c.lineWidth }
 
 // Clear zeroes both planes.
 func (c *Context) Clear() {

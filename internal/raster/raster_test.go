@@ -75,19 +75,6 @@ func TestViewportUniform(t *testing.T) {
 	}
 }
 
-func TestSetLineWidthLimits(t *testing.T) {
-	c := NewContext(8, 8)
-	if err := c.SetLineWidth(5); err != nil {
-		t.Errorf("width 5 rejected: %v", err)
-	}
-	if err := c.SetLineWidth(MaxLineWidth + 0.1); err == nil {
-		t.Error("width above hardware limit accepted")
-	}
-	if err := c.SetLineWidth(-1); err == nil {
-		t.Error("negative width accepted")
-	}
-}
-
 // TestSegmentCoverageConservative: every closed cell the segment passes
 // through must be colored, for any line width.
 func TestSegmentCoverageConservative(t *testing.T) {
@@ -96,14 +83,11 @@ func TestSegmentCoverageConservative(t *testing.T) {
 	for _, width := range []float64{0, math.Sqrt2, 4} {
 		for range 300 {
 			c.Clear()
-			if err := c.SetLineWidth(width); err != nil {
-				t.Fatal(err)
-			}
 			s := geom.Seg(
 				geom.Pt(rng.Float64()*16, rng.Float64()*16),
 				geom.Pt(rng.Float64()*16, rng.Float64()*16),
 			)
-			c.DrawSegment(&c.A, s) // identity viewport
+			c.DrawSegmentWidth(&c.A, s, width) // identity viewport
 			for cy := range 16 {
 				for cx := range 16 {
 					touches := boxSegDistSq(float64(cx), float64(cy), s) == 0
@@ -126,14 +110,11 @@ func TestSegmentCoverageTight(t *testing.T) {
 	for range 300 {
 		c.Clear()
 		width := rng.Float64() * 6
-		if err := c.SetLineWidth(width); err != nil {
-			t.Fatal(err)
-		}
 		s := geom.Seg(
 			geom.Pt(rng.Float64()*16, rng.Float64()*16),
 			geom.Pt(rng.Float64()*16, rng.Float64()*16),
 		)
-		c.DrawSegment(&c.A, s)
+		c.DrawSegmentWidth(&c.A, s, width)
 		limit := width + math.Sqrt2 // 2·hw margin + cell diagonal
 		for cy := range 16 {
 			for cx := range 16 {
@@ -141,7 +122,7 @@ func TestSegmentCoverageTight(t *testing.T) {
 					continue
 				}
 				center := geom.Pt(float64(cx)+0.5, float64(cy)+0.5)
-				if d := s.DistToPoint(center); d > limit+1e-9 {
+				if d := math.Sqrt(s.DistSqToPoint(center)); d > limit+1e-9 {
 					t.Fatalf("cell (%d,%d) colored at distance %v > %v", cx, cy, d, limit)
 				}
 			}
@@ -280,7 +261,7 @@ func TestIntersectionAlwaysDetected(t *testing.T) {
 				geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			)
 			// Force an intersection: s2 crosses s1's midpoint.
-			mid := s1.Midpoint()
+			mid := s1.A.Add(s1.B).Scale(0.5)
 			dx, dy := rng.Float64()*50-25, rng.Float64()*50-25
 			s2 := geom.Seg(
 				geom.Pt(mid.X-dx, mid.Y-dy),

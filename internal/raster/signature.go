@@ -52,35 +52,14 @@ func (s *Signature) Bit(x, y int) bool {
 	return s.Words[i>>6]&(1<<uint(i&63)) != 0
 }
 
-func (s *Signature) setBit(x, y int) {
-	i := y*s.Res + x
-	s.Words[i>>6] |= 1 << uint(i&63)
-}
-
-// PopCount returns the number of set cells (for stats and tests).
-func (s *Signature) PopCount() int {
-	n := 0
-	for _, w := range s.Words {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
-}
-
 // ComputeSignature rasterizes p's boundary onto a res×res grid over its
-// MBR and returns the bitmap. The cell walk attributes each boundary
-// point to the closed cell containing it, with indexes clamped into the
-// grid, so — unlike the display renderer's half-open window mapping —
-// segments lying exactly on the MBR's max edges still set the last
-// row/column. That closed-cell attribution is what makes the signature a
-// sound reject filter: every boundary point lies in a set cell, always.
+// MBR and returns the bitmap. The cell walk (markSegment) attributes each
+// boundary point to the closed cell containing it, with indexes clamped
+// into the grid, so — unlike the display renderer's half-open window
+// mapping — segments lying exactly on the MBR's max edges still set the
+// last row/column. That closed-cell attribution is what makes the
+// signature a sound reject filter: every boundary point lies in a set
+// cell, always.
 // (The viewport renderer drops fragments at exactly the window max edge,
 // which is fine for a sentinel-checked filter but not for a proof; a
 // rectangular query polygon, whose top and right edges lie exactly on
@@ -99,46 +78,9 @@ func ComputeSignature(p *geom.Polygon, res int) Signature {
 	if h <= 0 {
 		h = math.SmallestNonzeroFloat64
 	}
-	clamp := func(v float64) int {
-		i := int(math.Floor(v))
-		if i < 0 {
-			return 0
-		}
-		if i >= res {
-			return res - 1
-		}
-		return i
-	}
 	for i := 0; i < p.NumEdges(); i++ {
 		e := p.Edge(i)
-		// Cell-space endpoints, sorted by x.
-		ax, ay := (e.A.X-b.MinX)/w, (e.A.Y-b.MinY)/h
-		bx, by := (e.B.X-b.MinX)/w, (e.B.Y-b.MinY)/h
-		if ax > bx {
-			ax, ay, bx, by = bx, by, ax, ay
-		}
-		x0, x1 := clamp(ax-cellEps), clamp(bx+cellEps)
-		for cx := x0; cx <= x1; cx++ {
-			var yl, yh float64
-			if bx-ax <= cellEps {
-				// (Near-)vertical in cell space: the whole y extent lands
-				// in this column.
-				yl, yh = math.Min(ay, by), math.Max(ay, by)
-			} else {
-				// y range of the segment across this column's x span.
-				m := (by - ay) / (bx - ax)
-				lo := math.Max(float64(cx), ax)
-				hi := math.Min(float64(cx+1), bx)
-				yl = ay + m*(lo-ax)
-				yh = ay + m*(hi-ax)
-				if yl > yh {
-					yl, yh = yh, yl
-				}
-			}
-			for cy, y1 := clamp(yl-cellEps), clamp(yh+cellEps); cy <= y1; cy++ {
-				sig.setBit(cx, cy)
-			}
-		}
+		markSegment(sig.Words, (e.A.X-b.MinX)/w, (e.A.Y-b.MinY)/h, (e.B.X-b.MinX)/w, (e.B.Y-b.MinY)/h, 0, 0, res, res)
 	}
 	return sig
 }

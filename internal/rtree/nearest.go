@@ -47,19 +47,6 @@ func (t *Tree) NearestBy(q geom.Rect, exact func(Entry) float64, visit func(Entr
 	return true
 }
 
-// NearestK collects the k nearest entries by exact distance.
-func (t *Tree) NearestK(q geom.Rect, k int, exact func(Entry) float64) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]Entry, 0, k)
-	t.NearestBy(q, exact, func(e Entry, _ float64) bool {
-		out = append(out, e)
-		return len(out) < k
-	})
-	return out
-}
-
 // nnItem is one priority-queue element: an internal node, an unrefined
 // entry (keyed by MBR distance), or a refined entry (keyed by exact
 // distance).

@@ -50,17 +50,15 @@ func TestNearestK(t *testing.T) {
 	tr := NewBulk(es)
 	q := geom.R(10, 10, 12, 12)
 	exact := func(e Entry) float64 { return e.Bounds.Dist(q) }
-	for _, k := range []int{0, 1, 5, 50, 500} {
-		got := tr.NearestK(q, k, exact)
-		wantLen := min(k, len(es))
-		if k <= 0 {
-			wantLen = 0
-		}
-		if len(got) != wantLen {
-			t.Fatalf("k=%d: %d results", k, len(got))
-		}
-		if k == 0 {
-			continue
+	for _, k := range []int{1, 5, 50, 500} {
+		// The k nearest: visit in distance order, stop after k.
+		var got []Entry
+		done := tr.NearestBy(q, exact, func(e Entry, _ float64) bool {
+			got = append(got, e)
+			return len(got) < k
+		})
+		if len(got) != min(k, len(es)) || done != (k > len(es)) {
+			t.Fatalf("k=%d: %d results, ran to completion %v", k, len(got), done)
 		}
 		// Compare against brute force.
 		type de struct {
@@ -82,8 +80,12 @@ func TestNearestK(t *testing.T) {
 
 func TestNearestEmptyTree(t *testing.T) {
 	tr := New()
-	if got := tr.NearestK(geom.R(0, 0, 1, 1), 3, func(Entry) float64 { return 0 }); len(got) != 0 {
-		t.Errorf("empty tree returned %v", got)
+	done := tr.NearestBy(geom.R(0, 0, 1, 1), func(Entry) float64 { return 0 }, func(e Entry, _ float64) bool {
+		t.Errorf("empty tree visited %v", e)
+		return true
+	})
+	if !done {
+		t.Error("empty tree did not run to completion")
 	}
 }
 
@@ -94,6 +96,7 @@ func BenchmarkNearestK(b *testing.B) {
 	exact := func(e Entry) float64 { return e.Bounds.Dist(q) }
 	b.ResetTimer()
 	for range b.N {
-		tr.NearestK(q, 10, exact)
+		n := 0
+		tr.NearestBy(q, exact, func(Entry, float64) bool { n++; return n < 10 })
 	}
 }

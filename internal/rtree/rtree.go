@@ -57,9 +57,6 @@ func New() *Tree {
 // Len returns the number of indexed entries.
 func (t *Tree) Len() int { return t.size }
 
-// Bounds returns the MBR of everything in the tree.
-func (t *Tree) Bounds() geom.Rect { return t.root.bounds }
-
 // Height returns the number of levels, 1 for a tree that is a single leaf.
 func (t *Tree) Height() int {
 	h := 1

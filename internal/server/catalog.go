@@ -4,7 +4,7 @@
 // surfaces, a copy-on-write layer catalog shared by all sessions, an
 // admission-control semaphore bounding concurrent refinements, structured
 // per-query access logging, and graceful shutdown that drains in-flight
-// queries into partial results. See DESIGN.md §8.
+// queries into partial results. See DESIGN.md §7.
 package server
 
 import (

@@ -335,7 +335,7 @@ func TestShutdownDrainsPartialResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "join to enter refinement", func() bool {
-		return s.lim.inFlight() > 0 && inj.Fired(faultinject.SiteIntersects, faultinject.KindDelay) > 0
+		return s.lim.snapshot().InFlight > 0 && inj.Fired(faultinject.SiteIntersects, faultinject.KindDelay) > 0
 	})
 
 	shutdownErr := make(chan error, 1)

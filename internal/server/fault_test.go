@@ -137,7 +137,7 @@ func TestFaultQueryPanicContained(t *testing.T) {
 
 	// A fresh session still works for commands off the faulted path, and
 	// admission slots were not leaked by the dead session.
-	if got := s.lim.inFlight(); got != 0 {
+	if got := s.lim.snapshot().InFlight; got != 0 {
 		t.Errorf("in-flight slots after session panic = %d, want 0", got)
 	}
 	c2 := dialWire(t, s.Addr().String())

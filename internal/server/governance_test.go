@@ -52,8 +52,8 @@ func TestLimiterFIFOQueue(t *testing.T) {
 		}
 		want++
 	}
-	if l.inFlight() != 0 || l.queued() != 0 {
-		t.Errorf("after drain: inFlight=%d queued=%d", l.inFlight(), l.queued())
+	if l.snapshot().InFlight != 0 || l.snapshot().Queued != 0 {
+		t.Errorf("after drain: inFlight=%d queued=%d", l.snapshot().InFlight, l.snapshot().Queued)
 	}
 	st := l.snapshot()
 	if st.Admitted != int64(waiters+1) || st.Shed != 0 || st.Timeouts != 0 {
@@ -67,9 +67,9 @@ func TestLimiterFIFOQueue(t *testing.T) {
 func waitForQueued(t *testing.T, l *limiter, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for l.queued() < n {
+	for l.snapshot().Queued < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached %d (at %d)", n, l.queued())
+			t.Fatalf("queue never reached %d (at %d)", n, l.snapshot().Queued)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -138,9 +138,9 @@ func TestLimiterCancelledWaiterHandsSlotOn(t *testing.T) {
 		}
 		// Whatever the interleaving, exactly zero slots must remain held.
 		deadline := time.Now().Add(time.Second)
-		for l.inFlight() != 0 {
+		for l.snapshot().InFlight != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("iteration %d: inFlight=%d, slot leaked", i, l.inFlight())
+				t.Fatalf("iteration %d: inFlight=%d, slot leaked", i, l.snapshot().InFlight)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -221,9 +221,9 @@ func TestWatchdogKillReleasesAdmissionSlot(t *testing.T) {
 func waitForIdle(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.lim.inFlight() != 0 || s.dog.active() != 0 {
+	for s.lim.snapshot().InFlight != 0 || s.dog.active() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("not idle: inFlight=%d watchdogActive=%d", s.lim.inFlight(), s.dog.active())
+			t.Fatalf("not idle: inFlight=%d watchdogActive=%d", s.lim.snapshot().InFlight, s.dog.active())
 		}
 		time.Sleep(time.Millisecond)
 	}

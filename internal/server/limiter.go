@@ -227,20 +227,6 @@ func (l *limiter) retryHintLocked(queued int) time.Duration {
 	return hint
 }
 
-// inFlight reports the currently claimed slots (for /metrics).
-func (l *limiter) inFlight() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inUse
-}
-
-// queued reports the current wait-queue depth.
-func (l *limiter) queued() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue)
-}
-
 // snapshot captures the admission counters for /metrics.
 func (l *limiter) snapshot() AdmissionStats {
 	l.mu.Lock()

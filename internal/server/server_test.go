@@ -127,8 +127,8 @@ func TestLimiterOverload(t *testing.T) {
 	if !errors.As(err, &oe) || oe.Limit != 2 {
 		t.Fatalf("third acquire: err = %v, want *OverloadError{Limit: 2}", err)
 	}
-	if l.inFlight() != 2 {
-		t.Errorf("inFlight = %d", l.inFlight())
+	if l.snapshot().InFlight != 2 {
+		t.Errorf("inFlight = %d", l.snapshot().InFlight)
 	}
 	l.release()
 	if err := l.acquire(ctx); err != nil {

@@ -384,10 +384,10 @@ func runCoordSoakPhase(t *testing.T, seed int64) {
 			scancel()
 		}
 	}
-	if got := front.lim.inFlight(); got != 0 {
+	if got := front.lim.snapshot().InFlight; got != 0 {
 		t.Errorf("admission slots leaked: inFlight=%d", got)
 	}
-	if got := front.lim.queued(); got != 0 {
+	if got := front.lim.snapshot().Queued; got != 0 {
 		t.Errorf("queue entries leaked: queued=%d", got)
 	}
 	if got := front.dog.active(); got != 0 {
@@ -458,10 +458,10 @@ func runSoakPhase(t *testing.T, seed int64, inj *faultinject.Injector) *Server {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if got := s.lim.inFlight(); got != 0 {
+	if got := s.lim.snapshot().InFlight; got != 0 {
 		t.Errorf("admission slots leaked: inFlight=%d", got)
 	}
-	if got := s.lim.queued(); got != 0 {
+	if got := s.lim.snapshot().Queued; got != 0 {
 		t.Errorf("queue entries leaked: queued=%d", got)
 	}
 	if got := s.dog.active(); got != 0 {

@@ -73,7 +73,7 @@ func TestStreamWriteFaultWindsDownJoin(t *testing.T) {
 		return s.Metrics().SessionsActive.Load() == 0
 	})
 	waitFor(t, "admission slot release", func() bool {
-		return s.lim.inFlight() == 0
+		return s.lim.snapshot().InFlight == 0
 	})
 	checkCatalogIntact(t, s, water, prism, wantJoin)
 
@@ -119,7 +119,7 @@ func TestStreamDeadlineExpiryReleasesSlot(t *testing.T) {
 	}
 
 	waitFor(t, "admission slot release", func() bool {
-		return s.lim.inFlight() == 0 && s.dog.active() == 0
+		return s.lim.snapshot().InFlight == 0 && s.dog.active() == 0
 	})
 	checkCatalogIntact(t, s, water, prism, wantJoin)
 

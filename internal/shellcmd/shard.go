@@ -3,8 +3,9 @@ package shellcmd
 // Shard-side verbs for the multi-node deployment. A shard is a vanilla
 // spatiald process serving the per-tile snapshots written by the
 // partition verb; what makes it a shard is only which commands the
-// coordinator sends it. The shard verbs differ from their single-node
-// counterparts in two ways:
+// coordinator sends it. The shard verbs (shardselect, shardjoin,
+// shardwithin) are handled with their single-node counterparts — see
+// selectCmd and runJoin — and differ from them in two ways:
 //
 //   - They emit machine-readable data lines — "id <N>" for selections,
 //     "pair <A> <B>" for joins, and one trailing "stats <json>" record —
@@ -12,8 +13,7 @@ package shellcmd
 //     without scraping prose. None of these prefixes collides with the
 //     wire status words (ok / partial: / error:).
 //
-//   - The join verbs (shardjoin, shardwithin — handled with their
-//     single-node counterparts, see runJoin) take the shard's ownership
+//   - The join verbs (shardjoin, shardwithin) take the shard's ownership
 //     region on the wire and apply the reference-point rule locally: a
 //     pair is emitted only if this shard owns the reference point of its
 //     MBR intersection, so the coordinator can concatenate shard outputs
@@ -22,15 +22,11 @@ package shellcmd
 //     directly comparable with a single-node run.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
-	"repro/internal/coord"
 	"repro/internal/geom"
 	"repro/internal/partition"
 	"repro/internal/query"
@@ -148,51 +144,4 @@ func (e *Engine) partitionCmd(store Store, args []string, out io.Writer) (Result
 		res.Objects, res.Replicas, float64(res.Replicas)/float64(max(res.Objects, 1)),
 		res.Bytes, res.WallMS, m.Generation)
 	return Result{Stats: query.Stats{Op: "partition", Results: res.Objects}, Mutation: true}, nil
-}
-
-// shardSelect runs a selection and emits stable ids:
-// shardselect <layer> <WKT POLYGON>
-func (e *Engine) shardSelect(ctx context.Context, store Store, line string, out io.Writer) (Result, error) {
-	rest := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "shardselect"))
-	name, wkt, ok := strings.Cut(rest, " ")
-	if !ok {
-		return Result{}, fmt.Errorf("usage: shardselect <layer> <WKT POLYGON>")
-	}
-	v, err := viewOf(store, name)
-	if err != nil {
-		return Result{}, err
-	}
-	q, err := geom.ParsePolygonWKT(wkt)
-	if err != nil {
-		return Result{}, err
-	}
-	tester, err := e.tester("hw")
-	if err != nil {
-		return Result{}, err
-	}
-	qctx, cancel := e.qctx(ctx)
-	defer cancel()
-	// Streaming delivery: result ids flush to the client in batches as
-	// refinement proceeds instead of buffering the whole selection. Rows
-	// returned by the view were already streamed, so nothing is re-printed
-	// below — on a partial, the rows out are exactly the rows found.
-	stable := globalIDs(v)
-	rows := rowBatch{out: out}
-	sink := func(batch []int) error {
-		for _, i := range batch {
-			rows.buf = coord.AppendIDRow(rows.buf, gid(stable, i))
-		}
-		return rows.send()
-	}
-	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester,
-		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
-			BatchSize: e.Settings.BatchSize, Sink: sink})
-	var be *query.BudgetError
-	if errors.As(qerr, &be) {
-		return Result{}, qerr
-	}
-	st := query.NewStats("shardselect", len(ids), cost, tester.Stats)
-	liveStats(&st, v)
-	writeStats(out, st)
-	return Result{Stats: st, Partial: note(out, qerr)}, nil
 }

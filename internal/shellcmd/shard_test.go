@@ -141,6 +141,28 @@ func TestShardSelectStableIDs(t *testing.T) {
 	}
 }
 
+// TestShardSelectHonoursIntervalsOff: select and shardselect are one
+// handler with one set of options, so the session's interval ablation
+// reaches the shard verb too — same ids, no interval filter run.
+func TestShardSelectHonoursIntervalsOff(t *testing.T) {
+	e := &Engine{Store: MapStore{}}
+	mustExec(t, e, "gen a LANDC 0.01")
+	cmd := "shardselect a POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))"
+	on := mustExec(t, e, cmd)
+	if !strings.Contains(on, `"interval_checks"`) {
+		t.Fatalf("shardselect with intervals on ran no interval filter:\n%s", dataLines(on, "stats"))
+	}
+	mustExec(t, e, "intervals off")
+	off := mustExec(t, e, cmd)
+	if strings.Contains(off, `"interval_checks"`) {
+		t.Errorf("shardselect after intervals off still ran the interval filter:\n%s", dataLines(off, "stats"))
+	}
+	want, got := dataLines(on, "id"), dataLines(off, "id")
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("intervals off changed the answer: %d ids, want %d", len(got), len(want))
+	}
+}
+
 func TestShardVerbsAreQueries(t *testing.T) {
 	for _, v := range []string{"shardjoin", "shardwithin", "shardselect"} {
 		if !IsQuery(v) {

@@ -237,14 +237,12 @@ func (e *Engine) Exec(ctx context.Context, line string, out io.Writer) (Result, 
 		return e.withinCmd(ctx, store, cmd, args, out)
 	case "overlay":
 		return e.overlay(ctx, store, args, out)
-	case "select":
-		return e.selectCmd(ctx, store, line, out)
+	case "select", "shardselect":
+		return e.selectCmd(ctx, store, cmd, line, out)
 	case "knn":
 		return e.knn(ctx, store, line, out)
 	case "partition":
 		return e.partitionCmd(store, args, out)
-	case "shardselect":
-		return e.shardSelect(ctx, store, line, out)
 	default:
 		return Result{}, fmt.Errorf("unknown command %q (try help)", cmd)
 	}
@@ -850,12 +848,18 @@ func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io
 	}, nil
 }
 
-// selectCmd and knn take the raw line because WKT contains spaces.
-func (e *Engine) selectCmd(ctx context.Context, store Store, line string, out io.Writer) (Result, error) {
-	rest := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "select"))
+// selectCmd is select and shardselect: one selection with one set of
+// options, differing only in how the result leaves. select prints the
+// summary; shardselect streams the stable ids as "id <N>" rows, batch by
+// batch as refinement proceeds, and ends with the stats record — rows the
+// view returns were already streamed, so on a partial the rows out are
+// exactly the rows found. Like knn it takes the raw line because WKT
+// contains spaces.
+func (e *Engine) selectCmd(ctx context.Context, store Store, verb, line string, out io.Writer) (Result, error) {
+	rest := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), verb))
 	name, wkt, ok := strings.Cut(rest, " ")
 	if !ok {
-		return Result{}, fmt.Errorf("usage: select <layer> <WKT POLYGON>")
+		return Result{}, fmt.Errorf("usage: %s <layer> <WKT POLYGON>", verb)
 	}
 	v, err := viewOf(store, name)
 	if err != nil {
@@ -869,22 +873,35 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, line string, out io
 	if err != nil {
 		return Result{}, err
 	}
+	opt := query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
+		NoIntervals: e.Settings.NoIntervals}
+	shard := verb == "shardselect"
+	if shard {
+		stable := globalIDs(v)
+		rows := rowBatch{out: out}
+		opt.BatchSize = e.Settings.BatchSize
+		opt.Sink = func(batch []int) error {
+			for _, i := range batch {
+				rows.buf = coord.AppendIDRow(rows.buf, gid(stable, i))
+			}
+			return rows.send()
+		}
+	}
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
-	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester,
-		query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
-			NoIntervals: e.Settings.NoIntervals})
+	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester, opt)
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr
 	}
-	st := query.NewStats("select", len(ids), cost, tester.Stats)
-	report(out, st)
+	st := query.NewStats(verb, len(ids), cost, tester.Stats)
 	liveStats(&st, v)
-	return Result{
-		Stats:   st,
-		Partial: note(out, qerr),
-	}, nil
+	if shard {
+		writeStats(out, st)
+	} else {
+		report(out, st)
+	}
+	return Result{Stats: st, Partial: note(out, qerr)}, nil
 }
 
 func (e *Engine) knn(ctx context.Context, store Store, line string, out io.Writer) (Result, error) {

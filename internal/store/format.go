@@ -116,13 +116,13 @@ func errf(path, section, format string, args ...any) *FormatError {
 // Meta is the snapshot's JSON self-description (section 1): identity and
 // provenance, plus the counts the other sections must agree with.
 type Meta struct {
-	Name       string `json:"name"`
-	Objects    int    `json:"objects"`
-	TotalVerts int    `json:"total_verts"`
-	SigRes     int    `json:"sig_res,omitempty"`        // 0 = no signatures stored
-	IntervalOrder int `json:"interval_order,omitempty"` // 0 = no interval column stored
-	Tool       string `json:"tool,omitempty"`
-	Created    string `json:"created,omitempty"` // RFC 3339
+	Name          string `json:"name"`
+	Objects       int    `json:"objects"`
+	TotalVerts    int    `json:"total_verts"`
+	SigRes        int    `json:"sig_res,omitempty"`        // 0 = no signatures stored
+	IntervalOrder int    `json:"interval_order,omitempty"` // 0 = no interval column stored
+	Tool          string `json:"tool,omitempty"`
+	Created       string `json:"created,omitempty"` // RFC 3339
 
 	// Live-ingestion lineage (zero for load-only snapshots). NextID is
 	// the next stable object id the table will assign; AppliedLSN is the

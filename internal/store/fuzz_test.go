@@ -87,7 +87,7 @@ func FuzzSnapshotOpen(f *testing.F) {
 				t.Fatalf("stored signature %d invalid", i)
 			}
 		}
-		if s.HasIntervals() {
+		if s.Intervals() != nil {
 			col := s.Intervals()
 			if col.Len() != len(ds.Objects) {
 				t.Fatalf("accepted interval column covers %d of %d objects", col.Len(), len(ds.Objects))
@@ -188,7 +188,7 @@ func FuzzIntervalSection(f *testing.F) {
 			}
 			return
 		}
-		if !s.HasIntervals() {
+		if s.Intervals() == nil {
 			return // fuzzer found an empty-but-ignorable shape; fine
 		}
 		col := s.Intervals()

@@ -109,6 +109,8 @@ func Open(path string, opts OpenOptions) (*Snapshot, error) {
 // OpenBytes opens a snapshot held in memory (no mmap, aliasing allowed
 // when alignment permits). The fuzz harness drives the reader through
 // this entry point.
+//
+//reach:keep entry point of FuzzSnapshotOpen and FuzzIntervalSection, and of store_test's in-memory corruption cases
 func OpenBytes(b []byte) (*Snapshot, error) {
 	return openBytes("", b, false)
 }
@@ -501,10 +503,6 @@ func (s *Snapshot) NextID() uint64 {
 // AppliedLSN returns the highest WAL LSN folded into this snapshot
 // generation (0 for load-only snapshots).
 func (s *Snapshot) AppliedLSN() uint64 { return s.meta.AppliedLSN }
-
-// HasIntervals reports whether the snapshot persisted the v2 interval
-// column.
-func (s *Snapshot) HasIntervals() bool { return s.ivals != nil }
 
 // Intervals returns the persisted interval column (a validated view into
 // the snapshot), or nil when the section was omitted. The column is

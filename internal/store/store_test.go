@@ -1,7 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -386,7 +388,7 @@ func TestSnapshotIntervals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open (copy=%v): %v", forceCopy, err)
 		}
-		if !s.HasIntervals() {
+		if s.Intervals() == nil {
 			t.Fatal("interval column missing")
 		}
 		col := s.Intervals()
@@ -422,7 +424,7 @@ func TestSnapshotIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if s2.HasIntervals() || s2.Intervals() != nil || s2.Meta().IntervalOrder != 0 {
+	if s2.Intervals() != nil || s2.Meta().IntervalOrder != 0 {
 		t.Fatal("intervals present despite IntervalOrder -1")
 	}
 	s2.Close()
@@ -438,5 +440,70 @@ func TestSnapshotIntervals(t *testing.T) {
 	var ferr *FormatError
 	if _, err := OpenBytes(blob); !errors.As(err, &ferr) {
 		t.Fatalf("corrupt span payload: got %v, want *FormatError", err)
+	}
+}
+
+// approximationHash digests every raster-signature word and every interval
+// span word of d's objects, in object order.
+func approximationHash(t *testing.T, d *data.Dataset) string {
+	t.Helper()
+	g, ok := interval.GridFor(d.Objects, 0)
+	if !ok {
+		t.Fatalf("%s: no interval grid", d.Name)
+	}
+	h := sha256.New()
+	var word [8]byte
+	put := func(w uint64) {
+		binary.LittleEndian.PutUint64(word[:], w)
+		h.Write(word[:])
+	}
+	for _, p := range d.Objects {
+		for _, w := range raster.ComputeSignature(p, raster.DefaultSignatureRes).Words {
+			put(w)
+		}
+		for _, w := range interval.Rasterize(p, g) {
+			put(w)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenApproximations pins both persisted raster approximations bit
+// for bit: the conservative closed-cell boundary walk under signatures and
+// interval lists is one function, and a change to its arithmetic or its
+// order of operations shows here before it shows as a moved filter count.
+// The snapshot digest covers every section but the meta record, which
+// holds the creation time.
+func TestGoldenApproximations(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		want  string
+	}{
+		{"LANDC", 0.01, "3bd9fa6b5058bbe94c99b1742466d477104fec220d40c35f25b7fd907de700f0"},
+		{"WATER", 0.02, "a9087fdb009c3b87707ad2dd851da65d80b46c25c1db6b35853d6f5ee416e431"},
+	} {
+		d, err := data.Load(tc.name, tc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := approximationHash(t, d); got != tc.want {
+			t.Errorf("%s %g: signature+interval digest %s, want %s", tc.name, tc.scale, got, tc.want)
+		}
+	}
+
+	secs, _, err := buildSections(testDataset(t), SaveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, s := range secs {
+		if s.id != secMeta {
+			h.Write(s.payload)
+		}
+	}
+	const want = "d414d8cd64fbf10f4bc21454db89d46771e4b11f9f4850a64382e1ca098ff2a5"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("LANDC 0.01 snapshot sections digest %s, want %s", got, want)
 	}
 }

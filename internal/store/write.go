@@ -48,8 +48,8 @@ type SaveOptions struct {
 
 // BuildStats reports what Save produced.
 type BuildStats struct {
-	Objects    int
-	TotalVerts int
+	Objects       int
+	TotalVerts    int
 	Sections      int
 	Bytes         int64
 	SigRes        int // 0 when signatures were omitted

@@ -43,7 +43,7 @@ func BenchmarkRestrictedSearchAblation(b *testing.B) {
 		"unrestricted": {NoRestrictSearch: true},
 	} {
 		b.Run(name, func(b *testing.B) {
-			sw := NewSweeper()
+			sw := new(Sweeper)
 			for range b.N {
 				for _, pr := range pairs {
 					sw.BoundariesIntersect(pr[0], pr[1], opt)
@@ -60,13 +60,13 @@ func BenchmarkSegmentAlgorithms(b *testing.B) {
 	type sets struct{ red, blue []geom.Segment }
 	var inputs []sets
 	for _, pr := range pairs {
-		red, blue := CandidateEdges(pr[0], pr[1])
+		red, blue := CandidateEdgesInto(pr[0], pr[1], nil, nil)
 		if len(red) > 0 && len(blue) > 0 {
 			inputs = append(inputs, sets{red, blue})
 		}
 	}
 	b.Run("planesweep", func(b *testing.B) {
-		sw := NewSweeper()
+		sw := new(Sweeper)
 		for range b.N {
 			for _, in := range inputs {
 				sw.CrossIntersects(in.red, in.blue)

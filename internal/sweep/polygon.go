@@ -87,23 +87,6 @@ func edges(p *geom.Polygon, dst []geom.Segment) []geom.Segment {
 	return dst
 }
 
-// EdgesInRectInto selects the edges of p and q touching the region r,
-// appending into caller-provided buffers (reset to length zero first). The
-// hardware within-distance test uses it to submit only the boundary
-// reaches near the pair's viewport. Either result is nil when empty, in
-// which case the other may be left short.
-func EdgesInRectInto(p, q *geom.Polygon, r geom.Rect, redBuf, blueBuf []geom.Segment) (red, blue []geom.Segment) {
-	red = appendEdgesInRect(redBuf[:0], p, r)
-	if len(red) == 0 {
-		return nil, nil
-	}
-	blue = appendEdgesInRect(blueBuf[:0], q, r)
-	if len(blue) == 0 {
-		return nil, nil
-	}
-	return red, blue
-}
-
 // edgesInRect returns the edges of p that have at least one point in r.
 func edgesInRect(p *geom.Polygon, r geom.Rect) []geom.Segment {
 	return appendEdgesInRect(nil, p, r)
@@ -143,16 +126,13 @@ func AppendEdgesInRange(dst []geom.Segment, p *geom.Polygon, r geom.Rect, lo, hi
 	return dst
 }
 
-// CandidateEdges exposes the restricted-search-space edge selection for
-// reuse by the hardware-assisted test, which renders exactly the same edge
-// subsets that the software test would sweep.
-func CandidateEdges(p, q *geom.Polygon) (red, blue []geom.Segment) {
-	return CandidateEdgesInto(p, q, nil, nil)
-}
-
-// CandidateEdgesInto is CandidateEdges appending into caller-provided
-// backing slices (reset to length zero first), so per-pair hot paths can
-// run allocation-free.
+// CandidateEdgesInto is the restricted-search-space edge selection: the
+// edges of p and of q that touch the intersection of their MBRs, appended
+// into caller-provided backing slices (reset to length zero first; nil
+// allocates), so per-pair hot paths can run allocation-free. The
+// hardware-assisted test renders exactly the edge subsets the software
+// test would sweep. Either result is nil when empty, in which case the
+// other may be left short.
 func CandidateEdgesInto(p, q *geom.Polygon, redBuf, blueBuf []geom.Segment) (red, blue []geom.Segment) {
 	common := p.Bounds().Intersection(q.Bounds())
 	red = appendEdgesInRect(redBuf[:0], p, common)

@@ -41,10 +41,6 @@ type rbtree struct {
 	size int
 }
 
-func newRBTree(cmp func(a, b int) int) *rbtree {
-	return &rbtree{cmp: cmp}
-}
-
 // Len returns the number of items in the tree.
 func (t *rbtree) Len() int { return t.size }
 
@@ -153,6 +149,8 @@ func (t *rbtree) insertFix(z *node) {
 }
 
 // Min returns the leftmost node, or nil for an empty tree.
+//
+//reach:keep rbtree_test walks Min→Next to check the in-order sequence after inserts and deletes
 func (t *rbtree) Min() *node {
 	n := t.root
 	if n == nil {

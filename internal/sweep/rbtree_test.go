@@ -46,7 +46,7 @@ func inorder(tr *rbtree) []int {
 }
 
 func TestRBTreeInsertOrder(t *testing.T) {
-	tr := newRBTree(intCmp)
+	tr := &rbtree{cmp: intCmp}
 	vals := []int{5, 3, 9, 1, 4, 8, 10, 2, 7, 6}
 	for _, v := range vals {
 		tr.Insert(v)
@@ -69,7 +69,7 @@ func TestRBTreeInsertOrder(t *testing.T) {
 }
 
 func TestRBTreePrevNext(t *testing.T) {
-	tr := newRBTree(intCmp)
+	tr := &rbtree{cmp: intCmp}
 	nodes := map[int]*node{}
 	for v := range 20 {
 		nodes[v] = tr.Insert(v)
@@ -96,7 +96,7 @@ func TestRBTreePrevNext(t *testing.T) {
 func TestRBTreeRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := range 50 {
-		tr := newRBTree(intCmp)
+		tr := &rbtree{cmp: intCmp}
 		live := map[int]*node{}
 		var keys []int
 		for op := range 600 {
@@ -139,7 +139,7 @@ func TestRBTreeRandomOps(t *testing.T) {
 }
 
 func TestRBTreeDeleteAll(t *testing.T) {
-	tr := newRBTree(intCmp)
+	tr := &rbtree{cmp: intCmp}
 	var nodes []*node
 	for v := range 100 {
 		nodes = append(nodes, tr.Insert(v))

@@ -201,7 +201,7 @@ func TestPolygonsIntersectAlgorithmsAgree(t *testing.T) {
 func TestCandidateEdges(t *testing.T) {
 	a := polyFromPts(geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4))
 	b := polyFromPts(geom.Pt(3, 3), geom.Pt(6, 3), geom.Pt(6, 6), geom.Pt(3, 6))
-	red, blue := CandidateEdges(a, b)
+	red, blue := CandidateEdgesInto(a, b, nil, nil)
 	if len(red) == 0 || len(blue) == 0 {
 		t.Fatal("expected candidate edges for overlapping polygons")
 	}
@@ -210,7 +210,7 @@ func TestCandidateEdges(t *testing.T) {
 		t.Errorf("len(red) = %d, want 2", len(red))
 	}
 	far := polyFromPts(geom.Pt(100, 100), geom.Pt(101, 100), geom.Pt(101, 101))
-	red, blue = CandidateEdges(a, far)
+	red, blue = CandidateEdgesInto(a, far, nil, nil)
 	if red != nil || blue != nil {
 		t.Error("expected nil candidates for disjoint MBRs")
 	}

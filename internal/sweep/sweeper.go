@@ -16,8 +16,9 @@ type event struct {
 // Sweeper runs plane-sweep intersection detections with all working
 // storage (segment tables, event queue, status-tree nodes) reused across
 // runs, so a query processor performing millions of pair tests does not
-// allocate per pair. A Sweeper is not safe for concurrent use; create one
-// per worker, like a Tester.
+// allocate per pair. The zero value is ready to use; its buffers grow to
+// the size of the largest input seen. A Sweeper is not safe for concurrent
+// use; keep one per worker, like a Tester.
 type Sweeper struct {
 	st     sweepState
 	events []event
@@ -32,10 +33,6 @@ type Sweeper struct {
 	// Candidate-edge buffers for BoundariesIntersect.
 	redBuf, blueBuf []geom.Segment
 }
-
-// NewSweeper returns a Sweeper with empty buffers; they grow to the size
-// of the largest input seen.
-func NewSweeper() *Sweeper { return &Sweeper{} }
 
 // CrossIntersects reports whether any red segment intersects any blue
 // segment; see the package-level CrossIntersects for the algorithm and its

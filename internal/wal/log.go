@@ -243,9 +243,6 @@ func Open(dir string, opt Options) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// Dir returns the log's segment directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append encodes one mutation, assigns it the next LSN, and enqueues it
 // for group commit. The returned Ack resolves when the record is durable.
 // LSN order equals call order for callers that serialize their Appends

@@ -1,9 +1,11 @@
 #!/bin/sh
-# check.sh — the full local gate: vet, race-enabled tests (the bench/
-# module included), the join executor's concurrent failure paths ten times
-# over under -race, and a short fuzz smoke pass over the input parsers,
-# the wire row parser, the distance kernel and the rasterizer's cell walk.
-# Run from the repo root.
+# check.sh — the full local gate: gofmt, vet, the reachability walk
+# (scripts/reach: no declaration under internal/ that no verb, figure,
+# example or benchmark reaches, bar the listed //reach:keep ones),
+# race-enabled tests (the bench/ module included), the join executor's
+# concurrent failure paths ten times over under -race, and a short fuzz
+# smoke pass over the input parsers, the wire row parser, the distance
+# kernel and the rasterizer's cell walk. Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -12,8 +14,14 @@ set -eu
 cd "$(dirname "$0")/.."
 FUZZTIME="${FUZZTIME:-10s}"
 
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)" || { echo "not gofmt-formatted:"; gofmt -l .; exit 1; }
+
 echo "== go vet ./..."
 go vet ./...
+
+echo "== reachability (go run ./scripts/reach: exits 1 on a declaration nothing reaches; prints the //reach:keep list)"
+go run ./scripts/reach
 
 echo "== go test -race ./..."
 go test -race ./...
