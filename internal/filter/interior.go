@@ -63,32 +63,19 @@ func NewInterior(query *geom.Polygon, level int) *Interior {
 	}
 
 	// Untouched tiles lie entirely on one side of the boundary; classify
-	// each by its center with one crossing scan per tile row.
-	interior := make([]bool, n*n)
+	// each by its center with one crossing scan per tile row, and fold the
+	// row into the integral image for O(1) coverage queries.
 	xs := make([]float64, 0, query.NumEdges())
 	for ty := range n {
 		yc := b.MinY + (float64(ty)+0.5)*f.th
 		xs = crossings(query, yc, xs[:0])
+		var row int32
 		for tx := range n {
-			if touched[ty*n+tx] {
-				continue
-			}
-			xc := b.MinX + (float64(tx)+0.5)*f.tw
-			if oddCrossingsRight(xs, xc) {
-				interior[ty*n+tx] = true
+			if !touched[ty*n+tx] && oddCrossingsRight(xs, b.MinX+(float64(tx)+0.5)*f.tw) {
+				row++
 				f.count++
 			}
-		}
-	}
-
-	// Integral image for O(1) coverage queries.
-	for y := range n {
-		var row int32
-		for x := range n {
-			if interior[y*n+x] {
-				row++
-			}
-			f.prefix[(y+1)*(n+1)+x+1] = f.prefix[y*(n+1)+x+1] + row
+			f.prefix[(ty+1)*(n+1)+tx+1] = f.prefix[ty*(n+1)+tx+1] + row
 		}
 	}
 	return f

@@ -34,9 +34,7 @@ func D(order int, x, y uint32) uint32 {
 }
 
 // XY is the inverse of D: the cell coordinates of Hilbert index d on the
-// 2^order grid.
-//
-//reach:keep interval_test maps span ids back to cells (TestHilbertBijection, TestHilbertAdjacency, the full-cell exactness check of TestRasterizeSoundness)
+// 2^order grid. Rasterize uses it to find the cell that speaks for a gap.
 func XY(order int, d uint32) (x, y uint32) {
 	t := d
 	for s := uint32(1); s < uint32(1)<<order; s <<= 1 {

@@ -3,6 +3,7 @@ package interval
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/geom"
@@ -156,12 +157,25 @@ func Compare(a, b Spans) Verdict {
 	return Reject
 }
 
-// Rasterize computes p's span list on g: the conservative boundary cell
-// walk plus exact interior labeling (raster.CellCover), mapped through
-// the Hilbert ordering and run-length packed. Returns nil — no claim,
-// pair tests fall back to the v1 path — when the grid is unusable, the
-// object misses the grid, or the object's cell window exceeds
-// MaxWindowCells.
+// Rasterize computes p's span list on g. Its cost follows the boundary
+// cells, not the window's area: the conservative closed-cell walk
+// (raster.BoundaryMarks) marks the boundary, the marked cells are
+// Hilbert-indexed, sorted and emitted as partial runs, and each gap
+// between two consecutive marked indexes — and the gaps before the first
+// and after the last — becomes one full run when a single exact
+// point-in-polygon test of its first cell's centre says inside.
+//
+// A gap is all one label. Consecutive Hilbert cells are 4-adjacent, and
+// two adjacent unmarked cells lie on the same side of the boundary: no
+// boundary point lies in either closed cell and their union is connected.
+// An inside unmarked cell never borders a cell outside the window, which
+// covers the MBR with outward slack or ends where the grid does. So a gap
+// is either all full cells of the window or holds none, and the runs are
+// exactly those of labelling every window cell and packing them.
+//
+// Returns nil — no claim, pair tests fall back to the v1 path — when the
+// grid is unusable, the object misses the grid, or the object's cell
+// window exceeds MaxWindowCells.
 func Rasterize(p *geom.Polygon, g Grid) Spans {
 	if !g.Valid() || p == nil || p.NumVerts() < 3 {
 		return nil
@@ -190,32 +204,54 @@ func Rasterize(p *geom.Polygon, g Grid) Spans {
 	if (x1-x0+1)*(y1-y0+1) > MaxWindowCells {
 		return nil
 	}
-	// Collect labeled cells as hilbert<<1|full so one sort orders them.
-	cells := make([]uint64, 0, 64)
-	raster.CellCover(p, g.MinX, g.MinY, cs, x0, y0, x1, y1, func(x, y int, full bool) {
-		v := uint64(D(g.Order, uint32(x), uint32(y))) << 1
-		if full {
-			v |= 1
-		}
-		cells = append(cells, v)
-	})
-	if len(cells) == 0 {
+	marks := raster.BoundaryMarks(p, g.MinX, g.MinY, cs, x0, y0, x1, y1)
+	marked := 0
+	for _, m := range marks {
+		marked += bits.OnesCount64(m)
+	}
+	if marked == 0 {
 		return nil
 	}
-	slices.Sort(cells)
-	spans := make(Spans, 0, 16)
-	lo := uint32(cells[0] >> 1)
-	hi := lo
-	full := cells[0]&1 != 0
-	for _, c := range cells[1:] {
-		id := uint32(c >> 1)
-		f := c&1 != 0
-		if id == hi+1 && f == full {
-			hi = id
-			continue
+	w := x1 - x0 + 1
+	ids := make([]uint32, 0, marked)
+	for i, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			c := i<<6 | bits.TrailingZeros64(m)
+			ids = append(ids, D(g.Order, uint32(x0+c%w), uint32(y0+c/w)))
 		}
-		spans = append(spans, pack(lo, hi, full))
-		lo, hi, full = id, id, f
 	}
-	return append(spans, pack(lo, hi, full))
+	slices.Sort(ids)
+	// A list of r partial runs has at most r+1 gaps, so one allocation
+	// holds every run.
+	runs := 1
+	for k := 1; k < len(ids); k++ {
+		if ids[k] != ids[k-1]+1 {
+			runs++
+		}
+	}
+	spans := make(Spans, 0, 2*runs+1)
+	gap := func(lo, hi uint32) {
+		x, y := XY(g.Order, lo)
+		if p.ContainsPoint(geom.Pt(g.MinX+(float64(x)+0.5)*cs, g.MinY+(float64(y)+0.5)*cs)) {
+			spans = append(spans, pack(lo, hi, true))
+		}
+	}
+	if ids[0] > 0 {
+		gap(0, ids[0]-1)
+	}
+	lo, end := ids[0], uint32(n*n)
+	for k, id := range ids {
+		next := end
+		if k+1 < len(ids) {
+			if next = ids[k+1]; next == id+1 {
+				continue
+			}
+		}
+		spans = append(spans, pack(lo, id, false))
+		if id+1 < next {
+			gap(id+1, next-1)
+		}
+		lo = next
+	}
+	return spans
 }

@@ -466,9 +466,13 @@ func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, 
 
 	// Stage 2: interior filter. Positives skip geometry comparison; the
 	// filter build cost counts toward the stage, amortized over objects
-	// exactly as the paper describes.
+	// exactly as the paper describes. Only a candidate whose MBR lies
+	// inside the query's can be covered, so without one no tile is built.
 	remaining := candidates
-	if opt.InteriorLevel >= 0 {
+	qb := query.Bounds()
+	if opt.InteriorLevel >= 0 && slices.ContainsFunc(candidates, func(id int) bool {
+		return qb.ContainsRect(layer.Data.Objects[id].Bounds())
+	}) {
 		start = time.Now()
 		f := filter.NewInterior(query, opt.InteriorLevel)
 		remaining = remaining[:0]
@@ -508,15 +512,23 @@ func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, 
 	// Stage 3: geometry comparison, cancellable every cancelStride tests.
 	// The query polygon's edge index is built once and shared across every
 	// candidate test; the layer side reuses the per-object cached indexes.
+	// None of the query-side structures is built when nothing is left to
+	// compare.
 	start = time.Now()
-	qIdx := edgeindex.New(query)
-	qSig := layer.querySignature(query, opt.NoSignatures)
+	var (
+		qIdx     *edgeindex.Index
+		qSig     *raster.Signature
+		qIv      interval.Spans
+		selIvals *interval.Column
+	)
+	if len(remaining) > 0 {
+		qIdx = edgeindex.New(query)
+		qSig = layer.querySignature(query, opt.NoSignatures)
+	}
 	// The query polygon rasterizes once onto the layer's own canonical
 	// grid; each candidate then contributes its cached (or persisted)
 	// spans, so selections get the same true-hit/reject verdicts as joins.
-	var qIv interval.Spans
-	var selIvals *interval.Column
-	if !opt.NoIntervals {
+	if !opt.NoIntervals && len(remaining) > 0 {
 		if g, ok := layer.intervalGrid(); ok {
 			if qIv = interval.Rasterize(query, g); len(qIv) > 0 {
 				selIvals = layer.Intervals(g)

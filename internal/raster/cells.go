@@ -6,82 +6,31 @@ import (
 	"repro/internal/geom"
 )
 
-// CellCover rasterizes p's closed region onto a uniform square grid with
-// interior/boundary labeling: cell (x, y) spans
-// [ox+x·cs, ox+(x+1)·cs] × [oy+y·cs, oy+(y+1)·cs], and fn is called once
-// per reported cell, restricted to the inclusive window [x0,x1]×[y0,y1]
-// (which must cover p's MBR for the guarantees below to hold).
+// BoundaryMarks marks p's boundary on a uniform square grid whose cell
+// (x, y) spans [ox+x·cs, ox+(x+1)·cs] × [oy+y·cs, oy+(y+1)·cs]. It returns
+// the row-major bitmap of the inclusive window [x0,x1]×[y0,y1]: bit
+// (y−y0)·w + (x−x0), w = x1−x0+1, is set for every window cell whose
+// closed square the boundary may touch (markSegment, the walk
+// ComputeSignature also uses).
 //
-// The report is two-sided sound, which is what the interval filter's
-// three-valued verdict rests on:
-//
-//   - Coverage (licenses rejects): every window cell whose closed
-//     rectangle touches p's closed region is reported. Boundary cells
-//     come from the conservative closed-cell walk ComputeSignature
-//     also uses (markSegment: outward cellEps slack, clamped
-//     attribution); interior cells from the fill below.
-//
-//   - Full labels are exact (licenses true hits): fn(x, y, true) is only
-//     called when cell (x, y) provably lies entirely inside p's closed
-//     region. An unmarked cell after the boundary walk contains no
-//     boundary point at all (the walk over-marks, never under-marks), so
-//     a maximal horizontal run of unmarked cells is connected and
-//     boundary-free — it lies entirely inside or entirely outside p, and
-//     one exact point-in-polygon test of any run point decides the whole
-//     run.
-//
-// Boundary cells are reported with full=false even when the boundary
-// only grazes them; that costs true-hit power, never soundness.
-func CellCover(p *geom.Polygon, ox, oy, cs float64, x0, y0, x1, y1 int, fn func(x, y int, full bool)) {
-	if p == nil || p.NumVerts() < 3 || cs <= 0 || x1 < x0 || y1 < y0 {
-		return
-	}
-	w := x1 - x0 + 1
-	h := y1 - y0 + 1
+// The marking over-marks, never under-marks: a clear window cell holds no
+// boundary point, so its closed square lies wholly inside or wholly
+// outside p's closed region. That is what lets the interval lists label
+// every clear cell with one exact point-in-polygon test per connected run
+// (internal/interval).
+func BoundaryMarks(p *geom.Polygon, ox, oy, cs float64, x0, y0, x1, y1 int) []uint64 {
+	w, h := x1-x0+1, y1-y0+1
 	marks := make([]uint64, (w*h+63)/64)
-	bit := func(lx, ly int) int { return ly*w + lx }
-
-	// Boundary walk, in the caller's global cell coordinates.
 	for i := 0; i < p.NumEdges(); i++ {
 		e := p.Edge(i)
 		markSegment(marks, (e.A.X-ox)/cs, (e.A.Y-oy)/cs, (e.B.X-ox)/cs, (e.B.Y-oy)/cs, x0, y0, w, h)
 	}
-
-	// Row scan: emit boundary cells as partial; classify each maximal run
-	// of unmarked cells with one exact test at the first cell's center
-	// (unmarked ⇒ no boundary in the closed cell ⇒ the center is strictly
-	// off-boundary and speaks for the whole connected run).
-	for ly := 0; ly < h; ly++ {
-		runStart := -1
-		flushRun := func(end int) {
-			if runStart < 0 {
-				return
-			}
-			center := geom.Pt(ox+(float64(runStart+x0)+0.5)*cs, oy+(float64(ly+y0)+0.5)*cs)
-			if p.ContainsPoint(center) {
-				for lx := runStart; lx < end; lx++ {
-					fn(lx+x0, ly+y0, true)
-				}
-			}
-			runStart = -1
-		}
-		for lx := 0; lx < w; lx++ {
-			if marks[bit(lx, ly)>>6]&(1<<uint(bit(lx, ly)&63)) != 0 {
-				flushRun(lx)
-				fn(lx+x0, ly+y0, false)
-				continue
-			}
-			if runStart < 0 {
-				runStart = lx
-			}
-		}
-		flushRun(w)
-	}
+	return marks
 }
 
 // markSegment is the conservative closed-cell boundary walk under both
-// raster approximations (signatures and interval lists): it sets, in the
-// row-major bitmap marks of a w×h cell window whose cell (0, 0) is grid
+// raster approximations (ComputeSignature and BoundaryMarks): it sets, in
+// the row-major bitmap marks of a w×h cell window whose cell (0, 0) is grid
 // cell (x0, y0), every cell whose closed square the segment
 // (ax, ay)–(bx, by), given in cell units, may touch. The segment is swept
 // column by column; each point is attributed to the closed cell holding

@@ -3,9 +3,12 @@
 # (scripts/reach: no declaration under internal/ that no verb, figure,
 # example or benchmark reaches, bar the listed //reach:keep ones),
 # race-enabled tests (the bench/ module included), the join executor's
-# concurrent failure paths ten times over under -race, and a short fuzz
-# smoke pass over the input parsers, the wire row parser, the distance
-# kernel and the rasterizer's cell walk. Run from the repo root.
+# concurrent failure paths ten times over under -race, one pass of each
+# kernel micro-benchmark (BenchmarkRasterize times the interval
+# rasterizer beside the area oracle it replaced), and a short fuzz smoke
+# pass over the input parsers, the wire row parser, the distance kernel,
+# the rasterizer's cell walk and the interval rasterizer against its
+# oracle (FuzzRasterize). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -41,7 +44,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|ContainsPoint|DrawSegment|HWTestCycle' -benchtime 1x ./internal/dist/ ./internal/geom/ ./internal/raster/
+go test -run '^$' -bench 'BoundaryWithin|ContainsPoint|DrawSegment|HWTestCycle|Rasterize' -benchtime 1x ./internal/dist/ ./internal/geom/ ./internal/raster/ ./internal/interval/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -403,6 +406,7 @@ go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
 go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
 
 echo "== all checks passed"
