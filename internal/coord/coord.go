@@ -531,7 +531,8 @@ func (c *Coordinator) Within(ctx context.Context, a, b string, d float64, mode s
 
 // WithinStream is Within with streaming row delivery, as JoinStream.
 func (c *Coordinator) WithinStream(ctx context.Context, a, b string, d float64, mode string, sink RowSink) (Result, error) {
-	if d > c.cfg.Manifest.Margin {
+	// Written so that a NaN d is refused too: it compares false both ways.
+	if !(d <= c.cfg.Manifest.Margin) {
 		return Result{}, &MarginError{D: d, Margin: c.cfg.Manifest.Margin}
 	}
 	return c.fanout(ctx, "within", c.allTiles(), func(tile int) string {

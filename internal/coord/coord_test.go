@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"strings"
@@ -256,6 +257,24 @@ func TestCoordinatorWithinMatchesSingleNode(t *testing.T) {
 	var me *coord.MarginError
 	if _, err := c.Within(qctx(t), "a", "b", fleetMargin*3, ""); !errors.As(err, &me) {
 		t.Fatalf("within beyond the margin returned %v, want *coord.MarginError", err)
+	}
+}
+
+// TestWithinRefusesNaNDistance pins the margin check against a distance
+// that compares false both ways: NaN is refused like a distance beyond the
+// margin, before any shard is asked (the one address here serves nothing).
+func TestWithinRefusesNaNDistance(t *testing.T) {
+	m := &partition.Manifest{GX: 1, GY: 1, Margin: fleetMargin, Bounds: geom.R(0, 0, 100, 100)}
+	c, err := coord.New(coord.Config{Manifest: m, Addrs: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, d := range []float64{math.NaN(), math.Inf(1), fleetMargin * 3} {
+		var me *coord.MarginError
+		if _, err := c.Within(qctx(t), "a", "b", d, ""); !errors.As(err, &me) {
+			t.Errorf("within at d=%v returned %v, want *coord.MarginError", d, err)
+		}
 	}
 }
 

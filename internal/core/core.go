@@ -82,8 +82,6 @@ type Config struct {
 	SentinelEvery int
 	// Software selects the software segment-intersection algorithm.
 	Software sweep.Options
-	// Dist selects the software distance-test options.
-	Dist dist.Options
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// tester's hook sites (test entry, hardware-filter verdict, raster
 	// draw path). Production configurations leave it nil; the resilience
@@ -144,9 +142,12 @@ type Stats struct {
 	BreakerTrips          int64 // breaker transitions to open observed here
 	BreakerRecoveries     int64 // half-open probes that closed the breaker
 
-	// Edge-index effectiveness (see internal/edgeindex and PairContext).
-	EdgeIndexHits         int64 // pair tests that consulted at least one edge index
-	EdgeIndexSkippedEdges int64 // edges the index hierarchies pruned unexamined
+	// Edge-index effectiveness (see internal/edgeindex and PairContext),
+	// counted where candidate edges are collected: the card's edge sets on
+	// both predicates and the software intersection test. The distance
+	// kernel descends the same hierarchies but is not counted here.
+	EdgeIndexHits         int64 // edge collections that went through at least one edge index
+	EdgeIndexSkippedEdges int64 // edges those collections' hierarchies pruned unexamined
 
 	// Wall-clock decomposition of the refinement work.
 	HWTime      time.Duration // rendering + buffer search
@@ -215,7 +216,7 @@ type Tester struct {
 	redBuf, blueBuf []geom.Segment
 	// sweeper reuses the plane sweep's working storage across pair tests.
 	sweeper sweep.Sweeper
-	// distScratch reuses the software distance test's frontier buffers.
+	// distScratch reuses the software distance test's working storage.
 	distScratch dist.Scratch
 	// sentinelSeq numbers this tester's hardware-filter negatives for the
 	// deterministic sentinel sample (see sentinelPick).
@@ -664,14 +665,15 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 		return t.softwareWithin(p, q, d, pc)
 	}
 
-	// Only edges whose widened capsule can reach the viewport matter:
-	// those within d/2 of it, i.e. touching the region expanded by a
-	// further d/2. The pre-clip uses the same cheap bounds test as the
-	// software path — through the edge indexes when the PairContext
-	// carries them — so a monster polygon paired with a small object
-	// submits only its nearby reach (§3.2: the projection "avoids
+	// Only edges that touch the viewport itself can carry the pair's
+	// closest points: if the pair is within d, one closest point lies on
+	// the smaller object's boundary, inside small, and the other within d
+	// of it, so both lie in small ⊕ d, and so do the edges through them.
+	// The edges are gathered through the edge indexes when the
+	// PairContext carries them, so a monster polygon paired with a small
+	// object submits only its nearby reach (§3.2: the projection "avoids
 	// rendering unnecessary edges").
-	red, blue := t.collectPair(p, q, small.Expand(d), pc)
+	red, blue := t.collectPair(p, q, region, pc)
 	if len(red) == 0 || len(blue) == 0 {
 		// One boundary has no presence near the smaller object at all:
 		// with containment excluded the pair cannot be within d.
@@ -713,17 +715,13 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 }
 
 // softwareWithin runs the software distance test knowing that containment
-// has been excluded. The chain-distance computation runs first: its
-// frontier culling assumes disjoint boundaries, but culling can only
-// *over*-report the distance, so a ≤ d verdict is always sound and exits
-// early — the common case for the mostly-positive pairs the filters leave
-// behind. Only a > d report needs the boundary-crossing check to confirm
-// that the disjointness assumption held.
+// has been excluded: the kernel's boundary distance is then the region
+// distance, crossing boundaries included (they are at distance zero).
 func (t *Tester) softwareWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
 	start := time.Now()
-	within := t.distScratch.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, t.cfg.Dist)
+	within := t.distScratch.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, dist.Options{})
 	t.Stats.SWTime += time.Since(start)
-	return within || p.Bounds().Intersects(q.Bounds()) && t.softwareIntersects(p, q, pc)
+	return within
 }
 
 // hwOverlap runs the hardware overlap test (Algorithm 3.1 steps 2.1–2.8)

@@ -144,49 +144,101 @@ func distancesFor(d0 float64) []float64 {
 	return ds
 }
 
+// indexConfigs returns the edge-index configurations a pair can arrive
+// with: none, built by edgeindex.New, rebuilt from its flattened boxes as a
+// snapshot does, and another polygon's index, which the kernel must ignore.
+// Mixed sides are included.
+func indexConfigs(p, q *geom.Polygon) []PairContext {
+	pix, qix := edgeindex.New(p), edgeindex.New(q)
+	flat := func(ix *edgeindex.Index) *edgeindex.Index {
+		back, ok := edgeindex.FromFlatBoxes(ix.Polygon(), ix.FlatBoxes())
+		if !ok {
+			panic("FromFlatBoxes rejected FlatBoxes")
+		}
+		return back
+	}
+	return []PairContext{
+		{},
+		{PIndex: pix, QIndex: qix},
+		{PIndex: flat(pix), QIndex: flat(qix)},
+		{PIndex: qix, QIndex: pix},
+		{PIndex: pix},
+		{QIndex: flat(qix)},
+		{PIndex: qix, QIndex: qix},
+	}
+}
+
 func TestKernelsDistanceDifferential(t *testing.T) {
-	opts := []dist.Options{{}, {NoFrontier: true}, {NoClip: true}, {NoFrontier: true, NoClip: true}}
 	for _, pr := range append(adversarialPairs(), blobPairs(t)...) {
 		t.Run(pr.name, func(t *testing.T) {
-			crossing := pr.p.Bounds().Intersects(pr.q.Bounds()) && sweep.PolygonsIntersect(pr.p, pr.q, sweep.Options{})
-			// Both argument orders, and clockwise chains: frontier culling
-			// reads the winding.
+			// Both argument orders, and clockwise chains.
 			for _, sides := range [][2]*geom.Polygon{{pr.p, pr.q}, {pr.q, pr.p}, {reversed(pr.p), pr.q}, {reversed(pr.q), reversed(pr.p)}} {
 				p, q := sides[0], sides[1]
-				d0 := dist.MinDistBrute(p, q)
-				pix, qix := edgeindex.New(p), edgeindex.New(q)
-				ctxs := []PairContext{{}, {PIndex: pix}, {QIndex: qix}, {PIndex: pix, QIndex: qix}}
-				for _, opt := range opts {
-					if got := dist.MinDist(p, q, opt); got != d0 {
-						t.Fatalf("opt %+v: MinDist = %v, brute %v", opt, got, d0)
+				d0, b0 := dist.MinDistBrute(p, q), boundaryDistBrute(p, q)
+				if got := dist.MinDist(p, q); got != d0 {
+					t.Fatalf("MinDist = %v, brute %v", got, d0)
+				}
+				sw := NewTester(Config{DisableHardware: true})
+				hw := NewTester(Config{Resolution: 8}) // SWThreshold 0: always the hardware path
+				var s dist.Scratch
+				ctxs := indexConfigs(p, q)
+				for _, d := range append(distancesFor(d0), distancesFor(b0)...) {
+					want := d0 <= d
+					if got := dist.WithinDistance(p, q, d, dist.Options{}); got != want {
+						t.Fatalf("d=%v: dist.WithinDistance = %v, brute distance %v", d, got, d0)
 					}
-					sw := NewTester(Config{DisableHardware: true, Dist: opt})
-					hw := NewTester(Config{Resolution: 8, Dist: opt}) // SWThreshold 0: always the hardware path
-					var s dist.Scratch
-					for _, d := range distancesFor(d0) {
-						want := d0 <= d
-						if got := dist.WithinDistance(p, q, d, opt); got != want {
-							t.Fatalf("opt %+v d=%v: dist.WithinDistance = %v, brute distance %v", opt, d, got, d0)
+					for ci, pc := range ctxs {
+						if got := sw.WithinDistanceCtx(p, q, d, pc); got != want {
+							t.Fatalf("d=%v ctx %d: software tester = %v, brute distance %v", d, ci, got, d0)
 						}
-						for ci, pc := range ctxs {
-							if got := sw.WithinDistanceCtx(p, q, d, pc); got != want {
-								t.Fatalf("opt %+v d=%v ctx %d: software tester = %v, brute distance %v", opt, d, ci, got, d0)
-							}
-							if got := hw.WithinDistanceCtx(p, q, d, pc); got != want {
-								t.Fatalf("opt %+v d=%v ctx %d: hardware tester = %v, brute distance %v", opt, d, ci, got, d0)
-							}
-							// The raw kernel promises the brute verdict once
-							// containment and crossings are excluded, and
-							// never a false positive.
-							got := s.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, opt)
-							if got && !want || !crossing && got != want {
-								t.Fatalf("opt %+v d=%v ctx %d: BoundaryWithin = %v, brute distance %v", opt, d, ci, got, d0)
-							}
+						if got := hw.WithinDistanceCtx(p, q, d, pc); got != want {
+							t.Fatalf("d=%v ctx %d: hardware tester = %v, brute distance %v", d, ci, got, d0)
+						}
+						// The raw kernel measures boundaries, crossings
+						// included: it is the brute boundary distance
+						// thresholded, which is the region verdict once
+						// containment is excluded.
+						if got := s.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, dist.Options{}); got != (b0 <= d) {
+							t.Fatalf("d=%v ctx %d: BoundaryWithin = %v, brute boundary distance %v", d, ci, got, b0)
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// boundaryDistBrute is the distance between the boundaries of p and q over
+// all edge pairs: dist.MinDistBrute without its region step.
+func boundaryDistBrute(p, q *geom.Polygon) float64 {
+	best := math.Inf(1)
+	for i := range p.NumEdges() {
+		for j := range q.NumEdges() {
+			best = min(best, p.Edge(i).DistSq(q.Edge(j)))
+		}
+	}
+	return math.Sqrt(best)
+}
+
+// TestWithinKernelOnBenchPairs holds the software tester to the oracle on
+// the benchmark's own within workload: every WATER⋈PRISM candidate at MBR
+// distance ≤ d, with the edge indexes and signatures loaded from
+// snapshots, at four distances.
+func TestWithinKernelOnBenchPairs(t *testing.T) {
+	ds := []float64{0, 0.5, benchD, 5}
+	pairs := benchPairs(t, ds[len(ds)-1])
+	tester := NewTester(Config{DisableHardware: true})
+	for i, pr := range pairs {
+		d0 := dist.MinDistBrute(pr.p, pr.q)
+		for _, d := range ds {
+			if pr.p.Bounds().DistSq(pr.q.Bounds()) > geom.SqBound(d) {
+				continue // not a candidate at d
+			}
+			if got := tester.WithinDistanceCtx(pr.p, pr.q, d, pr.pc); got != (d0 <= d) {
+				t.Fatalf("pair %d (%d and %d vertices) d=%v: tester = %v, brute distance %v",
+					i, pr.p.NumVerts(), pr.q.NumVerts(), d, got, d0)
+			}
+		}
 	}
 }
 

@@ -29,13 +29,11 @@ func star(rng *rand.Rand, cx, cy, rMax float64, n int) *geom.Polygon {
 func TestMinDistKnown(t *testing.T) {
 	a := square(0, 0, 1)
 	b := square(3, 0, 1) // gap of 2 along x
-	for _, opt := range []Options{{}, {NoFrontier: true}, {NoClip: true}, {NoFrontier: true, NoClip: true}} {
-		if got := MinDist(a, b, opt); math.Abs(got-2) > 1e-12 {
-			t.Errorf("opt %+v: MinDist = %v, want 2", opt, got)
-		}
+	if got := MinDist(a, b); got != 2 {
+		t.Errorf("MinDist = %v, want 2", got)
 	}
 	diag := square(3, 3, 1) // corner gap sqrt(8)
-	if got := MinDist(a, diag, Options{}); math.Abs(got-2*math.Sqrt2) > 1e-12 {
+	if got := MinDist(a, diag); math.Abs(got-2*math.Sqrt2) > 1e-12 {
 		t.Errorf("diagonal MinDist = %v", got)
 	}
 }
@@ -46,7 +44,7 @@ func TestMinDistIntersecting(t *testing.T) {
 	contained := square(0.5, 0.5, 0.5)
 	touching := square(2, 0, 1)
 	for _, q := range []*geom.Polygon{overlapping, contained, touching} {
-		if got := MinDist(a, q, Options{}); got != 0 {
+		if got := MinDist(a, q); got != 0 {
 			t.Errorf("MinDist = %v, want 0 for intersecting polygons", got)
 		}
 		if got := MinDistBrute(a, q); got != 0 {
@@ -82,11 +80,8 @@ func TestMinDistMatchesBruteRandom(t *testing.T) {
 	for trial := range 500 {
 		p := star(rng, rng.Float64()*20, rng.Float64()*20, 0.5+rng.Float64()*3, 3+rng.Intn(25))
 		q := star(rng, rng.Float64()*20, rng.Float64()*20, 0.5+rng.Float64()*3, 3+rng.Intn(25))
-		want := MinDistBrute(p, q)
-		for _, opt := range []Options{{}, {NoFrontier: true}, {NoClip: true}} {
-			if got := MinDist(p, q, opt); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("trial %d opt %+v: MinDist = %v, brute = %v", trial, opt, got, want)
-			}
+		if got, want := MinDist(p, q), MinDistBrute(p, q); got != want {
+			t.Fatalf("trial %d: MinDist = %v, brute = %v", trial, got, want)
 		}
 	}
 }
@@ -97,55 +92,22 @@ func TestWithinDistanceMatchesBruteRandom(t *testing.T) {
 		p := star(rng, rng.Float64()*20, rng.Float64()*20, 0.5+rng.Float64()*3, 3+rng.Intn(25))
 		q := star(rng, rng.Float64()*20, rng.Float64()*20, 0.5+rng.Float64()*3, 3+rng.Intn(25))
 		d := rng.Float64() * 10
-		want := MinDistBrute(p, q) <= d
-		for _, opt := range []Options{{}, {NoFrontier: true}, {NoClip: true}} {
-			if got := WithinDistance(p, q, d, opt); got != want {
-				t.Fatalf("trial %d opt %+v d=%v: got %v, want %v (brute dist %v)",
-					trial, opt, d, got, want, MinDistBrute(p, q))
-			}
+		if got, want := WithinDistance(p, q, d, Options{}), MinDistBrute(p, q) <= d; got != want {
+			t.Fatalf("trial %d d=%v: got %v, want %v (brute dist %v)", trial, d, got, want, MinDistBrute(p, q))
 		}
 	}
 }
 
-func TestFrontierEdgesCulls(t *testing.T) {
-	// Two squares side by side: the frontier of the left square w.r.t. the
-	// right square must drop the left (back-facing) edge.
-	a := square(0, 0, 1)
-	b := square(5, 0, 1)
-	var s Scratch
-	s.boundarySq(a, b, nil, nil, math.Inf(1), Options{})
-	if n := len(s.inner.ax); n >= a.NumEdges() {
-		t.Errorf("frontier did not cull any edge: %d of %d kept", n, a.NumEdges())
-	}
-	// The right edge (x=1) must be kept.
-	found := false
-	for i := range s.inner.ax {
-		if e := s.inner.segment(i); e.A.X == 1 && e.B.X == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("frontier culled the facing edge")
-	}
-	// Clipping with a small radius removes everything (distance 4 > 1).
-	if got := s.boundarySq(a, b, nil, nil, 1, Options{}); !math.IsInf(got, 1) {
-		t.Errorf("expected an empty frontier under tight clip, got distance² %v", got)
-	}
-	if len(s.pe) != 0 {
-		t.Errorf("expected no gathered edges under tight clip, got %d", len(s.pe))
-	}
-}
-
-func TestFrontierNeverCullsMinimizer(t *testing.T) {
-	// Property: chain distance over frontier edges equals brute distance.
+// TestMinDistSeparatedMatchesBrute holds the unbounded descent to the
+// oracle on pairs whose boundaries are apart, where the minimum is a true
+// edge-pair distance and not a region step's zero.
+func TestMinDistSeparatedMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for range 300 {
-		p := star(rng, 0, 0, 2, 4+rng.Intn(20))
-		q := star(rng, 6+rng.Float64()*4, rng.Float64()*6-3, 2, 4+rng.Intn(20))
-		want := MinDistBrute(p, q)
-		got := MinDist(p, q, Options{})
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("frontier culled the minimizer: %v vs %v", got, want)
+		p := star(rng, 0, 0, 2, 4+rng.Intn(200))
+		q := star(rng, 6+rng.Float64()*4, rng.Float64()*6-3, 2, 4+rng.Intn(200))
+		if got, want := MinDist(p, q), MinDistBrute(p, q); got != want {
+			t.Fatalf("MinDist = %v, brute %v (%d and %d edges)", got, want, p.NumEdges(), q.NumEdges())
 		}
 	}
 }
@@ -154,14 +116,9 @@ func BenchmarkMinDist(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	p := star(rng, 0, 0, 5, 200)
 	q := star(rng, 20, 0, 5, 200)
-	b.Run("optimized", func(b *testing.B) {
+	b.Run("descent", func(b *testing.B) {
 		for range b.N {
-			MinDist(p, q, Options{})
-		}
-	})
-	b.Run("noFrontier", func(b *testing.B) {
-		for range b.N {
-			MinDist(p, q, Options{NoFrontier: true})
+			MinDist(p, q)
 		}
 	})
 	b.Run("brute", func(b *testing.B) {

@@ -6,19 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/edgeindex"
-	"repro/internal/sweep"
+	"repro/internal/geom"
 )
 
 // FuzzBoundaryWithin checks the kernel against the brute-force oracle on
-// fuzzer-chosen star polygons, offsets, distances and options: the region
-// test must equal the thresholded brute distance, the raw kernel must
-// equal it on disjoint pairs and never report a false positive, and edge
-// indexes must not change either.
+// fuzzer-chosen star polygons, offsets, distances and index
+// configurations: the region test must equal the thresholded brute
+// distance, and the raw kernel the thresholded brute boundary distance,
+// whichever index each side comes with — none, edgeindex.New, one rebuilt
+// from its flattened boxes, or another polygon's, which must be ignored
+// (flags bits 0–1 pick p's, bits 2–3 q's).
 func FuzzBoundaryWithin(f *testing.F) {
 	f.Add(int64(1), uint16(8), uint16(12), 5.0, 0.0, 1.0, uint8(0))
-	f.Add(int64(2), uint16(200), uint16(300), 3.0, 1.0, 0.25, uint8(1))
-	f.Add(int64(3), uint16(40), uint16(700), 0.5, 0.5, 0.0, uint8(2))
-	f.Add(int64(4), uint16(3), uint16(3), 8.0, 8.0, 11.3, uint8(3))
+	f.Add(int64(2), uint16(200), uint16(300), 3.0, 1.0, 0.25, uint8(5))
+	f.Add(int64(3), uint16(40), uint16(700), 0.5, 0.5, 0.0, uint8(10))
+	f.Add(int64(4), uint16(3), uint16(3), 8.0, 8.0, 11.3, uint8(15))
 	f.Fuzz(func(t *testing.T, seed int64, n1, n2 uint16, dx, dy, d float64, flags uint8) {
 		if math.IsNaN(dx) || math.IsNaN(dy) || math.Abs(dx) > 1e6 || math.Abs(dy) > 1e6 || math.IsNaN(d) || math.IsInf(d, 0) {
 			t.Skip()
@@ -26,23 +28,68 @@ func FuzzBoundaryWithin(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		p := star(rng, 0, 0, 1+rng.Float64()*3, 3+int(n1%800))
 		q := star(rng, dx, dy, 1+rng.Float64()*3, 3+int(n2%800))
-		opt := Options{NoFrontier: flags&1 != 0, NoClip: flags&2 != 0}
 		d0 := MinDistBrute(p, q)
-		want := d0 <= d
-		if got := WithinDistance(p, q, d, opt); got != want {
-			t.Fatalf("WithinDistance(d=%v, %+v) = %v, brute distance %v", d, opt, got, d0)
+		if got := WithinDistance(p, q, d, Options{}); got != (d0 <= d) {
+			t.Fatalf("WithinDistance(d=%v) = %v, brute distance %v", d, got, d0)
 		}
-		disjoint := !(p.Bounds().Intersects(q.Bounds()) && sweep.PolygonsIntersect(p, q, sweep.Options{}))
+		pix, qix := indexFor(p, q, flags), indexFor(q, p, flags>>2)
 		var s Scratch
-		plain := s.BoundaryWithin(p, q, nil, nil, d, opt)
-		indexed := s.BoundaryWithin(p, q, edgeindex.New(p), edgeindex.New(q), d, opt)
-		if plain != indexed {
-			t.Fatalf("BoundaryWithin(d=%v, %+v): %v without indexes, %v with", d, opt, plain, indexed)
-		}
-		if plain && !want || disjoint && plain != want {
-			t.Fatalf("BoundaryWithin(d=%v, %+v) = %v, brute distance %v (disjoint %v)", d, opt, plain, d0, disjoint)
+		b0 := boundaryDistBrute(p, q)
+		if got := s.BoundaryWithin(p, q, pix, qix, d, Options{}); got != (b0 <= d) {
+			t.Fatalf("BoundaryWithin(d=%v, flags %d) = %v, brute boundary distance %v", d, flags, got, b0)
 		}
 	})
+}
+
+// FuzzMinDist checks the unbounded descent against the brute-force oracle,
+// bit for bit.
+func FuzzMinDist(f *testing.F) {
+	f.Add(int64(1), uint16(8), uint16(12), 5.0, 0.0)
+	f.Add(int64(2), uint16(200), uint16(300), 3.0, 1.0)
+	f.Add(int64(3), uint16(40), uint16(700), 9.5, 0.5)
+	f.Add(int64(4), uint16(3), uint16(3), 8.0, 8.0)
+	f.Fuzz(func(t *testing.T, seed int64, n1, n2 uint16, dx, dy float64) {
+		if math.IsNaN(dx) || math.IsNaN(dy) || math.Abs(dx) > 1e6 || math.Abs(dy) > 1e6 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		p := star(rng, 0, 0, 1+rng.Float64()*3, 3+int(n1%800))
+		q := star(rng, dx, dy, 1+rng.Float64()*3, 3+int(n2%800))
+		if got, want := MinDist(p, q), MinDistBrute(p, q); got != want {
+			t.Fatalf("MinDist = %v, brute %v", got, want)
+		}
+	})
+}
+
+// indexFor returns the index configuration flags&3 names for p: none, New,
+// New rebuilt through its flattened boxes, or other's index.
+func indexFor(p, other *geom.Polygon, flags uint8) *edgeindex.Index {
+	switch flags & 3 {
+	case 1:
+		return edgeindex.New(p)
+	case 2:
+		ix, ok := edgeindex.FromFlatBoxes(p, edgeindex.New(p).FlatBoxes())
+		if !ok {
+			panic("FromFlatBoxes rejected FlatBoxes")
+		}
+		return ix
+	case 3:
+		return edgeindex.New(other)
+	}
+	return nil
+}
+
+// boundaryDistBrute is the distance between the boundaries of p and q over
+// all edge pairs: what the raw kernel measures, and MinDistBrute without
+// its region step.
+func boundaryDistBrute(p, q *geom.Polygon) float64 {
+	best := math.Inf(1)
+	for i := range p.NumEdges() {
+		for j := range q.NumEdges() {
+			best = min(best, p.Edge(i).DistSq(q.Edge(j)))
+		}
+	}
+	return math.Sqrt(best)
 }
 
 // TestBoundaryWithinSteadyStateAllocFree pins the kernel's allocation

@@ -19,10 +19,14 @@
 //
 // An Index is immutable after New and safe for concurrent readers; one
 // index is built lazily per object and shared by every worker of a
-// parallel join (see query.Layer.EdgeIndex).
+// parallel join (see query.Layer.EdgeIndex). The distance kernel also
+// walks the levels directly (Levels) and, for a polygon that came without
+// an index, builds one into storage it reuses (Build).
 package edgeindex
 
 import (
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/sweep"
 )
@@ -42,12 +46,15 @@ const (
 )
 
 // Index is the packed edge index of one polygon. The zero value is not
-// usable; build indexes with New.
+// usable; build indexes with New, FromFlatBoxes or Build.
 type Index struct {
 	poly *geom.Polygon
-	// levels[0] holds one bounding box per run of Fanout consecutive
-	// edges; levels[l] boxes group Fanout nodes of levels[l-1]. The top
-	// level always has a single root box. nil for small polygons.
+	// flat holds every box of the hierarchy, leaves first; levels are views
+	// into it. levels[0] holds one bounding box per run of Fanout
+	// consecutive edges; levels[l] boxes group Fanout nodes of
+	// levels[l-1]. The top level always has a single root box. Both are
+	// empty for small polygons.
+	flat   []geom.Rect
 	levels [][]geom.Rect
 }
 
@@ -56,14 +63,27 @@ type Index struct {
 // polygons with fewer than MinIndexEdges edges no hierarchy is stored and
 // queries fall back to the plain linear scan.
 func New(p *geom.Polygon) *Index {
-	ix := &Index{poly: p}
+	ix := new(Index)
+	ix.Build(p)
+	return ix
+}
+
+// Build makes ix the index of p, reusing ix's storage: once that storage
+// has grown to the largest polygon built into it, a build allocates
+// nothing. It is for an index the caller owns alone (a distance kernel's
+// scratch); an index shared with other goroutines, or one FromFlatBoxes
+// made over a snapshot's boxes, must never be rebuilt.
+func (ix *Index) Build(p *geom.Polygon) {
 	n := p.NumEdges()
-	if n < MinIndexEdges {
-		return ix
+	total := FlatBoxCount(n)
+	ix.poly = p
+	ix.flat = slices.Grow(ix.flat[:0], total)[:total]
+	ix.carve()
+	if len(ix.levels) == 0 {
+		return
 	}
 	verts := p.Verts
-	leaves := make([]geom.Rect, (n+Fanout-1)/Fanout)
-	for run := range leaves {
+	for run := range ix.levels[0] {
 		lo := run * Fanout
 		hi := min(lo+Fanout, n)
 		// An edge run's box is the box of vertices lo..hi inclusive (the
@@ -72,37 +92,58 @@ func New(p *geom.Polygon) *Index {
 		for i := lo; i < hi; i++ {
 			r = r.ExtendPoint(verts[i])
 		}
-		if hi < n {
-			r = r.ExtendPoint(verts[hi])
-		} else {
-			r = r.ExtendPoint(verts[0])
-		}
-		leaves[run] = r
+		ix.levels[0][run] = r.ExtendPoint(verts[hi%n])
 	}
-	ix.levels = append(ix.levels, leaves)
-	for level := leaves; len(level) > 1; {
-		up := make([]geom.Rect, (len(level)+Fanout-1)/Fanout)
+	for l := 1; l < len(ix.levels); l++ {
+		below, up := ix.levels[l-1], ix.levels[l]
 		for i := range up {
 			lo := i * Fanout
-			hi := min(lo+Fanout, len(level))
-			r := level[lo]
+			hi := min(lo+Fanout, len(below))
+			r := below[lo]
 			for j := lo + 1; j < hi; j++ {
-				r = r.Union(level[j])
+				r = r.Union(below[j])
 			}
 			up[i] = r
 		}
-		ix.levels = append(ix.levels, up)
-		level = up
 	}
-	return ix
 }
+
+// carve cuts ix.flat into the levels of the indexed polygon's hierarchy,
+// whose shape its edge count alone determines.
+func (ix *Index) carve() {
+	ix.levels = ix.levels[:0]
+	n := ix.poly.NumEdges()
+	if n < MinIndexEdges {
+		return
+	}
+	off := 0
+	for sz := runs(n); ; sz = runs(sz) {
+		ix.levels = append(ix.levels, ix.flat[off:off+sz:off+sz])
+		off += sz
+		if sz == 1 {
+			return
+		}
+	}
+}
+
+// runs returns the number of nodes grouping n nodes (or edges) Fanout at a
+// time.
+func runs(n int) int { return (n + Fanout - 1) / Fanout }
 
 // Polygon returns the indexed polygon.
 func (ix *Index) Polygon() *geom.Polygon { return ix.poly }
 
 // Indexed reports whether a hierarchy was built (false for small
 // polygons, whose queries run the plain linear scan).
-func (ix *Index) Indexed() bool { return ix.levels != nil }
+func (ix *Index) Indexed() bool { return len(ix.levels) > 0 }
+
+// Levels returns the hierarchy, leaves first: Levels()[0][i] bounds the
+// run of edges i·Fanout up to (i+1)·Fanout (the last run may be shorter),
+// Levels()[l][i] bounds nodes i·Fanout up to (i+1)·Fanout of level l-1,
+// and the last level holds the root, the polygon's MBR, alone. Empty when
+// the polygon is not Indexed. The slices alias the index and must not be
+// mutated.
+func (ix *Index) Levels() [][]geom.Rect { return ix.levels }
 
 // AppendEdgesInRect appends the edges of the indexed polygon that have at
 // least one point in r to dst, in chain order — the exact edge set and
@@ -112,7 +153,7 @@ func (ix *Index) Indexed() bool { return ix.levels != nil }
 // method performs no allocations beyond growing dst and is safe for
 // concurrent callers.
 func (ix *Index) AppendEdgesInRect(dst []geom.Segment, r geom.Rect) ([]geom.Segment, int) {
-	if ix.levels == nil {
+	if len(ix.levels) == 0 {
 		n := ix.poly.NumEdges()
 		return sweep.AppendEdgesInRange(dst, ix.poly, r, 0, n), n
 	}
@@ -150,7 +191,7 @@ func (ix *Index) walk(level, node int, r geom.Rect, dst []geom.Segment, examined
 // left of q or off the ray line, where that rule neither finds q on it nor
 // counts a crossing.
 func (ix *Index) ContainsPoint(q geom.Point) bool {
-	if ix.levels == nil {
+	if len(ix.levels) == 0 {
 		return ix.poly.ContainsPoint(q)
 	}
 	mbr := ix.poly.Bounds()
@@ -187,51 +228,31 @@ func (ix *Index) rayWalk(level, node int, ray geom.Rect, q geom.Point) (onBounda
 // NumEdges returns the number of indexed edges.
 func (ix *Index) NumEdges() int { return ix.poly.NumEdges() }
 
-// levelSizes returns the per-level box counts New would produce for a
-// polygon with n edges (leaves first), or nil when n < MinIndexEdges. The
-// shape is fully determined by n, which is what lets the snapshot format
-// persist only the flattened boxes.
-func levelSizes(n int) []int {
-	if n < MinIndexEdges {
-		return nil
-	}
-	var sizes []int
-	for sz := (n + Fanout - 1) / Fanout; ; sz = (sz + Fanout - 1) / Fanout {
-		sizes = append(sizes, sz)
-		if sz == 1 {
-			return sizes
-		}
-	}
-}
-
 // FlatBoxCount returns the number of boxes FlatBoxes yields for a polygon
 // with n edges: 0 below MinIndexEdges, the total hierarchy size otherwise.
 // Snapshot readers use it to validate a persisted box column before
 // handing it to FromFlatBoxes.
 func FlatBoxCount(n int) int {
-	total := 0
-	for _, sz := range levelSizes(n) {
-		total += sz
+	if n < MinIndexEdges {
+		return 0
 	}
-	return total
+	total := 0
+	for sz := runs(n); ; sz = runs(sz) {
+		total += sz
+		if sz == 1 {
+			return total
+		}
+	}
 }
 
 // FlatBoxes returns every hierarchy box concatenated leaves-first (the
-// order levelSizes describes), or nil for a non-indexed polygon. The
-// returned slice may alias the index's storage and must not be mutated.
+// order Levels lists them in), or nil for a non-indexed polygon. The
+// returned slice aliases the index's storage and must not be mutated.
 func (ix *Index) FlatBoxes() []geom.Rect {
-	if ix.levels == nil {
+	if len(ix.levels) == 0 {
 		return nil
 	}
-	total := 0
-	for _, lvl := range ix.levels {
-		total += len(lvl)
-	}
-	flat := make([]geom.Rect, 0, total)
-	for _, lvl := range ix.levels {
-		flat = append(flat, lvl...)
-	}
-	return flat
+	return ix.flat
 }
 
 // FromFlatBoxes rebuilds the index of p from boxes previously produced by
@@ -241,27 +262,13 @@ func (ix *Index) FlatBoxes() []geom.Rect {
 // valid "not indexed" encoding. The boxes are trusted — callers establish
 // their integrity (e.g. by snapshot CRC) or accept pruning errors; the
 // shared selection predicate still bounds what edges can be returned, so
-// wrong boxes can only drop or keep edges, never fabricate them.
+// wrong boxes can only drop or keep edges, never fabricate them. The index
+// aliases boxes, which the caller must keep unchanged.
 func FromFlatBoxes(p *geom.Polygon, boxes []geom.Rect) (*Index, bool) {
-	sizes := levelSizes(p.NumEdges())
-	if sizes == nil {
-		if len(boxes) != 0 {
-			return nil, false
-		}
-		return &Index{poly: p}, true
-	}
-	total := 0
-	for _, sz := range sizes {
-		total += sz
-	}
-	if len(boxes) != total {
+	if len(boxes) != FlatBoxCount(p.NumEdges()) {
 		return nil, false
 	}
-	ix := &Index{poly: p, levels: make([][]geom.Rect, len(sizes))}
-	off := 0
-	for l, sz := range sizes {
-		ix.levels[l] = boxes[off : off+sz : off+sz]
-		off += sz
-	}
+	ix := &Index{poly: p, flat: boxes}
+	ix.carve()
 	return ix, true
 }

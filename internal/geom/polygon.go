@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Polygon is a simple polygon given as a closed chain of vertices. The edge
@@ -17,17 +16,7 @@ import (
 type Polygon struct {
 	Verts []Point
 	mbr   Rect
-	// winding caches the vertex order for CCW: windingUnknown until the
-	// first call. Atomic — polygons are shared by the workers of a
-	// parallel join.
-	winding atomic.Uint32
 }
-
-const (
-	windingUnknown uint32 = iota
-	windingCCW
-	windingCW
-)
 
 // NewPolygon builds a polygon from verts. It returns an error when fewer
 // than three vertices are supplied or when any vertex has a non-finite
@@ -66,15 +55,14 @@ func MustPolygon(verts ...Point) *Polygon {
 	return p
 }
 
-// Recompute refreshes cached derived data (the MBR, the winding) after the
-// vertex slice has been modified in place.
+// Recompute refreshes the cached MBR after the vertex slice has been
+// modified in place.
 func (p *Polygon) Recompute() {
 	mbr := EmptyRect()
 	for _, v := range p.Verts {
 		mbr = mbr.ExtendPoint(v)
 	}
 	p.mbr = mbr
-	p.winding.Store(windingUnknown)
 }
 
 // NumVerts returns the number of vertices.
@@ -108,22 +96,6 @@ func (p *Polygon) SignedArea() float64 {
 		sum += a.Cross(b)
 	}
 	return sum / 2
-}
-
-// CCW reports whether the vertices are in counter-clockwise order
-// (SignedArea > 0). The O(n) area pass runs once per polygon and is cached:
-// the distance kernel asks on every pair test which side of an edge is
-// outward.
-func (p *Polygon) CCW() bool {
-	w := p.winding.Load()
-	if w == windingUnknown {
-		w = windingCW
-		if p.SignedArea() > 0 {
-			w = windingCCW
-		}
-		p.winding.Store(w)
-	}
-	return w == windingCCW
 }
 
 // ContainsPoint reports whether q lies inside or on the boundary of p,

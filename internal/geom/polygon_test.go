@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // unitSquare is CCW.
 func unitSquare() *Polygon {
@@ -135,27 +132,5 @@ func TestValidate(t *testing.T) {
 	flat.Recompute()
 	if err := flat.Validate(); err == nil {
 		t.Error("zero-area polygon accepted")
-	}
-}
-
-func TestCCWCachedAndRecomputed(t *testing.T) {
-	p := MustPolygon(Pt(0, 0), Pt(2, 0), Pt(2, 1), Pt(0, 1))
-	// The winding cache is filled on first use by whichever worker of a
-	// parallel join gets there first.
-	var wg sync.WaitGroup
-	for range 8 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !p.CCW() {
-				t.Error("counter-clockwise polygon reported clockwise")
-			}
-		}()
-	}
-	wg.Wait()
-	p.Verts[1], p.Verts[3] = p.Verts[3], p.Verts[1]
-	p.Recompute()
-	if p.CCW() {
-		t.Error("Recompute kept the winding of the old vertex order")
 	}
 }

@@ -119,10 +119,12 @@ func (r Rect) Dist(s Rect) float64 {
 
 // DistSq returns the squared minimum distance between r and s: the form
 // to use wherever the distance is only compared (against SqBound(d)), as
-// in the MBR pre-tests and the R-tree distance join.
+// in the MBR pre-tests, the R-tree distance join and the distance kernel's
+// box skip. Per axis it is gap's value (at most one of the two
+// differences is positive), written so that the compiler inlines it.
 func (r Rect) DistSq(s Rect) float64 {
-	dx := gap(r.MinX, r.MaxX, s.MinX, s.MaxX)
-	dy := gap(r.MinY, r.MaxY, s.MinY, s.MaxY)
+	dx := max(r.MinX-s.MaxX, s.MinX-r.MaxX, 0)
+	dy := max(r.MinY-s.MaxY, s.MinY-r.MaxY, 0)
 	return dx*dx + dy*dy
 }
 

@@ -26,7 +26,7 @@ type Neighbor struct {
 //
 // A cancelled or expired context stops the traversal and returns the
 // neighbors confirmed so far (still in order) plus a *PartialError.
-func KNearest(ctx context.Context, layer *Layer, q *geom.Polygon, k int, opt dist.Options) ([]Neighbor, error) {
+func KNearest(ctx context.Context, layer *Layer, q *geom.Polygon, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -42,7 +42,7 @@ func KNearest(ctx context.Context, layer *Layer, q *geom.Polygon, k int, opt dis
 				cancelled = true
 				return math.Inf(1)
 			}
-			return dist.MinDist(q, layer.Data.Objects[e.ID], opt)
+			return dist.MinDist(q, layer.Data.Objects[e.ID])
 		},
 		func(e rtree.Entry, d float64) bool {
 			if cancelled || math.IsInf(d, 1) {

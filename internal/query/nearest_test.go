@@ -25,7 +25,7 @@ func TestKNearestMatchesBrute(t *testing.T) {
 	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
 
 	for _, k := range []int{1, 3, 10} {
-		got, err := KNearest(bg, layerA, q, k, dist.Options{})
+		got, err := KNearest(bg, layerA, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestKNearestMatchesBrute(t *testing.T) {
 			t.Fatal("results not sorted by distance")
 		}
 	}
-	if got, err := KNearest(bg, layerA, q, 0, dist.Options{}); got != nil || err != nil {
+	if got, err := KNearest(bg, layerA, q, 0); got != nil || err != nil {
 		t.Errorf("k=0 returned %v, %v", got, err)
 	}
 }
@@ -55,7 +55,7 @@ func TestKNearestIntersectingIsZero(t *testing.T) {
 		geom.Pt(b.MinX, b.MinY), geom.Pt(b.MaxX, b.MinY),
 		geom.Pt(b.MaxX, b.MaxY), geom.Pt(b.MinX, b.MaxY),
 	)
-	got, err := KNearest(bg, layerA, q, 1, dist.Options{})
+	got, err := KNearest(bg, layerA, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

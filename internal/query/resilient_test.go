@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 )
@@ -127,7 +126,7 @@ func TestSerialCancellation(t *testing.T) {
 		t.Errorf("overlay-join: err = %v, want PartialError wrapping Canceled", err)
 	}
 
-	knn, err := KNearest(ctx, layerA, q, 5, dist.Options{})
+	knn, err := KNearest(ctx, layerA, q, 5)
 	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
 		t.Errorf("knn: err = %v, want PartialError wrapping Canceled", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/store"
 )
 
@@ -134,11 +133,11 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 
 			// Nearest neighbors: identical ids and distances.
 			for _, q := range queries.Objects[:4] {
-				want, err := KNearest(bg, layerA, q, 5, dist.Options{})
+				want, err := KNearest(bg, layerA, q, 5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := KNearest(bg, snapA, q, 5, dist.Options{})
+				got, err := KNearest(bg, snapA, q, 5)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -166,7 +165,7 @@ func TestE2EConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSelect := len(ids)
-	neighbors, err := query.KNearest(context.Background(), water, qpoly, 5, dist.Options{})
+	neighbors, err := query.KNearest(context.Background(), water, qpoly, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

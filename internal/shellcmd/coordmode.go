@@ -105,11 +105,11 @@ func (e *Engine) coordExec(ctx context.Context, cmd string, args []string, line 
 		})
 	case "within":
 		if len(args) < 3 || len(args) > 4 {
-			return Result{}, fmt.Errorf("usage: within <a> <b> <D> [sw|hw]")
+			return Result{}, errors.New(joinUsage["within"])
 		}
-		d, err := strconv.ParseFloat(args[2], 64)
+		d, err := parseDistance("within", args[2])
 		if err != nil {
-			return Result{}, fmt.Errorf("bad distance: %w", err)
+			return Result{}, err
 		}
 		mode := ""
 		if len(args) == 4 {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/ingest"
 	"repro/internal/partition"
@@ -709,9 +709,9 @@ func (e *Engine) withinCmd(ctx context.Context, store Store, verb string, args [
 	if len(args) < 3 {
 		return Result{}, errors.New(joinUsage[verb])
 	}
-	d, err := strconv.ParseFloat(args[2], 64)
+	d, err := parseDistance(verb, args[2])
 	if err != nil {
-		return Result{}, fmt.Errorf("bad distance: %w", err)
+		return Result{}, err
 	}
 	j, err := e.joinTail(store, verb, args[:2], args[3:])
 	if err != nil {
@@ -722,6 +722,21 @@ func (e *Engine) withinCmd(ctx context.Context, store Store, verb string, args [
 		func(ctx context.Context, opt query.JoinOptions) ([]query.Pair, query.Stats, error) {
 			return query.PipelineWithinDistanceJoinView(ctx, j.a, j.b, d, opt)
 		})
+}
+
+// parseDistance parses the D of a within verb. A D that is not a finite
+// number ≥ 0 — NaN, a negative, ±Inf spelled out or overflowing — gets
+// the verb's usage line: NaN would answer no rows and pass every margin
+// check, and Inf would hand the card a NaN line width.
+func parseDistance(verb, arg string) (float64, error) {
+	d, err := strconv.ParseFloat(arg, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, fmt.Errorf("bad distance: %w", err)
+	}
+	if err != nil || !(d >= 0 && d <= math.MaxFloat64) {
+		return 0, errors.New(joinUsage[verb])
+	}
+	return d, nil
 }
 
 // joinCall is a join verb's parsed argument list.
@@ -929,7 +944,7 @@ func (e *Engine) knn(ctx context.Context, store Store, line string, out io.Write
 	start := time.Now()
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
-	neighbors, qerr := query.KNearest(qctx, l, q, k, dist.Options{})
+	neighbors, qerr := query.KNearest(qctx, l, q, k)
 	fmt.Fprintf(out, "%d neighbors in %v:\n", len(neighbors), time.Since(start).Round(time.Microsecond))
 	for _, nb := range neighbors {
 		fmt.Fprintf(out, "  object %-6d distance %.4f\n", nb.ID, nb.Distance)

@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/geom"
+	"repro/internal/partition"
 	"repro/internal/query"
 )
 
@@ -130,6 +133,42 @@ func TestErrorsAndEmptyLines(t *testing.T) {
 	}
 	if _, err := e.Exec(context.Background(), "# comment", &sb); err != nil || sb.Len() != 0 {
 		t.Errorf("comment line: err=%v out=%q", err, sb.String())
+	}
+}
+
+// TestWithinRefusesNonDistances pins the D grammar of the three within
+// verbs — within and shardwithin on a node, within on a coordinator: a D
+// that is not a finite number ≥ 0 is answered with the verb's usage line,
+// never with rows, and the coordinator asks no shard (its one address
+// serves nothing).
+func TestWithinRefusesNonDistances(t *testing.T) {
+	node := &Engine{Store: MapStore{}}
+	exec(t, node, "gen a LANDC 0.002")
+	exec(t, node, "gen b LANDO 0.002")
+	m := &partition.Manifest{GX: 1, GY: 1, Margin: 2, Bounds: geom.R(0, 0, 100, 100)}
+	c, err := coord.New(coord.Config{Manifest: m, Addrs: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	fleet := &Engine{Coord: c}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, d := range []string{"NaN", "-1", "Inf", "-Inf", "1e309"} {
+		for _, tc := range []struct {
+			e          *Engine
+			verb, line string
+		}{
+			{node, "within", "within a b " + d},
+			{node, "shardwithin", "shardwithin a b " + d + " -Inf -Inf +Inf +Inf"},
+			{fleet, "within", "within a b " + d},
+		} {
+			var sb strings.Builder
+			if _, err := tc.e.Exec(ctx, tc.line, &sb); err == nil || err.Error() != joinUsage[tc.verb] {
+				t.Errorf("%q (coordinator %v): err = %v, output %q; want %q",
+					tc.line, tc.e.Coord != nil, err, sb.String(), joinUsage[tc.verb])
+			}
+		}
 	}
 }
 

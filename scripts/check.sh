@@ -5,10 +5,12 @@
 # race-enabled tests (the bench/ module included), the join executor's
 # concurrent failure paths ten times over under -race, one pass of each
 # kernel micro-benchmark (BenchmarkRasterize times the interval
-# rasterizer beside the area oracle it replaced), and a short fuzz smoke
-# pass over the input parsers, the wire row parser, the distance kernel,
-# the rasterizer's cell walk and the interval rasterizer against its
-# oracle (FuzzRasterize). Run from the repo root.
+# rasterizer beside the area oracle it replaced, BenchmarkWithinRefine the
+# software tester's distance step over the benchmark's undecided within
+# pairs), and a short fuzz smoke pass over the input parsers, the wire row
+# parser, the distance kernel bounded and unbounded (FuzzBoundaryWithin,
+# FuzzMinDist), the rasterizer's cell walk and the interval rasterizer
+# against its oracle (FuzzRasterize). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -44,7 +46,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|ContainsPoint|DrawSegment|HWTestCycle|Rasterize' -benchtime 1x ./internal/dist/ ./internal/geom/ ./internal/raster/ ./internal/interval/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|ContainsPoint|DrawSegment|HWTestCycle|Rasterize' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -405,6 +407,7 @@ go test ./internal/store/ -fuzz FuzzSnapshotOpen -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
 go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
+go test ./internal/dist/ -fuzz FuzzMinDist -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
