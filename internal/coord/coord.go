@@ -17,7 +17,7 @@
 // that answered, Total = shards asked), which the serving layer already
 // renders as a "partial:" status. Only a query with zero answering
 // shards is a hard error. Each shard has a consecutive-failure breaker:
-// after Config.BreakerThreshold failures the shard is skipped without
+// after breakerThreshold failures the shard is skipped without
 // dialing for Config.BreakerCooldown, so one dead shard costs its tiles'
 // results but never a dial timeout per query. A shard that answers
 // "error: server overloaded ... retry after <d>" contributes a typed
@@ -61,26 +61,15 @@ type Config struct {
 	// first (see Manifest.ReplicaAddrs). Every tile needs at least one
 	// replica; replicas of one tile must be distinct addresses.
 	ReplicaAddrs [][]string
-	// DialTimeout bounds each shard dial (default 2s).
-	DialTimeout time.Duration
 	// ReadTimeout bounds each shard response read when the query context
 	// carries no deadline (default 30s) — a dead shard must become a
 	// typed partial, never a hang.
 	ReadTimeout time.Duration
-	// MergeReserve is the fraction of the query's deadline withheld from
-	// shards and kept for the merge phase, in [0, 0.5] (default 0.1).
-	MergeReserve float64
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// replica's breaker (default 3); BreakerCooldown is how long it stays
-	// open before a passive half-open trial (default 5s). With a prober
-	// running (ProbeInterval > 0) the cooldown is ignored: only a probe
-	// success half-opens the breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// RetryBackoff is the base delay between failover attempts on a
-	// tile's replicas, jittered to 50–150% (default 25ms). The backoff
-	// never sleeps past the sub-query's deadline.
-	RetryBackoff time.Duration
+	// BreakerCooldown is how long a replica's breaker stays open (after
+	// breakerThreshold consecutive failures) before a passive half-open
+	// trial (default 5s). With a prober running (ProbeInterval > 0) the
+	// cooldown is ignored: only a probe success half-opens the breaker.
+	BreakerCooldown time.Duration
 	// HedgeDelay, when > 0, arms hedged sub-queries: if a tile's first
 	// replica has not answered within the delay, the sub-query is
 	// launched on the next live replica too and the first complete
@@ -92,34 +81,38 @@ type Config struct {
 	// probe success is what half-opens an open breaker (active recovery
 	// instead of the passive cooldown).
 	ProbeInterval time.Duration
-	// RecoveryWait bounds how long a tile sub-query waits for the prober
-	// to readmit a replica before conceding a partial when no replica is
-	// routable — a kill's stale failures can trip a just-restarted
-	// replica's breaker, so "every breaker open" often means "readmission
-	// in flight", not "tile lost". Defaults to two probe cycles; without
-	// a prober there is no readmission to wait for and the wait is
-	// skipped.
-	RecoveryWait time.Duration
 	// Faults optionally injects dial/read/shard-down/replica-down/probe
 	// faults at the coord.* sites.
 	Faults *faultinject.Injector
 }
 
+// Fixed failover parameters.
+const (
+	// dialTimeout bounds each shard dial and probe handshake.
+	dialTimeout = 2 * time.Second
+	// mergeReserve is the fraction of the query's deadline withheld from
+	// shards and kept for the merge phase.
+	mergeReserve = 0.1
+	// breakerThreshold is the consecutive-failure count that opens a
+	// replica's breaker.
+	breakerThreshold = 3
+	// retryBackoff is the base delay between failover attempts on a
+	// tile's replicas, jittered to 50–150%. The backoff never sleeps past
+	// the sub-query's deadline.
+	retryBackoff = 25 * time.Millisecond
+)
+
+// recoveryWait bounds how long a tile sub-query waits for the prober to
+// readmit a replica before conceding a partial when no replica is
+// routable — a kill's stale failures can trip a just-restarted replica's
+// breaker, so "every breaker open" often means "readmission in flight",
+// not "tile lost". Two probe cycles; without a prober there is no
+// readmission to wait for and the wait is skipped.
 func (c Config) recoveryWait() time.Duration {
-	if c.RecoveryWait > 0 {
-		return c.RecoveryWait
-	}
 	if c.ProbeInterval > 0 {
 		return 2*c.ProbeInterval + 5*time.Millisecond
 	}
 	return 0
-}
-
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 2 * time.Second
 }
 
 func (c Config) readTimeout() time.Duration {
@@ -129,32 +122,11 @@ func (c Config) readTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-func (c Config) mergeReserve() float64 {
-	if c.MergeReserve > 0 && c.MergeReserve <= 0.5 {
-		return c.MergeReserve
-	}
-	return 0.1
-}
-
-func (c Config) breakerThreshold() int {
-	if c.BreakerThreshold > 0 {
-		return c.BreakerThreshold
-	}
-	return 3
-}
-
 func (c Config) breakerCooldown() time.Duration {
 	if c.BreakerCooldown > 0 {
 		return c.BreakerCooldown
 	}
 	return 5 * time.Second
-}
-
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 25 * time.Millisecond
 }
 
 // ShardError reports one shard's failure, typed so callers can tell
@@ -488,7 +460,7 @@ func (m *merger) streaming() bool { return m.sink.active() }
 // query polygon's MBR and merges their stable-id streams (buffered,
 // sorted ascending).
 //
-//reach:keep the buffered form coord_test, failover_test and stream_test compare the streamed selection with
+//reach:keep the buffered form TestCoordinatorSelectRoutesAndMatches, TestFailoverKillOneReplicaCompletes and TestCoordinatorSelectStreamDedupsUnbuffered compare the streamed selection with
 func (c *Coordinator) Select(ctx context.Context, layer, wkt string, bounds geom.Rect) (Result, error) {
 	return c.SelectStream(ctx, layer, wkt, bounds, RowSink{})
 }
@@ -524,7 +496,7 @@ func (c *Coordinator) JoinStream(ctx context.Context, a, b, mode string, sink Ro
 // Within fans a within-distance join out shard-wise. Distances beyond
 // the deployment's replication margin are refused with a *MarginError.
 //
-//reach:keep the buffered form coord_test and failover_test drive (margin refusal, parity with single-node within)
+//reach:keep the buffered form TestCoordinatorWithinMatchesSingleNode, TestWithinRefusesNaNDistance and TestFailoverChaosKillAnyOneShard drive (margin refusal, parity with single-node within)
 func (c *Coordinator) Within(ctx context.Context, a, b string, d float64, mode string) (Result, error) {
 	return c.WithinStream(ctx, a, b, d, mode, RowSink{})
 }
@@ -595,7 +567,7 @@ func (c *Coordinator) fanout(ctx context.Context, op string, tiles []int, cmdFor
 	// reserve, the coordinator keeps the reserve to fold the streams.
 	shardBudget := time.Duration(0)
 	if budget > 0 {
-		shardBudget = budget - time.Duration(float64(budget)*c.cfg.mergeReserve())
+		shardBudget = budget - time.Duration(float64(budget)*mergeReserve)
 	}
 
 	res := Result{ShardsAsked: len(tiles), ShardMS: map[int]float64{}}
@@ -763,7 +735,7 @@ func (c *Coordinator) queryTile(ctx context.Context, tile int, cmd string, budge
 	// awaitPick rides out a window where no replica is routable: stale
 	// failures from a kill can trip a just-restarted replica's breaker,
 	// so the tile often only LOOKS fully down until the prober readmits
-	// it. Bounded by RecoveryWait, the deadline, and the context.
+	// it. Bounded by recoveryWait, the deadline, and the context.
 	awaitPick := func() *replica {
 		rw := c.cfg.recoveryWait()
 		if rw <= 0 {
@@ -909,11 +881,10 @@ func candidates(reps []*replica) []*replica {
 	return append(closed, trial...)
 }
 
-// backoff sleeps the jittered retry delay (50–150% of RetryBackoff),
+// backoff sleeps the jittered retry delay (50–150% of retryBackoff),
 // bounded by the sub-query deadline and the context.
 func (c *Coordinator) backoff(ctx context.Context, deadline time.Time) {
-	d := c.cfg.retryBackoff()
-	d = d/2 + time.Duration(rand.Int63n(int64(d)))
+	d := retryBackoff/2 + time.Duration(rand.Int63n(int64(retryBackoff)))
 	if !deadline.IsZero() {
 		if left := time.Until(deadline); left < d {
 			d = left
@@ -1090,12 +1061,12 @@ func (r *replica) acquire() (w *wireConn, pooled bool, err error) {
 	if f := r.cfg.Faults; f != nil && f.Disconnect(faultinject.SiteCoordDial) {
 		return nil, false, errors.New("injected dial fault")
 	}
-	conn, err := net.DialTimeout("tcp", r.addr, r.cfg.dialTimeout())
+	conn, err := net.DialTimeout("tcp", r.addr, dialTimeout)
 	if err != nil {
 		return nil, false, err
 	}
 	w = &wireConn{conn: conn, r: bufio.NewReaderSize(conn, readBufSize)}
-	conn.SetReadDeadline(time.Now().Add(r.cfg.dialTimeout()))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	greeting, err := w.readLine(r.cfg.Faults)
 	if err != nil {
 		conn.Close()
@@ -1130,7 +1101,7 @@ func (r *replica) probe() error {
 			r.recordFailure(fmt.Errorf("probe: %w", err))
 			return err
 		}
-		w.conn.SetDeadline(time.Now().Add(r.cfg.dialTimeout()))
+		w.conn.SetDeadline(time.Now().Add(dialTimeout))
 		status, err := w.exchange("layers", r.cfg.Faults)
 		if err != nil {
 			w.conn.Close()
@@ -1448,7 +1419,7 @@ func (r *replica) recordFailure(err error) {
 	r.failTotal++
 	r.lastErr = err.Error()
 	var idle []*wireConn
-	if r.fails >= r.cfg.breakerThreshold() {
+	if r.fails >= breakerThreshold {
 		r.state = BreakerOpen
 		r.openUntil = time.Now().Add(r.cfg.breakerCooldown())
 		// Drop the pooled connections: a replica that just tripped its

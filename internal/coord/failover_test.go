@@ -192,7 +192,7 @@ func TestFailoverHealthReportsReplicaTable(t *testing.T) {
 // the corpse's failure count.
 func TestFailoverKillOneReplicaCompletes(t *testing.T) {
 	f := bootReplicatedFleet(t, 4, 2)
-	c := f.coordinator(t, coord.Config{DialTimeout: 500 * time.Millisecond, RetryBackoff: 2 * time.Millisecond})
+	c := f.coordinator(t, coord.Config{})
 
 	healthyJoin, err := c.Join(qctx(t), "a", "b", "")
 	if err != nil {
@@ -259,7 +259,7 @@ func TestFailoverKillOneReplicaCompletes(t *testing.T) {
 // never-wrong subset, with the shard arithmetic intact.
 func TestFailoverAllReplicasDownTypedPartial(t *testing.T) {
 	f := bootReplicatedFleet(t, 4, 2)
-	c := f.coordinator(t, coord.Config{DialTimeout: 300 * time.Millisecond, RetryBackoff: 2 * time.Millisecond})
+	c := f.coordinator(t, coord.Config{})
 	f.kill(1, 0)
 	f.kill(1, 1)
 
@@ -294,7 +294,7 @@ func TestFailoverReplicaDownInjection(t *testing.T) {
 		f := bootReplicatedFleet(t, 2, 2)
 		inj := faultinject.New(5)
 		inj.InjectAt(faultinject.SiteCoordReplicaDown, faultinject.KindDisconnect, 0)
-		c := f.coordinator(t, coord.Config{Faults: inj, RetryBackoff: 2 * time.Millisecond})
+		c := f.coordinator(t, coord.Config{Faults: inj})
 		res, err := c.Join(qctx(t), "a", "b", "")
 		if err != nil {
 			t.Fatalf("replicated join with one injected replica-down returned %v, want complete", err)
@@ -314,7 +314,7 @@ func TestFailoverReplicaDownInjection(t *testing.T) {
 		f := bootReplicatedFleet(t, 2, 1)
 		inj := faultinject.New(5)
 		inj.InjectAt(faultinject.SiteCoordReplicaDown, faultinject.KindDisconnect, 0)
-		c := f.coordinator(t, coord.Config{Faults: inj, RetryBackoff: 2 * time.Millisecond})
+		c := f.coordinator(t, coord.Config{Faults: inj})
 		_, err := c.Join(qctx(t), "a", "b", "")
 		var pe *query.PartialError
 		if !errors.As(err, &pe) {
@@ -338,7 +338,7 @@ func TestFailoverMidStreamReadFaultNoDuplicates(t *testing.T) {
 	// all replicas (greetings and timeout-arming included); one firing
 	// severs a single attempt mid-exchange.
 	inj.InjectAt(faultinject.SiteCoordRead, faultinject.KindDisconnect, 12)
-	c := f.coordinator(t, coord.Config{Faults: inj, RetryBackoff: 2 * time.Millisecond})
+	c := f.coordinator(t, coord.Config{Faults: inj})
 
 	var pairs [][2]uint64
 	sink := coord.RowSink{Pair: func(p [2]uint64) error {
@@ -410,7 +410,6 @@ func TestFailoverHedgeBeatsSilentReplica(t *testing.T) {
 		Manifest:     f.m,
 		ReplicaAddrs: table,
 		HedgeDelay:   30 * time.Millisecond,
-		DialTimeout:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,10 +449,8 @@ func TestFailoverHedgeBeatsSilentReplica(t *testing.T) {
 func TestFailoverProberRecovery(t *testing.T) {
 	f := bootReplicatedFleet(t, 2, 1)
 	c := f.coordinator(t, coord.Config{
-		ProbeInterval:    15 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // passive recovery impossible; only the prober readmits
-		DialTimeout:      200 * time.Millisecond,
+		ProbeInterval:   15 * time.Millisecond,
+		BreakerCooldown: time.Hour, // passive recovery impossible; only the prober readmits
 	})
 
 	f.kill(1, 0)
@@ -513,11 +510,7 @@ func waitHealth(t *testing.T, c *coord.Coordinator, idx int, cond func(coord.Hea
 // corpse. Run with -race in CI.
 func TestFailoverChaosKillAnyOneShard(t *testing.T) {
 	f := bootReplicatedFleet(t, 4, 2)
-	c := f.coordinator(t, coord.Config{
-		DialTimeout:      500 * time.Millisecond,
-		RetryBackoff:     2 * time.Millisecond,
-		BreakerThreshold: 2,
-	})
+	c := f.coordinator(t, coord.Config{})
 	baseline, err := c.Join(qctx(t), "a", "b", "")
 	if err != nil {
 		t.Fatalf("healthy baseline join: %v", err)

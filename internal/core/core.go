@@ -80,8 +80,6 @@ type Config struct {
 	// DefaultSentinelEvery; negative disables verification. The sample is
 	// a deterministic per-tester counter, so runs are reproducible.
 	SentinelEvery int
-	// Software selects the software segment-intersection algorithm.
-	Software sweep.Options
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// tester's hook sites (test entry, hardware-filter verdict, raster
 	// draw path). Production configurations leave it nil; the resilience
@@ -281,10 +279,6 @@ func NewTester(cfg Config) *Tester {
 // Config returns the tester's effective configuration.
 func (t *Tester) Config() Config { return t.cfg }
 
-// Context exposes the rendering context (nil when hardware is disabled),
-// for instrumentation.
-func (t *Tester) Context() *raster.Context { return t.ctx }
-
 // ResetStats zeroes the counters.
 func (t *Tester) ResetStats() {
 	t.Stats = Stats{}
@@ -464,13 +458,6 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 // path would use. Shared by the SWThreshold fast path and the breaker's
 // degraded mode.
 func (t *Tester) softwareIntersects(p, q *geom.Polygon, pc PairContext) bool {
-	if t.cfg.Software.NoRestrictSearch {
-		// Ablation path: unrestricted candidate sets, no index use.
-		start := time.Now()
-		ok := t.sweeper.BoundariesIntersect(p, q, t.cfg.Software)
-		t.Stats.SWTime += time.Since(start)
-		return ok
-	}
 	red, blue := t.collectPair(p, q, p.Bounds().Intersection(q.Bounds()), pc)
 	if len(red) == 0 || len(blue) == 0 {
 		return false
@@ -766,21 +753,14 @@ func (t *Tester) hwOverlap(red, blue []geom.Segment, widthPx float64) bool {
 	return overlap
 }
 
-// crossIntersects dispatches the software segment test on pre-restricted
-// edge sets. With the default algorithm the dispatch is adaptive: small
-// work products go to the all-pairs scan (the common case once the edge
-// index has shrunk the sets), large ones to the tester's reusable plane
-// sweep. All algorithms are exact, so the choice never changes a verdict.
+// crossIntersects runs the software segment test on pre-restricted edge
+// sets, adaptively: small work products go to the all-pairs scan (the
+// common case once the edge index has shrunk the sets), large ones to the
+// tester's reusable plane sweep. Both are exact, so the choice never
+// changes a verdict.
 func (t *Tester) crossIntersects(red, blue []geom.Segment) bool {
-	switch t.cfg.Software.Algorithm {
-	case sweep.ForwardScan:
-		return sweep.CrossIntersectsForwardScan(red, blue)
-	case sweep.BruteForce:
+	if len(red)*len(blue) <= DefaultCrossCutoff {
 		return sweep.CrossIntersectsBrute(red, blue)
-	default:
-		if len(red)*len(blue) <= DefaultCrossCutoff {
-			return sweep.CrossIntersectsBrute(red, blue)
-		}
-		return t.sweeper.CrossIntersects(red, blue)
 	}
+	return t.sweeper.CrossIntersects(red, blue)
 }

@@ -189,22 +189,47 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// TestSoftwareAlgorithmsAgreeUnderTester holds the tester's one software
+// choice — the all-pairs scan at or below DefaultCrossCutoff, the plane
+// sweep above it — to sweep.CrossIntersectsBrute over every edge of both
+// polygons, on pairs whose restricted edge product falls on both sides of
+// the cutoff, through the software-only and the hardware tester.
 func TestSoftwareAlgorithmsAgreeUnderTester(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	testers := []*Tester{
-		NewTester(Config{Resolution: 8, Software: sweep.Options{Algorithm: sweep.PlaneSweep}}),
-		NewTester(Config{Resolution: 8, Software: sweep.Options{Algorithm: sweep.ForwardScan}}),
-		NewTester(Config{Resolution: 8, Software: sweep.Options{Algorithm: sweep.BruteForce}}),
+	allEdges := func(p *geom.Polygon) []geom.Segment {
+		var out []geom.Segment
+		for i := range p.NumEdges() {
+			out = append(out, p.Edge(i))
+		}
+		return out
 	}
-	for range 200 {
-		p := star(rng, rng.Float64()*6, rng.Float64()*6, 1+rng.Float64()*3, 3+rng.Intn(20))
-		q := star(rng, rng.Float64()*6, rng.Float64()*6, 1+rng.Float64()*3, 3+rng.Intn(20))
-		r0 := testers[0].Intersects(p, q)
-		for _, tr := range testers[1:] {
-			if tr.Intersects(p, q) != r0 {
-				t.Fatal("software algorithms disagree under the tester")
+	verts := func(rng *rand.Rand, large bool) int {
+		if large {
+			return 200 + rng.Intn(200)
+		}
+		return 3 + rng.Intn(40)
+	}
+	rng := rand.New(rand.NewSource(54))
+	testers := []*Tester{NewTester(Config{DisableHardware: true}), NewTester(Config{Resolution: 8})}
+	var below, above int
+	for trial := range 600 {
+		p := star(rng, 0, 0, 3, verts(rng, trial%2 == 0))
+		q := star(rng, 2+rng.Float64()*2, rng.Float64(), 3, verts(rng, trial%2 == 0))
+		contained := sweep.ContainmentPossible(p, q)
+		if red, blue := sweep.CandidateEdgesInto(p, q, nil, nil); !contained && len(red)*len(blue) <= DefaultCrossCutoff {
+			below++
+		} else if !contained {
+			above++
+		}
+		want := contained || sweep.CrossIntersectsBrute(allEdges(p), allEdges(q))
+		for _, tr := range testers {
+			if got := tr.Intersects(p, q); got != want {
+				t.Fatalf("trial %d (%d×%d vertices, hardware %v): Intersects = %v, brute = %v",
+					trial, p.NumVerts(), q.NumVerts(), tr.ctx != nil, got, want)
 			}
 		}
+	}
+	if below < 20 || above < 20 {
+		t.Fatalf("restricted edge products: %d at or below the cutoff, %d above; want ≥ 20 each", below, above)
 	}
 }
 
@@ -230,17 +255,17 @@ func TestNewTesterDefaults(t *testing.T) {
 	if tr.Config().Resolution != DefaultResolution {
 		t.Errorf("default resolution = %d", tr.Config().Resolution)
 	}
-	if tr.Context() == nil {
+	if tr.ctx == nil {
 		t.Error("hardware context missing")
 	}
 	swOnly := NewTester(Config{DisableHardware: true})
-	if swOnly.Context() != nil {
+	if swOnly.ctx != nil {
 		t.Error("software-only tester has a context")
 	}
 	// A resolution beyond the window's word width gets capped, not
 	// rejected (and allocates no 100000² window on the way).
 	fine := NewTester(Config{Resolution: 100000})
-	if got := fine.Config().Resolution; got != raster.MaxResolution || fine.Context().Width() != got {
-		t.Errorf("resolution not capped: config %d, window %d", got, fine.Context().Width())
+	if got := fine.Config().Resolution; got != raster.MaxResolution || fine.ctx.Width() != got {
+		t.Errorf("resolution not capped: config %d, window %d", got, fine.ctx.Width())
 	}
 }

@@ -312,7 +312,7 @@ func TestKernelsContainsPointDifferential(t *testing.T) {
 		for i, v := range p.Verts {
 			check(v)
 			e := p.Edge(i)
-			check(e.A.Add(e.B).Scale(0.5))
+			check(geom.Pt((e.A.X+e.B.X)/2, (e.A.Y+e.B.Y)/2))
 			for _, x := range []float64{mbr.MinX - 1, mbr.MinX, v.X - 0.125, v.X + 0.125, mbr.MaxX, mbr.MaxX + 1} {
 				check(geom.Pt(x, v.Y))
 			}

@@ -209,7 +209,7 @@ func TestBlobShape(t *testing.T) {
 		}
 		// All vertices within the radial deviation envelope.
 		for _, v := range b.Verts {
-			d := v.Dist(c)
+			d := math.Sqrt(v.DistSq(c))
 			if d > r*1.7*1.09+1e-9 || d < r*0.3*0.91-1e-9 {
 				t.Fatalf("vertex at radial distance %v outside envelope for r=%v", d, r)
 			}

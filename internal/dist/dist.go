@@ -90,7 +90,7 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // MinDistBrute returns the region distance computed over all edge pairs
 // with no pruning. The testing oracle.
 //
-//reach:keep reference implementation under dist's tests and fuzz target, core's kernels_test, and the filter and query distance tests
+//reach:keep reference implementation under TestMinDistMatchesBruteRandom, FuzzMinDist, FuzzBoundaryWithin, TestKernelsDistanceDifferential, TestUpperBoundsVsIntersection and TestWithinDistanceJoinMatchesOracle
 func MinDistBrute(p, q *geom.Polygon) float64 {
 	if p.Bounds().Intersects(q.Bounds()) && sweep.PolygonsIntersect(p, q, sweep.Options{}) {
 		return 0

@@ -225,9 +225,6 @@ func (ix *Index) rayWalk(level, node int, ray geom.Rect, q geom.Point) (onBounda
 	return false, odd
 }
 
-// NumEdges returns the number of indexed edges.
-func (ix *Index) NumEdges() int { return ix.poly.NumEdges() }
-
 // FlatBoxCount returns the number of boxes FlatBoxes yields for a polygon
 // with n edges: 0 below MinIndexEdges, the total hierarchy size otherwise.
 // Snapshot readers use it to validate a persisted box column before

@@ -116,8 +116,8 @@ func TestPruningHappens(t *testing.T) {
 	if !ix.Indexed() {
 		t.Fatal("large polygon should build a hierarchy")
 	}
-	if ix.NumEdges() != 4096 {
-		t.Fatalf("NumEdges = %d", ix.NumEdges())
+	if ix.poly.NumEdges() != 4096 {
+		t.Fatalf("indexed %d edges", ix.poly.NumEdges())
 	}
 	// A tiny rect at the boundary touches few runs.
 	r := geom.R(9.0, -0.05, 10.1, 0.05)

@@ -267,7 +267,7 @@ func (in *Injector) Disarm(site string) *Injector {
 
 // SetDelay sets the stall duration of KindDelay faults (default 1ms).
 //
-//reach:keep fault probe: server's e2e, flush, governance, stream and soak tests and query's resilient_test size their injected stalls with it
+//reach:keep fault probe: TestShutdownDrainsPartialResults, TestWatchdogKillReleasesAdmissionSlot, TestSoak and TestAcceptanceFaultedJoinUnderDeadline size their injected stalls with it
 func (in *Injector) SetDelay(d time.Duration) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -277,7 +277,7 @@ func (in *Injector) SetDelay(d time.Duration) *Injector {
 
 // Fired returns how many faults of the kind have fired at the site.
 //
-//reach:keep fault probe: server's fault, e2e, stream and soak tests and coord's failover_test assert an armed fault actually struck
+//reach:keep fault probe: TestFaultSlowClient, TestShutdownDrainsPartialResults, TestSoak and TestFailoverMidStreamReadFaultNoDuplicates assert an armed fault actually struck
 func (in *Injector) Fired(site string, kind Kind) int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -30,9 +30,6 @@ func NewEdgeTree(p *geom.Polygon) *EdgeTree {
 	return &EdgeTree{poly: p, tree: rtree.NewBulk(entries)}
 }
 
-// Polygon returns the indexed polygon.
-func (t *EdgeTree) Polygon() *geom.Polygon { return t.poly }
-
 // Intersects reports whether the regions of the two indexed polygons
 // intersect: the usual point-in-polygon containment step, then an edge
 // tree join that stops at the first intersecting edge pair.

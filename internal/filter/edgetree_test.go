@@ -36,8 +36,8 @@ func TestEdgeTreeContainment(t *testing.T) {
 	if to.Intersects(tf) {
 		t.Error("disjoint pair reported")
 	}
-	if to.Polygon() != outer {
-		t.Error("Polygon accessor wrong")
+	if to.poly != outer {
+		t.Error("tree indexes the wrong polygon")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/geom"
-	"repro/internal/sweep"
 )
 
 func square(x, y, side float64) *geom.Polygon {
@@ -197,5 +196,3 @@ func TestInteriorDegenerate(t *testing.T) {
 		}
 	}
 }
-
-var _ = sweep.Options{} // keep the import used if assertions above change

@@ -30,9 +30,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the vector from q to p.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by s about the origin.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Dot returns the dot product of p and q viewed as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
@@ -48,9 +45,6 @@ func (p Point) IsFinite() bool {
 // Cross returns the z component of the cross product of p and q viewed as
 // vectors.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
 // DistSq returns the squared Euclidean distance between p and q. It avoids
 // the square root and is the preferred comparison form in inner loops.

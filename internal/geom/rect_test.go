@@ -173,7 +173,7 @@ func TestMinMaxDistIsUpperBound(t *testing.T) {
 		}
 		minD := math.Inf(1)
 		for _, q := range touch {
-			if d := p.Dist(q); d < minD {
+			if d := math.Sqrt(p.DistSq(q)); d < minD {
 				minD = d
 			}
 		}

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Segment is a closed line segment between two endpoints.
 type Segment struct {
@@ -91,14 +88,8 @@ func (s Segment) DistSqToPoint(p Point) float64 {
 	return p.DistSq(proj)
 }
 
-// Dist returns the minimum distance between the closed segments s and t.
-// It is zero when the segments intersect.
-func (s Segment) Dist(t Segment) float64 {
-	return math.Sqrt(s.DistSq(t))
-}
-
 // DistSq returns the squared minimum distance between the closed segments
-// s and t.
+// s and t. It is zero when the segments intersect.
 func (s Segment) DistSq(t Segment) float64 {
 	if s.Intersects(t) {
 		return 0

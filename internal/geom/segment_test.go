@@ -71,11 +71,11 @@ func TestSegmentDistToPoint(t *testing.T) {
 func TestSegmentDist(t *testing.T) {
 	a := Seg(Pt(0, 0), Pt(1, 0))
 	b := Seg(Pt(0, 2), Pt(1, 2))
-	if got := a.Dist(b); math.Abs(got-2) > 1e-12 {
+	if got := math.Sqrt(a.DistSq(b)); math.Abs(got-2) > 1e-12 {
 		t.Errorf("parallel Dist = %v, want 2", got)
 	}
 	c := Seg(Pt(0.5, -1), Pt(0.5, 1))
-	if got := a.Dist(c); got != 0 {
+	if got := a.DistSq(c); got != 0 {
 		t.Errorf("crossing Dist = %v, want 0", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestSegmentDistMatchesSampling(t *testing.T) {
 	for range 200 {
 		s := Seg(Pt(rng.Float64()*10, rng.Float64()*10), Pt(rng.Float64()*10, rng.Float64()*10))
 		u := Seg(Pt(rng.Float64()*10, rng.Float64()*10), Pt(rng.Float64()*10, rng.Float64()*10))
-		exact := s.Dist(u)
+		exact := math.Sqrt(s.DistSq(u))
 		approx := segmentDistBrute(s, u, 500)
 		if exact > approx+1e-9 {
 			t.Fatalf("Dist %v > sampled upper bound %v for %v,%v", exact, approx, s, u)
@@ -117,9 +117,9 @@ func TestSegmentIntersectImpliesZeroDist(t *testing.T) {
 		s := Seg(Pt(float64(ax), float64(ay)), Pt(float64(bx), float64(by)))
 		u := Seg(Pt(float64(cx), float64(cy)), Pt(float64(dx), float64(dy)))
 		if s.Intersects(u) {
-			return s.Dist(u) == 0
+			return s.DistSq(u) == 0
 		}
-		return s.Dist(u) > 0
+		return s.DistSq(u) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

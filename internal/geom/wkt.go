@@ -27,15 +27,6 @@ func (p *Polygon) WKT() string {
 	return b.String()
 }
 
-// WKT returns the point in Well-Known Text form: POINT (x y).
-func (p Point) WKT() string {
-	var b strings.Builder
-	b.WriteString("POINT (")
-	writeCoord(&b, p)
-	b.WriteByte(')')
-	return b.String()
-}
-
 func writeCoord(b *strings.Builder, p Point) {
 	b.WriteString(strconv.FormatFloat(p.X, 'g', -1, 64))
 	b.WriteByte(' ')

@@ -94,10 +94,3 @@ func TestParsePolygonWKTErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestPointWKT(t *testing.T) {
-	p := Pt(1.5, -2)
-	if got := p.WKT(); got != "POINT (1.5 -2)" {
-		t.Errorf("WKT = %q", got)
-	}
-}

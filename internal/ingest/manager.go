@@ -16,6 +16,8 @@ type Options struct {
 	// WAL segments under Dir/NAME.wal/.
 	Dir string
 	// WAL tunes group commit for every table (zero values = wal defaults).
+	//
+	//reach:keep TestIngestOverWireAndMetrics needs tiny segments so its inserts rotate and truncate WAL segments
 	WAL wal.Options
 	// Faults arms the wal.* and compact.* durability fault sites.
 	Faults *faultinject.Injector

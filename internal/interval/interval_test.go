@@ -100,6 +100,12 @@ func loadGrid(t *testing.T, da, db *data.Dataset) interval.Grid {
 	return interval.Grid{MinX: mnx, MinY: mny, Size: size, Order: order}
 }
 
+// run decodes run i of s by the persisted packing Spans documents: lo in
+// bits 32..63, hi in bits 1..31, the full flag in bit 0.
+func run(s interval.Spans, i int) (lo, hi uint32, full bool) {
+	return uint32(s[i] >> 32), uint32(s[i]>>1) & 0x7fffffff, s[i]&1 != 0
+}
+
 func TestRasterizeSoundness(t *testing.T) {
 	d := data.MustLoad("LANDC", 0.005)
 	g, ok := interval.GridFor(d.Objects, 0)
@@ -117,7 +123,7 @@ func TestRasterizeSoundness(t *testing.T) {
 	}
 	contains := func(s interval.Spans, id uint32) (bool, bool) {
 		for i := range s {
-			lo, hi, full := s.At(i)
+			lo, hi, full := run(s, i)
 			if id >= lo && id <= hi {
 				return true, full
 			}
@@ -138,7 +144,7 @@ func TestRasterizeSoundness(t *testing.T) {
 		// the neighbor; skip those to keep the check exact).
 		for i := 0; i < p.NumEdges(); i++ {
 			e := p.Edge(i)
-			for _, pt := range []geom.Point{e.A, e.A.Add(e.B).Scale(0.5)} {
+			for _, pt := range []geom.Point{e.A, geom.Pt((e.A.X+e.B.X)/2, (e.A.Y+e.B.Y)/2)} {
 				fx := (pt.X - g.MinX) / cs
 				fy := (pt.Y - g.MinY) / cs
 				if math.Abs(fx-math.Round(fx)) < 1e-9 || math.Abs(fy-math.Round(fy)) < 1e-9 {
@@ -156,7 +162,7 @@ func TestRasterizeSoundness(t *testing.T) {
 		// Full labels are exact: sampled points of every full cell lie
 		// inside the polygon's closed region.
 		for i := range s {
-			lo, hi, full := s.At(i)
+			lo, hi, full := run(s, i)
 			if !full {
 				continue
 			}
@@ -320,5 +326,47 @@ func TestColumnRoundTrip(t *testing.T) {
 		if _, err := interval.FromParts(g, counts, col.Data()); err == nil {
 			t.Fatal("FromParts accepted inconsistent counts")
 		}
+	}
+}
+
+// TestRasterizeFarVertices: a polygon reaching far past the grid — a
+// vertex more cells out than an int holds — rasterizes, and soundly: every
+// cell its in-grid boundary crosses and every cell inside is covered.
+func TestRasterizeFarVertices(t *testing.T) {
+	g := interval.Grid{Size: 32, Order: 5} // 1×1 cells
+	covered := func(s interval.Spans, x, y uint32) bool {
+		id := interval.D(g.Order, x, y)
+		for i := range s {
+			if lo, hi, _ := run(s, i); lo <= id && id <= hi {
+				return true
+			}
+		}
+		return false
+	}
+	for _, far := range []float64{-1e30, -7e19, 7e19, 1e300} {
+		// A 10-cell-high band from x = far to x = 20.5 (or from 10.5 to far).
+		lo, hi := far, 20.5
+		if far > 0 {
+			lo, hi = 10.5, far
+		}
+		p := geom.MustPolygon(geom.Pt(lo, 10.5), geom.Pt(hi, 10.5), geom.Pt(hi, 20.5), geom.Pt(lo, 20.5))
+		s := interval.Rasterize(p, g)
+		if err := s.Validate(g.Order); err != nil {
+			t.Fatalf("far %g: %v", far, err)
+		}
+		for x := uint32(max(lo, 0)); x <= uint32(min(hi, 31)); x++ {
+			for y := uint32(10); y <= 20; y++ {
+				if !covered(s, x, y) {
+					t.Fatalf("far %g: cell (%d,%d) of the band not covered", far, x, y)
+				}
+			}
+		}
+	}
+	// On a fine grid both ends of an edge overflow to +Inf in cell units,
+	// leaving the walk no extent to interpolate.
+	g = interval.Grid{Size: 1, Order: 8}
+	s := interval.Rasterize(geom.MustPolygon(geom.Pt(0.5, 0.5), geom.Pt(1e308, 0.5), geom.Pt(1e308, 1e308)), g)
+	if err := s.Validate(g.Order); err != nil || !covered(s, 128, 128) {
+		t.Fatalf("overflowing edge: spans %v (%v), want the vertex cell (128,128) covered", s, err)
 	}
 }

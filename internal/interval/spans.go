@@ -2,7 +2,6 @@ package interval
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -62,19 +61,6 @@ func pack(lo, hi uint32, full bool) uint64 {
 
 func unpack(v uint64) (lo, hi uint32, full bool) {
 	return uint32(v >> 32), uint32(v>>1) & 0x7fffffff, v&1 != 0
-}
-
-// At returns run i's inclusive bounds and label (for tests and tools).
-func (s Spans) At(i int) (lo, hi uint32, full bool) { return unpack(s[i]) }
-
-// Cells returns the total number of cells covered (for stats and tests).
-func (s Spans) Cells() int {
-	n := 0
-	for _, v := range s {
-		lo, hi, _ := unpack(v)
-		n += int(hi-lo) + 1
-	}
-	return n
 }
 
 // Validate checks the Spans invariants against a grid order, returning a
@@ -183,15 +169,16 @@ func Rasterize(p *geom.Polygon, g Grid) Spans {
 	cs := g.CellSize()
 	b := p.Bounds()
 	n := g.Cells()
+	// Clamped before the conversion: a far vertex's cell coordinate does
+	// not fit an int.
 	clamp := func(v float64) int {
-		i := int(math.Floor(v))
-		if i < 0 {
+		switch {
+		case v < 0:
 			return 0
-		}
-		if i >= n {
+		case v >= float64(n):
 			return n - 1
 		}
-		return i
+		return int(v)
 	}
 	// Outward-rounded cell window of the MBR, clamped to the grid.
 	x0 := clamp((b.MinX-g.MinX)/cs - cellEps)

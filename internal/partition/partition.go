@@ -283,8 +283,6 @@ type Options struct {
 	Margin float64
 	// Tool is recorded as provenance.
 	Tool string
-	// Save passes through to the per-tile snapshot writer.
-	Save store.SaveOptions
 }
 
 // Result reports what Write produced.
@@ -355,11 +353,7 @@ func Write(dir, name string, d *data.Dataset, opts Options) (Result, error) {
 			objs[j] = d.Objects[gi]
 			ids[j] = uint64(gi)
 		}
-		save := opts.Save
-		save.IDs = ids
-		if save.Tool == "" {
-			save.Tool = opts.Tool
-		}
+		save := store.SaveOptions{IDs: ids, Tool: opts.Tool}
 		tileSet := &data.Dataset{Name: d.Name, Objects: objs}
 		// Every replica gets a full copy of the tile snapshot in its own
 		// directory, so any replica can serve the tile alone.

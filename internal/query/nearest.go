@@ -30,7 +30,8 @@ func KNearest(ctx context.Context, layer *Layer, q *geom.Polygon, k int) ([]Neig
 	if k <= 0 {
 		return nil, nil
 	}
-	out := make([]Neighbor, 0, k)
+	// k arrives off the wire: size the result by the layer, not by k.
+	out := make([]Neighbor, 0, min(k, len(layer.Data.Objects)))
 	cancelled := false
 	layer.Index.NearestBy(q.Bounds(),
 		func(e rtree.Entry) float64 {

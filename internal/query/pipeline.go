@@ -76,8 +76,9 @@ type JoinOptions struct {
 	// SelectionOptions.
 	NoSignatures, NoIntervals bool
 	// IntervalOrder forces the shared interval grid's order (2..15); 0
-	// derives it from the layers. No verb sets it; the interval
-	// differential tests run the joins across forced orders.
+	// derives it from the layers. No verb sets it.
+	//
+	//reach:keep TestIntervalJoinDifferentialGrid and TestIntervalConcurrentLazyBuild join on grids other than the derived one through it
 	IntervalOrder int
 }
 

@@ -44,7 +44,7 @@ func sortedPairs(ps []Pair) []Pair {
 func oracleSelect(layer *Layer, q *geom.Polygon) []int {
 	var ids []int
 	for i, p := range layer.Data.Objects {
-		if sweep.PolygonsIntersect(q, p, sweep.Options{Algorithm: sweep.BruteForce}) {
+		if bruteIntersects(q, p) {
 			ids = append(ids, i)
 		}
 	}
@@ -85,7 +85,7 @@ func TestIntersectionSelectMatchesOracle(t *testing.T) {
 }
 
 // The join oracle matrix: every way of running the join executor against
-// brute-force nested-loop oracles (sweep.BruteForce, dist.MinDistBrute).
+// brute-force nested-loop oracles (bruteIntersects, dist.MinDistBrute).
 // One table, two predicates.
 
 // The matrix runs thousands of joins, so its layers are half the size of
@@ -200,10 +200,14 @@ func TestIntersectionJoinMatchesOracle(t *testing.T) {
 		func(a, b *View) []Pair { return oraclePairs(a, b, bruteIntersects) })
 }
 
-// bruteIntersects is the intersection oracle: the all-pairs edge test.
+// bruteIntersects is the intersection oracle: containment either way, or
+// the all-pairs edge test on the restricted search space.
 func bruteIntersects(p, q *geom.Polygon) bool {
-	return p.Bounds().Intersects(q.Bounds()) &&
-		sweep.PolygonsIntersect(p, q, sweep.Options{Algorithm: sweep.BruteForce})
+	if !p.Bounds().Intersects(q.Bounds()) {
+		return false
+	}
+	red, blue := sweep.CandidateEdgesInto(p, q, nil, nil)
+	return sweep.ContainmentPossible(p, q) || sweep.CrossIntersectsBrute(red, blue)
 }
 
 func TestWithinDistanceJoinMatchesOracle(t *testing.T) {

@@ -59,6 +59,11 @@ func markSegment(marks []uint64, ax, ay, bx, by float64, x0, y0, w, h int) {
 				yl, yh = yh, yl
 			}
 		}
+		if yl != yl || yh != yh {
+			// NaN: the edge's cell coordinates overflowed to infinities and
+			// left no extent to interpolate. The whole column covers it.
+			yl, yh = math.Inf(-1), math.Inf(1)
+		}
 		for cy, cy1 := clampCell(yl-cellEps, y0, h), clampCell(yh+cellEps, y0, h); cy <= cy1; cy++ {
 			i := cy*w + cx
 			marks[i>>6] |= 1 << uint(i&63)
@@ -67,14 +72,15 @@ func markSegment(marks []uint64, ax, ay, bx, by float64, x0, y0, w, h int) {
 }
 
 // clampCell maps cell coordinate v to its index in a window of n cells
-// starting at cell origin, clamped into the window.
+// starting at cell origin, clamped into the window — in floating point,
+// since a far vertex's cell coordinate does not fit an int.
 func clampCell(v float64, origin, n int) int {
-	i := int(math.Floor(v)) - origin
-	if i < 0 {
+	i := math.Floor(v) - float64(origin)
+	switch {
+	case i < 0:
 		return 0
-	}
-	if i >= n {
+	case i >= float64(n):
 		return n - 1
 	}
-	return i
+	return int(i)
 }

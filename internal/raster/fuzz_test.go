@@ -17,8 +17,9 @@ func FuzzCoverageSuperset(f *testing.F) {
 	f.Add(uint8(16), uint8(16), 100.0, 200.0, 100.0, 200.0, 100.0, 200.0, 100.0, 200.0, 2.0)
 	f.Add(uint8(32), uint8(32), 0.0, 0.0, 1e-3, 1e9, 5e-4, -1e12, 5e-4, 1e12, 0.5)
 	// An endpoint exactly on a cell corner, reached by interpolating from
-	// 871 pixels away at width 0: the walker lands an ulp short of it.
-	f.Add(uint8(31), uint8(12), -1.0, -1.0, 1.0, 1.0, 29.6, -135.0, 0.0, -1.0, 0.0)
+	// 871 pixels away at a hairline width: the walker lands an ulp short
+	// of it.
+	f.Add(uint8(31), uint8(12), -1.0, -1.0, 1.0, 1.0, 29.6, -135.0, 0.0, -1.0, 1e-9)
 	f.Fuzz(func(t *testing.T, wRaw, hRaw uint8, vx0, vy0, vx1, vy1, ax, ay, bx, by, width float64) {
 		c := NewContext(1+int(wRaw)%MaxResolution, 1+int(hRaw)%MaxResolution)
 		c.SetViewport(geom.R(math.Min(vx0, vx1), math.Min(vy0, vy1), math.Max(vx0, vx1), math.Max(vy0, vy1)))

@@ -16,11 +16,11 @@ func (c *Context) DrawSegment(pl *Plane, s geom.Segment) {
 	c.walk(pl, c.Project(s.A), c.Project(s.B), lineWidth/2, false)
 }
 
-// DrawSegmentWidth is DrawSegment with an explicit width in pixels (0
-// gives exact segment coverage: only cells the segment passes through),
-// for callers that vary width per primitive.
+// DrawSegmentWidth is DrawSegment with an explicit width in pixels, for
+// callers that vary width per primitive; widthPx ≤ 0 means the default
+// line width, as in SegmentTouches.
 func (c *Context) DrawSegmentWidth(pl *Plane, s geom.Segment, widthPx float64) {
-	c.walk(pl, c.Project(s.A), c.Project(s.B), widthPx/2, false)
+	c.walk(pl, c.Project(s.A), c.Project(s.B), halfWidth(widthPx), false)
 }
 
 // DrawEdges rasterizes a batch of data-space segments into pl.
@@ -39,18 +39,23 @@ func (c *Context) DrawPolygonEdges(pl *Plane, p *geom.Polygon) {
 }
 
 // SegmentTouches reports whether any cell the data-space segment s covers
-// (at the given width, 0 meaning the default line width) is already
+// (at the given width, ≤ 0 meaning the default line width) is already
 // covered in pl. It is the overlap search run fragment by fragment: after
 // the first polygon's edges are rendered into a plane, the second
 // polygon's edges are tested against it without being stored, and the
 // search stops at the first shared cell. The cell walk is DrawSegment's,
 // so the answer is exactly "would the two renderings overlap".
 func (c *Context) SegmentTouches(pl *Plane, s geom.Segment, widthPx float64) bool {
-	hw := lineWidth / 2
+	return c.walk(pl, c.Project(s.A), c.Project(s.B), halfWidth(widthPx), true)
+}
+
+// halfWidth is the walk's half-width for a width in pixels: a width ≤ 0
+// means the default line width, so walk never runs at half-width 0.
+func halfWidth(widthPx float64) float64 {
 	if widthPx > 0 {
-		hw = widthPx / 2
+		return widthPx / 2
 	}
-	return c.walk(pl, c.Project(s.A), c.Project(s.B), hw, true)
+	return lineWidth / 2
 }
 
 // walk visits a conservative superset of the cells that the capsule of
@@ -62,9 +67,9 @@ func (c *Context) SegmentTouches(pl *Plane, s geom.Segment, widthPx float64) boo
 // capsule stays well under one cell — the same order as real hardware's
 // anti-aliased coverage — while the inner loop is a handful of flops per
 // column. Cells are half-open, [x, x+1)×[y, y+1): a capsule that only
-// touches a cell's max border does not cover it, so at width exactly 0 a
-// segment lying on the window's max edge covers nothing (the filter never
-// draws at width 0).
+// touches a cell's max border does not cover it. hw is always positive
+// (halfWidth), so the capsule of a segment on the window's max edge still
+// reaches into the last row or column.
 //
 // With test false the cells are ORed into pl and the result is false; with
 // test true nothing is stored and walk returns true at the first cell

@@ -40,15 +40,22 @@ func TestSegmentTouchesMatchesDraw(t *testing.T) {
 
 func TestSegmentTouchesUsesContextWidth(t *testing.T) {
 	c := NewContext(8, 8)
-	c.DrawSegmentWidth(&c.A, geom.Seg(geom.Pt(0, 4.5), geom.Pt(8, 4.5)), 0) // row 4 alone
+	c.DrawSegmentWidth(&c.A, geom.Seg(geom.Pt(0, 4.5), geom.Pt(8, 4.5)), 1e-9) // row 4 alone
 	// widthPx 0 must fall back to the default √2 line: a segment half a
-	// cell above row 4 reaches into it, the exact segment does not.
+	// cell above row 4 reaches into it, the hairline segment does not.
 	above := geom.Seg(geom.Pt(0, 5.5), geom.Pt(8, 5.5))
 	if !c.SegmentTouches(&c.A, above, 0) {
 		t.Error("default width not honored")
 	}
 	if c.SegmentTouches(&c.A, above, 1e-9) {
 		t.Error("an explicit hairline width was widened")
+	}
+	// Drawing reads width 0 the same way.
+	c.DrawSegmentWidth(&c.B, above, 0)
+	c.A = Plane{}
+	c.DrawSegment(&c.A, above)
+	if c.A != c.B {
+		t.Error("DrawSegmentWidth at width 0 is not the default-width DrawSegment")
 	}
 }
 

@@ -20,7 +20,7 @@ func TestQuickIntersectionNeverMissed(t *testing.T) {
 			geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			geom.Pt(rng.Float64()*100, rng.Float64()*100),
 		)
-		mid := s1.A.Add(s1.B).Scale(0.5)
+		mid := geom.Pt((s1.A.X+s1.B.X)/2, (s1.A.Y+s1.B.Y)/2)
 		dx, dy := rng.Float64()*40-20, rng.Float64()*40-20
 		s2 := geom.Seg(geom.Pt(mid.X-dx, mid.Y-dy), geom.Pt(mid.X+dx, mid.Y+dy))
 		c.SetViewport(s1.Bounds().Union(s2.Bounds()))

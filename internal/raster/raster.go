@@ -135,9 +135,6 @@ func NewContext(w, h int) *Context {
 // Width returns the window width in pixels.
 func (c *Context) Width() int { return c.w }
 
-// Height returns the window height in pixels.
-func (c *Context) Height() int { return c.h }
-
 // SetViewport maps the data-space rectangle r onto the full window,
 // scaling each axis independently to maximize resolution utilization
 // (paper §3.2). Degenerate extents are widened to keep the transform
@@ -170,9 +167,6 @@ func (c *Context) SetViewportUniform(r geom.Rect) float64 {
 	c.ox, c.oy = r.MinX, r.MinY
 	return s
 }
-
-// Scale returns the current per-axis viewport scale factors.
-func (c *Context) Scale() (sx, sy float64) { return c.sx, c.sy }
 
 // Project transforms a data-space point to window coordinates.
 func (c *Context) Project(p geom.Point) geom.Point {

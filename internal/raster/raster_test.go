@@ -63,9 +63,8 @@ func TestViewportUniform(t *testing.T) {
 	if s != 0.5 {
 		t.Errorf("uniform scale = %v, want 0.5", s)
 	}
-	sx, sy := c.Scale()
-	if sx != sy {
-		t.Errorf("non-uniform scale %v, %v", sx, sy)
+	if c.sx != c.sy {
+		t.Errorf("non-uniform scale %v, %v", c.sx, c.sy)
 	}
 	// Degenerate viewport must not produce Inf/NaN.
 	c.SetViewportUniform(geom.R(5, 5, 5, 5))
@@ -175,7 +174,8 @@ func adversarialSegments(res int) []geom.Segment {
 	}
 }
 
-// testWidths spans the line widths the card accepts, 0…MaxLineWidth.
+// testWidths spans the line widths the card accepts, 0 (the default
+// width) …MaxLineWidth.
 var testWidths = []float64{0, 1e-9, 0.5, 1, math.Sqrt2, 2, 3.7, MaxLineWidth}
 
 // entersCell reports whether the capsule of half-width hw around the
@@ -198,19 +198,23 @@ func entersCell(cx, cy int, s geom.Segment, hw, slack float64) bool {
 // contact on a cell's border or within rounding of it (a few ulps of the
 // largest projected coordinate; the hair is a million times that) can go
 // either way. The filter's widths — √2, or padded above the query
-// distance — leave no verdict hanging on such a cell.
+// distance — leave no verdict hanging on such a cell. A width ≤ 0 draws
+// the default width, so the reference is held to that width too.
 func assertSuperset(t *testing.T, c *Context, s geom.Segment, width float64) {
 	t.Helper()
 	c.Clear()
 	c.DrawSegmentWidth(&c.A, s, width)
+	if width <= 0 {
+		width = lineWidth
+	}
 	c.DrawSegmentExact(&c.B, s, width)
 	win := geom.Seg(c.Project(s.A), c.Project(s.B))
 	slack := 1e-9 * (1 + maxAbsCoord(win))
-	for y := range c.Height() {
+	for y := range c.h {
 		for missed := c.B[y] &^ c.A[y]; missed != 0; missed &= missed - 1 {
 			if x := bits.TrailingZeros64(missed); entersCell(x, y, win, width/2, slack) {
 				t.Fatalf("%dx%d width %v: walker missed cell (%d,%d) of the exact coverage of %v",
-					c.Width(), c.Height(), width, x, y, s)
+					c.w, c.h, width, x, y, s)
 			}
 		}
 	}
@@ -250,7 +254,7 @@ func TestFastCoverageSupersetOfExact(t *testing.T) {
 // render two intersecting segments into the two planes and some pixel must
 // be covered in both — at any resolution, any viewport. The adversarial
 // family is crossed with itself: any two of its members that share a
-// point must share a pixel, at every width above zero.
+// point must share a pixel, at every width the card accepts.
 func TestIntersectionAlwaysDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, res := range allResolutions {
@@ -261,7 +265,7 @@ func TestIntersectionAlwaysDetected(t *testing.T) {
 				geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			)
 			// Force an intersection: s2 crosses s1's midpoint.
-			mid := s1.A.Add(s1.B).Scale(0.5)
+			mid := geom.Pt((s1.A.X+s1.B.X)/2, (s1.A.Y+s1.B.Y)/2)
 			dx, dy := rng.Float64()*50-25, rng.Float64()*50-25
 			s2 := geom.Seg(
 				geom.Pt(mid.X-dx, mid.Y-dy),
@@ -277,14 +281,10 @@ func TestIntersectionAlwaysDetected(t *testing.T) {
 			}
 		}
 
-		// Width 0 is left out: its cells are half-open, so a shared point
-		// on the window's max edge has no cell to be found in. The filter
-		// never renders at width 0 (√2 for intersections, a width padded
-		// above zero for distances).
 		window := geom.R(0, 0, float64(res), float64(res))
 		c.SetViewport(window)
 		segs := adversarialSegments(res)
-		for _, width := range testWidths[1:] {
+		for _, width := range testWidths {
 			for i, s1 := range segs {
 				for _, s2 := range segs[i:] {
 					// A shared point lies in both bounding boxes; only one
@@ -330,7 +330,7 @@ func TestWithinDistanceAlwaysDetected(t *testing.T) {
 			c.DrawSegmentWidth(&c.B, s2, widthPx)
 			if !c.A.Overlaps(&c.B) {
 				t.Fatalf("res %d: within-distance pair missed: %v, %v, dist %v, D %v, width %v px",
-					res, s1, s2, s1.Dist(s2), d, widthPx)
+					res, s1, s2, math.Sqrt(s1.DistSq(s2)), d, widthPx)
 			}
 		}
 		for range 400 {
@@ -342,7 +342,7 @@ func TestWithinDistanceAlwaysDetected(t *testing.T) {
 				geom.Pt(rng.Float64()*100, rng.Float64()*100),
 				geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			)
-			trueDist := s1.Dist(s2)
+			trueDist := math.Sqrt(s1.DistSq(s2))
 			if trueDist == 0 {
 				continue
 			}
@@ -351,7 +351,7 @@ func TestWithinDistanceAlwaysDetected(t *testing.T) {
 		segs := adversarialSegments(res)
 		for i, s1 := range segs {
 			for _, s2 := range segs[i+1:] {
-				if d := s1.Dist(s2); d > 0 {
+				if d := math.Sqrt(s1.DistSq(s2)); d > 0 {
 					check(s1, s2, d)
 				}
 			}

@@ -28,7 +28,7 @@ func boundaryDist(p, q *geom.Polygon) float64 {
 	d := math.Inf(1)
 	for i := 0; i < p.NumEdges(); i++ {
 		for j := 0; j < q.NumEdges(); j++ {
-			if v := p.Edge(i).Dist(q.Edge(j)); v < d {
+			if v := math.Sqrt(p.Edge(i).DistSq(q.Edge(j))); v < d {
 				d = v
 			}
 		}

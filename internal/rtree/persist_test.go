@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -20,67 +19,6 @@ func sameIDs(a, b []int) bool {
 	return true
 }
 
-// TestBulkLoadMatchesIncremental pins the STR bulk-load constructor (the
-// one the snapshot writer uses) to the incremental Guttman tree: both must
-// index the same entry set, validate structurally, and answer identical
-// window searches and joins. The packing differs — the answer sets may
-// not.
-func TestBulkLoadMatchesIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	es := randEntries(rng, 3000, 1000, 5)
-
-	bulk := NewBulk(es)
-	inc := New()
-	for _, e := range es {
-		inc.Insert(e)
-	}
-	if err := bulk.Validate(); err != nil {
-		t.Fatalf("bulk tree invalid: %v", err)
-	}
-	if err := inc.Validate(); err != nil {
-		t.Fatalf("incremental tree invalid: %v", err)
-	}
-	if bulk.Len() != inc.Len() {
-		t.Fatalf("sizes differ: bulk %d, incremental %d", bulk.Len(), inc.Len())
-	}
-	for range 200 {
-		q := geom.R(rng.Float64()*1000, rng.Float64()*1000, 0, 0)
-		q.MaxX = q.MinX + rng.Float64()*80
-		q.MaxY = q.MinY + rng.Float64()*80
-		if got, want := collectSearch(bulk, q), collectSearch(inc, q); !sameIDs(got, want) {
-			t.Fatalf("search %v: bulk %v, incremental %v", q, got, want)
-		}
-	}
-
-	other := NewBulk(randEntries(rng, 500, 1000, 8))
-	pairsOf := func(tr *Tree) []Pairkey {
-		var ps []Pairkey
-		Join(tr, other, func(a, b Entry) bool {
-			ps = append(ps, Pairkey{a.ID, b.ID})
-			return true
-		})
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].A != ps[j].A {
-				return ps[i].A < ps[j].A
-			}
-			return ps[i].B < ps[j].B
-		})
-		return ps
-	}
-	bp, ip := pairsOf(bulk), pairsOf(inc)
-	if len(bp) != len(ip) {
-		t.Fatalf("join sizes differ: bulk %d, incremental %d", len(bp), len(ip))
-	}
-	for i := range bp {
-		if bp[i] != ip[i] {
-			t.Fatalf("join pair %d differs: bulk %v, incremental %v", i, bp[i], ip[i])
-		}
-	}
-}
-
-// Pairkey is a comparable join result for the parity tests.
-type Pairkey struct{ A, B int }
-
 // TestPackedRoundTrip pins Export → FromPacked as an identity for query
 // purposes: the rebuilt tree validates and answers every search exactly
 // like the original.
@@ -94,9 +32,9 @@ func TestPackedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: FromPacked: %v", n, err)
 		}
-		if back.Len() != orig.Len() || back.Height() != orig.Height() {
+		if back.Len() != orig.Len() || height(back) != height(orig) {
 			t.Fatalf("n=%d: shape changed: len %d→%d height %d→%d",
-				n, orig.Len(), back.Len(), orig.Height(), back.Height())
+				n, orig.Len(), back.Len(), height(orig), height(back))
 		}
 		for range 50 {
 			q := geom.R(rng.Float64()*800, rng.Float64()*800, 0, 0)

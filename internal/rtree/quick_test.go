@@ -6,23 +6,15 @@ import (
 	"testing/quick"
 )
 
-// TestQuickSearchMatchesLinear drives the R-tree against a linear scan
-// with property-based inputs: any seed and size yield identical result
-// sets for both bulk-loaded and incrementally built trees.
+// TestQuickSearchMatchesLinear drives the bulk-loaded R-tree against a
+// linear scan with property-based inputs: any seed and size yield
+// identical result sets.
 func TestQuickSearchMatchesLinear(t *testing.T) {
-	prop := func(seed int64, sizeRaw uint8, bulk bool) bool {
+	prop := func(seed int64, sizeRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(sizeRaw)%200
 		es := randEntries(rng, n, 50, 5)
-		var tr *Tree
-		if bulk {
-			tr = NewBulk(es)
-		} else {
-			tr = New()
-			for _, e := range es {
-				tr.Insert(e)
-			}
-		}
+		tr := NewBulk(es)
 		if tr.Validate() != nil {
 			return false
 		}

@@ -1,8 +1,9 @@
 // Package rtree implements the R-tree index used by the MBR filtering step
-// of the query pipeline: Guttman insertion with quadratic split, STR bulk
-// loading, window search, and the synchronized-traversal spatial joins
-// (MBR intersection and MBR within-distance) that feed candidate pairs to
-// the intermediate filters and the refinement step.
+// of the query pipeline: STR bulk loading (every layer's index is built
+// whole, from a dataset or a snapshot), window search, and the
+// synchronized-traversal spatial joins (MBR intersection and MBR
+// within-distance) that feed candidate pairs to the intermediate filters
+// and the refinement step.
 package rtree
 
 import (
@@ -42,7 +43,7 @@ type Tree struct {
 	root       *rnode
 	size       int
 	maxEntries int
-	minEntries int
+	minEntries int // recorded in snapshots; nothing splits a node
 }
 
 // New returns an empty R-tree with default node capacity.
@@ -56,112 +57,6 @@ func New() *Tree {
 
 // Len returns the number of indexed entries.
 func (t *Tree) Len() int { return t.size }
-
-// Height returns the number of levels, 1 for a tree that is a single leaf.
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
-// Insert adds an entry using Guttman's algorithm with quadratic split.
-func (t *Tree) Insert(e Entry) {
-	t.size++
-	path := t.choosePath(e.Bounds)
-	leaf := path[len(path)-1]
-	leaf.entries = append(leaf.entries, e)
-	leaf.bounds = leaf.bounds.Union(e.Bounds)
-
-	// Walk back up: split overflowing nodes, refresh bounds.
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		overflow := len(n.entries) > t.maxEntries || len(n.children) > t.maxEntries
-		if !overflow {
-			if i > 0 {
-				p := path[i-1]
-				p.bounds = p.bounds.Union(n.bounds)
-			}
-			continue
-		}
-		a, b := t.splitNode(n)
-		if i == 0 {
-			t.root = &rnode{children: []*rnode{a, b}, bounds: a.bounds.Union(b.bounds)}
-			return
-		}
-		p := path[i-1]
-		for j, c := range p.children {
-			if c == n {
-				p.children[j] = a
-				break
-			}
-		}
-		p.children = append(p.children, b)
-		nb := geom.EmptyRect()
-		for _, c := range p.children {
-			nb = nb.Union(c.bounds)
-		}
-		p.bounds = nb
-	}
-}
-
-// choosePath descends to the leaf whose MBR needs the least enlargement,
-// returning the root-to-leaf path.
-func (t *Tree) choosePath(r geom.Rect) []*rnode {
-	path := []*rnode{t.root}
-	n := t.root
-	for !n.leaf {
-		best := n.children[0]
-		bestEnl, bestArea := enlargement(best.bounds, r), best.bounds.Area()
-		for _, c := range n.children[1:] {
-			enl := enlargement(c.bounds, r)
-			area := c.bounds.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = c, enl, area
-			}
-		}
-		n = best
-		path = append(path, n)
-	}
-	return path
-}
-
-func enlargement(b, r geom.Rect) float64 {
-	return b.Union(r).Area() - b.Area()
-}
-
-// splitNode performs Guttman's quadratic split, returning the two halves.
-func (t *Tree) splitNode(n *rnode) (*rnode, *rnode) {
-	if n.leaf {
-		ga, gb := quadraticSplit(len(n.entries), t.minEntries,
-			func(i int) geom.Rect { return n.entries[i].Bounds })
-		a := &rnode{leaf: true}
-		b := &rnode{leaf: true}
-		for _, i := range ga {
-			a.entries = append(a.entries, n.entries[i])
-		}
-		for _, i := range gb {
-			b.entries = append(b.entries, n.entries[i])
-		}
-		a.bounds = unionEntries(a.entries)
-		b.bounds = unionEntries(b.entries)
-		return a, b
-	}
-	ga, gb := quadraticSplit(len(n.children), t.minEntries,
-		func(i int) geom.Rect { return n.children[i].bounds })
-	a := &rnode{}
-	b := &rnode{}
-	for _, i := range ga {
-		a.children = append(a.children, n.children[i])
-	}
-	for _, i := range gb {
-		b.children = append(b.children, n.children[i])
-	}
-	a.bounds = unionChildren(a.children)
-	b.bounds = unionChildren(b.children)
-	return a, b
-}
 
 func unionEntries(es []Entry) geom.Rect {
 	u := geom.EmptyRect()
@@ -177,68 +72,6 @@ func unionChildren(cs []*rnode) geom.Rect {
 		u = u.Union(c.bounds)
 	}
 	return u
-}
-
-// quadraticSplit partitions indices 0..n-1 into two groups using Guttman's
-// quadratic seed-picking and least-enlargement assignment, respecting the
-// minimum fill m.
-func quadraticSplit(n, m int, rect func(int) geom.Rect) (ga, gb []int) {
-	// Pick seeds: the pair wasting the most area if grouped together.
-	s1, s2, worst := 0, 1, math.Inf(-1)
-	for i := range n {
-		for j := i + 1; j < n; j++ {
-			waste := rect(i).Union(rect(j)).Area() - rect(i).Area() - rect(j).Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	ga = append(ga, s1)
-	gb = append(gb, s2)
-	ba, bb := rect(s1), rect(s2)
-	remaining := make([]int, 0, n-2)
-	for i := range n {
-		if i != s1 && i != s2 {
-			remaining = append(remaining, i)
-		}
-	}
-	for len(remaining) > 0 {
-		// Force assignment when one group must take all the rest to reach m.
-		if len(ga)+len(remaining) == m {
-			for _, i := range remaining {
-				ga = append(ga, i)
-			}
-			break
-		}
-		if len(gb)+len(remaining) == m {
-			for _, i := range remaining {
-				gb = append(gb, i)
-			}
-			break
-		}
-		// Pick the entry with the strongest preference for one group.
-		bestIdx, bestDiff := 0, math.Inf(-1)
-		for k, i := range remaining {
-			d1 := enlargement(ba, rect(i))
-			d2 := enlargement(bb, rect(i))
-			if diff := math.Abs(d1 - d2); diff > bestDiff {
-				bestDiff, bestIdx = diff, k
-			}
-		}
-		i := remaining[bestIdx]
-		remaining[bestIdx] = remaining[len(remaining)-1]
-		remaining = remaining[:len(remaining)-1]
-		d1 := enlargement(ba, rect(i))
-		d2 := enlargement(bb, rect(i))
-		if d1 < d2 || (d1 == d2 && len(ga) < len(gb)) {
-			ga = append(ga, i)
-			ba = ba.Union(rect(i))
-		} else {
-			gb = append(gb, i)
-			bb = bb.Union(rect(i))
-		}
-	}
-	return ga, gb
 }
 
 // NewBulk builds a tree from entries using Sort-Tile-Recursive packing:

@@ -43,6 +43,15 @@ func collectSearch(t *Tree, r geom.Rect) []int {
 	return ids
 }
 
+// height returns the number of levels, 1 for a tree that is a single leaf.
+func height(t *Tree) int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -57,8 +66,8 @@ func equalInts(a, b []int) bool {
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Errorf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || height(tr) != 1 {
+		t.Errorf("empty tree Len=%d height=%d", tr.Len(), height(tr))
 	}
 	if !tr.Search(geom.R(0, 0, 1, 1), func(Entry) bool { t.Error("visited"); return true }) {
 		t.Error("search aborted")
@@ -68,27 +77,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	other := NewBulk(nil)
 	Join(tr, other, func(a, b Entry) bool { t.Error("pair visited"); return true })
-}
-
-func TestInsertSearchMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	es := randEntries(rng, 1000, 100, 5)
-	tr := New()
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	if tr.Len() != len(es) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for range 100 {
-		q := randRect(rng, 100, 20)
-		if got, want := collectSearch(tr, q), linearSearch(es, q); !equalInts(got, want) {
-			t.Fatalf("Search(%v): got %d ids, want %d", q, len(got), len(want))
-		}
-	}
 }
 
 func TestBulkLoadMatchesLinear(t *testing.T) {
@@ -115,7 +103,7 @@ func TestBulkLoadHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	tr := NewBulk(randEntries(rng, 10000, 1000, 1))
 	// 10000 entries at fanout 16: leaves=625, level2=40, level3=3, root -> height 4.
-	if h := tr.Height(); h > 4 {
+	if h := height(tr); h > 4 {
 		t.Errorf("bulk height = %d, want <= 4", h)
 	}
 }
@@ -169,65 +157,62 @@ func joinPairs(a, b *Tree, d float64) [][2]int {
 	return pairs
 }
 
+// TestJoinMatchesNestedLoop holds the synchronized traversal to a nested
+// loop, on trees of equal height and on a single-leaf tree joined with a
+// deeper one in both orders (the traversal's leaf-against-node branches).
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	ea := randEntries(rng, 300, 50, 4)
-	eb := randEntries(rng, 400, 50, 4)
-	ta, tb := NewBulk(ea), NewBulk(eb)
-	for _, d := range []float64{0, 2, 10} {
-		got := joinPairs(ta, tb, d)
-		var want [][2]int
-		for _, a := range ea {
-			for _, b := range eb {
-				if a.Bounds.Dist(b.Bounds) <= d {
-					want = append(want, [2]int{a.ID, b.ID})
+	for _, sizes := range [][2]int{{300, 400}, {10, 400}, {400, 10}} {
+		ea := randEntries(rng, sizes[0], 50, 4)
+		eb := randEntries(rng, sizes[1], 50, 4)
+		ta, tb := NewBulk(ea), NewBulk(eb)
+		for _, d := range []float64{0, 2, 10} {
+			got := joinPairs(ta, tb, d)
+			var want [][2]int
+			for _, a := range ea {
+				for _, b := range eb {
+					if a.Bounds.Dist(b.Bounds) <= d {
+						want = append(want, [2]int{a.ID, b.ID})
+					}
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i][0] != want[j][0] {
+					return want[i][0] < want[j][0]
+				}
+				return want[i][1] < want[j][1]
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%v d=%v: got %d pairs, want %d", sizes, d, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v d=%v: pair %d = %v, want %v", sizes, d, i, got[i], want[i])
 				}
 			}
 		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i][0] != want[j][0] {
-				return want[i][0] < want[j][0]
-			}
-			return want[i][1] < want[j][1]
-		})
-		if len(got) != len(want) {
-			t.Fatalf("d=%v: got %d pairs, want %d", d, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("d=%v: pair %d = %v, want %v", d, i, got[i], want[i])
-			}
-		}
 	}
 }
 
+// TestJoinEarlyStop: a visitor returning false ends the join at once, and
+// SearchWithin likewise, whichever side of the traversal is deeper.
 func TestJoinEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	ta := NewBulk(randEntries(rng, 100, 10, 5))
-	tb := NewBulk(randEntries(rng, 100, 10, 5))
-	count := 0
-	Join(ta, tb, func(a, b Entry) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Errorf("early stop count = %d", count)
-	}
-}
-
-func TestInsertedTreeJoin(t *testing.T) {
-	// Join must work identically on incrementally built trees.
-	rng := rand.New(rand.NewSource(38))
-	ea := randEntries(rng, 200, 30, 3)
-	eb := randEntries(rng, 200, 30, 3)
-	ins := New()
-	for _, e := range ea {
-		ins.Insert(e)
-	}
-	bulk := NewBulk(ea)
-	tb := NewBulk(eb)
-	if g, w := joinPairs(ins, tb, 0), joinPairs(bulk, tb, 0); len(g) != len(w) {
-		t.Fatalf("insert-built join %d pairs, bulk-built %d", len(g), len(w))
+	for _, sizes := range [][2]int{{100, 100}, {5, 300}, {300, 5}} {
+		ta := NewBulk(randEntries(rng, sizes[0], 10, 5))
+		tb := NewBulk(randEntries(rng, sizes[1], 10, 5))
+		count := 0
+		Join(ta, tb, func(a, b Entry) bool {
+			count++
+			return count < 3
+		})
+		if count != 3 {
+			t.Errorf("%v: early stop count = %d", sizes, count)
+		}
+		count = 0
+		if ta.SearchWithin(geom.R(0, 0, 10, 10), 1, func(Entry) bool { count++; return false }) || count != 1 {
+			t.Errorf("%v: SearchWithin did not stop at the first entry (%d visited)", sizes, count)
+		}
 	}
 }
 

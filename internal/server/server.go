@@ -63,6 +63,8 @@ type Config struct {
 	// pinning the query goroutine and its admission slot; with the
 	// deadline the write fails, the command context cancels, and the
 	// slot frees. 0 means 30s; negative disables the bound.
+	//
+	//reach:keep TestSendWriteDeadlineUnblocksStalledClient stalls a client against a 50 ms bound; at the 30 s default it fails its 5 s limit
 	WriteTimeout time.Duration
 	// SentinelEvery seeds every served tester's sentinel verification
 	// cadence (core.Config.SentinelEvery): 0 means the core default,

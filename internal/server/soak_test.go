@@ -200,14 +200,10 @@ func runCoordSoakPhase(t *testing.T, seed int64) {
 		}
 	}
 	c, err := coord.New(coord.Config{
-		Manifest:         m,
-		ReplicaAddrs:     table,
-		DialTimeout:      500 * time.Millisecond,
-		RetryBackoff:     2 * time.Millisecond,
-		BreakerThreshold: 2,
-		ProbeInterval:    20 * time.Millisecond,
-		HedgeDelay:       25 * time.Millisecond,
-		RecoveryWait:     time.Second,
+		Manifest:      m,
+		ReplicaAddrs:  table,
+		ProbeInterval: 20 * time.Millisecond,
+		HedgeDelay:    25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,8 @@ type OpenOptions struct {
 	// ForceCopy disables mmap and zero-copy aliasing: the file is read
 	// into a heap slice and every column is decoded. The portable
 	// fallback path; tests exercise both.
+	//
+	//reach:keep TestSnapshotRoundTrip and TestForceCopyDeltaOverlayParity reach the non-mmap reader, the only one off unix, through it
 	ForceCopy bool
 }
 

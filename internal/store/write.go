@@ -22,6 +22,8 @@ type SaveOptions struct {
 	// SigRes is the raster-signature resolution: 0 uses
 	// raster.DefaultSignatureRes, a negative value omits the signature
 	// section entirely (signatures are an optional accelerator).
+	//
+	//reach:keep TestSnapshotOptionalSections writes a snapshot without signatures for the reader's fallback
 	SigRes int
 	// IntervalOrder is the Hilbert grid order for the v2 interval column:
 	// 0 derives the order from the objects (interval.ChooseOrder over the
@@ -32,6 +34,8 @@ type SaveOptions struct {
 	IntervalOrder int
 	// NoEdgeBoxes omits the persisted edge-index hierarchies; loaded
 	// layers then rebuild them lazily like in-memory layers do.
+	//
+	//reach:keep TestSnapshotOptionalSections writes a snapshot without edge boxes for the reader's fallback
 	NoEdgeBoxes bool
 	// Tool is recorded in the meta section as provenance.
 	Tool string

@@ -34,27 +34,9 @@ func ablationStar(rng *rand.Rand, cx, cy, rMax float64, n int) *geom.Polygon {
 	return geom.MustPolygon(pts...)
 }
 
-// BenchmarkRestrictedSearchAblation measures the restricted-search-space
-// optimization the paper credits with 30–40% (§4.1.1).
-func BenchmarkRestrictedSearchAblation(b *testing.B) {
-	pairs := ablationPairs(64)
-	for name, opt := range map[string]Options{
-		"restricted":   {},
-		"unrestricted": {NoRestrictSearch: true},
-	} {
-		b.Run(name, func(b *testing.B) {
-			sw := new(Sweeper)
-			for range b.N {
-				for _, pr := range pairs {
-					sw.BoundariesIntersect(pr[0], pr[1], opt)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSegmentAlgorithms compares the three detection algorithms on
-// the same candidate edge sets.
+// BenchmarkSegmentAlgorithms compares the plane sweep with the all-pairs
+// scan on the same candidate edge sets (the trade core.DefaultCrossCutoff
+// rests on).
 func BenchmarkSegmentAlgorithms(b *testing.B) {
 	pairs := ablationPairs(64)
 	type sets struct{ red, blue []geom.Segment }
@@ -77,13 +59,6 @@ func BenchmarkSegmentAlgorithms(b *testing.B) {
 		for range b.N {
 			for _, in := range inputs {
 				CrossIntersects(in.red, in.blue)
-			}
-		}
-	})
-	b.Run("forwardscan", func(b *testing.B) {
-		for range b.N {
-			for _, in := range inputs {
-				CrossIntersectsForwardScan(in.red, in.blue)
 			}
 		}
 	})

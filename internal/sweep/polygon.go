@@ -2,43 +2,26 @@ package sweep
 
 import "repro/internal/geom"
 
-// Algorithm selects the segment-intersection detection algorithm used by
-// PolygonsIntersect.
-type Algorithm int
-
-// Available detection algorithms.
-const (
-	// PlaneSweep is the paper's red-black-tree plane sweep.
-	PlaneSweep Algorithm = iota
-	// ForwardScan is the sort + forward-scan sweep.
-	ForwardScan
-	// BruteForce tests all edge pairs; for testing and tiny inputs.
-	BruteForce
-)
-
-// Options configure the software polygon intersection test.
-type Options struct {
-	// Algorithm picks the segment detection algorithm. Default PlaneSweep.
-	Algorithm Algorithm
-	// NoRestrictSearch disables the restricted-search-space optimization
-	// (clipping candidate edges to the intersection of the two MBRs, §4.1.1
-	// of the paper, worth 30–40% there). On by default; the flag exists for
-	// the ablation benchmark.
-	NoRestrictSearch bool
-}
+// Options is empty: the software test has one path. It stays only because
+// the frozen benchmark harness passes Options{}; ROADMAP item 1 removes it.
+type Options struct{}
 
 // PolygonsIntersect is the software intersection test of the paper (§3.1):
 // a linear point-in-polygon containment check in both directions, followed
-// by a segment intersection test between the boundary chains. Boundary
-// touches count as intersection (closed-region semantics).
-func PolygonsIntersect(p, q *geom.Polygon, opt Options) bool {
+// by the plane sweep between the boundary edges that touch the
+// intersection of the two MBRs (the restricted search space of §4.1.1).
+// Boundary touches count as intersection (closed-region semantics).
+func PolygonsIntersect(p, q *geom.Polygon, _ Options) bool {
 	if !p.Bounds().Intersects(q.Bounds()) {
 		return false
 	}
 	if ContainmentPossible(p, q) {
 		return true
 	}
-	return BoundariesIntersect(p, q, opt)
+	// Any boundary intersection point lies in both MBRs, so only edges
+	// touching the common region can matter.
+	red, blue := CandidateEdgesInto(p, q, nil, nil)
+	return CrossIntersects(red, blue)
 }
 
 // ContainmentPossible runs step 1 of the software test: it reports true
@@ -49,58 +32,10 @@ func ContainmentPossible(p, q *geom.Polygon) bool {
 	return q.ContainsPoint(p.Verts[0]) || p.ContainsPoint(q.Verts[0])
 }
 
-// BoundariesIntersect runs step 2 of the software test: whether the edge
-// chains of p and q share a point.
-func BoundariesIntersect(p, q *geom.Polygon, opt Options) bool {
-	var red, blue []geom.Segment
-	if opt.NoRestrictSearch {
-		red = edges(p, nil)
-		blue = edges(q, nil)
-	} else {
-		// Restricted search space: any boundary intersection point lies in
-		// both MBRs, so only edges touching the common region can matter.
-		common := p.Bounds().Intersection(q.Bounds())
-		red = edgesInRect(p, common)
-		if len(red) == 0 {
-			return false
-		}
-		blue = edgesInRect(q, common)
-		if len(blue) == 0 {
-			return false
-		}
-	}
-	switch opt.Algorithm {
-	case ForwardScan:
-		return CrossIntersectsForwardScan(red, blue)
-	case BruteForce:
-		return CrossIntersectsBrute(red, blue)
-	default:
-		return CrossIntersects(red, blue)
-	}
-}
-
-// edges appends all edges of p to dst and returns it.
-func edges(p *geom.Polygon, dst []geom.Segment) []geom.Segment {
-	for i := range p.NumEdges() {
-		dst = append(dst, p.Edge(i))
-	}
-	return dst
-}
-
-// edgesInRect returns the edges of p that have at least one point in r.
-func edgesInRect(p *geom.Polygon, r geom.Rect) []geom.Segment {
-	return appendEdgesInRect(nil, p, r)
-}
-
-// appendEdgesInRect appends the edges of p that have at least one point in
-// r to dst. The loop tests the edge's bounding box first so edges far from
-// the common region cost four comparisons.
-func appendEdgesInRect(dst []geom.Segment, p *geom.Polygon, r geom.Rect) []geom.Segment {
-	return AppendEdgesInRange(dst, p, r, 0, len(p.Verts))
-}
-
 // AppendEdgesInRange appends the edges i in [lo, hi) of p that have at
-// least one point in r to dst, in chain order. It is the single edge
+// least one point in r to dst, in chain order. The loop tests the edge's
+// bounding box first so edges far from r cost four comparisons. It is the
+// single edge
 // selection predicate shared by the linear scan and the edge index
 // (internal/edgeindex), which guarantees the two produce identical edge
 // sets: the index only decides which ranges to hand to this function.
@@ -135,11 +70,11 @@ func AppendEdgesInRange(dst []geom.Segment, p *geom.Polygon, r geom.Rect, lo, hi
 // other may be left short.
 func CandidateEdgesInto(p, q *geom.Polygon, redBuf, blueBuf []geom.Segment) (red, blue []geom.Segment) {
 	common := p.Bounds().Intersection(q.Bounds())
-	red = appendEdgesInRect(redBuf[:0], p, common)
+	red = AppendEdgesInRange(redBuf[:0], p, common, 0, len(p.Verts))
 	if len(red) == 0 {
 		return nil, nil
 	}
-	blue = appendEdgesInRect(blueBuf[:0], q, common)
+	blue = AppendEdgesInRange(blueBuf[:0], q, common, 0, len(q.Verts))
 	if len(blue) == 0 {
 		return nil, nil
 	}

@@ -1,15 +1,13 @@
 // Package sweep implements segment-intersection detection between two edge
 // sets ("red" and "blue"), the core of the software refinement step for
-// intersection queries. Three algorithms are provided:
+// intersection queries. Two algorithms are provided:
 //
 //   - CrossIntersects: the plane-sweep (Shamos–Hoey style) detection the
 //     paper uses, with a red-black tree as the sweep status structure.
 //     O((n+m)log(n+m)) when the inputs are internally non-crossing, which
 //     edge chains of simple polygons are.
-//   - CrossIntersectsForwardScan: a sort + forward-scan sweep that tests
-//     every pair whose x- and y-ranges overlap. Exact by construction and
-//     very fast on GIS-like data whose edges are short.
-//   - CrossIntersectsBrute: the O(n·m) all-pairs baseline, for testing.
+//   - CrossIntersectsBrute: the O(n·m) all-pairs scan, the sweep's test
+//     oracle and the faster choice on small inputs.
 //
 // Polygon-level entry points (the paper's two-step software intersection
 // test with the restricted-search-space optimization) are in polygon.go.
@@ -43,13 +41,6 @@ type rbtree struct {
 
 // Len returns the number of items in the tree.
 func (t *rbtree) Len() int { return t.size }
-
-// Insert adds item and returns its node.
-func (t *rbtree) Insert(item int) *node {
-	z := &node{item: item}
-	t.InsertNode(z)
-	return z
-}
 
 // InsertNode inserts a caller-allocated node (its item must be set and
 // links zeroed), letting hot paths draw nodes from an arena.
@@ -150,7 +141,7 @@ func (t *rbtree) insertFix(z *node) {
 
 // Min returns the leftmost node, or nil for an empty tree.
 //
-//reach:keep rbtree_test walks Min→Next to check the in-order sequence after inserts and deletes
+//reach:keep TestRBTreeInsertOrder and TestRBTreeRandomOps walk Min→Next to check the in-order sequence after inserts and deletes
 func (t *rbtree) Min() *node {
 	n := t.root
 	if n == nil {
@@ -208,7 +199,7 @@ func (t *rbtree) transplant(u, v *node) {
 }
 
 // Delete removes node z from the tree. z must be a node previously returned
-// by Insert on this tree. CLRS deletion with a nil-safe fix-up that tracks
+// by InsertNode on this tree. CLRS deletion with a nil-safe fix-up that tracks
 // the fix node's parent explicitly.
 func (t *rbtree) Delete(z *node) {
 	t.size--

@@ -8,6 +8,13 @@ import (
 
 func intCmp(a, b int) int { return a - b }
 
+// insert adds item through InsertNode, as the sweep does, and returns its node.
+func insert(tr *rbtree, item int) *node {
+	z := &node{item: item}
+	tr.InsertNode(z)
+	return z
+}
+
 // checkRB validates the red-black invariants and returns the black height.
 func checkRB(t *testing.T, n *node) int {
 	t.Helper()
@@ -49,7 +56,7 @@ func TestRBTreeInsertOrder(t *testing.T) {
 	tr := &rbtree{cmp: intCmp}
 	vals := []int{5, 3, 9, 1, 4, 8, 10, 2, 7, 6}
 	for _, v := range vals {
-		tr.Insert(v)
+		insert(tr, v)
 	}
 	if tr.Len() != len(vals) {
 		t.Fatalf("Len = %d", tr.Len())
@@ -72,7 +79,7 @@ func TestRBTreePrevNext(t *testing.T) {
 	tr := &rbtree{cmp: intCmp}
 	nodes := map[int]*node{}
 	for v := range 20 {
-		nodes[v] = tr.Insert(v)
+		nodes[v] = insert(tr, v)
 	}
 	for v := range 20 {
 		n := nodes[v]
@@ -103,7 +110,7 @@ func TestRBTreeRandomOps(t *testing.T) {
 			if len(live) == 0 || rng.Intn(3) != 0 {
 				// Insert a fresh key.
 				k := trial*100000 + op
-				live[k] = tr.Insert(k)
+				live[k] = insert(tr, k)
 				keys = append(keys, k)
 			} else {
 				// Delete a random live key by node pointer.
@@ -142,7 +149,7 @@ func TestRBTreeDeleteAll(t *testing.T) {
 	tr := &rbtree{cmp: intCmp}
 	var nodes []*node
 	for v := range 100 {
-		nodes = append(nodes, tr.Insert(v))
+		nodes = append(nodes, insert(tr, v))
 	}
 	rng := rand.New(rand.NewSource(1))
 	rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })

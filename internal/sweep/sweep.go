@@ -2,57 +2,19 @@ package sweep
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 )
 
 // CrossIntersectsBrute reports whether any red segment intersects any blue
-// segment by testing every pair. O(n·m); the correctness oracle for the
-// faster algorithms.
+// segment by testing every pair. O(n·m): the correctness oracle for the
+// plane sweep, and the faster of the two on small inputs (see
+// core.DefaultCrossCutoff).
 func CrossIntersectsBrute(red, blue []geom.Segment) bool {
 	for _, r := range red {
 		rb := r.Bounds()
 		for _, b := range blue {
 			if rb.Intersects(b.Bounds()) && r.Intersects(b) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// CrossIntersectsForwardScan reports whether any red segment intersects any
-// blue segment using a sort + forward-scan sweep: segments are sorted by
-// their minimum x, and each segment is compared against the following
-// segments until their x-ranges separate, with a y-overlap pre-test. Exact
-// for every input; near O((n+m)·log(n+m)) on GIS data whose edges are short
-// relative to the extent.
-func CrossIntersectsForwardScan(red, blue []geom.Segment) bool {
-	type entry struct {
-		seg  geom.Segment
-		b    geom.Rect
-		blue bool
-	}
-	items := make([]entry, 0, len(red)+len(blue))
-	for _, s := range red {
-		items = append(items, entry{s, s.Bounds(), false})
-	}
-	for _, s := range blue {
-		items = append(items, entry{s, s.Bounds(), true})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].b.MinX < items[j].b.MinX })
-	for i := range items {
-		ei := &items[i]
-		for j := i + 1; j < len(items); j++ {
-			ej := &items[j]
-			if ej.b.MinX > ei.b.MaxX {
-				break
-			}
-			if ei.blue == ej.blue {
-				continue
-			}
-			if ei.b.MinY <= ej.b.MaxY && ej.b.MinY <= ei.b.MaxY && ei.seg.Intersects(ej.seg) {
 				return true
 			}
 		}

@@ -62,9 +62,8 @@ func TestCrossIntersectsSimpleCases(t *testing.T) {
 	vertical := []geom.Segment{geom.Seg(geom.Pt(1, -1), geom.Pt(1, 3))}
 
 	for name, fn := range map[string]func(a, b []geom.Segment) bool{
-		"sweep":   CrossIntersects,
-		"forward": CrossIntersectsForwardScan,
-		"brute":   CrossIntersectsBrute,
+		"sweep": CrossIntersects,
+		"brute": CrossIntersectsBrute,
 	} {
 		if !fn(cross, hit) {
 			t.Errorf("%s: crossing pair missed", name)
@@ -84,8 +83,8 @@ func TestCrossIntersectsSimpleCases(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesBruteOnChains compares the plane sweep and forward scan
-// against brute force on internally non-crossing chains, the precondition
+// TestSweepMatchesBruteOnChains compares the plane sweep against brute
+// force on internally non-crossing chains, the precondition
 // the plane sweep assumes (polygon boundaries).
 func TestSweepMatchesBruteOnChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -95,25 +94,6 @@ func TestSweepMatchesBruteOnChains(t *testing.T) {
 		want := CrossIntersectsBrute(red, blue)
 		if got := CrossIntersects(red, blue); got != want {
 			t.Fatalf("trial %d: sweep = %v, brute = %v\nred=%v\nblue=%v", trial, got, want, red, blue)
-		}
-		if got := CrossIntersectsForwardScan(red, blue); got != want {
-			t.Fatalf("trial %d: forward = %v, brute = %v", trial, got, want)
-		}
-	}
-}
-
-// TestForwardScanMatchesBruteAdversarial uses random integer segments
-// (internally crossing, collinear, degenerate) — the forward scan must be
-// exact on arbitrary input even though the plane sweep is not required to
-// be.
-func TestForwardScanMatchesBruteAdversarial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := range 400 {
-		red := randSegs(rng, 1+rng.Intn(15), 8)
-		blue := randSegs(rng, 1+rng.Intn(15), 8)
-		want := CrossIntersectsBrute(red, blue)
-		if got := CrossIntersectsForwardScan(red, blue); got != want {
-			t.Fatalf("trial %d: forward = %v, brute = %v\nred=%v\nblue=%v", trial, got, want, red, blue)
 		}
 	}
 }
@@ -144,23 +124,20 @@ func TestPolygonsIntersectBasic(t *testing.T) {
 	lShape := polyFromPts(geom.Pt(0, 0), geom.Pt(6, 0), geom.Pt(6, 1), geom.Pt(1, 1), geom.Pt(1, 6), geom.Pt(0, 6))
 	inNotch := polyFromPts(geom.Pt(3, 3), geom.Pt(5, 3), geom.Pt(5, 5), geom.Pt(3, 5))
 
-	for _, alg := range []Algorithm{PlaneSweep, ForwardScan, BruteForce} {
-		opt := Options{Algorithm: alg}
-		if !PolygonsIntersect(a, overlapping, opt) {
-			t.Errorf("alg %d: overlapping missed", alg)
-		}
-		if !PolygonsIntersect(a, contained, opt) || !PolygonsIntersect(contained, a, opt) {
-			t.Errorf("alg %d: containment missed", alg)
-		}
-		if PolygonsIntersect(a, disjoint, opt) {
-			t.Errorf("alg %d: disjoint reported", alg)
-		}
-		if !PolygonsIntersect(a, touching, opt) {
-			t.Errorf("alg %d: edge touch missed", alg)
-		}
-		if PolygonsIntersect(lShape, inNotch, opt) {
-			t.Errorf("alg %d: notch non-intersection reported", alg)
-		}
+	if !PolygonsIntersect(a, overlapping, Options{}) {
+		t.Error("overlapping missed")
+	}
+	if !PolygonsIntersect(a, contained, Options{}) || !PolygonsIntersect(contained, a, Options{}) {
+		t.Error("containment missed")
+	}
+	if PolygonsIntersect(a, disjoint, Options{}) {
+		t.Error("disjoint reported")
+	}
+	if !PolygonsIntersect(a, touching, Options{}) {
+		t.Error("edge touch missed")
+	}
+	if PolygonsIntersect(lShape, inNotch, Options{}) {
+		t.Error("notch non-intersection reported")
 	}
 }
 
@@ -179,21 +156,25 @@ func star(rng *rand.Rand, cx, cy, rMax float64, n int) *geom.Polygon {
 	return geom.MustPolygon(pts...)
 }
 
+// TestPolygonsIntersectAlgorithmsAgree holds PolygonsIntersect — the plane
+// sweep over the restricted search space — to the all-pairs scan over every
+// edge of both polygons, so neither the sweep nor the restriction can
+// change a verdict.
 func TestPolygonsIntersectAlgorithmsAgree(t *testing.T) {
+	allEdges := func(p *geom.Polygon) []geom.Segment {
+		var out []geom.Segment
+		for i := range p.NumEdges() {
+			out = append(out, p.Edge(i))
+		}
+		return out
+	}
 	rng := rand.New(rand.NewSource(77))
 	for trial := range 400 {
 		p := star(rng, rng.Float64()*10, rng.Float64()*10, 1+rng.Float64()*4, 3+rng.Intn(30))
 		q := star(rng, rng.Float64()*10, rng.Float64()*10, 1+rng.Float64()*4, 3+rng.Intn(30))
-		want := PolygonsIntersect(p, q, Options{Algorithm: BruteForce})
-		if got := PolygonsIntersect(p, q, Options{Algorithm: PlaneSweep}); got != want {
-			t.Fatalf("trial %d: sweep = %v, brute = %v", trial, got, want)
-		}
-		if got := PolygonsIntersect(p, q, Options{Algorithm: ForwardScan}); got != want {
-			t.Fatalf("trial %d: forward = %v, brute = %v", trial, got, want)
-		}
-		// The restricted search space must not change results.
-		if got := PolygonsIntersect(p, q, Options{Algorithm: BruteForce, NoRestrictSearch: true}); got != want {
-			t.Fatalf("trial %d: unrestricted = %v, restricted = %v", trial, got, want)
+		want := ContainmentPossible(p, q) || CrossIntersectsBrute(allEdges(p), allEdges(q))
+		if got := PolygonsIntersect(p, q, Options{}); got != want {
+			t.Fatalf("trial %d: sweep = %v, unrestricted brute = %v", trial, got, want)
 		}
 	}
 }

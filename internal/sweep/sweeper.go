@@ -29,9 +29,6 @@ type Sweeper struct {
 	// allocates, which the steady-state zero-allocation contract
 	// (core's AllocsPerRun tests) forbids.
 	tree rbtree
-
-	// Candidate-edge buffers for BoundariesIntersect.
-	redBuf, blueBuf []geom.Segment
 }
 
 // CrossIntersects reports whether any red segment intersects any blue
@@ -142,27 +139,4 @@ func (sw *Sweeper) CrossIntersects(red, blue []geom.Segment) bool {
 		}
 	}
 	return false
-}
-
-// BoundariesIntersect is the polygon-level software segment test using
-// this Sweeper's reusable storage, including reuse of the candidate-edge
-// buffers.
-func (sw *Sweeper) BoundariesIntersect(p, q *geom.Polygon, opt Options) bool {
-	if opt.Algorithm != PlaneSweep {
-		return BoundariesIntersect(p, q, opt)
-	}
-	var red, blue []geom.Segment
-	if opt.NoRestrictSearch {
-		red = appendEdgesInRect(sw.redBuf[:0], p, p.Bounds())
-		blue = appendEdgesInRect(sw.blueBuf[:0], q, q.Bounds())
-	} else {
-		red, blue = CandidateEdgesInto(p, q, sw.redBuf, sw.blueBuf)
-	}
-	if red != nil {
-		sw.redBuf = red[:0]
-	}
-	if blue != nil {
-		sw.blueBuf = blue[:0]
-	}
-	return sw.CrossIntersects(red, blue)
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/geom"
@@ -20,15 +19,6 @@ type Options struct {
 	// past this size (checked at batch boundaries, so a segment can
 	// overshoot by one batch). 0 = 4 MiB.
 	SegmentBytes int64
-	// FlushBytes is the size trigger: once the pending batch reaches this
-	// many encoded bytes the committer flushes without waiting out the
-	// latency trigger. 0 = 256 KiB.
-	FlushBytes int
-	// FlushDelay is the latency trigger: how long the committer waits for
-	// more appends to join a batch before fsyncing. 0 commits as soon as
-	// the committer wakes — concurrent appends still batch naturally
-	// behind an in-flight fsync.
-	FlushDelay time.Duration
 	// Faults arms crash/short-write/io-error injection at the wal.* sites.
 	Faults *faultinject.Injector
 }
@@ -36,9 +26,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 256 << 10
 	}
 	return o
 }
@@ -121,7 +108,6 @@ type Log struct {
 	segSize int64
 
 	kick chan struct{} // something is pending
-	big  chan struct{} // size trigger crossed
 	quit chan struct{}
 	done chan struct{}
 
@@ -153,7 +139,6 @@ func Open(dir string, opt Options) (*Log, []Record, error) {
 		dir:  dir,
 		opt:  opt,
 		kick: make(chan struct{}, 1),
-		big:  make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -271,18 +256,11 @@ func (l *Log) Append(op Op, id uint64, verts []geom.Point) (*Ack, error) {
 	}
 	b := l.curBatch
 	l.stats.appends++
-	big := len(l.pending) >= l.opt.FlushBytes
 	l.mu.Unlock()
 
 	select {
 	case l.kick <- struct{}{}:
 	default:
-	}
-	if big {
-		select {
-		case l.big <- struct{}{}:
-		default:
-		}
 	}
 	return &Ack{LSN: lsn, b: b}, nil
 }
@@ -302,10 +280,6 @@ func (l *Log) Sync(ctx context.Context) error {
 	}
 	select {
 	case l.kick <- struct{}{}:
-	default:
-	}
-	select {
-	case l.big <- struct{}{}:
 	default:
 	}
 	select {
@@ -381,8 +355,9 @@ func (l *Log) Close() error {
 	return err
 }
 
-// run is the committer loop: wake on a kick, wait out the latency
-// trigger (cut short by the size trigger), then commit whatever piled up.
+// run is the committer loop: wake on a kick and commit whatever piled
+// up. Appends that arrive while a commit's fsync is in flight form the
+// next batch.
 func (l *Log) run() {
 	defer close(l.done)
 	for {
@@ -392,24 +367,7 @@ func (l *Log) run() {
 			return
 		case <-l.kick:
 		}
-		if d := l.opt.FlushDelay; d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-l.big:
-				t.Stop()
-			case <-l.quit:
-				t.Stop()
-				l.commit()
-				return
-			}
-		}
 		l.commit()
-		// Drain stale triggers so the next batch gets a fresh delay.
-		select {
-		case <-l.big:
-		default:
-		}
 	}
 }
 

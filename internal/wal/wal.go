@@ -2,9 +2,8 @@
 // directory of length-prefixed, CRC32-per-record segment files with a
 // group-committing writer. Appenders enqueue encoded records and receive
 // an Ack; a single committer goroutine batches everything pending into
-// one write+fsync, so concurrent writers amortize the fsync (the latency
-// trigger waits briefly for company, the size trigger flushes a large
-// batch immediately). The ack contract is strict: Ack.Wait returns nil
+// one write+fsync, so concurrent writers amortize the fsync (appends that
+// arrive during one batch's fsync form the next batch). The ack contract is strict: Ack.Wait returns nil
 // only after the record's batch is durably fsynced, and an fsync failure
 // poisons the log rather than acking from the page cache.
 //

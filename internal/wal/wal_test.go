@@ -85,12 +85,12 @@ func TestRoundTripRecovery(t *testing.T) {
 	}
 }
 
-// TestGroupCommit drives many concurrent appenders through a latency
-// window and asserts the committer amortized fsyncs: far fewer batches
-// than records.
+// TestGroupCommit drives many concurrent appenders and asserts the
+// committer amortized fsyncs: appends queued behind an in-flight fsync
+// share the next one, so there are fewer batches than records.
 func TestGroupCommit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "t.wal")
-	l, _, err := Open(dir, Options{FlushDelay: 5 * time.Millisecond})
+	l, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestSpecDrivenCrashSequencing(t *testing.T) {
 
 func TestSyncAndClosedSemantics(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "t.wal")
-	l, _, err := Open(dir, Options{FlushDelay: time.Hour}) // only Sync can flush
+	l, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -1,16 +1,20 @@
 #!/bin/sh
 # check.sh — the full local gate: gofmt, vet, the reachability walk
 # (scripts/reach: no declaration under internal/ that no verb, figure,
-# example or benchmark reaches, bar the listed //reach:keep ones),
+# example or benchmark reaches, no struct field that nothing they reach
+# sets, methods called through an interface reaching only the reached
+# types that implement it, bar the listed //reach:keep ones, each naming
+# a test function that exists),
 # race-enabled tests (the bench/ module included), the join executor's
 # concurrent failure paths ten times over under -race, one pass of each
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkWithinRefine the
 # software tester's distance step over the benchmark's undecided within
-# pairs), and a short fuzz smoke pass over the input parsers, the wire row
-# parser, the distance kernel bounded and unbounded (FuzzBoundaryWithin,
-# FuzzMinDist), the rasterizer's cell walk and the interval rasterizer
-# against its oracle (FuzzRasterize). Run from the repo root.
+# pairs), and a short fuzz smoke pass over the input parsers, the wire
+# command grammar (FuzzExec), the wire row parser, the distance kernel
+# bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist), the
+# rasterizer's cell walk and the interval rasterizer against its oracle
+# (FuzzRasterize). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -25,7 +29,7 @@ test -z "$(gofmt -l .)" || { echo "not gofmt-formatted:"; gofmt -l .; exit 1; }
 echo "== go vet ./..."
 go vet ./...
 
-echo "== reachability (go run ./scripts/reach: exits 1 on a declaration nothing reaches; prints the //reach:keep list)"
+echo "== reachability (go run ./scripts/reach: exits 1 on a declaration nothing reaches, a field nothing reached sets, or a //reach:keep naming no existing test; methods reach by receiver type; prints the keep list)"
 go run ./scripts/reach
 
 echo "== go test -race ./..."
@@ -411,5 +415,6 @@ go test ./internal/dist/ -fuzz FuzzMinDist -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
+go test ./internal/shellcmd/ -fuzz FuzzExec -fuzztime "$FUZZTIME"
 
 echo "== all checks passed"

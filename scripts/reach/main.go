@@ -1,26 +1,36 @@
 // Command reach lists the package-level declarations that no program
-// reaches: every function, method, type, var and const of a non-main
-// package that cannot be reached from the main packages under the root
-// directories (default: cmd examples bench). Test files are not read, so
-// a declaration only its own tests use is reported. It is a check.sh step
-// and exits 1 when the list is not empty.
+// reaches, and the struct fields that nothing it reaches sets: every
+// function, method, type, var and const of a non-main package that cannot
+// be reached from the main packages under the root directories (default:
+// cmd examples bench), and every field of a reached struct type that no
+// reached code writes. Test files are not read, so a declaration only its
+// own tests use, or an option only tests set, is reported. It is a
+// check.sh step and exits 1 when either list is not empty.
 //
 //	go run ./scripts/reach [root-dir ...]
 //
-// Methods are matched conservatively, by name: once reached code selects a
-// method M of any type, M of every reached type counts as reached (this
-// covers calls through interfaces and embedding without modelling either);
-// so does any method named like one of a standard-library interface
-// (String, Error, Len, Write, ...), which the library may call. The list
-// can therefore miss a dead method; it never names a live one.
+// A method named directly is reached. A method called through an
+// interface reaches that method of every reached type implementing the
+// interface; a method named like one of a standard-library interface
+// (String, Error, Len, Write, ...), which the library may call, is reached
+// on every reached type. The list can therefore miss a dead method; it
+// never names a live one.
 //
-// A declaration a test of reachable code needs (a reference
-// implementation, a fault probe) is exempted by a line
+// A field is written where reached code names it as a composite-literal
+// key (or fills its struct unkeyed), assigns to it or applies ++/-- to it,
+// takes its address, slices it when it is an array, or calls a
+// pointer-receiver method on it; a field with a struct tag counts as
+// written, because reflection fills it.
+//
+// A declaration or field a test of reachable code needs (a reference
+// implementation, a fault probe, a knob a test turns) is exempted by a line
 //
 //	//reach:keep <reason naming the test>
 //
-// in its doc comment. Kept declarations are listed on every run and count
-// as roots for what they call.
+// in its doc comment. The reason must name a Test, Fuzz, Benchmark or
+// Example function that exists in a _test.go file of the module, so an
+// exemption cannot outlive its test. Kept declarations are listed on every
+// run and count as roots for what they call.
 package main
 
 import (
@@ -33,6 +43,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 )
@@ -53,9 +64,15 @@ func main() {
 	for _, u := range res.unreached {
 		fmt.Printf("unreached  %s\n", u)
 	}
-	fmt.Printf("reach: %d unreached (%d lines), %d kept by //reach:keep\n",
-		len(res.unreached), res.lines, len(res.kept))
-	if len(res.unreached) > 0 {
+	for _, u := range res.unset {
+		fmt.Printf("unset      %s\n", u)
+	}
+	for _, b := range res.badKeeps {
+		fmt.Printf("badkeep    %s\n", b)
+	}
+	fmt.Printf("reach: %d unreached (%d lines), %d unset fields, %d kept by //reach:keep, %d naming no test\n",
+		len(res.unreached), res.lines, len(res.unset), len(res.kept), len(res.badKeeps))
+	if len(res.unreached)+len(res.unset)+len(res.badKeeps) > 0 {
 		os.Exit(1)
 	}
 }
@@ -64,9 +81,9 @@ func main() {
 // spec of a type, var or const declaration (all of the spec's names).
 type decl struct {
 	node    ast.Node
-	name    string       // "pkg.Name" or "pkg.Type.Method"
-	method  string       // bare method name, "" for anything else
-	recv    types.Object // a method's receiver type
+	name    string          // "pkg.Name" or "pkg.Type.Method"
+	method  string          // bare method name, "" for anything else
+	recv    *types.TypeName // a method's receiver type
 	pos     token.Position
 	lines   int
 	keep    string // reason of a //reach:keep directive
@@ -76,8 +93,8 @@ type decl struct {
 }
 
 type result struct {
-	unreached, kept []string
-	lines           int // source lines of the unreached declarations
+	unreached, unset, kept, badKeeps []string
+	lines                            int // source lines of the unreached declarations
 }
 
 // loader type-checks the packages of the modules under the analyzed
@@ -146,9 +163,38 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
+// testFuncs returns the names of the Test, Fuzz, Benchmark and Example
+// functions declared in the _test.go files of every scanned directory.
+func (l *loader) testFuncs() (map[string]bool, error) {
+	names := map[string]bool{}
+	for _, d := range l.dirs {
+		bp, err := build.Default.ImportDir(d, 0)
+		if err != nil {
+			continue
+		}
+		for _, name := range append(bp.TestGoFiles, bp.XTestGoFiles...) {
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(d, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			for _, fd := range f.Decls {
+				if fd, ok := fd.(*ast.FuncDecl); ok && fd.Recv == nil && testName.MatchString(fd.Name.Name) {
+					names[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	return names, nil
+}
+
+// testName matches a word that names a test, fuzz target, benchmark or
+// example.
+var testName = regexp.MustCompile(`\b(Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*`)
+
 // analyze loads every package of the modules under dir, takes the main
 // packages under the root directories as entry points, and reports the
-// declarations of the other packages that nothing reaches.
+// declarations of the other packages that nothing reaches and the fields
+// of reached structs that nothing reached writes.
 func analyze(dir string, roots []string) (*result, error) {
 	build.Default.CgoEnabled = false // the source importer then needs no cgo tool
 	l := &loader{
@@ -156,7 +202,12 @@ func analyze(dir string, roots []string) (*result, error) {
 		dirs:  map[string]string{},
 		pkgs:  map[string]*types.Package{},
 		files: map[*types.Package][]*ast.File{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	if err := l.scan(dir, ""); err != nil {
@@ -179,6 +230,10 @@ func analyze(dir string, roots []string) (*result, error) {
 		if _, err := l.Import(path); err != nil {
 			return nil, err
 		}
+	}
+	tests, err := l.testFuncs()
+	if err != nil {
+		return nil, err
 	}
 
 	// One decl per declaration, found again from any object it declares.
@@ -220,9 +275,11 @@ func analyze(dir string, roots []string) (*result, error) {
 		collect(p)
 	}
 
-	// visit marks d and everything it names; called holds the method names
-	// reached code selects, which then reach the methods of reached types.
-	called := map[string]bool{}
+	// visit marks d and everything it names. ifaces holds, by method name,
+	// the interfaces reached code calls a method through; written, the
+	// fields it writes.
+	ifaces := map[string][]*types.Interface{}
+	written := map[*types.Var]bool{}
 	var visit func(d *decl)
 	visit = func(d *decl) {
 		if d.reached {
@@ -230,19 +287,55 @@ func analyze(dir string, roots []string) (*result, error) {
 		}
 		d.reached = true
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := l.info.Uses[id]
-			if fn, ok := obj.(*types.Func); ok {
-				obj = fn.Origin()
-				if fn.Type().(*types.Signature).Recv() != nil {
-					called[fn.Name()] = true
+			switch n := n.(type) {
+			case *ast.Ident:
+				obj := l.info.Uses[n]
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+					if r := fn.Type().(*types.Signature).Recv(); r != nil {
+						if it, ok := r.Type().Underlying().(*types.Interface); ok {
+							ifaces[fn.Name()] = append(ifaces[fn.Name()], it)
+						}
+					}
 				}
-			}
-			if t := byObj[obj]; t != nil {
-				visit(t)
+				if t := byObj[obj]; t != nil {
+					visit(t)
+				}
+			case *ast.CompositeLit:
+				st, ok := deref(l.info.TypeOf(n)).Underlying().(*types.Struct)
+				for i := 0; ok && i < len(n.Elts); i++ {
+					kv, keyed := n.Elts[i].(*ast.KeyValueExpr)
+					if !keyed { // unkeyed: every field
+						for i := 0; i < st.NumFields(); i++ {
+							written[st.Field(i).Origin()] = true
+						}
+						break
+					}
+					if f, ok := l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						written[f.Origin()] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					l.markWritten(e, written)
+				}
+			case *ast.IncDecStmt:
+				l.markWritten(n.X, written)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					l.markWritten(n.X, written)
+				}
+			case *ast.SliceExpr:
+				if _, ok := l.info.TypeOf(n.X).Underlying().(*types.Array); ok {
+					l.markWritten(n.X, written)
+				}
+			case *ast.SelectorExpr:
+				// A pointer-receiver method called on an addressable value
+				// takes its address.
+				if s := l.info.Selections[n]; s != nil && s.Kind() == types.MethodVal && !isPointer(s.Recv()) &&
+					isPointer(s.Obj().Type().(*types.Signature).Recv().Type()) {
+					l.markWritten(n.X, written)
+				}
 			}
 			return true
 		})
@@ -256,7 +349,7 @@ func analyze(dir string, roots []string) (*result, error) {
 		changed = false
 		for _, d := range decls {
 			if !d.reached && d.method != "" && byObj[d.recv] != nil && byObj[d.recv].reached &&
-				(called[d.method] || libCalls[d.method]) {
+				(libCalls[d.method] || implementsAny(d.recv, ifaces[d.method])) {
 				visit(d)
 				changed = true
 			}
@@ -264,18 +357,110 @@ func analyze(dir string, roots []string) (*result, error) {
 	}
 
 	res := &result{}
+	keep := func(pos token.Position, name, reason string) {
+		res.kept = append(res.kept, fmt.Sprintf("%s:%d: %s — %s", pos.Filename, pos.Line, name, reason))
+		named := testName.FindAllString(reason, -1)
+		if len(named) == 0 || slices.ContainsFunc(named, func(n string) bool { return !tests[n] }) {
+			res.badKeeps = append(res.badKeeps, fmt.Sprintf("%s:%d: %s — the reason must name only test functions that exist", pos.Filename, pos.Line, name))
+		}
+	}
 	for _, d := range decls {
 		switch {
 		case d.keep != "":
-			res.kept = append(res.kept, fmt.Sprintf("%s:%d: %s — %s", d.pos.Filename, d.pos.Line, d.name, d.keep))
+			keep(d.pos, d.name, d.keep)
 		case d.checked && !d.reached:
 			res.unreached = append(res.unreached, fmt.Sprintf("%s:%d: %s (%d lines)", d.pos.Filename, d.pos.Line, d.name, d.lines))
 			res.lines += d.lines
 		}
+		ts, ok := d.node.(*ast.TypeSpec)
+		if !ok || !d.checked || !d.reached {
+			continue
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				pos, name := l.fset.Position(id.Pos()), d.name+"."+id.Name
+				switch {
+				case keepOf(f.Doc, f.Comment) != "":
+					keep(pos, name, keepOf(f.Doc, f.Comment))
+				case f.Tag == nil && !written[l.info.Defs[id].(*types.Var)]:
+					res.unset = append(res.unset, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
+				}
+			}
+		}
 	}
 	slices.Sort(res.unreached)
+	slices.Sort(res.unset)
 	slices.Sort(res.kept)
+	slices.Sort(res.badKeeps)
 	return res, nil
+}
+
+// markWritten records the field e selects as written, and with it every
+// field that holds it by value: writing x.a.b writes x.a too.
+func (l *loader) markWritten(e ast.Expr, written map[*types.Var]bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			if _, ok := l.info.TypeOf(x.X).Underlying().(*types.Array); !ok {
+				return
+			}
+			e = x.X
+		case *ast.SelectorExpr:
+			s := l.info.Selections[x]
+			if s == nil || s.Kind() != types.FieldVal {
+				return
+			}
+			written[s.Obj().(*types.Var).Origin()] = true
+			if isPointer(s.Recv()) {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// implementsAny reports whether the type tn names, or a pointer to it,
+// implements one of ifaces. A generic type is assumed to.
+func implementsAny(tn *types.TypeName, ifaces []*types.Interface) bool {
+	t := tn.Type()
+	return slices.ContainsFunc(ifaces, func(it *types.Interface) bool {
+		return t.(*types.Named).TypeParams().Len() > 0 || types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+	})
+}
+
+// keepOf returns the reason of a //reach:keep line in the comments, or "".
+func keepOf(docs ...*ast.CommentGroup) string {
+	for _, doc := range docs {
+		if doc == nil {
+			continue
+		}
+		for _, c := range doc.List {
+			if r, ok := strings.CutPrefix(c.Text, "//reach:keep "); ok && strings.TrimSpace(r) != "" {
+				return strings.TrimSpace(r)
+			}
+		}
+	}
+	return ""
 }
 
 // declsOf turns one top-level declaration into decls and records the
@@ -293,15 +478,8 @@ func (l *loader) declsOf(p *types.Package, d ast.Decl, byObj map[types.Object]*d
 			}
 		}
 		dc.name = p.Name() + "." + names[0].Name
-		for _, doc := range docs {
-			if doc == nil {
-				continue
-			}
-			for _, c := range doc.List {
-				if r, ok := strings.CutPrefix(c.Text, "//reach:keep "); ok && strings.TrimSpace(r) != "" {
-					dc.keep, dc.root = strings.TrimSpace(r), true
-				}
-			}
+		if dc.keep = keepOf(docs...); dc.keep != "" {
+			dc.root = true
 		}
 		return dc
 	}
@@ -313,10 +491,7 @@ func (l *loader) declsOf(p *types.Package, d ast.Decl, byObj map[types.Object]*d
 			return []*decl{dc}
 		}
 		t := l.info.Defs[d.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
-		if pt, ok := t.(*types.Pointer); ok {
-			t = pt.Elem()
-		}
-		dc.recv = t.(*types.Named).Origin().Obj()
+		dc.recv = deref(t).(*types.Named).Origin().Obj()
 		dc.method = d.Name.Name
 		dc.name = p.Name() + "." + dc.recv.Name() + "." + dc.method
 		return []*decl{dc}

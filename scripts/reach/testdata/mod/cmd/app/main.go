@@ -7,6 +7,7 @@ import (
 )
 
 func main() {
-	var s lib.Shape = lib.Square{Side: lib.Reached()}
-	fmt.Println(s.Area())
+	var s lib.Shape = lib.Square{Side: lib.Reached()}.Grow(2)
+	var c lib.Counter
+	fmt.Println(s.Area(), lib.Circle{R: 1}, c.Bump())
 }
