@@ -54,11 +54,13 @@ const (
 	// re-check overhead on the rejected population.
 	DefaultSentinelEvery = 64
 
-	// DefaultBatchSize is the join executor's candidate-pair batch size
-	// (query.JoinOptions.BatchSize). Large enough that a batch's trip
-	// through the work and emit queues amortizes to noise, small enough that
-	// the first refined batch — the client's time-to-first-row — arrives
-	// after a fraction of a percent of the join.
+	// DefaultBatchSize is the query executor's candidate batch size
+	// (query.JoinOptions.BatchSize, query.SelectionOptions.BatchSize —
+	// stretched to 4× for a selection, whose candidates share one outer
+	// object). Large enough that a batch's trip through the work and emit
+	// queues amortizes to noise, small enough that the first refined batch
+	// — the client's time-to-first-row — arrives after a fraction of a
+	// percent of the join.
 	DefaultBatchSize = 256
 )
 

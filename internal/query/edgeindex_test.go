@@ -69,8 +69,9 @@ func TestEdgeIndexSharedAcrossWorkers(t *testing.T) {
 
 // TestSelectionUsesQueryIndex checks a selection against a complex query
 // polygon still matches the oracle when the query-side index is active
-// (IntersectionSelect builds it unconditionally) and that index stats
-// actually flow: on layers with indexed objects some hits must register.
+// (built once, for the first candidate that reaches the tester) and that
+// index stats actually flow: on layers with indexed objects some hits must
+// register.
 func TestSelectionUsesQueryIndex(t *testing.T) {
 	queries := data.MustLoad("STATES50", 1)
 	q := queries.Objects[0]
@@ -79,16 +80,7 @@ func TestSelectionUsesQueryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracleSelect(layerA, q)
-	g, w := sortedIDs(got), sortedIDs(want)
-	if len(g) != len(w) {
-		t.Fatalf("%d results, want %d", len(g), len(w))
-	}
-	for i := range w {
-		if g[i] != w[i] {
-			t.Fatalf("result %d = %d, want %d", i, g[i], w[i])
-		}
-	}
+	sameIDs(t, "select", got, oracleSelect(layerA, q))
 	if tester.Stats.EdgeIndexHits == 0 {
 		t.Error("selection refinement recorded no edge-index hits")
 	}

@@ -67,9 +67,3 @@ func ctxCause(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// cancelStride is how many refinement units are processed between context
-// checks on the serial paths — the "chunk granularity" of cancellation.
-// One ctx.Err() per stride keeps the hot loop overhead unmeasurable while
-// bounding cancellation latency to a stride of pair tests.
-const cancelStride = 64

@@ -94,7 +94,7 @@ func TestGenerateMatchesTreeJoin(t *testing.T) {
 				want := treeJoin(a, b, k.d)
 				for _, workers := range []int{1, 2, 8} {
 					name := fmt.Sprintf("%s x %s %s d=%g workers=%d", a.Data.Name, b.Data.Name, k.op, k.d, workers)
-					got, seen, err := generate(bg, a, b, k, workers, 0)
+					got, seen, err := generate(bg, a.Data.Objects, b, k, workers, 0)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -115,9 +115,18 @@ func TestGenerateMatchesTreeJoin(t *testing.T) {
 	}
 }
 
+// crowd is 3000 small rectangles, and cover one rectangle over all of
+// them: cover's one probe of crowd's R-tree visits 3000 entries, so a
+// context looked at every 1024 visits is looked at mid-probe.
+var (
+	crowd = rectLayer("crowd", randomRects(5, 3000))
+	cover = rectLayer("cover", []geom.Rect{{MinX: -1, MinY: -1, MaxX: 120, MaxY: 120}})
+)
+
 // countdownCtx is a context that ends at its n-th Err call: generation
-// looks at its context exactly once per task, so the join it is handed is
-// cancelled at a known task, with no timing involved.
+// looks at its context once per task and every 1024 index visits, so the
+// query it is handed is cancelled at a known point, with no timing
+// involved.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -141,10 +150,11 @@ func (c *countdownCtx) Err() error {
 	return context.Canceled
 }
 
-// TestExecutorConcurrency drives the pooled executor down each of its
-// failure paths: every one returns its typed error, the call returning is
-// the wait for the pool (no goroutine is left), and a join stopped during
-// generation — by its context or its budget — has built no tester.
+// TestExecutorConcurrency drives the executor down each of its failure
+// paths, pooled for joins and inline for selections: every one returns
+// its typed error, the call returning is the wait for the pool (no
+// goroutine is left), and a query stopped during generation — by its
+// context or its budget — has built or run no tester.
 func TestExecutorConcurrency(t *testing.T) {
 	total := len(treeJoin(layerA, layerB, 0))
 	if tasks := (len(layerA.Data.Objects) + genMinRun - 1) / genMinRun; tasks < 3 {
@@ -229,6 +239,69 @@ func TestExecutorConcurrency(t *testing.T) {
 		var pe *PartialError
 		if !errors.As(err, &pe) || !errors.Is(err, boom) || pe.Total != total {
 			t.Errorf("err = %v, want a *PartialError of %d candidates carrying the sink's error", err, total)
+		}
+	})
+
+	t.Run("cancelled mid-probe", func(t *testing.T) {
+		// One generation task, one probe: the context ends at the probe's
+		// 1024th visit, not after it.
+		var made atomic.Int32
+		opt := JoinOptions{Workers: 4, Tester: func() *core.Tester {
+			made.Add(1)
+			return core.NewTester(core.Config{DisableHardware: true})
+		}}
+		before := runtime.NumGoroutine()
+		_, _, _, err := joinViews(newCountdownCtx(1), cover.View(), crowd.View(), intersects, nil, opt)
+		checkNoGoroutineLeak(t, before)
+		var pe *PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Done != 0 {
+			t.Errorf("join: err = %v, want a *PartialError with nothing done wrapping Canceled", err)
+		}
+		if n := made.Load(); n != 0 {
+			t.Errorf("join: %d testers built by a join cancelled in its one probe", n)
+		}
+		sw := core.NewTester(core.Config{DisableHardware: true})
+		_, _, err = IntersectionSelect(newCountdownCtx(1), crowd, cover.Data.Objects[0], sw, SelectionOptions{})
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Done != 0 || sw.Stats.Tests != 0 {
+			t.Errorf("select: err = %v after %d tests, want a *PartialError with nothing done wrapping Canceled",
+				err, sw.Stats.Tests)
+		}
+	})
+
+	// The selection's failure paths: its candidates are the probe of one
+	// window, refined inline on the caller's tester.
+	window := layerB.Data.Objects[0]
+	selTotal := 0
+	for _, p := range layerA.Data.Objects {
+		if window.Bounds().Intersects(p.Bounds()) {
+			selTotal++
+		}
+	}
+	if selTotal < 2 {
+		t.Fatalf("the window has %d candidates; the selection cases need at least 2", selTotal)
+	}
+
+	t.Run("selection budget trips", func(t *testing.T) {
+		sw := core.NewTester(core.Config{DisableHardware: true})
+		ids, _, err := IntersectionSelect(bg, layerA, window, sw, SelectionOptions{MaxCandidates: selTotal - 1})
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Budget != selTotal-1 || be.Candidates != selTotal || len(ids) != 0 || sw.Stats.Tests != 0 {
+			t.Errorf("err = %v with %d ids after %d tests, want a bare *BudgetError at %d of budget %d",
+				err, len(ids), sw.Stats.Tests, selTotal, selTotal-1)
+		}
+		if _, _, err := IntersectionSelect(bg, layerA, window, sw, SelectionOptions{MaxCandidates: selTotal}); err != nil {
+			t.Errorf("budget equal to the candidate count: %v", err)
+		}
+	})
+
+	t.Run("selection sink fails on the first batch", func(t *testing.T) {
+		boom := errors.New("client went away")
+		sw := core.NewTester(core.Config{DisableHardware: true})
+		_, _, err := IntersectionSelect(bg, layerA, window, sw, SelectionOptions{InteriorLevel: -1, BatchSize: 1,
+			Sink: func([]int) error { return boom }})
+		var pe *PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, boom) || pe.Total != selTotal {
+			t.Errorf("err = %v, want a *PartialError of %d candidates carrying the sink's error", err, selTotal)
 		}
 	})
 }

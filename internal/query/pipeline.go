@@ -10,12 +10,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/filter"
+	"repro/internal/geom"
 	"repro/internal/interval"
 	"repro/internal/rtree"
 )
 
-// This file is the join executor — the one driver behind every join
-// verb: candidate generation → filter (optional prefilter, then the
+// This file is the query executor — the one driver behind every join and
+// selection verb (a selection is a join whose outer side is its window):
+// candidate generation → filter (optional prefilter, then the
 // render-free front of Algorithm 3.1: MBR / interval / containment /
 // persisted signature) → refine (hardware filter + exact software tests)
 // → emit, in batches. Batching keeps each stage's working set hot (the
@@ -230,19 +232,28 @@ func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
 	return p
 }
 
-// joinViews composes joinLayers across the views' components (up to
-// base×base, base×delta, delta×base, delta×delta), remaps pairs — the
-// returned ones and the streamed batches — to canonical positions, drops
-// tombstoned participants, and returns the union sorted by (A, B).
-// Single×single views are one component pair with nothing to remap.
-// Tombstoned objects still pass through the component joins (they live
-// in the base layer's R-tree), so the summed Cost includes their
-// filtering work — the honest price of querying an uncompacted view.
+// joinViews runs the join once per component pair of the two views (up
+// to base×base, base×delta, delta×base, delta×delta); see composeViews.
 func joinViews(ctx context.Context, a, b *View, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, core.Stats, error) {
-	la, aok := a.Single()
-	lb, bok := b.Single()
-	if aok && bok {
-		return joinLayers(ctx, la, lb, k, tester, opt)
+	return composeViews(a.components(), b.components(), opt, func(la, lb *Layer, o JoinOptions) ([]Pair, Cost, core.Stats, error) {
+		return execute(ctx, la.Data.Objects, lb, k, tester, o, func() predicate { return k.bind(la, lb, o) })
+	})
+}
+
+// composeViews runs one executor call per component pair of the outer
+// side as and the inner side bs — a view's components, or a selection's
+// window alone — remaps pairs, the returned ones and the streamed batches,
+// to canonical positions, drops tombstoned participants, and returns the
+// union sorted by (A, B). One component pair with identity positions is
+// one call with nothing to remap. Tombstoned objects still pass through
+// the component calls (they live in the base layer's R-tree), so the
+// summed Cost includes their filtering work — the honest price of
+// querying an uncompacted view. A budget trip in any call aborts with no
+// result.
+func composeViews(as, bs []viewComponent, opt JoinOptions,
+	run func(a, b *Layer, opt JoinOptions) ([]Pair, Cost, core.Stats, error)) ([]Pair, Cost, core.Stats, error) {
+	if len(as) == 1 && len(bs) == 1 && as[0].canon == nil && bs[0].canon == nil {
+		return run(as[0].layer, bs[0].layer, opt)
 	}
 	var (
 		out   []Pair
@@ -250,12 +261,12 @@ func joinViews(ctx context.Context, a, b *View, k joinKind, tester *core.Tester,
 		stats core.Stats
 		err   error
 	)
-run:
-	for _, ca := range a.components() {
-		for _, cb := range b.components() {
+loop:
+	for _, ca := range as {
+		for _, cb := range bs {
 			remap := func(dst, pairs []Pair) []Pair {
 				for _, pr := range pairs {
-					if pa, pb := ca.canon(pr.A), cb.canon(pr.B); pa >= 0 && pb >= 0 {
+					if pa, pb := ca.pos(pr.A), cb.pos(pr.B); pa >= 0 && pb >= 0 {
 						dst = append(dst, Pair{int(pa), int(pb)})
 					}
 				}
@@ -271,15 +282,15 @@ run:
 					return opt.Sink(buf)
 				}
 			}
-			pairs, cc, st, jerr := joinLayers(ctx, ca.layer, cb.layer, k, tester, o)
+			pairs, cc, st, rerr := run(ca.layer, cb.layer, o)
 			cost.Add(cc)
 			stats.Add(st)
-			if _, budget := jerr.(*BudgetError); budget {
-				return nil, cost, stats, jerr
+			if _, budget := rerr.(*BudgetError); budget {
+				return nil, cost, stats, rerr
 			}
 			out = remap(out, pairs)
-			if err = jerr; err != nil {
-				break run
+			if err = rerr; err != nil {
+				break loop
 			}
 		}
 	}
@@ -288,18 +299,21 @@ run:
 	return out, cost, stats, err
 }
 
-// joinLayers runs one layer pair through the pipeline of Figure 8: the
-// MBR join (generate), then the candidates through runStages.
-func joinLayers(ctx context.Context, a, b *Layer, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, core.Stats, error) {
+// execute runs one component pair through the pipeline of Figure 8: the
+// MBR filter (generate) of the outer polygons against b's R-tree, then
+// the candidates through runStages under the predicate bind returns,
+// bound only once generation succeeded.
+func execute(ctx context.Context, outer []*geom.Polygon, b *Layer, k joinKind, tester *core.Tester, opt JoinOptions,
+	bind func() predicate) ([]Pair, Cost, core.Stats, error) {
 	start := time.Now()
-	candidates, seen, err := generate(ctx, a, b, k, opt.poolSize(tester), opt.MaxCandidates)
+	candidates, seen, err := generate(ctx, outer, b, k, opt.poolSize(tester), opt.MaxCandidates)
 	mbr := time.Since(start)
 	if err != nil {
 		return nil, Cost{MBRFilter: mbr, Candidates: seen}, core.Stats{}, err
 	}
 
 	start = time.Now()
-	p := k.bind(a, b, opt)
+	p := bind()
 	return runStages(ctx, candidates, p, tester, opt, Cost{MBRFilter: mbr, Candidates: seen,
 		IntermediateFilter: p.preSetup, GeometryComparison: time.Since(start) - p.preSetup})
 }
@@ -314,75 +328,98 @@ const (
 	genMaxRun         = 1024
 )
 
-// generate is the MBR join as an index-nested-loop: every object of a, in
-// id order, probes b's R-tree with its MBR (MBR distance lower-bounds
-// object distance, so the distance join loses no pair either). The pool —
-// the calling goroutine and workers-1 more — claims tasks from an atomic
-// counter; a task orders each of its objects' mates by inner id and writes
-// its own slot, so the slots' concatenation is the candidate list in
-// (A, B) order with no sort over the list: an outer polygon's pairs are
-// consecutive, its vertices and edge index cache-hot across its run.
+// generate is the MBR join as an index-nested-loop: every outer polygon,
+// in index order, probes b's R-tree with its MBR (MBR distance
+// lower-bounds object distance, so the distance join loses no pair
+// either). The pool — the calling goroutine and workers-1 more — claims
+// tasks from an atomic counter; a task orders each of its polygons' mates
+// by inner id and writes its own slot, so the slots' concatenation is the
+// candidate list in (A, B) order with no sort over the list: an outer
+// polygon's pairs are consecutive, its vertices and edge index cache-hot
+// across its run. A join's outer side is a layer's objects, a selection's
+// its window alone.
 //
-// It returns the list and the number of candidates seen. A budget
-// overflow is a *BudgetError, a context that ended before the last task a
-// *PartialError with nothing done; either way no tester has run.
-func generate(ctx context.Context, a, b *Layer, k joinKind, workers, budget int) ([]Pair, int, error) {
-	n := len(a.Data.Objects)
+// It returns the list and the number of candidates seen. The context is
+// looked at once per task and every 1024 index visits, and a probe stops
+// as soon as the running total passes the budget, so one outer polygon
+// with a huge mate list can neither overrun the budget nor outlast its
+// caller. A budget overflow is a *BudgetError, a context that ended before
+// the last probe finished a *PartialError with nothing done; either way no
+// tester has run.
+func generate(ctx context.Context, outer []*geom.Polygon, b *Layer, k joinKind, workers, budget int) ([]Pair, int, error) {
+	n := len(outer)
 	run := min(max(n/(genTasksPerWorker*workers), genMinRun), genMaxRun)
 	slots := make([][]Pair, (n+run-1)/run)
-	var (
+	// What the pool's goroutines share, in one value: one allocation per
+	// call, which a selection pays on every request.
+	var pool struct {
 		next, seen   atomic.Int64
 		over, ctxEnd atomic.Bool
-	)
+		wg           sync.WaitGroup
+	}
 	claim := func() {
-		var out []Pair
-		var outer int
+		var (
+			out             []Pair
+			a, from, visits int
+			before          int64 // seen when the probe began
+		)
 		visit := func(e rtree.Entry) bool {
-			out = append(out, Pair{outer, e.ID})
+			if visits++; visits&1023 == 0 && ctx.Err() != nil {
+				pool.ctxEnd.Store(true)
+				return false
+			}
+			out = append(out, Pair{a, e.ID})
+			if budget > 0 && before+int64(len(out)-from) > int64(budget) {
+				pool.over.Store(true)
+				return false
+			}
 			return true
 		}
-		for !over.Load() {
-			t := int(next.Add(1)) - 1
+		stopped := func() bool { return pool.over.Load() || pool.ctxEnd.Load() }
+		for !stopped() {
+			t := int(pool.next.Add(1)) - 1
 			if t >= len(slots) {
 				return
 			}
 			if ctx.Err() != nil {
-				ctxEnd.Store(true)
+				pool.ctxEnd.Store(true)
 				return
 			}
 			out = nil
-			for outer = t * run; outer < min((t+1)*run, n) && !over.Load(); outer++ {
-				from := len(out)
-				if r := a.Data.Objects[outer].Bounds(); k.within {
+			for a = t * run; a < min((t+1)*run, n) && !stopped(); a++ {
+				from, before = len(out), pool.seen.Load()
+				if r := outer[a].Bounds(); k.within {
 					b.Index.SearchWithin(r, k.d, visit)
 				} else {
 					b.Index.Search(r, visit)
 				}
 				sortPairsByOuter(out[from:]) // one outer id: by inner id
-				if total := seen.Add(int64(len(out) - from)); budget > 0 && total > int64(budget) {
-					over.Store(true)
+				if total := pool.seen.Add(int64(len(out) - from)); budget > 0 && total > int64(budget) {
+					pool.over.Store(true)
 				}
 			}
 			slots[t] = out
 		}
 	}
-	var wg sync.WaitGroup
 	for range min(workers, len(slots)) - 1 {
-		wg.Add(1)
+		pool.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer pool.wg.Done()
 			claim()
 		}()
 	}
 	claim()
-	wg.Wait()
+	pool.wg.Wait()
 
-	total := int(seen.Load())
+	total := int(pool.seen.Load())
 	switch {
-	case over.Load():
+	case pool.over.Load():
 		return nil, budget, &BudgetError{Op: k.op, Candidates: budget + 1, Budget: budget}
-	case ctxEnd.Load():
+	case pool.ctxEnd.Load():
 		return nil, total, &PartialError{Op: k.op, Done: 0, Total: total, Err: ctxCause(ctx)}
+	}
+	if len(slots) == 1 {
+		return slots[0], total, nil
 	}
 	candidates := make([]Pair, 0, total)
 	for _, s := range slots {
@@ -592,7 +629,8 @@ func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Cos
 // Batches extend past the nominal size to the end of the current outer
 // object's run (bounded at 4×, so a monster outer group cannot serialize
 // the join) so one outer polygon's pairs — and its lazily built edge
-// index — stay on one worker pass.
+// index — stay on one worker pass. A selection's candidates are all one
+// outer group, so its batches are 4× the nominal size.
 //
 // Inline: a caller-owned tester, or one effective worker, runs filter,
 // refine and emit batch after batch on the calling goroutine — no

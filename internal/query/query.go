@@ -6,26 +6,26 @@
 // internal/core. Each stage's wall-clock cost and candidate counts are
 // recorded, which is what the evaluation figures plot.
 //
-// Joins have one driver, the staged batch executor in pipeline.go:
-// intersects and within-distance are two predicates over it, the
-// tester-taking entry points run it inline on the caller's goroutine and
-// the tester-less ones on a worker pool, and views with a live delta are
-// composed over it per component pair. Selections keep their own loop —
-// over tens of candidates a batch hand-off costs more than the work.
+// Joins and selections have one driver, the staged batch executor in
+// pipeline.go: intersects, within-distance and the selection are three
+// predicates over it — a selection is a join whose only outer object is
+// its window. The tester-taking entry points run it inline on the
+// caller's goroutine and the tester-less ones on a worker pool, and views
+// with a live delta are composed over it per component pair.
 //
 // # Failure semantics
 //
 // Every query takes a context.Context and honors cancellation and
-// deadlines (per pair in joins, every cancelStride refinement units in
-// selections): an interrupted query returns the results computed so far
-// plus a *PartialError that unwraps to the context's error, and leaks no
-// goroutines. Queries with a candidate budget fail fast with a
-// *BudgetError before any refinement work when MBR filtering overflows
-// the budget. Joins additionally isolate panicking refinement tests: a
-// pair whose test panics is retried once on the exact software path and,
-// failing that, quarantined (counted in core.Stats, excluded from the
+// deadlines (per pair in the executor's stages, every 1024 index visits
+// in its candidate generation): an interrupted query returns the results
+// computed so far plus a *PartialError that unwraps to the context's
+// error, and leaks no goroutines. Queries with a candidate budget fail
+// fast with a *BudgetError before any refinement work when MBR filtering
+// overflows the budget. The executor isolates panicking refinement tests:
+// a pair whose test panics is retried once on the exact software path
+// and, failing that, quarantined (counted in core.Stats, excluded from the
 // result set) — one poisoned geometry pair can no longer take down a
-// join. See DESIGN.md §5.
+// query. See DESIGN.md §5.
 package query
 
 import (
@@ -418,153 +418,91 @@ type SelectionOptions struct {
 	// hits and rejects); the v1 signature path then decides alone.
 	// Ablation/baseline knob.
 	NoIntervals bool
-	// BatchSize is the streaming flush granularity for Sink; 0 falls back
-	// to core.DefaultBatchSize.
+	// BatchSize is the executor's batch size, as in JoinOptions: a
+	// selection's candidates form one outer group, so each batch — and
+	// each Sink call — covers up to 4× BatchSize candidates; 0 means
+	// core.DefaultBatchSize.
 	BatchSize int
-	// Sink, when non-nil, receives result IDs incrementally as refinement
-	// proceeds, from the calling goroutine, in result order. The slice is
-	// reused between calls — consume it before returning, don't retain it.
-	// A non-nil return stops the selection and surfaces as the
-	// *PartialError cause. Rows already handed to the sink are still
-	// present in the returned slice.
+	// Sink, when non-nil, receives each completed batch's result IDs, in
+	// ascending order (per component on a live view), from the calling
+	// goroutine. The slice is reused between calls — consume it before
+	// returning, don't retain it. A non-nil return stops the selection and
+	// surfaces as the *PartialError cause. Rows already handed to the sink
+	// are still present in the returned slice.
 	Sink func(ids []int) error
 }
 
 // IntersectionSelect returns the IDs of the layer's objects whose regions
-// intersect the query polygon, processed through the three-stage pipeline.
-// The tester decides software vs hardware-assisted refinement. A
-// cancelled or expired context yields the results so far plus a
-// *PartialError; an overflowing candidate budget yields a *BudgetError.
+// intersect the query polygon, in ascending order: the executor's
+// three-stage pipeline with the query polygon as the only outer object.
+// The tester decides software vs hardware-assisted refinement and
+// accumulates the counters. A cancelled or expired context yields the
+// results so far plus a *PartialError; an overflowing candidate budget
+// yields a *BudgetError.
 func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
-	var cost Cost
+	return IntersectionSelectView(ctx, layer.View(), query, tester, opt)
+}
 
-	// Stage 1: MBR filtering, under the candidate budget and a context
-	// check every 1024 index visits.
-	start := time.Now()
-	var candidates []int
-	var stopped error
-	visits := 0
-	layer.Index.Search(query.Bounds(), func(e rtree.Entry) bool {
-		visits++
-		switch {
-		case visits&1023 == 0 && ctx.Err() != nil:
-			stopped = &PartialError{Op: "select", Done: 0, Total: len(candidates), Err: ctxCause(ctx)}
-		case opt.MaxCandidates > 0 && len(candidates) >= opt.MaxCandidates:
-			stopped = &BudgetError{Op: "select", Candidates: len(candidates) + 1, Budget: opt.MaxCandidates}
-		default:
-			candidates = append(candidates, e.ID)
+// selection is the generation kind of a selection: an intersects probe.
+var selection = joinKind{op: "select"}
+
+// bindSelection binds a selection of layer l's objects by window. The
+// prefilter is the interior filter, its tiles built on the first candidate
+// whose MBR lies inside the window's — the only candidates CoversRect can
+// accept. The window's edge index, signature (at the layer's persisted
+// resolution) and interval spans (on the layer's own grid, so no union
+// grid makes the layer build a column per window) are built once, on the
+// first pair the tester sees; none is built when the prefilter decides
+// every candidate.
+func bindSelection(l *Layer, window *geom.Polygon, opt SelectionOptions) predicate {
+	p := predicate{op: selection.op}
+	if opt.InteriorLevel >= 0 {
+		wb := window.Bounds()
+		var tiles struct {
+			once sync.Once
+			f    *filter.Interior
 		}
-		return stopped == nil
-	})
-	cost.MBRFilter = time.Since(start)
-	cost.Candidates = len(candidates)
-	if stopped != nil {
-		return nil, cost, stopped
-	}
-
-	var results []int
-
-	// Stage 2: interior filter. Positives skip geometry comparison; the
-	// filter build cost counts toward the stage, amortized over objects
-	// exactly as the paper describes. Only a candidate whose MBR lies
-	// inside the query's can be covered, so without one no tile is built.
-	remaining := candidates
-	qb := query.Bounds()
-	if opt.InteriorLevel >= 0 && slices.ContainsFunc(candidates, func(id int) bool {
-		return qb.ContainsRect(layer.Data.Objects[id].Bounds())
-	}) {
-		start = time.Now()
-		f := filter.NewInterior(query, opt.InteriorLevel)
-		remaining = remaining[:0]
-		for _, id := range candidates {
-			if f.CoversRect(layer.Data.Objects[id].Bounds()) {
-				results = append(results, id)
-			} else {
-				remaining = append(remaining, id)
+		p.pre = func(pr Pair) core.Verdict {
+			if b := l.Data.Objects[pr.B].Bounds(); wb.ContainsRect(b) {
+				tiles.once.Do(func() { tiles.f = filter.NewInterior(window, opt.InteriorLevel) })
+				if tiles.f.CoversRect(b) {
+					return core.VerdictHit
+				}
 			}
+			return core.VerdictUndecided
 		}
-		cost.IntermediateFilter = time.Since(start)
-		cost.FilterHits = len(results)
 	}
-
-	// Streaming delivery: flush pending result IDs to the sink once a
-	// batch accumulates (or unconditionally on wind-down). The sink runs on
-	// the calling goroutine, so a slow consumer simply slows the scan — no
-	// result buffering beyond one batch.
-	batch := opt.BatchSize
-	if batch <= 0 {
-		batch = core.DefaultBatchSize
+	var win struct { // the window's side of every pair
+		once sync.Once
+		pc   core.PairContext
+		col  *interval.Column
 	}
-	emitted := 0
-	flush := func(force bool) error {
-		pending := len(results) - emitted
-		if opt.Sink == nil || pending == 0 || (!force && pending < batch) {
-			return nil
-		}
-		if err := opt.Sink(results[emitted:]); err != nil {
-			return err
-		}
-		emitted = len(results)
-		tester.Stats.StreamRowsEmitted += int64(pending)
-		return nil
-	}
-
-	// Stage 3: geometry comparison, cancellable every cancelStride tests.
-	// The query polygon's edge index is built once and shared across every
-	// candidate test; the layer side reuses the per-object cached indexes.
-	// None of the query-side structures is built when nothing is left to
-	// compare.
-	start = time.Now()
-	var (
-		qIdx     *edgeindex.Index
-		qSig     *raster.Signature
-		qIv      interval.Spans
-		selIvals *interval.Column
-	)
-	if len(remaining) > 0 {
-		qIdx = edgeindex.New(query)
-		qSig = layer.querySignature(query, opt.NoSignatures)
-	}
-	// The query polygon rasterizes once onto the layer's own canonical
-	// grid; each candidate then contributes its cached (or persisted)
-	// spans, so selections get the same true-hit/reject verdicts as joins.
-	if !opt.NoIntervals && len(remaining) > 0 {
-		if g, ok := layer.intervalGrid(); ok {
-			if qIv = interval.Rasterize(query, g); len(qIv) > 0 {
-				selIvals = layer.Intervals(g)
+	pcFor := func(pr Pair) core.PairContext {
+		win.once.Do(func() {
+			win.pc = core.PairContext{PIndex: edgeindex.New(window), Breaker: l.Breaker(l), PSig: l.querySignature(window, opt.NoSignatures)}
+			if opt.NoIntervals {
+				return
 			}
+			if g, ok := l.intervalGrid(); ok {
+				if spans := interval.Rasterize(window, g); len(spans) > 0 {
+					win.pc.PIv, win.col = spans, l.Intervals(g)
+				}
+			}
+		})
+		pc := win.pc
+		pc.QIndex, pc.QSig = l.EdgeIndex(pr.B), l.Signature(pr.B)
+		if win.col != nil {
+			pc.QIv = win.col.Spans(pr.B)
 		}
+		return pc
 	}
-	br := layer.Breaker(layer)
-	for i, id := range remaining {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			flush(true) // best effort: the partial rows stream out too
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "select", Done: i, Total: len(remaining), Err: ctxCause(ctx)}
-		}
-		pc := core.PairContext{PIndex: qIdx, QIndex: layer.EdgeIndex(id), Breaker: br, PSig: qSig, QSig: layer.Signature(id)}
-		if selIvals != nil {
-			pc.PIv, pc.QIv = qIv, selIvals.Spans(id)
-		}
-		if tester.IntersectsCtx(query, layer.Data.Objects[id], pc) {
-			results = append(results, id)
-		}
-		if err := flush(false); err != nil {
-			cost.GeometryComparison = time.Since(start)
-			cost.Compared = i + 1
-			cost.Results = len(results)
-			return results, cost, &PartialError{Op: "select", Done: i + 1, Total: len(remaining), Err: err}
-		}
+	p.filter = func(t *core.Tester, pr Pair) core.Verdict {
+		return t.FilterIntersects(window, l.Data.Objects[pr.B], pcFor(pr))
 	}
-	cost.GeometryComparison = time.Since(start)
-	cost.Compared = len(remaining)
-	cost.Results = len(results)
-	if err := flush(true); err != nil {
-		return results, cost, &PartialError{Op: "select", Done: len(remaining), Total: len(remaining), Err: err}
+	p.refine = func(t *core.Tester, pr Pair) bool {
+		return t.RefineIntersects(window, l.Data.Objects[pr.B], pcFor(pr))
 	}
-	return results, cost, nil
+	return p
 }
 
 // Pair is one join result: indices into the two layers' object slices.

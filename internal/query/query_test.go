@@ -51,42 +51,87 @@ func oracleSelect(layer *Layer, q *geom.Polygon) []int {
 	return ids
 }
 
+// The oracle matrix: every way of running the query executor against
+// brute-force oracles (bruteIntersects, dist.MinDistBrute). One table for
+// the joins' two predicates, one beside it for selections.
+
+// matrixTesters are the matrix's tester configurations: software, and
+// hardware at two resolutions, one with the tuned threshold's shape.
+var matrixTesters = map[string]core.Config{
+	"sw":   {DisableHardware: true},
+	"hw8":  {Resolution: 8},
+	"hw16": {Resolution: 16, SWThreshold: 100},
+}
+
+// TestIntersectionSelectMatchesOracle runs ten STATES50 windows, and a
+// window over the whole view (the one whose candidates the interior
+// filter can accept: no STATES50 window covers a whole LANDC object),
+// over {layer view, live view} × tester × batch {1, 7, 256} × interior
+// level {-1, 0, 4} × NoIntervals, and checks each selection against the
+// brute-force oracle: the ids in ascending order, the stage counts, the
+// tester's resolution partition, and that the concatenated sink batches
+// are the returned slice (sorted, on a live view, which streams per
+// component).
 func TestIntersectionSelectMatchesOracle(t *testing.T) {
-	queries := data.MustLoad("STATES50", 1)
-	sw := core.NewTester(core.Config{DisableHardware: true})
-	hw := core.NewTester(core.Config{Resolution: 8})
-	for qi := 0; qi < 10; qi++ {
-		q := queries.Objects[qi]
-		want := oracleSelect(layerA, q)
-		for _, tester := range []*core.Tester{sw, hw} {
-			for _, level := range []int{-1, 0, 2, 4} {
-				got, cost, err := IntersectionSelect(bg, layerA, q, tester, SelectionOptions{InteriorLevel: level})
-				if err != nil {
-					t.Fatal(err)
+	states := data.MustLoad("STATES50", 1).Objects[:10:10]
+	results, interiorHits := 0, 0
+	for vname, v := range matrixViews(t) {
+		_, single := v.Single()
+		domain := v.Dataset().Objects[0].Bounds()
+		for _, p := range v.Dataset().Objects {
+			domain = domain.Union(p.Bounds())
+		}
+		c := geom.Rect{MinX: domain.MinX - 1, MinY: domain.MinY - 1, MaxX: domain.MaxX + 1, MaxY: domain.MaxY + 1}.Corners()
+		windows := append(states, geom.MustPolygon(c[:]...))
+		for qi, q := range windows {
+			var want []int
+			for i, p := range v.Dataset().Objects {
+				if bruteIntersects(q, p) {
+					want = append(want, i)
 				}
-				g := sortedIDs(got)
-				if len(g) != len(want) {
-					t.Fatalf("query %d level %d: %d results, oracle %d", qi, level, len(g), len(want))
-				}
-				for i := range want {
-					if g[i] != want[i] {
-						t.Fatalf("query %d level %d: result %d = %d, want %d", qi, level, i, g[i], want[i])
+			}
+			results += len(want)
+			for tname, cfg := range matrixTesters {
+				for _, batch := range []int{1, 7, 256} {
+					for _, level := range []int{-1, 0, 4} {
+						for _, noIntervals := range []bool{false, true} {
+							tester := core.NewTester(cfg)
+							var streamed []int
+							opt := SelectionOptions{InteriorLevel: level, NoIntervals: noIntervals, BatchSize: batch,
+								Sink: func(ids []int) error {
+									streamed = append(streamed, ids...) // copy: the slice is reused
+									return nil
+								}}
+							name := fmt.Sprintf("%s window %d %s batch=%d level=%d nointervals=%v", vname, qi, tname, batch, level, noIntervals)
+							got, cost, err := IntersectionSelectView(bg, v, q, tester, opt)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							sameIDs(t, name, got, want)
+							if single {
+								sameIDs(t, name+" stream", streamed, got)
+							} else {
+								sameIDs(t, name+" stream", sortedIDs(streamed), got)
+							}
+							if cost.Results != len(got) || cost.Candidates < cost.Results ||
+								cost.FilterHits+cost.FilterRejects+cost.Compared != cost.Candidates {
+								t.Fatalf("%s: stage counts inconsistent: %+v", name, cost)
+							}
+							checkStatsPartition(t, name, tester.Stats)
+							if tester.Stats.Tests != int64(cost.Compared) {
+								t.Fatalf("%s: %d tests for %d compared", name, tester.Stats.Tests, cost.Compared)
+							}
+							interiorHits += cost.FilterHits
+						}
 					}
-				}
-				if cost.Results != len(want) {
-					t.Errorf("cost.Results = %d, want %d", cost.Results, len(want))
-				}
-				if level >= 0 && cost.FilterHits+cost.Compared != cost.Candidates {
-					t.Errorf("stage counts inconsistent: %+v", cost)
 				}
 			}
 		}
 	}
+	if results == 0 || interiorHits == 0 {
+		t.Fatalf("windows select %d objects, %d by the interior filter; generator broken", results, interiorHits)
+	}
 }
-
-// The join oracle matrix: every way of running the join executor against
-// brute-force nested-loop oracles (bruteIntersects, dist.MinDistBrute).
-// One table, two predicates.
 
 // The matrix runs thousands of joins, so its layers are half the size of
 // the package's (~100 candidate pairs): matrixA as a plain layer view and
@@ -127,11 +172,6 @@ func oraclePairs(a, b *View, test func(p, q *geom.Polygon) bool) []Pair {
 // (A, B) order, the stage counts, and that the concatenated sink batches
 // are the returned slice.
 func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, want func(a, b *View) []Pair) {
-	testers := map[string]core.Config{
-		"sw":   {DisableHardware: true},
-		"hw8":  {Resolution: 8},
-		"hw16": {Resolution: 16, SWThreshold: 100},
-	}
 	for vname, a := range matrixViews(t) {
 		b := matrixB.View()
 		w := want(a, b)
@@ -139,7 +179,7 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 			t.Fatal("test layers do not overlap; generator broken")
 		}
 		_, single := a.Single()
-		for tname, cfg := range testers {
+		for tname, cfg := range matrixTesters {
 			inline := core.NewTester(cfg)
 			for _, workers := range []int{-1, 1, 2, 8} { // -1: inline, caller's tester
 				for _, batch := range []int{1, 7, 256} {

@@ -170,6 +170,13 @@ func TestCandidateBudget(t *testing.T) {
 		t.Errorf("select: err = %v, want *BudgetError", err)
 	}
 
+	// One outer object whose probe alone has more mates than the budget.
+	_, cost, err = IntersectionJoinView(bg, cover.View(), crowd.View(), sw, JoinOptions{MaxCandidates: 100})
+	if !errors.As(err, &be) || be.Candidates != 101 || cost.Candidates != 100 || sw.Stats.Tests != 0 {
+		t.Errorf("one-outer probe: err = %v, %d candidates, %d tests; want a *BudgetError at 101 of 100 with no test",
+			err, cost.Candidates, sw.Stats.Tests)
+	}
+
 	// A budget above the candidate count changes nothing.
 	got, _, err := IntersectionJoinView(bg, layerA.View(), layerB.View(), sw, JoinOptions{MaxCandidates: 1 << 30})
 	if err != nil {
@@ -296,6 +303,27 @@ func TestWrongAnswerTrustBoundary(t *testing.T) {
 	}
 }
 
+// TestSelectionRecoversPanickingTester: a selection whose tester panics at
+// the entry of every intersection test is retried pair by pair on the
+// software path, as a join is, and answers the oracle's ids.
+func TestSelectionRecoversPanickingTester(t *testing.T) {
+	q := layerB.Data.Objects[0]
+	want := oracleSelect(layerA, q)
+	if len(want) == 0 {
+		t.Fatal("the window selects nothing; generator broken")
+	}
+	inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
+	tester := core.NewTester(core.Config{Resolution: 8, Faults: inj})
+	got, _, err := IntersectionSelect(bg, layerA, q, tester, SelectionOptions{InteriorLevel: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameIDs(t, "panicking select", got, want)
+	if tester.Stats.Panics == 0 || tester.Stats.Quarantined != 0 {
+		t.Errorf("Panics/Quarantined = %d/%d, want some/0", tester.Stats.Panics, tester.Stats.Quarantined)
+	}
+}
+
 // TestFaultedHWSelectStillExact: delays and wrong-answers in the
 // *inconclusive* direction never change selection results; the software
 // stage remains the decider.
@@ -314,13 +342,5 @@ func TestFaultedHWSelectStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, ws := sortedIDs(got), sortedIDs(want)
-	if len(gs) != len(ws) {
-		t.Fatalf("delayed select: %d results, want %d", len(gs), len(ws))
-	}
-	for i := range ws {
-		if gs[i] != ws[i] {
-			t.Fatalf("delayed select result %d = %d, want %d", i, gs[i], ws[i])
-		}
-	}
+	sameIDs(t, "delayed select", got, want)
 }

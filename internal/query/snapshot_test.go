@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -68,15 +69,7 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gs, ws := sortedIDs(got), sortedIDs(want)
-				if len(gs) != len(ws) {
-					t.Fatalf("query %d: select %d ids, want %d", qi, len(gs), len(ws))
-				}
-				for i := range ws {
-					if gs[i] != ws[i] {
-						t.Fatalf("query %d: select id[%d]=%d, want %d", qi, i, gs[i], ws[i])
-					}
-				}
+				sameIDs(t, fmt.Sprintf("select %d", qi), got, want)
 			}
 
 			// Joins: snapshot layers on both sides.

@@ -61,9 +61,9 @@ type Stats struct {
 	EdgeIndexHits         int64 `json:"edge_index_hits"`
 	EdgeIndexSkippedEdges int64 `json:"edge_index_skipped_edges"`
 
-	// Join-executor and streaming-delivery counters (see core.Stats): the
-	// pipeline fields are zero for selections, the row count for a query
-	// without a sink.
+	// Query-executor and streaming-delivery counters (see core.Stats): the
+	// pipeline fields are zero for kNN, the row count for a query without
+	// a sink.
 	PipelineBatches    int64 `json:"pipeline_batches,omitempty"`
 	PipelineFilterNS   int64 `json:"pipeline_filter_ns,omitempty"`
 	PipelineRefineNS   int64 `json:"pipeline_refine_ns,omitempty"`

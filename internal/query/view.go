@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -41,10 +40,18 @@ type View struct {
 }
 
 // viewComponent is one queryable layer of a view plus its canonical
-// position mapping (-1 = hidden by a tombstone).
+// position mapping (-1 = hidden by a tombstone; nil = identity).
 type viewComponent struct {
 	layer *Layer
-	canon func(int) int32
+	canon []int32
+}
+
+// pos is object i's canonical position, -1 when a tombstone hides it.
+func (c viewComponent) pos(i int) int32 {
+	if c.canon == nil {
+		return int32(i)
+	}
+	return c.canon[i]
 }
 
 // View returns the layer itself as a single-component view (Source).
@@ -106,13 +113,9 @@ func (v *View) Dataset() *data.Dataset {
 // components lists the view's queryable layers with their canonical
 // mappings.
 func (v *View) components() []viewComponent {
-	canonBase := func(i int) int32 { return int32(i) }
-	if v.baseCanon != nil {
-		canonBase = func(i int) int32 { return v.baseCanon[i] }
-	}
-	comps := []viewComponent{{layer: v.base, canon: canonBase}}
+	comps := []viewComponent{{layer: v.base, canon: v.baseCanon}}
 	if v.delta != nil {
-		comps = append(comps, viewComponent{layer: v.delta, canon: func(i int) int32 { return v.deltaCanon[i] }})
+		comps = append(comps, viewComponent{layer: v.delta, canon: v.deltaCanon})
 	}
 	return comps
 }
@@ -129,55 +132,34 @@ func (e *LiveUnsupportedError) Error() string {
 	return fmt.Sprintf("query: %s does not support a live delta view; compact the layer first", e.Op)
 }
 
-// IntersectionSelectView runs IntersectionSelect over every component of
-// the view and merges the results into canonical positions (sorted
-// ascending). Single-component views take the exact legacy path. A
+// IntersectionSelectView is IntersectionSelect over a view: the executor
+// runs once per component, through the same composition loop as a join
+// (composeViews), with the window as the outer side. Results are
+// canonical positions in ascending order; the stream is per component. A
 // *PartialError carries the merged results so far; a *BudgetError (per
 // component) aborts with no results, as on a plain layer.
 func IntersectionSelectView(ctx context.Context, v *View, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
-	if l, ok := v.Single(); ok {
-		return IntersectionSelect(ctx, l, query, tester, opt)
-	}
-	var out []int
-	var cost Cost
-	for _, c := range v.components() {
-		o := opt
-		if opt.Sink != nil {
-			// Stream per-component rows through a canonical-remapping sink
-			// (tombstoned objects dropped); the returned union is still
-			// sorted, the stream is per-component ordered.
-			canon := c.canon
-			var remapped []int
-			o.Sink = func(ids []int) error {
-				remapped = remapped[:0]
-				for _, id := range ids {
-					if p := canon(id); p >= 0 {
-						remapped = append(remapped, int(p))
-					}
-				}
-				if len(remapped) == 0 {
-					return nil
-				}
-				return opt.Sink(remapped)
-			}
-		}
-		ids, cc, err := IntersectionSelect(ctx, c.layer, query, tester, o)
-		cost.Add(cc)
-		for _, id := range ids {
-			if p := c.canon(id); p >= 0 {
-				out = append(out, int(p))
-			}
-		}
-		if err != nil {
-			if _, ok := err.(*BudgetError); ok {
-				return nil, cost, err
-			}
-			sort.Ints(out)
-			cost.Results = len(out)
-			return out, cost, err
+	jopt := JoinOptions{MaxCandidates: opt.MaxCandidates, BatchSize: opt.BatchSize}
+	if opt.Sink != nil {
+		var ids []int
+		jopt.Sink = func(pairs []Pair) error {
+			ids = innerIDs(ids[:0], pairs)
+			return opt.Sink(ids)
 		}
 	}
-	sort.Ints(out)
-	cost.Results = len(out)
-	return out, cost, nil
+	window := []*geom.Polygon{query}
+	pairs, cost, stats, err := composeViews([]viewComponent{{}}, v.components(), jopt,
+		func(_, l *Layer, o JoinOptions) ([]Pair, Cost, core.Stats, error) {
+			return execute(ctx, window, l, selection, tester, o, func() predicate { return bindSelection(l, query, opt) })
+		})
+	tester.Stats.Add(stats)
+	return innerIDs(make([]int, 0, len(pairs)), pairs), cost, err
+}
+
+// innerIDs appends the pairs' inner ids to dst: a selection's result.
+func innerIDs(dst []int, pairs []Pair) []int {
+	for _, pr := range pairs {
+		dst = append(dst, pr.B)
+	}
+	return dst
 }

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
 	"repro/internal/query"
 )
 
@@ -106,12 +106,12 @@ func TestFaultAcceptPanicContained(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// TestFaultQueryPanicContained arms a panic inside the refinement tester:
-// a selection (whose loop runs the tester unguarded) served to one
-// session blows up mid-query. The session dies (panic containment is
-// per-connection), but the server, the other sessions' view of the
-// catalog, and non-refinement commands all survive — and so does every
-// join verb, whose executor isolates the panic per pair.
+// TestFaultQueryPanicContained arms a panic inside the refinement tester
+// at every pair test. Every query verb that refines — select, join, pjoin
+// — runs on the executor, which retries a panicking test on the software
+// path, so each answers the unfaulted count on one live session, and the
+// catalog is untouched. (A panic that escapes a command and kills its
+// session is covered by TestFaultAcceptPanicContained.)
 func TestFaultQueryPanicContained(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	inj := faultinject.New(1).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
@@ -121,39 +121,30 @@ func TestFaultQueryPanicContained(t *testing.T) {
 	}
 	water, prism := preload(t, s)
 	wantJoin := directJoinCount(t, water, prism)
-
-	c := dialWire(t, s.Addr().String())
-	if err := c.send(fmt.Sprintf("select water %s", e2eQueryWKT)); err != nil {
+	qpoly, err := geom.ParsePolygonWKT(e2eQueryWKT)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The panic escapes Exec and is contained by the session's recover:
-	// the connection closes with no status line.
-	if lines, status, err := c.readResponse(); err == nil {
-		t.Errorf("panicked select returned status %q lines %q, want closed connection", status, lines)
+	ids, _, err := query.IntersectionSelect(context.Background(), water, qpoly,
+		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}), query.SelectionOptions{InteriorLevel: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "panicked session to unwind", func() bool {
-		return s.Metrics().SessionsActive.Load() == 0
-	})
 
-	// A fresh session still works for commands off the faulted path, and
-	// admission slots were not leaked by the dead session.
-	if got := s.lim.snapshot().InFlight; got != 0 {
-		t.Errorf("in-flight slots after session panic = %d, want 0", got)
+	c := dialWire(t, s.Addr().String())
+	lines := c.mustOK(t, fmt.Sprintf("select water %s", e2eQueryWKT))
+	if got := countFrom(t, lines, "select: %d results"); got != len(ids) {
+		t.Errorf("select under panic faults = %d results, want %d", got, len(ids))
 	}
-	c2 := dialWire(t, s.Addr().String())
-	lines := c2.mustOK(t, "layers")
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "water") || !strings.Contains(joined, "prism") {
-		t.Errorf("layers after panic = %q", lines)
-	}
-	c2.mustOK(t, fmt.Sprintf("knn water %s 3", e2eQueryWKT))
-	// The join verbs survive the same injected faults end to end: the
-	// executor retries panicking tests on the software path.
 	for _, verb := range []string{"join", "pjoin"} {
-		lines := c2.mustOK(t, verb+" water prism")
+		lines := c.mustOK(t, verb+" water prism")
 		if got := countFrom(t, lines, verb+": %d results"); got != wantJoin {
 			t.Errorf("%s under panic faults = %d results, want %d", verb, got, wantJoin)
 		}
+	}
+	c.mustOK(t, fmt.Sprintf("knn water %s 3", e2eQueryWKT))
+	if inj.Fired(faultinject.SiteIntersects, faultinject.KindPanic) == 0 {
+		t.Error("no intersects panic fired")
 	}
 	checkCatalogIntact(t, s, water, prism, wantJoin)
 

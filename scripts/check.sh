@@ -35,7 +35,7 @@ go run ./scripts/reach
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== join executor failure paths (-race -count=10: cancel in generation and mid-refine, late budget trip, failing sink)"
+echo "== query executor failure paths, joins and selections (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
 # The blanket run above executes them once; a lost wake-up or a goroutine
 # left behind shows only over repeats, and as a hang — hence the timeout.
 go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
@@ -105,11 +105,12 @@ else
 fi
 rm -rf "$SNAPDIR"
 
-echo "== interval filter smoke (v2 snapshot true hits, pre-v2 signature fallback parity)"
+echo "== interval filter smoke (v2 snapshot true hits, pre-v2 signature fallback parity for joins and selections)"
 # A join over snapshot-loaded layers must engage the persisted interval
 # column (nonzero true hits), and snapshots saved without the interval
 # section (the pre-v2 format) must fall back to the v1 signature path
-# with a line-identical pair set.
+# with a line-identical pair set — and a line-identical id list for a
+# selection.
 IVDIR="$(mktemp -d /tmp/ival_smoke.XXXXXX)"
 go run ./cmd/spatialdb -data "$IVDIR" >"$IVDIR/v2.txt" <<'EOF'
 gen a LANDC 0.01
@@ -120,6 +121,7 @@ load sa a
 load sb b
 join sa sb sw
 shardjoin sa sb -Inf -Inf +Inf +Inf
+shardselect sa POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))
 EOF
 grep -q 'from snapshot' "$IVDIR/v2.txt" || { echo "interval smoke: snapshot load missing"; cat "$IVDIR/v2.txt"; exit 1; }
 grep -q 'interval_true_hits=[1-9]' "$IVDIR/v2.txt" || { echo "snapshot join reported no interval true hits"; cat "$IVDIR/v2.txt"; exit 1; }
@@ -132,10 +134,19 @@ load sa a1
 load sb b1
 join sa sb sw
 shardjoin sa sb -Inf -Inf +Inf +Inf
+shardselect sa POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))
 EOF
-if grep -q 'interval_checks=' "$IVDIR/v1.txt"; then
+if grep -q -e 'interval_checks=' -e '"interval_checks"' "$IVDIR/v1.txt"; then
 	echo "pre-v2 snapshot still engaged the interval filter"; cat "$IVDIR/v1.txt"; exit 1
 fi
+grep -oE '\bid [0-9]+' "$IVDIR/v2.txt" >"$IVDIR/v2.ids"
+grep -oE '\bid [0-9]+' "$IVDIR/v1.txt" >"$IVDIR/v1.ids"
+[ -s "$IVDIR/v2.ids" ] || { echo "interval smoke selection produced no ids"; cat "$IVDIR/v2.txt"; exit 1; }
+cmp -s "$IVDIR/v2.ids" "$IVDIR/v1.ids" || {
+	echo "interval filter changed the selection answer vs the v1 signature path"
+	diff "$IVDIR/v2.ids" "$IVDIR/v1.ids" | head -10
+	exit 1
+}
 grep -oE 'pair [0-9]+ [0-9]+' "$IVDIR/v2.txt" | sort >"$IVDIR/v2.pairs"
 grep -oE 'pair [0-9]+ [0-9]+' "$IVDIR/v1.txt" | sort >"$IVDIR/v1.pairs"
 [ -s "$IVDIR/v2.pairs" ] || { echo "interval smoke join produced no pairs"; cat "$IVDIR/v2.txt"; exit 1; }
@@ -328,25 +339,29 @@ FOPIDS=""
 trap - EXIT
 rm -rf "$FODIR"
 
-echo "== streaming + batch smoke (in-process vs wire-streamed rows, join-verb parity)"
-# One executor answers every join verb: the same full-extent join must
-# produce line-identical pairs run in-process and over the wire (rows
+echo "== streaming + batch smoke (in-process vs wire-streamed rows, join- and select-verb parity)"
+# One executor answers every join and selection verb: the same
+# full-extent join, and the same window selection, must produce
+# byte-identical rows in emit order run in-process and over the wire (rows
 # streamed as batches complete), and on one server join, pjoin and
 # whole-plane shardjoin must report the same result count, within and
-# shardwithin likewise. The batch verb must run its ";"-separated
-# sub-commands in one round trip with per-sub trailers.
+# shardwithin likewise, select and shardselect likewise. The batch verb
+# must run its ";"-separated sub-commands in one round trip with per-sub
+# trailers.
+WINDOW="POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))"
 STDIR="$(mktemp -d /tmp/stream_smoke.XXXXXX)"
 STPID=""
 trap '[ -z "$STPID" ] || kill $STPID 2>/dev/null || true; rm -rf "$STDIR"' EXIT
 go build -o "$STDIR/spatiald" ./cmd/spatiald
 go build -o "$STDIR/spatialdb" ./cmd/spatialdb
 mkdir "$STDIR/snap"
-"$STDIR/spatialdb" -data "$STDIR/snap" >"$STDIR/pipe.txt" <<'EOF'
+"$STDIR/spatialdb" -data "$STDIR/snap" >"$STDIR/pipe.txt" <<EOF
 gen a LANDC 0.01
 gen b LANDO 0.01
 save a a
 save b b
 shardjoin a b -Inf -Inf +Inf +Inf
+shardselect a $WINDOW
 EOF
 "$STDIR/spatiald" -addr 127.0.0.1:0 -http "" -data "$STDIR/snap" -quiet >"$STDIR/stream.log" 2>&1 &
 STPID=$!
@@ -389,6 +404,18 @@ cmp "$STDIR/pipe.rows" "$STDIR/wire.rows" || { echo "wire shardjoin response is 
 [ "$(grep -c -v '^pair ' "$STDIR/wire.txt")" -eq 2 ] && [ "$(tail -n 1 "$STDIR/wire.txt")" = ok ] || {
 	echo "wire shardjoin response is not rows + stats + ok"; grep -v '^pair ' "$STDIR/wire.txt"; exit 1
 }
+# The same for a selection, whose rows are ids in ascending order, and
+# select must count what shardselect streams.
+echo "shardselect a $WINDOW" | "$STDIR/spatiald" -connect "$ST_ADDR" >"$STDIR/wiresel.txt"
+sed 's/^> //' "$STDIR/pipe.txt" | grep '^id ' >"$STDIR/pipesel.rows" || true
+grep -v -e '^stats ' -e '^ok$' "$STDIR/wiresel.txt" >"$STDIR/wiresel.rows" || true
+[ -s "$STDIR/pipesel.rows" ] || { echo "in-process shardselect produced no ids"; cat "$STDIR/pipe.txt"; exit 1; }
+cmp "$STDIR/pipesel.rows" "$STDIR/wiresel.rows" || { echo "wire shardselect response is not byte-identical to the in-process output"; exit 1; }
+WANT_SELECT="$(wc -l <"$STDIR/pipesel.rows" | tr -d ' ')"
+for cmd in "select a $WINDOW" "shardselect a $WINDOW"; do
+	got="$(verb_count "$cmd")"
+	[ "$got" = "$WANT_SELECT" ] || { echo "'$cmd' reports '$got' results, in-process shardselect emitted $WANT_SELECT ids"; exit 1; }
+done
 echo "batch join a b sw; shardjoin a b -Inf -Inf +Inf +Inf" | "$STDIR/spatiald" -connect "$ST_ADDR" >"$STDIR/batch.txt"
 grep -q 'sub 1 ok: join' "$STDIR/batch.txt" || { echo "batch sub 1 trailer missing"; cat "$STDIR/batch.txt"; exit 1; }
 grep -q 'sub 2 ok: shardjoin' "$STDIR/batch.txt" || { echo "batch sub 2 trailer missing"; cat "$STDIR/batch.txt"; exit 1; }
