@@ -33,13 +33,20 @@ func main() {
 	d := flag.Float64("d", 0, "distance for -op within")
 	queryIdx := flag.Int("query", 0, "query polygon index for -op select")
 	res := flag.Int("res", core.DefaultResolution, fmt.Sprintf("hardware window resolution, 1..%d", raster.MaxResolution))
-	threshold := flag.Int("threshold", core.DefaultSWThreshold, "software threshold")
+	threshold := flag.Int("threshold", core.DefaultSWThreshold, "software threshold: pairs of at most this many vertices skip the hardware filter (>= 0)")
 	swOnly := flag.Bool("sw", false, "software only, skip the hardware run")
 	timeout := flag.Duration("timeout", 0, "per-run time limit (0 = none); an expired run reports its partial results")
 	budget := flag.Int("budget", 0, "max MBR candidates per run (0 = unlimited)")
 	flag.Parse()
 	if *res < 1 || *res > raster.MaxResolution {
 		fmt.Fprintf(os.Stderr, "spatialquery: -res %d outside 1..%d\n", *res, raster.MaxResolution)
+		flag.Usage()
+		os.Exit(2)
+	}
+	// The flag is the paper's fixed threshold; a negative Config value
+	// would select the measured dispatch instead.
+	if *threshold < 0 {
+		fmt.Fprintf(os.Stderr, "spatialquery: -threshold %d is negative\n", *threshold)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -35,6 +35,19 @@ func runMain(t *testing.T, args ...string) (exit int, stderr string) {
 	return cmd.ProcessState.ExitCode(), errBuf.String()
 }
 
+// TestThresholdValidated: a negative -threshold is a usage error before
+// any dataset is opened; 0 (every pair on the card) passes validation and
+// fails later, on the missing file.
+func TestThresholdValidated(t *testing.T) {
+	exit, stderr := runMain(t, "-threshold", "-1", "-a", "no-such-a.json", "-b", "no-such-b.json")
+	if exit != 2 || !strings.Contains(stderr, "-threshold -1 is negative") || strings.Contains(stderr, "no-such") {
+		t.Errorf("-threshold -1: exit %d, stderr %q; want exit 2 before any dataset opens", exit, stderr)
+	}
+	if exit, stderr := runMain(t, "-threshold", "0", "-a", "no-such-a.json", "-b", "no-such-b.json"); exit != 1 || !strings.Contains(stderr, "no-such-a.json") {
+		t.Errorf("-threshold 0: exit %d, stderr %q; want exit 1 on the missing file", exit, stderr)
+	}
+}
+
 // TestResolutionValidated: a -res the window cannot have is a usage error,
 // reported before any dataset is opened (the paths do not exist; reaching
 // them would exit 1 with a file error).

@@ -14,7 +14,10 @@
 // properties of the renderer, so the combined result always equals the
 // software-only result. The adaptive SWThreshold (paper §4.3) skips the
 // hardware filter for simple polygon pairs where the fixed buffer-search
-// overhead would exceed the software test itself.
+// overhead would exceed the software test itself. The measured dispatch
+// (MeasuredSWThreshold, the verbs' setting) goes further: each layer
+// pair's Breaker keeps a ledger of what the card has cost and saved, and
+// larger pairs skip the card too while it does not pay.
 package core
 
 import (
@@ -32,8 +35,16 @@ import (
 // overall balance on its platform (§5) and thresholds around 300–900
 // depending on resolution (§4.3).
 const (
-	DefaultResolution  = 8
+	DefaultResolution = 8
+	// DefaultSWThreshold is the paper's §4.3 value: the figure runner's,
+	// and the floor under the measured dispatch.
 	DefaultSWThreshold = 500
+	// MeasuredSWThreshold selects the measured dispatch for
+	// Config.SWThreshold: pairs of at most DefaultSWThreshold vertices go
+	// to software, and larger ones use the card only while the ledger of
+	// the PairContext's Breaker says it pays, or when its sample picks
+	// them. Without a Breaker it behaves as DefaultSWThreshold.
+	MeasuredSWThreshold = -1
 
 	// DefaultCrossCutoff routes the software segment test to the all-pairs
 	// algorithm when len(red)·len(blue) of the restricted candidate sets is
@@ -72,7 +83,8 @@ type Config struct {
 	Resolution int
 	// SWThreshold skips the hardware filter when the two polygons have
 	// n+m vertices at or below it (paper §4.3). Zero is a valid setting
-	// (always use hardware); use DefaultSWThreshold for the tuned value.
+	// (always use hardware); use DefaultSWThreshold for the paper's value.
+	// A negative value, MeasuredSWThreshold, is the measured dispatch.
 	SWThreshold int
 	// DisableHardware turns the Tester into the software-only baseline.
 	DisableHardware bool
@@ -95,7 +107,7 @@ type Stats struct {
 	Tests       int64 // pair tests started
 	MBRRejects  int64 // rejected by the MBR pre-test
 	PIPHits     int64 // resolved positive by point-in-polygon containment
-	SWDirect    int64 // sent straight to software (threshold or disabled)
+	SWDirect    int64 // sent straight to software (threshold, disabled, or the card does not pay for this layer pair)
 	HWRejects   int64 // rejected by the hardware filter
 	HWPassed    int64 // hardware inconclusive, decided by software
 	HWFallbacks int64 // distance only: line width over the hardware limit
@@ -386,8 +398,8 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	// overhead exceeds the software sweep, so skip straight to software.
 	// The software test runs on the same restricted (and possibly
 	// index-collected) edge sets as the hardware path.
-	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= t.cfg.SWThreshold {
-		t.Stats.SWDirect++
+	led, direct := t.dispatch(p, q, pc, false)
+	if direct {
 		return t.softwareIntersects(p, q, pc)
 	}
 
@@ -414,10 +426,13 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 
 	// Step 2: hardware segment intersection test (steps 2.1–2.8),
 	// projecting the intersection of the two MBRs onto the window (§3.2).
+	// The ledger charges the render alone: softwareIntersects collects the
+	// same edges.
 	start := time.Now()
 	t.ctx.SetViewport(p.Bounds().Intersection(q.Bounds()))
 	overlap := t.hwOverlap(red, blue, 0)
-	t.Stats.HWTime += time.Since(start)
+	card := time.Since(start)
+	t.Stats.HWTime += card
 	if overlap {
 		// Inconclusive: step 3, software segment intersection test. The
 		// filter did not assert anything unverifiable, so a probe counts
@@ -428,12 +443,18 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 		}
 		start = time.Now()
 		ok := t.crossIntersects(red, blue)
-		t.Stats.SWTime += time.Since(start)
+		sw := time.Since(start)
+		t.Stats.SWTime += sw
+		led.charge(card, false)
+		led.software(sw)
 		return ok
 	}
 	// A negative is the one verdict taken on trust. The sentinel verifier
 	// re-checks a deterministic sample (and every probe) against the exact
-	// test; a disagreement corrects the verdict and trips the breaker.
+	// test; a disagreement corrects the verdict and trips the breaker. The
+	// ledger books the render's verdict, so a card that lies shows many
+	// rejects and stays in use, under the sentinel's eye.
+	led.charge(card, true)
 	if t.sentinelPick(probe) {
 		t.Stats.SentinelChecks++
 		start = time.Now()
@@ -455,10 +476,36 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	return false
 }
 
+// dispatch routes a pair RefineIntersects or RefineWithin is about to
+// refine. direct sends it to the exact software test and counts it under
+// SWDirect: with no card, at or below the vertex threshold, or — under
+// the measured dispatch — when the layer pair's ledger for the predicate
+// does not admit it. Otherwise led is that ledger, for the card path to
+// charge (nil under a fixed threshold or without a breaker). The ledger is
+// consulted before Breaker.Allow, so a pair it routes away neither
+// advances an open breaker's cooldown nor claims the half-open probe.
+func (t *Tester) dispatch(p, q *geom.Polygon, pc PairContext, within bool) (led *ledger, direct bool) {
+	threshold := t.cfg.SWThreshold
+	if threshold < 0 {
+		threshold = DefaultSWThreshold
+		if b := pc.Breaker; b != nil {
+			led = &b.intersects
+			if within {
+				led = &b.within
+			}
+		}
+	}
+	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= threshold || !led.admit() {
+		t.Stats.SWDirect++
+		return nil, true
+	}
+	return led, false
+}
+
 // softwareIntersects decides an intersection test entirely in software on
 // the same (possibly index-collected) restricted edge sets the hardware
-// path would use. Shared by the SWThreshold fast path and the breaker's
-// degraded mode.
+// path would use. Shared by the direct path (see dispatch) and the
+// breaker's degraded mode.
 func (t *Tester) softwareIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	red, blue := t.collectPair(p, q, p.Bounds().Intersection(q.Bounds()), pc)
 	if len(red) == 0 || len(blue) == 0 {
@@ -616,8 +663,8 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 // dispatch, the widened-edge hardware filter (with its line-width
 // fallback), and the exact software distance test.
 func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
-	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= t.cfg.SWThreshold {
-		t.Stats.SWDirect++
+	led, direct := t.dispatch(p, q, pc, true)
+	if direct {
 		return t.softwareWithin(p, q, d, pc)
 	}
 
@@ -662,7 +709,13 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 	// PairContext carries them, so a monster polygon paired with a small
 	// object submits only its nearby reach (§3.2: the projection "avoids
 	// rendering unnecessary edges").
+	//
+	// The ledger charges the collection with the render: the software
+	// descent collects nothing. An empty edge set is charged but not
+	// credited as a reject, since the software test decides it the same.
+	collect0 := t.Stats.CollectTime
 	red, blue := t.collectPair(p, q, region, pc)
+	card := t.Stats.CollectTime - collect0
 	if len(red) == 0 || len(blue) == 0 {
 		// One boundary has no presence near the smaller object at all:
 		// with containment excluded the pair cannot be within d.
@@ -670,21 +723,29 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 			pc.Breaker.ProbeAbort()
 		}
 		t.Stats.HWRejects++
+		led.charge(card, false)
 		return false
 	}
 
 	start := time.Now()
 	overlap := t.hwOverlap(red, blue, widthPx)
-	t.Stats.HWTime += time.Since(start)
+	hw := time.Since(start)
+	t.Stats.HWTime += hw
+	card += hw
 	if overlap {
 		t.Stats.HWPassed++
 		if probe && pc.Breaker.ProbeSuccess() {
 			t.Stats.BreakerRecoveries++
 		}
-		return t.softwareWithin(p, q, d, pc)
+		sw0 := t.Stats.SWTime
+		ok := t.softwareWithin(p, q, d, pc)
+		led.charge(card, false)
+		led.software(t.Stats.SWTime - sw0)
+		return ok
 	}
 	// Sentinel verification of the trusted negative, with the exact
-	// distance test as the oracle; see IntersectsCtx.
+	// distance test as the oracle; see RefineIntersects.
+	led.charge(card, true)
 	if t.sentinelPick(probe) {
 		t.Stats.SentinelChecks++
 		if t.softwareWithin(p, q, d, pc) {

@@ -32,8 +32,16 @@ func shortBreaker(a, b *Layer) *core.Breaker {
 // the layer pair's breaker trips. With verification at rate 1 every lying
 // negative is overturned before the breaker even reacts; the breaker's
 // job is to stop paying the double-test tax by routing the remainder of
-// the workload to software outright.
+// the workload to software outright. It runs under threshold 0 (every pair
+// on the card) and under the measured dispatch, whose ledger sends only
+// the pairs it admits to the breaker.
 func TestBreakerTripsJoinBitIdentical(t *testing.T) {
+	for name, threshold := range map[string]int{"threshold0": 0, "measured": core.MeasuredSWThreshold} {
+		t.Run(name, func(t *testing.T) { breakerTripsJoinBitIdentical(t, threshold) })
+	}
+}
+
+func breakerTripsJoinBitIdentical(t *testing.T, threshold int) {
 	a, b := freshLayers()
 
 	sw := core.NewTester(core.Config{DisableHardware: true})
@@ -43,7 +51,7 @@ func TestBreakerTripsJoinBitIdentical(t *testing.T) {
 	}
 
 	inj := faultinject.New(11).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
-	faulted := core.NewTester(core.Config{SWThreshold: 0, SentinelEvery: 1, Faults: inj})
+	faulted := core.NewTester(core.Config{SWThreshold: threshold, SentinelEvery: 1, Faults: inj})
 	br := shortBreaker(a, b)
 
 	got, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})

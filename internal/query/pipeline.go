@@ -109,7 +109,7 @@ func (o JoinOptions) newTester() *core.Tester {
 	if o.Tester != nil {
 		return o.Tester()
 	}
-	return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
+	return core.NewTester(core.Config{SWThreshold: core.MeasuredSWThreshold})
 }
 
 // IntersectionJoinView returns all pairs (a from view a, b from view b)

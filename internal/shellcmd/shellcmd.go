@@ -663,7 +663,7 @@ func (e *Engine) tester(mode string) (*core.Tester, error) {
 	}
 	switch mode {
 	case "", "hw":
-		return core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}), nil
+		return core.NewTester(core.Config{SWThreshold: core.MeasuredSWThreshold}), nil
 	case "sw":
 		return core.NewTester(core.Config{DisableHardware: true}), nil
 	default:

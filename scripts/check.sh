@@ -35,10 +35,11 @@ go run ./scripts/reach
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== query executor failure paths, joins and selections (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
+echo "== query executor failure paths, joins and selections, and the card ledger shared by eight testers (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
 # The blanket run above executes them once; a lost wake-up or a goroutine
 # left behind shows only over repeats, and as a hang — hence the timeout.
 go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
+go test -race -count=10 -timeout 120s -run TestLedgerConcurrent ./internal/core/
 
 echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
@@ -430,6 +431,39 @@ wait "$STPID" || { echo "streaming server did not drain cleanly"; cat "$STDIR/st
 STPID=""
 trap - EXIT
 rm -rf "$STDIR"
+
+echo "== measured dispatch smoke (one session: within hw three times — ledger warm-up, then settled — and sw once, rows byte-identical)"
+# The hw tester sends a layer pair's large pairs to the card only while
+# its ledger says the card pays; whichever way each pair goes, the rows
+# must be the software path's. Dispatch counts depend on timings, so only
+# the rows and the result count are compared.
+MDDIR="$(mktemp -d /tmp/measured_smoke.XXXXXX)"
+MDPID=""
+trap '[ -z "$MDPID" ] || kill $MDPID 2>/dev/null || true; rm -rf "$MDDIR"' EXIT
+go build -o "$MDDIR/spatiald" ./cmd/spatiald
+"$MDDIR/spatiald" -addr 127.0.0.1:0 -http "" -preload "water=WATER:0.1,prism=PRISM:0.1" -quiet >"$MDDIR/srv.log" 2>&1 &
+MDPID=$!
+MD_ADDR="$(bound_addr "$MDDIR/srv.log")"
+printf 'within water prism 1 hw\nwithin water prism 1 hw\nwithin water prism 1 hw\nwithin water prism 1 sw\n' |
+	"$MDDIR/spatiald" -connect "$MD_ADDR" >"$MDDIR/out.txt"
+# One file per command (each ends at its "ok"), the summary's timings cut.
+awk -v dir="$MDDIR" '{ sub(/ \(mbr .*/, ""); print > (dir "/run" n ".txt") } /^ok$/ { n++ }' n=1 "$MDDIR/out.txt"
+for i in 1 2 3 4; do
+	[ -s "$MDDIR/run$i.txt" ] || { echo "measured smoke: command $i printed nothing"; cat "$MDDIR/out.txt"; exit 1; }
+done
+grep -q '^within: [1-9][0-9]* results$' "$MDDIR/run4.txt" || { echo "measured smoke: sw within reported no results"; cat "$MDDIR/run4.txt"; exit 1; }
+for i in 1 2 3; do
+	cmp -s "$MDDIR/run$i.txt" "$MDDIR/run4.txt" || {
+		echo "measured smoke: hw within run $i differs from the sw run"
+		diff "$MDDIR/run$i.txt" "$MDDIR/run4.txt" | head -10
+		exit 1
+	}
+done
+kill -TERM "$MDPID"
+wait "$MDPID" || { echo "measured smoke server did not drain cleanly"; cat "$MDDIR/srv.log"; exit 1; }
+MDPID=""
+trap - EXIT
+rm -rf "$MDDIR"
 
 echo "== fuzz smoke (${FUZZTIME} each)"
 go test ./internal/data/ -fuzz FuzzDataRead -fuzztime "$FUZZTIME"
