@@ -39,7 +39,8 @@ type JoinOptions struct {
 	// refine them; 0 means GOMAXPROCS, and the executor clamps it (see
 	// poolSize). Tester builds each worker's tester — every worker needs
 	// its own (a Tester owns a rendering context, like a per-thread GL
-	// context); nil means hardware-assisted defaults.
+	// context); nil means hardware-assisted defaults under the measured
+	// dispatch (core.MeasuredSWThreshold).
 	Workers int
 	Tester  func() *core.Tester
 	// MaxCandidates, when positive, aborts the join with a *BudgetError

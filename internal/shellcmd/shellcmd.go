@@ -126,7 +126,8 @@ type Engine struct {
 	Store    Store
 	Settings Settings
 	// NewTester overrides refinement tester construction for the "sw"/
-	// "hw" (default) modes; nil uses hardware-assisted defaults.
+	// "hw" (default) modes; nil uses hardware-assisted defaults, hw under
+	// the measured dispatch (core.MeasuredSWThreshold).
 	NewTester func(mode string) (*core.Tester, error)
 	// DataDir, when set, is where save and load resolve bare snapshot
 	// names: a path without a directory separator lands under DataDir,

@@ -435,8 +435,9 @@ rm -rf "$STDIR"
 echo "== measured dispatch smoke (one session: within hw three times — ledger warm-up, then settled — and sw once, rows byte-identical)"
 # The hw tester sends a layer pair's large pairs to the card only while
 # its ledger says the card pays; whichever way each pair goes, the rows
-# must be the software path's. Dispatch counts depend on timings, so only
-# the rows and the result count are compared.
+# must be the software path's. shardwithin over the whole plane is the
+# within verb with its rows streamed. Dispatch counts depend on timings,
+# so only the rows and the result count are compared.
 MDDIR="$(mktemp -d /tmp/measured_smoke.XXXXXX)"
 MDPID=""
 trap '[ -z "$MDPID" ] || kill $MDPID 2>/dev/null || true; rm -rf "$MDDIR"' EXIT
@@ -444,14 +445,18 @@ go build -o "$MDDIR/spatiald" ./cmd/spatiald
 "$MDDIR/spatiald" -addr 127.0.0.1:0 -http "" -preload "water=WATER:0.1,prism=PRISM:0.1" -quiet >"$MDDIR/srv.log" 2>&1 &
 MDPID=$!
 MD_ADDR="$(bound_addr "$MDDIR/srv.log")"
-printf 'within water prism 1 hw\nwithin water prism 1 hw\nwithin water prism 1 hw\nwithin water prism 1 sw\n' |
+MDW="shardwithin water prism 1 -Inf -Inf +Inf +Inf"
+printf '%s hw\n%s hw\n%s hw\n%s sw\n' "$MDW" "$MDW" "$MDW" "$MDW" |
 	"$MDDIR/spatiald" -connect "$MD_ADDR" >"$MDDIR/out.txt"
-# One file per command (each ends at its "ok"), the summary's timings cut.
-awk -v dir="$MDDIR" '{ sub(/ \(mbr .*/, ""); print > (dir "/run" n ".txt") } /^ok$/ { n++ }' n=1 "$MDDIR/out.txt"
+# One file per command (each ends at its "ok"); of the stats record only
+# the result count is kept.
+awk -v dir="$MDDIR" '/^stats / { match($0, /"results":[0-9]+/); $0 = "stats " substr($0, RSTART, RLENGTH) }
+	{ print > (dir "/run" n ".txt") } /^ok$/ { n++ }' n=1 "$MDDIR/out.txt"
 for i in 1 2 3 4; do
 	[ -s "$MDDIR/run$i.txt" ] || { echo "measured smoke: command $i printed nothing"; cat "$MDDIR/out.txt"; exit 1; }
 done
-grep -q '^within: [1-9][0-9]* results$' "$MDDIR/run4.txt" || { echo "measured smoke: sw within reported no results"; cat "$MDDIR/run4.txt"; exit 1; }
+grep -q '^pair ' "$MDDIR/run4.txt" && grep -q '^stats "results":[1-9]' "$MDDIR/run4.txt" ||
+	{ echo "measured smoke: sw within streamed no rows"; cat "$MDDIR/run4.txt"; exit 1; }
 for i in 1 2 3; do
 	cmp -s "$MDDIR/run$i.txt" "$MDDIR/run4.txt" || {
 		echo "measured smoke: hw within run $i differs from the sw run"
