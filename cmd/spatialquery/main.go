@@ -44,7 +44,7 @@ func main() {
 		os.Exit(2)
 	}
 	// The flag is the paper's fixed threshold; a negative Config value
-	// would select the measured dispatch instead.
+	// would select the sampled dispatch instead.
 	if *threshold < 0 {
 		fmt.Fprintf(os.Stderr, "spatialquery: -threshold %d is negative\n", *threshold)
 		flag.Usage()

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // BreakerState is the observable state of a hardware-filter circuit
 // breaker.
@@ -56,19 +53,16 @@ const DefaultBreakerCooldown = 512
 // under forced verification: agreement closes the breaker, disagreement
 // re-opens it for another cooldown.
 //
-// The Breaker also keeps the layer pair's ledgers, one per predicate (one
-// layer pair serves both join and within): what the hardware filter has
-// cost and saved, which the measured dispatch (MeasuredSWThreshold)
-// consults before Allow.
+// The Breaker also numbers the layer pair's pairs above the threshold for
+// the sampled dispatch's card sample (see sampleCard).
 //
 // All state is atomic; one Breaker is shared by every worker refining the
 // same layer pair (it travels in PairContext).
 type Breaker struct {
 	cooldown int64
 	state    atomic.Int32
-	denied   atomic.Int64 // software-routed pairs since the breaker opened
-
-	intersects, within ledger
+	denied   atomic.Int64  // software-routed pairs since the breaker opened
+	sampled  atomic.Uint64 // pairs the sampled dispatch has numbered
 }
 
 // NewBreaker builds a closed breaker; cooldownPairs <= 0 means
@@ -93,6 +87,18 @@ func (b *Breaker) State() BreakerState {
 		return BreakerHalfOpen
 	}
 	return s
+}
+
+// sampleCard numbers one pair above the threshold under the sampled
+// dispatch and reports whether it runs the card: every cardSample-th pair
+// of the layer pair, counted across its queries and workers (a
+// deterministic count, like the sentinel sample). A nil breaker picks
+// every pair, so an unguarded PairContext keeps the fixed threshold.
+func (b *Breaker) sampleCard() bool {
+	if b == nil {
+		return true
+	}
+	return b.sampled.Add(1)%cardSample == 0
 }
 
 // Allow is consulted once per pair test that would use the hardware
@@ -162,81 +168,4 @@ func (b *Breaker) ProbeAbort() {
 		return
 	}
 	b.state.CompareAndSwap(int32(breakerProbing), int32(BreakerHalfOpen))
-}
-
-// The measured dispatch's constants: the first ledgerWarmup eligible pairs
-// of a ledger always run the card; after that a card that does not pay
-// still sees one eligible pair in ledgerSample, which keeps the ledger
-// current and lets it flip back; and the sums halve once ledgerCap card
-// tests are on the books, so the ledger follows drift.
-const (
-	ledgerWarmup = 64
-	ledgerSample = 32
-	ledgerCap    = 4096
-)
-
-// ledger prices the hardware filter for one predicate on one layer pair.
-// Each card test charges the card's extra work — the render, and for
-// within also the edge collection, which the software descent does not
-// do — and, when a render rejected the pair, one reject; each card-passed
-// pair adds the software time that followed, whose mean is what a reject
-// saves. The sums are atomic: every worker refining the pair charges the
-// same ledger.
-type ledger struct {
-	eligible atomic.Uint64 // pairs above the threshold that asked admit
-	cardNS   atomic.Int64
-	tests    atomic.Int64
-	rejects  atomic.Int64
-	swNS     atomic.Int64
-	swN      atomic.Int64
-}
-
-// cardPays is the ledger's rule: the card pays when its rejects, each
-// priced at the mean software time of a card-passed pair, outweigh its
-// extra work — rejects × swNS/swN > cardNS. With no passed pair timed,
-// every priced test was a reject, and any reject pays.
-func cardPays(cardNS, rejects, swNS, swN int64) bool {
-	if swN == 0 {
-		return rejects > 0
-	}
-	return float64(rejects)*float64(swNS) > float64(cardNS)*float64(swN)
-}
-
-// admit numbers one eligible pair and reports whether it runs the card:
-// always during the warm-up, then when the card pays, and otherwise one
-// pair in ledgerSample (a deterministic count, like the sentinel sample).
-// A nil ledger (no breaker, or a fixed threshold) always does.
-func (l *ledger) admit() bool {
-	if l == nil {
-		return true
-	}
-	n := l.eligible.Add(1)
-	return n <= ledgerWarmup || n%ledgerSample == 0 ||
-		cardPays(l.cardNS.Load(), l.rejects.Load(), l.swNS.Load(), l.swN.Load())
-}
-
-// charge books one card test: its extra work, and whether a render
-// rejected the pair. The ledgerCap-th test halves every sum.
-func (l *ledger) charge(card time.Duration, rejected bool) {
-	if l == nil {
-		return
-	}
-	l.cardNS.Add(int64(card))
-	if rejected {
-		l.rejects.Add(1)
-	}
-	if n := l.tests.Add(1); n >= ledgerCap && l.tests.CompareAndSwap(n, n/2) {
-		for _, v := range []*atomic.Int64{&l.cardNS, &l.rejects, &l.swNS, &l.swN} {
-			v.Add(-v.Load() / 2)
-		}
-	}
-}
-
-// software books the exact test's time on a card-passed pair.
-func (l *ledger) software(d time.Duration) {
-	if l == nil {
-		return
-	}
-	l.swNS.Add(int64(d))
-	l.swN.Add(1)
 }

@@ -14,10 +14,10 @@
 // properties of the renderer, so the combined result always equals the
 // software-only result. The adaptive SWThreshold (paper §4.3) skips the
 // hardware filter for simple polygon pairs where the fixed buffer-search
-// overhead would exceed the software test itself. The measured dispatch
-// (MeasuredSWThreshold, the verbs' setting) goes further: each layer
-// pair's Breaker keeps a ledger of what the card has cost and saved, and
-// larger pairs skip the card too while it does not pay.
+// overhead would exceed the software test itself. The sampled dispatch
+// (SampledSWThreshold, the verbs' setting) goes further: larger pairs go
+// to software too, bar a constant one-in-cardSample sample that keeps the
+// card, the sentinel and the breaker in use.
 package core
 
 import (
@@ -37,14 +37,18 @@ import (
 const (
 	DefaultResolution = 8
 	// DefaultSWThreshold is the paper's §4.3 value: the figure runner's,
-	// and the floor under the measured dispatch.
+	// and the floor under the sampled dispatch.
 	DefaultSWThreshold = 500
-	// MeasuredSWThreshold selects the measured dispatch for
+	// SampledSWThreshold selects the sampled dispatch for
 	// Config.SWThreshold: pairs of at most DefaultSWThreshold vertices go
-	// to software, and larger ones use the card only while the ledger of
-	// the PairContext's Breaker says it pays, or when its sample picks
-	// them. Without a Breaker it behaves as DefaultSWThreshold.
-	MeasuredSWThreshold = -1
+	// to software, as under the fixed threshold, and so do the larger ones
+	// except every cardSample-th of the layer pair (numbered by the
+	// PairContext's Breaker), which runs the card; without a Breaker it is
+	// DefaultSWThreshold. Warmed, the simulated card's rejects repay its
+	// render on none of the benchmark's layer pairs (EXPERIMENTS.md "PR
+	// 31"), so the verbs refine in software first; the sample keeps the
+	// card's sentinel and the layer pair's breaker exercised.
+	SampledSWThreshold = -1
 
 	// DefaultCrossCutoff routes the software segment test to the all-pairs
 	// algorithm when len(red)·len(blue) of the restricted candidate sets is
@@ -84,7 +88,7 @@ type Config struct {
 	// SWThreshold skips the hardware filter when the two polygons have
 	// n+m vertices at or below it (paper §4.3). Zero is a valid setting
 	// (always use hardware); use DefaultSWThreshold for the paper's value.
-	// A negative value, MeasuredSWThreshold, is the measured dispatch.
+	// A negative value, SampledSWThreshold, is the sampled dispatch.
 	SWThreshold int
 	// DisableHardware turns the Tester into the software-only baseline.
 	DisableHardware bool
@@ -107,7 +111,7 @@ type Stats struct {
 	Tests       int64 // pair tests started
 	MBRRejects  int64 // rejected by the MBR pre-test
 	PIPHits     int64 // resolved positive by point-in-polygon containment
-	SWDirect    int64 // sent straight to software (threshold, disabled, or the card does not pay for this layer pair)
+	SWDirect    int64 // sent straight to software (threshold, disabled, or outside the sampled dispatch's card sample)
 	HWRejects   int64 // rejected by the hardware filter
 	HWPassed    int64 // hardware inconclusive, decided by software
 	HWFallbacks int64 // distance only: line width over the hardware limit
@@ -398,8 +402,7 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	// overhead exceeds the software sweep, so skip straight to software.
 	// The software test runs on the same restricted (and possibly
 	// index-collected) edge sets as the hardware path.
-	led, direct := t.dispatch(p, q, pc, false)
-	if direct {
+	if t.direct(p, q, pc) {
 		return t.softwareIntersects(p, q, pc)
 	}
 
@@ -426,13 +429,10 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 
 	// Step 2: hardware segment intersection test (steps 2.1–2.8),
 	// projecting the intersection of the two MBRs onto the window (§3.2).
-	// The ledger charges the render alone: softwareIntersects collects the
-	// same edges.
 	start := time.Now()
 	t.ctx.SetViewport(p.Bounds().Intersection(q.Bounds()))
 	overlap := t.hwOverlap(red, blue, 0)
-	card := time.Since(start)
-	t.Stats.HWTime += card
+	t.Stats.HWTime += time.Since(start)
 	if overlap {
 		// Inconclusive: step 3, software segment intersection test. The
 		// filter did not assert anything unverifiable, so a probe counts
@@ -443,18 +443,12 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 		}
 		start = time.Now()
 		ok := t.crossIntersects(red, blue)
-		sw := time.Since(start)
-		t.Stats.SWTime += sw
-		led.charge(card, false)
-		led.software(sw)
+		t.Stats.SWTime += time.Since(start)
 		return ok
 	}
 	// A negative is the one verdict taken on trust. The sentinel verifier
 	// re-checks a deterministic sample (and every probe) against the exact
-	// test; a disagreement corrects the verdict and trips the breaker. The
-	// ledger books the render's verdict, so a card that lies shows many
-	// rejects and stays in use, under the sentinel's eye.
-	led.charge(card, true)
+	// test; a disagreement corrects the verdict and trips the breaker.
 	if t.sentinelPick(probe) {
 		t.Stats.SentinelChecks++
 		start = time.Now()
@@ -476,36 +470,35 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	return false
 }
 
-// dispatch routes a pair RefineIntersects or RefineWithin is about to
-// refine. direct sends it to the exact software test and counts it under
-// SWDirect: with no card, at or below the vertex threshold, or — under
-// the measured dispatch — when the layer pair's ledger for the predicate
-// does not admit it. Otherwise led is that ledger, for the card path to
-// charge (nil under a fixed threshold or without a breaker). The ledger is
-// consulted before Breaker.Allow, so a pair it routes away neither
-// advances an open breaker's cooldown nor claims the half-open probe.
-func (t *Tester) dispatch(p, q *geom.Polygon, pc PairContext, within bool) (led *ledger, direct bool) {
+// cardSample is the sampled dispatch's cadence: one pair in cardSample
+// above DefaultSWThreshold runs the card.
+const cardSample = 32
+
+// direct reports whether a pair RefineIntersects or RefineWithin is about
+// to refine goes straight to the exact software test, and counts it under
+// SWDirect if so: with no card, at or below the vertex threshold, or —
+// under the sampled dispatch — outside the layer pair's card sample
+// (Breaker.sampleCard; without a breaker the sampled dispatch is the
+// fixed DefaultSWThreshold). It runs before Breaker.Allow, so a pair sent
+// to software neither advances an open breaker's cooldown nor claims the
+// half-open probe.
+func (t *Tester) direct(p, q *geom.Polygon, pc PairContext) bool {
 	threshold := t.cfg.SWThreshold
-	if threshold < 0 {
+	sampled := threshold < 0
+	if sampled {
 		threshold = DefaultSWThreshold
-		if b := pc.Breaker; b != nil {
-			led = &b.intersects
-			if within {
-				led = &b.within
-			}
-		}
 	}
-	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= threshold || !led.admit() {
+	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= threshold || sampled && !pc.Breaker.sampleCard() {
 		t.Stats.SWDirect++
-		return nil, true
+		return true
 	}
-	return led, false
+	return false
 }
 
 // softwareIntersects decides an intersection test entirely in software on
 // the same (possibly index-collected) restricted edge sets the hardware
-// path would use. Shared by the direct path (see dispatch) and the
-// breaker's degraded mode.
+// path would use. Shared by the SWThreshold fast path and the breaker's
+// degraded mode.
 func (t *Tester) softwareIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	red, blue := t.collectPair(p, q, p.Bounds().Intersection(q.Bounds()), pc)
 	if len(red) == 0 || len(blue) == 0 {
@@ -663,8 +656,7 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 // dispatch, the widened-edge hardware filter (with its line-width
 // fallback), and the exact software distance test.
 func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
-	led, direct := t.dispatch(p, q, pc, true)
-	if direct {
+	if t.direct(p, q, pc) {
 		return t.softwareWithin(p, q, d, pc)
 	}
 
@@ -709,13 +701,7 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 	// PairContext carries them, so a monster polygon paired with a small
 	// object submits only its nearby reach (§3.2: the projection "avoids
 	// rendering unnecessary edges").
-	//
-	// The ledger charges the collection with the render: the software
-	// descent collects nothing. An empty edge set is charged but not
-	// credited as a reject, since the software test decides it the same.
-	collect0 := t.Stats.CollectTime
 	red, blue := t.collectPair(p, q, region, pc)
-	card := t.Stats.CollectTime - collect0
 	if len(red) == 0 || len(blue) == 0 {
 		// One boundary has no presence near the smaller object at all:
 		// with containment excluded the pair cannot be within d.
@@ -723,29 +709,21 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 			pc.Breaker.ProbeAbort()
 		}
 		t.Stats.HWRejects++
-		led.charge(card, false)
 		return false
 	}
 
 	start := time.Now()
 	overlap := t.hwOverlap(red, blue, widthPx)
-	hw := time.Since(start)
-	t.Stats.HWTime += hw
-	card += hw
+	t.Stats.HWTime += time.Since(start)
 	if overlap {
 		t.Stats.HWPassed++
 		if probe && pc.Breaker.ProbeSuccess() {
 			t.Stats.BreakerRecoveries++
 		}
-		sw0 := t.Stats.SWTime
-		ok := t.softwareWithin(p, q, d, pc)
-		led.charge(card, false)
-		led.software(t.Stats.SWTime - sw0)
-		return ok
+		return t.softwareWithin(p, q, d, pc)
 	}
 	// Sentinel verification of the trusted negative, with the exact
 	// distance test as the oracle; see RefineIntersects.
-	led.charge(card, true)
 	if t.sentinelPick(probe) {
 		t.Stats.SentinelChecks++
 		if t.softwareWithin(p, q, d, pc) {

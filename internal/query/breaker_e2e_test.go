@@ -33,10 +33,10 @@ func shortBreaker(a, b *Layer) *core.Breaker {
 // negative is overturned before the breaker even reacts; the breaker's
 // job is to stop paying the double-test tax by routing the remainder of
 // the workload to software outright. It runs under threshold 0 (every pair
-// on the card) and under the measured dispatch, whose ledger sends only
-// the pairs it admits to the breaker.
+// on the card) and under the sampled dispatch, which asks the breaker
+// only for its one-in-32 card sample.
 func TestBreakerTripsJoinBitIdentical(t *testing.T) {
-	for name, threshold := range map[string]int{"threshold0": 0, "measured": core.MeasuredSWThreshold} {
+	for name, threshold := range map[string]int{"threshold0": 0, "sampled": core.SampledSWThreshold} {
 		t.Run(name, func(t *testing.T) { breakerTripsJoinBitIdentical(t, threshold) })
 	}
 }
@@ -54,19 +54,32 @@ func breakerTripsJoinBitIdentical(t *testing.T, threshold int) {
 	faulted := core.NewTester(core.Config{SWThreshold: threshold, SentinelEvery: 1, Faults: inj})
 	br := shortBreaker(a, b)
 
-	got, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, ws := sortedPairs(got), sortedPairs(want)
-	if len(gs) != len(ws) {
-		t.Fatalf("faulted join: %d results, want %d (software baseline)", len(gs), len(ws))
-	}
-	for i := range ws {
-		if gs[i] != ws[i] {
-			t.Fatalf("faulted join result %d = %v, want %v", i, gs[i], ws[i])
+	// joinUntil runs the faulted join, each run bit-identical to the
+	// software baseline, until done holds or limit joins ran. Under
+	// threshold 0 one join does for each phase; the sampled dispatch sends
+	// only every 32nd pair above the threshold to the card, so it takes a
+	// few.
+	ws := sortedPairs(want)
+	joinUntil := func(phase string, limit int, done func() bool) {
+		t.Helper()
+		for i := 0; i < limit && !done(); i++ {
+			got, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs := sortedPairs(got)
+			if len(gs) != len(ws) {
+				t.Fatalf("%s join %d: %d results, want %d (software baseline)", phase, i, len(gs), len(ws))
+			}
+			for k := range ws {
+				if gs[k] != ws[k] {
+					t.Fatalf("%s join %d: result %d = %v, want %v", phase, i, k, gs[k], ws[k])
+				}
+			}
 		}
 	}
+
+	joinUntil("faulted", 1000, func() bool { return faulted.Stats.BreakerOpenSkips > 0 })
 	if faulted.Stats.SentinelDisagreements == 0 {
 		t.Error("expected sentinel disagreements under a lying filter")
 	}
@@ -81,11 +94,7 @@ func breakerTripsJoinBitIdentical(t *testing.T, threshold int) {
 	// admits one probe under forced verification; with the filter honest
 	// again the probe closes the breaker and the hardware path resumes.
 	inj.Disarm(faultinject.SiteHWFilter)
-	for i := 0; i < 50 && br.State() != core.BreakerClosed; i++ {
-		if _, _, err := IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	joinUntil("recovery", 1000, func() bool { return br.State() == core.BreakerClosed })
 	if br.State() != core.BreakerClosed {
 		t.Fatalf("breaker did not recover after fault removal: state %v", br.State())
 	}
@@ -94,21 +103,12 @@ func breakerTripsJoinBitIdentical(t *testing.T, threshold int) {
 	}
 
 	// With the breaker closed and the filter honest, the hardware path is
-	// genuinely back: a fresh join must record hardware rejects again and
+	// genuinely back: fresh joins must record hardware verdicts again and
 	// still match the baseline.
 	faulted.ResetStats()
-	got, _, err = IntersectionJoinView(bg, a.View(), b.View(), faulted, JoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	joinUntil("post-recovery", 1000, func() bool { return faulted.Stats.HWRejects+faulted.Stats.HWPassed > 0 })
 	if faulted.Stats.HWRejects+faulted.Stats.HWPassed == 0 {
 		t.Error("hardware filter not active after recovery")
-	}
-	gs = sortedPairs(got)
-	for i := range ws {
-		if gs[i] != ws[i] {
-			t.Fatalf("post-recovery join result %d = %v, want %v", i, gs[i], ws[i])
-		}
 	}
 }
 

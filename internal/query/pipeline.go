@@ -39,8 +39,8 @@ type JoinOptions struct {
 	// refine them; 0 means GOMAXPROCS, and the executor clamps it (see
 	// poolSize). Tester builds each worker's tester — every worker needs
 	// its own (a Tester owns a rendering context, like a per-thread GL
-	// context); nil means hardware-assisted defaults under the measured
-	// dispatch (core.MeasuredSWThreshold).
+	// context); nil means hardware-assisted defaults under the sampled
+	// dispatch (core.SampledSWThreshold).
 	Workers int
 	Tester  func() *core.Tester
 	// MaxCandidates, when positive, aborts the join with a *BudgetError
@@ -110,7 +110,7 @@ func (o JoinOptions) newTester() *core.Tester {
 	if o.Tester != nil {
 		return o.Tester()
 	}
-	return core.NewTester(core.Config{SWThreshold: core.MeasuredSWThreshold})
+	return core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold})
 }
 
 // IntersectionJoinView returns all pairs (a from view a, b from view b)

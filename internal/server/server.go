@@ -369,7 +369,7 @@ func (s *Server) newEngine() *shellcmd.Engine {
 		eng.NewTester = func(mode string) (*core.Tester, error) {
 			switch mode {
 			case "", "hw":
-				return core.NewTester(core.Config{SWThreshold: core.MeasuredSWThreshold, SentinelEvery: every, Faults: inj}), nil
+				return core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold, SentinelEvery: every, Faults: inj}), nil
 			case "sw":
 				return core.NewTester(core.Config{DisableHardware: true, Faults: inj}), nil
 			default:

@@ -127,7 +127,7 @@ type Engine struct {
 	Settings Settings
 	// NewTester overrides refinement tester construction for the "sw"/
 	// "hw" (default) modes; nil uses hardware-assisted defaults, hw under
-	// the measured dispatch (core.MeasuredSWThreshold).
+	// the sampled dispatch (core.SampledSWThreshold).
 	NewTester func(mode string) (*core.Tester, error)
 	// DataDir, when set, is where save and load resolve bare snapshot
 	// names: a path without a directory separator lands under DataDir,
@@ -664,7 +664,7 @@ func (e *Engine) tester(mode string) (*core.Tester, error) {
 	}
 	switch mode {
 	case "", "hw":
-		return core.NewTester(core.Config{SWThreshold: core.MeasuredSWThreshold}), nil
+		return core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold}), nil
 	case "sw":
 		return core.NewTester(core.Config{DisableHardware: true}), nil
 	default:

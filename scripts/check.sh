@@ -35,11 +35,11 @@ go run ./scripts/reach
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== query executor failure paths, joins and selections, and the card ledger shared by eight testers (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
+echo "== query executor failure paths, joins and selections, and eight sampled testers sharing one breaker over a lying card (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
 # The blanket run above executes them once; a lost wake-up or a goroutine
 # left behind shows only over repeats, and as a hang — hence the timeout.
 go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
-go test -race -count=10 -timeout 120s -run TestLedgerConcurrent ./internal/core/
+go test -race -count=10 -timeout 120s -run TestSampledConcurrent ./internal/core/
 
 echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
@@ -432,13 +432,13 @@ STPID=""
 trap - EXIT
 rm -rf "$STDIR"
 
-echo "== measured dispatch smoke (one session: within hw three times — ledger warm-up, then settled — and sw once, rows byte-identical)"
-# The hw tester sends a layer pair's large pairs to the card only while
-# its ledger says the card pays; whichever way each pair goes, the rows
-# must be the software path's. shardwithin over the whole plane is the
-# within verb with its rows streamed. Dispatch counts depend on timings,
-# so only the rows and the result count are compared.
-MDDIR="$(mktemp -d /tmp/measured_smoke.XXXXXX)"
+echo "== sampled dispatch smoke (one session: within hw three times and sw once, rows byte-identical)"
+# The hw tester sends large pairs to software bar a one-in-32 card
+# sample; whichever way each pair goes, the rows must be the software
+# path's. shardwithin over the whole plane is the within verb with its
+# rows streamed. Which pairs the sample picks depends on how the pool
+# splits the batches, so only the rows and the result count are compared.
+MDDIR="$(mktemp -d /tmp/sampled_smoke.XXXXXX)"
 MDPID=""
 trap '[ -z "$MDPID" ] || kill $MDPID 2>/dev/null || true; rm -rf "$MDDIR"' EXIT
 go build -o "$MDDIR/spatiald" ./cmd/spatiald
@@ -453,19 +453,19 @@ printf '%s hw\n%s hw\n%s hw\n%s sw\n' "$MDW" "$MDW" "$MDW" "$MDW" |
 awk -v dir="$MDDIR" '/^stats / { match($0, /"results":[0-9]+/); $0 = "stats " substr($0, RSTART, RLENGTH) }
 	{ print > (dir "/run" n ".txt") } /^ok$/ { n++ }' n=1 "$MDDIR/out.txt"
 for i in 1 2 3 4; do
-	[ -s "$MDDIR/run$i.txt" ] || { echo "measured smoke: command $i printed nothing"; cat "$MDDIR/out.txt"; exit 1; }
+	[ -s "$MDDIR/run$i.txt" ] || { echo "sampled smoke: command $i printed nothing"; cat "$MDDIR/out.txt"; exit 1; }
 done
 grep -q '^pair ' "$MDDIR/run4.txt" && grep -q '^stats "results":[1-9]' "$MDDIR/run4.txt" ||
-	{ echo "measured smoke: sw within streamed no rows"; cat "$MDDIR/run4.txt"; exit 1; }
+	{ echo "sampled smoke: sw within streamed no rows"; cat "$MDDIR/run4.txt"; exit 1; }
 for i in 1 2 3; do
 	cmp -s "$MDDIR/run$i.txt" "$MDDIR/run4.txt" || {
-		echo "measured smoke: hw within run $i differs from the sw run"
+		echo "sampled smoke: hw within run $i differs from the sw run"
 		diff "$MDDIR/run$i.txt" "$MDDIR/run4.txt" | head -10
 		exit 1
 	}
 done
 kill -TERM "$MDPID"
-wait "$MDPID" || { echo "measured smoke server did not drain cleanly"; cat "$MDDIR/srv.log"; exit 1; }
+wait "$MDPID" || { echo "sampled smoke server did not drain cleanly"; cat "$MDDIR/srv.log"; exit 1; }
 MDPID=""
 trap - EXIT
 rm -rf "$MDDIR"
