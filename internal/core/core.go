@@ -45,9 +45,9 @@ const (
 	// except every cardSample-th of the layer pair (numbered by the
 	// PairContext's Breaker), which runs the card; without a Breaker it is
 	// DefaultSWThreshold. Warmed, the simulated card's rejects repay its
-	// render on none of the benchmark's layer pairs (EXPERIMENTS.md "PR
-	// 31"), so the verbs refine in software first; the sample keeps the
-	// card's sentinel and the layer pair's breaker exercised.
+	// render on none of the benchmark's layer pairs (EXPERIMENTS.md), so
+	// the verbs refine in software first; the sample keeps the card's
+	// sentinel and the layer pair's breaker exercised.
 	SampledSWThreshold = -1
 
 	// DefaultCrossCutoff routes the software segment test to the all-pairs
