@@ -77,3 +77,32 @@ func TestWithinDistanceSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state WithinDistance allocates %.1f times per round, want 0", allocs)
 	}
 }
+
+// TestNarrowedIntersectsAllocFree is the same contract for the software
+// test narrowed to the shared partial cells (PairContext.Grid set), over
+// the bench pairs it refines: the walk over the span lists, the per-box
+// collections and the cross tests reuse the tester's scratch.
+func TestNarrowedIntersectsAllocFree(t *testing.T) {
+	var pairs []spannedPair
+	probe := NewTester(Config{DisableHardware: true})
+	for _, sp := range benchSpannedPairs(t) {
+		if probe.FilterIntersects(sp.p, sp.q, sp.pc) == VerdictUndecided && narrows(sp.pc, sp.p.Bounds().Intersection(sp.q.Bounds())) {
+			pairs = append(pairs, sp)
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("no bench pair reaches the narrowed test")
+	}
+	for _, cfg := range []Config{{DisableHardware: true}, {SWThreshold: DefaultSWThreshold}} {
+		tester := NewTester(cfg)
+		run := func() {
+			for _, sp := range pairs {
+				tester.IntersectsCtx(sp.p, sp.q, sp.pc)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+			t.Errorf("%+v: narrowed Intersects allocates %.1f times per round of %d pairs, want 0", cfg, allocs, len(pairs))
+		}
+	}
+}

@@ -485,7 +485,7 @@ func bindSelection(l *Layer, window *geom.Polygon, opt SelectionOptions) predica
 			}
 			if g, ok := l.intervalGrid(); ok {
 				if spans := interval.Rasterize(window, g); len(spans) > 0 {
-					win.pc.PIv, win.col = spans, l.Intervals(g)
+					win.pc.PIv, win.pc.Grid, win.col = spans, g, l.Intervals(g)
 				}
 			}
 		})
@@ -528,9 +528,10 @@ func sortPairsByOuter(pairs []Pair) {
 // them; the tester's bounds check makes a one-sided or absent signature
 // merely inconclusive. iva and ivb, when both non-nil (see
 // intervalColumns), attach the objects' v2 interval spans — always from
-// one shared grid, which is what makes them comparable; the v1 signatures
-// stay attached too and still decide pairs the interval check leaves
-// inconclusive.
+// one shared grid, which is what makes them comparable — and that grid,
+// which narrows the exact software test to the cells partial in both; the
+// v1 signatures stay attached too and still decide pairs the interval
+// check leaves inconclusive.
 func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(Pair) core.PairContext {
 	br := a.Breaker(b)
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
@@ -544,7 +545,7 @@ func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(
 			pc.QSig = b.Signature(pr.B)
 		}
 		if ivals {
-			pc.PIv, pc.QIv = iva.Spans(pr.A), ivb.Spans(pr.B)
+			pc.PIv, pc.QIv, pc.Grid = iva.Spans(pr.A), ivb.Spans(pr.B), iva.Grid
 		}
 		return pc
 	}

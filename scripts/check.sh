@@ -13,8 +13,9 @@
 # pairs), and a short fuzz smoke pass over the input parsers, the wire
 # command grammar (FuzzExec), the wire row parser, the distance kernel
 # bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist), the
-# rasterizer's cell walk and the interval rasterizer against its oracle
-# (FuzzRasterize). Run from the repo root.
+# rasterizer's cell walk, the interval rasterizer against its oracle
+# (FuzzRasterize) and the walk over two lists' shared partial runs
+# (FuzzSharedPartial). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -63,6 +64,13 @@ echo "== spatiald chaos mini-soak (10s, randomized faults, -race)"
 SOAKDUR="${SOAKDUR:-10s}"
 go test -race -count 1 ./internal/server/ -run TestSoak -soakdur "$SOAKDUR"
 
+echo "== coordinator failover soak on seeds that once failed it (-race)"
+# A seed that found a failover gap runs on every check from then on,
+# beside the clock-derived one above.
+for seed in 1792111712118268781 1792146688259739678; do
+	go test -race -count 1 ./internal/server/ -run TestSoak/CoordinatorFailover -soakdur "$SOAKDUR" -faultseed "$seed"
+done
+
 echo "== spatialbench smoke (two repeats per point in the JSON and the summary; a bad name runs nothing)"
 SBDIR="$(mktemp -d /tmp/bench_smoke.XXXXXX)"
 go build -o "$SBDIR/spatialbench" ./cmd/spatialbench
@@ -106,7 +114,7 @@ else
 fi
 rm -rf "$SNAPDIR"
 
-echo "== interval filter smoke (v2 snapshot true hits, pre-v2 signature fallback parity for joins and selections)"
+echo "== interval filter smoke (v2 snapshot true hits; its rows, refined narrowed to the shared partial cells, match the pre-v2 signature fallback's unnarrowed ones for joins and selections)"
 # A join over snapshot-loaded layers must engage the persisted interval
 # column (nonzero true hits), and snapshots saved without the interval
 # section (the pre-v2 format) must fall back to the v1 signature path
@@ -480,6 +488,7 @@ go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzMinDist -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -fuzz FuzzSharedPartial -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
 go test ./internal/shellcmd/ -fuzz FuzzExec -fuzztime "$FUZZTIME"
 
