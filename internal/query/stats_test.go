@@ -1,7 +1,11 @@
 package query
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -121,5 +125,64 @@ func TestStatsMergeOpAndBool(t *testing.T) {
 	}
 	if s.Results != 5 || !s.SnapshotMMap {
 		t.Fatalf("second merge: %+v", s)
+	}
+}
+
+// TestStatsWireContract pins the keys of the stats record a shard writes
+// on its "stats <json>" line and the coordinator decodes: the sorted key
+// set of a fully filled record, the keys a zero record still writes (the
+// ones without omitempty), and a round trip of the filled record through
+// json.Unmarshal into a zero Stats, as coord decodes a shard's line.
+func TestStatsWireContract(t *testing.T) {
+	keys := func(s Stats) []string {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	full := []string{"breaker_open_skips", "breaker_recoveries", "breaker_trips", "candidates", "compared",
+		"edge_index_hits", "edge_index_skipped_edges", "filter_hits", "filter_rejects", "geometry_ms",
+		"hw_fallbacks", "hw_passed", "hw_rejects", "intermediate_filter_ms", "interval_checks",
+		"interval_inconclusive", "interval_rejects", "interval_true_hits", "live_delta", "live_tombstones",
+		"mbr_filter_ms", "mbr_rejects", "op", "panics", "pip_hits", "pipeline_batches", "pipeline_filter_ns",
+		"pipeline_queue_depth", "pipeline_refine_ns", "quarantined", "results", "sentinel_checks",
+		"sentinel_disagreements", "sig_checks", "sig_rejects", "snapshot_bytes", "snapshot_load_ms",
+		"snapshot_mmap", "snapshot_sections", "stream_rows_emitted", "sw_direct", "tests"}
+	if got := keys(fillStats(1)); !slices.Equal(got, full) {
+		t.Errorf("filled record's keys:\n got %q\nwant %q", got, full)
+	}
+	always := []string{"breaker_open_skips", "breaker_recoveries", "breaker_trips", "candidates", "compared",
+		"edge_index_hits", "edge_index_skipped_edges", "geometry_ms", "hw_fallbacks", "hw_passed", "hw_rejects",
+		"intermediate_filter_ms", "mbr_filter_ms", "mbr_rejects", "op", "panics", "pip_hits", "quarantined",
+		"results", "sentinel_checks", "sentinel_disagreements", "sw_direct", "tests"}
+	if got := keys(Stats{}); !slices.Equal(got, always) {
+		t.Errorf("zero record's keys:\n got %q\nwant %q", got, always)
+	}
+
+	want, err := json.Marshal(fillStats(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := append([]byte("stats "), want...)
+	var decoded Stats
+	if err := json.Unmarshal(line[len("stats "):], &decoded); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("round trip changed the record:\n got %s\nwant %s", got, want)
 	}
 }
