@@ -35,7 +35,7 @@ func main() {
 	res := flag.Int("res", core.DefaultResolution, fmt.Sprintf("hardware window resolution, 1..%d", raster.MaxResolution))
 	threshold := flag.Int("threshold", core.DefaultSWThreshold, "software threshold: pairs of at most this many vertices skip the hardware filter (>= 0)")
 	swOnly := flag.Bool("sw", false, "software only, skip the hardware run")
-	timeout := flag.Duration("timeout", 0, "per-run time limit (0 = none); an expired run reports its partial results")
+	timeout := flag.Duration("timeout", 0, "time limit of each run, the software one and the hardware one (0 = none); an expired run reports its partial results")
 	budget := flag.Int("budget", 0, "max MBR candidates per run (0 = unlimited)")
 	flag.Parse()
 	if *res < 1 || *res > raster.MaxResolution {
@@ -51,13 +51,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	if *aPath == "" || *bPath == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -71,46 +64,53 @@ func main() {
 		fail(err)
 	}
 
-	type runner func(*core.Tester) (int, query.Cost, error)
 	var run runner
 	switch *op {
 	case "join":
-		run = func(t *core.Tester) (int, query.Cost, error) {
-			pairs, cost, err := query.IntersectionJoinView(ctx, a.View(), b.View(), t,
+		run = func(ctx context.Context, t *core.Tester) (int, query.Stats, error) {
+			pairs, st, err := query.IntersectionJoinView(ctx, a.View(), b.View(), t,
 				query.JoinOptions{MaxCandidates: *budget})
-			return len(pairs), cost, err
+			return len(pairs), st, err
 		}
 	case "within":
 		if *d <= 0 {
 			*d = data.BaseD(a.Data, b.Data)
 			fmt.Printf("using D = BaseD = %.4f\n", *d)
 		}
-		run = func(t *core.Tester) (int, query.Cost, error) {
-			pairs, cost, err := query.WithinDistanceJoinView(ctx, a.View(), b.View(), *d, t,
+		run = func(ctx context.Context, t *core.Tester) (int, query.Stats, error) {
+			pairs, st, err := query.WithinDistanceJoinView(ctx, a.View(), b.View(), *d, t,
 				query.JoinOptions{Use0Object: true, Use1Object: true, MaxCandidates: *budget})
-			return len(pairs), cost, err
+			return len(pairs), st, err
 		}
 	case "select":
 		if *queryIdx < 0 || *queryIdx >= len(b.Data.Objects) {
 			fail(fmt.Errorf("query index %d out of range (0..%d)", *queryIdx, len(b.Data.Objects)-1))
 		}
 		q := b.Data.Objects[*queryIdx]
-		run = func(t *core.Tester) (int, query.Cost, error) {
-			ids, cost, err := query.IntersectionSelect(ctx, a, q, t,
-				query.SelectionOptions{InteriorLevel: 4, MaxCandidates: *budget})
-			return len(ids), cost, err
+		run = func(ctx context.Context, t *core.Tester) (int, query.Stats, error) {
+			ids, st, err := query.IntersectionSelectView(ctx, a.View(), q, t,
+				query.JoinOptions{InteriorLevel: 4, MaxCandidates: *budget})
+			return len(ids), st, err
 		}
 	default:
 		fail(fmt.Errorf("unknown -op %q", *op))
 	}
+	compare(run, *timeout, core.Config{Resolution: *res, SWThreshold: *threshold}, *swOnly)
+}
 
-	swResults, swCost, swErr := run(core.NewTester(core.Config{DisableHardware: true}))
-	report("software", swResults, swCost)
-	if interrupted(swErr) || *swOnly {
+// runner runs the query once on a tester.
+type runner func(context.Context, *core.Tester) (int, query.Stats, error)
+
+// compare runs the query in software and then, unless swOnly, with the
+// hardware filter configured by hw, and checks that the two agree. Each
+// run reports its own numbers and has a deadline of its own.
+func compare(run runner, timeout time.Duration, hw core.Config, swOnly bool) {
+	swResults, swErr := timed(run, timeout, core.NewTester(core.Config{DisableHardware: true}), "software")
+	if interrupted(swErr) || swOnly {
 		return
 	}
-	hwResults, hwCost, hwErr := run(core.NewTester(core.Config{Resolution: *res, SWThreshold: *threshold}))
-	report(fmt.Sprintf("hardware %dx%d threshold %d", *res, *res, *threshold), hwResults, hwCost)
+	name := fmt.Sprintf("hardware %dx%d threshold %d", hw.Resolution, hw.Resolution, hw.SWThreshold)
+	hwResults, hwErr := timed(run, timeout, core.NewTester(hw), name)
 	if interrupted(hwErr) {
 		return
 	}
@@ -118,6 +118,19 @@ func main() {
 		fail(fmt.Errorf("result mismatch: sw %d vs hw %d", swResults, hwResults))
 	}
 	fmt.Println("results identical")
+}
+
+// timed runs the query once under a timeout that starts with the run (0 =
+// none) and reports it under name.
+func timed(run runner, timeout time.Duration, t *core.Tester, name string) (int, error) {
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	defer cancel()
+	results, st, err := run(ctx, t)
+	report(name, results, st)
+	return results, err
 }
 
 // interrupted distinguishes the two typed query errors: a partial run has
@@ -152,13 +165,13 @@ func loadLayer(path string) (*query.Layer, error) {
 	return query.NewLayer(d), nil
 }
 
-func report(name string, results int, cost query.Cost) {
+func report(name string, results int, st query.Stats) {
+	ms := func(v float64) time.Duration {
+		return time.Duration(v * float64(time.Millisecond)).Round(time.Microsecond)
+	}
 	fmt.Printf("%s:\n  results %d\n  mbr %v, filter %v, geometry %v, total %v\n",
-		name, results,
-		cost.MBRFilter.Round(time.Microsecond),
-		cost.IntermediateFilter.Round(time.Microsecond),
-		cost.GeometryComparison.Round(time.Microsecond),
-		cost.Total().Round(time.Microsecond))
+		name, results, ms(st.MBRFilterMS), ms(st.IntermediateMS), ms(st.GeometryMS),
+		st.Total().Round(time.Microsecond))
 }
 
 func fail(err error) {

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // TestMainChild is not a test of its own: re-executed by runMain with
@@ -65,6 +70,30 @@ func TestResolutionValidated(t *testing.T) {
 	for _, res := range []string{"1", "64"} {
 		if exit, stderr := runMain(t, "-res", res, "-a", "no-such-a.json", "-b", "no-such-b.json"); exit != 1 || !strings.Contains(stderr, "no-such-a.json") {
 			t.Errorf("-res %s: exit %d, stderr %q; want exit 1 on the missing file", res, exit, stderr)
+		}
+	}
+}
+
+// TestEachRunGetsItsOwnTimeout: -timeout limits each run, so a software
+// run that spends most of it leaves the hardware run a full -timeout, not
+// the rest.
+func TestEachRunGetsItsOwnTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	var left []time.Duration
+	run := func(ctx context.Context, _ *core.Tester) (int, query.Stats, error) {
+		if deadline, ok := ctx.Deadline(); ok {
+			left = append(left, time.Until(deadline))
+		}
+		time.Sleep(timeout * 3 / 4)
+		return 1, query.Stats{}, nil
+	}
+	compare(run, timeout, core.Config{Resolution: 8}, false)
+	if len(left) != 2 {
+		t.Fatalf("%d of the 2 runs had a deadline", len(left))
+	}
+	for i, d := range left {
+		if d < timeout/2 {
+			t.Errorf("run %d started with %v of the %v timeout left", i+1, d, timeout)
 		}
 	}
 }

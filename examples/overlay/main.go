@@ -28,16 +28,14 @@ func main() {
 
 	ctx := context.Background()
 	run := func(name string, tester *core.Tester) []query.Pair {
-		pairs, cost, err := query.IntersectionJoinView(ctx, landc.View(), lando.View(), tester, query.JoinOptions{})
+		pairs, st, err := query.IntersectionJoinView(ctx, landc.View(), lando.View(), tester, query.JoinOptions{})
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("\n%s pipeline:\n", name)
-		fmt.Printf("  MBR filter:          %10v  (%d candidate pairs)\n",
-			cost.MBRFilter.Round(time.Microsecond), cost.Candidates)
-		fmt.Printf("  geometry comparison: %10v  (%d pairs compared)\n",
-			cost.GeometryComparison.Round(time.Microsecond), cost.Compared)
-		fmt.Printf("  results:             %d intersecting pairs\n", cost.Results)
+		fmt.Printf("  MBR filter:          %8.3fms  (%d candidate pairs)\n", st.MBRFilterMS, st.Candidates)
+		fmt.Printf("  geometry comparison: %8.3fms  (%d pairs compared)\n", st.GeometryMS, st.Compared)
+		fmt.Printf("  results:             %d intersecting pairs\n", st.Results)
 		return pairs
 	}
 
@@ -54,7 +52,7 @@ func main() {
 	fmt.Println("result sets identical: the hardware filter is exact.")
 
 	// The actual overlay: exact intersection area per intersecting pair.
-	overlayPairs, cost, err := query.OverlayAreaJoin(ctx, landc, lando,
+	overlayPairs, st, err := query.OverlayAreaJoin(ctx, landc, lando,
 		core.NewTester(core.Config{Resolution: *res, SWThreshold: core.DefaultSWThreshold}))
 	if err != nil {
 		panic(err)
@@ -64,5 +62,5 @@ func main() {
 		total += op.Area
 	}
 	fmt.Printf("\nmap overlay: %d overlapping parcel pairs, %.2f units² of shared area (%v total)\n",
-		len(overlayPairs), total, cost.Total().Round(time.Millisecond))
+		len(overlayPairs), total, st.Total().Round(time.Millisecond))
 }

@@ -196,7 +196,7 @@ func TestCoordinatorSelectRoutesAndMatches(t *testing.T) {
 	}
 	tester := core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold})
 	ids, _, err := query.IntersectionSelectView(context.Background(), f.a.View(), q, tester,
-		query.SelectionOptions{InteriorLevel: 4})
+		query.JoinOptions{InteriorLevel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,12 +70,12 @@ const (
 	DefaultSentinelEvery = 64
 
 	// DefaultBatchSize is the query executor's candidate batch size
-	// (query.JoinOptions.BatchSize, query.SelectionOptions.BatchSize —
-	// stretched to 4× for a selection, whose candidates share one outer
-	// object). Large enough that a batch's trip through the work and emit
-	// queues amortizes to noise, small enough that the first refined batch
-	// — the client's time-to-first-row — arrives after a fraction of a
-	// percent of the join.
+	// (query.JoinOptions.BatchSize — stretched to 4× for a selection,
+	// whose candidates share one outer object). Large enough that a
+	// batch's trip through the work and emit queues amortizes to noise,
+	// small enough that the first refined batch — the client's
+	// time-to-first-row — arrives after a fraction of a percent of the
+	// join.
 	DefaultBatchSize = 256
 )
 
@@ -106,28 +106,19 @@ type Config struct {
 }
 
 // Stats counts how pair tests were resolved; the evaluation harness reads
-// these to report filter effectiveness.
+// these to report filter effectiveness. The json tags are the keys of the
+// serving record (query.Stats embeds Stats), in the order it writes them.
 type Stats struct {
-	Tests       int64 // pair tests started
-	MBRRejects  int64 // rejected by the MBR pre-test
-	PIPHits     int64 // resolved positive by point-in-polygon containment
-	SWDirect    int64 // sent straight to software (threshold, disabled, or outside the sampled dispatch's card sample)
-	HWRejects   int64 // rejected by the hardware filter
-	HWPassed    int64 // hardware inconclusive, decided by software
-	HWFallbacks int64 // distance only: line width over the hardware limit
-	// BreakerOpenSkips counts pair tests routed straight to the exact
-	// software path because the pair's circuit breaker was open (it joins
-	// the resolution partition: Tests == MBRRejects + IntervalTrueHits +
-	// IntervalRejects + PIPHits + SigRejects + SWDirect + HWRejects +
-	// HWPassed + HWFallbacks + BreakerOpenSkips).
-	BreakerOpenSkips int64
+	Tests      int64 `json:"tests"`       // pair tests started
+	MBRRejects int64 `json:"mbr_rejects"` // rejected by the MBR pre-test
+	PIPHits    int64 `json:"pip_hits"`    // resolved positive by point-in-polygon containment
 
 	// Persisted-signature filter accounting (see raster.Signature and
 	// PairContext.PSig/QSig). A signature check runs after containment is
 	// excluded and before any rendering; a reject resolves the pair
 	// negative without touching the hardware filter or the software test.
-	SigChecks  int64 // pair tests that consulted both objects' signatures
-	SigRejects int64 // pairs resolved negative by signature disjointness
+	SigChecks  int64 `json:"sig_checks,omitempty"`  // pair tests that consulted both objects' signatures
+	SigRejects int64 `json:"sig_rejects,omitempty"` // pairs resolved negative by signature disjointness
 
 	// Interval-approximation filter accounting (see internal/interval and
 	// PairContext.PIv/QIv). The three-valued interval verdict runs right
@@ -136,27 +127,38 @@ type Stats struct {
 	// resolves it negative, and an inconclusive pair proceeds through the
 	// v1 path unchanged. TrueHits and Rejects join the resolution
 	// partition; Checks and Inconclusive are observability counters.
-	IntervalChecks       int64 // pair tests where both sides had spans
-	IntervalTrueHits     int64 // pairs resolved positive by full/full overlap
-	IntervalRejects      int64 // pairs resolved negative by span disjointness
-	IntervalInconclusive int64 // interval checks that decided nothing
+	IntervalChecks       int64 `json:"interval_checks,omitempty"`       // pair tests where both sides had spans
+	IntervalTrueHits     int64 `json:"interval_true_hits,omitempty"`    // pairs resolved positive by full/full overlap
+	IntervalRejects      int64 `json:"interval_rejects,omitempty"`      // pairs resolved negative by span disjointness
+	IntervalInconclusive int64 `json:"interval_inconclusive,omitempty"` // interval checks that decided nothing
+
+	SWDirect    int64 `json:"sw_direct"`    // sent straight to software (threshold, disabled, or outside the sampled dispatch's card sample)
+	HWRejects   int64 `json:"hw_rejects"`   // rejected by the hardware filter
+	HWPassed    int64 `json:"hw_passed"`    // hardware inconclusive, decided by software
+	HWFallbacks int64 `json:"hw_fallbacks"` // distance only: line width over the hardware limit
 
 	// Resilience accounting, filled by the join executor's panic
 	// isolation (pair tests that fault are not part of the Tests
-	// partition above: a panic at the test entry fires before Tests is
+	// partition: a panic at the test entry fires before Tests is
 	// incremented, and a pair recovered mid-test is re-counted by its
 	// software retry).
-	Panics      int64 // refinement panics recovered and retried in software
-	Quarantined int64 // pairs dropped because the software retry panicked too
+	Panics      int64 `json:"panics"`      // refinement panics recovered and retried in software
+	Quarantined int64 `json:"quarantined"` // pairs dropped because the software retry panicked too
 
 	// Sentinel verifier accounting. A disagreement is a hardware negative
 	// the exact test overturned: the pair is counted under HWPassed (it
 	// was, after all, decided by software) and the verdict corrected, so
 	// sampled pairs are always exact even before the breaker reacts.
-	SentinelChecks        int64 // hardware negatives re-checked in software
-	SentinelDisagreements int64 // negatives the exact test overturned
-	BreakerTrips          int64 // breaker transitions to open observed here
-	BreakerRecoveries     int64 // half-open probes that closed the breaker
+	SentinelChecks        int64 `json:"sentinel_checks"`        // hardware negatives re-checked in software
+	SentinelDisagreements int64 `json:"sentinel_disagreements"` // negatives the exact test overturned
+	BreakerTrips          int64 `json:"breaker_trips"`          // breaker transitions to open observed here
+	BreakerRecoveries     int64 `json:"breaker_recoveries"`     // half-open probes that closed the breaker
+	// BreakerOpenSkips counts pair tests routed straight to the exact
+	// software path because the pair's circuit breaker was open (it joins
+	// the resolution partition: Tests == MBRRejects + IntervalTrueHits +
+	// IntervalRejects + PIPHits + SigRejects + SWDirect + HWRejects +
+	// HWPassed + HWFallbacks + BreakerOpenSkips).
+	BreakerOpenSkips int64 `json:"breaker_open_skips"`
 
 	// Edge-index effectiveness (see internal/edgeindex and PairContext),
 	// counted where candidate edges are collected: the card's edge sets on
@@ -166,65 +168,46 @@ type Stats struct {
 	// (PairContext.Grid) counts one hit per pair when any of its
 	// collections used an index, and per indexed side the edges never
 	// examined over all its cell boxes (edges − examined, at least 0).
-	EdgeIndexHits         int64 // pair-level edge collections that went through at least one edge index
-	EdgeIndexSkippedEdges int64 // edges those collections' hierarchies pruned unexamined
+	EdgeIndexHits         int64 `json:"edge_index_hits"`          // pair-level edge collections that went through at least one edge index
+	EdgeIndexSkippedEdges int64 `json:"edge_index_skipped_edges"` // edges those collections' hierarchies pruned unexamined
 
-	// Wall-clock decomposition of the refinement work. A narrowed
-	// software intersection test is one SWTime span, its per-cell-box
-	// collections included, so CollectTime counts only collections over
-	// the MBR intersection (the card's, and the unnarrowed software
-	// test's or its fallback's).
-	HWTime      time.Duration // rendering + buffer search
-	SWTime      time.Duration // software segment / distance tests
-	CollectTime time.Duration // candidate-edge collection over the MBR intersection
-
-	// Pipeline accounting, filled by the join executor (internal/query)
-	// rather than by the tester itself: batches that crossed the stages,
-	// time the filter and refine stages spent on them (summed over the
-	// workers), the deepest backlog seen on the executor's work or emit
-	// queue (a bounded gauge — Add keeps the max, not the sum), and result
-	// rows handed to a streaming sink.
-	PipelineBatches    int64
-	PipelineFilterNS   int64
-	PipelineRefineNS   int64
-	PipelineQueueDepth int64
-	StreamRowsEmitted  int64
+	// Wall-clock decomposition of the refinement work, not serialized. A
+	// narrowed software intersection test is one SWTime span, its
+	// per-cell-box collections included, so CollectTime counts only
+	// collections over the MBR intersection (the card's, and the
+	// unnarrowed software test's or its fallback's).
+	HWTime      time.Duration `json:"-"` // rendering + buffer search
+	SWTime      time.Duration `json:"-"` // software segment / distance tests
+	CollectTime time.Duration `json:"-"` // candidate-edge collection over the MBR intersection
 }
 
-// Add accumulates other into s.
+// Add accumulates other into s: every field sums.
 func (s *Stats) Add(other Stats) {
 	s.Tests += other.Tests
 	s.MBRRejects += other.MBRRejects
 	s.PIPHits += other.PIPHits
-	s.SWDirect += other.SWDirect
-	s.HWRejects += other.HWRejects
-	s.HWPassed += other.HWPassed
-	s.HWFallbacks += other.HWFallbacks
-	s.BreakerOpenSkips += other.BreakerOpenSkips
 	s.SigChecks += other.SigChecks
 	s.SigRejects += other.SigRejects
 	s.IntervalChecks += other.IntervalChecks
 	s.IntervalTrueHits += other.IntervalTrueHits
 	s.IntervalRejects += other.IntervalRejects
 	s.IntervalInconclusive += other.IntervalInconclusive
+	s.SWDirect += other.SWDirect
+	s.HWRejects += other.HWRejects
+	s.HWPassed += other.HWPassed
+	s.HWFallbacks += other.HWFallbacks
 	s.Panics += other.Panics
 	s.Quarantined += other.Quarantined
 	s.SentinelChecks += other.SentinelChecks
 	s.SentinelDisagreements += other.SentinelDisagreements
 	s.BreakerTrips += other.BreakerTrips
 	s.BreakerRecoveries += other.BreakerRecoveries
+	s.BreakerOpenSkips += other.BreakerOpenSkips
 	s.EdgeIndexHits += other.EdgeIndexHits
 	s.EdgeIndexSkippedEdges += other.EdgeIndexSkippedEdges
 	s.HWTime += other.HWTime
 	s.SWTime += other.SWTime
 	s.CollectTime += other.CollectTime
-	s.PipelineBatches += other.PipelineBatches
-	s.PipelineFilterNS += other.PipelineFilterNS
-	s.PipelineRefineNS += other.PipelineRefineNS
-	if other.PipelineQueueDepth > s.PipelineQueueDepth {
-		s.PipelineQueueDepth = other.PipelineQueueDepth
-	}
-	s.StreamRowsEmitted += other.StreamRowsEmitted
 }
 
 // Tester runs refinement tests for one worker. It owns a rendering context

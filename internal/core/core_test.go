@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
@@ -267,5 +268,28 @@ func TestNewTesterDefaults(t *testing.T) {
 	fine := NewTester(Config{Resolution: 100000})
 	if got := fine.Config().Resolution; got != raster.MaxResolution || fine.ctx.Width() != got {
 		t.Errorf("resolution not capped: config %d, window %d", got, fine.ctx.Width())
+	}
+}
+
+// TestStatsAddSumsEveryField guards Add against a counter added to Stats
+// and not to Add: every field, set to distinct values on both sides, must
+// come out as the sum.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if k := av.Field(i).Kind(); k != reflect.Int64 {
+			t.Fatalf("Stats.%s is a %s; this guard sums int64 fields", av.Type().Field(i).Name, k)
+		}
+		av.Field(i).SetInt(int64(i) + 1)
+		bv.Field(i).SetInt(1000 * (int64(i) + 1))
+	}
+	m := a
+	m.Add(b)
+	mv := reflect.ValueOf(m)
+	for i := 0; i < mv.NumField(); i++ {
+		if got, want := mv.Field(i).Int(), av.Field(i).Int()+bv.Field(i).Int(); got != want {
+			t.Errorf("Add dropped %s: got %d, want %d", mv.Type().Field(i).Name, got, want)
+		}
 	}
 }

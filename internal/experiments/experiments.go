@@ -212,11 +212,12 @@ func (r *Runner) Run(exps []Experiment, repeats int, log io.Writer) ([]Record, E
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// measured fills rec's stage times and counters from one call's cost and
-// its tester's statistics.
-func measured(rec Record, c query.Cost, s core.Stats) Record {
-	rec.MBRMS, rec.FilterMS, rec.GeomMS = ms(c.MBRFilter), ms(c.IntermediateFilter), ms(c.GeometryComparison)
-	rec.Candidates, rec.FilterHits, rec.FilterRejects, rec.Results = c.Candidates, c.FilterHits, c.FilterRejects, c.Results
+// measured fills rec's stage times and counts from the stats of n calls,
+// averaged per call, and its tester counters, totalled.
+func measured(rec Record, s query.Stats, n int) Record {
+	f := float64(n)
+	rec.MBRMS, rec.FilterMS, rec.GeomMS = s.MBRFilterMS/f, s.IntermediateMS/f, s.GeometryMS/f
+	rec.Candidates, rec.FilterHits, rec.FilterRejects, rec.Results = s.Candidates/n, s.FilterHits/n, s.FilterRejects/n, s.Results/n
 	rec.Tests, rec.HWRejects = s.Tests, s.HWRejects
 	return rec
 }
@@ -230,16 +231,16 @@ func (r *Runner) selection(out []Record, rec Record, dataset string, cfg core.Co
 	}
 	layer, queries := r.Layer(dataset), r.Layer("STATES50").Data.Objects
 	tester := core.NewTester(cfg)
-	var sum query.Cost
+	var sum query.Stats
 	for _, q := range queries {
-		_, c, err := query.IntersectionSelect(r.Ctx, layer, q, tester, query.SelectionOptions{InteriorLevel: level})
+		_, st, err := query.IntersectionSelectView(r.Ctx, layer.View(), q, tester, query.JoinOptions{InteriorLevel: level})
 		if err != nil {
 			r.Err = err
 			return out
 		}
-		sum.Add(c)
+		sum.Merge(st)
 	}
-	return append(out, measured(rec, sum.Scale(len(queries)), tester.Stats))
+	return append(out, measured(rec, sum, len(queries)))
 }
 
 // join runs one join of the pair j — the intersection join when d < 0,
@@ -252,18 +253,18 @@ func (r *Runner) join(out []Record, rec Record, j [2]string, d float64, cfg core
 	}
 	a, b := r.Layer(j[0]).View(), r.Layer(j[1]).View()
 	tester := core.NewTester(cfg)
-	var c query.Cost
+	var st query.Stats
 	var err error
 	if d < 0 {
-		_, c, err = query.IntersectionJoinView(r.Ctx, a, b, tester, opt)
+		_, st, err = query.IntersectionJoinView(r.Ctx, a, b, tester, opt)
 	} else {
-		_, c, err = query.WithinDistanceJoinView(r.Ctx, a, b, d, tester, opt)
+		_, st, err = query.WithinDistanceJoinView(r.Ctx, a, b, d, tester, opt)
 	}
 	if err != nil {
 		r.Err = err
 		return out
 	}
-	return append(out, measured(rec, c, tester.Stats))
+	return append(out, measured(rec, st, 1))
 }
 
 var (

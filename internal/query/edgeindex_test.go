@@ -76,7 +76,7 @@ func TestSelectionUsesQueryIndex(t *testing.T) {
 	queries := data.MustLoad("STATES50", 1)
 	q := queries.Objects[0]
 	tester := core.NewTester(core.Config{DisableHardware: true})
-	got, _, err := IntersectionSelect(bg, layerA, q, tester, SelectionOptions{InteriorLevel: -1, NoIntervals: true})
+	got, _, err := IntersectionSelectView(bg, layerA.View(), q, tester, JoinOptions{InteriorLevel: -1, NoIntervals: true})
 	if err != nil {
 		t.Fatal(err)
 	}

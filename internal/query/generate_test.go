@@ -169,7 +169,7 @@ func TestExecutorConcurrency(t *testing.T) {
 			return core.NewTester(core.Config{DisableHardware: true})
 		}
 		before := runtime.NumGoroutine()
-		pairs, _, _, err := joinViews(ctx, layerA.View(), layerB.View(), intersects, nil, opt)
+		pairs, _, err := joinViews(ctx, layerA.View(), layerB.View(), intersects, nil, opt)
 		checkNoGoroutineLeak(t, before)
 		if _, budget := err.(*BudgetError); budget && pairs != nil {
 			t.Errorf("budget trip returned %d pairs", len(pairs))
@@ -206,7 +206,7 @@ func TestExecutorConcurrency(t *testing.T) {
 			},
 		}
 		before := runtime.NumGoroutine()
-		got, _, _, err := runStages(ctx, candidates, p, nil, JoinOptions{Workers: 3, BatchSize: 8}, Cost{})
+		got, _, err := runStages(ctx, candidates, p, nil, JoinOptions{Workers: 3, BatchSize: 8}, Stats{})
 		checkNoGoroutineLeak(t, before)
 		var pe *PartialError
 		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
@@ -251,7 +251,7 @@ func TestExecutorConcurrency(t *testing.T) {
 			return core.NewTester(core.Config{DisableHardware: true})
 		}}
 		before := runtime.NumGoroutine()
-		_, _, _, err := joinViews(newCountdownCtx(1), cover.View(), crowd.View(), intersects, nil, opt)
+		_, _, err := joinViews(newCountdownCtx(1), cover.View(), crowd.View(), intersects, nil, opt)
 		checkNoGoroutineLeak(t, before)
 		var pe *PartialError
 		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Done != 0 {
@@ -261,7 +261,7 @@ func TestExecutorConcurrency(t *testing.T) {
 			t.Errorf("join: %d testers built by a join cancelled in its one probe", n)
 		}
 		sw := core.NewTester(core.Config{DisableHardware: true})
-		_, _, err = IntersectionSelect(newCountdownCtx(1), crowd, cover.Data.Objects[0], sw, SelectionOptions{})
+		_, _, err = IntersectionSelectView(newCountdownCtx(1), crowd.View(), cover.Data.Objects[0], sw, JoinOptions{})
 		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) || pe.Done != 0 || sw.Stats.Tests != 0 {
 			t.Errorf("select: err = %v after %d tests, want a *PartialError with nothing done wrapping Canceled",
 				err, sw.Stats.Tests)
@@ -283,13 +283,13 @@ func TestExecutorConcurrency(t *testing.T) {
 
 	t.Run("selection budget trips", func(t *testing.T) {
 		sw := core.NewTester(core.Config{DisableHardware: true})
-		ids, _, err := IntersectionSelect(bg, layerA, window, sw, SelectionOptions{MaxCandidates: selTotal - 1})
+		ids, _, err := IntersectionSelectView(bg, layerA.View(), window, sw, JoinOptions{MaxCandidates: selTotal - 1})
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Budget != selTotal-1 || be.Candidates != selTotal || len(ids) != 0 || sw.Stats.Tests != 0 {
 			t.Errorf("err = %v with %d ids after %d tests, want a bare *BudgetError at %d of budget %d",
 				err, len(ids), sw.Stats.Tests, selTotal, selTotal-1)
 		}
-		if _, _, err := IntersectionSelect(bg, layerA, window, sw, SelectionOptions{MaxCandidates: selTotal}); err != nil {
+		if _, _, err := IntersectionSelectView(bg, layerA.View(), window, sw, JoinOptions{MaxCandidates: selTotal}); err != nil {
 			t.Errorf("budget equal to the candidate count: %v", err)
 		}
 	})
@@ -297,8 +297,8 @@ func TestExecutorConcurrency(t *testing.T) {
 	t.Run("selection sink fails on the first batch", func(t *testing.T) {
 		boom := errors.New("client went away")
 		sw := core.NewTester(core.Config{DisableHardware: true})
-		_, _, err := IntersectionSelect(bg, layerA, window, sw, SelectionOptions{InteriorLevel: -1, BatchSize: 1,
-			Sink: func([]int) error { return boom }})
+		_, _, err := IntersectionSelectView(bg, layerA.View(), window, sw, JoinOptions{InteriorLevel: -1, BatchSize: 1,
+			Sink: func([]Pair) error { return boom }})
 		var pe *PartialError
 		if !errors.As(err, &pe) || !errors.Is(err, boom) || pe.Total != selTotal {
 			t.Errorf("err = %v, want a *PartialError of %d candidates carrying the sink's error", err, selTotal)

@@ -72,7 +72,7 @@ func TestIntervalJoinDifferentialGrid(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					samePairs(t, name, got, want)
-					checkStatsPartition(t, name, stats)
+					checkStatsPartition(t, name, stats.Stats)
 					if !noIval && stats.IntervalChecks == 0 {
 						t.Errorf("%s: interval filter idle", name)
 					}
@@ -115,7 +115,7 @@ func TestIntervalJoinDifferentialSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePairs(t, "synthetic pipeline", pgot, want)
-	checkStatsPartition(t, "synthetic pipeline", pstats)
+	checkStatsPartition(t, "synthetic pipeline", pstats.Stats)
 }
 
 // TestIntervalConcurrentLazyBuild hammers one fresh layer pair with

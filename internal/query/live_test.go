@@ -88,11 +88,11 @@ func TestLiveViewParity(t *testing.T) {
 	// Selections across a query workload.
 	queries := data.MustLoad("STATES50", 1)
 	for qi, q := range queries.Objects {
-		want, _, err := IntersectionSelect(bg, scratch, q, swTester(), SelectionOptions{})
+		want, _, err := IntersectionSelectView(bg, scratch.View(), q, swTester(), JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := IntersectionSelectView(bg, v, q, swTester(), SelectionOptions{})
+		got, _, err := IntersectionSelectView(bg, v, q, swTester(), JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestForceCopyDeltaOverlayParity(t *testing.T) {
 				}
 				q := queries[i%len(queries)]
 				v := lv.View()
-				ids, _, err := IntersectionSelectView(bg, v, q, swTester(), SelectionOptions{})
+				ids, _, err := IntersectionSelectView(bg, v, q, swTester(), JoinOptions{})
 				if err != nil {
 					t.Errorf("select: %v", err)
 					return
@@ -293,15 +293,15 @@ func TestForceCopyDeltaOverlayParity(t *testing.T) {
 	scratch := NewLayer(scratchState(layerA.Data, deletes, inserts))
 	vm, vc := lives[0].View(), lives[1].View()
 	for qi, q := range queries {
-		want, _, err := IntersectionSelect(bg, scratch, q, swTester(), SelectionOptions{})
+		want, _, err := IntersectionSelectView(bg, scratch.View(), q, swTester(), JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotM, _, err := IntersectionSelectView(bg, vm, q, swTester(), SelectionOptions{})
+		gotM, _, err := IntersectionSelectView(bg, vm, q, swTester(), JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotC, _, err := IntersectionSelectView(bg, vc, q, swTester(), SelectionOptions{})
+		gotC, _, err := IntersectionSelectView(bg, vc, q, swTester(), JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

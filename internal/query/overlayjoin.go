@@ -27,10 +27,11 @@ type OverlayPair struct {
 // Cancellation is honored both inside the join and between overlay
 // computations: an interrupted call returns the overlays finished so far
 // plus a *PartialError.
-func OverlayAreaJoin(ctx context.Context, a, b *Layer, tester *core.Tester) ([]OverlayPair, Cost, error) {
-	pairs, cost, err := IntersectionJoinView(ctx, a.View(), b.View(), tester, JoinOptions{})
+func OverlayAreaJoin(ctx context.Context, a, b *Layer, tester *core.Tester) ([]OverlayPair, Stats, error) {
+	pairs, st, err := IntersectionJoinView(ctx, a.View(), b.View(), tester, JoinOptions{})
 	if err != nil {
-		return nil, cost, err
+		st.Results = 0 // a failed join overlays nothing
+		return nil, st, err
 	}
 	start := time.Now()
 	out := make([]OverlayPair, 0, len(pairs))
@@ -38,12 +39,13 @@ func OverlayAreaJoin(ctx context.Context, a, b *Layer, tester *core.Tester) ([]O
 		// Each overlay is a full slab decomposition — expensive enough to
 		// justify a context check per pair rather than per stride.
 		if ctx.Err() != nil {
-			cost.GeometryComparison += time.Since(start)
-			return out, cost, &PartialError{Op: "overlay-join", Done: i, Total: len(pairs), Err: ctxCause(ctx)}
+			err = &PartialError{Op: "overlay-join", Done: i, Total: len(pairs), Err: ctxCause(ctx)}
+			break
 		}
 		area := overlay.IntersectionArea(a.Data.Objects[pr.A], b.Data.Objects[pr.B])
 		out = append(out, OverlayPair{A: pr.A, B: pr.B, Area: area})
 	}
-	cost.GeometryComparison += time.Since(start)
-	return out, cost, nil
+	st.GeometryMS += ms(time.Since(start))
+	st.Results = len(out)
+	return out, st, err
 }

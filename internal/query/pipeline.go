@@ -31,8 +31,10 @@ import (
 // goroutine. Either way the result — returned and streamed — is in
 // candidate order, which is (A, B) order: candidates are born sorted.
 
-// JoinOptions configure a join: how it executes, what it guards against,
-// which intermediate filters run, and the ablation knobs.
+// JoinOptions configure a join or a selection: how it executes, what it
+// guards against, which intermediate filters run, and the ablation knobs.
+// A selection reads InteriorLevel, MaxCandidates, BatchSize, Sink and the
+// No* knobs; the pool, the join prefilters and IntervalOrder are a join's.
 type JoinOptions struct {
 	// Workers is the size of the tester-less entry points' worker pool —
 	// the goroutines that generate the candidates and then filter and
@@ -43,8 +45,8 @@ type JoinOptions struct {
 	// dispatch (core.SampledSWThreshold).
 	Workers int
 	Tester  func() *core.Tester
-	// MaxCandidates, when positive, aborts the join with a *BudgetError
-	// if the MBR join yields more candidate pairs than this — the guard
+	// MaxCandidates, when positive, aborts the query with a *BudgetError
+	// if MBR filtering yields more candidates than this — the guard
 	// against pathological MBR skew materializing an unbounded pair list.
 	MaxCandidates int
 	// BatchSize is the candidate-pair batch size — how many pairs travel
@@ -57,7 +59,9 @@ type JoinOptions struct {
 	// returning, don't retain it. A non-nil return stops the join:
 	// completed batches still drain into the returned result, and the
 	// error surfaces as the *PartialError cause (the streaming wind-down
-	// path).
+	// path). A selection's pairs are (0, id), its window being the only
+	// outer object; its batches hold up to 4× BatchSize candidates, all
+	// one outer group (see runStages), per component on a live view.
 	Sink func(pairs []Pair) error
 
 	// UseHullFilter enables Brinkhoff's geometric filter on intersection
@@ -73,10 +77,15 @@ type JoinOptions struct {
 	// Use1Object enables the upper bound using the larger object's actual
 	// geometry (paper §4.1.1: "very aggressive filtering").
 	Use1Object bool
+	// InteriorLevel is a selection's prefilter, the interior filter's
+	// tiling level; negative disables it (the paper's level-0 runs build a
+	// 1×1 tiling).
+	InteriorLevel int
 
-	// NoSignatures and NoIntervals detach the persisted raster-signature
-	// filter and the v2 interval-approximation filter, as in
-	// SelectionOptions.
+	// NoSignatures detaches the persisted raster-signature filter of
+	// snapshot-backed layers, NoIntervals the v2 interval-approximation
+	// filter (true hits and rejects; the v1 signature path then decides
+	// alone). Ablation and baseline knobs.
 	NoSignatures, NoIntervals bool
 	// IntervalOrder forces the shared interval grid's order (2..15); 0
 	// derives it from the layers. No verb sets it.
@@ -87,6 +96,7 @@ type JoinOptions struct {
 
 type DistanceFilterOptions = JoinOptions // for bench/ until a benchmark PR re-points it
 type PipelineOptions = JoinOptions       // for bench/ until a benchmark PR re-points it
+type SelectionOptions = JoinOptions      // for bench/ until a benchmark PR re-points it
 
 // maxWorkersPerCPU bounds the pool at this multiple of GOMAXPROCS whatever
 // JoinOptions.Workers asks for: every worker owns a tester with its
@@ -115,36 +125,31 @@ func (o JoinOptions) newTester() *core.Tester {
 
 // IntersectionJoinView returns all pairs (a from view a, b from view b)
 // whose regions intersect, executed inline on the calling goroutine with
-// the caller's tester, which also accumulates the refinement counters. A
-// cancelled or expired context yields the pairs found so far plus a
-// *PartialError; an overflowing candidate budget a *BudgetError.
-func IntersectionJoinView(ctx context.Context, a, b *View, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
-	pairs, cost, stats, err := joinViews(ctx, a, b, intersects, tester, opt)
-	tester.Stats.Add(stats)
-	return pairs, cost, err
+// the caller's tester, which also accumulates the refinement counters; the
+// returned record carries the stage costs and the counters this call
+// added. A cancelled or expired context yields the pairs found so far plus
+// a *PartialError; an overflowing candidate budget a *BudgetError.
+func IntersectionJoinView(ctx context.Context, a, b *View, tester *core.Tester, opt JoinOptions) ([]Pair, Stats, error) {
+	return joinViews(ctx, a, b, intersects, tester, opt)
 }
 
 // WithinDistanceJoinView is IntersectionJoinView for the buffer query:
 // all pairs whose regions are within distance d of each other.
-func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, error) {
-	pairs, cost, stats, err := joinViews(ctx, a, b, withinDistance(d), tester, opt)
-	tester.Stats.Add(stats)
-	return pairs, cost, err
+func WithinDistanceJoinView(ctx context.Context, a, b *View, d float64, tester *core.Tester, opt JoinOptions) ([]Pair, Stats, error) {
+	return joinViews(ctx, a, b, withinDistance(d), tester, opt)
 }
 
 // PipelineIntersectionJoinView is the intersection join on the worker
 // pool (opt.Workers, opt.Tester); the returned record carries the stage
 // costs and the workers' summed counters.
 func PipelineIntersectionJoinView(ctx context.Context, a, b *View, opt JoinOptions) ([]Pair, Stats, error) {
-	pairs, cost, stats, err := joinViews(ctx, a, b, intersects, nil, opt)
-	return pairs, NewStats("join", len(pairs), cost, stats), err
+	return joinViews(ctx, a, b, intersects, nil, opt)
 }
 
 // PipelineWithinDistanceJoinView is PipelineIntersectionJoinView for the
 // buffer query.
 func PipelineWithinDistanceJoinView(ctx context.Context, a, b *View, d float64, opt JoinOptions) ([]Pair, Stats, error) {
-	pairs, cost, stats, err := joinViews(ctx, a, b, withinDistance(d), nil, opt)
-	return pairs, NewStats("within-join", len(pairs), cost, stats), err
+	return joinViews(ctx, a, b, withinDistance(d), nil, opt)
 }
 
 // joinKind is the join condition: intersects, or within distance d.
@@ -235,8 +240,8 @@ func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
 
 // joinViews runs the join once per component pair of the two views (up
 // to base×base, base×delta, delta×base, delta×delta); see composeViews.
-func joinViews(ctx context.Context, a, b *View, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Cost, core.Stats, error) {
-	return composeViews(a.components(), b.components(), opt, func(la, lb *Layer, o JoinOptions) ([]Pair, Cost, core.Stats, error) {
+func joinViews(ctx context.Context, a, b *View, k joinKind, tester *core.Tester, opt JoinOptions) ([]Pair, Stats, error) {
+	return composeViews(a.components(), b.components(), opt, func(la, lb *Layer, o JoinOptions) ([]Pair, Stats, error) {
 		return execute(ctx, la.Data.Objects, lb, k, tester, o, func() predicate { return k.bind(la, lb, o) })
 	})
 }
@@ -248,18 +253,17 @@ func joinViews(ctx context.Context, a, b *View, k joinKind, tester *core.Tester,
 // union sorted by (A, B). One component pair with identity positions is
 // one call with nothing to remap. Tombstoned objects still pass through
 // the component calls (they live in the base layer's R-tree), so the
-// summed Cost includes their filtering work — the honest price of
+// merged record includes their filtering work — the honest price of
 // querying an uncompacted view. A budget trip in any call aborts with no
 // result.
 func composeViews(as, bs []viewComponent, opt JoinOptions,
-	run func(a, b *Layer, opt JoinOptions) ([]Pair, Cost, core.Stats, error)) ([]Pair, Cost, core.Stats, error) {
+	run func(a, b *Layer, opt JoinOptions) ([]Pair, Stats, error)) ([]Pair, Stats, error) {
 	if len(as) == 1 && len(bs) == 1 && as[0].canon == nil && bs[0].canon == nil {
 		return run(as[0].layer, bs[0].layer, opt)
 	}
 	var (
 		out   []Pair
-		cost  Cost
-		stats core.Stats
+		stats Stats
 		err   error
 	)
 loop:
@@ -283,11 +287,10 @@ loop:
 					return opt.Sink(buf)
 				}
 			}
-			pairs, cc, st, rerr := run(ca.layer, cb.layer, o)
-			cost.Add(cc)
-			stats.Add(st)
+			pairs, st, rerr := run(ca.layer, cb.layer, o)
+			stats.Merge(st)
 			if _, budget := rerr.(*BudgetError); budget {
-				return nil, cost, stats, rerr
+				return nil, stats, rerr
 			}
 			out = remap(out, pairs)
 			if err = rerr; err != nil {
@@ -296,8 +299,8 @@ loop:
 		}
 	}
 	sortPairsByOuter(out)
-	cost.Results = len(out)
-	return out, cost, stats, err
+	stats.Results = len(out)
+	return out, stats, err
 }
 
 // execute runs one component pair through the pipeline of Figure 8: the
@@ -305,18 +308,18 @@ loop:
 // the candidates through runStages under the predicate bind returns,
 // bound only once generation succeeded.
 func execute(ctx context.Context, outer []*geom.Polygon, b *Layer, k joinKind, tester *core.Tester, opt JoinOptions,
-	bind func() predicate) ([]Pair, Cost, core.Stats, error) {
+	bind func() predicate) ([]Pair, Stats, error) {
 	start := time.Now()
 	candidates, seen, err := generate(ctx, outer, b, k, opt.poolSize(tester), opt.MaxCandidates)
-	mbr := time.Since(start)
+	st := Stats{Op: k.op, Candidates: seen, MBRFilterMS: ms(time.Since(start))}
 	if err != nil {
-		return nil, Cost{MBRFilter: mbr, Candidates: seen}, core.Stats{}, err
+		return nil, st, err
 	}
 
 	start = time.Now()
 	p := bind()
-	return runStages(ctx, candidates, p, tester, opt, Cost{MBRFilter: mbr, Candidates: seen,
-		IntermediateFilter: p.preSetup, GeometryComparison: time.Since(start) - p.preSetup})
+	st.IntermediateMS, st.GeometryMS = ms(p.preSetup), ms(time.Since(start)-p.preSetup)
+	return runStages(ctx, candidates, p, tester, opt, st)
 }
 
 // A generation task is a contiguous run of outer object ids, sized to give
@@ -440,7 +443,7 @@ type pipeBatch struct {
 	// undecided indexes into pairs the filter stage could not resolve.
 	undecided []int32
 
-	// The batch's share of the cost record, summed at emit.
+	// The batch's share of the stats record, summed at emit.
 	preHits, preRejects          int
 	preTime, filterTime, refTime time.Duration
 }
@@ -449,16 +452,11 @@ type pipeBatch struct {
 // software-only retry tester built on the first panic.
 type stageWorker struct {
 	t, sw *core.Tester
-	// own marks a tester the executor built: its counters belong to the
-	// run's stats. A caller's tester keeps its counters itself.
-	own bool
 }
 
 // fold adds the worker's counters to the run's stats.
 func (w *stageWorker) fold(into *core.Stats) {
-	if w.own {
-		into.Add(w.t.Stats)
-	}
+	into.Add(w.t.Stats)
 	if w.sw != nil {
 		into.Add(w.sw.Stats)
 	}
@@ -574,12 +572,11 @@ func (w *stageWorker) refineBatch(ctx context.Context, p *predicate, b *pipeBatc
 
 // emitter is the emit stage: it appends each completed batch's hits to
 // the result, hands them to the sink, and sums the batch's share of the
-// cost and pipeline counters. It runs on the calling goroutine.
+// stage costs and executor counters. It runs on the calling goroutine.
 type emitter struct {
 	sink    func([]Pair) error
 	results []Pair
-	cost    Cost
-	stats   core.Stats
+	stats   Stats
 	done    int   // pairs in emitted batches
 	sinkErr error // first sink failure; nothing is sunk after it
 }
@@ -592,11 +589,11 @@ func (e *emitter) emit(b *pipeBatch) {
 		}
 	}
 	e.done += len(b.pairs)
-	e.cost.FilterHits += b.preHits
-	e.cost.FilterRejects += b.preRejects
-	e.cost.Compared += len(b.pairs) - b.preHits - b.preRejects
-	e.cost.IntermediateFilter += b.preTime
-	e.cost.GeometryComparison += b.filterTime + b.refTime
+	e.stats.FilterHits += b.preHits
+	e.stats.FilterRejects += b.preRejects
+	e.stats.Compared += len(b.pairs) - b.preHits - b.preRejects
+	e.stats.IntermediateMS += ms(b.preTime)
+	e.stats.GeometryMS += ms(b.filterTime + b.refTime)
 	e.stats.PipelineBatches++
 	e.stats.PipelineFilterNS += int64(b.preTime + b.filterTime)
 	e.stats.PipelineRefineNS += int64(b.refTime)
@@ -609,24 +606,25 @@ func (e *emitter) emit(b *pipeBatch) {
 	}
 }
 
-// finish closes the cost record and types the interruption, if any: a
+// finish closes the stats record and types the interruption, if any: a
 // sink failure always (its rows never arrived), a dead context only when
 // it cost the result some batch.
-func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Cost, core.Stats, error) {
-	e.cost.Results = len(e.results)
+func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Stats, error) {
+	e.stats.Results = len(e.results)
 	var err error
 	if e.sinkErr != nil {
 		err = &PartialError{Op: op, Done: e.done, Total: total, Err: e.sinkErr}
 	} else if e.done < total && ctx.Err() != nil {
 		err = &PartialError{Op: op, Done: e.done, Total: total, Err: ctxCause(ctx)}
 	}
-	return e.results, e.cost, e.stats, err
+	return e.results, e.stats, err
 }
 
 // runStages drives a candidate list through filter → refine → emit and
-// returns the result pairs in candidate order, the cost record (the
-// stages' costs added to what the caller spent before them) and the
-// counters of every tester it built.
+// returns the result pairs in candidate order and the stats record: the
+// stages' costs added to what the caller spent before them, and the
+// counters of every tester the run used — a caller's tester included,
+// which keeps them too.
 // Batches extend past the nominal size to the end of the current outer
 // object's run (bounded at 4×, so a monster outer group cannot serialize
 // the join) so one outer polygon's pairs — and its lazily built edge
@@ -653,7 +651,7 @@ func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Cos
 // batches; the pool winds down through channel closes — no goroutine
 // outlives the call. A sink error stops the run and surfaces as the
 // *PartialError cause.
-func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core.Tester, opt JoinOptions, spent Cost) ([]Pair, Cost, core.Stats, error) {
+func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core.Tester, opt JoinOptions, spent Stats) ([]Pair, Stats, error) {
 	batch := opt.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultBatchSize
@@ -666,13 +664,18 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 		}
 		return hi
 	}
-	e := emitter{sink: opt.Sink, cost: spent}
+	e := emitter{sink: opt.Sink, stats: spent}
 
 	workers := min(opt.poolSize(tester), (len(candidates)+batch-1)/batch)
 	if workers <= 1 {
-		w := &stageWorker{t: tester, own: tester == nil}
-		if w.own {
+		w := &stageWorker{t: tester}
+		var before core.Stats
+		if tester == nil {
 			w.t = opt.newTester()
+		} else {
+			// The caller's tester counts the run from zero, so fold reads
+			// what the run added; the counts it held come back under them.
+			before, tester.Stats = tester.Stats, core.Stats{}
 		}
 		for lo := 0; lo < len(candidates) && e.sinkErr == nil; {
 			b := &pipeBatch{pairs: candidates[lo:cut(lo)]}
@@ -682,7 +685,11 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 			e.emit(b)
 			lo += len(b.pairs)
 		}
-		w.fold(&e.stats)
+		w.fold(&e.stats.Stats)
+		if tester != nil {
+			before.Add(e.stats.Stats)
+			tester.Stats = before
+		}
 		return e.finish(ctx, p.op, len(candidates))
 	}
 
@@ -693,13 +700,16 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 	// waiting for a free worker, and a finished one never waits for emit.
 	workCh := make(chan *pipeBatch, workers)
 	emitCh := make(chan *pipeBatch, workers)
-	// workerStats gathers what the pool's goroutines report, under mu: each
-	// worker's counters when it exits, and the deepest queue backlog seen.
-	var mu sync.Mutex
-	var workerStats core.Stats
+	// What the pool's goroutines report, under mu: each worker's counters
+	// when it exits, and the deepest queue backlog seen.
+	var (
+		mu           sync.Mutex
+		workerStats  core.Stats
+		deepestQueue int64
+	)
 	sent := func(ch chan<- *pipeBatch) {
 		mu.Lock()
-		workerStats.PipelineQueueDepth = max(workerStats.PipelineQueueDepth, int64(len(ch)))
+		deepestQueue = max(deepestQueue, int64(len(ch)))
 		mu.Unlock()
 	}
 
@@ -708,7 +718,7 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &stageWorker{t: opt.newTester(), own: true}
+			w := &stageWorker{t: opt.newTester()}
 			for b := range workCh {
 				if pctx.Err() != nil || !w.filterBatch(pctx, &p, b) || !w.refineBatch(pctx, &p, b) {
 					continue
@@ -769,6 +779,7 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 	}
 
 	// emitCh is closed: every worker has folded.
-	e.stats.Add(workerStats)
+	e.stats.Stats.Add(workerStats)
+	e.stats.PipelineQueueDepth = deepestQueue
 	return e.finish(ctx, p.op, len(candidates))
 }

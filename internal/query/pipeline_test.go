@@ -27,32 +27,26 @@ func checkStatsPartition(t *testing.T, name string, s core.Stats) {
 	}
 }
 
-// execForm runs an intersection join of layerA and layerB one way. The
-// returned stats carry the tester counters on both forms.
+// execForm runs an intersection join of layerA and layerB one way.
 type execForm struct {
 	name string
-	join func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, core.Stats, error)
+	join func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, Stats, error)
 }
 
 var execForms = []execForm{
-	{"inline", func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, core.Stats, error) {
-		tester := core.NewTester(cfg)
-		pairs, _, err := IntersectionJoinView(ctx, layerA.View(), layerB.View(), tester, opt)
-		return pairs, tester.Stats, err
+	{"inline", func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, Stats, error) {
+		return IntersectionJoinView(ctx, layerA.View(), layerB.View(), core.NewTester(cfg), opt)
 	}},
-	{"pooled", func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, core.Stats, error) {
+	{"pooled", func(ctx context.Context, cfg core.Config, opt JoinOptions) ([]Pair, Stats, error) {
 		opt.Workers = 4
 		opt.Tester = func() *core.Tester { return core.NewTester(cfg) }
-		pairs, _, stats, err := joinViews(ctx, layerA.View(), layerB.View(), intersects, nil, opt)
-		return pairs, stats, err
+		return PipelineIntersectionJoinView(ctx, layerA.View(), layerB.View(), opt)
 	}},
 }
 
-// pooledJoin is the intersection join on the worker pools with the raw
-// tester counters (the public form flattens them into a Stats record).
-func pooledJoin(a, b *Layer, opt JoinOptions) ([]Pair, core.Stats, error) {
-	pairs, _, stats, err := joinViews(bg, a.View(), b.View(), intersects, nil, opt)
-	return pairs, stats, err
+// pooledJoin is the intersection join of two layers on the worker pool.
+func pooledJoin(a, b *Layer, opt JoinOptions) ([]Pair, Stats, error) {
+	return PipelineIntersectionJoinView(bg, a.View(), b.View(), opt)
 }
 
 // TestParallelCustomTester: the factory runs once per pool worker (so its
@@ -212,7 +206,7 @@ func panickingJoin(t *testing.T, f execForm, cfg core.Config) {
 	done := make(chan struct{})
 	var (
 		got   []Pair
-		stats core.Stats
+		stats Stats
 		err   error
 	)
 	go func() {
@@ -285,14 +279,11 @@ func stagesForms(t *testing.T, cfg core.Config, refine func(*core.Tester, Pair) 
 		if inline {
 			tester = opt.Tester()
 		}
-		got, _, stats, err := runStages(bg, candidates, p, tester, opt, Cost{})
+		got, st, err := runStages(bg, candidates, p, tester, opt, Stats{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inline {
-			stats.Add(tester.Stats)
-		}
-		check(fmt.Sprintf("inline=%v", inline), got, stats)
+		check(fmt.Sprintf("inline=%v", inline), got, st.Stats)
 	}
 }
 

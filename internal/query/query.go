@@ -30,11 +30,9 @@ package query
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -353,96 +351,6 @@ func (l *Layer) Breaker(other *Layer) *core.Breaker {
 	return b
 }
 
-// Cost is the per-stage cost breakdown of one query, mirroring the cost
-// bars in the paper's figures.
-type Cost struct {
-	MBRFilter          time.Duration // stage 1: index traversal
-	IntermediateFilter time.Duration // stage 2: interior / 0-object / 1-object
-	GeometryComparison time.Duration // stage 3: refinement tests
-
-	Candidates    int // objects or pairs surviving MBR filtering
-	FilterHits    int // positives identified by the intermediate filter
-	FilterRejects int // negatives proven by the intermediate filter
-	Compared      int // pairs sent to geometry comparison
-	Results       int // final result count
-}
-
-// Total returns the summed stage costs.
-func (c Cost) Total() time.Duration {
-	return c.MBRFilter + c.IntermediateFilter + c.GeometryComparison
-}
-
-// Add accumulates other into c (for averaging over a query set).
-func (c *Cost) Add(other Cost) {
-	c.MBRFilter += other.MBRFilter
-	c.IntermediateFilter += other.IntermediateFilter
-	c.GeometryComparison += other.GeometryComparison
-	c.Candidates += other.Candidates
-	c.FilterHits += other.FilterHits
-	c.FilterRejects += other.FilterRejects
-	c.Compared += other.Compared
-	c.Results += other.Results
-}
-
-// Scale divides all costs and counts by n, for per-query averages.
-func (c Cost) Scale(n int) Cost {
-	if n <= 0 {
-		return c
-	}
-	return Cost{
-		MBRFilter:          c.MBRFilter / time.Duration(n),
-		IntermediateFilter: c.IntermediateFilter / time.Duration(n),
-		GeometryComparison: c.GeometryComparison / time.Duration(n),
-		Candidates:         c.Candidates / n,
-		FilterHits:         c.FilterHits / n,
-		FilterRejects:      c.FilterRejects / n,
-		Compared:           c.Compared / n,
-		Results:            c.Results / n,
-	}
-}
-
-// SelectionOptions configure an intersection selection.
-type SelectionOptions struct {
-	// InteriorLevel is the interior filter's tiling level; negative
-	// disables the intermediate filter entirely (the paper's level-0 runs
-	// build a 1×1 tiling).
-	InteriorLevel int
-	// MaxCandidates, when positive, aborts the selection with a
-	// *BudgetError if MBR filtering yields more candidates than this.
-	MaxCandidates int
-	// NoSignatures disables the persisted raster-signature filter for
-	// snapshot-backed layers. Ablation knob; no effect on layers without
-	// signatures.
-	NoSignatures bool
-	// NoIntervals disables the v2 interval-approximation filter (true
-	// hits and rejects); the v1 signature path then decides alone.
-	// Ablation/baseline knob.
-	NoIntervals bool
-	// BatchSize is the executor's batch size, as in JoinOptions: a
-	// selection's candidates form one outer group, so each batch — and
-	// each Sink call — covers up to 4× BatchSize candidates; 0 means
-	// core.DefaultBatchSize.
-	BatchSize int
-	// Sink, when non-nil, receives each completed batch's result IDs, in
-	// ascending order (per component on a live view), from the calling
-	// goroutine. The slice is reused between calls — consume it before
-	// returning, don't retain it. A non-nil return stops the selection and
-	// surfaces as the *PartialError cause. Rows already handed to the sink
-	// are still present in the returned slice.
-	Sink func(ids []int) error
-}
-
-// IntersectionSelect returns the IDs of the layer's objects whose regions
-// intersect the query polygon, in ascending order: the executor's
-// three-stage pipeline with the query polygon as the only outer object.
-// The tester decides software vs hardware-assisted refinement and
-// accumulates the counters. A cancelled or expired context yields the
-// results so far plus a *PartialError; an overflowing candidate budget
-// yields a *BudgetError.
-func IntersectionSelect(ctx context.Context, layer *Layer, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
-	return IntersectionSelectView(ctx, layer.View(), query, tester, opt)
-}
-
 // selection is the generation kind of a selection: an intersects probe.
 var selection = joinKind{op: "select"}
 
@@ -454,7 +362,7 @@ var selection = joinKind{op: "select"}
 // grid makes the layer build a column per window) are built once, on the
 // first pair the tester sees; none is built when the prefilter decides
 // every candidate.
-func bindSelection(l *Layer, window *geom.Polygon, opt SelectionOptions) predicate {
+func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 	p := predicate{op: selection.op}
 	if opt.InteriorLevel >= 0 {
 		wb := window.Bounds()

@@ -99,13 +99,13 @@ func TestIntersectionSelectMatchesOracle(t *testing.T) {
 						for _, noIntervals := range []bool{false, true} {
 							tester := core.NewTester(cfg)
 							var streamed []int
-							opt := SelectionOptions{InteriorLevel: level, NoIntervals: noIntervals, BatchSize: batch,
-								Sink: func(ids []int) error {
-									streamed = append(streamed, ids...) // copy: the slice is reused
+							opt := JoinOptions{InteriorLevel: level, NoIntervals: noIntervals, BatchSize: batch,
+								Sink: func(pairs []Pair) error {
+									streamed = innerIDs(streamed, pairs) // copy: the slice is reused
 									return nil
 								}}
 							name := fmt.Sprintf("%s window %d %s batch=%d level=%d nointervals=%v", vname, qi, tname, batch, level, noIntervals)
-							got, cost, err := IntersectionSelectView(bg, v, q, tester, opt)
+							got, st, err := IntersectionSelectView(bg, v, q, tester, opt)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -115,15 +115,15 @@ func TestIntersectionSelectMatchesOracle(t *testing.T) {
 							} else {
 								sameIDs(t, name+" stream", sortedIDs(streamed), got)
 							}
-							if cost.Results != len(got) || cost.Candidates < cost.Results ||
-								cost.FilterHits+cost.FilterRejects+cost.Compared != cost.Candidates {
-								t.Fatalf("%s: stage counts inconsistent: %+v", name, cost)
+							if st.Results != len(got) || st.Candidates < st.Results ||
+								st.FilterHits+st.FilterRejects+st.Compared != st.Candidates {
+								t.Fatalf("%s: stage counts inconsistent: %+v", name, st)
 							}
-							checkStatsPartition(t, name, tester.Stats)
-							if tester.Stats.Tests != int64(cost.Compared) {
-								t.Fatalf("%s: %d tests for %d compared", name, tester.Stats.Tests, cost.Compared)
+							checkStatsPartition(t, name, st.Stats)
+							if st.Stats != tester.Stats || st.Tests != int64(st.Compared) {
+								t.Fatalf("%s: %d tests for %d compared, tester holds %+v", name, st.Tests, st.Compared, tester.Stats)
 							}
-							interiorHits += cost.FilterHits
+							interiorHits += st.FilterHits
 						}
 					}
 				}
@@ -202,7 +202,7 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 							if workers > 0 {
 								tester = nil
 							}
-							got, cost, stats, err := joinViews(bg, a, b, k, tester, opt)
+							got, st, err := joinViews(bg, a, b, k, tester, opt)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -215,19 +215,19 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 							} else {
 								samePairs(t, name+" stream", sortedPairs(streamed), got)
 							}
-							if cost.Results != len(got) || cost.Candidates < cost.Results ||
-								cost.FilterHits+cost.FilterRejects+cost.Compared != cost.Candidates {
-								t.Fatalf("%s: stage counts inconsistent: %+v", name, cost)
+							if st.Results != len(got) || st.Candidates < st.Results ||
+								st.FilterHits+st.FilterRejects+st.Compared != st.Candidates {
+								t.Fatalf("%s: stage counts inconsistent: %+v", name, st)
 							}
-							if workers > 0 {
-								checkStatsPartition(t, name, stats)
-								// A composed view's remap drops tombstoned rows
-								// after the executor counted them.
-								emitted, n := stats.StreamRowsEmitted, int64(len(streamed))
-								if stats.Tests != int64(cost.Compared) || emitted < n || single && emitted != n {
-									t.Fatalf("%s: %d tests for %d compared, %d rows emitted for %d streamed",
-										name, stats.Tests, cost.Compared, emitted, n)
-								}
+							// Inline too: the record carries what the run
+							// added to the caller's tester.
+							checkStatsPartition(t, name, st.Stats)
+							// A composed view's remap drops tombstoned rows
+							// after the executor counted them.
+							emitted, n := st.StreamRowsEmitted, int64(len(streamed))
+							if st.Tests != int64(st.Compared) || emitted < n || single && emitted != n {
+								t.Fatalf("%s: %d tests for %d compared, %d rows emitted for %d streamed",
+									name, st.Tests, st.Compared, emitted, n)
 							}
 						}
 					}
@@ -279,26 +279,6 @@ func TestFiltersReduceComparisons(t *testing.T) {
 	}
 	if filtered.FilterHits == 0 {
 		t.Error("0/1-object filters identified no positives at BaseD")
-	}
-}
-
-func TestCostArithmetic(t *testing.T) {
-	c := Cost{MBRFilter: 10, IntermediateFilter: 20, GeometryComparison: 30,
-		Candidates: 100, FilterHits: 40, Compared: 60, Results: 50}
-	if c.Total() != 60 {
-		t.Errorf("Total = %v", c.Total())
-	}
-	sum := c
-	sum.Add(c)
-	if sum.Candidates != 200 || sum.Total() != 120 {
-		t.Errorf("Add wrong: %+v", sum)
-	}
-	avg := sum.Scale(2)
-	if avg.Candidates != 100 || avg.Total() != 60 {
-		t.Errorf("Scale wrong: %+v", avg)
-	}
-	if z := c.Scale(0); z != c {
-		t.Error("Scale(0) should be identity")
 	}
 }
 

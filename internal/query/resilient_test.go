@@ -105,7 +105,7 @@ func TestSerialCancellation(t *testing.T) {
 	sw := core.NewTester(core.Config{DisableHardware: true})
 
 	q := layerB.Data.Objects[0]
-	_, _, err := IntersectionSelect(ctx, layerA, q, sw, SelectionOptions{InteriorLevel: -1})
+	_, _, err := IntersectionSelectView(ctx, layerA.View(), q, sw, JoinOptions{InteriorLevel: -1})
 	var pe *PartialError
 	if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
 		t.Errorf("select: err = %v, want PartialError wrapping Canceled", err)
@@ -165,7 +165,7 @@ func TestCandidateBudget(t *testing.T) {
 	}
 
 	q := layerB.Data.Objects[0]
-	_, _, err = IntersectionSelect(bg, layerA, q, sw, SelectionOptions{InteriorLevel: -1, MaxCandidates: 1})
+	_, _, err = IntersectionSelectView(bg, layerA.View(), q, sw, JoinOptions{InteriorLevel: -1, MaxCandidates: 1})
 	if !errors.As(err, &be) {
 		t.Errorf("select: err = %v, want *BudgetError", err)
 	}
@@ -314,7 +314,7 @@ func TestSelectionRecoversPanickingTester(t *testing.T) {
 	}
 	inj := faultinject.New(7).Inject(faultinject.SiteIntersects, faultinject.KindPanic, 1)
 	tester := core.NewTester(core.Config{Resolution: 8, Faults: inj})
-	got, _, err := IntersectionSelect(bg, layerA, q, tester, SelectionOptions{InteriorLevel: -1})
+	got, _, err := IntersectionSelectView(bg, layerA.View(), q, tester, JoinOptions{InteriorLevel: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestSelectionRecoversPanickingTester(t *testing.T) {
 func TestFaultedHWSelectStillExact(t *testing.T) {
 	q := layerB.Data.Objects[0]
 	sw := core.NewTester(core.Config{DisableHardware: true})
-	want, _, err := IntersectionSelect(bg, layerA, q, sw, SelectionOptions{InteriorLevel: -1})
+	want, _, err := IntersectionSelectView(bg, layerA.View(), q, sw, JoinOptions{InteriorLevel: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestFaultedHWSelectStillExact(t *testing.T) {
 		Inject(faultinject.SiteIntersects, faultinject.KindDelay, 0.5).
 		SetDelay(time.Microsecond)
 	faulted := core.NewTester(core.Config{Resolution: 8, SWThreshold: 0, Faults: inj})
-	got, _, err := IntersectionSelect(bg, layerA, q, faulted, SelectionOptions{InteriorLevel: -1})
+	got, _, err := IntersectionSelectView(bg, layerA.View(), q, faulted, JoinOptions{InteriorLevel: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

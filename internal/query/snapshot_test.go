@@ -61,11 +61,11 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 
 			// Selections: every STATES50 polygon against layer A.
 			for qi, q := range queries.Objects {
-				want, _, err := IntersectionSelect(bg, layerA, q, swTester(), SelectionOptions{})
+				want, _, err := IntersectionSelectView(bg, layerA.View(), q, swTester(), JoinOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := IntersectionSelect(bg, snapA, q, swTester(), SelectionOptions{})
+				got, _, err := IntersectionSelectView(bg, snapA.View(), q, swTester(), JoinOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

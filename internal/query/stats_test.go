@@ -9,94 +9,77 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 )
 
-// fillStats sets every numeric field of a Stats to a distinct nonzero
-// value derived from base, sets bools true, and tags strings. Using
-// reflection here means a future Stats field cannot silently be skipped
-// by Merge: the exhaustiveness test below fails until Merge handles it.
+// fillStats sets every numeric field of a Stats, the embedded
+// core.Stats's included, to a distinct nonzero value derived from base,
+// sets bools true, and tags strings. Using reflection here means a future
+// Stats field cannot silently be skipped by Merge: the exhaustiveness test
+// below fails until Merge (or core.Stats.Add) handles it.
 func fillStats(base int64) Stats {
 	var s Stats
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		n := base + int64(i) + 1
-		switch f.Kind() {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(n)
-		case reflect.Float64:
-			f.SetFloat(float64(n))
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.String:
-			f.SetString("op")
-		default:
-			panic("unhandled Stats field kind " + f.Kind().String())
+	n := base
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			n++
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(n)
+			case reflect.Float64:
+				f.SetFloat(float64(n))
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.String:
+				f.SetString("op")
+			case reflect.Struct:
+				fill(f)
+			default:
+				panic("unhandled Stats field kind " + f.Kind().String())
+			}
 		}
 	}
+	fill(reflect.ValueOf(&s).Elem())
 	return s
 }
 
+// TestStatsMergeSumsEveryField checks Merge field by field, into the
+// embedded core.Stats too.
 func TestStatsMergeSumsEveryField(t *testing.T) {
 	a, b := fillStats(100), fillStats(5000)
 	m := a
 	m.Merge(b)
-	av, bv, mv := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(m)
-	typ := av.Type()
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		switch av.Field(i).Kind() {
-		case reflect.Int, reflect.Int64:
-			want := av.Field(i).Int() + bv.Field(i).Int()
-			if name == "PipelineQueueDepth" {
-				// High-water-mark gauge: merges by max, not sum.
-				want = max(av.Field(i).Int(), bv.Field(i).Int())
-			}
-			if got := mv.Field(i).Int(); got != want {
-				t.Errorf("Merge dropped %s: got %d, want %d", name, got, want)
-			}
-		case reflect.Float64:
-			if got, want := mv.Field(i).Float(), av.Field(i).Float()+bv.Field(i).Float(); got != want {
-				t.Errorf("Merge dropped %s: got %v, want %v", name, got, want)
-			}
-		case reflect.Bool:
-			if !mv.Field(i).Bool() {
-				t.Errorf("Merge cleared bool %s", name)
+	var check func(av, bv, mv reflect.Value)
+	check = func(av, bv, mv reflect.Value) {
+		typ := av.Type()
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			switch av.Field(i).Kind() {
+			case reflect.Int, reflect.Int64:
+				want := av.Field(i).Int() + bv.Field(i).Int()
+				if name == "PipelineQueueDepth" {
+					// High-water-mark gauge: merges by max, not sum.
+					want = max(av.Field(i).Int(), bv.Field(i).Int())
+				}
+				if got := mv.Field(i).Int(); got != want {
+					t.Errorf("Merge dropped %s: got %d, want %d", name, got, want)
+				}
+			case reflect.Float64:
+				if got, want := mv.Field(i).Float(), av.Field(i).Float()+bv.Field(i).Float(); got != want {
+					t.Errorf("Merge dropped %s: got %v, want %v", name, got, want)
+				}
+			case reflect.Bool:
+				if !mv.Field(i).Bool() {
+					t.Errorf("Merge cleared bool %s", name)
+				}
+			case reflect.Struct:
+				check(av.Field(i), bv.Field(i), mv.Field(i))
 			}
 		}
 	}
-}
-
-// TestNewStatsCarriesEveryCoreCounter pins the core.Stats → Stats
-// flatten: every counter the refinement tester accumulates must have a
-// same-named field in the serving record holding the same value, so a
-// counter added to core.Stats cannot silently vanish from the shell
-// output, access log, /metrics, or the coordinator's merged records.
-func TestNewStatsCarriesEveryCoreCounter(t *testing.T) {
-	var cs core.Stats
-	cv := reflect.ValueOf(&cs).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		cv.Field(i).SetInt(int64(i) + 1)
-	}
-	// The tester's internal wall-clock aggregates are deliberately not in
-	// the serving record; stage timing reports through Cost instead.
-	exempt := map[string]bool{"HWTime": true, "SWTime": true, "CollectTime": true}
-	st := NewStats("op", 0, Cost{}, cs)
-	sv := reflect.ValueOf(st)
-	for i := 0; i < cv.NumField(); i++ {
-		name := cv.Type().Field(i).Name
-		if exempt[name] {
-			continue
-		}
-		f := sv.FieldByName(name)
-		if !f.IsValid() {
-			t.Errorf("core.Stats.%s has no counterpart in query.Stats", name)
-			continue
-		}
-		if got, want := f.Int(), cv.Field(i).Int(); got != want {
-			t.Errorf("NewStats dropped core.Stats.%s: got %d, want %d", name, got, want)
-		}
-	}
+	check(reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(m))
 }
 
 func TestStatsMergeAssociative(t *testing.T) {
@@ -184,5 +167,35 @@ func TestStatsWireContract(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("round trip changed the record:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestInlineRecordsCarryTheirOwnCounters: two selections inline on one
+// tester each return the counters they added, and the tester holds the
+// sum of both records on top of what it held before.
+func TestInlineRecordsCarryTheirOwnCounters(t *testing.T) {
+	tester := core.NewTester(core.Config{Resolution: 8})
+	tester.Stats.Tests = 1000 // counts from before the selections
+	held := tester.Stats
+	windows := data.MustLoad("STATES50", 1).Objects[:2]
+	var records [2]Stats
+	for i, q := range windows {
+		var err error
+		if _, records[i], err = IntersectionSelectView(bg, layerA.View(), q, tester, JoinOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		checkStatsPartition(t, "window", records[i].Stats)
+		if records[i].Tests == 0 || records[i].Tests != int64(records[i].Compared) {
+			t.Fatalf("window %d: record counts %d tests for %d compared", i, records[i].Tests, records[i].Compared)
+		}
+	}
+	if records[0].Stats == records[1].Stats {
+		t.Fatal("both windows report the same counters; pick windows that differ")
+	}
+	want := held
+	want.Add(records[0].Stats)
+	want.Add(records[1].Stats)
+	if tester.Stats != want {
+		t.Errorf("tester holds %+v, want the earlier counts plus both records: %+v", tester.Stats, want)
 	}
 }

@@ -132,28 +132,23 @@ func (e *LiveUnsupportedError) Error() string {
 	return fmt.Sprintf("query: %s does not support a live delta view; compact the layer first", e.Op)
 }
 
-// IntersectionSelectView is IntersectionSelect over a view: the executor
-// runs once per component, through the same composition loop as a join
-// (composeViews), with the window as the outer side. Results are
-// canonical positions in ascending order; the stream is per component. A
-// *PartialError carries the merged results so far; a *BudgetError (per
-// component) aborts with no results, as on a plain layer.
-func IntersectionSelectView(ctx context.Context, v *View, query *geom.Polygon, tester *core.Tester, opt SelectionOptions) ([]int, Cost, error) {
-	jopt := JoinOptions{MaxCandidates: opt.MaxCandidates, BatchSize: opt.BatchSize}
-	if opt.Sink != nil {
-		var ids []int
-		jopt.Sink = func(pairs []Pair) error {
-			ids = innerIDs(ids[:0], pairs)
-			return opt.Sink(ids)
-		}
-	}
+// IntersectionSelectView returns the view's objects whose regions
+// intersect the query polygon, as canonical positions in ascending order:
+// the executor's three-stage pipeline with the query polygon as the only
+// outer object, run once per component through the same composition loop
+// as a join (composeViews), inline on the caller's tester, which decides
+// software vs hardware-assisted refinement and accumulates the counters.
+// opt.Sink receives (0, id) pairs, per component. A cancelled or expired
+// context yields the merged results so far plus a *PartialError; an
+// overflowing candidate budget (per component) a *BudgetError and no
+// results.
+func IntersectionSelectView(ctx context.Context, v *View, query *geom.Polygon, tester *core.Tester, opt JoinOptions) ([]int, Stats, error) {
 	window := []*geom.Polygon{query}
-	pairs, cost, stats, err := composeViews([]viewComponent{{}}, v.components(), jopt,
-		func(_, l *Layer, o JoinOptions) ([]Pair, Cost, core.Stats, error) {
-			return execute(ctx, window, l, selection, tester, o, func() predicate { return bindSelection(l, query, opt) })
+	pairs, st, err := composeViews([]viewComponent{{}}, v.components(), opt,
+		func(_, l *Layer, o JoinOptions) ([]Pair, Stats, error) {
+			return execute(ctx, window, l, selection, tester, o, func() predicate { return bindSelection(l, query, o) })
 		})
-	tester.Stats.Add(stats)
-	return innerIDs(make([]int, 0, len(pairs)), pairs), cost, err
+	return innerIDs(make([]int, 0, len(pairs)), pairs), st, err
 }
 
 // innerIDs appends the pairs' inner ids to dst: a selection's result.

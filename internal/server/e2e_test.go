@@ -158,9 +158,9 @@ func TestE2EConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, err := query.IntersectionSelect(context.Background(), water, qpoly,
+	ids, _, err := query.IntersectionSelectView(context.Background(), water.View(), qpoly,
 		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}),
-		query.SelectionOptions{InteriorLevel: 4})
+		query.JoinOptions{InteriorLevel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,8 +125,8 @@ func TestFaultQueryPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, err := query.IntersectionSelect(context.Background(), water, qpoly,
-		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}), query.SelectionOptions{InteriorLevel: 4})
+	ids, _, err := query.IntersectionSelectView(context.Background(), water.View(), qpoly,
+		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}), query.JoinOptions{InteriorLevel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/query"
 )
@@ -170,14 +171,14 @@ func TestLimiterBoundedWait(t *testing.T) {
 func TestMetricsPrometheus(t *testing.T) {
 	m := newMetrics()
 	m.ConnsAccepted.Add(3)
-	m.observe(query.Stats{Op: "join", Candidates: 100, Tests: 80, HWRejects: 60}, StatusOK, time.Second)
+	m.observe(query.Stats{Op: "join", Candidates: 100, Stats: core.Stats{Tests: 80, HWRejects: 60}}, StatusOK, time.Second)
 	m.observe(query.Stats{Op: "join"}, StatusPartial, time.Millisecond)
 	m.observe(query.Stats{Op: "select"}, StatusError, 0)
 	m.observe(query.Stats{Op: "pjoin"}, StatusOverload, 0)
 
-	m.observe(query.Stats{Op: "join", SentinelChecks: 7, SentinelDisagreements: 2,
-		BreakerTrips: 1, BreakerRecoveries: 1, BreakerOpenSkips: 40}, StatusOK, 0)
-	m.observe(query.Stats{Op: "load", SigChecks: 30, SigRejects: 12,
+	m.observe(query.Stats{Op: "join", Stats: core.Stats{SentinelChecks: 7, SentinelDisagreements: 2,
+		BreakerTrips: 1, BreakerRecoveries: 1, BreakerOpenSkips: 40}}, StatusOK, 0)
+	m.observe(query.Stats{Op: "load", Stats: core.Stats{SigChecks: 30, SigRejects: 12},
 		SnapshotBytes: 4096, SnapshotSections: 7, SnapshotMMap: true, SnapshotLoadMS: 1.5}, StatusOK, 0)
 	m.observeFailure(&query.PartialError{Op: "join", Err: &query.DeadlineError{Budget: time.Second}})
 

@@ -241,7 +241,7 @@ func runCoordSoakPhase(t *testing.T, seed int64) {
 	}
 	selIDs, _, err := query.IntersectionSelectView(truthCtx, la.View(), q,
 		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}),
-		query.SelectionOptions{InteriorLevel: 4})
+		query.JoinOptions{InteriorLevel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,9 +493,9 @@ func directSelectCount(t *testing.T, l *query.Layer) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, err := query.IntersectionSelect(context.Background(), l, q,
+	ids, _, err := query.IntersectionSelectView(context.Background(), l.View(), q,
 		core.NewTester(core.Config{SWThreshold: core.DefaultSWThreshold}),
-		query.SelectionOptions{InteriorLevel: 4})
+		query.JoinOptions{InteriorLevel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

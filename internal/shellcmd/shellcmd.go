@@ -847,7 +847,7 @@ func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io
 	}
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
-	pairs, cost, qerr := query.OverlayAreaJoin(qctx, a, b, tester)
+	pairs, st, qerr := query.OverlayAreaJoin(qctx, a, b, tester)
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr
@@ -857,11 +857,9 @@ func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io
 		total += op.Area
 	}
 	fmt.Fprintf(out, "overlay: %d overlapping pairs, %.4f units² shared area (total %v)\n",
-		len(pairs), total, cost.Total().Round(time.Millisecond))
-	return Result{
-		Stats:   query.NewStats("overlay", len(pairs), cost, tester.Stats),
-		Partial: note(out, qerr),
-	}, nil
+		len(pairs), total, st.Total().Round(time.Millisecond))
+	st.Op = "overlay"
+	return Result{Stats: st, Partial: note(out, qerr)}, nil
 }
 
 // selectCmd is select and shardselect: one selection with one set of
@@ -889,28 +887,28 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, verb, line string, 
 	if err != nil {
 		return Result{}, err
 	}
-	opt := query.SelectionOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
+	opt := query.JoinOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget,
 		NoIntervals: e.Settings.NoIntervals}
 	shard := verb == "shardselect"
 	if shard {
 		stable := globalIDs(v)
 		rows := rowBatch{out: out}
 		opt.BatchSize = e.Settings.BatchSize
-		opt.Sink = func(batch []int) error {
-			for _, i := range batch {
-				rows.buf = coord.AppendIDRow(rows.buf, gid(stable, i))
+		opt.Sink = func(batch []query.Pair) error {
+			for _, p := range batch {
+				rows.buf = coord.AppendIDRow(rows.buf, gid(stable, p.B))
 			}
 			return rows.send()
 		}
 	}
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
-	ids, cost, qerr := query.IntersectionSelectView(qctx, v, q, tester, opt)
+	_, st, qerr := query.IntersectionSelectView(qctx, v, q, tester, opt)
 	var be *query.BudgetError
 	if errors.As(qerr, &be) {
 		return Result{}, qerr
 	}
-	st := query.NewStats(verb, len(ids), cost, tester.Stats)
+	st.Op = verb
 	liveStats(&st, v)
 	if shard {
 		writeStats(out, st)
