@@ -106,3 +106,25 @@ func TestNarrowedIntersectsAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestSignatureFilterAllocFree is the same contract for the filter stage
+// over the within_single candidates, whose PairContexts carry persisted
+// signatures: the containment probe and the signature kernel, at d = 0
+// and at the bench's D, allocate nothing.
+func TestSignatureFilterAllocFree(t *testing.T) {
+	pairs := benchPairs(t, benchD)
+	tester := NewTester(Config{DisableHardware: true})
+	run := func() {
+		for _, pr := range pairs {
+			tester.FilterWithin(pr.p, pr.q, benchD, pr.pc)
+			tester.FilterIntersects(pr.p, pr.q, pr.pc)
+		}
+	}
+	run()
+	if tester.Stats.SigChecks == 0 {
+		t.Fatal("no bench pair reached the signature kernel")
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("filtering %d signed pairs allocates %.1f times per round, want 0", len(pairs), allocs)
+	}
+}

@@ -115,3 +115,54 @@ func BenchmarkWithinRefine(b *testing.B) {
 	b.ReportMetric(float64(len(open)), "pairs/op")
 	b.ReportMetric(float64(within), "within/op")
 }
+
+// withinFilterCounts is what one FilterWithin pass over the within_single
+// candidates decides: how many pairs consulted both signatures, how many
+// the signatures rejected, and how many containment resolved.
+type withinFilterCounts struct {
+	pairs, sigChecks, sigRejects, pipHits int
+}
+
+// withinFilterPass runs the software tester's FilterWithin over pairs and
+// returns the counters that pass added.
+func withinFilterPass(t *Tester, pairs []benchPair) withinFilterCounts {
+	before := t.Stats
+	for _, pr := range pairs {
+		t.FilterWithin(pr.p, pr.q, benchD, pr.pc)
+	}
+	return withinFilterCounts{
+		pairs:      len(pairs),
+		sigChecks:  int(t.Stats.SigChecks - before.SigChecks),
+		sigRejects: int(t.Stats.SigRejects - before.SigRejects),
+		pipHits:    int(t.Stats.PIPHits - before.PIPHits),
+	}
+}
+
+// TestWithinFilterBenchCounts pins what FilterWithin decides on the
+// within_single candidates: a change to the signature kernel or the
+// containment probe must leave every count where it is.
+func TestWithinFilterBenchCounts(t *testing.T) {
+	got := withinFilterPass(NewTester(Config{DisableHardware: true}), benchPairs(t, benchD))
+	want := withinFilterCounts{pairs: 10686, sigChecks: 9554, sigRejects: 4321, pipHits: 1132}
+	if got != want {
+		t.Fatalf("FilterWithin over the bench pairs counted %+v, want %+v", got, want)
+	}
+}
+
+// BenchmarkWithinFilter times the software tester's FilterWithin over
+// every within_single candidate: the MBR pre-test, the containment probe
+// and the d-expanded signature reject. One op is one pass.
+func BenchmarkWithinFilter(b *testing.B) {
+	t := NewTester(Config{DisableHardware: true})
+	pairs := benchPairs(b, benchD)
+	c := withinFilterPass(t, pairs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if withinFilterPass(t, pairs) != c {
+			b.Fatal("verdicts changed between passes")
+		}
+	}
+	b.ReportMetric(float64(c.sigChecks), "sig_checks/op")
+	b.ReportMetric(float64(c.sigRejects), "sig_rejects/op")
+}

@@ -335,14 +335,15 @@ func (t *Tester) IntersectsCtx(p, q *geom.Polygon, pc PairContext) bool {
 }
 
 // FilterIntersects runs the cheap, render-free front of Algorithm 3.1 —
-// MBR pre-test, point-in-polygon containment, persisted-signature
-// disjointness — and reports whether the pair is resolved or must go to
-// RefineIntersects. It is the pipeline's filter stage: dense, branch-light
-// work that touches no rendering context, run over a whole batch before
-// RefineIntersects takes on the expensive edge tests. Exactly one Refine
-// call per Undecided verdict keeps the Stats resolution partition (Tests
-// == sum of the resolution counters) intact even when a panicked pair is
-// retried on another tester and the stats are summed afterwards.
+// MBR pre-test, the interval verdict (true hit or reject), point-in-polygon
+// containment, persisted-signature disjointness — and reports whether the
+// pair is resolved or must go to RefineIntersects. It is the pipeline's
+// filter stage: dense, branch-light work that touches no rendering
+// context, run over a whole batch before RefineIntersects takes on the
+// expensive edge tests. Exactly one Refine call per Undecided verdict
+// keeps the Stats resolution partition (Tests == sum of the resolution
+// counters) intact even when a panicked pair is retried on another tester
+// and the stats are summed afterwards.
 func (t *Tester) FilterIntersects(p, q *geom.Polygon, pc PairContext) Verdict {
 	// The fault hook runs before any counter moves, so an injected panic
 	// leaves the Stats partition (Tests == sum of resolution paths) intact.

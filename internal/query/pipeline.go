@@ -531,8 +531,9 @@ func (w *stageWorker) filterBatch(ctx context.Context, p *predicate, b *pipeBatc
 		b.preTime = time.Since(start)
 	}
 	rest := b.undecided[:0]
+	done := ctx.Done()
 	for _, i := range b.undecided {
-		if ctx.Err() != nil {
+		if ended(done) {
 			return false
 		}
 		pr := b.pairs[i]
@@ -551,12 +552,27 @@ func (w *stageWorker) filterBatch(ctx context.Context, p *predicate, b *pipeBatc
 	return true
 }
 
+// ended reports whether done, a context's Done channel, is closed. It is
+// the per-pair cancellation check: a receive that does not block takes no
+// lock, where Context.Err on a cancelable context takes the context's
+// mutex, which every worker of a run shares. The error itself is read
+// from the context once the run stops.
+func ended(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // refineBatch is the refine stage over one batch: the pairs the filter
 // stage left undecided. It reports false when ctx ended mid-batch.
 func (w *stageWorker) refineBatch(ctx context.Context, p *predicate, b *pipeBatch) bool {
 	start := time.Now()
+	done := ctx.Done()
 	for _, i := range b.undecided {
-		if ctx.Err() != nil {
+		if ended(done) {
 			return false
 		}
 		pr := b.pairs[i]

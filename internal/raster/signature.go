@@ -13,6 +13,7 @@ package raster
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 )
@@ -23,6 +24,12 @@ import (
 // extent, which is the population of deeply interleaved near-miss pairs
 // the pair-rendering filter otherwise spends its time on.
 const DefaultSignatureRes = 16
+
+// MaxSignatureRes is the largest signature grid side: one uint64 holds a
+// row, which is what lets SignaturesMayIntersect test a whole row of
+// cells in one word operation. The snapshot writer refuses a larger
+// resolution and the reader rejects one.
+const MaxSignatureRes = 64
 
 // Signature is one polygon's conservative boundary bitmap: Res×Res cells
 // tiling Bounds, bit (y*Res + x) set when the boundary may pass through
@@ -40,20 +47,15 @@ type Signature struct {
 // signature at resolution res.
 func SignatureWords(res int) int { return (res*res + 63) / 64 }
 
-// Valid reports whether s carries a usable bitmap (matching resolution and
-// word count, finite non-empty bounds).
+// Valid reports whether s carries a usable bitmap (resolution in
+// 1..MaxSignatureRes, matching word count, non-empty bounds).
 func (s *Signature) Valid() bool {
-	return s != nil && s.Res > 0 && len(s.Words) == SignatureWords(s.Res) && !s.Bounds.IsEmpty()
-}
-
-// Bit reports cell (x, y).
-func (s *Signature) Bit(x, y int) bool {
-	i := y*s.Res + x
-	return s.Words[i>>6]&(1<<uint(i&63)) != 0
+	return s != nil && s.Res > 0 && s.Res <= MaxSignatureRes && len(s.Words) == SignatureWords(s.Res) && !s.Bounds.IsEmpty()
 }
 
 // ComputeSignature rasterizes p's boundary onto a res×res grid over its
-// MBR and returns the bitmap. The cell walk (markSegment) attributes each
+// MBR and returns the bitmap. A res above MaxSignatureRes gives a
+// signature Valid rejects. The cell walk (markSegment) attributes each
 // boundary point to the closed cell containing it, with indexes clamped
 // into the grid, so — unlike the display renderer's half-open window
 // mapping — segments lying exactly on the MBR's max edges still set the
@@ -85,17 +87,22 @@ func ComputeSignature(p *geom.Polygon, res int) Signature {
 	return sig
 }
 
-// cellRect returns the data-space rectangle of cell (x, y): the grid tiles
-// Bounds uniformly, cell (0,0) at (MinX, MinY).
-func (s *Signature) cellRect(x, y int) geom.Rect {
-	w := s.Bounds.Width() / float64(s.Res)
-	h := s.Bounds.Height() / float64(s.Res)
-	return geom.R(
-		s.Bounds.MinX+float64(x)*w,
-		s.Bounds.MinY+float64(y)*h,
-		s.Bounds.MinX+float64(x+1)*w,
-		s.Bounds.MinY+float64(y+1)*h,
-	)
+// row returns row y of s's bitmap as one word, bit x for cell (x, y). The
+// row's bits may straddle two words; bits past the row, and the padding
+// past Res*Res in the last word, are masked off.
+func (s *Signature) row(y int) uint64 {
+	i := y * s.Res
+	sh := i & 63
+	w := s.Words[i>>6] >> sh
+	if sh+s.Res > 64 {
+		w |= s.Words[i>>6+1] << (64 - sh)
+	}
+	return w & (^uint64(0) >> (64 - s.Res))
+}
+
+// spanMask returns the word with bits i0..i1 set (0 <= i0 <= i1 < 64).
+func spanMask(i0, i1 int) uint64 {
+	return ^uint64(0) >> (63 - i1) &^ (1<<i0 - 1)
 }
 
 // cellEps is the outward slack, in cell units, applied when mapping a
@@ -106,52 +113,26 @@ func (s *Signature) cellRect(x, y int) geom.Rect {
 // absorbs that and keeps the disjointness test strictly conservative.
 const cellEps = 1e-6
 
-// cellRange maps data-space rectangle r onto s's grid, returning the
-// inclusive cell index range it touches, clamped to the grid; ok is false
-// when r misses the grid entirely. The mapping rounds outward (plus
-// cellEps slack), so the range is a superset of every cell r overlaps —
-// required to keep the disjointness test conservative under
-// floating-point division.
-func (s *Signature) cellRange(r geom.Rect) (x0, y0, x1, y1 int, ok bool) {
-	w := s.Bounds.Width() / float64(s.Res)
-	h := s.Bounds.Height() / float64(s.Res)
+// cellSpan maps the interval [lo, hi] on one axis onto a grid of res cells
+// of size w starting at origin, returning the inclusive cell range it
+// touches, clamped to the grid; ok is false when the interval misses the
+// grid. The mapping rounds outward (plus cellEps slack), so the range is a
+// superset of every cell the interval overlaps — required to keep the
+// disjointness test conservative under floating-point division. A zero
+// (degenerate) cell size maps with the smallest positive one.
+func cellSpan(lo, hi, origin, w float64, res int) (i0, i1 int, ok bool) {
 	if w <= 0 {
 		w = math.SmallestNonzeroFloat64
 	}
-	if h <= 0 {
-		h = math.SmallestNonzeroFloat64
+	i0 = int(math.Floor((lo-origin)/w - cellEps))
+	i1 = int(math.Ceil((hi-origin)/w+cellEps)) - 1
+	if i1 < i0 {
+		i1 = i0
 	}
-	x0 = int(math.Floor((r.MinX-s.Bounds.MinX)/w - cellEps))
-	x1 = int(math.Ceil((r.MaxX-s.Bounds.MinX)/w+cellEps)) - 1
-	y0 = int(math.Floor((r.MinY-s.Bounds.MinY)/h - cellEps))
-	y1 = int(math.Ceil((r.MaxY-s.Bounds.MinY)/h+cellEps)) - 1
-	if x1 < x0 {
-		x1 = x0
+	if i1 < 0 || i0 >= res {
+		return 0, 0, false
 	}
-	if y1 < y0 {
-		y1 = y0
-	}
-	if x1 < 0 || y1 < 0 || x0 >= s.Res || y0 >= s.Res {
-		return 0, 0, 0, 0, false
-	}
-	x0, y0 = max(x0, 0), max(y0, 0)
-	x1, y1 = min(x1, s.Res-1), min(y1, s.Res-1)
-	return x0, y0, x1, y1, true
-}
-
-// anyBitInRows reports whether any cell in rows y0..y1, columns x0..x1 is
-// set, scanning word-aligned row spans.
-func (s *Signature) anyBitInRows(x0, y0, x1, y1 int) bool {
-	for y := y0; y <= y1; y++ {
-		row := y * s.Res
-		for x := x0; x <= x1; x++ {
-			i := row + x
-			if s.Words[i>>6]&(1<<uint(i&63)) != 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return max(i0, 0), min(i1, res-1), true
 }
 
 // SignaturesMayIntersect reports whether the boundaries of the two
@@ -162,31 +143,63 @@ func (s *Signature) anyBitInRows(x0, y0, x1, y1 int) bool {
 // exceeds d. A true answer is inconclusive — the caller proceeds to the
 // rendering protocol or the exact test exactly as before, which is what
 // keeps signature use result-invariant.
+//
+// The test is whether some set cell (ax, ay) of a in the region both
+// grids share has, in the cell range of b its d-expanded rectangle maps
+// to, a set cell of b. That range is a product: its columns depend only on
+// ax and its rows only on ay. So each row of a ORs b's rows in its row
+// range into one word, and ANDs it with the column mask of each of its set
+// cells, computed once per column of a on first use. Every bound is the
+// same float expression, one axis at a time, as the cell-by-cell
+// definition, so the verdicts are the same.
 func SignaturesMayIntersect(a, b *Signature, d float64) bool {
 	if !a.Valid() || !b.Valid() {
 		return true // no signature, no claim
 	}
-	// Iterate the side with the coarser restriction region; each of a's
-	// set cells near b is mapped onto b's grid and tested for set cells.
 	region := a.Bounds.Intersection(b.Bounds.Expand(d))
 	if region.IsEmpty() {
 		// MBRs (expanded by d) don't even touch; boundaries can't either.
 		return false
 	}
-	ax0, ay0, ax1, ay1, ok := a.cellRange(region)
-	if !ok {
+	// a's cell size, by which cell i of an axis spans origin+i*w to
+	// origin+(i+1)*w, and b's.
+	aw, ah := a.Bounds.Width()/float64(a.Res), a.Bounds.Height()/float64(a.Res)
+	bw, bh := b.Bounds.Width()/float64(b.Res), b.Bounds.Height()/float64(b.Res)
+	ax0, ax1, okx := cellSpan(region.MinX, region.MaxX, a.Bounds.MinX, aw, a.Res)
+	ay0, ay1, oky := cellSpan(region.MinY, region.MaxY, a.Bounds.MinY, ah, a.Res)
+	if !okx || !oky {
 		return false
 	}
+	inRegion := spanMask(ax0, ax1)
+	var cols [MaxSignatureRes]uint64 // b's column mask for a's column ax, once bit ax of have is set
+	var have uint64
 	for ay := ay0; ay <= ay1; ay++ {
-		for ax := ax0; ax <= ax1; ax++ {
-			if !a.Bit(ax, ay) {
-				continue
+		cells := a.row(ay) & inRegion
+		if cells == 0 {
+			continue
+		}
+		lo, hi := a.Bounds.MinY+float64(ay)*ah, a.Bounds.MinY+float64(ay+1)*ah
+		by0, by1, ok := cellSpan(lo-d, hi+d, b.Bounds.MinY, bh, b.Res)
+		if !ok {
+			continue
+		}
+		var rows uint64
+		for by := by0; by <= by1; by++ {
+			rows |= b.row(by)
+		}
+		if rows == 0 {
+			continue
+		}
+		for ; cells != 0; cells &= cells - 1 {
+			ax := bits.TrailingZeros64(cells)
+			if have&(1<<ax) == 0 {
+				have |= 1 << ax
+				lo, hi := a.Bounds.MinX+float64(ax)*aw, a.Bounds.MinX+float64(ax+1)*aw
+				if bx0, bx1, ok := cellSpan(lo-d, hi+d, b.Bounds.MinX, bw, b.Res); ok {
+					cols[ax] = spanMask(bx0, bx1)
+				}
 			}
-			bx0, by0, bx1, by1, ok := b.cellRange(a.cellRect(ax, ay).Expand(d))
-			if !ok {
-				continue
-			}
-			if b.anyBitInRows(bx0, by0, bx1, by1) {
+			if cols[ax]&rows != 0 {
 				return true
 			}
 		}

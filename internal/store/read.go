@@ -338,8 +338,8 @@ func (s *Snapshot) loadSignatures(path string, b []byte, forceCopy bool) error {
 	}
 	res := int(binary.LittleEndian.Uint32(b[0:]))
 	words := int(binary.LittleEndian.Uint32(b[4:]))
-	if res < 1 || res > 1024 {
-		return errf(path, "signatures", "implausible resolution %d", res)
+	if res < 1 || res > raster.MaxSignatureRes {
+		return errf(path, "signatures", "resolution %d outside 1..%d", res, raster.MaxSignatureRes)
 	}
 	if words != raster.SignatureWords(res) {
 		return errf(path, "signatures", "%d words per signature, resolution %d needs %d", words, res, raster.SignatureWords(res))

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -312,6 +313,56 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatalf("absent file accepted")
 		}
 	})
+}
+
+// TestSignatureResolutionBound pins raster.MaxSignatureRes at both ends
+// of the format: Save refuses a resolution above it, and a snapshot
+// consistent and CRC-valid in every other respect whose signature section
+// claims one fails Open with a *FormatError, while the cap itself opens.
+func TestSignatureResolutionBound(t *testing.T) {
+	d := testDataset(t)
+	over := raster.MaxSignatureRes + 1
+	if _, err := Save(filepath.Join(t.TempDir(), "over.snap"), d, SaveOptions{SigRes: over}); err == nil {
+		t.Fatalf("Save accepted SigRes %d", over)
+	}
+
+	secs, _, err := buildSections(d, SaveOptions{SigRes: raster.MaxSignatureRes})
+	if err != nil {
+		t.Fatalf("build at the cap: %v", err)
+	}
+	s, err := OpenBytes(assemble(secs))
+	if err != nil {
+		t.Fatalf("open at the cap: %v", err)
+	}
+	if s.SigRes() != raster.MaxSignatureRes {
+		t.Fatalf("opened resolution %d, want %d", s.SigRes(), raster.MaxSignatureRes)
+	}
+	s.Close()
+
+	words := raster.SignatureWords(over)
+	sigs := binary.LittleEndian.AppendUint32(nil, uint32(over))
+	sigs = binary.LittleEndian.AppendUint32(sigs, uint32(words))
+	sigs = append(sigs, make([]byte, len(d.Objects)*words*8)...)
+	for i := range secs {
+		switch secs[i].id {
+		case secMeta:
+			var m Meta
+			if err := json.Unmarshal(secs[i].payload, &m); err != nil {
+				t.Fatal(err)
+			}
+			m.SigRes = over
+			if secs[i].payload, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+		case secSigs:
+			secs[i].payload = sigs
+		}
+	}
+	s, err = OpenBytes(assemble(secs))
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Section != "signatures" {
+		t.Fatalf("resolution %d: got snapshot %v, error %v; want a *FormatError in the signatures section", over, s != nil, err)
+	}
 }
 
 // TestSnapshotIDLineage pins the live-ingestion lineage round trip: the

@@ -21,7 +21,8 @@ import (
 type SaveOptions struct {
 	// SigRes is the raster-signature resolution: 0 uses
 	// raster.DefaultSignatureRes, a negative value omits the signature
-	// section entirely (signatures are an optional accelerator).
+	// section entirely (signatures are an optional accelerator), and one
+	// above raster.MaxSignatureRes is an error.
 	//
 	//reach:keep TestSnapshotOptionalSections writes a snapshot without signatures for the reader's fallback
 	SigRes int
@@ -108,6 +109,9 @@ func buildSections(d *data.Dataset, opts SaveOptions) ([]section, BuildStats, er
 		sigRes = opts.SigRes
 		if sigRes == 0 {
 			sigRes = raster.DefaultSignatureRes
+		}
+		if sigRes > raster.MaxSignatureRes {
+			return nil, BuildStats{}, fmt.Errorf("store: signature resolution %d above %d", sigRes, raster.MaxSignatureRes)
 		}
 	}
 	tool := opts.Tool

@@ -10,12 +10,14 @@
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkWithinRefine the
 # software tester's distance step over the benchmark's undecided within
-# pairs), and a short fuzz smoke pass over the input parsers, the wire
+# pairs, BenchmarkWithinFilter its filter stage over all of them), and a
+# short fuzz smoke pass over the input parsers, the wire
 # command grammar (FuzzExec), the wire row parser, the distance kernel
 # bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist), the
 # rasterizer's cell walk, the interval rasterizer against its oracle
-# (FuzzRasterize) and the walk over two lists' shared partial runs
-# (FuzzSharedPartial). Run from the repo root.
+# (FuzzRasterize), the walk over two lists' shared partial runs
+# (FuzzSharedPartial) and the signature kernel against the cell-by-cell
+# loop (FuzzSignaturesMayIntersect). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
@@ -52,7 +54,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|ContainsPoint|DrawSegment|HWTestCycle|Rasterize' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -487,6 +489,7 @@ go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -fuzz FuzzMinDist -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
+go test ./internal/raster/ -fuzz FuzzSignaturesMayIntersect -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzSharedPartial -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
