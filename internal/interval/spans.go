@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/edgeindex"
 	"repro/internal/geom"
 	"repro/internal/raster"
 )
@@ -200,13 +201,18 @@ func (g Grid) runBox(lo, hi uint32) geom.Rect {
 	}
 }
 
-// Rasterize computes p's span list on g. Its cost follows the boundary
-// cells, not the window's area: the conservative closed-cell walk
-// (raster.BoundaryMarks) marks the boundary, the marked cells are
-// Hilbert-indexed, sorted and emitted as partial runs, and each gap
-// between two consecutive marked indexes — and the gaps before the first
-// and after the last — becomes one full run when a single exact
-// point-in-polygon test of its first cell's centre says inside.
+// Rasterize computes p's span list on g. Its cost follows the boundary,
+// not the window's area: the conservative closed-cell walk
+// (raster.BoundaryMarks) marks the boundary cells, one per edge-cell
+// crossing; the marked cells are Hilbert-indexed (D, one table lookup a
+// level), sorted and emitted as partial runs; and each gap between two
+// consecutive marked indexes — and the gaps before the first and after
+// the last — becomes one full run when a single exact point-in-polygon
+// test of its first cell's centre says inside. That test runs through
+// p's edge index (edgeindex.Index.ContainsPoint), so it visits the runs
+// of edges near the ray and not the whole chain: a rasterization costs
+// O(n + m log m + g·(log n + k)) for n edges, m marked cells and g gaps
+// whose rays meet k edges, where the linear test made the last term g·n.
 //
 // A gap is all one label. Consecutive Hilbert cells are 4-adjacent, and
 // two adjacent unmarked cells lie on the same side of the boundary: no
@@ -218,10 +224,40 @@ func (g Grid) runBox(lo, hi uint32) geom.Rect {
 //
 // Returns nil — no claim, pair tests fall back to the v1 path — when the
 // grid is unusable, the object misses the grid, or the object's cell
-// window exceeds MaxWindowCells.
+// window exceeds MaxWindowCells. Rasterizing many objects is cheaper
+// through a Rasterizer, or Build.
 func Rasterize(p *geom.Polygon, g Grid) Spans {
-	if !g.Valid() || p == nil || p.NumVerts() < 3 {
+	if p == nil {
 		return nil
+	}
+	var ix edgeindex.Index
+	ix.Build(p)
+	var r Rasterizer
+	return r.Append(nil, &ix, g)
+}
+
+// A Rasterizer rasterizes objects one after another, keeping the boundary
+// bitmap and the marked cells' indexes between them, so that once its
+// scratch has grown to the largest object it allocates nothing but what
+// the spans need. The zero value is ready to use; one Rasterizer must not
+// be used by two goroutines at once.
+type Rasterizer struct {
+	marks []uint64
+	ids   []uint32
+}
+
+// Append appends the span list of ix's polygon on g (see Rasterize) to
+// dst and returns the extended slice; an object Rasterize gives nil spans
+// appends nothing. The point-in-polygon tests run through ix, whose
+// verdict is the polygon's own (edgeindex.Index.ContainsPoint), so the
+// spans are Rasterize's whatever index ix is.
+func (r *Rasterizer) Append(dst Spans, ix *edgeindex.Index, g Grid) Spans {
+	if ix == nil || !g.Valid() {
+		return dst
+	}
+	p := ix.Polygon()
+	if p == nil || p.NumVerts() < 3 {
+		return dst
 	}
 	cs := g.CellSize()
 	b := p.Bounds()
@@ -243,41 +279,48 @@ func Rasterize(p *geom.Polygon, g Grid) Spans {
 	y0 := clamp((b.MinY-g.MinY)/cs - cellEps)
 	y1 := clamp((b.MaxY-g.MinY)/cs + cellEps)
 	if b.MaxX < g.MinX || b.MaxY < g.MinY || b.MinX > g.MinX+g.Size || b.MinY > g.MinY+g.Size {
-		return nil // off-grid object: no sound claim possible
+		return dst // off-grid object: no sound claim possible
 	}
 	if (x1-x0+1)*(y1-y0+1) > MaxWindowCells {
-		return nil
+		return dst
 	}
-	marks := raster.BoundaryMarks(p, g.MinX, g.MinY, cs, x0, y0, x1, y1)
+	r.marks = raster.BoundaryMarks(r.marks, p, g.MinX, g.MinY, cs, x0, y0, x1, y1)
 	marked := 0
-	for _, m := range marks {
+	for _, m := range r.marks {
 		marked += bits.OnesCount64(m)
 	}
 	if marked == 0 {
-		return nil
+		return dst
 	}
 	w := x1 - x0 + 1
-	ids := make([]uint32, 0, marked)
-	for i, m := range marks {
+	if cap(r.ids) < marked {
+		r.ids = make([]uint32, 0, marked)
+	}
+	ids := r.ids[:0]
+	for i, m := range r.marks {
 		for ; m != 0; m &= m - 1 {
 			c := i<<6 | bits.TrailingZeros64(m)
 			ids = append(ids, D(g.Order, uint32(x0+c%w), uint32(y0+c/w)))
 		}
 	}
+	r.ids = ids
 	slices.Sort(ids)
-	// A list of r partial runs has at most r+1 gaps, so one allocation
-	// holds every run.
+	// A list of r partial runs has at most r+1 gaps, so one growth holds
+	// every run. The buffers grow by make, not slices.Grow, which the race
+	// detector's build makes allocate twice.
 	runs := 1
 	for k := 1; k < len(ids); k++ {
 		if ids[k] != ids[k-1]+1 {
 			runs++
 		}
 	}
-	spans := make(Spans, 0, 2*runs+1)
+	if need := len(dst) + 2*runs + 1; cap(dst) < need {
+		dst = append(make(Spans, 0, max(need, 2*cap(dst))), dst...)
+	}
 	gap := func(lo, hi uint32) {
 		x, y := XY(g.Order, lo)
-		if p.ContainsPoint(geom.Pt(g.MinX+(float64(x)+0.5)*cs, g.MinY+(float64(y)+0.5)*cs)) {
-			spans = append(spans, pack(lo, hi, true))
+		if ix.ContainsPoint(geom.Pt(g.MinX+(float64(x)+0.5)*cs, g.MinY+(float64(y)+0.5)*cs)) {
+			dst = append(dst, pack(lo, hi, true))
 		}
 	}
 	if ids[0] > 0 {
@@ -291,11 +334,11 @@ func Rasterize(p *geom.Polygon, g Grid) Spans {
 				continue
 			}
 		}
-		spans = append(spans, pack(lo, id, false))
+		dst = append(dst, pack(lo, id, false))
 		if id+1 < next {
 			gap(id+1, next-1)
 		}
 		lo = next
 	}
-	return spans
+	return dst
 }

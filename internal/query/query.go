@@ -185,8 +185,10 @@ func (l *Layer) intervalGrid() (interval.Grid, bool) {
 // per grid (layers are immutable, so a grid's column never changes).
 // Snapshot-backed layers without a persisted interval section never
 // build lazily — they are v1 artifacts and return nil so queries fall
-// back to the v1 signature path (see intervalGrid). Safe for concurrent
-// callers; concurrent first requests for one grid share a single build.
+// back to the v1 signature path (see intervalGrid). A build labels its
+// gaps through the objects' EdgeIndex, which it leaves cached for the
+// refinement that follows. Safe for concurrent callers; concurrent first
+// requests for one grid share a single build.
 func (l *Layer) Intervals(g interval.Grid) *interval.Column {
 	if !g.Valid() {
 		return nil
@@ -208,7 +210,7 @@ func (l *Layer) Intervals(g interval.Grid) *interval.Column {
 	}
 	l.ivalMu.Unlock()
 	e.once.Do(func() {
-		e.col = interval.Build(l.Data.Objects, g)
+		e.col = interval.BuildIndexed(len(l.Data.Objects), l.EdgeIndex, g)
 	})
 	return e.col
 }

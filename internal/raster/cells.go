@@ -8,7 +8,8 @@ import (
 
 // BoundaryMarks marks p's boundary on a uniform square grid whose cell
 // (x, y) spans [ox+x·cs, ox+(x+1)·cs] × [oy+y·cs, oy+(y+1)·cs]. It returns
-// the row-major bitmap of the inclusive window [x0,x1]×[y0,y1]: bit
+// the row-major bitmap of the inclusive window [x0,x1]×[y0,y1], built in
+// marks' storage when it is large enough (its contents are ignored): bit
 // (y−y0)·w + (x−x0), w = x1−x0+1, is set for every window cell whose
 // closed square the boundary may touch (markSegment, the walk
 // ComputeSignature also uses).
@@ -18,9 +19,15 @@ import (
 // outside p's closed region. That is what lets the interval lists label
 // every clear cell with one exact point-in-polygon test per connected run
 // (internal/interval).
-func BoundaryMarks(p *geom.Polygon, ox, oy, cs float64, x0, y0, x1, y1 int) []uint64 {
+func BoundaryMarks(marks []uint64, p *geom.Polygon, ox, oy, cs float64, x0, y0, x1, y1 int) []uint64 {
 	w, h := x1-x0+1, y1-y0+1
-	marks := make([]uint64, (w*h+63)/64)
+	n := (w*h + 63) / 64
+	if cap(marks) < n {
+		marks = make([]uint64, n)
+	} else {
+		marks = marks[:n]
+		clear(marks)
+	}
 	for i := 0; i < p.NumEdges(); i++ {
 		e := p.Edge(i)
 		markSegment(marks, (e.A.X-ox)/cs, (e.A.Y-oy)/cs, (e.B.X-ox)/cs, (e.B.Y-oy)/cs, x0, y0, w, h)
