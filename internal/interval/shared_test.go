@@ -61,61 +61,74 @@ func cellBox(g interval.Grid, c uint32) geom.Rect {
 
 // fuzzSpans decodes raw into a valid run list on a grid of total cells:
 // byte pairs give each run's gap after the previous one and its length
-// (both scaled to an eighth of the grid), the gap byte's low bit its
-// full flag.
+// (both scaled to an eighth of the grid), the gap byte's low bit its full
+// flag and, on a partial run, the next bit its certain flag.
 func fuzzSpans(raw []byte, total uint32) interval.Spans {
 	step := max(1, total/8)
 	var s interval.Spans
 	next := uint32(0)
 	for i := 0; i+1 < len(raw); i += 2 {
-		lo := next + uint32(raw[i]>>1)%step
+		lo := next + uint32(raw[i]>>2)%step
 		hi := lo + uint32(raw[i+1])%step
 		if hi >= total {
 			break
 		}
-		s = append(s, packRun(lo, hi, raw[i]&1 != 0))
+		v := packRun(lo, hi, raw[i]&1 != 0)
+		if raw[i]&3 == 2 {
+			v |= 1 << 31
+		}
+		s = append(s, v)
 		next = hi + 1
 	}
 	return s
 }
 
+// fuzzGrid decodes a fuzz input's first two bytes into a grid of order
+// 2–6, the unit grid at the origin or an offset grid of inexact cell size,
+// and splits the rest into two run lists.
+func fuzzGrid(b []byte) (g interval.Grid, sa, sb interval.Spans) {
+	order := 2 + int(b[0])%5
+	g = interval.Grid{MinX: 0, MinY: 0, Size: float64(int(1) << order), Order: order}
+	if b[1]&1 != 0 {
+		g = interval.Grid{MinX: -1.3, MinY: 7.9, Size: 0.7 * float64(int(1)<<order), Order: order}
+	}
+	raw := b[2:]
+	split := min(len(raw), int(b[1]>>1))
+	total := uint32(1) << (2 * order)
+	return g, fuzzSpans(raw[:split], total), fuzzSpans(raw[split:], total)
+}
+
 // FuzzSharedPartial compares SharedPartial with brute force on two random
-// run lists over a grid of order 2–6, the unit grid at the origin or an
-// offset grid of inexact cell size. The first byte picks the order, the
-// second the grid and where the bytes of list a end and those of list b
-// begin. Each yielded box must be the union of its overlap's cell boxes,
-// the overlaps those of every partial run of a with every partial run of
-// b in Hilbert order, every cell partial in both must lie in a box, and a
-// yield returning false must stop the walk.
+// run lists (fuzzGrid). Each yielded box must be the union of its
+// overlap's cell boxes, the overlaps those of every partial run of a with
+// every partial run of b in Hilbert order once adjacent partial runs are
+// merged, every cell partial in both must lie in a box, the lists with
+// their certain flags cleared and adjacent partial runs merged must yield
+// the same boxes, and a yield returning false must stop the walk.
 func FuzzSharedPartial(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 3, 4, 1, 0, 5, 2, 7})
 	f.Add([]byte{4, 9, 0, 255, 8, 40, 2, 200, 0, 255, 6, 3, 8, 1})
 	f.Add([]byte{2, 6, 10, 20, 11, 3, 40, 2, 10, 60, 0, 9})
+	f.Add([]byte{3, 8, 8, 5, 2, 3, 0, 4, 2, 2, 0, 9, 8, 6, 2, 5})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 2 {
 			t.Skip()
 		}
-		order := 2 + int(b[0])%5
-		total := uint32(1) << (2 * order)
-		g := interval.Grid{MinX: 0, MinY: 0, Size: float64(int(1) << order), Order: order}
-		if b[1]&1 != 0 {
-			g = interval.Grid{MinX: -1.3, MinY: 7.9, Size: 0.7 * float64(int(1)<<order), Order: order}
-		}
-		raw := b[2:]
-		split := min(len(raw), int(b[1]>>1))
-		sa, sb := fuzzSpans(raw[:split], total), fuzzSpans(raw[split:], total)
+		g, sa, sb := fuzzGrid(b)
+		total := uint32(1) << (2 * g.Order)
 		for _, s := range []interval.Spans{sa, sb} {
-			if err := s.Validate(order); err != nil {
+			if err := s.Validate(g.Order); err != nil {
 				t.Fatalf("generator built an invalid list: %v", err)
 			}
 		}
 
 		type overlap struct{ lo, hi uint32 }
 		var want []overlap
-		for i := range sa {
-			alo, ahi, af := run(sa, i)
-			for j := range sb {
-				blo, bhi, bf := run(sb, j)
+		ma, mb := withoutCertain(sa), withoutCertain(sb)
+		for i := range ma {
+			alo, ahi, af, _ := run(ma, i)
+			for j := range mb {
+				blo, bhi, bf, _ := run(mb, j)
 				if !af && !bf && alo <= bhi && blo <= ahi {
 					want = append(want, overlap{max(alo, blo), min(ahi, bhi)})
 				}
@@ -123,9 +136,16 @@ func FuzzSharedPartial(f *testing.F) {
 		}
 		slices.SortFunc(want, func(x, y overlap) int { return cmp.Compare(x.lo, y.lo) })
 
-		var got []geom.Rect
-		if !interval.SharedPartial(sa, sb, g, func(r geom.Rect) bool { got = append(got, r); return true }) {
-			t.Fatal("walk reported an early stop that no yield asked for")
+		boxes := func(a, b interval.Spans) []geom.Rect {
+			var got []geom.Rect
+			if !interval.SharedPartial(a, b, g, func(r geom.Rect) bool { got = append(got, r); return true }) {
+				t.Fatal("walk reported an early stop that no yield asked for")
+			}
+			return got
+		}
+		got := boxes(sa, sb)
+		if plain := boxes(ma, mb); !slices.Equal(got, plain) {
+			t.Fatalf("%d boxes, %d from the lists without certain flags", len(got), len(plain))
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%d boxes, %d partial/partial overlaps", len(got), len(want))
@@ -144,16 +164,9 @@ func FuzzSharedPartial(f *testing.F) {
 				}
 			}
 		}
-		partial := func(s interval.Spans, c uint32) bool {
-			for i := range s {
-				if lo, hi, full := run(s, i); lo <= c && c <= hi {
-					return !full
-				}
-			}
-			return false
-		}
 		for c := range total {
-			if partial(sa, c) && partial(sb, c) && !slices.ContainsFunc(got, func(r geom.Rect) bool { return r.ContainsRect(cellBox(g, c)) }) {
+			if cellLabel(sa, c) >= partialCell && cellLabel(sb, c) >= partialCell &&
+				!slices.ContainsFunc(got, func(r geom.Rect) bool { return r.ContainsRect(cellBox(g, c)) }) {
 				t.Fatalf("cell %d is partial in both lists and in no box", c)
 			}
 		}
@@ -162,6 +175,72 @@ func FuzzSharedPartial(f *testing.F) {
 		done := interval.SharedPartial(sa, sb, g, func(geom.Rect) bool { calls++; return false })
 		if len(want) > 0 && (done || calls != 1) {
 			t.Fatalf("a yield returning false: %d calls, walk done %v", calls, done)
+		}
+	})
+}
+
+// The labels FuzzCompare's oracle gives one cell of a list; a partial
+// cell is partialCell or certainCell.
+const (
+	uncovered = iota
+	fullCell
+	partialCell
+	certainCell
+)
+
+// cellLabel returns the label of cell c in s, by a scan of every run.
+func cellLabel(s interval.Spans, c uint32) int {
+	for i := range s {
+		if lo, hi, full, certain := run(s, i); lo <= c && c <= hi {
+			switch {
+			case full:
+				return fullCell
+			case certain:
+				return certainCell
+			}
+			return partialCell
+		}
+	}
+	return uncovered
+}
+
+// FuzzCompare holds Compare to a cell-by-cell oracle on two random run
+// lists (fuzzGrid): each cell of the grid is labelled full, certain,
+// partial or uncovered in each list; a cell full in one list and full or
+// certain in the other is a true hit, else a cell covered by both leaves
+// the pair inconclusive, else the lists are disjoint. An empty list is
+// inconclusive.
+func FuzzCompare(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 3, 4, 1, 0, 5, 2, 7})
+	f.Add([]byte{4, 9, 1, 255, 8, 40, 2, 200, 0, 255, 6, 3, 8, 1})
+	f.Add([]byte{2, 6, 10, 20, 11, 3, 40, 2, 10, 60, 0, 9})
+	f.Add([]byte{3, 8, 2, 5, 2, 3, 0, 4, 1, 2, 0, 9, 2, 6, 3, 5})
+	f.Add([]byte{3, 8, 2, 5, 2, 3, 0, 4, 2, 2, 0, 9, 2, 6, 2, 5})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			t.Skip()
+		}
+		g, sa, sb := fuzzGrid(b)
+		want := interval.Reject
+		if len(sa) == 0 || len(sb) == 0 {
+			want = interval.Inconclusive
+		}
+	cells:
+		for c := range uint32(1) << (2 * g.Order) {
+			switch la, lb := cellLabel(sa, c), cellLabel(sb, c); {
+			case la == uncovered || lb == uncovered:
+			case la == fullCell && lb != partialCell || lb == fullCell && la != partialCell:
+				want = interval.TrueHit
+				break cells
+			default:
+				want = interval.Inconclusive
+			}
+		}
+		if got := interval.Compare(sa, sb); got != want {
+			t.Fatalf("Compare says %v, the cell oracle %v", got, want)
+		}
+		if got := interval.Compare(sb, sa); got != want {
+			t.Fatalf("Compare with the lists swapped says %v, the cell oracle %v", got, want)
 		}
 	})
 }
