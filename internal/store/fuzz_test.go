@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -175,6 +176,13 @@ func FuzzIntervalSection(f *testing.F) {
 	f.Add(corrupt(func(b []byte) { // unsorted / overlapping span runs
 		binary.LittleEndian.PutUint64(b[len(b)-8:], binary.LittleEndian.Uint64(b[len(b)-16:]))
 	}))
+	fullCertain := corrupt(func(b []byte) { // a run both full and certain
+		binary.LittleEndian.PutUint64(b[len(b)-8:], binary.LittleEndian.Uint64(b[len(b)-8:])|1|1<<31)
+	})
+	if _, err := OpenBytes(splice(fullCertain)); !errors.As(err, new(*FormatError)) || !strings.Contains(err.Error(), "both full and certain") {
+		f.Fatalf("a run both full and certain: got %v, want its *FormatError", err)
+	}
+	f.Add(fullCertain)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s, err := OpenBytes(splice(payload))

@@ -9,7 +9,8 @@
 # concurrent failure paths ten times over under -race, one pass of each
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkColumnBuild a
-# whole layer's interval column, BenchmarkWithinRefine the
+# whole layer's interval column, BenchmarkCompare the interval verdict
+# over every join_single candidate pair, BenchmarkWithinRefine the
 # software tester's distance step over the benchmark's undecided within
 # pairs, BenchmarkWithinFilter its filter stage over all of them), and a
 # short fuzz smoke pass over the input parsers, the wire
@@ -18,7 +19,8 @@
 # rasterizer's cell walk, the interval rasterizer against its oracle
 # (FuzzRasterize), the Hilbert tables against the loops they replaced
 # (FuzzHilbert), the walk over two lists' shared partial runs
-# (FuzzSharedPartial) and the signature kernel against the cell-by-cell
+# (FuzzSharedPartial), the interval verdict against a cell-by-cell oracle
+# (FuzzCompare) and the signature kernel against the cell-by-cell
 # loop (FuzzSignaturesMayIntersect). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
@@ -56,7 +58,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -495,6 +497,7 @@ go test ./internal/raster/ -fuzz FuzzSignaturesMayIntersect -fuzztime "$FUZZTIME
 go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzHilbert -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzSharedPartial -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -fuzz FuzzCompare -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
 go test ./internal/shellcmd/ -fuzz FuzzExec -fuzztime "$FUZZTIME"
 
