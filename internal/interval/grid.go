@@ -1,16 +1,18 @@
 // Package interval implements the v2 raster approximation: per-object
 // sorted cell-ID interval lists over a shared Hilbert-ordered grid, with
 // each interval labeled full (the cells provably lie inside the object's
-// region) or partial (the boundary may pass through). Two objects on the
-// same grid compare by a linear interval-list merge that returns a
-// three-valued verdict: a full/full cell overlap is a TRUE HIT (the
-// regions demonstrably share that cell — report the pair intersecting
-// with no refinement at all), disjoint lists are a REJECT (the lists
-// conservatively cover both regions, so the regions are disjoint), and
-// anything else is inconclusive and refines exactly as before. This is
-// the upgrade "Raster Interval Object Approximations for Spatial
-// Intersection Joins" and "Adaptive Geospatial Joins for Modern
-// Hardware" (PAPERS.md) make over reject-only raster signatures.
+// region), certain (the boundary certainly passes through) or partial
+// (the boundary may pass through).
+// Two objects on the same grid compare by a linear interval-list merge
+// that returns a three-valued verdict: a cell full in one list and full
+// or certain in the other is a TRUE HIT (a point of one object lies in
+// the other's region — report the pair intersecting with no refinement at
+// all), disjoint lists are a REJECT (the lists conservatively cover both
+// regions, so the regions are disjoint), and anything else is
+// inconclusive and refines exactly as before. This is the upgrade "Raster
+// Interval Object Approximations for Spatial Intersection Joins" and
+// "Adaptive Geospatial Joins for Modern Hardware" (PAPERS.md) make over
+// reject-only raster signatures.
 package interval
 
 import (
