@@ -82,7 +82,7 @@ func ComputeSignature(p *geom.Polygon, res int) Signature {
 	}
 	for i := 0; i < p.NumEdges(); i++ {
 		e := p.Edge(i)
-		markSegment(sig.Words, (e.A.X-b.MinX)/w, (e.A.Y-b.MinY)/h, (e.B.X-b.MinX)/w, (e.B.Y-b.MinY)/h, 0, 0, res, res)
+		markSegment(sig.Words, nil, (e.A.X-b.MinX)/w, (e.A.Y-b.MinY)/h, (e.B.X-b.MinX)/w, (e.B.Y-b.MinY)/h, 0, 0, res, res)
 	}
 	return sig
 }
