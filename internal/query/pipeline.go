@@ -19,7 +19,8 @@ import (
 // selection verb (a selection is a join whose outer side is its window):
 // candidate generation → filter (optional prefilter, then the
 // render-free front of Algorithm 3.1: MBR / interval / containment /
-// persisted signature) → refine (hardware filter + exact software tests)
+// persisted signature, a selection skipping the interval and signature
+// steps) → refine (hardware filter + exact software tests)
 // → emit, in batches. Batching keeps each stage's working set hot (the
 // filter stage runs dense and branch-light over whole batches, modeled on
 // 3DPipe's pipelined join framework), and the emit stage delivers refined
@@ -33,8 +34,9 @@ import (
 
 // JoinOptions configure a join or a selection: how it executes, what it
 // guards against, which intermediate filters run, and the ablation knobs.
-// A selection reads InteriorLevel, MaxCandidates, BatchSize, Sink and the
-// No* knobs; the pool, the join prefilters and IntervalOrder are a join's.
+// A selection reads InteriorLevel, MaxCandidates, BatchSize and Sink; the
+// pool, the join prefilters, the No* knobs and IntervalOrder are a join's,
+// since a selection runs no interval or signature stage.
 type JoinOptions struct {
 	// Workers is the size of the tester-less entry points' worker pool —
 	// the goroutines that generate the candidates and then filter and
@@ -83,9 +85,10 @@ type JoinOptions struct {
 	InteriorLevel int
 
 	// NoSignatures detaches the persisted raster-signature filter of
-	// snapshot-backed layers, NoIntervals the v2 interval-approximation
-	// filter (true hits and rejects; the v1 signature path then decides
-	// alone). Ablation and baseline knobs.
+	// snapshot-backed layers from a join, NoIntervals the v2
+	// interval-approximation filter from an intersection join (true hits
+	// and rejects; the v1 signature path then decides alone). Ablation and
+	// baseline knobs.
 	NoSignatures, NoIntervals bool
 	// IntervalOrder forces the shared interval grid's order (2..15); 0
 	// derives it from the layers. No verb sets it.

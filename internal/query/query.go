@@ -70,8 +70,7 @@ type Layer struct {
 
 	// sigs holds the per-object persisted raster signatures of a
 	// snapshot-backed layer (nil otherwise); see Signature.
-	sigs   []raster.Signature
-	sigRes int
+	sigs []raster.Signature
 
 	// breakers holds this layer's per-mate hardware-filter circuit
 	// breakers (see Breaker). The map is touched once per query to fetch
@@ -134,7 +133,6 @@ func NewLayerFromSnapshot(s *store.Snapshot) (*Layer, error) {
 		snap:    s,
 	}
 	if s.HasSignatures() {
-		l.sigRes = s.SigRes()
 		l.sigs = make([]raster.Signature, len(d.Objects))
 		for i := range l.sigs {
 			l.sigs[i] = s.Signature(i)
@@ -158,37 +156,16 @@ func (l *Layer) objectStats() (geom.Rect, float64) {
 	return l.objBounds, l.objExtent
 }
 
-// intervalGrid returns the layer's own canonical interval grid: the
-// persisted column's grid when the snapshot carries one, else the
-// deterministic derivation the writer would have used. ok is false for
-// empty or non-finite layers, and for snapshot-backed layers whose file
-// carries no interval section — a pre-v2 (or `save ... nointervals`)
-// snapshot is a v1 artifact and serves the v1 signature path rather
-// than silently rebuilding at query time what the writer omitted.
-func (l *Layer) intervalGrid() (interval.Grid, bool) {
-	if c := l.ivalCol; c != nil {
-		return c.Grid, true
-	}
-	if l.snap != nil {
-		return interval.Grid{}, false
-	}
-	b, e := l.objectStats()
-	mnx, mny, size, fits := interval.FitSquare(b)
-	if !fits {
-		return interval.Grid{}, false
-	}
-	return interval.Grid{MinX: mnx, MinY: mny, Size: size, Order: interval.ChooseOrder(size, e)}, true
-}
-
 // Intervals returns the layer's interval column on grid g: the persisted
 // column when its grid matches exactly, else a lazily built one cached
 // per grid (layers are immutable, so a grid's column never changes).
-// Snapshot-backed layers without a persisted interval section never
-// build lazily — they are v1 artifacts and return nil so queries fall
-// back to the v1 signature path (see intervalGrid). A build labels its
-// gaps through the objects' EdgeIndex, which it leaves cached for the
-// refinement that follows. Safe for concurrent callers; concurrent first
-// requests for one grid share a single build.
+// Snapshot-backed layers without a persisted interval section (a pre-v2
+// or `save ... nointervals` snapshot) never build lazily — they are v1
+// artifacts and return nil so joins fall back to the v1 signature path
+// rather than rebuilding at query time what the writer omitted. A build
+// labels its gaps through the objects' EdgeIndex, which it leaves cached
+// for the refinement that follows. Safe for concurrent callers;
+// concurrent first requests for one grid share a single build.
 func (l *Layer) Intervals(g interval.Grid) *interval.Column {
 	if !g.Valid() {
 		return nil
@@ -272,26 +249,6 @@ func (l *Layer) Signature(id int) *raster.Signature {
 	return &l.sigs[id]
 }
 
-// signatureRes returns the resolution for query-side signatures matched
-// against this layer's persisted ones.
-func (l *Layer) signatureRes() int {
-	if l.sigRes > 0 {
-		return l.sigRes
-	}
-	return raster.DefaultSignatureRes
-}
-
-// querySignature computes the query polygon's signature once per
-// selection when the layer has persisted signatures to pair it with (and
-// the ablation knob allows), else nil.
-func (l *Layer) querySignature(query *geom.Polygon, noSig bool) *raster.Signature {
-	if noSig || l.sigs == nil {
-		return nil
-	}
-	sg := raster.ComputeSignature(query, l.signatureRes())
-	return &sg
-}
-
 // Hulls returns the layer's pre-computed convex-hull approximations,
 // building them on first use (the pre-processing cost of the geometric
 // filter; safe for concurrent callers).
@@ -356,14 +313,16 @@ func (l *Layer) Breaker(other *Layer) *core.Breaker {
 // selection is the generation kind of a selection: an intersects probe.
 var selection = joinKind{op: "select"}
 
-// bindSelection binds a selection of layer l's objects by window. The
-// prefilter is the interior filter, its tiles built on the first candidate
-// whose MBR lies inside the window's — the only candidates CoversRect can
-// accept. The window's edge index, signature (at the layer's persisted
-// resolution) and interval spans (on the layer's own grid, so no union
-// grid makes the layer build a column per window) are built once, on the
-// first pair the tester sees; none is built when the prefilter decides
-// every candidate.
+// bindSelection binds a selection of layer l's objects by window: the
+// paper's selection pipeline, MBR → interior prefilter → containment →
+// exact refinement. The prefilter is the interior filter, its tiles built
+// on the first candidate whose MBR lies inside the window's — the only
+// candidates CoversRect can accept. The window carries no raster
+// approximation: rasterizing and signing it per request cost more than
+// the few candidates it is compared with ever saved (DESIGN.md §5), so
+// its PairContext holds its edge index and the breaker, built once on the
+// first pair the tester sees (never when the prefilter decides every
+// candidate), and each candidate adds its own edge index.
 func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 	p := predicate{op: selection.op}
 	if opt.InteriorLevel >= 0 {
@@ -385,25 +344,11 @@ func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 	var win struct { // the window's side of every pair
 		once sync.Once
 		pc   core.PairContext
-		col  *interval.Column
 	}
 	pcFor := func(pr Pair) core.PairContext {
-		win.once.Do(func() {
-			win.pc = core.PairContext{PIndex: edgeindex.New(window), Breaker: l.Breaker(l), PSig: l.querySignature(window, opt.NoSignatures)}
-			if opt.NoIntervals {
-				return
-			}
-			if g, ok := l.intervalGrid(); ok {
-				if spans := interval.Rasterize(window, g); len(spans) > 0 {
-					win.pc.PIv, win.pc.Grid, win.col = spans, g, l.Intervals(g)
-				}
-			}
-		})
+		win.once.Do(func() { win.pc = core.PairContext{PIndex: edgeindex.New(window), Breaker: l.Breaker(l)} })
 		pc := win.pc
-		pc.QIndex, pc.QSig = l.EdgeIndex(pr.B), l.Signature(pr.B)
-		if win.col != nil {
-			pc.QIv = win.col.Spans(pr.B)
-		}
+		pc.QIndex = l.EdgeIndex(pr.B)
 		return pc
 	}
 	p.filter = func(t *core.Tester, pr Pair) core.Verdict {

@@ -68,16 +68,21 @@ var matrixTesters = map[string]core.Config{
 // TestIntersectionSelectMatchesOracle runs ten STATES50 windows, and a
 // window over the whole view (the one whose candidates the interior
 // filter can accept: no STATES50 window covers a whole LANDC object),
-// over {layer view, live view} × tester × batch {1, 7, 256} × interior
-// level {-1, 0, 4} × NoIntervals, and checks each selection against the
+// over {layer view, snapshot layer, live view} × tester × batch {1, 7,
+// 256} × interior level {-1, 0, 4}, and checks each selection against the
 // brute-force oracle: the ids in ascending order, the stage counts, the
 // tester's resolution partition, and that the concatenated sink batches
 // are the returned slice (sorted, on a live view, which streams per
-// component).
+// component). A selection has no interval or signature stage, so no
+// record may count an interval or a signature check — not even on the
+// snapshot layer, whose objects carry persisted lists and signatures —
+// and the live view's delta never builds an interval column.
 func TestIntersectionSelectMatchesOracle(t *testing.T) {
 	states := data.MustLoad("STATES50", 1).Objects[:10:10]
 	results, interiorHits := 0, 0
-	for vname, v := range matrixViews(t) {
+	views := matrixViews(t)
+	views["snapshot"] = snapshotLayer(t, matrixA.Data, false).View()
+	for vname, v := range views {
 		_, single := v.Single()
 		domain := v.Dataset().Objects[0].Bounds()
 		for _, p := range v.Dataset().Objects {
@@ -96,38 +101,42 @@ func TestIntersectionSelectMatchesOracle(t *testing.T) {
 			for tname, cfg := range matrixTesters {
 				for _, batch := range []int{1, 7, 256} {
 					for _, level := range []int{-1, 0, 4} {
-						for _, noIntervals := range []bool{false, true} {
-							tester := core.NewTester(cfg)
-							var streamed []int
-							opt := JoinOptions{InteriorLevel: level, NoIntervals: noIntervals, BatchSize: batch,
-								Sink: func(pairs []Pair) error {
-									streamed = innerIDs(streamed, pairs) // copy: the slice is reused
-									return nil
-								}}
-							name := fmt.Sprintf("%s window %d %s batch=%d level=%d nointervals=%v", vname, qi, tname, batch, level, noIntervals)
-							got, st, err := IntersectionSelectView(bg, v, q, tester, opt)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							sameIDs(t, name, got, want)
-							if single {
-								sameIDs(t, name+" stream", streamed, got)
-							} else {
-								sameIDs(t, name+" stream", sortedIDs(streamed), got)
-							}
-							if st.Results != len(got) || st.Candidates < st.Results ||
-								st.FilterHits+st.FilterRejects+st.Compared != st.Candidates {
-								t.Fatalf("%s: stage counts inconsistent: %+v", name, st)
-							}
-							checkStatsPartition(t, name, st.Stats)
-							if st.Stats != tester.Stats || st.Tests != int64(st.Compared) {
-								t.Fatalf("%s: %d tests for %d compared, tester holds %+v", name, st.Tests, st.Compared, tester.Stats)
-							}
-							interiorHits += st.FilterHits
+						tester := core.NewTester(cfg)
+						var streamed []int
+						opt := JoinOptions{InteriorLevel: level, BatchSize: batch,
+							Sink: func(pairs []Pair) error {
+								streamed = innerIDs(streamed, pairs) // copy: the slice is reused
+								return nil
+							}}
+						name := fmt.Sprintf("%s window %d %s batch=%d level=%d", vname, qi, tname, batch, level)
+						got, st, err := IntersectionSelectView(bg, v, q, tester, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
 						}
+						sameIDs(t, name, got, want)
+						if single {
+							sameIDs(t, name+" stream", streamed, got)
+						} else {
+							sameIDs(t, name+" stream", sortedIDs(streamed), got)
+						}
+						if st.Results != len(got) || st.Candidates < st.Results ||
+							st.FilterHits+st.FilterRejects+st.Compared != st.Candidates {
+							t.Fatalf("%s: stage counts inconsistent: %+v", name, st)
+						}
+						checkStatsPartition(t, name, st.Stats)
+						if st.IntervalChecks != 0 || st.SigChecks != 0 {
+							t.Fatalf("%s: a selection ran %d interval and %d signature checks", name, st.IntervalChecks, st.SigChecks)
+						}
+						if st.Stats != tester.Stats || st.Tests != int64(st.Compared) {
+							t.Fatalf("%s: %d tests for %d compared, tester holds %+v", name, st.Tests, st.Compared, tester.Stats)
+						}
+						interiorHits += st.FilterHits
 					}
 				}
 			}
+		}
+		if !single && v.delta.ivalCache != nil {
+			t.Errorf("%s: selections built the delta's interval column", vname)
 		}
 	}
 	if results == 0 || interiorHits == 0 {

@@ -13,7 +13,7 @@ import (
 // snapshotLayer saves the dataset to a temp snapshot and loads it back
 // through the requested path (mmap or the read-into-slice fallback). The
 // snapshot is closed with the test.
-func snapshotLayer(t *testing.T, d *data.Dataset, forceCopy bool) *Layer {
+func snapshotLayer(t testing.TB, d *data.Dataset, forceCopy bool) *Layer {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), d.Name+".snap")
 	if _, err := store.Save(path, d, store.SaveOptions{}); err != nil {

@@ -141,25 +141,35 @@ func TestShardSelectStableIDs(t *testing.T) {
 	}
 }
 
-// TestShardSelectHonoursIntervalsOff: select and shardselect are one
-// handler with one set of options, so the session's interval ablation
-// reaches the shard verb too — same ids, no interval filter run.
-func TestShardSelectHonoursIntervalsOff(t *testing.T) {
-	e := &Engine{Store: MapStore{}}
-	mustExec(t, e, "gen a LANDC 0.01")
-	cmd := "shardselect a POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))"
-	on := mustExec(t, e, cmd)
-	if !strings.Contains(on, `"interval_checks"`) {
-		t.Fatalf("shardselect with intervals on ran no interval filter:\n%s", dataLines(on, "stats"))
+// TestIntervalsOffReachesJoinsOnly: the session's interval ablation
+// reaches the joins — intervals off removes the interval filter from
+// shardjoin — while a selection has no interval or signature stage, so
+// shardselect returns the same ids under both settings and reports
+// neither counter, on snapshot layers that carry both approximations.
+func TestIntervalsOffReachesJoinsOnly(t *testing.T) {
+	e := &Engine{Store: MapStore{}, DataDir: t.TempDir()}
+	for _, line := range []string{"gen a LANDC 0.01", "gen b LANDO 0.01", "save a a", "save b b", "load sa a", "load sb b"} {
+		mustExec(t, e, line)
 	}
-	mustExec(t, e, "intervals off")
-	off := mustExec(t, e, cmd)
-	if strings.Contains(off, `"interval_checks"`) {
-		t.Errorf("shardselect after intervals off still ran the interval filter:\n%s", dataLines(off, "stats"))
+	join := "shardjoin sa sb " + FormatRect(geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)})
+	sel := "shardselect sa POLYGON((100 100, 300 100, 300 300, 100 300, 100 100))"
+	var ids [2][]string
+	for i, setting := range []string{"on", "off"} {
+		mustExec(t, e, "intervals "+setting)
+		joined := strings.Contains(mustExec(t, e, join), `"interval_checks"`)
+		if joined != (setting == "on") {
+			t.Errorf("intervals %s: shardjoin ran the interval filter = %v", setting, joined)
+		}
+		out := mustExec(t, e, sel)
+		for _, counter := range []string{`"interval_checks"`, `"sig_checks"`} {
+			if strings.Contains(out, counter) {
+				t.Errorf("intervals %s: shardselect reports %s:\n%s", setting, counter, dataLines(out, "stats"))
+			}
+		}
+		ids[i] = dataLines(out, "id")
 	}
-	want, got := dataLines(on, "id"), dataLines(off, "id")
-	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("intervals off changed the answer: %d ids, want %d", len(got), len(want))
+	if len(ids[0]) == 0 || strings.Join(ids[1], "\n") != strings.Join(ids[0], "\n") {
+		t.Errorf("intervals off changed shardselect's answer: %d ids, want %d", len(ids[1]), len(ids[0]))
 	}
 }
 

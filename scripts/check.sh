@@ -12,7 +12,8 @@
 # whole layer's interval column, BenchmarkCompare the interval verdict
 # over every join_single candidate pair, BenchmarkWithinRefine the
 # software tester's distance step over the benchmark's undecided within
-# pairs, BenchmarkWithinFilter its filter stage over all of them), and a
+# pairs, BenchmarkWithinFilter its filter stage over all of them,
+# BenchmarkSelect one in-process select over the benchmark's windows), and a
 # short fuzz smoke pass over the input parsers, the wire
 # command grammar (FuzzExec), the wire row parser, the distance kernel
 # bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist), the
@@ -58,7 +59,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -120,12 +121,12 @@ else
 fi
 rm -rf "$SNAPDIR"
 
-echo "== interval filter smoke (v2 snapshot true hits; its rows, refined narrowed to the shared partial cells, match the pre-v2 signature fallback's unnarrowed ones for joins and selections)"
+echo "== interval filter smoke (v2 snapshot true hits; its join rows, refined narrowed to the shared partial cells, match the pre-v2 signature fallback's unnarrowed ones; selections, which run neither filter, answer alike from both)"
 # A join over snapshot-loaded layers must engage the persisted interval
 # column (nonzero true hits), and snapshots saved without the interval
 # section (the pre-v2 format) must fall back to the v1 signature path
-# with a line-identical pair set — and a line-identical id list for a
-# selection.
+# with a line-identical pair set — and give a selection, which runs
+# neither filter, a line-identical id list.
 IVDIR="$(mktemp -d /tmp/ival_smoke.XXXXXX)"
 go run ./cmd/spatialdb -data "$IVDIR" >"$IVDIR/v2.txt" <<'EOF'
 gen a LANDC 0.01
