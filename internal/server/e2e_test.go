@@ -295,9 +295,9 @@ func TestE2EConcurrentClients(t *testing.T) {
 	if got := m.ConnsAccepted.Load(); got != clients {
 		t.Errorf("ConnsAccepted = %d, want %d", got, clients)
 	}
-	if m.QueriesOK.Load() == 0 || m.Candidates.Load() == 0 {
+	if m.QueriesOK.Load() == 0 || m.Query().Candidates == 0 {
 		t.Errorf("metrics did not aggregate: ok=%d candidates=%d",
-			m.QueriesOK.Load(), m.Candidates.Load())
+			m.QueriesOK.Load(), m.Query().Candidates)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

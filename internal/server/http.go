@@ -2,9 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -62,99 +62,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.WritePrometheus(w, g)
 }
 
-// handleQuery runs one command per request: the cmd string comes from a
-// JSON body {"cmd": "..."} on POST or the ?cmd= parameter on GET. Each
+// handleQuery runs one command per request and answers it as JSON. Each
 // request gets a fresh single-command engine over the shared catalog
 // with the server's default settings, so HTTP callers are stateless
 // peers of TCP sessions — same grammar, same admission control, same
-// stats.
+// stats. A client that goes away cancels the command.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.HTTPRequests.Add(1)
-	var cmd string
-	switch r.Method {
-	case http.MethodPost:
-		var body struct {
-			Cmd string `json:"cmd"`
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<24)).Decode(&body); err != nil {
-			writeJSON(w, http.StatusBadRequest, QueryResponse{Status: "error", Error: "bad request body: " + err.Error()})
-			return
-		}
-		cmd = body.Cmd
-	case http.MethodGet:
-		cmd = r.URL.Query().Get("cmd")
-	default:
-		writeJSON(w, http.StatusMethodNotAllowed, QueryResponse{Status: "error", Error: "use GET ?cmd= or POST {\"cmd\": ...}"})
+	cmd, code, err := requestCommand(r)
+	if err != nil {
+		writeJSON(w, code, QueryResponse{Status: "error", Error: err.Error()})
 		return
 	}
-	verb := shellcmd.Verb(cmd)
-	if verb == "" {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Status: "error", Error: "empty command"})
-		return
-	}
-
-	start := time.Now()
-	if shellcmd.IsQuery(verb) {
-		if err := s.lim.acquire(s.baseCtx); err != nil {
-			st := query.Stats{Op: verb}
-			status := StatusError
-			var oe *OverloadError
-			if errors.As(err, &oe) {
-				status = StatusOverload
-				if oe.RetryAfter > 0 {
-					w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(oe.RetryAfter)))
-				}
-			}
-			s.metrics.observe(st, status, time.Since(start))
-			s.logCommand(r.RemoteAddr, st, status, time.Since(start))
-			writeJSON(w, http.StatusServiceUnavailable, QueryResponse{Status: string(status), Error: err.Error()})
-			return
-		}
-		defer s.lim.release()
-	}
-
-	// The command context follows server shutdown (baseCtx), the client
-	// going away (request context), and — for query verbs — the session
-	// watchdog, whose stuck-query cause flows into the partial result.
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	defer cancel(nil)
-	stop := context.AfterFunc(r.Context(), func() { cancel(nil) })
-	defer stop()
-	if shellcmd.IsQuery(verb) && s.dog.enabled() {
-		id := s.dog.register(verb, cancel, nil)
-		defer s.dog.deregister(id)
-	}
-
-	eng := s.newEngine()
 	var buf bytes.Buffer
-	res, err := eng.Exec(ctx, cmd, &buf)
-
-	st := res.Stats
-	if st.Op == "" {
-		st.Op = verb
+	o := s.run(s.newEngine(), command{line: cmd, remote: r.RemoteAddr, out: &buf, client: r.Context()})
+	if o.refused {
+		retryAfter(w, o.err)
+		writeJSON(w, http.StatusServiceUnavailable, QueryResponse{Status: string(o.status), Error: o.err.Error()})
+		return
 	}
-	dur := time.Since(start)
-	resp := QueryResponse{Status: string(StatusOK), Output: buf.String(), Stats: &st}
-	code := http.StatusOK
-	status := StatusOK
+	resp := QueryResponse{Status: string(o.status), Output: buf.String(), Stats: &o.stats}
+	code = http.StatusOK
 	switch {
-	case err != nil:
-		status = StatusError
-		resp.Status = string(StatusError)
-		resp.Error = err.Error()
-		resp.Stats = nil
-		code = http.StatusBadRequest
-	case res.Partial != nil:
-		status = StatusPartial
-		resp.Status = string(StatusPartial)
-		resp.Error = res.Partial.Error()
-		s.metrics.observeFailure(res.Partial)
+	case o.err != nil:
+		resp.Error, resp.Stats, code = o.err.Error(), nil, http.StatusBadRequest
+	case o.partial != nil:
+		resp.Error = o.partial.Error()
 	}
-	s.metrics.observe(st, status, dur)
-	s.logCommand(r.RemoteAddr, st, status, dur)
 	// The response write is deadline-bounded like every other client-bound
-	// write: a client that stopped reading must not pin the handler (and,
-	// for query verbs, the admission slot held until this handler returns).
+	// write: a client that stopped reading must not pin the handler.
 	if d := s.writeTimeout(); d > 0 {
 		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(d))
 	}
@@ -166,14 +102,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // framing and under the TCP session's flush contract — data lines
 // flushed to the client once per batch the command emits, then exactly
 // one status line ("ok" / "partial: <reason>" / "error: <reason>")
-// flushed together with whatever the command wrote last. Admission
-// control, watchdog coverage, and metrics match /query; a client that
-// goes away mid-stream cancels the command so its sinks wind down. Pre-execution failures (bad request,
-// overload) still get proper HTTP status codes — once streaming starts
-// the response is committed as 200 and the trailing status line is
-// authoritative.
+// flushed together with whatever the command wrote last. A client that
+// goes away mid-stream cancels the command so its sinks wind down.
+// Pre-execution failures (bad request, overload) still get proper HTTP
+// status codes — once streaming starts the response is committed as 200
+// and the trailing status line is authoritative.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.HTTPRequests.Add(1)
+	cmd, code, err := requestCommand(r)
+	if err != nil {
+		http.Error(w, err.Error(), code)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
+	fw := &flushWriter{w: w, rc: http.NewResponseController(w), d: s.writeTimeout()}
+	o := s.run(s.newEngine(), command{line: cmd, remote: r.RemoteAddr, out: fw, writer: &fw.sticky, client: r.Context()})
+	if o.refused {
+		retryAfter(w, o.err)
+		http.Error(w, o.err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	_, _ = fw.Write([]byte(o.statusLine() + "\n"))
+	_ = fw.Flush()
+}
+
+// requestCommand reads the command of a /query or /stream request: the
+// JSON body {"cmd": "..."} of a POST or the ?cmd= parameter of a GET. A
+// request it cannot serve — a bad body, another method, a blank command —
+// gets an error and the HTTP code to answer with.
+func requestCommand(r *http.Request) (string, int, error) {
 	var cmd string
 	switch r.Method {
 	case http.MethodPost:
@@ -181,74 +139,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			Cmd string `json:"cmd"`
 		}
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<24)).Decode(&body); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return
+			return "", http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 		}
 		cmd = body.Cmd
 	case http.MethodGet:
 		cmd = r.URL.Query().Get("cmd")
 	default:
-		http.Error(w, "use GET ?cmd= or POST {\"cmd\": ...}", http.StatusMethodNotAllowed)
-		return
+		return "", http.StatusMethodNotAllowed, errors.New(`use GET ?cmd= or POST {"cmd": ...}`)
 	}
-	verb := shellcmd.Verb(cmd)
-	if verb == "" {
-		http.Error(w, "empty command", http.StatusBadRequest)
-		return
+	if shellcmd.Verb(cmd) == "" {
+		return "", http.StatusBadRequest, errors.New("empty command")
 	}
+	return cmd, 0, nil
+}
 
-	start := time.Now()
-	if shellcmd.IsQuery(verb) {
-		if err := s.lim.acquire(s.baseCtx); err != nil {
-			st := query.Stats{Op: verb}
-			status := StatusError
-			var oe *OverloadError
-			if errors.As(err, &oe) {
-				status = StatusOverload
-				if oe.RetryAfter > 0 {
-					w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(oe.RetryAfter)))
-				}
-			}
-			s.metrics.observe(st, status, time.Since(start))
-			s.logCommand(r.RemoteAddr, st, status, time.Since(start))
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		defer s.lim.release()
+// retryAfter sets an admission refusal's Retry-After header from the
+// overload's backoff hint, rounded up to whole seconds so the header
+// never understates it (at least 1: a zero header means "retry now").
+func retryAfter(w http.ResponseWriter, err error) {
+	var oe *OverloadError
+	if errors.As(err, &oe) && oe.RetryAfter > 0 {
+		secs := max(int((oe.RetryAfter+time.Second-1)/time.Second), 1)
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	defer cancel(nil)
-	stop := context.AfterFunc(r.Context(), func() { cancel(nil) })
-	defer stop()
-	if shellcmd.IsQuery(verb) && s.dog.enabled() {
-		id := s.dog.register(verb, cancel, nil)
-		defer s.dog.deregister(id)
-	}
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	fw := &flushWriter{w: w, rc: http.NewResponseController(w), d: s.writeTimeout(), cancel: cancel}
-	eng := s.newEngine()
-	res, err := eng.Exec(ctx, cmd, fw)
-
-	st := res.Stats
-	if st.Op == "" {
-		st.Op = verb
-	}
-	status, statusLine := StatusOK, "ok"
-	switch {
-	case err != nil:
-		status, statusLine = StatusError, "error: "+err.Error()
-	case res.Partial != nil:
-		status, statusLine = StatusPartial, "partial: "+res.Partial.Error()
-		s.metrics.observeFailure(res.Partial)
-	}
-	dur := time.Since(start)
-	s.metrics.observe(st, status, dur)
-	s.logCommand(r.RemoteAddr, st, status, dur)
-	_, _ = fw.Write([]byte(statusLine + "\n"))
-	_ = fw.Flush()
 }
 
 // flushWriter streams Exec output over an HTTP response: Write appends
@@ -262,11 +175,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // of pinning the handler and its admission slot in a write the context
 // cancel cannot unblock.
 type flushWriter struct {
-	w      io.Writer
-	rc     *http.ResponseController
-	d      time.Duration // per-write deadline; 0 means unbounded
-	cancel context.CancelCauseFunc
-	err    error
+	sticky
+	w  io.Writer
+	rc *http.ResponseController
+	d  time.Duration // per-write deadline; 0 means unbounded
 }
 
 func (fw *flushWriter) Write(p []byte) (int, error) {
@@ -298,23 +210,6 @@ func (fw *flushWriter) arm() {
 		// no deadline; real server connections support it.
 		_ = fw.rc.SetWriteDeadline(time.Now().Add(fw.d))
 	}
-}
-
-func (fw *flushWriter) fail(err error) error {
-	fw.err = err
-	fw.cancel(err)
-	return err
-}
-
-// retryAfterSeconds converts an OverloadError's backoff hint to the
-// whole-second Retry-After header value, rounding up so the header never
-// understates the hint (minimum 1s: a zero header means "retry now").
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,9 +28,11 @@ const (
 	StatusOverload Status = "overload"
 )
 
-// Metrics aggregates the server's counters. All fields are atomics so
-// sessions update them without shared locks; WritePrometheus renders the
-// exposition-format snapshot served at /metrics.
+// Metrics aggregates the server's counters: atomics for what every
+// command updates (status, sessions, connections, HTTP requests,
+// deadline expiries) and one query.Stats summing every command's record;
+// WritePrometheus renders the exposition-format snapshot served at
+// /metrics.
 type Metrics struct {
 	start time.Time
 
@@ -44,59 +47,17 @@ type Metrics struct {
 	Overloads      atomic.Int64
 	QueryNanos     atomic.Int64
 
-	// Refinement counters summed from the uniform query.Stats records.
-	Candidates  atomic.Int64
-	Tests       atomic.Int64
-	HWRejects   atomic.Int64
-	SWFallbacks atomic.Int64
-	Panics      atomic.Int64
-	Quarantined atomic.Int64
+	// DeadlineExpirations counts deadline-governed partials.
+	DeadlineExpirations atomic.Int64
 
-	// Hot-path effectiveness counters (edge index and the persisted
-	// raster-signature filter).
-	EdgeIndexHits         atomic.Int64
-	EdgeIndexSkippedEdges atomic.Int64
-	SigChecks             atomic.Int64
-	SigRejects            atomic.Int64
+	// Snapshot loads observed (records with SnapshotBytes > 0), and of
+	// those the mmap-path ones: the sum keeps their bytes and load time,
+	// but Merge ORs the mmap flag.
+	snapshotLoads atomic.Int64
+	snapshotMMaps atomic.Int64
 
-	// Interval-approximation (v2) filter counters: pair tests where both
-	// sides carried span lists and the three-valued verdict breakdown.
-	IntervalChecks       atomic.Int64
-	IntervalTrueHits     atomic.Int64
-	IntervalRejects      atomic.Int64
-	IntervalInconclusive atomic.Int64
-
-	// Snapshot warm-start counters: loads observed, bytes mapped or
-	// copied, mmap-path loads, and cumulative load wall-clock.
-	SnapshotLoads  atomic.Int64
-	SnapshotBytes  atomic.Int64
-	SnapshotMMaps  atomic.Int64
-	SnapshotLoadNS atomic.Int64
-
-	// Degradation and self-verification counters: sentinel re-checks of
-	// hardware-filter negatives, circuit-breaker state changes, pairs
-	// routed around an open breaker, and deadline-governed partials.
-	SentinelChecks        atomic.Int64
-	SentinelDisagreements atomic.Int64
-	BreakerTrips          atomic.Int64
-	BreakerRecoveries     atomic.Int64
-	BreakerOpenSkips      atomic.Int64
-	DeadlineExpirations   atomic.Int64
-
-	// Live-view composition counters: uncompacted delta objects and
-	// tombstones carried by the views that served queries.
-	LiveDelta      atomic.Int64
-	LiveTombstones atomic.Int64
-
-	// Staged-pipeline and streaming-delivery counters: batches through
-	// the join pipeline, cumulative filter/refine stage time, the largest
-	// queue depth any single run observed, and result rows streamed to
-	// clients as they were produced.
-	PipelineBatches       atomic.Int64
-	PipelineFilterNS      atomic.Int64
-	PipelineRefineNS      atomic.Int64
-	PipelineQueueDepthMax atomic.Int64
-	StreamRowsEmitted     atomic.Int64
+	mu  sync.Mutex
+	sum query.Stats // every observed record, folded in with Merge
 }
 
 // Gauges carries the point-in-time values the server samples alongside
@@ -134,45 +95,22 @@ func (m *Metrics) observe(st query.Stats, status Status, dur time.Duration) {
 		m.Overloads.Add(1)
 	}
 	m.QueryNanos.Add(int64(dur))
-	m.Candidates.Add(int64(st.Candidates))
-	m.Tests.Add(st.Tests)
-	m.HWRejects.Add(st.HWRejects)
-	m.SWFallbacks.Add(st.SWFallbacks())
-	m.Panics.Add(st.Panics)
-	m.Quarantined.Add(st.Quarantined)
-	m.EdgeIndexHits.Add(st.EdgeIndexHits)
-	m.EdgeIndexSkippedEdges.Add(st.EdgeIndexSkippedEdges)
-	m.SigChecks.Add(st.SigChecks)
-	m.SigRejects.Add(st.SigRejects)
-	m.IntervalChecks.Add(st.IntervalChecks)
-	m.IntervalTrueHits.Add(st.IntervalTrueHits)
-	m.IntervalRejects.Add(st.IntervalRejects)
-	m.IntervalInconclusive.Add(st.IntervalInconclusive)
 	if st.SnapshotBytes > 0 {
-		m.SnapshotLoads.Add(1)
-		m.SnapshotBytes.Add(st.SnapshotBytes)
+		m.snapshotLoads.Add(1)
 		if st.SnapshotMMap {
-			m.SnapshotMMaps.Add(1)
-		}
-		m.SnapshotLoadNS.Add(int64(st.SnapshotLoadMS * float64(time.Millisecond)))
-	}
-	m.LiveDelta.Add(int64(st.LiveDelta))
-	m.LiveTombstones.Add(int64(st.LiveTombstones))
-	m.SentinelChecks.Add(st.SentinelChecks)
-	m.SentinelDisagreements.Add(st.SentinelDisagreements)
-	m.BreakerTrips.Add(st.BreakerTrips)
-	m.BreakerRecoveries.Add(st.BreakerRecoveries)
-	m.BreakerOpenSkips.Add(st.BreakerOpenSkips)
-	m.PipelineBatches.Add(st.PipelineBatches)
-	m.PipelineFilterNS.Add(st.PipelineFilterNS)
-	m.PipelineRefineNS.Add(st.PipelineRefineNS)
-	m.StreamRowsEmitted.Add(st.StreamRowsEmitted)
-	for {
-		cur := m.PipelineQueueDepthMax.Load()
-		if st.PipelineQueueDepth <= cur || m.PipelineQueueDepthMax.CompareAndSwap(cur, st.PipelineQueueDepth) {
-			break
+			m.snapshotMMaps.Add(1)
 		}
 	}
+	m.mu.Lock()
+	m.sum.Merge(st)
+	m.mu.Unlock()
+}
+
+// Query returns the sum of every observed command's query record.
+func (m *Metrics) Query() query.Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sum
 }
 
 // observeFailure classifies an interrupted command's error chain into the
@@ -212,36 +150,37 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges Gauges) {
 	g("spatiald_watchdog_cancels_total", gauges.WatchdogCancels)
 	g("spatiald_deadline_expirations_total", m.DeadlineExpirations.Load())
 	g("spatiald_catalog_layers", gauges.Layers)
-	g("spatiald_refine_candidates_total", m.Candidates.Load())
-	g("spatiald_refine_tests_total", m.Tests.Load())
-	g("spatiald_refine_hw_rejects_total", m.HWRejects.Load())
-	g("spatiald_refine_sw_fallbacks_total", m.SWFallbacks.Load())
-	g("spatiald_refine_panics_total", m.Panics.Load())
-	g("spatiald_refine_quarantined_total", m.Quarantined.Load())
-	g("spatiald_refine_edge_index_hits_total", m.EdgeIndexHits.Load())
-	g("spatiald_refine_edge_index_skipped_edges_total", m.EdgeIndexSkippedEdges.Load())
-	g("spatiald_refine_sig_checks_total", m.SigChecks.Load())
-	g("spatiald_refine_sig_rejects_total", m.SigRejects.Load())
-	g("spatiald_refine_interval_checks_total", m.IntervalChecks.Load())
-	g("spatiald_refine_interval_true_hits_total", m.IntervalTrueHits.Load())
-	g("spatiald_refine_interval_rejects_total", m.IntervalRejects.Load())
-	g("spatiald_refine_interval_inconclusive_total", m.IntervalInconclusive.Load())
-	g("spatiald_snapshot_loads_total", m.SnapshotLoads.Load())
-	g("spatiald_snapshot_bytes_total", m.SnapshotBytes.Load())
-	g("spatiald_snapshot_mmap_loads_total", m.SnapshotMMaps.Load())
-	g("spatiald_snapshot_load_seconds_total", float64(m.SnapshotLoadNS.Load())/float64(time.Second))
-	g("spatiald_sentinel_checks_total", m.SentinelChecks.Load())
-	g("spatiald_sentinel_disagreements_total", m.SentinelDisagreements.Load())
-	g("spatiald_breaker_trips_total", m.BreakerTrips.Load())
-	g("spatiald_breaker_recoveries_total", m.BreakerRecoveries.Load())
-	g("spatiald_breaker_open_skips_total", m.BreakerOpenSkips.Load())
-	g("spatiald_live_delta_objects_total", m.LiveDelta.Load())
-	g("spatiald_live_tombstones_total", m.LiveTombstones.Load())
-	g("spatiald_pipeline_batches_total", m.PipelineBatches.Load())
-	g("spatiald_pipeline_filter_seconds_total", float64(m.PipelineFilterNS.Load())/float64(time.Second))
-	g("spatiald_pipeline_refine_seconds_total", float64(m.PipelineRefineNS.Load())/float64(time.Second))
-	g("spatiald_pipeline_queue_depth_max", m.PipelineQueueDepthMax.Load())
-	g("spatiald_stream_rows_emitted_total", m.StreamRowsEmitted.Load())
+	q := m.Query()
+	g("spatiald_refine_candidates_total", q.Candidates)
+	g("spatiald_refine_tests_total", q.Tests)
+	g("spatiald_refine_hw_rejects_total", q.HWRejects)
+	g("spatiald_refine_sw_fallbacks_total", q.SWFallbacks())
+	g("spatiald_refine_panics_total", q.Panics)
+	g("spatiald_refine_quarantined_total", q.Quarantined)
+	g("spatiald_refine_edge_index_hits_total", q.EdgeIndexHits)
+	g("spatiald_refine_edge_index_skipped_edges_total", q.EdgeIndexSkippedEdges)
+	g("spatiald_refine_sig_checks_total", q.SigChecks)
+	g("spatiald_refine_sig_rejects_total", q.SigRejects)
+	g("spatiald_refine_interval_checks_total", q.IntervalChecks)
+	g("spatiald_refine_interval_true_hits_total", q.IntervalTrueHits)
+	g("spatiald_refine_interval_rejects_total", q.IntervalRejects)
+	g("spatiald_refine_interval_inconclusive_total", q.IntervalInconclusive)
+	g("spatiald_snapshot_loads_total", m.snapshotLoads.Load())
+	g("spatiald_snapshot_bytes_total", q.SnapshotBytes)
+	g("spatiald_snapshot_mmap_loads_total", m.snapshotMMaps.Load())
+	g("spatiald_snapshot_load_seconds_total", q.SnapshotLoadMS/1e3)
+	g("spatiald_sentinel_checks_total", q.SentinelChecks)
+	g("spatiald_sentinel_disagreements_total", q.SentinelDisagreements)
+	g("spatiald_breaker_trips_total", q.BreakerTrips)
+	g("spatiald_breaker_recoveries_total", q.BreakerRecoveries)
+	g("spatiald_breaker_open_skips_total", q.BreakerOpenSkips)
+	g("spatiald_live_delta_objects_total", q.LiveDelta)
+	g("spatiald_live_tombstones_total", q.LiveTombstones)
+	g("spatiald_pipeline_batches_total", q.PipelineBatches)
+	g("spatiald_pipeline_filter_seconds_total", float64(q.PipelineFilterNS)/float64(time.Second))
+	g("spatiald_pipeline_refine_seconds_total", float64(q.PipelineRefineNS)/float64(time.Second))
+	g("spatiald_pipeline_queue_depth_max", q.PipelineQueueDepth)
+	g("spatiald_stream_rows_emitted_total", q.StreamRowsEmitted)
 	for _, h := range gauges.Shards {
 		up := 1
 		if h.Open {

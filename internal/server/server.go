@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -354,30 +355,127 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // faults configured, the engine's testers carry the injector so query-
 // path faults strike inside served commands.
 func (s *Server) newEngine() *shellcmd.Engine {
-	eng := &shellcmd.Engine{
+	return &shellcmd.Engine{
 		Store: s.catalog,
 		Settings: shellcmd.Settings{
 			Timeout:    s.cfg.DefaultTimeout,
 			MaxTimeout: s.cfg.QueryTimeout,
 			Budget:     s.cfg.DefaultBudget,
 		},
+		Tester:  core.Config{SentinelEvery: s.cfg.SentinelEvery, Faults: s.cfg.Faults},
 		DataDir: s.cfg.DataDir,
 		Live:    s.cfg.Ingest,
 		Coord:   s.cfg.Coordinator,
 	}
-	if inj, every := s.cfg.Faults, s.cfg.SentinelEvery; inj != nil || every != 0 {
-		eng.NewTester = func(mode string) (*core.Tester, error) {
-			switch mode {
-			case "", "hw":
-				return core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold, SentinelEvery: every, Faults: inj}), nil
-			case "sw":
-				return core.NewTester(core.Config{DisableHardware: true, Faults: inj}), nil
-			default:
-				return nil, fmt.Errorf("mode must be sw or hw, got %q", mode)
+}
+
+// command is one line a transport hands to run, with what the transport
+// adds to it.
+type command struct {
+	line   string
+	remote string    // the client's address, for the access log
+	out    io.Writer // where Exec writes
+	// writer, when set, is out's failure state: a failed write cancels
+	// the command, so streaming sinks wind down instead of refining for
+	// a dead client.
+	writer *sticky
+	// client, when set, is a request context whose end (the client went
+	// away) cancels the command.
+	client context.Context
+	// sever, when set, is the watchdog's escalation for a query its kill
+	// did not dislodge: closing the client connection unblocks a write
+	// the cancel cannot reach.
+	sever func()
+}
+
+// outcome is how a command ended.
+type outcome struct {
+	stats   query.Stats // the command's record, Op defaulted to its verb
+	partial *query.PartialError
+	status  Status
+	err     error // Exec's error, or the admission refusal
+	refused bool  // admission turned the command away: Exec never ran
+}
+
+// statusLine is the outcome's terminal wire line.
+func (o outcome) statusLine() string {
+	switch {
+	case o.refused && o.status != StatusOverload:
+		return "error: shutting down"
+	case o.err != nil:
+		return "error: " + o.err.Error()
+	case o.partial != nil:
+		return "partial: " + o.partial.Error()
+	}
+	return "ok"
+}
+
+// run executes one command end to end, the same for every transport:
+// admission control for query verbs, a context that shutdown (baseCtx),
+// a failed write and a departed client cancel, watchdog coverage, Exec
+// into c.out, status classification, metrics and the access log. It
+// writes nothing of its own: each transport frames the outcome. A blank
+// or comment line runs nothing and is neither counted nor logged.
+//
+// The deferred release keeps a panicking Exec — contained by the
+// transport's recover — from leaking its admission slot; the deferred
+// deregister keeps the watchdog's registry consistent on every exit,
+// including a watchdog kill itself (deregister tolerates the double
+// removal).
+func (s *Server) run(eng *shellcmd.Engine, c command) outcome {
+	start := time.Now()
+	verb := shellcmd.Verb(c.line)
+	o := outcome{stats: query.Stats{Op: verb}, status: StatusOK}
+	if verb == "" || strings.HasPrefix(verb, "#") {
+		return o
+	}
+	isQuery := shellcmd.IsQuery(verb)
+	if isQuery {
+		if err := s.lim.acquire(s.baseCtx); err != nil {
+			o.status, o.err, o.refused = StatusError, err, true
+			var oe *OverloadError
+			if errors.As(err, &oe) {
+				o.status = StatusOverload
 			}
 		}
 	}
-	return eng
+	if !o.refused {
+		// The slot and the context last only as long as Exec.
+		res, err := func() (shellcmd.Result, error) {
+			if isQuery {
+				defer s.lim.release()
+			}
+			ctx, cancel := context.WithCancelCause(s.baseCtx)
+			defer cancel(nil)
+			if c.client != nil {
+				defer context.AfterFunc(c.client, func() { cancel(nil) })()
+			}
+			if c.writer != nil {
+				c.writer.cancel = cancel
+				defer func() { c.writer.cancel = nil }()
+			}
+			if isQuery && s.dog.enabled() {
+				id := s.dog.register(verb, cancel, c.sever)
+				defer s.dog.deregister(id)
+			}
+			return eng.Exec(ctx, c.line, c.out)
+		}()
+		o.stats, o.partial, o.err = res.Stats, res.Partial, err
+		if o.stats.Op == "" {
+			o.stats.Op = verb
+		}
+		switch {
+		case err != nil:
+			o.status = StatusError
+		case res.Partial != nil:
+			o.status = StatusPartial
+			s.metrics.observeFailure(res.Partial)
+		}
+	}
+	dur := time.Since(start)
+	s.metrics.observe(o.stats, o.status, dur)
+	s.logCommand(c.remote, o.stats, o.status, dur)
+	return o
 }
 
 // logCommand writes one structured access-log line. The log writer is
@@ -390,4 +488,19 @@ func (s *Server) logCommand(remote string, st query.Stats, status Status, dur ti
 		time.Now().UTC().Format(time.RFC3339Nano), remote, st.Op, status,
 		dur.Round(time.Microsecond), st.Results, st.Candidates, st.Tests,
 		st.HWRejects, st.SWFallbacks(), st.Panics, st.Quarantined)
+}
+
+// sticky is a client writer's failure state: the first write error is
+// kept, returned by every later call, and cancels the running command.
+type sticky struct {
+	err    error
+	cancel context.CancelCauseFunc // the running command's; nil between commands
+}
+
+func (st *sticky) fail(err error) error {
+	st.err = err
+	if st.cancel != nil {
+		st.cancel(err)
+	}
+	return err
 }

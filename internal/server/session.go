@@ -3,15 +3,11 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
-	"errors"
 	"net"
 	"strings"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/query"
-	"repro/internal/shellcmd"
 )
 
 // Wire protocol: on connect the server sends one greeting line
@@ -75,6 +71,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	if w.line("spatiald ready") != nil {
 		return
 	}
+	remote := conn.RemoteAddr().String()
+	sever := func() { conn.Close() }
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	for {
@@ -93,84 +91,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = w.line("ok")
 			return
 		}
-		if !s.runCommand(eng, w, line) {
+		// Output goes through w: batches reach the client while the
+		// command is still running.
+		o := s.run(eng, command{line: line, remote: remote, out: w, writer: &w.sticky, sever: sever})
+		if w.line(o.statusLine()) != nil {
 			return
 		}
 	}
-}
-
-// runCommand executes one wire command end to end: admission control for
-// query verbs, execution against the shared catalog, metrics and access
-// logging, and the framed response. It reports whether the session can
-// continue (false on write failure or injected disconnect).
-func (s *Server) runCommand(eng *shellcmd.Engine, w *connWriter, line string) bool {
-	start := time.Now()
-	remote := w.conn.RemoteAddr().String()
-	verb := shellcmd.Verb(line)
-	if verb == "" || strings.HasPrefix(verb, "#") {
-		return w.line("ok") == nil
-	}
-
-	acquired := false
-	if shellcmd.IsQuery(verb) {
-		if err := s.lim.acquire(s.baseCtx); err != nil {
-			st := query.Stats{Op: verb}
-			status := StatusError
-			msg := "error: shutting down"
-			var oe *OverloadError
-			if errors.As(err, &oe) {
-				status = StatusOverload
-				msg = "error: " + oe.Error()
-			}
-			s.metrics.observe(st, status, time.Since(start))
-			s.logCommand(remote, st, status, time.Since(start))
-			return w.line(msg) == nil
-		}
-		acquired = true
-	}
-	// The deferred release keeps a panicking Exec — contained by the
-	// session's recover — from leaking its admission slot; the deferred
-	// deregister keeps the watchdog's registry consistent on every exit,
-	// including a watchdog kill itself (deregister tolerates the double
-	// removal). Output goes through w: batches reach the client while the
-	// command is still running, and a write failure cancels the command's
-	// context so streaming sinks wind down instead of refining for a dead
-	// connection.
-	res, err := func() (shellcmd.Result, error) {
-		if acquired {
-			defer s.lim.release()
-		}
-		ctx, cancel := context.WithCancelCause(s.baseCtx)
-		defer cancel(nil)
-		w.cancel = cancel
-		defer func() { w.cancel = nil }()
-		if acquired && s.dog.enabled() {
-			// The sever hook closes the connection if the query is still
-			// pinned a grace period after the kill — the cancel cannot
-			// unblock a conn.Write, but the close can.
-			id := s.dog.register(verb, cancel, func() { w.conn.Close() })
-			defer s.dog.deregister(id)
-		}
-		return eng.Exec(ctx, line, w)
-	}()
-
-	status, statusLine := StatusOK, "ok"
-	switch {
-	case err != nil:
-		status, statusLine = StatusError, "error: "+err.Error()
-	case res.Partial != nil:
-		status, statusLine = StatusPartial, "partial: "+res.Partial.Error()
-		s.metrics.observeFailure(res.Partial)
-	}
-	st := res.Stats
-	if st.Op == "" {
-		st.Op = verb
-	}
-	dur := time.Since(start)
-	s.metrics.observe(st, status, dur)
-	s.logCommand(remote, st, status, dur)
-
-	return w.line(statusLine) == nil
 }
 
 // sessionBufSize is the connection's write buffer. It bounds what a
@@ -189,12 +116,11 @@ const sessionBufSize = 16 << 10
 // streaming sinks down), fails every later call fast, and ends the
 // session without a status line.
 type connWriter struct {
+	sticky
 	faults *faultinject.Injector
 	conn   net.Conn
 	w      *bufio.Writer // over a deadlineWriter on conn
 	open   bool          // the last byte written did not end a line
-	err    error
-	cancel context.CancelCauseFunc // the running command's, nil between commands
 }
 
 func (s *Server) newConnWriter(conn net.Conn) *connWriter {
@@ -277,12 +203,4 @@ func (cw *connWriter) line(text string) error {
 	}
 	_, _ = cw.Write(append([]byte(text), '\n'))
 	return cw.Flush()
-}
-
-func (cw *connWriter) fail(err error) error {
-	cw.err = err
-	if cw.cancel != nil {
-		cw.cancel(err)
-	}
-	return err
 }

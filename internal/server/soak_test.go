@@ -80,10 +80,10 @@ func TestSoak(t *testing.T) {
 			Inject(faultinject.SiteServerWrite, faultinject.KindDisconnect, 0.005).
 			SetDelay(200 * time.Microsecond)
 		s := runSoakPhase(t, seed, inj, nil)
-		if got := s.Metrics().SentinelDisagreements.Load(); got != 0 {
+		if got := s.Metrics().Query().SentinelDisagreements; got != 0 {
 			t.Errorf("benign faults produced %d sentinel disagreements", got)
 		}
-		if got := s.Metrics().BreakerTrips.Load(); got != 0 {
+		if got := s.Metrics().Query().BreakerTrips; got != 0 {
 			t.Errorf("benign faults tripped the breaker %d times", got)
 		}
 	})
@@ -102,21 +102,21 @@ func TestSoak(t *testing.T) {
 			Inject(faultinject.SiteServerWrite, faultinject.KindDisconnect, 0.005)
 		fired := func() int64 { return inj.Fired(faultinject.SiteHWFilter, faultinject.KindWrongAnswer) }
 		s := runSoakPhase(t, seed, inj, func(s *Server) bool {
-			return s.Metrics().BreakerTrips.Load() > 0 || fired() >= 10
+			return s.Metrics().Query().BreakerTrips > 0 || fired() >= 10
 		})
-		m := s.Metrics()
+		m := s.Metrics().Query()
 		t.Logf("wrong-answer faults fired: %d; sentinel checks %d, disagreements %d, breaker trips %d",
-			fired(), m.SentinelChecks.Load(), m.SentinelDisagreements.Load(), m.BreakerTrips.Load())
+			fired(), m.SentinelChecks, m.SentinelDisagreements, m.BreakerTrips)
 		if fired() == 0 {
 			t.Fatalf("no wrong-answer fault fired within %v; the card saw no traffic", *soakDur+soakOvertime)
 		}
-		if m.SentinelChecks.Load() == 0 {
+		if m.SentinelChecks == 0 {
 			t.Error("sentinel never ran")
 		}
-		if m.SentinelDisagreements.Load() == 0 {
+		if m.SentinelDisagreements == 0 {
 			t.Errorf("sentinel caught no disagreements despite %d wrong-answer faults", fired())
 		}
-		if m.BreakerTrips.Load() == 0 {
+		if m.BreakerTrips == 0 {
 			t.Error("breaker never tripped despite sentinel disagreements")
 		}
 	})

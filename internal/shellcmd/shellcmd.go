@@ -126,10 +126,11 @@ type Result struct {
 type Engine struct {
 	Store    Store
 	Settings Settings
-	// NewTester overrides refinement tester construction for the "sw"/
-	// "hw" (default) modes; nil uses hardware-assisted defaults, hw under
-	// the sampled dispatch (core.SampledSWThreshold).
-	NewTester func(mode string) (*core.Tester, error)
+	// Tester is the base configuration of every refinement tester the
+	// engine builds; a command's mode adds the sampled dispatch
+	// (core.SampledSWThreshold) for "hw", the default, or
+	// DisableHardware for "sw".
+	Tester core.Config
 	// DataDir, when set, is where save and load resolve bare snapshot
 	// names: a path without a directory separator lands under DataDir,
 	// and a missing extension gets ".snap".
@@ -612,16 +613,11 @@ func (e *Engine) batchCmd(ctx context.Context, line string, out io.Writer) (Resu
 // per-worker constructor the join executor needs (core.Tester is not
 // safe for concurrent use, so each stage worker builds its own).
 func (e *Engine) testerFactory(mode string) (func() *core.Tester, error) {
-	if _, err := e.tester(mode); err != nil {
+	cfg, err := e.tester(mode)
+	if err != nil {
 		return nil, err
 	}
-	return func() *core.Tester {
-		t, err := e.tester(mode)
-		if err != nil { // unreachable: the mode was validated above
-			return core.NewTester(core.Config{DisableHardware: true})
-		}
-		return t
-	}, nil
+	return func() *core.Tester { return core.NewTester(cfg) }, nil
 }
 
 // pipelineOpts assembles the join options from the session settings for
@@ -661,18 +657,18 @@ func note(out io.Writer, err error) *query.PartialError {
 	return nil
 }
 
-func (e *Engine) tester(mode string) (*core.Tester, error) {
-	if e.NewTester != nil {
-		return e.NewTester(mode)
-	}
+// tester resolves a tester mode against the engine's base config.
+func (e *Engine) tester(mode string) (core.Config, error) {
+	cfg := e.Tester
 	switch mode {
 	case "", "hw":
-		return core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold}), nil
+		cfg.SWThreshold = core.SampledSWThreshold
 	case "sw":
-		return core.NewTester(core.Config{DisableHardware: true}), nil
+		cfg.DisableHardware = true
 	default:
-		return nil, fmt.Errorf("mode must be sw or hw, got %q", mode)
+		return core.Config{}, fmt.Errorf("mode must be sw or hw, got %q", mode)
 	}
+	return cfg, nil
 }
 
 // joinUsage is the argument grammar of the join verbs.
@@ -844,10 +840,11 @@ func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io
 	if err != nil {
 		return Result{}, err
 	}
-	tester, err := e.tester("hw")
+	cfg, err := e.tester("hw")
 	if err != nil {
 		return Result{}, err
 	}
+	tester := core.NewTester(cfg)
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
 	pairs, st, qerr := query.OverlayAreaJoin(qctx, a, b, tester)
@@ -886,10 +883,11 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, verb, line string, 
 	if err != nil {
 		return Result{}, err
 	}
-	tester, err := e.tester("hw")
+	cfg, err := e.tester("hw")
 	if err != nil {
 		return Result{}, err
 	}
+	tester := core.NewTester(cfg)
 	opt := query.JoinOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget}
 	shard := verb == "shardselect"
 	if shard {
