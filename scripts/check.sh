@@ -355,7 +355,7 @@ FOPIDS=""
 trap - EXIT
 rm -rf "$FODIR"
 
-echo "== streaming + batch smoke (in-process vs wire-streamed rows, join- and select-verb parity)"
+echo "== streaming + batch smoke (in-process vs wire-streamed rows, TCP vs HTTP /stream bytes, join- and select-verb parity)"
 # One executor answers every join and selection verb: the same
 # full-extent join, and the same window selection, must produce
 # byte-identical rows in emit order run in-process and over the wire (rows
@@ -363,7 +363,8 @@ echo "== streaming + batch smoke (in-process vs wire-streamed rows, join- and se
 # whole-plane shardjoin must report the same result count, within and
 # shardwithin likewise, select and shardselect likewise. The batch verb
 # must run its ";"-separated sub-commands in one round trip with per-sub
-# trailers.
+# trailers. HTTP /stream must answer the same command with the TCP rows
+# byte for byte, its stats record and ok.
 WINDOW="POLYGON((10 10, 40 10, 40 40, 10 40, 10 10))"
 STDIR="$(mktemp -d /tmp/stream_smoke.XXXXXX)"
 STPID=""
@@ -379,9 +380,19 @@ save b b
 shardjoin a b -Inf -Inf +Inf +Inf
 shardselect a $WINDOW
 EOF
-"$STDIR/spatiald" -addr 127.0.0.1:0 -http "" -data "$STDIR/snap" -quiet >"$STDIR/stream.log" 2>&1 &
+"$STDIR/spatiald" -addr 127.0.0.1:0 -http 127.0.0.1:0 -data "$STDIR/snap" -quiet >"$STDIR/stream.log" 2>&1 &
 STPID=$!
 ST_ADDR="$(bound_addr "$STDIR/stream.log")"
+# The HTTP address follows the wire one on the same log line, in a write
+# of its own.
+ST_HTTP=""
+i=0
+while [ -z "$ST_HTTP" ] && [ $i -lt 100 ]; do
+	ST_HTTP="$(sed -n 's/.*, http on \([0-9.]*:[0-9]*\).*/\1/p' "$STDIR/stream.log")"
+	i=$((i + 1))
+	[ -n "$ST_HTTP" ] || sleep 0.1
+done
+[ -n "$ST_HTTP" ] || { echo "streaming server did not report its HTTP address"; cat "$STDIR/stream.log"; exit 1; }
 # One stdin line so the ";" reaches the server inside the batch verb
 # (the client's -e flag splits scripts on ";" before sending).
 echo "shardjoin a b -Inf -Inf +Inf +Inf" | "$STDIR/spatiald" -connect "$ST_ADDR" >"$STDIR/wire.txt"
@@ -419,6 +430,17 @@ grep -v -e '^stats ' -e '^ok$' "$STDIR/wire.txt" >"$STDIR/wire.rows" || true
 cmp "$STDIR/pipe.rows" "$STDIR/wire.rows" || { echo "wire shardjoin response is not byte-identical to the in-process output"; exit 1; }
 [ "$(grep -c -v '^pair ' "$STDIR/wire.txt")" -eq 2 ] && [ "$(tail -n 1 "$STDIR/wire.txt")" = ok ] || {
 	echo "wire shardjoin response is not rows + stats + ok"; grep -v '^pair ' "$STDIR/wire.txt"; exit 1
+}
+# The same command over HTTP /stream: the TCP rows byte for byte, then
+# one stats record, then ok, and nothing else.
+curl -sS --fail --get --data-urlencode "cmd=shardjoin a b -Inf -Inf +Inf +Inf" "http://$ST_HTTP/stream" >"$STDIR/http.txt" ||
+	{ echo "/stream shardjoin failed"; cat "$STDIR/http.txt"; exit 1; }
+NROWS="$(wc -l <"$STDIR/wire.rows" | tr -d ' ')"
+head -n "$NROWS" "$STDIR/http.txt" | cmp - "$STDIR/wire.rows" || { echo "/stream shardjoin rows are not the TCP rows byte for byte"; exit 1; }
+[ "$(wc -l <"$STDIR/http.txt" | tr -d ' ')" -eq $((NROWS + 2)) ] &&
+	sed -n "$((NROWS + 1))p" "$STDIR/http.txt" | grep -q '^stats ' &&
+	[ "$(tail -n 1 "$STDIR/http.txt")" = ok ] || {
+	echo "/stream shardjoin response is not rows + stats + ok"; tail -n 3 "$STDIR/http.txt"; exit 1
 }
 # The same for a selection, whose rows are ids in ascending order, and
 # select must count what shardselect streams.
