@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -300,5 +301,58 @@ func TestHTTPOverloadRetryAfter(t *testing.T) {
 	secs, perr := strconv.Atoi(ra)
 	if perr != nil || secs < 1 {
 		t.Errorf("Retry-After = %q, want integer seconds >= 1", ra)
+	}
+}
+
+// TestShutdownRefusesQueuedQueries: queries queued behind a held slot when
+// shutdown cancels the server's base context are refused as "shutting
+// down" on every transport — the TCP status line, /query's 503 JSON error
+// and /stream's 503 body.
+func TestShutdownRefusesQueuedQueries(t *testing.T) {
+	s := startServer(t, Config{MaxConcurrent: 1, QueueWait: time.Minute})
+	base := "http://" + s.HTTPAddr().String()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	if err := s.lim.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.lim.release()
+
+	c := dialWire(t, s.Addr().String())
+	if err := c.send("join water prism"); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	answers := make(chan answer, 2)
+	for _, path := range []string{"/query", "/stream"} {
+		go func() {
+			resp, err := client.Get(base + path + "?cmd=join+water+prism")
+			if err != nil {
+				answers <- answer{body: err.Error()}
+				return
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			answers <- answer{resp.StatusCode, path + " " + string(b)}
+		}()
+	}
+	waitForQueued(t, s.lim, 3)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, status, err := c.readResponse(); err != nil || status != "error: shutting down" {
+		t.Errorf("TCP status = %q (err %v), want \"error: shutting down\"", status, err)
+	}
+	for range 2 {
+		a := <-answers
+		if a.code != http.StatusServiceUnavailable || !strings.Contains(a.body, "shutting down") {
+			t.Errorf("HTTP answer %d %q, want 503 saying shutting down", a.code, a.body)
+		}
 	}
 }

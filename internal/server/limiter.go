@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,11 @@ func (e *OverloadError) Error() string {
 	}
 	return msg
 }
+
+// errShuttingDown is the admission refusal of a query still queued when
+// shutdown cancels the server's base context; every transport reports it
+// as "error: shutting down".
+var errShuttingDown = errors.New("shutting down")
 
 // AdmissionStats is the limiter's counter snapshot for /metrics.
 type AdmissionStats struct {
@@ -97,9 +103,9 @@ func newLimiter(slots int, wait time.Duration, maxQueue int) *limiter {
 
 // acquire claims a slot, parking in the FIFO queue for at most the grace
 // period when none is free. It returns a *OverloadError on admission
-// failure, or the context's (cause) error if ctx ends first (server
-// shutdown, watchdog cancellation, client gone).
-func (l *limiter) acquire(ctx context.Context) error {
+// failure, or errShuttingDown if base ends first: base is the server's
+// base context, which only shutdown cancels.
+func (l *limiter) acquire(base context.Context) error {
 	l.mu.Lock()
 	if l.inUse < l.limit && len(l.queue) == 0 {
 		l.inUse++
@@ -135,14 +141,14 @@ func (l *limiter) acquire(ctx context.Context) error {
 		l.admitted.Add(1)
 		l.waitNanos.Add(int64(time.Since(start)))
 		return nil
-	case <-ctx.Done():
-		if l.abandon(w) {
-			return context.Cause(ctx)
+	case <-base.Done():
+		if !l.abandon(w) {
+			// Granted concurrently with shutdown: we cannot use the slot,
+			// so pass it to the next waiter (or free it) instead of
+			// leaking.
+			l.release()
 		}
-		// Granted concurrently with cancellation: we cannot use the slot,
-		// so pass it to the next waiter (or free it) instead of leaking.
-		l.release()
-		return context.Cause(ctx)
+		return errShuttingDown
 	}
 }
 

@@ -400,8 +400,6 @@ type outcome struct {
 // statusLine is the outcome's terminal wire line.
 func (o outcome) statusLine() string {
 	switch {
-	case o.refused && o.status != StatusOverload:
-		return "error: shutting down"
 	case o.err != nil:
 		return "error: " + o.err.Error()
 	case o.partial != nil:

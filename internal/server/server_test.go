@@ -162,10 +162,10 @@ func TestLimiterBoundedWait(t *testing.T) {
 	if time.Since(start) < 50*time.Millisecond {
 		t.Error("rejected before the grace period elapsed")
 	}
-	// Context cancellation beats the grace timer.
+	// Shutdown (the base context ending) beats the grace timer.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := l.acquire(ctx); !errors.Is(err, context.Canceled) {
+	if err := l.acquire(ctx); !errors.Is(err, errShuttingDown) {
 		t.Errorf("cancelled acquire: err = %v", err)
 	}
 }

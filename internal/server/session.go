@@ -77,7 +77,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	for {
 		if s.draining() {
-			_ = w.line("error: shutting down")
+			_ = w.line("error: " + errShuttingDown.Error())
 			return
 		}
 		if inj := s.cfg.Faults; inj != nil && inj.Disconnect(faultinject.SiteServerRead) {
