@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,11 +174,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spatiald:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "spatiald: serving wire protocol on %v", srv.Addr())
+	// One write, so a reader that sees the wire address sees the HTTP one.
+	ready := fmt.Sprintf("spatiald: serving wire protocol on %v", srv.Addr())
 	if a := srv.HTTPAddr(); a != nil {
-		fmt.Fprintf(os.Stderr, ", http on %v", a)
+		ready += fmt.Sprintf(", http on %v", a)
 	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(os.Stderr, ready)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -289,6 +291,12 @@ func preloadLayers(cat *server.Catalog, spec string) error {
 	return nil
 }
 
+// overloadRe matches a status line that refuses a command for overload:
+// the server's own admission refusal ("error: overloaded: …") or a
+// shard's that a coordinator passes on when every answering tile refused
+// ("error: coord: shard N overloaded; retry after …").
+var overloadRe = regexp.MustCompile(`^error: (coord: shard \d+ )?overloaded`)
+
 // runClient dials a spatiald, sends commands (from -e or stdin), and
 // prints each response through its status line. Overloaded commands are
 // retried up to retries times with jittered exponential backoff, honoring
@@ -343,7 +351,7 @@ func runClient(addr, script string, retries int) int {
 				failed = true
 				return false
 			}
-			if strings.HasPrefix(status, "error: overloaded") && attempt < retries {
+			if overloadRe.MatchString(status) && attempt < retries {
 				d := retryDelay(status, &backoff)
 				fmt.Fprintf(os.Stderr, "spatiald: overloaded, retrying in %v (attempt %d/%d)\n",
 					d.Round(time.Millisecond), attempt+1, retries)

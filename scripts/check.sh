@@ -383,15 +383,9 @@ EOF
 "$STDIR/spatiald" -addr 127.0.0.1:0 -http 127.0.0.1:0 -data "$STDIR/snap" -quiet >"$STDIR/stream.log" 2>&1 &
 STPID=$!
 ST_ADDR="$(bound_addr "$STDIR/stream.log")"
-# The HTTP address follows the wire one on the same log line, in a write
-# of its own.
-ST_HTTP=""
-i=0
-while [ -z "$ST_HTTP" ] && [ $i -lt 100 ]; do
-	ST_HTTP="$(sed -n 's/.*, http on \([0-9.]*:[0-9]*\).*/\1/p' "$STDIR/stream.log")"
-	i=$((i + 1))
-	[ -n "$ST_HTTP" ] || sleep 0.1
-done
+# The HTTP address ends the wire address's line, written in the same
+# write: once that line is seen, both addresses are there.
+ST_HTTP="$(sed -n 's/.*serving wire protocol on .*, http on \([0-9.]*:[0-9]*\).*/\1/p' "$STDIR/stream.log")"
 [ -n "$ST_HTTP" ] || { echo "streaming server did not report its HTTP address"; cat "$STDIR/stream.log"; exit 1; }
 # One stdin line so the ";" reaches the server inside the batch verb
 # (the client's -e flag splits scripts on ";" before sending).
