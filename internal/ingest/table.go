@@ -136,7 +136,7 @@ func OpenTable(dir, name string, opt TableOptions) (*Table, error) {
 		if rec.LSN <= appliedLSN {
 			continue // already folded into the snapshot generation
 		}
-		if err := t.replay(rec); err != nil {
+		if err := apply(t.live, rec); err != nil {
 			log.Close()
 			return nil, err
 		}
@@ -145,20 +145,22 @@ func OpenTable(dir, name string, opt TableOptions) (*Table, error) {
 	return t, nil
 }
 
-// replay applies one recovered WAL record to the in-memory overlay.
-func (t *Table) replay(rec wal.Record) error {
+// apply replays one logged operation onto lv: a recovered WAL record onto
+// the recovering table, or an operation sequenced after a compaction's
+// freeze onto the next generation at swap time.
+func apply(lv *query.Live, rec wal.Record) error {
 	switch rec.Op {
 	case wal.OpInsert:
 		p, err := geom.NewPolygon(rec.Verts)
 		if err != nil {
 			return fmt.Errorf("ingest: replay lsn %d: %w", rec.LSN, err)
 		}
-		t.live.ApplyInsert(rec.ID, p, rec.LSN)
+		lv.ApplyInsert(rec.ID, p, rec.LSN)
 	case wal.OpDelete:
 		// The miss check ran before the record was logged, so replay in
 		// LSN order always finds the object; a miss here would mean the
-		// log and snapshot disagree, which recovery surfaces loudly.
-		if !t.live.ApplyDelete(rec.ID, rec.LSN) {
+		// log and the generation under it disagree, which surfaces loudly.
+		if !lv.ApplyDelete(rec.ID, rec.LSN) {
 			return fmt.Errorf("ingest: replay lsn %d: delete of missing id %d", rec.LSN, rec.ID)
 		}
 	default:
@@ -298,7 +300,7 @@ func (t *Table) Compact(ctx context.Context) error {
 	t.mu.Lock()
 	next := query.NewLive(layer, s.IDs(), s.NextID(), s.AppliedLSN())
 	for _, rec := range t.ops[frozenOps:] {
-		if err := t.replay2(next, rec); err != nil {
+		if err := apply(next, rec); err != nil {
 			t.mu.Unlock()
 			s.Close()
 			return err
@@ -324,24 +326,6 @@ func (t *Table) Compact(ctx context.Context) error {
 	t.compactNanos.Add(int64(time.Since(start)))
 	t.lastFolded.Store(int64(fr.Delta + fr.Tombs))
 	return nil
-}
-
-// replay2 applies a post-freeze operation onto the next generation's
-// overlay during the compaction swap (caller holds t.mu).
-func (t *Table) replay2(next *query.Live, rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpInsert:
-		p, err := geom.NewPolygon(rec.Verts)
-		if err != nil {
-			return err
-		}
-		next.ApplyInsert(rec.ID, p, rec.LSN)
-		return nil
-	case wal.OpDelete:
-		next.ApplyDelete(rec.ID, rec.LSN)
-		return nil
-	}
-	return fmt.Errorf("ingest: swap replay: unknown op %d", rec.Op)
 }
 
 func (t *Table) fault(site string) faultinject.IOFault {
