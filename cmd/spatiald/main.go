@@ -54,7 +54,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-query timeout seeded into each session (0 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-imposed ceiling on every query's wall-clock budget; sessions cannot escape it (0 = none)")
 	watchdogTimeout := flag.Duration("watchdog", 0, "stuck-query threshold: queries running longer are cancelled and their admission slots reclaimed (0 = disabled)")
-	sentinelEvery := flag.Int("sentinel-every", 0, "verify every Nth hardware-filter negative against the exact plane sweep (0 = default cadence, negative = disabled)")
 	budget := flag.Int("budget", 0, "default per-query MBR candidate budget (0 = unlimited)")
 	drain := flag.Duration("drain", 2*time.Second, "shutdown grace before in-flight queries are cancelled into partial results")
 	preload := flag.String("preload", "", "layers to generate at startup: name=DATASET:scale[,name=DATASET:scale...]")
@@ -70,7 +69,7 @@ func main() {
 	compactSegments := flag.Int("compact-segments", 0, "background compaction trigger: fold once a table's WAL spans more than this many segments (0 = default)")
 	compactInterval := flag.Duration("compact-interval", 0, "background compactor poll cadence (0 = default)")
 	faultSeed := flag.Int64("faultseed", 0, "fault-injection seed; 0 derives one from the clock (the chosen seed is logged for reproduction)")
-	faultSpec := flag.String("faultspec", "", `arm fault injection: "site=kind:rate[,site=kind:rate...]" (e.g. "tester.hwfilter=wrong-answer:0.01")`)
+	faultSpec := flag.String("faultspec", "", `arm fault injection: "site=kind:rate[,site=kind:rate...]" (e.g. "tester.intersects=panic:0.01")`)
 	quiet := flag.Bool("quiet", false, "suppress the per-command access log on stdout")
 	connect := flag.String("connect", "", "client mode: dial a running spatiald instead of serving")
 	exec := flag.String("e", "", `client mode: run these ";"-separated commands and exit (default: read stdin)`)
@@ -91,7 +90,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		QueryTimeout:    *queryTimeout,
 		WatchdogTimeout: *watchdogTimeout,
-		SentinelEvery:   *sentinelEvery,
 		DefaultBudget:   *budget,
 		DataDir:         *dataDir,
 		DrainGrace:      *drain,

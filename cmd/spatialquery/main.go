@@ -43,8 +43,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// The flag is the paper's fixed threshold; a negative Config value
-	// would select the sampled dispatch instead.
+	// The flag is the paper's vertex threshold; a negative one would mean
+	// what 0 means (every pair on the card), so it is a usage error.
 	if *threshold < 0 {
 		fmt.Fprintf(os.Stderr, "spatialquery: -threshold %d is negative\n", *threshold)
 		flag.Usage()

@@ -14,10 +14,11 @@
 // properties of the renderer, so the combined result always equals the
 // software-only result. The adaptive SWThreshold (paper §4.3) skips the
 // hardware filter for simple polygon pairs where the fixed buffer-search
-// overhead would exceed the software test itself. The sampled dispatch
-// (SampledSWThreshold, the verbs' setting) goes further: larger pairs go
-// to software too, bar a constant one-in-cardSample sample that keeps the
-// card, the sentinel and the breaker in use.
+// overhead would exceed the software test itself. The served verbs refine
+// in software (DisableHardware): warmed, the simulated card's rejects
+// repay its render on none of the benchmark's layer pairs
+// (EXPERIMENTS.md); the figure runner, spatialquery and the examples run
+// the card.
 package core
 
 import (
@@ -36,19 +37,8 @@ import (
 // depending on resolution (§4.3).
 const (
 	DefaultResolution = 8
-	// DefaultSWThreshold is the paper's §4.3 value: the figure runner's,
-	// and the floor under the sampled dispatch.
+	// DefaultSWThreshold is the paper's §4.3 value: the figure runner's.
 	DefaultSWThreshold = 500
-	// SampledSWThreshold selects the sampled dispatch for
-	// Config.SWThreshold: pairs of at most DefaultSWThreshold vertices go
-	// to software, as under the fixed threshold, and so do the larger ones
-	// except every cardSample-th of the layer pair (numbered by the
-	// PairContext's Breaker), which runs the card; without a Breaker it is
-	// DefaultSWThreshold. Warmed, the simulated card's rejects repay its
-	// render on none of the benchmark's layer pairs (EXPERIMENTS.md), so
-	// the verbs refine in software first; the sample keeps the card's
-	// sentinel and the layer pair's breaker exercised.
-	SampledSWThreshold = -1
 
 	// DefaultCrossCutoff routes the software segment test to the all-pairs
 	// algorithm when len(red)·len(blue) of the restricted candidate sets is
@@ -60,14 +50,6 @@ const (
 	// nearly all of the all-pairs win on the evaluation joins while keeping
 	// the worst-case cross test subquadratic.
 	DefaultCrossCutoff = 16384
-
-	// DefaultSentinelEvery re-checks one in this many hardware-filter
-	// negatives against the exact software test. Negatives are the only
-	// verdicts the engine takes on trust (every positive is confirmed by
-	// the exact test anyway), so sampling them buys a bounded-latency
-	// detector for a broken conservative-rasterization invariant at ~1.6%
-	// re-check overhead on the rejected population.
-	DefaultSentinelEvery = 64
 
 	// DefaultBatchSize is the query executor's candidate batch size
 	// (query.JoinOptions.BatchSize — stretched to 4× for a selection,
@@ -88,20 +70,13 @@ type Config struct {
 	// SWThreshold skips the hardware filter when the two polygons have
 	// n+m vertices at or below it (paper §4.3). Zero is a valid setting
 	// (always use hardware); use DefaultSWThreshold for the paper's value.
-	// A negative value, SampledSWThreshold, is the sampled dispatch.
 	SWThreshold int
 	// DisableHardware turns the Tester into the software-only baseline.
 	DisableHardware bool
-	// SentinelEvery controls the sentinel verifier: every Nth hardware-
-	// filter negative is re-checked against the exact software test, and a
-	// disagreement trips the PairContext's circuit breaker. Zero means
-	// DefaultSentinelEvery; negative disables verification. The sample is
-	// a deterministic per-tester counter, so runs are reproducible.
-	SentinelEvery int
 	// Faults, when non-nil, arms deterministic fault injection at the
-	// tester's hook sites (test entry, hardware-filter verdict, raster
-	// draw path). Production configurations leave it nil; the resilience
-	// tests use it to prove degradation semantics. See internal/faultinject.
+	// tester's hook sites (test entry, raster draw path). Production
+	// configurations leave it nil; the resilience tests use it to prove
+	// degradation semantics. See internal/faultinject.
 	Faults *faultinject.Injector
 }
 
@@ -132,7 +107,7 @@ type Stats struct {
 	IntervalRejects      int64 `json:"interval_rejects,omitempty"`      // pairs resolved negative by span disjointness
 	IntervalInconclusive int64 `json:"interval_inconclusive,omitempty"` // interval checks that decided nothing
 
-	SWDirect    int64 `json:"sw_direct"`    // sent straight to software (threshold, disabled, or outside the sampled dispatch's card sample)
+	SWDirect    int64 `json:"sw_direct"`    // sent straight to software (threshold or disabled)
 	HWRejects   int64 `json:"hw_rejects"`   // rejected by the hardware filter
 	HWPassed    int64 `json:"hw_passed"`    // hardware inconclusive, decided by software
 	HWFallbacks int64 `json:"hw_fallbacks"` // distance only: line width over the hardware limit
@@ -141,24 +116,11 @@ type Stats struct {
 	// isolation (pair tests that fault are not part of the Tests
 	// partition: a panic at the test entry fires before Tests is
 	// incremented, and a pair recovered mid-test is re-counted by its
-	// software retry).
+	// software retry). The partition: Tests == MBRRejects +
+	// IntervalTrueHits + IntervalRejects + PIPHits + SigRejects + SWDirect
+	// + HWRejects + HWPassed + HWFallbacks.
 	Panics      int64 `json:"panics"`      // refinement panics recovered and retried in software
 	Quarantined int64 `json:"quarantined"` // pairs dropped because the software retry panicked too
-
-	// Sentinel verifier accounting. A disagreement is a hardware negative
-	// the exact test overturned: the pair is counted under HWPassed (it
-	// was, after all, decided by software) and the verdict corrected, so
-	// sampled pairs are always exact even before the breaker reacts.
-	SentinelChecks        int64 `json:"sentinel_checks"`        // hardware negatives re-checked in software
-	SentinelDisagreements int64 `json:"sentinel_disagreements"` // negatives the exact test overturned
-	BreakerTrips          int64 `json:"breaker_trips"`          // breaker transitions to open observed here
-	BreakerRecoveries     int64 `json:"breaker_recoveries"`     // half-open probes that closed the breaker
-	// BreakerOpenSkips counts pair tests routed straight to the exact
-	// software path because the pair's circuit breaker was open (it joins
-	// the resolution partition: Tests == MBRRejects + IntervalTrueHits +
-	// IntervalRejects + PIPHits + SigRejects + SWDirect + HWRejects +
-	// HWPassed + HWFallbacks + BreakerOpenSkips).
-	BreakerOpenSkips int64 `json:"breaker_open_skips"`
 
 	// Edge-index effectiveness (see internal/edgeindex and PairContext),
 	// counted where candidate edges are collected: the card's edge sets on
@@ -198,11 +160,6 @@ func (s *Stats) Add(other Stats) {
 	s.HWFallbacks += other.HWFallbacks
 	s.Panics += other.Panics
 	s.Quarantined += other.Quarantined
-	s.SentinelChecks += other.SentinelChecks
-	s.SentinelDisagreements += other.SentinelDisagreements
-	s.BreakerTrips += other.BreakerTrips
-	s.BreakerRecoveries += other.BreakerRecoveries
-	s.BreakerOpenSkips += other.BreakerOpenSkips
 	s.EdgeIndexHits += other.EdgeIndexHits
 	s.EdgeIndexSkippedEdges += other.EdgeIndexSkippedEdges
 	s.HWTime += other.HWTime
@@ -225,9 +182,6 @@ type Tester struct {
 	sweeper sweep.Sweeper
 	// distScratch reuses the software distance test's working storage.
 	distScratch dist.Scratch
-	// sentinelSeq numbers this tester's hardware-filter negatives for the
-	// deterministic sentinel sample (see sentinelPick).
-	sentinelSeq uint64
 }
 
 // PairContext carries optional shared, read-only derived data for a pair
@@ -239,14 +193,11 @@ type Tester struct {
 // linear-scan behaviour; an index whose polygon does not match the tested
 // polygon is ignored. The indexes are immutable, so one PairContext may
 // be shared by concurrent workers.
-//
-// Breaker, when non-nil, is the layer pair's shared circuit breaker: the
-// tester consults it before using the hardware filter and reports
-// sentinel disagreements to it. Its state is atomic, so the same Breaker
-// travels in the PairContexts of every worker refining the pair.
 type PairContext struct {
 	PIndex, QIndex *edgeindex.Index
-	Breaker        *Breaker
+	// Breaker is read by nothing: the benchmark harness (bench/loadbench),
+	// frozen between benchmark changes, still sets it.
+	Breaker *Breaker
 
 	// PSig and QSig are the objects' precomputed conservative raster
 	// signatures (typically loaded from a store snapshot). When both are
@@ -290,6 +241,11 @@ func NewTester(cfg Config) *Tester {
 	}
 	return t
 }
+
+// Breaker is an empty type, named only by PairContext.Breaker and
+// query.Layer.Breaker for the benchmark harness (bench/loadbench), which is
+// frozen between benchmark changes.
+type Breaker struct{}
 
 // Config returns the tester's effective configuration.
 func (t *Tester) Config() Config { return t.cfg }
@@ -392,11 +348,11 @@ func (t *Tester) FilterIntersects(p, q *geom.Polygon, pc PairContext) Verdict {
 }
 
 // RefineIntersects decides a pair FilterIntersects left Undecided on the
-// guarded card path (refine), drawing the edges that touch the MBR
-// intersection (§3.2) — only they can take part in a boundary
-// intersection — and confirming a drawn pair by the cross test on them.
-// Callers must not invoke it on pairs the filter resolved — the stats
-// partition counts each test exactly once.
+// card path (refine), drawing the edges that touch the MBR intersection
+// (§3.2) — only they can take part in a boundary intersection — and
+// confirming a drawn pair by the cross test on them. Callers must not
+// invoke it on pairs the filter resolved — the stats partition counts
+// each test exactly once.
 func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	return t.refine(p, q, pc,
 		func() bool { return t.softwareIntersects(p, q, pc) },
@@ -410,34 +366,23 @@ func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 
 // refine is the card path both predicates share (Algorithm 3.1 step 2,
 // reused with widened lines for the distance test): threshold dispatch,
-// breaker gate, card, and the sentinel's re-check of a trusted negative.
-// The predicate supplies only what differs: exact, its software test;
-// viewport, which projects the pair's window onto the card and returns it
-// with the line width in pixels (0: default), drawable false when the
-// card cannot draw the pair (§4.4); and confirm, which decides a drawn pair
-// from its edges.
+// card, and the exact test on what the card passes. The card's negative
+// is taken as it stands: conservative rasterization (§2.2) covers every
+// pixel an edge touches, so a pair the card rejects cannot intersect or
+// come within d. The predicate supplies only what differs: exact, its
+// software test; viewport, which projects the pair's window onto the card
+// and returns it with the line width in pixels (0: default), drawable
+// false when the card cannot draw the pair (§4.4); and confirm, which
+// decides a drawn pair from its edges.
 func (t *Tester) refine(p, q *geom.Polygon, pc PairContext, exact func() bool,
 	viewport func() (window geom.Rect, widthPx float64, drawable bool), confirm func(red, blue []geom.Segment) bool) bool {
 	// Adaptive threshold (§4.3).
-	if t.direct(p, q, pc) {
+	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= t.cfg.SWThreshold {
+		t.Stats.SWDirect++
 		return exact()
 	}
-
-	// Circuit-breaker gate: an open breaker means a sentinel disagreement
-	// recently proved the card untrustworthy for this layer pair, so route
-	// the pair through the exact software path.
-	useHW, probe := pc.Breaker.Allow()
-	if !useHW {
-		t.Stats.BreakerOpenSkips++
-		return exact()
-	}
-
 	window, widthPx, drawable := viewport()
 	if !drawable {
-		// No hardware verdict: a claimed probe goes to the next pair.
-		if probe {
-			pc.Breaker.ProbeAbort()
-		}
 		t.Stats.HWFallbacks++
 		return exact()
 	}
@@ -445,9 +390,6 @@ func (t *Tester) refine(p, q *geom.Polygon, pc PairContext, exact func() bool,
 	if len(red) == 0 || len(blue) == 0 {
 		// One boundary has no edge in the window: with containment
 		// excluded the pair can neither intersect nor come within d.
-		if probe {
-			pc.Breaker.ProbeAbort()
-		}
 		t.Stats.HWRejects++
 		return false
 	}
@@ -456,63 +398,19 @@ func (t *Tester) refine(p, q *geom.Polygon, pc PairContext, exact func() bool,
 	start := time.Now()
 	overlap := t.hwOverlap(red, blue, widthPx)
 	t.Stats.HWTime += time.Since(start)
-	// A negative is the one verdict taken on trust. The sentinel verifier
-	// re-checks a deterministic sample (and every probe) against the exact
-	// test; a disagreement corrects the verdict and trips the breaker.
-	if !overlap && t.sentinelPick(probe) {
-		t.Stats.SentinelChecks++
-		if confirm(red, blue) {
-			t.Stats.SentinelDisagreements++
-			t.Stats.HWPassed++
-			if pc.Breaker.Trip() {
-				t.Stats.BreakerTrips++
-			}
-			return true
-		}
+	if !overlap {
+		t.Stats.HWRejects++
+		return false
 	}
-	// The card's verdict stands — an overlap asserts nothing unverifiable —
-	// so a probe was a successful hardware round trip.
-	if probe && pc.Breaker.ProbeSuccess() {
-		t.Stats.BreakerRecoveries++
-	}
-	if overlap {
-		// Inconclusive: step 3, the exact test.
-		t.Stats.HWPassed++
-		return confirm(red, blue)
-	}
-	t.Stats.HWRejects++
-	return false
-}
-
-// cardSample is the sampled dispatch's cadence: one pair in cardSample
-// above DefaultSWThreshold runs the card.
-const cardSample = 32
-
-// direct reports whether a pair refine is about to decide goes straight
-// to the exact software test, and counts it under SWDirect if so: with no
-// card, at or below the vertex threshold, or — under the sampled
-// dispatch — outside the layer pair's card sample
-// (Breaker.sampleCard; without a breaker the sampled dispatch is the
-// fixed DefaultSWThreshold). It runs before Breaker.Allow, so a pair sent
-// to software neither advances an open breaker's cooldown nor claims the
-// half-open probe.
-func (t *Tester) direct(p, q *geom.Polygon, pc PairContext) bool {
-	threshold := t.cfg.SWThreshold
-	sampled := threshold < 0
-	if sampled {
-		threshold = DefaultSWThreshold
-	}
-	if t.ctx == nil || p.NumVerts()+q.NumVerts() <= threshold || sampled && !pc.Breaker.sampleCard() {
-		t.Stats.SWDirect++
-		return true
-	}
-	return false
+	// Inconclusive: step 3, the exact test.
+	t.Stats.HWPassed++
+	return confirm(red, blue)
 }
 
 // softwareIntersects decides an intersection test entirely in software,
 // knowing that containment has been excluded (FilterIntersects), so the
 // regions intersect exactly when the boundaries cross or touch. Shared by
-// the SWThreshold fast path and the breaker's degraded mode.
+// the SWThreshold fast path and the software-only tester.
 //
 // When the pair carries interval spans on a valid grid and the MBR
 // intersection lies on that grid, only the cells partial in both lists
@@ -604,26 +502,6 @@ func (t *Tester) sharedCellsIntersect(p, q *geom.Polygon, window geom.Rect, pc P
 		t.Stats.EdgeIndexSkippedEdges += int64(max(0, q.NumEdges()-examinedQ))
 	}
 	return hit, true
-}
-
-// sentinelPick decides whether a hardware-filter negative joins the
-// sentinel sample. Deterministic: a per-tester counter picks every
-// SentinelEvery-th negative; half-open probes are always verified. The
-// counter starts at 1, so with the default cadence the first 63 negatives
-// ride unsampled — sampling bounds detection latency, not per-pair cost.
-func (t *Tester) sentinelPick(probe bool) bool {
-	t.sentinelSeq++
-	if probe {
-		return true
-	}
-	every := t.cfg.SentinelEvery
-	if every < 0 {
-		return false
-	}
-	if every == 0 {
-		every = DefaultSentinelEvery
-	}
-	return t.sentinelSeq%uint64(every) == 0
 }
 
 // sigReject consults the pair's persisted raster signatures and reports
@@ -750,8 +628,8 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	return VerdictUndecided
 }
 
-// RefineWithin decides a pair FilterWithin left Undecided on the guarded
-// card path (refine); the exact distance test also confirms a drawn pair.
+// RefineWithin decides a pair FilterWithin left Undecided on the card
+// path (refine); the exact distance test also confirms a drawn pair.
 // The viewport is the smaller object's MBR expanded by d (§3.2): if the
 // pair is within d, one closest point lies on the smaller boundary and the
 // other within d of it, so both, the edges through them and the midpoint
@@ -791,36 +669,21 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 // stored pass by the cheap side and lets overlapping pairs exit during
 // the expensive side. widthPx 0 uses the context's anti-aliased default
 // width.
-//
-// A wrong-answer fault armed at SiteHWFilter flips the verdict here. The
-// reject→inconclusive direction is harmless (inconclusive pairs go to the
-// exact software test); the overlap→reject direction silently loses
-// results, which is precisely the trust the engine places in conservative
-// rasterization — the fault-injection tests document that boundary.
 func (t *Tester) hwOverlap(red, blue []geom.Segment, widthPx float64) bool {
 	ctx := t.ctx
 	ctx.Clear()
 	if len(red) > len(blue) {
 		red, blue = blue, red
 	}
-	if widthPx > 0 {
-		for _, s := range red {
-			ctx.DrawSegmentWidth(&ctx.A, s, widthPx)
-		}
-	} else {
-		ctx.DrawEdges(&ctx.A, red)
+	for _, s := range red {
+		ctx.DrawSegmentWidth(&ctx.A, s, widthPx)
 	}
-	overlap := false
 	for _, s := range blue {
 		if ctx.SegmentTouches(&ctx.A, s, widthPx) {
-			overlap = true
-			break
+			return true
 		}
 	}
-	if t.cfg.Faults != nil && t.cfg.Faults.Wrong(faultinject.SiteHWFilter) {
-		overlap = !overlap
-	}
-	return overlap
+	return false
 }
 
 // timedCross is crossIntersects counted under SWTime.

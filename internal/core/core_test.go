@@ -293,3 +293,10 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 		}
 	}
 }
+
+// partitionSum is the resolution partition: every test is decided by
+// exactly one of these.
+func partitionSum(s Stats) int64 {
+	return s.MBRRejects + s.IntervalTrueHits + s.IntervalRejects + s.PIPHits + s.SigRejects +
+		s.SWDirect + s.HWRejects + s.HWPassed + s.HWFallbacks
+}

@@ -46,8 +46,7 @@ func TestSignatureFilterDifferential(t *testing.T) {
 
 	// Partition invariant with the new bucket.
 	s := signed.Stats
-	sum := s.MBRRejects + s.PIPHits + s.SigRejects + s.SWDirect + s.HWRejects + s.HWPassed + s.HWFallbacks + s.BreakerOpenSkips
-	if s.Tests != sum {
+	if sum := partitionSum(s); s.Tests != sum {
 		t.Fatalf("stats partition broken: Tests=%d sum=%d (%+v)", s.Tests, sum, s)
 	}
 	t.Logf("signature stats: %d checks, %d rejects over %d tests", s.SigChecks, s.SigRejects, s.Tests)

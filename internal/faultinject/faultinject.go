@@ -1,29 +1,30 @@
 // Package faultinject provides deterministic fault injection for the
-// refinement pipeline. Tests install an Injector into core.Config to make
-// refinement tests panic, stall, or — at the hardware-filter site — return
-// the wrong verdict, with every decision a pure function of the injector's
-// seed and the per-site call sequence. That determinism is what lets the
-// resilience tests assert exact degradation semantics: the same seed
-// replays the same fault schedule.
+// refinement pipeline, the server, the coordinator and the durability
+// path. Tests install an Injector into core.Config (or the server's,
+// coordinator's or log's configuration) to make instrumented calls panic,
+// stall, disconnect, crash or fail their I/O, with every decision a pure
+// function of the injector's seed and the per-site call sequence. That
+// determinism is what lets the resilience tests assert exact degradation
+// semantics: the same seed replays the same fault schedule.
 //
 // # Trust boundary
 //
-// The engine compensates for injected panics and delays: a panicking
-// refinement test is quarantined and retried on the software path, so with
-// faults limited to KindPanic and KindDelay the result set is exactly the
-// software-only result set. A KindWrongAnswer fault at SiteHWFilter is
-// different: the design trusts the conservative rasterization guarantee,
-// so a filter verdict flipped from "overlap" to "no overlap" silently
-// drops results — there is no oracle cheaper than the software test that
-// could catch it. The flip in the other direction (reject → inconclusive)
-// is absorbed, because inconclusive pairs always go to the exact software
-// test. Tests use both directions to document this boundary; see
+// The engine compensates for every refinement fault this package
+// injects: a panicking test is quarantined and retried on the software
+// path and a delay only costs time, so a completed query's result set is
+// exactly the software-only result set. The one verdict nothing
+// re-checks is the card's negative: conservative rasterization (paper
+// §2.2) makes it exact, and the served verbs refine in software, so no
+// served query consults the card at all. A card that broke that guarantee
+// would silently drop results — no oracle cheaper than the software test
+// could catch it — so there is no site at which to inject such a lie; see
 // DESIGN.md §5.
 package faultinject
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,9 +40,10 @@ const (
 	// KindDelay makes the instrumented call sleep for the injector's
 	// configured delay before proceeding.
 	KindDelay
-	// KindWrongAnswer flips the hardware filter's verdict. Only the
-	// SiteHWFilter hook consults it.
-	KindWrongAnswer
+	// kindRetired is the number of a kind no site consults any more. It
+	// keeps the later kinds' numbers, which fires hashes, so a logged seed
+	// still replays the schedule it produced.
+	kindRetired
 	// KindDisconnect makes the network server drop the connection at the
 	// instrumented protocol site (mid-response, mid-read). Only the
 	// server's Disconnect checks consult it.
@@ -69,8 +71,6 @@ func (k Kind) String() string {
 		return "panic"
 	case KindDelay:
 		return "delay"
-	case KindWrongAnswer:
-		return "wrong-answer"
 	case KindDisconnect:
 		return "disconnect"
 	case KindCrash:
@@ -93,13 +93,10 @@ const (
 	SiteIntersects = "tester.intersects"
 	// SiteWithinDistance fires at the top of Tester.WithinDistance.
 	SiteWithinDistance = "tester.withindistance"
-	// SiteHWFilter decides whether the hardware overlap verdict is flipped.
-	SiteHWFilter = "tester.hwfilter"
 	// SiteRenderDraw fires once per rasterized segment (mid-test), stored
 	// into a plane or tested against one: the hook point for faults that
-	// strike after counters moved.
-	//
-	//reach:keep names the site raster/line.go fires by its literal; armed by query's TestParallelJoinRecoversPanickingTester, TestAcceptanceFaultedJoinUnderDeadline and server's soak
+	// strike after counters moved. raster/line.go fires it by its literal,
+	// since raster does not import this package.
 	SiteRenderDraw = "raster.draw"
 
 	// Server protocol sites, instrumented by internal/server's TCP
@@ -169,6 +166,16 @@ const (
 	// the process were unreachable.
 	SiteCoordProbe = "coord.probe"
 )
+
+// sites lists every site the program instruments: ParseSpec arms no other,
+// so a misspelt site is an error rather than a fault that never fires.
+var sites = []string{
+	SiteIntersects, SiteWithinDistance, SiteRenderDraw,
+	SiteServerAccept, SiteServerRead, SiteServerWrite,
+	SiteWALWrite, SiteWALFsync, SiteWALFsynced, SiteWALRotate,
+	SiteCompactSave, SiteCompactPublish, SiteCompactTruncate,
+	SiteCoordDial, SiteCoordRead, SiteCoordShardDown, SiteCoordReplicaDown, SiteCoordProbe,
+}
 
 // CrashExitCode is the status a KindCrash fault exits the process with,
 // so harnesses can tell an injected crash from a genuine failure.
@@ -253,18 +260,6 @@ func (in *Injector) InjectAt(site string, kind Kind, seq uint64) *Injector {
 	return in
 }
 
-// Disarm removes every rule at the site, leaving its call counter intact
-// so later re-arming continues the same deterministic schedule. Recovery
-// tests use it to model a fault condition clearing.
-//
-//reach:keep fault probe: query's TestBreakerTripsJoinBitIdentical and core's TestSentinelTripsAndRecovers clear the fault to watch recovery
-func (in *Injector) Disarm(site string) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.rules, site)
-	return in
-}
-
 // SetDelay sets the stall duration of KindDelay faults (default 1ms).
 //
 //reach:keep fault probe: TestShutdownDrainsPartialResults, TestWatchdogKillReleasesAdmissionSlot, TestSoak and TestAcceptanceFaultedJoinUnderDeadline size their injected stalls with it
@@ -314,7 +309,7 @@ func (in *Injector) decide(site string) (kinds []Kind, seq uint64, delay time.Du
 // Apply evaluates the site's panic and delay rules for this call: it
 // sleeps first if a delay fires (outside the injector lock, so stalls
 // overlap across workers), then panics with a Panic value if a panic
-// fires. Wrong-answer rules are not evaluated here; see Wrong.
+// fires. Other kinds' rules count as fired but take no effect here.
 func (in *Injector) Apply(site string) {
 	kinds, seq, delay := in.decide(site)
 	doPanic := false
@@ -331,15 +326,9 @@ func (in *Injector) Apply(site string) {
 	}
 }
 
-// Wrong reports whether a wrong-answer fault fires at the site on this
-// call. Panic and delay rules armed at the same site also take effect, in
-// Apply order (delay, then panic).
-func (in *Injector) Wrong(site string) bool {
-	return in.check(site, KindWrongAnswer)
-}
-
 // Disconnect reports whether a disconnect fault fires at the site on this
-// call, with the same delay/panic side effects as Wrong. The server's
+// call. Panic and delay rules armed at the same site also take effect, in
+// Apply order (delay, then panic). The server's
 // session loop consults it at the protocol sites and severs the
 // connection on true.
 func (in *Injector) Disconnect(site string) bool {
@@ -413,10 +402,11 @@ func (in *Injector) check(site string, want Kind) bool {
 //
 //	site=kind:rate[@seq][,site=kind:rate...]
 //
-// e.g. "tester.hwfilter=wrong-answer:1,server.read=delay:0.05", or with
+// e.g. "tester.intersects=panic:0.01,server.read=delay:0.05", or with
 // the @seq suffix "wal.fsync=crash:1@3" to fire on exactly the fourth
 // call at the site (the crash harness's per-point targeting; the rate is
-// then ignored). Kind names match Kind.String(). The whole schedule
+// then ignored). The site must be one the program instruments (the Site
+// constants) and kind names match Kind.String(). The whole schedule
 // derives from the one seed, which callers should log so runs are
 // reproducible. An empty spec yields an armed-nothing injector.
 func ParseSpec(seed int64, spec string) (*Injector, error) {
@@ -432,6 +422,10 @@ func ParseSpec(seed int64, spec string) (*Injector, error) {
 		site, rest, ok := strings.Cut(part, "=")
 		if !ok {
 			return nil, fmt.Errorf("faultinject: bad spec entry %q: want site=kind:rate", part)
+		}
+		site = strings.TrimSpace(site)
+		if !slices.Contains(sites, site) {
+			return nil, fmt.Errorf("faultinject: bad spec entry %q: unknown site %q (want one of %s)", part, site, strings.Join(sites, ", "))
 		}
 		kindName, rateStr, ok := strings.Cut(rest, ":")
 		if !ok {
@@ -455,9 +449,9 @@ func ParseSpec(seed int64, spec string) (*Injector, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faultinject: bad @seq in spec entry %q: want a non-negative integer", part)
 			}
-			in.InjectAt(strings.TrimSpace(site), kind, seq)
+			in.InjectAt(site, kind, seq)
 		} else {
-			in.Inject(strings.TrimSpace(site), kind, rate)
+			in.Inject(site, kind, rate)
 		}
 	}
 	return in, nil
@@ -466,11 +460,11 @@ func ParseSpec(seed int64, spec string) (*Injector, error) {
 // parseKind inverts Kind.String.
 func parseKind(name string) (Kind, error) {
 	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == name {
+		if k != kindRetired && k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown fault kind %q (want panic, delay, wrong-answer, disconnect, crash, short-write or io-error)", name)
+	return 0, fmt.Errorf("unknown fault kind %q (want panic, delay, disconnect, crash, short-write or io-error)", name)
 }
 
 // Hook adapts the injector to the raster package's hook field

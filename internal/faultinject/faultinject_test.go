@@ -1,6 +1,11 @@
 package faultinject
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,20 +77,65 @@ func TestRateZeroAndOne(t *testing.T) {
 }
 
 func TestApproximateRate(t *testing.T) {
-	in := New(7).Inject(SiteHWFilter, KindWrongAnswer, 0.25)
+	in := New(7).Inject(SiteServerWrite, KindDisconnect, 0.25)
 	fired := 0
 	const n = 4000
 	for range n {
-		if in.Wrong(SiteHWFilter) {
+		if in.Disconnect(SiteServerWrite) {
 			fired++
 		}
 	}
 	frac := float64(fired) / n
 	if frac < 0.20 || frac > 0.30 {
-		t.Errorf("wrong-answer rate %.3f, want ≈0.25", frac)
+		t.Errorf("disconnect rate %.3f, want ≈0.25", frac)
 	}
-	if got := in.Fired(SiteHWFilter, KindWrongAnswer); got != int64(fired) {
+	if got := in.Fired(SiteServerWrite, KindDisconnect); got != int64(fired) {
 		t.Errorf("Fired = %d, want %d", got, fired)
+	}
+}
+
+// TestParseSpecSites: every Site constant declared in faultinject.go
+// parses, and a site no hook fires — a misspelling, or the retired
+// hardware-filter site — is an error naming it, so a spec never arms a
+// fault that cannot strike.
+func TestParseSpecSites(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "faultinject.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range g.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if strings.HasPrefix(name.Name, "Site") {
+					declared = append(declared, strings.Trim(vs.Values[i].(*ast.BasicLit).Value, `"`))
+				}
+			}
+		}
+	}
+	if len(declared) != len(sites) {
+		t.Errorf("faultinject.go declares %d sites, sites lists %d", len(declared), len(sites))
+	}
+	for _, site := range declared {
+		if _, err := ParseSpec(1, site+"=delay:0.5"); err != nil {
+			t.Errorf("declared site %s: %v", site, err)
+		}
+	}
+	for _, site := range []string{"server.reed", "tester.hwfilter", ""} {
+		_, err := ParseSpec(1, site+"=delay:0.1")
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown site %q", site)) {
+			t.Errorf("site %q: err = %v, want an unknown-site error", site, err)
+		}
+	}
+	for _, kind := range []string{"wrong-answer", "Kind(2)"} {
+		if _, err := ParseSpec(1, SiteIntersects+"="+kind+":0.1"); err == nil {
+			t.Errorf("kind %q parsed", kind)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func benchWindows(seed int64) []*geom.Polygon {
 }
 
 // BenchmarkSelect times one in-process select as the select verb runs
-// it — IntersectionSelectView at interior level 4 on the verbs' hw
+// it — IntersectionSelectView at interior level 4 on the verbs' software
 // tester — over snapshot layers: the 1 024 windows of seed 1 over LANDC
 // 0.2 (select_wire's mix), and its 205 20 km windows over LANDO 0.2
 // (ingest_read's). One tester serves every select; a warm pass first
@@ -53,7 +53,7 @@ func BenchmarkSelect(b *testing.B) {
 	}{{"landc", "LANDC", windows}, {"lando_20km", "LANDO", wide}} {
 		b.Run(tc.name, func(b *testing.B) {
 			v := snapshotLayer(b, data.MustLoad(tc.dataset, 0.2), false).View()
-			tester := core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold})
+			tester := core.NewTester(core.Config{DisableHardware: true})
 			opt := JoinOptions{InteriorLevel: 4}
 			for _, w := range tc.windows {
 				if _, _, err := IntersectionSelectView(bg, v, w, tester, opt); err != nil {

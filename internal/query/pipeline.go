@@ -43,8 +43,7 @@ type JoinOptions struct {
 	// refine them; 0 means GOMAXPROCS, and the executor clamps it (see
 	// poolSize). Tester builds each worker's tester — every worker needs
 	// its own (a Tester owns a rendering context, like a per-thread GL
-	// context); nil means hardware-assisted defaults under the sampled
-	// dispatch (core.SampledSWThreshold).
+	// context); nil means the software-only tester the verbs use.
 	Workers int
 	Tester  func() *core.Tester
 	// MaxCandidates, when positive, aborts the query with a *BudgetError
@@ -123,7 +122,7 @@ func (o JoinOptions) newTester() *core.Tester {
 	if o.Tester != nil {
 		return o.Tester()
 	}
-	return core.NewTester(core.Config{SWThreshold: core.SampledSWThreshold})
+	return core.NewTester(core.Config{DisableHardware: true})
 }
 
 // IntersectionJoinView returns all pairs (a from view a, b from view b)
@@ -179,8 +178,8 @@ type predicate struct {
 	refine   func(*core.Tester, Pair) bool
 }
 
-// bind resolves the per-pair inputs (edge indexes, breaker, signatures,
-// interval columns, hulls) of a join between layers a and b.
+// bind resolves the per-pair inputs (edge indexes, signatures, interval
+// columns, hulls) of a join between layers a and b.
 func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
 	var iva, ivb *interval.Column
 	if !k.within { // distance tests ignore intervals

@@ -21,7 +21,7 @@ import (
 func checkStatsPartition(t *testing.T, name string, s core.Stats) {
 	t.Helper()
 	accounted := s.MBRRejects + s.IntervalTrueHits + s.IntervalRejects + s.PIPHits + s.SigRejects + s.SWDirect +
-		s.HWRejects + s.HWPassed + s.HWFallbacks + s.BreakerOpenSkips
+		s.HWRejects + s.HWPassed + s.HWFallbacks
 	if accounted != s.Tests {
 		t.Errorf("%s: stats do not partition tests: %+v", name, s)
 	}

@@ -72,13 +72,6 @@ type Layer struct {
 	// snapshot-backed layer (nil otherwise); see Signature.
 	sigs []raster.Signature
 
-	// breakers holds this layer's per-mate hardware-filter circuit
-	// breakers (see Breaker). The map is touched once per query to fetch
-	// the shared *core.Breaker; all per-pair traffic then goes through the
-	// breaker's own atomics.
-	breakerMu sync.Mutex
-	breakers  map[*Layer]*core.Breaker
-
 	// ivalCol is the persisted v2 interval column of a snapshot-backed
 	// layer (nil otherwise); ivalCache holds lazily built columns keyed by
 	// grid for layers (or grids) without a persisted one. Columns are
@@ -289,26 +282,10 @@ func (l *Layer) buildEdgeIndex(id int) *edgeindex.Index {
 	return edgeindex.New(p)
 }
 
-// Breaker returns the circuit breaker guarding the hardware filter for
-// queries pairing this layer with other, creating a closed breaker with
-// the default cooldown on first use. The breaker is long-lived: it
-// persists across queries, so a sentinel disagreement in one join keeps
-// the hardware filter disabled for subsequent queries on the same pair
-// until a half-open probe verifies recovery. Selections use the layer
-// paired with itself (other == l). Safe for concurrent callers.
-func (l *Layer) Breaker(other *Layer) *core.Breaker {
-	l.breakerMu.Lock()
-	defer l.breakerMu.Unlock()
-	if l.breakers == nil {
-		l.breakers = map[*Layer]*core.Breaker{}
-	}
-	b := l.breakers[other]
-	if b == nil {
-		b = core.NewBreaker(0)
-		l.breakers[other] = b
-	}
-	return b
-}
+// Breaker returns nil. Only the benchmark harness (bench/loadbench),
+// frozen between benchmark changes, calls it, to fill
+// core.PairContext.Breaker, which nothing reads.
+func (l *Layer) Breaker(other *Layer) *core.Breaker { return nil }
 
 // selection is the generation kind of a selection: an intersects probe.
 var selection = joinKind{op: "select"}
@@ -320,9 +297,9 @@ var selection = joinKind{op: "select"}
 // candidates CoversRect can accept. The window carries no raster
 // approximation: rasterizing and signing it per request cost more than
 // the few candidates it is compared with ever saved (DESIGN.md §5), so
-// its PairContext holds its edge index and the breaker, built once on the
-// first pair the tester sees (never when the prefilter decides every
-// candidate), and each candidate adds its own edge index.
+// its PairContext holds its edge index, built once on the first pair the
+// tester sees (never when the prefilter decides every candidate), and
+// each candidate adds its own edge index.
 func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 	p := predicate{op: selection.op}
 	if opt.InteriorLevel >= 0 {
@@ -346,7 +323,7 @@ func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 		pc   core.PairContext
 	}
 	pcFor := func(pr Pair) core.PairContext {
-		win.once.Do(func() { win.pc = core.PairContext{PIndex: edgeindex.New(window), Breaker: l.Breaker(l)} })
+		win.once.Do(func() { win.pc = core.PairContext{PIndex: edgeindex.New(window)} })
 		pc := win.pc
 		pc.QIndex = l.EdgeIndex(pr.B)
 		return pc
@@ -377,9 +354,8 @@ func sortPairsByOuter(pairs []Pair) {
 }
 
 // pairContexts returns a per-pair PairContext source for a join between
-// layers a and b, honoring the NoSignatures ablation. All contexts share
-// the pair's breaker, so any worker's sentinel disagreement degrades the
-// whole join. Persisted signatures attach only on the sides that carry
+// layers a and b, honoring the NoSignatures ablation. Persisted
+// signatures attach only on the sides that carry
 // them; the tester's bounds check makes a one-sided or absent signature
 // merely inconclusive. iva and ivb, when both non-nil (see
 // intervalColumns), attach the objects' v2 interval spans — always from
@@ -388,11 +364,10 @@ func sortPairsByOuter(pairs []Pair) {
 // v1 signatures stay attached too and still decide pairs the interval
 // check leaves inconclusive.
 func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(Pair) core.PairContext {
-	br := a.Breaker(b)
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil
 	return func(pr Pair) core.PairContext {
-		pc := core.PairContext{Breaker: br, PIndex: a.EdgeIndex(pr.A), QIndex: b.EdgeIndex(pr.B)}
+		pc := core.PairContext{PIndex: a.EdgeIndex(pr.A), QIndex: b.EdgeIndex(pr.B)}
 		if sigA {
 			pc.PSig = a.Signature(pr.A)
 		}

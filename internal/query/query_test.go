@@ -55,14 +55,13 @@ func oracleSelect(layer *Layer, q *geom.Polygon) []int {
 // brute-force oracles (bruteIntersects, dist.MinDistBrute). One table for
 // the joins' two predicates, one beside it for selections.
 
-// matrixTesters are the matrix's tester configurations: software,
-// hardware at two resolutions, one with the tuned threshold's shape, and
-// the verbs' sampled dispatch.
+// matrixTesters are the matrix's tester configurations: software (the
+// verbs' tester), and hardware at two resolutions, one with the tuned
+// threshold's shape.
 var matrixTesters = map[string]core.Config{
-	"sw":      {DisableHardware: true},
-	"hw8":     {Resolution: 8},
-	"hw16":    {Resolution: 16, SWThreshold: 100},
-	"sampled": {SWThreshold: core.SampledSWThreshold},
+	"sw":   {DisableHardware: true},
+	"hw8":  {Resolution: 8},
+	"hw16": {Resolution: 16, SWThreshold: 100},
 }
 
 // TestIntersectionSelectMatchesOracle runs ten STATES50 windows, and a
@@ -177,7 +176,7 @@ func oraclePairs(a, b *View, test func(p, q *geom.Polygon) bool) []Pair {
 
 // runOracleMatrix runs kind k — with each prefilter setting in pres — over
 // {inline with the caller's tester, pooled workers 1/2/8} × batch {1, 7,
-// 256} × tester {sw, hw res 8, hw res 16 + SWThreshold 100, sampled} × NoIntervals
+// 256} × tester {sw, hw res 8, hw res 16 + SWThreshold 100} × NoIntervals
 // (where the predicate reads it: knobs is 2 with, 1 without) × {layer
 // view, live view}, and checks each run against want: the pair set in
 // (A, B) order, the stage counts, and that the concatenated sink batches

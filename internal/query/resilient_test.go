@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/geom"
 )
 
 // softwareOracle returns the software-only intersection join result, the
@@ -258,51 +257,6 @@ func TestAcceptanceFaultedJoinUnderDeadline(t *testing.T) {
 	_ = stats // partial stats: only required to be present, values depend on timing
 }
 
-// TestWrongAnswerTrustBoundary documents the hardware-filter trust
-// boundary with both flip directions (see internal/faultinject's package
-// comment):
-//
-//   - overlap → "no overlap" silently loses a result: the design trusts
-//     conservative rasterization, and nothing cheaper than the software
-//     test could catch the lie;
-//   - "no overlap" → overlap is absorbed: an inconclusive verdict always
-//     goes to the exact software test.
-func TestWrongAnswerTrustBoundary(t *testing.T) {
-	// Crossing bars: boundaries intersect, neither contains the other's
-	// vertices, so the pair reaches the hardware filter.
-	horiz := geom.MustPolygon(geom.Pt(0, 4), geom.Pt(10, 4), geom.Pt(10, 6), geom.Pt(0, 6))
-	vert := geom.MustPolygon(geom.Pt(4, 0), geom.Pt(6, 0), geom.Pt(6, 10), geom.Pt(4, 10))
-	// Disjoint slanted strips with overlapping MBRs and no containment.
-	stripLo := geom.MustPolygon(geom.Pt(0, 0), geom.Pt(10, 4), geom.Pt(10, 6), geom.Pt(0, 2))
-	stripHi := geom.MustPolygon(geom.Pt(0, 5), geom.Pt(10, 9), geom.Pt(10, 11), geom.Pt(0, 7))
-
-	honest := core.NewTester(core.Config{Resolution: 32, SWThreshold: 0})
-	if !honest.Intersects(horiz, vert) {
-		t.Fatal("honest hardware: crossing bars must intersect")
-	}
-	if honest.Intersects(stripLo, stripHi) {
-		t.Fatal("honest hardware: disjoint strips must not intersect")
-	}
-
-	lying := func() *core.Tester {
-		inj := faultinject.New(5).Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 1)
-		return core.NewTester(core.Config{Resolution: 32, SWThreshold: 0, Faults: inj})
-	}
-
-	// Direction 1: true overlap flipped to reject — the result is silently
-	// lost. This is the trust boundary: a hardware filter that lies in the
-	// conservative direction cannot be caught.
-	if lying().Intersects(horiz, vert) {
-		t.Error("flipped overlap verdict was not trusted; expected the (wrong) reject to stand")
-	}
-
-	// Direction 2: reject flipped to inconclusive — absorbed, because
-	// inconclusive pairs are always decided by the exact software test.
-	if lying().Intersects(stripLo, stripHi) {
-		t.Error("flipped reject verdict leaked a false positive past the software test")
-	}
-}
-
 // TestSelectionRecoversPanickingTester: a selection whose tester panics at
 // the entry of every intersection test is retried pair by pair on the
 // software path, as a join is, and answers the oracle's ids.
@@ -324,9 +278,8 @@ func TestSelectionRecoversPanickingTester(t *testing.T) {
 	}
 }
 
-// TestFaultedHWSelectStillExact: delays and wrong-answers in the
-// *inconclusive* direction never change selection results; the software
-// stage remains the decider.
+// TestFaultedHWSelectStillExact: delays at the test entry of a selection
+// on the card (threshold 0) never change its results.
 func TestFaultedHWSelectStillExact(t *testing.T) {
 	q := layerB.Data.Objects[0]
 	sw := core.NewTester(core.Config{DisableHardware: true})
@@ -343,4 +296,31 @@ func TestFaultedHWSelectStillExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameIDs(t, "delayed select", got, want)
+}
+
+// TestDeadlineErrorCause: a context governed by a wall-clock budget via
+// context.WithTimeoutCause surfaces the typed *DeadlineError through the
+// PartialError chain while still matching context.DeadlineExceeded.
+func TestDeadlineErrorCause(t *testing.T) {
+	budget := time.Nanosecond
+	ctx, cancel := context.WithTimeoutCause(bg, 0, &DeadlineError{Budget: budget})
+	defer cancel()
+	<-ctx.Done()
+
+	tester := core.NewTester(core.Config{DisableHardware: true})
+	_, _, err := IntersectionJoinView(ctx, layerA.View(), layerB.View(), tester, JoinOptions{})
+	var pe *PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("expired-budget join error = %v, want *PartialError", err)
+	}
+	var de *DeadlineError
+	if !errors.As(err, &de) {
+		t.Fatalf("PartialError chain %v does not carry *DeadlineError", err)
+	}
+	if de.Budget != budget {
+		t.Errorf("DeadlineError budget = %v, want %v", de.Budget, budget)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Error("DeadlineError chain must still match context.DeadlineExceeded")
+	}
 }

@@ -171,7 +171,7 @@ func TestSnapshotLayerSignatureAblation(t *testing.T) {
 
 	// The partition invariant holds with the signature bucket.
 	s := with.Stats
-	sum := s.MBRRejects + s.IntervalTrueHits + s.IntervalRejects + s.PIPHits + s.SigRejects + s.SWDirect + s.HWRejects + s.HWPassed + s.HWFallbacks + s.BreakerOpenSkips
+	sum := s.MBRRejects + s.IntervalTrueHits + s.IntervalRejects + s.PIPHits + s.SigRejects + s.SWDirect + s.HWRejects + s.HWPassed + s.HWFallbacks
 	if s.Tests != sum {
 		t.Fatalf("stats partition broken: Tests=%d sum=%d (%+v)", s.Tests, sum, s)
 	}

@@ -133,21 +133,19 @@ func TestStatsWireContract(t *testing.T) {
 		sort.Strings(ks)
 		return ks
 	}
-	full := []string{"breaker_open_skips", "breaker_recoveries", "breaker_trips", "candidates", "compared",
-		"edge_index_hits", "edge_index_skipped_edges", "filter_hits", "filter_rejects", "geometry_ms",
-		"hw_fallbacks", "hw_passed", "hw_rejects", "intermediate_filter_ms", "interval_checks",
-		"interval_inconclusive", "interval_rejects", "interval_true_hits", "live_delta", "live_tombstones",
-		"mbr_filter_ms", "mbr_rejects", "op", "panics", "pip_hits", "pipeline_batches", "pipeline_filter_ns",
-		"pipeline_queue_depth", "pipeline_refine_ns", "quarantined", "results", "sentinel_checks",
-		"sentinel_disagreements", "sig_checks", "sig_rejects", "snapshot_bytes", "snapshot_load_ms",
-		"snapshot_mmap", "snapshot_sections", "stream_rows_emitted", "sw_direct", "tests"}
+	full := []string{"candidates", "compared", "edge_index_hits", "edge_index_skipped_edges", "filter_hits",
+		"filter_rejects", "geometry_ms", "hw_fallbacks", "hw_passed", "hw_rejects", "intermediate_filter_ms",
+		"interval_checks", "interval_inconclusive", "interval_rejects", "interval_true_hits", "live_delta",
+		"live_tombstones", "mbr_filter_ms", "mbr_rejects", "op", "panics", "pip_hits", "pipeline_batches",
+		"pipeline_filter_ns", "pipeline_queue_depth", "pipeline_refine_ns", "quarantined", "results",
+		"sig_checks", "sig_rejects", "snapshot_bytes", "snapshot_load_ms", "snapshot_mmap", "snapshot_sections",
+		"stream_rows_emitted", "sw_direct", "tests"}
 	if got := keys(fillStats(1)); !slices.Equal(got, full) {
 		t.Errorf("filled record's keys:\n got %q\nwant %q", got, full)
 	}
-	always := []string{"breaker_open_skips", "breaker_recoveries", "breaker_trips", "candidates", "compared",
-		"edge_index_hits", "edge_index_skipped_edges", "geometry_ms", "hw_fallbacks", "hw_passed", "hw_rejects",
-		"intermediate_filter_ms", "mbr_filter_ms", "mbr_rejects", "op", "panics", "pip_hits", "quarantined",
-		"results", "sentinel_checks", "sentinel_disagreements", "sw_direct", "tests"}
+	always := []string{"candidates", "compared", "edge_index_hits", "edge_index_skipped_edges", "geometry_ms",
+		"hw_fallbacks", "hw_passed", "hw_rejects", "intermediate_filter_ms", "mbr_filter_ms", "mbr_rejects", "op",
+		"panics", "pip_hits", "quarantined", "results", "sw_direct", "tests"}
 	if got := keys(Stats{}); !slices.Equal(got, always) {
 		t.Errorf("zero record's keys:\n got %q\nwant %q", got, always)
 	}

@@ -46,7 +46,9 @@ func BenchmarkHWTestCycle8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.SetViewport(geom.R(0, 0, 100, 100))
 		c.Clear()
-		c.DrawEdges(&c.A, segs[:200])
+		for _, s := range segs[:200] {
+			c.DrawSegment(&c.A, s)
+		}
 		for _, s := range segs[200:] {
 			c.SegmentTouches(&c.A, s, 0)
 		}

@@ -23,13 +23,6 @@ func (c *Context) DrawSegmentWidth(pl *Plane, s geom.Segment, widthPx float64) {
 	c.walk(pl, c.Project(s.A), c.Project(s.B), halfWidth(widthPx), false)
 }
 
-// DrawEdges rasterizes a batch of data-space segments into pl.
-func (c *Context) DrawEdges(pl *Plane, segs []geom.Segment) {
-	for _, s := range segs {
-		c.DrawSegment(pl, s)
-	}
-}
-
 // DrawPolygonEdges rasterizes the boundary chain of p into pl, the
 // per-polygon render call of Algorithm 3.1 steps 2.3 and 2.5.
 func (c *Context) DrawPolygonEdges(pl *Plane, p *geom.Polygon) {

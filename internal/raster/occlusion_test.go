@@ -98,7 +98,9 @@ func TestDrawEdgesAndPolygonEdges(t *testing.T) {
 		geom.Seg(geom.Pt(0, 0), geom.Pt(8, 8)),
 		geom.Seg(geom.Pt(0, 8), geom.Pt(8, 0)),
 	}
-	c.DrawEdges(&c.A, segs)
+	for _, s := range segs {
+		c.DrawSegment(&c.A, s)
+	}
 	// Three tested after two drawn, one of them off the window and one
 	// that stops at its first shared cell: n + m calls all the same.
 	c.SegmentTouches(&c.A, geom.Seg(geom.Pt(0, 4), geom.Pt(8, 4)), 0)

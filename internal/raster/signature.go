@@ -63,7 +63,8 @@ func (s *Signature) Valid() bool {
 // signature a sound reject filter: every boundary point lies in a set
 // cell, always.
 // (The viewport renderer drops fragments at exactly the window max edge,
-// which is fine for a sentinel-checked filter but not for a proof; a
+// which the card's nonzero line width makes harmless but a proof cannot
+// rely on; a
 // rectangular query polygon, whose top and right edges lie exactly on
 // its own MBR, would otherwise lose half its boundary.)
 func ComputeSignature(p *geom.Polygon, res int) Signature {

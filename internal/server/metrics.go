@@ -169,11 +169,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges Gauges) {
 	g("spatiald_snapshot_bytes_total", q.SnapshotBytes)
 	g("spatiald_snapshot_mmap_loads_total", m.snapshotMMaps.Load())
 	g("spatiald_snapshot_load_seconds_total", q.SnapshotLoadMS/1e3)
-	g("spatiald_sentinel_checks_total", q.SentinelChecks)
-	g("spatiald_sentinel_disagreements_total", q.SentinelDisagreements)
-	g("spatiald_breaker_trips_total", q.BreakerTrips)
-	g("spatiald_breaker_recoveries_total", q.BreakerRecoveries)
-	g("spatiald_breaker_open_skips_total", q.BreakerOpenSkips)
 	g("spatiald_live_delta_objects_total", q.LiveDelta)
 	g("spatiald_live_tombstones_total", q.LiveTombstones)
 	g("spatiald_pipeline_batches_total", q.PipelineBatches)

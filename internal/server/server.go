@@ -67,10 +67,6 @@ type Config struct {
 	//
 	//reach:keep TestSendWriteDeadlineUnblocksStalledClient stalls a client against a 50 ms bound; at the 30 s default it fails its 5 s limit
 	WriteTimeout time.Duration
-	// SentinelEvery seeds every served tester's sentinel verification
-	// cadence (core.Config.SentinelEvery): 0 means the core default,
-	// negative disables verification.
-	SentinelEvery int
 	// DefaultBudget seeds each session's candidate budget; 0 means
 	// unlimited.
 	DefaultBudget int
@@ -362,7 +358,7 @@ func (s *Server) newEngine() *shellcmd.Engine {
 			MaxTimeout: s.cfg.QueryTimeout,
 			Budget:     s.cfg.DefaultBudget,
 		},
-		Tester:  core.Config{SentinelEvery: s.cfg.SentinelEvery, Faults: s.cfg.Faults},
+		Tester:  core.Config{Faults: s.cfg.Faults},
 		DataDir: s.cfg.DataDir,
 		Live:    s.cfg.Ingest,
 		Coord:   s.cfg.Coordinator,

@@ -183,8 +183,7 @@ func TestMetricsPrometheus(t *testing.T) {
 	m.observe(query.Stats{Op: "select"}, StatusError, 0)
 	m.observe(query.Stats{Op: "pjoin"}, StatusOverload, 0)
 
-	m.observe(query.Stats{Op: "join", Stats: core.Stats{SentinelChecks: 7, SentinelDisagreements: 2,
-		BreakerTrips: 1, BreakerRecoveries: 1, BreakerOpenSkips: 40}}, StatusOK, 0)
+	m.observe(query.Stats{Op: "join"}, StatusOK, 0)
 	m.observe(query.Stats{Op: "load", Stats: core.Stats{SigChecks: 30, SigRejects: 12},
 		SnapshotBytes: 4096, SnapshotSections: 7, SnapshotMMap: true, SnapshotLoadMS: 1.5}, StatusOK, 0)
 	m.observe(query.Stats{Op: "load", SnapshotBytes: 1024, SnapshotSections: 7, SnapshotLoadMS: 0.25}, StatusOK, 0)
@@ -265,11 +264,6 @@ spatiald_snapshot_loads_total 2
 spatiald_snapshot_bytes_total 5120
 spatiald_snapshot_mmap_loads_total 1
 spatiald_snapshot_load_seconds_total 0.00175
-spatiald_sentinel_checks_total 7
-spatiald_sentinel_disagreements_total 2
-spatiald_breaker_trips_total 1
-spatiald_breaker_recoveries_total 1
-spatiald_breaker_open_skips_total 40
 spatiald_live_delta_objects_total 7
 spatiald_live_tombstones_total 2
 spatiald_pipeline_batches_total 5
@@ -451,11 +445,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	// The degradation/governance metric families must always be exposed,
 	// even when zero, so dashboards and alerts can rely on their presence.
 	for _, name := range []string{
-		"spatiald_sentinel_checks_total",
-		"spatiald_sentinel_disagreements_total",
-		"spatiald_breaker_trips_total",
-		"spatiald_breaker_recoveries_total",
-		"spatiald_breaker_open_skips_total",
 		"spatiald_admission_queued",
 		"spatiald_admission_shed_total",
 		"spatiald_watchdog_active",

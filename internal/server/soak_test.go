@@ -33,12 +33,12 @@ import (
 //	go test ./internal/server/ -run Soak -faultseed 12345   # replay a run
 //
 // The harness asserts the degradation contract end to end:
-//   - benign faults (delays, panics, disconnects) never change any
-//     completed query's results — every "ok" join/select reports exactly
-//     the unfaulted count;
-//   - wrong-answer faults at the hardware filter are caught by the
-//     sentinel, trip the per-layer-pair breaker, and still never change a
-//     completed query's results;
+//   - faults (delays, panics, disconnects) never change any completed
+//     query's results — every "ok" join/select reports exactly the
+//     unfaulted count — and an injected panic is retried in software,
+//     never quarantined;
+//   - a coordinator fleet under replica kills and restarts answers every
+//     query exactly and never partially;
 //   - after shutdown no goroutine, admission slot, queue entry, or
 //     watchdog registration leaks.
 var (
@@ -71,53 +71,23 @@ func TestSoak(t *testing.T) {
 	t.Logf("soak: -soakdur=%v -faultseed=%d (rerun with these flags to reproduce)", *soakDur, seed)
 
 	t.Run("BenignFaults", func(t *testing.T) {
-		// Delays, quarantined panics, and wire disconnects — every fault
-		// class the engine claims to absorb without changing answers.
+		// Delays, contained panics, and wire disconnects — every fault
+		// class the engine claims to absorb without changing answers. The
+		// panics strike at the test entry: the verbs refine in software,
+		// so no served query reaches the card's draw site.
 		inj := faultinject.New(seed).
 			Inject(faultinject.SiteIntersects, faultinject.KindDelay, 0.02).
-			Inject(faultinject.SiteRenderDraw, faultinject.KindPanic, 0.005).
+			Inject(faultinject.SiteIntersects, faultinject.KindPanic, 0.005).
 			Inject(faultinject.SiteServerRead, faultinject.KindDelay, 0.05).
 			Inject(faultinject.SiteServerWrite, faultinject.KindDisconnect, 0.005).
 			SetDelay(200 * time.Microsecond)
-		s := runSoakPhase(t, seed, inj, nil)
-		if got := s.Metrics().Query().SentinelDisagreements; got != 0 {
-			t.Errorf("benign faults produced %d sentinel disagreements", got)
-		}
-		if got := s.Metrics().Query().BreakerTrips; got != 0 {
-			t.Errorf("benign faults tripped the breaker %d times", got)
-		}
-	})
-
-	t.Run("WrongAnswerFaults", func(t *testing.T) {
-		// The hardware filter lies on ~25% of verdicts. The sentinel
-		// (cadence 1 in this server) must catch every flipped negative, trip
-		// the breaker, and keep all completed counts exact. The verbs'
-		// sampled dispatch sends one large pair in 32 to the card, and an
-		// open breaker keeps even those off it, so the card sees little of
-		// the traffic: the phase runs past its budget, by up to
-		// soakOvertime, until the breaker has tripped or ten faults have
-		// fired, and then asserts.
-		inj := faultinject.New(seed).
-			Inject(faultinject.SiteHWFilter, faultinject.KindWrongAnswer, 0.25).
-			Inject(faultinject.SiteServerWrite, faultinject.KindDisconnect, 0.005)
-		fired := func() int64 { return inj.Fired(faultinject.SiteHWFilter, faultinject.KindWrongAnswer) }
-		s := runSoakPhase(t, seed, inj, func(s *Server) bool {
-			return s.Metrics().Query().BreakerTrips > 0 || fired() >= 10
-		})
+		s := runSoakPhase(t, seed, inj)
 		m := s.Metrics().Query()
-		t.Logf("wrong-answer faults fired: %d; sentinel checks %d, disagreements %d, breaker trips %d",
-			fired(), m.SentinelChecks, m.SentinelDisagreements, m.BreakerTrips)
-		if fired() == 0 {
-			t.Fatalf("no wrong-answer fault fired within %v; the card saw no traffic", *soakDur+soakOvertime)
+		if fired := inj.Fired(faultinject.SiteIntersects, faultinject.KindPanic); fired == 0 || m.Panics == 0 {
+			t.Errorf("%d panics injected, %d recovered: the phase exercised no panic", fired, m.Panics)
 		}
-		if m.SentinelChecks == 0 {
-			t.Error("sentinel never ran")
-		}
-		if m.SentinelDisagreements == 0 {
-			t.Errorf("sentinel caught no disagreements despite %d wrong-answer faults", fired())
-		}
-		if m.BreakerTrips == 0 {
-			t.Error("breaker never tripped despite sentinel disagreements")
+		if m.Quarantined != 0 {
+			t.Errorf("%d pairs quarantined; an injected panic must not survive the software retry", m.Quarantined)
 		}
 	})
 
@@ -397,17 +367,12 @@ func runCoordSoakPhase(t *testing.T, seed int64) {
 	waitGoroutines(t, baseline)
 }
 
-// soakOvertime bounds how long a soak phase runs past its budget while
-// its until condition is false.
-const soakOvertime = 30 * time.Second
-
 // runSoakPhase runs one soak phase to completion — server up, concurrent
-// clients hammering it with a mixed workload until the budget elapses
-// and, when until is non-nil, on in one-second rounds while until reports
-// false (for at most soakOvertime), server drained — asserting result
+// clients hammering it with a mixed workload until the budget elapses,
+// server drained — asserting result
 // parity throughout and zero leaks at the end. It returns the (stopped)
 // server so phases can inspect metrics.
-func runSoakPhase(t *testing.T, seed int64, inj *faultinject.Injector, until func(*Server) bool) *Server {
+func runSoakPhase(t *testing.T, seed int64, inj *faultinject.Injector) *Server {
 	baseline := runtime.NumGoroutine()
 	s := New(Config{
 		Addr:            "127.0.0.1:0",
@@ -416,7 +381,6 @@ func runSoakPhase(t *testing.T, seed int64, inj *faultinject.Injector, until fun
 		MaxQueue:        8,
 		QueryTimeout:    10 * time.Second,
 		WatchdogTimeout: 20 * time.Second,
-		SentinelEvery:   1,
 		Faults:          inj,
 	})
 	if err := s.Start(); err != nil {
@@ -438,25 +402,18 @@ func runSoakPhase(t *testing.T, seed int64, inj *faultinject.Injector, until fun
 		{"stats water", "", 0},
 	}
 	const clients = 6
-	start := time.Now()
-	deadline := start.Add(*soakDur)
+	deadline := time.Now().Add(*soakDur)
 	errs := make(chan error, clients*4)
 	var completed, redials atomic.Int64
-	for round := 0; ; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				soakClient(s.Addr().String(), rand.New(rand.NewSource(seed+int64(round*clients+i))), deadline, cmds, false, errs, &completed, &redials)
-			}(i)
-		}
-		wg.Wait()
-		if until == nil || until(s) || time.Since(start) >= *soakDur+soakOvertime {
-			break
-		}
-		deadline = time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			soakClient(s.Addr().String(), rand.New(rand.NewSource(seed+int64(i))), deadline, cmds, false, errs, &completed, &redials)
+		}(i)
 	}
+	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)

@@ -127,9 +127,7 @@ type Engine struct {
 	Store    Store
 	Settings Settings
 	// Tester is the base configuration of every refinement tester the
-	// engine builds; a command's mode adds the sampled dispatch
-	// (core.SampledSWThreshold) for "hw", the default, or
-	// DisableHardware for "sw".
+	// engine builds; every command adds DisableHardware (see testerConfig).
 	Tester core.Config
 	// DataDir, when set, is where save and load resolve bare snapshot
 	// names: a path without a directory separator lands under DataDir,
@@ -258,7 +256,7 @@ const Help = `commands:
   save <name> <path> [nointervals]  save a layer as a binary snapshot (indexes + signatures + intervals)
   layers                            list loaded layers
   stats <name>                      Table 2 statistics of a layer
-  join <a> <b> [sw|hw]              intersection join (default hw)
+  join <a> <b> [sw|hw]              intersection join, refined in software (both words)
   pjoin <a> <b> [workers]           intersection join with a worker count (0 = one per CPU)
   overlay <a> <b>                   map overlay: per-pair intersection areas
   within <a> <b> <D> [sw|hw]        within-distance join
@@ -613,10 +611,10 @@ func (e *Engine) batchCmd(ctx context.Context, line string, out io.Writer) (Resu
 // per-worker constructor the join executor needs (core.Tester is not
 // safe for concurrent use, so each stage worker builds its own).
 func (e *Engine) testerFactory(mode string) (func() *core.Tester, error) {
-	cfg, err := e.tester(mode)
-	if err != nil {
-		return nil, err
+	if mode != "" && mode != "hw" && mode != "sw" {
+		return nil, fmt.Errorf("mode must be sw or hw, got %q", mode)
 	}
+	cfg := e.testerConfig()
 	return func() *core.Tester { return core.NewTester(cfg) }, nil
 }
 
@@ -657,18 +655,14 @@ func note(out io.Writer, err error) *query.PartialError {
 	return nil
 }
 
-// tester resolves a tester mode against the engine's base config.
-func (e *Engine) tester(mode string) (core.Config, error) {
+// testerConfig is the engine's base config refining in software, the
+// tester of every verb whatever its mode word: warmed, the card's rejects
+// repay its render on none of the benchmark's layer pairs
+// (EXPERIMENTS.md), and "hw" stays accepted for the clients that send it.
+func (e *Engine) testerConfig() core.Config {
 	cfg := e.Tester
-	switch mode {
-	case "", "hw":
-		cfg.SWThreshold = core.SampledSWThreshold
-	case "sw":
-		cfg.DisableHardware = true
-	default:
-		return core.Config{}, fmt.Errorf("mode must be sw or hw, got %q", mode)
-	}
-	return cfg, nil
+	cfg.DisableHardware = true
+	return cfg
 }
 
 // joinUsage is the argument grammar of the join verbs.
@@ -840,11 +834,7 @@ func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := e.tester("hw")
-	if err != nil {
-		return Result{}, err
-	}
-	tester := core.NewTester(cfg)
+	tester := core.NewTester(e.testerConfig())
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
 	pairs, st, qerr := query.OverlayAreaJoin(qctx, a, b, tester)
@@ -883,11 +873,7 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, verb, line string, 
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := e.tester("hw")
-	if err != nil {
-		return Result{}, err
-	}
-	tester := core.NewTester(cfg)
+	tester := core.NewTester(e.testerConfig())
 	opt := query.JoinOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget}
 	shard := verb == "shardselect"
 	if shard {

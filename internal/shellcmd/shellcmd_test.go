@@ -3,6 +3,8 @@ package shellcmd
 import (
 	"context"
 	"errors"
+	"math"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -285,5 +287,56 @@ func TestSaveLoadSnapshot(t *testing.T) {
 	// A corrupted snapshot is refused with a typed store error, not bound.
 	if _, err := e.Exec(context.Background(), "load bad missing", new(strings.Builder)); err == nil {
 		t.Fatal("loading a missing snapshot succeeded")
+	}
+}
+
+// TestVerbsRefineInSoftware: every refining verb runs the software-only
+// tester, whatever its mode word says — "hw", "sw" and no word answer the
+// same rows, no record counts a card verdict, and every pair the filter
+// leaves open is counted sent straight to software.
+func TestVerbsRefineInSoftware(t *testing.T) {
+	e := &Engine{Store: MapStore{}}
+	exec(t, e, "gen w WATER 0.01")
+	exec(t, e, "gen p PRISM 0.01")
+	whole := FormatRect(geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)})
+	durations := regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
+	for _, c := range []struct {
+		line  string
+		words []string // the mode words the verb takes after line
+	}{
+		{"select w POLYGON ((0 0, 500 0, 500 500, 0 500))", []string{""}},
+		{"pjoin w p 2", []string{""}},
+		{"join w p", []string{"", " hw", " sw"}},
+		{"within w p 1", []string{"", " hw", " sw"}},
+		{"shardjoin w p " + whole, []string{"", " hw", " sw"}},
+		{"shardwithin w p 1 " + whole, []string{"", " hw", " sw"}},
+	} {
+		var first string
+		for _, word := range c.words {
+			line := c.line + word
+			out, res := exec(t, e, line)
+			var rows []string
+			for _, l := range strings.Split(out, "\n") {
+				if !strings.HasPrefix(l, "stats ") {
+					rows = append(rows, durations.ReplaceAllString(l, "T"))
+				}
+			}
+			if got := strings.Join(rows, "\n"); first == "" {
+				first = got
+			} else if got != first {
+				t.Errorf("%s: rows differ from the verb's without a mode word:\n%s\nwant\n%s", line, got, first)
+			}
+			s := res.Stats
+			if s.HWRejects != 0 || s.HWPassed != 0 || s.HWFallbacks != 0 {
+				t.Errorf("%s: the card decided pairs: hw_rejects %d, hw_passed %d, hw_fallbacks %d", line, s.HWRejects, s.HWPassed, s.HWFallbacks)
+			}
+			open := s.Tests - s.MBRRejects - s.IntervalTrueHits - s.IntervalRejects - s.PIPHits - s.SigRejects
+			if s.SWDirect != open || open == 0 {
+				t.Errorf("%s: sw_direct %d, %d pairs left open by the filter (want equal and some)", line, s.SWDirect, open)
+			}
+		}
+	}
+	if _, err := e.Exec(context.Background(), "join w p gpu", &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "mode must be sw or hw") {
+		t.Errorf("join with mode gpu: err = %v, want the mode usage error", err)
 	}
 }

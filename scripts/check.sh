@@ -43,11 +43,10 @@ go run ./scripts/reach
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== query executor failure paths, joins and selections, and eight sampled testers sharing one breaker over a lying card (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
+echo "== query executor failure paths, joins and selections (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
 # The blanket run above executes them once; a lost wake-up or a goroutine
 # left behind shows only over repeats, and as a hang — hence the timeout.
 go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
-go test -race -count=10 -timeout 120s -run TestSampledConcurrent ./internal/core/
 
 echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
@@ -65,9 +64,10 @@ echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
 
 echo "== spatiald chaos mini-soak (10s, randomized faults, -race)"
-# Two phases of ~SOAKDUR each: benign faults must keep every completed
-# result bit-identical; wrong-answer faults must trip the breaker via the
-# sentinel while results stay exact. The seed is logged for replay.
+# Two phases of ~SOAKDUR each: under delays, panics and disconnects every
+# completed result must stay bit-identical; a coordinator fleet under
+# replica kills and restarts must answer every query exactly, never
+# partially. The seed is logged for replay.
 SOAKDUR="${SOAKDUR:-10s}"
 go test -race -count 1 ./internal/server/ -run TestSoak -soakdur "$SOAKDUR"
 
@@ -463,13 +463,12 @@ STPID=""
 trap - EXIT
 rm -rf "$STDIR"
 
-echo "== sampled dispatch smoke (one session: within hw three times and sw once, rows byte-identical)"
-# The hw tester sends large pairs to software bar a one-in-32 card
-# sample; whichever way each pair goes, the rows must be the software
-# path's. shardwithin over the whole plane is the within verb with its
-# rows streamed. Which pairs the sample picks depends on how the pool
-# splits the batches, so only the rows and the result count are compared.
-MDDIR="$(mktemp -d /tmp/sampled_smoke.XXXXXX)"
+echo "== mode-word smoke (one session: within hw three times and sw once, rows byte-identical)"
+# Both words build the software-only tester, so a client that still
+# sends hw must get the sw rows. shardwithin over the whole plane is the
+# within verb with its rows streamed. Only the rows and the result count
+# are compared; the record's timings differ run to run.
+MDDIR="$(mktemp -d /tmp/modeword_smoke.XXXXXX)"
 MDPID=""
 trap '[ -z "$MDPID" ] || kill $MDPID 2>/dev/null || true; rm -rf "$MDDIR"' EXIT
 go build -o "$MDDIR/spatiald" ./cmd/spatiald
@@ -484,19 +483,19 @@ printf '%s hw\n%s hw\n%s hw\n%s sw\n' "$MDW" "$MDW" "$MDW" "$MDW" |
 awk -v dir="$MDDIR" '/^stats / { match($0, /"results":[0-9]+/); $0 = "stats " substr($0, RSTART, RLENGTH) }
 	{ print > (dir "/run" n ".txt") } /^ok$/ { n++ }' n=1 "$MDDIR/out.txt"
 for i in 1 2 3 4; do
-	[ -s "$MDDIR/run$i.txt" ] || { echo "sampled smoke: command $i printed nothing"; cat "$MDDIR/out.txt"; exit 1; }
+	[ -s "$MDDIR/run$i.txt" ] || { echo "mode-word smoke: command $i printed nothing"; cat "$MDDIR/out.txt"; exit 1; }
 done
 grep -q '^pair ' "$MDDIR/run4.txt" && grep -q '^stats "results":[1-9]' "$MDDIR/run4.txt" ||
-	{ echo "sampled smoke: sw within streamed no rows"; cat "$MDDIR/run4.txt"; exit 1; }
+	{ echo "mode-word smoke: sw within streamed no rows"; cat "$MDDIR/run4.txt"; exit 1; }
 for i in 1 2 3; do
 	cmp -s "$MDDIR/run$i.txt" "$MDDIR/run4.txt" || {
-		echo "sampled smoke: hw within run $i differs from the sw run"
+		echo "mode-word smoke: hw within run $i differs from the sw run"
 		diff "$MDDIR/run$i.txt" "$MDDIR/run4.txt" | head -10
 		exit 1
 	}
 done
 kill -TERM "$MDPID"
-wait "$MDPID" || { echo "sampled smoke server did not drain cleanly"; cat "$MDDIR/srv.log"; exit 1; }
+wait "$MDPID" || { echo "mode-word smoke server did not drain cleanly"; cat "$MDDIR/srv.log"; exit 1; }
 MDPID=""
 trap - EXIT
 rm -rf "$MDDIR"
