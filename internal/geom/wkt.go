@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // WKT returns the polygon in Well-Known Text form, closing the ring by
@@ -37,20 +38,19 @@ func writeCoord(b *strings.Builder, p Point) {
 // MULTIPOLYGON are not part of this library's polygon model and are
 // rejected with a descriptive error. The closing vertex (equal to the
 // first) is accepted and dropped, per the library convention of implicit
-// ring closure.
+// ring closure. The tag matches in any ASCII letter case, and white space
+// is Unicode white space, as strings.TrimSpace and strings.Fields read it;
+// the only allocations on success are the vertex slice and the polygon.
 func ParsePolygonWKT(s string) (*Polygon, error) {
 	body, err := wktBody(s, "POLYGON")
 	if err != nil {
 		return nil, err
 	}
-	rings, err := splitRings(body)
+	ring, err := onlyRing(body)
 	if err != nil {
 		return nil, err
 	}
-	if len(rings) != 1 {
-		return nil, fmt.Errorf("geom: POLYGON with %d rings: interior rings are not supported", len(rings))
-	}
-	verts, err := parseCoordList(rings[0])
+	verts, err := parseCoordList(ring)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +60,11 @@ func ParsePolygonWKT(s string) (*Polygon, error) {
 	return NewPolygon(verts)
 }
 
-// wktBody validates the geometry tag and strips the outermost parentheses.
+// wktBody validates the geometry tag (upper-case ASCII) and strips the
+// outermost parentheses.
 func wktBody(s, tag string) (string, error) {
 	t := strings.TrimSpace(s)
-	upper := strings.ToUpper(t)
-	if !strings.HasPrefix(upper, tag) {
+	if !hasTag(t, tag) {
 		return "", fmt.Errorf("geom: expected %s, got %q", tag, truncateForError(t))
 	}
 	t = strings.TrimSpace(t[len(tag):])
@@ -74,13 +74,33 @@ func wktBody(s, tag string) (string, error) {
 	return t[1 : len(t)-1], nil
 }
 
-// splitRings splits "(...), (...)" into its top-level parenthesized parts.
-func splitRings(body string) ([]string, error) {
-	var rings []string
-	depth := 0
-	start := -1
-	for i, r := range body {
-		switch r {
+// hasTag reports whether s begins with tag in any ASCII letter case. No
+// non-ASCII rune upper-cases to a letter of POLYGON (TestTagRunes), so
+// for that tag this is strings.HasPrefix(strings.ToUpper(s), tag)
+// without the copy.
+func hasTag(s, tag string) bool {
+	if len(s) < len(tag) {
+		return false
+	}
+	for i := range len(tag) {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != tag[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// onlyRing returns the one top-level parenthesized part of "(...)",
+// rejecting unbalanced parentheses, no ring, and more than one ring.
+func onlyRing(body string) (string, error) {
+	var ring string
+	rings, depth, start := 0, 0, -1
+	for i := range len(body) {
+		switch body[i] {
 		case '(':
 			depth++
 			if depth == 1 {
@@ -89,47 +109,58 @@ func splitRings(body string) ([]string, error) {
 		case ')':
 			depth--
 			if depth < 0 {
-				return nil, fmt.Errorf("geom: unbalanced parentheses in WKT")
+				return "", fmt.Errorf("geom: unbalanced parentheses in WKT")
 			}
 			if depth == 0 {
-				rings = append(rings, body[start:i])
+				if rings == 0 {
+					ring = body[start:i]
+				}
+				rings++
 			}
 		}
 	}
-	if depth != 0 {
-		return nil, fmt.Errorf("geom: unbalanced parentheses in WKT")
+	switch {
+	case depth != 0:
+		return "", fmt.Errorf("geom: unbalanced parentheses in WKT")
+	case rings == 0:
+		return "", fmt.Errorf("geom: no coordinate ring found")
+	case rings != 1:
+		return "", fmt.Errorf("geom: POLYGON with %d rings: interior rings are not supported", rings)
 	}
-	if len(rings) == 0 {
-		return nil, fmt.Errorf("geom: no coordinate ring found")
-	}
-	return rings, nil
+	return ring, nil
 }
 
+// parseCoordList parses the comma-separated coordinates of a ring.
 func parseCoordList(s string) ([]Point, error) {
-	parts := strings.Split(s, ",")
-	verts := make([]Point, 0, len(parts))
-	for _, part := range parts {
+	verts := make([]Point, 0, strings.Count(s, ",")+1)
+	for {
+		part, rest, more := strings.Cut(s, ",")
 		p, err := parseCoord(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
 		verts = append(verts, p)
+		if !more {
+			return verts, nil
+		}
+		s = rest
 	}
-	return verts, nil
 }
 
+// parseCoord parses one coordinate, s trimmed of white space: two numbers
+// separated by white space.
 func parseCoord(s string) (Point, error) {
-	fields := strings.Fields(s)
-	if len(fields) != 2 {
+	xs, ys, ok := twoFields(s)
+	if !ok {
 		return Point{}, fmt.Errorf("geom: coordinate %q must be two numbers", truncateForError(s))
 	}
-	x, err := strconv.ParseFloat(fields[0], 64)
+	x, err := strconv.ParseFloat(xs, 64)
 	if err != nil {
-		return Point{}, fmt.Errorf("geom: bad x coordinate %q: %w", fields[0], err)
+		return Point{}, fmt.Errorf("geom: bad x coordinate %q: %w", xs, err)
 	}
-	y, err := strconv.ParseFloat(fields[1], 64)
+	y, err := strconv.ParseFloat(ys, 64)
 	if err != nil {
-		return Point{}, fmt.Errorf("geom: bad y coordinate %q: %w", fields[1], err)
+		return Point{}, fmt.Errorf("geom: bad y coordinate %q: %w", ys, err)
 	}
 	p := Point{X: x, Y: y}
 	if !p.IsFinite() {
@@ -137,6 +168,17 @@ func parseCoord(s string) (Point, error) {
 		return Point{}, fmt.Errorf("geom: non-finite coordinate %q", truncateForError(s))
 	}
 	return p, nil
+}
+
+// twoFields splits s, trimmed of white space, into its two fields; ok is
+// false unless strings.Fields(s) would return exactly two.
+func twoFields(s string) (x, y string, ok bool) {
+	i := strings.IndexFunc(s, unicode.IsSpace)
+	if i < 0 {
+		return "", "", false
+	}
+	y = strings.TrimLeftFunc(s[i:], unicode.IsSpace)
+	return s[:i], y, y != "" && strings.IndexFunc(y, unicode.IsSpace) < 0
 }
 
 func truncateForError(s string) string {

@@ -35,9 +35,12 @@ func benchWindows(seed int64) []*geom.Polygon {
 // it — IntersectionSelectView at interior level 4 on the verbs' software
 // tester — over snapshot layers: the 1 024 windows of seed 1 over LANDC
 // 0.2 (select_wire's mix), and its 205 20 km windows over LANDO 0.2
-// (ingest_read's). One tester serves every select; a warm pass first
-// hydrates the edge indexes. One op is one select, so ns/op is ns a
-// select and allocs/op allocations a select.
+// (ingest_read's). One tester serves every select, so the benchmark
+// cannot see what a select pays per request before the query runs (a
+// tester of its own, the WKT parse): shellcmd's BenchmarkExecSelect
+// times the served select. A warm pass first hydrates the edge indexes.
+// One op is one select, so ns/op is ns a select and allocs/op
+// allocations a select.
 func BenchmarkSelect(b *testing.B) {
 	windows := benchWindows(1)
 	var wide []*geom.Polygon

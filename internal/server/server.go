@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/coord"
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/ingest"
 	"repro/internal/query"
@@ -81,7 +80,7 @@ type Config struct {
 	DrainGrace time.Duration
 
 	// AccessLog receives one structured line per executed command; nil
-	// discards.
+	// keeps no log, and no line is formatted.
 	AccessLog io.Writer
 
 	// Faults arms fault injection for resilience tests: the server
@@ -147,9 +146,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DrainGrace == 0 {
 		cfg.DrainGrace = 250 * time.Millisecond
-	}
-	if cfg.AccessLog == nil {
-		cfg.AccessLog = io.Discard
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -358,7 +354,7 @@ func (s *Server) newEngine() *shellcmd.Engine {
 			MaxTimeout: s.cfg.QueryTimeout,
 			Budget:     s.cfg.DefaultBudget,
 		},
-		Tester:  core.Config{Faults: s.cfg.Faults},
+		Faults:  s.cfg.Faults,
 		DataDir: s.cfg.DataDir,
 		Live:    s.cfg.Ingest,
 		Coord:   s.cfg.Coordinator,
@@ -473,8 +469,12 @@ func (s *Server) run(eng *shellcmd.Engine, c command) outcome {
 }
 
 // logCommand writes one structured access-log line. The log writer is
-// shared by all sessions, so writes are serialized.
+// shared by all sessions, so writes are serialized; without a log it
+// returns before the lock and the formatting.
 func (s *Server) logCommand(remote string, st query.Stats, status Status, dur time.Duration) {
+	if s.cfg.AccessLog == nil {
+		return
+	}
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	fmt.Fprintf(s.cfg.AccessLog,

@@ -553,6 +553,43 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
+// TestNoAccessLogFormatsNothing: a server without an access log neither
+// takes the log lock nor formats a line — logging a command allocates
+// nothing, it returns while another holds the lock, and a cheap command
+// run end to end allocates less than on a server logging to io.Discard.
+func TestNoAccessLogFormatsNothing(t *testing.T) {
+	quiet, discard := New(Config{}), New(Config{AccessLog: io.Discard})
+	st := query.Stats{Op: "select", Results: 3}
+	if n := testing.AllocsPerRun(100, func() { quiet.logCommand("127.0.0.1:1", st, StatusOK, time.Millisecond) }); n != 0 {
+		t.Errorf("logging without a log allocates %.1f times, want 0", n)
+	}
+	quiet.logMu.Lock()
+	done := make(chan struct{})
+	go func() {
+		quiet.logCommand("127.0.0.1:1", st, StatusOK, time.Millisecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("logging without a log waits for the log lock")
+	}
+	quiet.logMu.Unlock()
+	<-done
+
+	runs := func(s *Server) float64 {
+		eng := s.newEngine()
+		return testing.AllocsPerRun(100, func() {
+			if o := s.run(eng, command{line: "budget off", remote: "127.0.0.1:1", out: io.Discard}); o.err != nil {
+				t.Fatal(o.err)
+			}
+		})
+	}
+	if q, d := runs(quiet), runs(discard); q >= d {
+		t.Errorf("a command allocates %.1f times without a log, %.1f logging to io.Discard: want fewer", q, d)
+	}
+}
+
 // TestCommentLinesAreNoOps sends a comment line over TCP, /query (GET
 // and POST) and /stream: each answers ok, and none is counted or logged.
 // A blank HTTP command stays a 400.

@@ -28,6 +28,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/ingest"
 	"repro/internal/partition"
@@ -123,12 +124,16 @@ type Result struct {
 
 // Engine executes commands against a store with per-session settings.
 // An Engine is not safe for concurrent use; give each session its own.
+// It owns one software tester for the queries it runs inline (select,
+// shardselect, overlay), so a session pays for the tester and the growth
+// of its scratch buffers once, not per request; pooled joins build one
+// tester per worker per call.
 type Engine struct {
 	Store    Store
 	Settings Settings
-	// Tester is the base configuration of every refinement tester the
-	// engine builds; every command adds DisableHardware (see testerConfig).
-	Tester core.Config
+	// Faults, when set, arms fault injection in every refinement tester
+	// the engine builds (see testerConfig).
+	Faults *faultinject.Injector
 	// DataDir, when set, is where save and load resolve bare snapshot
 	// names: a path without a directory separator lands under DataDir,
 	// and a missing extension gets ".snap".
@@ -142,6 +147,9 @@ type Engine struct {
 	// local refinement pipeline, and local data verbs are refused with a
 	// typed *CoordUnsupportedError (see coordmode.go).
 	Coord *coord.Coordinator
+
+	// tester is the session tester; nil until the first inline query.
+	tester *core.Tester
 }
 
 // snapPath resolves a snapshot argument against the engine's DataDir.
@@ -655,14 +663,25 @@ func note(out io.Writer, err error) *query.PartialError {
 	return nil
 }
 
-// testerConfig is the engine's base config refining in software, the
-// tester of every verb whatever its mode word: warmed, the card's rejects
-// repay its render on none of the benchmark's layer pairs
+// testerConfig is the software-only config, with the engine's faults,
+// of every verb's tester whatever its mode word: warmed, the card's
+// rejects repay its render on none of the benchmark's layer pairs
 // (EXPERIMENTS.md), and "hw" stays accepted for the clients that send it.
 func (e *Engine) testerConfig() core.Config {
-	cfg := e.Tester
-	cfg.DisableHardware = true
-	return cfg
+	return core.Config{DisableHardware: true, Faults: e.Faults}
+}
+
+// sessionTester is the engine's tester for the queries that run inline
+// on the caller's goroutine. Reusing it is safe: the engine runs one
+// command at a time, the inline executor counts each call from zero and
+// restores the tester's sum afterwards (so every record is the call's
+// own), and a pair test resets the scratch it reads before reading it,
+// including after a panic the executor recovered.
+func (e *Engine) sessionTester() *core.Tester {
+	if e.tester == nil {
+		e.tester = core.NewTester(e.testerConfig())
+	}
+	return e.tester
 }
 
 // joinUsage is the argument grammar of the join verbs.
@@ -834,7 +853,7 @@ func (e *Engine) overlay(ctx context.Context, store Store, args []string, out io
 	if err != nil {
 		return Result{}, err
 	}
-	tester := core.NewTester(e.testerConfig())
+	tester := e.sessionTester()
 	qctx, cancel := e.qctx(ctx)
 	defer cancel()
 	pairs, st, qerr := query.OverlayAreaJoin(qctx, a, b, tester)
@@ -873,7 +892,7 @@ func (e *Engine) selectCmd(ctx context.Context, store Store, verb, line string, 
 	if err != nil {
 		return Result{}, err
 	}
-	tester := core.NewTester(e.testerConfig())
+	tester := e.sessionTester()
 	opt := query.JoinOptions{InteriorLevel: 4, MaxCandidates: e.Settings.Budget}
 	shard := verb == "shardselect"
 	if shard {

@@ -17,7 +17,7 @@ import (
 	"repro/internal/query"
 )
 
-func exec(t *testing.T, e *Engine, line string) (string, Result) {
+func exec(t testing.TB, e *Engine, line string) (string, Result) {
 	t.Helper()
 	var sb strings.Builder
 	res, err := e.Exec(context.Background(), line, &sb)

@@ -13,8 +13,11 @@
 # over every join_single candidate pair, BenchmarkWithinRefine the
 # software tester's distance step over the benchmark's undecided within
 # pairs, BenchmarkWithinFilter its filter stage over all of them,
-# BenchmarkSelect one in-process select over the benchmark's windows), and a
-# short fuzz smoke pass over the input parsers, the wire
+# BenchmarkSelect one in-process select over the benchmark's windows,
+# BenchmarkExecSelect the same select served through Engine.Exec on one
+# session, BenchmarkParsePolygonWKT the select verb's WKT parse), and a
+# short fuzz smoke pass over the input parsers, the polygon WKT parser
+# against the parser it replaced (FuzzParsePolygonWKT), the wire
 # command grammar (FuzzExec), the wire row parser, the distance kernel
 # bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist), the
 # rasterizer's cell walk, the interval rasterizer against its oracle
@@ -58,7 +61,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -503,6 +506,7 @@ rm -rf "$MDDIR"
 echo "== fuzz smoke (${FUZZTIME} each)"
 go test ./internal/data/ -fuzz FuzzDataRead -fuzztime "$FUZZTIME"
 go test ./internal/data/ -fuzz FuzzWKTParse -fuzztime "$FUZZTIME"
+go test ./internal/geom/ -fuzz FuzzParsePolygonWKT -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzSnapshotOpen -fuzztime "$FUZZTIME"
 go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
 go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
