@@ -1290,30 +1290,6 @@ func (w *wireConn) exchange(cmd string, f *faultinject.Injector) (status string,
 // breaker and never become the tile's answer.
 var errAttemptCancelled = errors.New("coord: attempt cancelled")
 
-// watchCancel closes the attempt's connection when ctx is cancelled, so
-// hedge losers stop streaming promptly instead of running to
-// completion. The returned stop function disarms the watcher and must
-// be called before the connection is released to the pool (otherwise a
-// late cancellation could close a pooled connection under an innocent
-// future query).
-func watchCancel(ctx context.Context, w *wireConn) (stop func()) {
-	stopped := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			w.conn.Close()
-		case <-stopped:
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stopped) })
-		<-done
-	}
-}
-
 // drainRefusal reports whether a status line is a shard's drain refusal.
 // A draining spatiald sends it in place of running the next command — or
 // unsolicited, when the drain began while the session sat in the pool —
@@ -1332,16 +1308,22 @@ func drainRefusal(status string) bool { return status == "error: shutting down" 
 // suspect epoch — and drops rows the aborted exchange staged (streamed
 // rows dedup in the merger). A drain refusal on a fresh connection is an
 // error, which the caller charges to the replica as one failure, and the
-// tile's attempt loop moves on to the next candidate. On success the
-// returned connection is live and stop disarms its cancel watcher; on
-// error the connection is closed and the watcher already stopped.
-func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Duration, m *merger, ans *shardAnswer) (w *wireConn, stop func(), start time.Time, status string, err error) {
+// tile's attempt loop moves on to the next candidate.
+//
+// While the attempt runs, the end of ctx closes its connection, so hedge
+// losers stop streaming promptly instead of running to completion. On
+// success the returned connection is live and stop disarms that close; on
+// error the connection is closed and the close already disarmed. stop
+// does not wait for a close already started, so a caller that finds ctx
+// ended after stop must close the connection rather than pool it, or a
+// late close could hit the connection under an innocent future query.
+func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Duration, m *merger, ans *shardAnswer) (w *wireConn, stop func() bool, start time.Time, status string, err error) {
 	for attempt := 0; ; attempt++ {
 		w, pooled, err := r.acquire()
 		if err != nil {
-			return nil, func() {}, time.Time{}, "", err
+			return nil, nil, time.Time{}, "", err
 		}
-		stop := watchCancel(ctx, w)
+		stop := context.AfterFunc(ctx, func() { w.conn.Close() })
 		staleRetry := func() bool {
 			return pooled && attempt == 0 && ctx.Err() == nil
 		}
@@ -1371,7 +1353,7 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 					r.closeIdle()
 					continue
 				}
-				return nil, func() {}, time.Time{}, "", err
+				return nil, nil, time.Time{}, "", err
 			}
 			w.timeout = armed
 		}
@@ -1396,7 +1378,7 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 				r.closeIdle()
 				continue
 			}
-			return nil, func() {}, time.Time{}, "", err
+			return nil, nil, time.Time{}, "", err
 		}
 		return w, stop, begin, status, nil
 	}
@@ -1435,7 +1417,6 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 	}
 
 	w, stopWatch, start, status, err := r.exchangeOnce(ctx, cmd, budget, m, &ans)
-	defer stopWatch()
 	if err != nil {
 		if errors.Is(err, errAbortStream) {
 			// The session's result sink failed — the client went away, not
@@ -1445,6 +1426,7 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 		}
 		return fail(err)
 	}
+	stopWatch()
 	ans.wallMS = float64(time.Since(start).Microseconds()) / 1000
 
 	switch {
@@ -1453,9 +1435,8 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 		ans.partial = strings.TrimSpace(strings.TrimPrefix(status, "partial:"))
 	default: // error: ...
 		reason := strings.TrimSpace(strings.TrimPrefix(status, "error:"))
-		stopWatch()
 		if ctx.Err() != nil {
-			// The watcher may have closed the connection as the status
+			// The cancel may have closed the connection as the status
 			// arrived; don't pool a maybe-dead conn.
 			w.conn.Close()
 			return cancelled()
@@ -1475,9 +1456,8 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 	}
 
 	ans.epoch = r.recordSuccess()
-	stopWatch()
 	if ctx.Err() != nil {
-		// Completed, but cancelled as the status arrived: the watcher may
+		// Completed, but cancelled as the status arrived: the cancel may
 		// have closed the connection — don't pool it. The answer is still
 		// whole, so return it; a hedged winner race resolves in the
 		// tile loop.

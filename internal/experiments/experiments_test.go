@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -238,8 +239,31 @@ const agreeFactor = 4
 
 // TestWarmBaseline pins the warm-up: on one Runner the LANDC⋈LANDO
 // software baseline of fig12 — the first join the run times — and of fig13
-// are the same call and must agree, and so must its repeats.
+// are the same call and must agree, and so must its repeats. A first-touch
+// build shows in every fresh Runner, while a scheduler or GC spike does
+// not repeat: so a timing violation fails the test only if a second fresh
+// Runner violates the same bound again.
 func TestWarmBaseline(t *testing.T) {
+	first := warmBaselineViolations(t)
+	if len(first) == 0 {
+		return
+	}
+	second := warmBaselineViolations(t)
+	for bound, msg := range first {
+		if again, ok := second[bound]; ok {
+			t.Errorf("%s; again on a second fresh Runner: %s", msg, again)
+		} else {
+			t.Logf("not repeated on a second fresh Runner, so not a first-touch build: %s", msg)
+		}
+	}
+}
+
+// warmBaselineViolations runs fig12 and fig13 with three repeats on a
+// fresh Runner and returns the agreeFactor bounds the software baseline
+// broke, keyed by bound, each with its message. What no timing can move
+// (the environment, the repeat numbers, n per point) fails t at once.
+func warmBaselineViolations(t *testing.T) map[string]string {
+	t.Helper()
 	exps, err := Select("fig12,fig13")
 	if err != nil {
 		t.Fatal(err)
@@ -265,20 +289,22 @@ func TestWarmBaseline(t *testing.T) {
 		}
 		hi[rec.Experiment] = max(hi[rec.Experiment], rec.GeomMS)
 	}
-	for _, exp := range []string{"fig12", "fig13"} {
-		if lo[exp] <= 0 || hi[exp] > agreeFactor*lo[exp] {
-			t.Errorf("%s software baseline spans %.3f–%.3f ms over 3 repeats (> %d×): a timed pass paid a first-touch build",
-				exp, lo[exp], hi[exp], agreeFactor)
-		}
-	}
-	if a, b := lo["fig12"], lo["fig13"]; a > agreeFactor*b || b > agreeFactor*a {
-		t.Errorf("LANDC⋈LANDO software baseline: fig12 %.3f ms, fig13 %.3f ms — the same call disagrees by > %d×", a, b, agreeFactor)
-	}
 	for _, g := range Summarize(recs) {
 		if g.N != 3 {
 			t.Errorf("%s %s %s %s: n=%d, want 3", g.Experiment, g.Workload, g.Tester, g.Param, g.N)
 		}
 	}
+	broken := map[string]string{}
+	for _, exp := range []string{"fig12", "fig13"} {
+		if lo[exp] <= 0 || hi[exp] > agreeFactor*lo[exp] {
+			broken[exp] = fmt.Sprintf("%s software baseline spans %.3f–%.3f ms over 3 repeats (> %d×): a timed pass paid a first-touch build",
+				exp, lo[exp], hi[exp], agreeFactor)
+		}
+	}
+	if a, b := lo["fig12"], lo["fig13"]; a > agreeFactor*b || b > agreeFactor*a {
+		broken["fig12~fig13"] = fmt.Sprintf("LANDC⋈LANDO software baseline: fig12 %.3f ms, fig13 %.3f ms — the same call disagrees by > %d×", a, b, agreeFactor)
+	}
+	return broken
 }
 
 // TestRunInterrupted: an expired context drops the experiment in progress,

@@ -113,6 +113,14 @@ func (s Spans) Validate(order int) error {
 // grids must not be compared — the layer plumbing guarantees both sides
 // share one Grid.
 //
+// Rasterize clips an object that leaves its grid, and the clipped walk
+// does not keep what lies outside, so two objects that meet only outside
+// the grid can have disjoint lists. A Reject is therefore sound only when
+// one of the two objects lies wholly inside the grid. The layer plumbing
+// meets this for every pair it compares: a join's grid covers the union
+// of both layers' bounds, and a persisted grid is used only when both
+// sides carry it, each covering its own layer (query.TestJoinOutsideSnapshotGrid).
+//
 // A cell both lists cover decides a true hit when it is full in one list
 // and full or certain in the other. A full cell of A lies, closed square
 // and all, in A's closed region; a full cell of B does too, and a certain

@@ -10,9 +10,10 @@
 // by fixed edges, the pairwise overlap length is a linear function of x,
 // and the overlap area integrates exactly as a trapezoid. No intersection
 // geometry is ever constructed, which sidesteps the degeneracy surgery
-// that clipping algorithms require; the cost is O(s·(n+m)) for s slabs,
-// fine for analysis workloads (use geom.ClipConvex for the convex fast
-// path).
+// that clipping algorithms require. A sweep keeps each polygon's edges
+// that span the current slab, so a slab costs the edges over it rather
+// than every edge; the crossing search is still O(n·m) pairs behind an
+// MBR test (use geom.ClipConvex for the convex fast path).
 package overlay
 
 import (
@@ -27,18 +28,21 @@ func IntersectionArea(p, q *geom.Polygon) float64 {
 		return 0
 	}
 	xs := slabBoundaries(p, q)
+	ps, qs := newEdgeSweep(p), newEdgeSweep(q)
 	var area float64
 	var pe, qe []spanEdge
 	for i := 0; i+1 < len(xs); i++ {
 		x0, x1 := xs[i], xs[i+1]
+		ps.advance(x0)
+		qs.advance(x0)
 		if x1 <= x0 {
 			continue
 		}
-		pe = spanningEdges(p, x0, x1, pe[:0])
+		pe = ps.spanning(x0, x1, pe[:0])
 		if len(pe) == 0 {
 			continue
 		}
-		qe = spanningEdges(q, x0, x1, qe[:0])
+		qe = qs.spanning(x0, x1, qe[:0])
 		if len(qe) == 0 {
 			continue
 		}
@@ -117,30 +121,88 @@ type spanEdge struct {
 	y0, y1 float64
 }
 
-// spanningEdges collects the polygon's edges covering [x0, x1]. Because
-// every vertex x is a slab boundary, an edge either covers the whole slab
-// or misses its interior entirely; vertical edges sit on boundaries and
-// never span. The result is sorted by y at the slab midpoint.
-func spanningEdges(p *geom.Polygon, x0, x1 float64, dst []spanEdge) []spanEdge {
+// edgeSweep walks one polygon's non-vertical edges across the slabs in
+// ascending x. Because every vertex x inside the common x-range is a slab
+// boundary, an edge spans the slab starting at x0 exactly when its left
+// end is at or before x0 and its right end after x0; vertical edges sit
+// on boundaries and never span. So each slab costs its active edges, not
+// every edge of the polygon.
+type edgeSweep struct {
+	p      *geom.Polygon
+	byLeft []int // non-vertical edge indices, by left end x
+	next   int   // byLeft[next:] have not started yet
+	active []int // edges started and not yet ended, by index
+}
+
+func newEdgeSweep(p *geom.Polygon) *edgeSweep {
+	s := &edgeSweep{p: p}
 	for i := range p.NumEdges() {
-		e := p.Edge(i)
-		ax, bx := e.A.X, e.B.X
-		if ax > bx {
-			ax, bx = bx, ax
+		if e := p.Edge(i); e.A.X != e.B.X {
+			s.byLeft = append(s.byLeft, i)
 		}
-		if ax > x0 || bx < x1 || ax == bx {
-			continue
-		}
-		m := (e.B.Y - e.A.Y) / (e.B.X - e.A.X)
-		dst = append(dst, spanEdge{
-			y0: e.A.Y + m*(x0-e.A.X),
-			y1: e.A.Y + m*(x1-e.A.X),
-		})
 	}
+	sort.SliceStable(s.byLeft, func(i, j int) bool {
+		return s.left(s.byLeft[i]) < s.left(s.byLeft[j])
+	})
+	return s
+}
+
+func (s *edgeSweep) left(i int) float64 {
+	e := s.p.Edge(i)
+	return min(e.A.X, e.B.X)
+}
+
+func (s *edgeSweep) right(i int) float64 {
+	e := s.p.Edge(i)
+	return max(e.A.X, e.B.X)
+}
+
+// advance moves the sweep to the slab starting at x0: edges that end at
+// or before x0 leave the active list, edges that start at or before it
+// join, and the list stays in edge-index order.
+func (s *edgeSweep) advance(x0 float64) {
+	kept := s.active[:0]
+	for _, i := range s.active {
+		if s.right(i) > x0 {
+			kept = append(kept, i)
+		}
+	}
+	s.active = kept
+	n := len(s.active)
+	for ; s.next < len(s.byLeft) && s.left(s.byLeft[s.next]) <= x0; s.next++ {
+		if i := s.byLeft[s.next]; s.right(i) > x0 {
+			s.active = append(s.active, i)
+		}
+	}
+	if len(s.active) > n {
+		sort.Ints(s.active)
+	}
+}
+
+// spanning collects the active edges' y values at the slab's boundaries,
+// sorted by y at the slab midpoint. The edges are visited in index order,
+// so the result is the one a scan over every edge would give.
+func (s *edgeSweep) spanning(x0, x1 float64, dst []spanEdge) []spanEdge {
+	for _, i := range s.active {
+		dst = append(dst, spanAt(s.p.Edge(i), x0, x1))
+	}
+	sortSpans(dst)
+	return dst
+}
+
+// spanAt is e's span over [x0, x1].
+func spanAt(e geom.Segment, x0, x1 float64) spanEdge {
+	m := (e.B.Y - e.A.Y) / (e.B.X - e.A.X)
+	return spanEdge{
+		y0: e.A.Y + m*(x0-e.A.X),
+		y1: e.A.Y + m*(x1-e.A.X),
+	}
+}
+
+func sortSpans(dst []spanEdge) {
 	sort.Slice(dst, func(i, j int) bool {
 		return dst[i].y0+dst[i].y1 < dst[j].y0+dst[j].y1
 	})
-	return dst
 }
 
 // slabOverlap integrates the overlap of the two polygons' interiors over

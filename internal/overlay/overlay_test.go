@@ -1,10 +1,12 @@
 package overlay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/geom"
 )
 
@@ -147,6 +149,127 @@ func randomHull(rng *rand.Rand, cx, cy, r float64) *geom.Polygon {
 		pts[i] = geom.Pt(cx+(rng.Float64()*2-1)*r, cy+(rng.Float64()*2-1)*r)
 	}
 	return geom.ConvexHull(pts)
+}
+
+// intersectionAreaScan is IntersectionArea as it was before the edge
+// sweep: every slab scans every edge of both polygons. It is the oracle
+// the sweep must match bit for bit.
+func intersectionAreaScan(p, q *geom.Polygon) float64 {
+	if !p.Bounds().Intersects(q.Bounds()) {
+		return 0
+	}
+	xs := slabBoundaries(p, q)
+	var area float64
+	var pe, qe []spanEdge
+	for i := 0; i+1 < len(xs); i++ {
+		x0, x1 := xs[i], xs[i+1]
+		if x1 <= x0 {
+			continue
+		}
+		pe = spanningEdgesScan(p, x0, x1, pe[:0])
+		if len(pe) == 0 {
+			continue
+		}
+		qe = spanningEdgesScan(q, x0, x1, qe[:0])
+		if len(qe) == 0 {
+			continue
+		}
+		area += slabOverlap(pe, qe, x0, x1)
+	}
+	return area
+}
+
+// spanningEdgesScan collects the polygon's edges covering [x0, x1] by
+// testing every edge.
+func spanningEdgesScan(p *geom.Polygon, x0, x1 float64, dst []spanEdge) []spanEdge {
+	for i := range p.NumEdges() {
+		e := p.Edge(i)
+		ax, bx := e.A.X, e.B.X
+		if ax > bx {
+			ax, bx = bx, ax
+		}
+		if ax > x0 || bx < x1 || ax == bx {
+			continue
+		}
+		dst = append(dst, spanAt(e, x0, x1))
+	}
+	sortSpans(dst)
+	return dst
+}
+
+// benchPairs returns the MBR-intersecting pairs of LANDC × LANDO at the
+// given scale.
+func benchPairs(scale float64) [][2]*geom.Polygon {
+	a, b := data.MustLoad("LANDC", scale), data.MustLoad("LANDO", scale)
+	var pairs [][2]*geom.Polygon
+	for _, p := range a.Objects {
+		for _, q := range b.Objects {
+			if p.Bounds().Intersects(q.Bounds()) {
+				pairs = append(pairs, [2]*geom.Polygon{p, q})
+			}
+		}
+	}
+	return pairs
+}
+
+// TestSweepMatchesScan holds the edge sweep to the per-slab scan it
+// replaced, bit for bit, over the bench layers' MBR-intersecting pairs
+// and over random stars, hulls and axis-aligned shapes (vertical edges,
+// shared x-coordinates).
+func TestSweepMatchesScan(t *testing.T) {
+	check := func(what string, p, q *geom.Polygon) {
+		t.Helper()
+		got, want := IntersectionArea(p, q), intersectionAreaScan(p, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: sweep area %v, scan area %v", what, got, want)
+		}
+	}
+	pairs := benchPairs(0.005)
+	if len(pairs) == 0 {
+		t.Fatal("no MBR-intersecting bench pairs")
+	}
+	for i, pq := range pairs {
+		check(fmt.Sprintf("bench pair %d", i), pq[0], pq[1])
+	}
+	rng := rand.New(rand.NewSource(185))
+	for trial := range 300 {
+		a := star(rng, 10, 10, 6, 3+rng.Intn(40))
+		b := star(rng, 10+rng.Float64()*8-4, 10+rng.Float64()*8-4, 6, 3+rng.Intn(40))
+		check(fmt.Sprintf("stars %d", trial), a, b)
+		if h, g := randomHull(rng, 5, 5, 4), randomHull(rng, 6, 6, 4); h != nil && g != nil {
+			check(fmt.Sprintf("hulls %d", trial), h, g)
+		}
+		s1 := square(float64(rng.Intn(4)), float64(rng.Intn(4)), float64(1+rng.Intn(4)))
+		check(fmt.Sprintf("squares %d", trial), s1, square(float64(rng.Intn(4)), float64(rng.Intn(4)), float64(1+rng.Intn(4))))
+		l := geom.MustPolygon(
+			geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 2), geom.Pt(2, 2), geom.Pt(2, 4), geom.Pt(0, 4),
+		)
+		check(fmt.Sprintf("L-shape %d", trial), l, s1)
+	}
+}
+
+// areaSink keeps the benchmarked areas live.
+var areaSink float64
+
+// BenchmarkOverlay times the overlay area of every MBR-intersecting
+// LANDC × LANDO pair at scale 0.01, one pass a loop — the work of the
+// overlay verb's refine step over the bench layers — with the edge sweep
+// and, beside it, the per-slab scan it replaced.
+func BenchmarkOverlay(b *testing.B) {
+	pairs := benchPairs(0.01)
+	for _, bc := range []struct {
+		name string
+		area func(p, q *geom.Polygon) float64
+	}{{"sweep", IntersectionArea}, {"scan", intersectionAreaScan}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for range b.N {
+				for _, pq := range pairs {
+					areaSink += bc.area(pq[0], pq[1])
+				}
+			}
+			b.ReportMetric(float64(len(pairs)), "pairs")
+		})
+	}
 }
 
 func BenchmarkIntersectionArea(b *testing.B) {

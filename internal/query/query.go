@@ -159,6 +159,11 @@ func (l *Layer) objectStats() (geom.Rect, float64) {
 // labels its gaps through the objects' EdgeIndex, which it leaves cached
 // for the refinement that follows. Safe for concurrent callers;
 // concurrent first requests for one grid share a single build.
+//
+// An object that leaves g is clipped to it, and interval.Compare's Reject
+// is sound only when one of the two compared objects lies wholly inside
+// their grid. So g must cover this layer or the other side's: pairGrid's
+// union square covers both, and a persisted grid covers its own layer.
 func (l *Layer) Intervals(g interval.Grid) *interval.Column {
 	if !g.Valid() {
 		return nil

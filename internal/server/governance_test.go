@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,33 +151,52 @@ func TestLimiterCancelledWaiterHandsSlotOn(t *testing.T) {
 	}
 }
 
-// TestWatchdogCancelsStuckQuery registers a long query directly with the
-// watchdog and checks scan kills it with a typed cause.
+// TestWatchdogCancelsStuckQuery arms the stuck-query timers around a
+// query that never returns by itself, and checks the first one kills it
+// once, with a typed cause whose Age is at least the threshold; and that
+// a query returning before the threshold is neither killed nor severed.
+// Once both are disarmed the counts are back to idle and no timer
+// goroutine is left behind.
 func TestWatchdogCancelsStuckQuery(t *testing.T) {
-	dog := newWatchdog(10 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+	const threshold = 10 * time.Millisecond
+	var dog stuckQueries
 	ctx, cancel := context.WithCancelCause(context.Background())
-	id := dog.register("join", cancel, nil)
-	if id == 0 {
-		t.Fatal("register returned 0 for enabled watchdog")
-	}
-	if n := dog.scan(time.Now()); n != 0 {
-		t.Fatalf("premature scan killed %d", n)
-	}
-	if n := dog.scan(time.Now().Add(20 * time.Millisecond)); n != 1 {
-		t.Fatalf("overdue scan killed %d, want 1", n)
+	var kills atomic.Int32
+	disarm := dog.arm(threshold, "join", func(err error) { kills.Add(1); cancel(err) }, nil)
+	if dog.active() != 1 {
+		t.Fatalf("active = %d after arm, want 1", dog.active())
 	}
 	<-ctx.Done()
 	var se *StuckQueryError
 	if cause := context.Cause(ctx); !errors.As(cause, &se) || se.Op != "join" {
 		t.Fatalf("cause = %v, want *StuckQueryError{Op: join}", cause)
 	}
+	if se.Age < threshold {
+		t.Errorf("killed at age %v, before the %v threshold", se.Age, threshold)
+	}
 	if !errors.Is(context.Cause(ctx), context.Canceled) {
 		t.Error("StuckQueryError does not unwrap to context.Canceled")
 	}
-	dog.deregister(id) // double removal after a kill must be harmless
-	if dog.active() != 0 || dog.cancelCount() != 1 {
-		t.Errorf("active=%d cancels=%d", dog.active(), dog.cancelCount())
+	time.Sleep(5 * threshold) // a second kill would land here
+	if n := kills.Load(); n != 1 {
+		t.Errorf("killed %d times, want once", n)
 	}
+	disarm()
+
+	// A query that returns first: neither timer fires.
+	var late atomic.Int32
+	disarm = dog.arm(threshold, "select",
+		func(error) { late.Add(1) }, func() { late.Add(1) })
+	disarm()
+	time.Sleep(5 * threshold)
+	if n := late.Load(); n != 0 {
+		t.Errorf("a query that returned before the threshold drew %d kill/sever calls", n)
+	}
+	if dog.active() != 0 || dog.cancelCount() != 1 {
+		t.Errorf("active=%d cancels=%d, want 0 and 1", dog.active(), dog.cancelCount())
+	}
+	waitGoroutines(t, baseline)
 }
 
 // TestWatchdogKillReleasesAdmissionSlot runs a real server whose watchdog

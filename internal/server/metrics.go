@@ -62,7 +62,7 @@ type Metrics struct {
 
 // Gauges carries the point-in-time values the server samples alongside
 // the Metrics counters when rendering /metrics: the limiter's admission
-// snapshot, catalog size, the watchdog's registry, and — when live
+// snapshot, catalog size, the stuck-query counts, and — when live
 // ingestion is enabled — the ingest manager's durability totals.
 type Gauges struct {
 	Admission       AdmissionStats
@@ -114,7 +114,7 @@ func (m *Metrics) Query() query.Stats {
 }
 
 // observeFailure classifies an interrupted command's error chain into the
-// degradation counters. Watchdog kills are counted at the watchdog itself;
+// degradation counters. Watchdog kills are counted where the timer fires;
 // here only deadline-governance expiries are folded in.
 func (m *Metrics) observeFailure(err error) {
 	if err == nil {

@@ -52,9 +52,9 @@ type Config struct {
 	// *query.DeadlineError. 0 means no ceiling.
 	QueryTimeout time.Duration
 	// WatchdogTimeout is the stuck-query threshold: a query running
-	// longer is cancelled by the session watchdog (cause
-	// *StuckQueryError) and its admission slot reclaimed. It should
-	// comfortably exceed QueryTimeout; 0 disables the watchdog.
+	// longer is cancelled at the threshold by its stuck-query timer
+	// (cause *StuckQueryError) and its admission slot reclaimed. It
+	// should comfortably exceed QueryTimeout; 0 disables the watchdog.
 	WatchdogTimeout time.Duration
 	// WriteTimeout bounds every client-bound write+flush (wire-protocol
 	// lines and HTTP stream chunks). A client that stops reading without
@@ -113,7 +113,7 @@ type Server struct {
 	catalog *Catalog
 	lim     *limiter
 	metrics *Metrics
-	dog     *watchdog
+	dog     stuckQueries
 
 	// baseCtx parents every command context; cancelled to force
 	// in-flight queries into partial results during shutdown.
@@ -153,7 +153,6 @@ func New(cfg Config) *Server {
 		catalog:  NewCatalog(cfg.MaxLayers),
 		lim:      newLimiter(cfg.MaxConcurrent, cfg.QueueWait, cfg.MaxQueue),
 		metrics:  newMetrics(),
-		dog:      newWatchdog(cfg.WatchdogTimeout),
 		baseCtx:  ctx,
 		cancel:   cancel,
 		conns:    map[net.Conn]struct{}{},
@@ -202,13 +201,6 @@ func (s *Server) Start() error {
 	s.started = true
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	if s.dog.enabled() {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.dog.run(s.shutdown)
-		}()
-	}
 	return nil
 }
 
@@ -374,9 +366,9 @@ type command struct {
 	// client, when set, is a request context whose end (the client went
 	// away) cancels the command.
 	client context.Context
-	// sever, when set, is the watchdog's escalation for a query its kill
-	// did not dislodge: closing the client connection unblocks a write
-	// the cancel cannot reach.
+	// sever, when set, is the stuck-query escalation for a query its
+	// kill did not dislodge: closing the client connection unblocks a
+	// write the cancel cannot reach.
 	sever func()
 }
 
@@ -402,16 +394,14 @@ func (o outcome) statusLine() string {
 
 // run executes one command end to end, the same for every transport:
 // admission control for query verbs, a context that shutdown (baseCtx),
-// a failed write and a departed client cancel, watchdog coverage, Exec
-// into c.out, status classification, metrics and the access log. It
+// a failed write and a departed client cancel, the stuck-query timers,
+// Exec into c.out, status classification, metrics and the access log. It
 // writes nothing of its own: each transport frames the outcome. A blank
 // or comment line runs nothing and is neither counted nor logged.
 //
 // The deferred release keeps a panicking Exec — contained by the
-// transport's recover — from leaking its admission slot; the deferred
-// deregister keeps the watchdog's registry consistent on every exit,
-// including a watchdog kill itself (deregister tolerates the double
-// removal).
+// transport's recover — from leaking its admission slot, and the deferred
+// disarm stops the stuck-query timers on every exit.
 func (s *Server) run(eng *shellcmd.Engine, c command) outcome {
 	start := time.Now()
 	verb := shellcmd.Verb(c.line)
@@ -444,9 +434,8 @@ func (s *Server) run(eng *shellcmd.Engine, c command) outcome {
 				c.writer.cancel = cancel
 				defer func() { c.writer.cancel = nil }()
 			}
-			if isQuery && s.dog.enabled() {
-				id := s.dog.register(verb, cancel, c.sever)
-				defer s.dog.deregister(id)
+			if isQuery && s.cfg.WatchdogTimeout > 0 {
+				defer s.dog.arm(s.cfg.WatchdogTimeout, verb, cancel, c.sever)()
 			}
 			return eng.Exec(ctx, c.line, c.out)
 		}()

@@ -214,49 +214,49 @@ func TestSendWriteDeadlineUnblocksStalledClient(t *testing.T) {
 	}
 }
 
-// TestWatchdogSeversPinnedQuery pins the watchdog escalation: the first
-// overdue scan cancels the query (once), and a query still registered a
-// grace period after its kill — pinned where cancellation cannot reach —
-// has its sever hook run, which closes the client connection. Scan times
-// are synthetic, so the sequence is deterministic.
+// TestWatchdogSeversPinnedQuery pins the stuck-query escalation: the
+// kill fires once at the threshold, nothing is severed inside the grace
+// period that follows (the threshold floored at a second), and a query
+// still running after it — pinned where cancellation cannot reach — has
+// its sever hook run, which closes the client connection. Disarming
+// afterwards returns the counts to idle and leaves no goroutine.
 func TestWatchdogSeversPinnedQuery(t *testing.T) {
-	dog := newWatchdog(10 * time.Millisecond)
-	cancelled := 0
-	severed := make(chan struct{})
-	id := dog.register("join", func(error) { cancelled++ }, func() { close(severed) })
-	base := time.Now()
+	baseline := runtime.NumGoroutine()
+	var dog stuckQueries
+	killed := make(chan time.Time, 2)
+	severed := make(chan time.Time, 2)
+	disarm := dog.arm(10*time.Millisecond, "join",
+		func(error) { killed <- time.Now() },
+		func() { severed <- time.Now() })
 
-	if n := dog.scan(base.Add(15 * time.Millisecond)); n != 1 {
-		t.Fatalf("overdue scan killed %d, want 1", n)
-	}
-	if cancelled != 1 {
-		t.Fatalf("cancelled %d times, want 1", cancelled)
+	var killAt time.Time
+	select {
+	case killAt = <-killed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the kill timer never fired")
 	}
 	select {
 	case <-severed:
-		t.Fatal("severed on the first kill; escalation must wait out the grace period")
-	default:
+		t.Fatal("severed on the kill; escalation must wait out the grace period")
+	case <-time.After(500 * time.Millisecond):
 	}
-	// Within the grace (threshold floored at 1s after the kill): no
-	// re-kill, no sever.
-	if n := dog.scan(base.Add(515 * time.Millisecond)); n != 0 || cancelled != 1 {
-		t.Fatalf("in-grace scan re-killed (n=%d cancels=%d), want one kill per query", n, cancelled)
-	}
+	var severAt time.Time
 	select {
-	case <-severed:
-		t.Fatal("severed inside the grace period")
-	default:
-	}
-	dog.scan(base.Add(1200 * time.Millisecond)) // grace expired since the kill at +15ms
-	select {
-	case <-severed:
-	default:
+	case severAt = <-severed:
+	case <-time.After(5 * time.Second):
 		t.Fatal("query pinned past the kill grace was not severed")
 	}
-	dog.deregister(id) // double removal after the sever must be harmless
-	if dog.active() != 0 || dog.cancelCount() != 1 {
-		t.Fatalf("active=%d cancels=%d after sever+deregister", dog.active(), dog.cancelCount())
+	if gap := severAt.Sub(killAt); gap < 900*time.Millisecond {
+		t.Errorf("severed %v after the kill, inside the 1s grace", gap)
 	}
+	if len(killed) != 0 || len(severed) != 0 {
+		t.Errorf("killed %d and severed %d more times, want one of each", len(killed), len(severed))
+	}
+	disarm()
+	if dog.active() != 0 || dog.cancelCount() != 1 {
+		t.Fatalf("active=%d cancels=%d after sever+disarm", dog.active(), dog.cancelCount())
+	}
+	waitGoroutines(t, baseline)
 }
 
 // TestHTTPStreamEndpoint drives /stream: the response body must carry

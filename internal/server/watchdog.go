@@ -3,16 +3,15 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// StuckQueryError is the cancellation cause a watchdog installs when it
-// kills a query that exceeded the stuck threshold — typically a query
-// stalled by injected delays, a pathological geometry, or a session whose
-// client vanished without closing. It unwraps to context.Canceled so the
-// query winds down through the ordinary partial-result path.
+// StuckQueryError is the cancellation cause the stuck-query timer installs
+// when it kills a query that exceeded the stuck threshold — typically a
+// query stalled by injected delays, a pathological geometry, or a session
+// whose client vanished without closing. It unwraps to context.Canceled
+// so the query winds down through the ordinary partial-result path.
 type StuckQueryError struct {
 	Op  string        // the command verb that stalled
 	Age time.Duration // how long it had been running when killed
@@ -24,140 +23,52 @@ func (e *StuckQueryError) Error() string {
 
 func (e *StuckQueryError) Unwrap() error { return context.Canceled }
 
-// watchdog tracks in-flight queries and cancels any that run longer than
-// the stuck threshold. It is the backstop *behind* deadline governance:
-// deadlines bound well-behaved queries cooperatively, while the watchdog
-// reaps queries whose deadline was unset or whose wind-down itself
-// stalled, and guarantees their admission slots are returned. A killed
-// query that still has not wound down a grace period later is severed
-// (its registered sever hook — closing the client connection — runs):
-// cancellation cannot unblock a query pinned in conn.Write, but closing
-// the connection can, so a stalled client cannot hold a slot
-// indefinitely even with write deadlines disabled.
-type watchdog struct {
-	timeout time.Duration
-
-	mu      sync.Mutex
-	seq     int64
-	running map[int64]*watchedQuery
-
+// stuckQueries counts what the stuck-query timers do: the queries armed
+// now, and the kills since start. /metrics exports both.
+type stuckQueries struct {
+	running atomic.Int64
 	cancels atomic.Int64
 }
 
-type watchedQuery struct {
-	op       string
-	started  time.Time
-	cancel   context.CancelCauseFunc
-	sever    func()    // optional escalation: sever the client connection
-	killedAt time.Time // zero until the cancel is delivered; sever is next
-}
+// active reports the query count armed now.
+func (d *stuckQueries) active() int { return int(d.running.Load()) }
 
-// newWatchdog builds a watchdog with the given stuck threshold; zero or
-// negative disables it (register becomes a cheap no-op pair).
-func newWatchdog(timeout time.Duration) *watchdog {
-	return &watchdog{timeout: timeout, running: map[int64]*watchedQuery{}}
-}
+// cancelCount reports the total queries the timers have killed.
+func (d *stuckQueries) cancelCount() int64 { return d.cancels.Load() }
 
-func (w *watchdog) enabled() bool { return w != nil && w.timeout > 0 }
-
-// register tracks one starting query; the returned id must be handed back
-// to deregister when the query completes (normally or not). sever, when
-// non-nil, is the escalation hook scan runs if the query is still
-// registered a grace period after its kill (see scan); nil skips the
-// escalation (HTTP handlers, whose writes carry their own deadlines).
-func (w *watchdog) register(op string, cancel context.CancelCauseFunc, sever func()) int64 {
-	if !w.enabled() {
-		return 0
+// arm bounds one starting query with two timers and returns their disarm,
+// which must run when the query returns, however it returns. It is the
+// backstop *behind* deadline governance: deadlines bound well-behaved
+// queries cooperatively, while the timers reap queries whose deadline was
+// unset or whose wind-down itself stalled, so their admission slots are
+// returned.
+//
+// The first timer cancels the query at the threshold, by cause: the query
+// observes a *StuckQueryError and returns partial results. The second
+// runs sever, when non-nil, one grace period later — the threshold
+// floored at a second, so an ordinary kill's wind-down (cancel → partial
+// results → status line) has room to finish first. A query still running
+// then is pinned where cancellation cannot reach, like a conn.Write to a
+// client that stopped reading; sever closes the connection, which fails
+// the write and lets the session unwind. A nil sever (HTTP, whose writes
+// carry their own deadlines) arms only the first timer. Each timer fires
+// at most once, and a query that returns first fires neither.
+func (d *stuckQueries) arm(timeout time.Duration, op string, cancel context.CancelCauseFunc, sever func()) (disarm func()) {
+	start := time.Now()
+	d.running.Add(1)
+	kill := time.AfterFunc(timeout, func() {
+		cancel(&StuckQueryError{Op: op, Age: time.Since(start)})
+		d.cancels.Add(1)
+	})
+	var pin *time.Timer
+	if sever != nil {
+		pin = time.AfterFunc(timeout+max(timeout, time.Second), sever)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.seq++
-	w.running[w.seq] = &watchedQuery{op: op, started: time.Now(), cancel: cancel, sever: sever}
-	return w.seq
-}
-
-func (w *watchdog) deregister(id int64) {
-	if !w.enabled() || id == 0 {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.running, id)
-}
-
-// scan cancels every tracked query older than the threshold, reporting
-// how many it killed. Cancellation is by cause: the query observes a
-// *StuckQueryError and returns partial results; its deferred release and
-// deregister run as usual, so no slot can leak. A query the cancel did
-// not dislodge — still registered a grace period after its kill, meaning
-// it is pinned somewhere cancellation cannot reach, like a conn.Write to
-// a client that stopped reading — is severed through its escalation
-// hook, which fails the blocked write and lets the session unwind. The
-// grace is the threshold floored at a second, so an ordinary kill's
-// wind-down (cancel → partial results → status line) always has room to
-// finish naturally first.
-func (w *watchdog) scan(now time.Time) int {
-	if !w.enabled() {
-		return 0
-	}
-	grace := max(w.timeout, time.Second)
-	w.mu.Lock()
-	var overdue, pinned []*watchedQuery
-	for id, q := range w.running {
-		switch {
-		case q.killedAt.IsZero() && now.Sub(q.started) > w.timeout:
-			q.killedAt = now // one kill per query
-			overdue = append(overdue, q)
-		case !q.killedAt.IsZero() && now.Sub(q.killedAt) > grace && q.sever != nil:
-			pinned = append(pinned, q)
-			delete(w.running, id) // one sever per query; deregister tolerates the double delete
+	return func() {
+		kill.Stop()
+		if pin != nil {
+			pin.Stop()
 		}
-	}
-	w.mu.Unlock()
-	for _, q := range overdue {
-		q.cancel(&StuckQueryError{Op: q.op, Age: now.Sub(q.started)})
-		w.cancels.Add(1)
-	}
-	for _, q := range pinned {
-		q.sever()
-	}
-	return len(overdue)
-}
-
-// active reports the tracked in-flight query count.
-func (w *watchdog) active() int {
-	if !w.enabled() {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.running)
-}
-
-// cancelCount reports the total queries the watchdog has killed.
-func (w *watchdog) cancelCount() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.cancels.Load()
-}
-
-// run ticks the watchdog until stop closes. The scan interval is a
-// quarter of the threshold (floored at a millisecond), bounding detection
-// latency to ~1.25× the threshold.
-func (w *watchdog) run(stop <-chan struct{}) {
-	interval := w.timeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			w.scan(now)
-		case <-stop:
-			return
-		}
+		d.running.Add(-1)
 	}
 }

@@ -6,7 +6,8 @@
 # types that implement it, bar the listed //reach:keep ones, each naming
 # a test function that exists),
 # race-enabled tests (the bench/ module included), the join executor's
-# concurrent failure paths ten times over under -race, one pass of each
+# concurrent failure paths, the stuck-query timers and the coordinator's
+# hedge and cancel paths ten times over under -race, one pass of each
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkColumnBuild a
 # whole layer's interval column, BenchmarkCompare the interval verdict
@@ -15,7 +16,9 @@
 # pairs, BenchmarkWithinFilter its filter stage over all of them,
 # BenchmarkSelect one in-process select over the benchmark's windows,
 # BenchmarkExecSelect the same select served through Engine.Exec on one
-# session, BenchmarkParsePolygonWKT the select verb's WKT parse), and a
+# session, BenchmarkParsePolygonWKT the select verb's WKT parse,
+# BenchmarkOverlay the overlay verb's area step over the bench layers'
+# pairs beside the per-slab scan it replaced), and a
 # short fuzz smoke pass over the input parsers, the polygon WKT parser
 # against the parser it replaced (FuzzParsePolygonWKT), the wire
 # command grammar (FuzzExec), the wire row parser, the distance kernel
@@ -51,6 +54,12 @@ echo "== query executor failure paths, joins and selections (-race -count=10: ca
 # left behind shows only over repeats, and as a hang — hence the timeout.
 go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
 
+echo "== stuck-query timers and coordinator hedge/cancel paths (-race -count=10: kill at the threshold, sever after the grace, disarm; hedge loser closed, sink abort, stalled tile)"
+# Timer and cancel races: a kill or a close that fires after its query
+# returned, or a timer left armed, shows only over repeats.
+go test -race -count=10 -timeout 300s -run 'TestWatchdog' ./internal/server/
+go test -race -count=10 -timeout 300s -run 'TestFailoverHedgeBeatsSilentReplica|TestCoordinatorSinkFailureIsNotAShardFailure|TestStalledTileProbesForReadmission' ./internal/coord/
+
 echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
 # directive, so an API change in dist/filter/core/query can break the
@@ -61,7 +70,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT|Overlay' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/ ./internal/overlay/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
