@@ -62,9 +62,7 @@ func main() {
 	coordDir := flag.String("coordinator", "", "coordinator mode: serve scatter-gather queries over the shard fleet described by this partition manifest directory (see spatialdb's partition command)")
 	shardAddrs := flag.String("shards", "", "coordinator mode: comma-separated per-tile shard addresses in tile-ID order; separate a tile's replica addresses with \"/\" (default: the addresses recorded in the manifest)")
 	shardTimeout := flag.Duration("shard-timeout", 0, "coordinator mode: per-shard response ceiling when a query carries no deadline (0 = 30s)")
-	shardBreaker := flag.Duration("shard-breaker", 0, "coordinator mode: breaker cooldown after consecutive shard failures (0 = 5s)")
-	shardHedge := flag.Duration("shard-hedge", 0, "coordinator mode: hedge a tile's sub-query on a second replica when the first has not answered within this delay (0 = disabled)")
-	shardProbe := flag.Duration("shard-probe", 0, "coordinator mode: background health-probe interval; probe failures open a replica's breaker, probe successes half-open it for recovery (0 = disabled, passive cooldown)")
+	shardProbe := flag.Duration("shard-probe", 0, "coordinator mode: background health-probe interval; probe failures open a replica's breaker, a probe success half-opens it for recovery (0 = 250ms)")
 	compactPending := flag.Int("compact-pending", 0, "background compaction trigger: fold a live table once this many WAL records are pending (0 = default)")
 	compactSegments := flag.Int("compact-segments", 0, "background compaction trigger: fold once a table's WAL spans more than this many segments (0 = default)")
 	compactInterval := flag.Duration("compact-interval", 0, "background compactor poll cadence (0 = default)")
@@ -141,13 +139,11 @@ func main() {
 			os.Exit(1)
 		}
 		co, err = coord.New(coord.Config{
-			Manifest:        m,
-			ReplicaAddrs:    replicaAddrs,
-			ReadTimeout:     *shardTimeout,
-			BreakerCooldown: *shardBreaker,
-			HedgeDelay:      *shardHedge,
-			ProbeInterval:   *shardProbe,
-			Faults:          cfg.Faults,
+			Manifest:      m,
+			ReplicaAddrs:  replicaAddrs,
+			ReadTimeout:   *shardTimeout,
+			ProbeInterval: *shardProbe,
+			Faults:        cfg.Faults,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spatiald: coordinator:", err)

@@ -17,12 +17,12 @@
 // that answered, Total = shards asked), which the serving layer already
 // renders as a "partial:" status. Only a query with zero answering
 // shards is a hard error. Each shard has a consecutive-failure breaker:
-// after breakerThreshold failures the shard is skipped without
-// dialing for Config.BreakerCooldown, so one dead shard costs its tiles'
-// results but never a dial timeout per query. A shard that answers
-// "error: server overloaded ... retry after <d>" contributes a typed
-// *ShardBusyError carrying the largest hint, which the coordinator's own
-// serving layer propagates to clients.
+// after breakerThreshold failures the shard is skipped without dialing
+// until a background probe finds it answering again, so one dead shard
+// costs its tiles' results but never a dial timeout per query. A shard
+// that answers "error: server overloaded ... retry after <d>" contributes
+// a typed *ShardBusyError carrying the largest hint, which the
+// coordinator's own serving layer propagates to clients.
 package coord
 
 import (
@@ -65,21 +65,11 @@ type Config struct {
 	// carries no deadline (default 30s) — a dead shard must become a
 	// typed partial, never a hang.
 	ReadTimeout time.Duration
-	// BreakerCooldown is how long a replica's breaker stays open (after
-	// breakerThreshold consecutive failures) before a passive half-open
-	// trial (default 5s). With a prober running (ProbeInterval > 0) the
-	// cooldown is ignored: only a probe success half-opens the breaker.
-	BreakerCooldown time.Duration
-	// HedgeDelay, when > 0, arms hedged sub-queries: if a tile's first
-	// replica has not answered within the delay, the sub-query is
-	// launched on the next live replica too and the first complete
-	// stream wins (the loser is cancelled).
-	HedgeDelay time.Duration
-	// ProbeInterval, when > 0, runs a background health prober: every
-	// interval each replica gets a lightweight probe, failures open its
-	// breaker before query traffic has to discover the corpse, and a
-	// probe success is what half-opens an open breaker (active recovery
-	// instead of the passive cooldown).
+	// ProbeInterval is the background health prober's period (default
+	// 250ms): every interval each replica gets a lightweight probe,
+	// failures open its breaker before query traffic has to discover the
+	// corpse, and a probe success is the only thing that half-opens an open
+	// breaker.
 	ProbeInterval time.Duration
 	// Faults optionally injects dial/read/shard-down/replica-down/probe
 	// faults at the coord.* sites.
@@ -108,13 +98,16 @@ const (
 // breaker, so "every breaker open" often means "readmission in flight",
 // not "tile lost". Past it the sub-query still waits for the probes it
 // asked for to report (see queryTile's awaitPick), which the probe's
-// dialTimeout deadlines bound. Two probe cycles; without a prober there is no readmission to
-// wait for and the wait is skipped.
+// dialTimeout deadlines bound. Two probe cycles.
 func (c Config) recoveryWait() time.Duration {
+	return 2*c.probeInterval() + 5*time.Millisecond
+}
+
+func (c Config) probeInterval() time.Duration {
 	if c.ProbeInterval > 0 {
-		return 2*c.ProbeInterval + 5*time.Millisecond
+		return c.ProbeInterval
 	}
-	return 0
+	return 250 * time.Millisecond
 }
 
 func (c Config) readTimeout() time.Duration {
@@ -122,13 +115,6 @@ func (c Config) readTimeout() time.Duration {
 		return c.ReadTimeout
 	}
 	return 30 * time.Second
-}
-
-func (c Config) breakerCooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 5 * time.Second
 }
 
 // ShardError reports one shard's failure, typed so callers can tell
@@ -210,10 +196,6 @@ type Totals struct {
 	// Retries counts sub-queries re-dispatched to another replica after
 	// a replica failed.
 	Retries int64 `json:"retries"`
-	// Hedges counts hedged sub-queries launched; HedgesWon counts the
-	// hedges that finished before the original attempt.
-	Hedges    int64 `json:"hedges"`
-	HedgesWon int64 `json:"hedges_won"`
 	// Probes and ProbeFails count background health probes.
 	Probes     int64 `json:"probes"`
 	ProbeFails int64 `json:"probe_failures"`
@@ -226,8 +208,6 @@ type Coordinator struct {
 	tiles [][]*replica // [tile][replica]
 
 	retries    atomic.Int64
-	hedges     atomic.Int64
-	hedgesWon  atomic.Int64
 	probes     atomic.Int64
 	probeFails atomic.Int64
 
@@ -237,8 +217,8 @@ type Coordinator struct {
 }
 
 // New validates the manifest/address pairing and returns a Coordinator.
-// Shards are dialed lazily on first use; with ProbeInterval set the
-// background health prober starts immediately (stop it with Close).
+// Shards are dialed lazily on first use; the background health prober
+// starts immediately (stop it with Close).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Manifest == nil {
 		return nil, errors.New("coord: nil manifest")
@@ -271,17 +251,14 @@ func New(cfg Config) (*Coordinator, error) {
 				return nil, fmt.Errorf("coord: tile %d lists address %s twice; replicas must be distinct shards", t, addr)
 			}
 			seen[addr] = true
-			reps[r] = &replica{tile: t, idx: r, addr: addr, cfg: &c.cfg}
+			reps[r] = &replica{tile: t, idx: r, addr: addr, cfg: &c.cfg, kick: make(chan struct{}, 1)}
 		}
 		c.tiles = append(c.tiles, reps)
 	}
-	if cfg.ProbeInterval > 0 {
-		for _, reps := range c.tiles {
-			for _, r := range reps {
-				r.kick = make(chan struct{}, 1)
-				c.probeWG.Add(1)
-				go c.probeLoop(r)
-			}
+	for _, reps := range c.tiles {
+		for _, r := range reps {
+			c.probeWG.Add(1)
+			go c.probeLoop(r)
 		}
 	}
 	return c, nil
@@ -307,8 +284,6 @@ func (c *Coordinator) Health() []Health {
 func (c *Coordinator) Totals() Totals {
 	return Totals{
 		Retries:    c.retries.Load(),
-		Hedges:     c.hedges.Load(),
-		HedgesWon:  c.hedgesWon.Load(),
 		Probes:     c.probes.Load(),
 		ProbeFails: c.probeFails.Load(),
 	}
@@ -400,11 +375,10 @@ type merger struct {
 	sink  RowSink
 	idSet map[uint64]bool
 	// pairSet dedups streamed pairs. The reference-point rule makes pairs
-	// unique across tiles, but failover and hedging can replay one tile's
-	// stream (a retried or hedged attempt re-delivers rows the failed or
-	// losing attempt already pushed), so streaming mode keys pairs too.
-	// Buffered mode commits exactly one winning attempt per tile and
-	// needs no pair dedup.
+	// unique across tiles, but failover can replay one tile's stream (a
+	// retried attempt re-delivers rows the failed attempt already pushed),
+	// so streaming mode keys pairs too. Buffered mode commits exactly one
+	// attempt per tile and needs no pair dedup.
 	pairSet map[[2]uint64]bool
 	res     *Result
 	rows    int
@@ -541,17 +515,14 @@ func (c *Coordinator) allTiles() []int {
 // rows.
 type shardAnswer struct {
 	tile    int
-	replica int         // replica index that produced the answer
 	ids     []uint64    // staged rows
 	pairs   [][2]uint64 // staged rows
 	stats   query.Stats
 	wallMS  float64
 	partial string // non-empty: shard answered "partial: <reason>"
 	err     error
-	// epoch is the replica's success epoch when the attempt began, or, once
-	// it answered (a partial answer included), the epoch its own success
-	// advanced to: the tile loop retries a replica only after a success
-	// later than that.
+	// epoch is the replica's epoch when the attempt began (see
+	// replica.epoch).
 	epoch uint64
 }
 
@@ -661,24 +632,22 @@ func (c *Coordinator) fanout(ctx context.Context, op string, tiles []int, cmdFor
 	return res, nil
 }
 
-// queryTile runs one tile's sub-query with failover: route to the
-// preferred (lowest-index, breaker-closed) replica, and on dial/read
-// failure, shard-side error, shard-side partial (the shard itself was
-// interrupted — draining for shutdown, or out of budget), or
-// per-attempt deadline expiry retry on the next live replica with a
-// jittered backoff, re-splitting whatever budget remains across the
-// attempt. Replica selection is live, not a snapshot: each retry
-// re-consults the breakers, so a replica that was down (or open) when
-// the sub-query began is picked up once the prober readmits it — and a
-// replica that already failed this sub-query is retried only after its
-// success epoch advances past the one its failed attempt began in (see
-// replica.epoch), which is what saves a long query that outlives a whole
-// kill-restart-kill cycle across the tile's replicas. With HedgeDelay armed, a second replica is raced
-// once the first goes quiet for the delay; the first complete stream
-// wins and the loser is cancelled (its connection closed) without
-// charging its breaker. The sub-query fails — becoming the tile's
-// share of a *query.PartialError — only when every replica is
-// exhausted.
+// queryTile runs one tile's sub-query with failover, one replica attempt
+// at a time: route to the preferred (lowest-index, breaker-closed)
+// replica, and on dial/read failure, shard-side error, shard-side partial
+// (the shard itself was interrupted — draining for shutdown, or out of
+// budget), or per-attempt deadline expiry take the next routable replica
+// after a jittered backoff, handing it whatever budget remains. Replica
+// selection is live, not a snapshot: each attempt re-consults the
+// breakers, so a replica that was down (or open) when the sub-query began
+// is picked up once the prober readmits it — and a replica that already
+// failed this sub-query is asked again once it succeeded since (see
+// replica.cameBack), which is what saves a long query that outlives a
+// whole kill-restart-kill cycle across the tile's replicas; one that
+// answered it (a partial, a drain refusal) only once it has gone down and
+// come back. The sub-query fails — becoming the tile's share of a
+// *query.PartialError — only when every replica is exhausted; a
+// shard-side partial beats an error.
 func (c *Coordinator) queryTile(ctx context.Context, tile int, cmd string, budget time.Duration, m *merger) shardAnswer {
 	reps := c.tiles[tile]
 	if f := c.cfg.Faults; f != nil && f.Disconnect(faultinject.SiteCoordShardDown) {
@@ -692,87 +661,57 @@ func (c *Coordinator) queryTile(ctx context.Context, tile int, cmd string, budge
 		deadline = time.Now().Add(budget)
 	}
 
-	type outcome struct {
-		ans    shardAnswer
-		hedged bool
-	}
-	maxAttempts := 4 * len(reps)
-	results := make(chan outcome, maxAttempts)
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-	attempts, inflight := 0, 0
-	tried := make(map[int]uint64) // replica idx -> the epoch a retry must pass (shardAnswer.epoch)
-	running := make(map[int]bool) // replica idx currently in flight
-	// pick chooses the next attempt from the replicas routable right now:
-	// an untried one in candidate order, else one that failed earlier but
-	// has fresh success evidence (probe or concurrent query) proving it
-	// came back.
-	pick := func() *replica {
-		if attempts >= maxAttempts {
-			return nil
-		}
-		routable := candidates(reps)
+	// tried marks each replica this sub-query has tried and did not get a
+	// complete answer from; pick asks it again only once it came back (see
+	// replica.cameBack).
+	tried := make(map[int]mark)
+	// pick chooses the next attempt among the routable replicas: an untried
+	// one in candidate order, else a tried one that came back.
+	pick := func(routable []*replica) *replica {
 		for _, r := range routable {
-			if _, failed := tried[r.idx]; !failed && !running[r.idx] {
+			if _, seen := tried[r.idx]; !seen {
 				return r
 			}
 		}
 		for _, r := range routable {
-			if at, failed := tried[r.idx]; failed && !running[r.idx] && r.epoch() > at {
+			if r.cameBack(tried[r.idx]) {
 				return r
 			}
 		}
 		return nil
 	}
-	launch := func(rep *replica, hedged bool) {
-		attempts++
-		running[rep.idx] = true
-		actx, cancel := context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		inflight++
-		ab := budget
-		if !deadline.IsZero() {
-			// Budget-aware re-split: each attempt gets what actually remains
-			// of the tile's share, not the original full budget.
-			ab = time.Until(deadline)
-		}
-		go func() {
-			results <- outcome{ans: rep.query(actx, cmd, ab, m), hedged: hedged}
-		}()
-	}
-	// awaitPick rides out a window where no replica is routable: failures
+	// awaitPick rides out a window where no replica can be picked: failures
 	// from a kill can land after the restart and trip the restarted
 	// replica's breaker, or the restart is simply not yet seen, so the tile
-	// often only LOOKS fully down until a probe readmits it. It asks every
-	// replica's prober for a probe now rather than at its next tick, and
-	// concedes once recoveryWait has passed and each of those probes has
-	// reported without readmitting its replica — on a loaded host a probe
-	// of a live shard can outlast the wait. The deadline and the context
-	// bound it too.
+	// often only LOOKS fully down until a probe readmits it. It asks the
+	// prober of every replica whose own answer does not still stand for a
+	// probe now rather than at its next tick, and concedes once
+	// recoveryWait has passed and each of those probes has reported without
+	// readmitting its replica — on a loaded host a probe of a live shard can
+	// outlast the wait. A replica that answered and has not failed since is
+	// draining or out of budget, and no probe of it is worth waiting for.
+	// The deadline and the context bound the wait too.
 	awaitPick := func() *replica {
-		rw := c.cfg.recoveryWait()
-		if rw <= 0 {
+		marks := make(map[*replica]uint64)
+		for _, r := range reps {
+			if !r.answerStands(tried[r.idx]) {
+				marks[r] = r.probeSoon()
+			}
+		}
+		if len(marks) == 0 {
 			return nil
 		}
-		marks := make([]uint64, len(reps))
-		for i, r := range reps {
-			marks[i] = r.probeSoon()
-		}
 		probed := func() bool {
-			for i, r := range reps {
-				if !r.probedSince(marks[i]) {
+			for r, m := range marks {
+				if !r.probedSince(m) {
 					return false
 				}
 			}
 			return true
 		}
-		until := time.Now().Add(rw)
+		until := time.Now().Add(c.cfg.recoveryWait())
 		for deadline.IsZero() || time.Now().Before(deadline) {
-			if rep := pick(); rep != nil {
+			if rep := pick(candidates(reps)); rep != nil {
 				return rep
 			}
 			if !time.Now().Before(until) && probed() {
@@ -786,112 +725,68 @@ func (c *Coordinator) queryTile(ctx context.Context, tile int, cmd string, budge
 		}
 		return nil
 	}
-	first := pick()
-	if first == nil {
-		if first = awaitPick(); first == nil {
-			return shardAnswer{tile: tile, err: &ShardError{Tile: tile, Addr: reps[0].addr, Err: ErrBreakerOpen}}
-		}
-	}
-	launch(first, false)
 
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeDelay > 0 && len(reps) > 1 {
-		t := time.NewTimer(c.cfg.HedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var winner, partialAns, errAns shardAnswer
-	won, havePartial := false, false
-	retryOK := func() bool {
-		return !won && ctx.Err() == nil &&
-			(deadline.IsZero() || time.Until(deadline) > 0)
-	}
-	for inflight > 0 {
-		select {
-		case out := <-results:
-			inflight--
-			running[out.ans.replica] = false
-			switch {
-			case errors.Is(out.ans.err, errAttemptCancelled):
-				// A cancelled loser; nothing to learn from it.
-			case out.ans.err == nil && out.ans.partial != "":
-				// The shard answered but could not finish — drained by its own
-				// shutdown mid-query, or out of budget. (Exactly how a graceful
-				// kill mid-join lands: the dying shard flushes a "partial: ...
-				// context canceled" status.) Never crown it: keep it as the
-				// fallback, retry if another replica is routable, and otherwise
-				// let any attempt still in flight — typically the hedge — race
-				// to turn the tile back into a complete answer.
-				partialAns, havePartial = out.ans, true
-				tried[out.ans.replica] = out.ans.epoch
-				if retryOK() {
-					if rep := pick(); rep != nil {
-						c.retries.Add(1)
-						c.backoff(ctx, deadline)
-						launch(rep, false)
-					}
-				}
-			case out.ans.err == nil || errors.Is(out.ans.err, errAbortStream):
-				// A complete stream (or the session's own sink failed — no
-				// replica will fix that). First one wins; cancel the rest.
-				if !won {
-					won, winner = true, out.ans
-					if out.hedged {
-						c.hedgesWon.Add(1)
-					}
-					for _, cancel := range cancels {
-						cancel()
-					}
-				}
-			default:
-				errAns = out.ans
-				tried[out.ans.replica] = out.ans.epoch
-				if retryOK() {
-					if rep := pick(); rep != nil {
-						c.retries.Add(1)
-						c.backoff(ctx, deadline)
-						launch(rep, false)
-					}
-				}
+	var last, partialAns shardAnswer
+	for attempt := 0; attempt < 4*len(reps); attempt++ {
+		rep := pick(candidates(reps))
+		if rep == nil {
+			if rep = awaitPick(); rep == nil {
+				break
 			}
-		case <-hedgeC:
-			hedgeC = nil
-			if !won {
-				if rep := pick(); rep != nil {
-					c.hedges.Add(1)
-					launch(rep, true)
-				}
-			}
+		} else if attempt > 0 {
+			c.backoff(ctx, deadline)
 		}
-		if inflight == 0 && !won && retryOK() {
-			// Last-chance grace before conceding a partial with budget still
-			// on the clock: a killed replica may be restarting right now, and
-			// the prober readmits it within a cycle or two.
-			if rep := awaitPick(); rep != nil {
-				c.retries.Add(1)
-				launch(rep, false)
+		if attempt > 0 {
+			c.retries.Add(1)
+		}
+		ab := budget
+		if !deadline.IsZero() {
+			// Budget-aware re-split: each attempt gets what actually remains
+			// of the tile's share, not the original full budget.
+			ab = time.Until(deadline)
+		}
+		last = rep.query(ctx, cmd, ab, m)
+		switch {
+		case last.err == nil && last.partial != "", errors.Is(last.err, errDraining):
+			// The shard answered but could not finish — drained by its own
+			// shutdown mid-query, or out of budget. (Exactly how a graceful
+			// kill mid-join lands: the dying shard flushes a "partial: ...
+			// context canceled" status.) A partial is kept as the fallback;
+			// a drain refusal is the shard's own answer too.
+			if last.err == nil {
+				partialAns = last
 			}
+			tried[rep.idx] = mark{epoch: rep.epoch(), answered: true}
+		case last.err == nil || errors.Is(last.err, errAbortStream):
+			// A complete stream, or the session's own sink failed — no
+			// replica will fix that.
+			return last
+		default:
+			tried[rep.idx] = mark{epoch: last.epoch}
+		}
+		if ctx.Err() != nil || !deadline.IsZero() && time.Until(deadline) <= 0 {
+			break
 		}
 	}
-	if won {
-		return winner
-	}
-	if havePartial {
-		// Every retry after the interrupted answer failed too; the partial
-		// rows beat an error.
+	if partialAns.partial != "" {
+		// Every attempt after the interrupted answer failed; its rows beat
+		// an error.
 		return partialAns
 	}
-	if errAns.err == nil {
-		// Every attempt was cancelled out from under us: the fan-out's
-		// context died before any replica finished.
-		err := ctx.Err()
-		if err == nil {
-			err = context.DeadlineExceeded
-		}
-		errAns = shardAnswer{tile: tile, err: &ShardError{Tile: tile, Addr: reps[0].addr, Err: err}}
+	if last.err == nil {
+		// No replica was ever routable.
+		return shardAnswer{tile: tile, err: &ShardError{Tile: tile, Addr: reps[0].addr, Err: ErrBreakerOpen}}
 	}
-	return errAns
+	return last
+}
+
+// mark is what a tile sub-query remembers of a replica it tried: whether
+// the shard itself answered — a partial, or a drain refusal — rather than
+// failing to, and the replica's epoch when the attempt began or, if it
+// answered, just after its answer.
+type mark struct {
+	epoch    uint64
+	answered bool
 }
 
 // candidates orders a tile's replicas for routing: breaker-closed
@@ -935,13 +830,13 @@ func (c *Coordinator) backoff(ctx context.Context, deadline time.Time) {
 // (probeSoon), the replica gets one lightweight probe. Probe failures
 // open the replica's breaker before query traffic has to discover the
 // corpse; a probe success against an open breaker half-opens it, putting
-// the replica back into (trial) rotation — active recovery instead of the
-// passive cooldown. Each replica has its own loop, so a probe stuck on a
-// dying shard (a dial the kernel accepted, a greeting that never comes)
-// does not hold back the probe that would readmit its restarted sibling.
+// the replica back into (trial) rotation. Each replica has its own loop,
+// so a probe stuck on a dying shard (a dial the kernel accepted, a
+// greeting that never comes) does not hold back the probe that would
+// readmit its restarted sibling.
 func (c *Coordinator) probeLoop(r *replica) {
 	defer c.probeWG.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
+	t := time.NewTicker(c.cfg.probeInterval())
 	defer t.Stop()
 	for {
 		select {
@@ -963,9 +858,9 @@ func (c *Coordinator) probeLoop(r *replica) {
 	}
 }
 
-// probeSoon asks the replica's prober, if one runs, for a probe now
-// instead of at its next tick (a request already pending absorbs it), and
-// returns the mark probedSince reports that probe's completion against.
+// probeSoon asks the replica's prober for a probe now instead of at its
+// next tick (a request already pending absorbs it), and returns the mark
+// probedSince reports that probe's completion against.
 func (r *replica) probeSoon() uint64 {
 	r.mu.Lock()
 	mark := r.probesBegun
@@ -1000,10 +895,11 @@ type replica struct {
 	failTotal int64 // lifetime failures (metrics)
 	queries   int64
 	state     string // breaker state; "" means BreakerClosed
-	openUntil time.Time
 	lastErr   string
-	okEpoch   uint64        // bumped on every success (query or probe); see epoch
-	kick      chan struct{} // a probe request to the prober (nil: none runs); see probeSoon
+	clock     uint64        // ticks on every success (query or probe) and every charged failure; see epoch
+	okAt      uint64        // clock at the last success
+	failAt    uint64        // clock at the last failure charged to the breaker
+	kick      chan struct{} // a probe request to the prober; see probeSoon
 
 	probesBegun, probesDone uint64 // the prober's probes; see probedSince
 }
@@ -1023,7 +919,7 @@ type wireConn struct {
 const readBufSize = 16 << 10
 
 // role names the replica for operators: the primary serves by default,
-// replicas take failover and hedge traffic.
+// replicas take failover traffic.
 func (r *replica) role() string {
 	if r.idx == 0 {
 		return "primary"
@@ -1031,48 +927,26 @@ func (r *replica) role() string {
 	return "replica"
 }
 
-// breakerState resolves the current state under r.mu: a passively
-// cooled-down open breaker (no prober running) reads as half-open once
-// the cooldown expires.
-func (r *replica) breakerState(now time.Time) string {
-	switch r.state {
-	case BreakerOpen:
-		if r.cfg.ProbeInterval <= 0 && !now.Before(r.openUntil) {
-			return BreakerHalfOpen
-		}
-		return BreakerOpen
-	case BreakerHalfOpen:
-		return BreakerHalfOpen
-	default:
-		return BreakerClosed
-	}
-}
-
-// admit resolves the breaker for routing: the returned state is
-// BreakerClosed or BreakerHalfOpen when the replica may be tried, and
-// BreakerOpen when it must be skipped. The passive cooldown transition
-// (open → half-open) commits here.
+// admit reads the breaker for routing: BreakerClosed or BreakerHalfOpen
+// when the replica may be tried, BreakerOpen when it must be skipped.
 func (r *replica) admit() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.breakerState(time.Now())
-	r.state = normState(st)
-	return st
+	return r.breakerState()
 }
 
-// normState maps the closed state back to the zero value so fresh
-// replicas and post-success resets look alike.
-func normState(st string) string {
-	if st == BreakerClosed {
-		return ""
+// breakerState reads the state under r.mu.
+func (r *replica) breakerState() string {
+	if r.state == "" {
+		return BreakerClosed
 	}
-	return st
+	return r.state
 }
 
 func (r *replica) health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.breakerState(time.Now())
+	st := r.breakerState()
 	return Health{
 		Tile:        r.tile,
 		Replica:     r.idx,
@@ -1195,17 +1069,15 @@ func (r *replica) probe() error {
 func (r *replica) probeSuccess() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.breakerState(time.Now()) == BreakerOpen {
+	if r.state == BreakerOpen {
 		r.state = BreakerHalfOpen
 	}
-	r.okEpoch++
+	r.clock++
+	r.okAt = r.clock
 	// The probe broke the consecutive-failure run, so trial traffic gets
 	// the full threshold again: one leftover hiccup must not instantly
 	// re-open a breaker the prober just recovered, and sporadic probe
 	// blips on an idle tile must not accumulate into a spurious trip.
-	// (The passive cooldown path has no probes and deliberately keeps the
-	// count — there a failing half-open trial proves the replica still
-	// dead, and one strike re-opens.)
 	r.fails = 0
 }
 
@@ -1284,11 +1156,8 @@ func (w *wireConn) exchange(cmd string, f *faultinject.Injector) (status string,
 	return w.exchangeStream(cmd, f, func([]byte) error { return nil }, func() error { return nil })
 }
 
-// errAttemptCancelled marks a replica attempt cut short by its own
-// context — a hedge loser or a fan-out winding down — as opposed to a
-// replica that actually failed. Cancelled attempts never charge the
-// breaker and never become the tile's answer.
-var errAttemptCancelled = errors.New("coord: attempt cancelled")
+// errDraining is a shard's drain refusal as an attempt's error.
+var errDraining = errors.New("shutting down")
 
 // drainRefusal reports whether a status line is a shard's drain refusal.
 // A draining spatiald sends it in place of running the next command — or
@@ -1307,16 +1176,17 @@ func drainRefusal(status string) bool { return status == "error: shutting down" 
 // scrubs the idle pool — its remaining connections are from the same
 // suspect epoch — and drops rows the aborted exchange staged (streamed
 // rows dedup in the merger). A drain refusal on a fresh connection is an
-// error, which the caller charges to the replica as one failure, and the
-// tile's attempt loop moves on to the next candidate.
+// error (errDraining), which the caller charges to the replica as one
+// failure, and the tile's attempt loop moves on to the next candidate.
 //
-// While the attempt runs, the end of ctx closes its connection, so hedge
-// losers stop streaming promptly instead of running to completion. On
-// success the returned connection is live and stop disarms that close; on
-// error the connection is closed and the close already disarmed. stop
-// does not wait for a close already started, so a caller that finds ctx
-// ended after stop must close the connection rather than pool it, or a
-// late close could hit the connection under an innocent future query.
+// While the attempt runs, the end of ctx closes its connection, so an
+// attempt of a cancelled query stops streaming promptly instead of
+// running to completion. On success the returned connection is live and
+// stop disarms that close; on error the connection is closed and the
+// close already disarmed. stop does not wait for a close already started,
+// so a caller that finds ctx ended after stop must close the connection
+// rather than pool it, or a late close could hit the connection under an
+// innocent future query.
 func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Duration, m *merger, ans *shardAnswer) (w *wireConn, stop func() bool, start time.Time, status string, err error) {
 	for attempt := 0; ; attempt++ {
 		w, pooled, err := r.acquire()
@@ -1343,7 +1213,10 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 		if armed := budget.Round(time.Millisecond); budget > 0 && w.timeout != armed {
 			st, err := w.exchange("timeout "+armed.String(), r.cfg.Faults)
 			stale := err != nil || drainRefusal(st)
-			if err == nil && !strings.HasPrefix(st, "ok") {
+			switch {
+			case err == nil && drainRefusal(st):
+				err = errDraining
+			case err == nil && !strings.HasPrefix(st, "ok"):
 				err = fmt.Errorf("arming timeout: %s", st)
 			}
 			if err != nil {
@@ -1368,7 +1241,7 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 			return err
 		})
 		if err == nil && drainRefusal(status) {
-			err = errors.New(strings.TrimPrefix(status, "error: "))
+			err = errDraining
 		}
 		if err != nil {
 			stop()
@@ -1388,16 +1261,17 @@ func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Dura
 // shard-side timeout arming, command exchange with rows parsed into the
 // fan-out's merger as they stream, breaker accounting. Never blocks
 // past the budget (or the configured read ceiling); cancelling ctx
-// severs the attempt. Breaker admission is the caller's job (see
+// severs the attempt, and an attempt cut off by its own context is not
+// charged to the breaker. Breaker admission is the caller's job (see
 // candidates) — by the time query runs, the replica was routable.
 func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m *merger) shardAnswer {
-	ans := shardAnswer{tile: r.tile, replica: r.idx}
+	ans := shardAnswer{tile: r.tile}
 	r.mu.Lock()
 	r.queries++
-	ans.epoch = r.okEpoch
+	ans.epoch = r.clock
 	r.mu.Unlock()
 	cancelled := func() shardAnswer {
-		ans.err = fmt.Errorf("%w (%v)", errAttemptCancelled, ctx.Err())
+		ans.err = &ShardError{Tile: r.tile, Addr: r.addr, Err: ctx.Err()}
 		return ans
 	}
 	fail := func(err error) shardAnswer {
@@ -1455,12 +1329,11 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 		return ans
 	}
 
-	ans.epoch = r.recordSuccess()
+	r.recordSuccess()
 	if ctx.Err() != nil {
 		// Completed, but cancelled as the status arrived: the cancel may
 		// have closed the connection — don't pool it. The answer is still
-		// whole, so return it; a hedged winner race resolves in the
-		// tile loop.
+		// whole, so return it.
 		w.conn.Close()
 		return ans
 	}
@@ -1469,8 +1342,8 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 }
 
 // recordFailure charges a failed attempt to the replica's breaker. since
-// is the success epoch the attempt began in (read before it dialed): if a
-// success has been recorded after that, the replica has answered since the
+// is the epoch the attempt began in (read before it dialed): if a success
+// has been recorded after that, the replica has answered since the
 // attempt started — typically a restarted process, while the attempt was
 // still failing against the one it replaced — and the failure counts only
 // in the lifetime total. Charging it would open a healthy replica's
@@ -1478,16 +1351,17 @@ func (r *replica) query(ctx context.Context, cmd string, budget time.Duration, m
 func (r *replica) recordFailure(since uint64, err error) {
 	r.mu.Lock()
 	r.failTotal++
-	if r.okEpoch != since {
+	if r.okAt > since {
 		r.mu.Unlock()
 		return
 	}
 	r.fails++
+	r.clock++
+	r.failAt = r.clock
 	r.lastErr = err.Error()
 	var idle []*wireConn
 	if r.fails >= breakerThreshold {
 		r.state = BreakerOpen
-		r.openUntil = time.Now().Add(r.cfg.breakerCooldown())
 		// Drop the pooled connections: a replica that just tripped its
 		// breaker is presumed down, and a stale socket surviving into the
 		// recovery trial would fail the first query after readmission and
@@ -1501,28 +1375,50 @@ func (r *replica) recordFailure(since uint64, err error) {
 	}
 }
 
-// recordSuccess closes the breaker and returns the advanced epoch.
-func (r *replica) recordSuccess() uint64 {
+// recordSuccess closes the breaker and ticks the clock.
+func (r *replica) recordSuccess() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fails = 0
 	r.state = ""
-	r.openUntil = time.Time{}
-	r.okEpoch++
-	return r.okEpoch
+	r.clock++
+	r.okAt = r.clock
 }
 
-// epoch reads the replica's success counter. A sub-query that saw this
-// replica fail may try it again only once the epoch is past the one the
-// failed attempt began in — fresh evidence (a probe or a concurrent query
-// succeeding) that the replica recovered, e.g. a restart mid-query.
-// Without that evidence a replica is attempted at most once per
-// sub-query, which keeps the R=1 contract: a lone replica's failure is a
-// typed partial, not a blind same-target retry loop.
+// epoch reads the replica's clock, which orders its successes and charged
+// failures.
 func (r *replica) epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.okEpoch
+	return r.clock
+}
+
+// cameBack reports fresh evidence that a replica a sub-query tried
+// (marked m) has recovered, so the sub-query may try it again. After a
+// failed attempt that is any success since the attempt began (a probe or
+// a concurrent query succeeding, e.g. a restart mid-query). After the
+// shard's own answer — a partial, whose success is no such evidence, or a
+// drain refusal — the replica must have been charged a failure since (it
+// went down) and succeeded after that. So a replica is asked again only
+// once it could answer differently: a lone replica that keeps failing, or
+// keeps answering partial, becomes the tile's typed partial, not a blind
+// same-target retry loop.
+func (r *replica) cameBack(m mark) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m.answered {
+		return r.failAt > m.epoch && r.okAt > r.failAt
+	}
+	return r.okAt > m.epoch
+}
+
+// answerStands reports whether the replica answered a sub-query (marked m)
+// and has not been charged a failure since: it is alive and declining, so
+// a probe success says nothing about what asking it again would return.
+func (r *replica) answerStands(m mark) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return m.answered && r.failAt <= m.epoch
 }
 
 // stage decodes one shard data line into the answer: "id <N>" and

@@ -15,6 +15,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -278,6 +279,36 @@ func TestWithinRefusesNaNDistance(t *testing.T) {
 	}
 }
 
+// TestCloseLeavesNoGoroutine: every coordinator runs a prober per
+// replica from New on. Close must stop them all — here on a fleet whose
+// every address refuses, after each replica's probes have failed — and
+// leave no goroutine behind.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	m := &partition.Manifest{GX: 2, GY: 1, Bounds: geom.R(0, 0, 100, 100)}
+	c, err := coord.New(coord.Config{
+		Manifest:      m,
+		ReplicaAddrs:  [][]string{{"127.0.0.1:1", "127.0.0.1:2"}, {"127.0.0.1:3"}},
+		ProbeInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Totals().ProbeFails < 6 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.Close()
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before New\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCoordinatorShardDownYieldsTypedPartial kills one shard process and
 // pins the degradation contract: the join completes promptly, returns a
 // *query.PartialError with the shard arithmetic, and the pairs are a
@@ -319,9 +350,7 @@ func TestCoordinatorShardDownYieldsTypedPartial(t *testing.T) {
 // /metrics-visible health reports it open.
 func TestCoordinatorBreakerSkipsDeadShard(t *testing.T) {
 	f := bootFleet(t, 4)
-	c := f.coordinator(t, coord.Config{
-		BreakerCooldown: time.Minute,
-	})
+	c := f.coordinator(t, coord.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := f.shards[1].Shutdown(ctx); err != nil {
@@ -356,9 +385,10 @@ func TestCoordinatorBreakerSkipsDeadShard(t *testing.T) {
 }
 
 // TestCoordinatorReadFaultMidResponse severs one shard connection in the
-// middle of a response stream (injected at coord.read) and pins that the
-// query degrades to a typed partial — and that the very next query heals
-// by redialing.
+// middle of a response stream (injected at coord.read). The shard itself
+// is alive, so the probe its stalled tile asks for answers, and the tile
+// is asked again on a fresh dial: the join completes, with one retry and
+// one failure charged — and the next query is whole too.
 func TestCoordinatorReadFaultMidResponse(t *testing.T) {
 	f := bootFleet(t, 4)
 	inj := faultinject.New(7)
@@ -369,22 +399,29 @@ func TestCoordinatorReadFaultMidResponse(t *testing.T) {
 	c := f.coordinator(t, coord.Config{Faults: inj})
 
 	res, err := c.Join(qctx(t), "a", "b", "")
-	var pe *query.PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("join with a severed stream returned %v, want *query.PartialError", err)
+	if err != nil {
+		t.Fatalf("join with a severed stream on a live shard returned %v, want it retried whole", err)
 	}
-	if pe.Done != 3 || pe.Total != 4 {
-		t.Fatalf("partial reports %d/%d shards, want 3/4", pe.Done, pe.Total)
+	if inj.Fired(faultinject.SiteCoordRead, faultinject.KindDisconnect) == 0 {
+		t.Fatal("the read fault never fired; the test proved nothing")
 	}
 	want := f.singleJoin(t)
+	if len(res.Pairs) != len(want) {
+		t.Fatalf("join has %d pairs, single-node has %d", len(res.Pairs), len(want))
+	}
 	for _, p := range res.Pairs {
 		if !want[p] {
 			t.Fatalf("severed-stream answer invented pair %v", p)
 		}
 	}
+	fails := int64(0)
+	for _, h := range c.Health() {
+		fails += h.Fails
+	}
+	if tot := c.Totals(); tot.Retries != 1 || fails != 1 {
+		t.Fatalf("%d retries and %d failures charged, want 1 and 1", tot.Retries, fails)
+	}
 
-	// The injector fires once; the coordinator redials and the next join
-	// must be whole again.
 	res, err = c.Join(qctx(t), "a", "b", "")
 	if err != nil {
 		t.Fatalf("join after recovery: %v", err)

@@ -5,10 +5,9 @@
 // replication headline: with R=2, killing any ONE shard of a tile —
 // before or in the middle of a query — yields a COMPLETE, bit-identical
 // answer, never a partial; the typed-partial degradation is reserved
-// for tiles with every replica down. The hedge and prober tests pin the
-// two auxiliary loops: a silent replica is raced and loses without
-// being charged, and a restarted replica re-enters rotation through the
-// background prober alone.
+// for tiles with every replica down. The prober tests pin the background
+// loop: probes alone open a silent replica's breaker, and a restarted
+// replica re-enters rotation through a probe success.
 package coord_test
 
 import (
@@ -286,9 +285,11 @@ func TestFailoverAllReplicasDownTypedPartial(t *testing.T) {
 }
 
 // TestFailoverReplicaDownInjection drives the coord.replica_down seam
-// from both sides: the same injected single-attempt fault that a
-// replicated tile absorbs (complete answer, one retry) degrades an
-// unreplicated tile to the typed partial.
+// from both sides: a replicated tile absorbs one injected single-attempt
+// fault on its next replica at once (complete answer, one retry), and an
+// unreplicated tile asks its lone replica again once the probe the
+// stalled tile asks for finds it alive (complete answer, one retry, after
+// a probe).
 func TestFailoverReplicaDownInjection(t *testing.T) {
 	t.Run("R2Absorbs", func(t *testing.T) {
 		f := bootReplicatedFleet(t, 2, 2)
@@ -310,18 +311,21 @@ func TestFailoverReplicaDownInjection(t *testing.T) {
 			t.Fatalf("Totals().Retries = %d, want exactly 1", got)
 		}
 	})
-	t.Run("R1Degrades", func(t *testing.T) {
+	t.Run("R1RetriesAfterProbe", func(t *testing.T) {
 		f := bootReplicatedFleet(t, 2, 1)
 		inj := faultinject.New(5)
 		inj.InjectAt(faultinject.SiteCoordReplicaDown, faultinject.KindDisconnect, 0)
-		c := f.coordinator(t, coord.Config{Faults: inj})
-		_, err := c.Join(qctx(t), "a", "b", "")
-		var pe *query.PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("unreplicated join with injected replica-down returned %v, want *query.PartialError", err)
+		c := f.coordinator(t, coord.Config{Faults: inj, ProbeInterval: time.Hour})
+		res, err := c.Join(qctx(t), "a", "b", "")
+		if err != nil {
+			t.Fatalf("unreplicated join with one injected replica-down returned %v, want complete", err)
 		}
-		if pe.Done != 1 || pe.Total != 2 {
-			t.Fatalf("partial reports %d/%d shards, want 1/2", pe.Done, pe.Total)
+		want := singleJoinPairs(t, f.a, f.b)
+		if res.ShardsOK != 2 || len(res.Pairs) != len(want) {
+			t.Fatalf("join answered %d/2 shards with %d pairs, single-node has %d", res.ShardsOK, len(res.Pairs), len(want))
+		}
+		if tot := c.Totals(); tot.Retries != 1 || tot.Probes != 1 {
+			t.Fatalf("Totals() = %+v, want exactly 1 retry after 1 probe", tot)
 		}
 	})
 }
@@ -372,8 +376,7 @@ func TestFailoverMidStreamReadFaultNoDuplicates(t *testing.T) {
 }
 
 // stubSilentShard is a listener that greets like a spatiald and then
-// never answers anything — the pathological slow replica the hedge
-// exists for.
+// never answers anything — the pathological slow replica.
 func stubSilentShard(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -397,60 +400,62 @@ func stubSilentShard(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestFailoverHedgeBeatsSilentReplica routes tile 0's primary slot to a
-// shard that accepts and then goes silent. With the hedge armed the
-// sub-query must complete from the second replica in hedge time — not
-// after the read ceiling — and the silent loser is cancelled without
-// being charged a breaker failure.
-func TestFailoverHedgeBeatsSilentReplica(t *testing.T) {
+// TestFailoverProbesOpenSilentReplica routes tile 0's primary slot to a
+// shard that accepts and then goes silent. An attempt on it that the
+// query's own context cuts off is not charged to its breaker; the probes
+// alone, with no query traffic, must open that breaker (each probe times
+// out after dialTimeout), and the next join then completes from tile 0's
+// second replica, pair for pair the single-node join.
+func TestFailoverProbesOpenSilentReplica(t *testing.T) {
 	f := bootFleet(t, 2)
 	stub := stubSilentShard(t)
 	table := [][]string{{stub, f.addrs[0]}, {f.addrs[1]}}
-	c, err := coord.New(coord.Config{
-		Manifest:     f.m,
-		ReplicaAddrs: table,
-		HedgeDelay:   30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
 
-	start := time.Now()
+	// A prober a minute away leaves the cut-off attempt the only traffic.
+	quiet := f.coordinator(t, coord.Config{ReplicaAddrs: table, ProbeInterval: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	_, err := quiet.Join(ctx, "a", "b", "")
+	cancel()
+	var pe *query.PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("join stalled on a silent primary returned %v, want *query.PartialError", err)
+	}
+	if h := quiet.Health()[0]; h.Queries != 1 || h.Fails != 0 || h.State != coord.BreakerClosed {
+		t.Fatalf("an attempt cut off by its query's context was charged: %+v", h)
+	}
+	quiet.Close()
+
+	c := f.coordinator(t, coord.Config{ReplicaAddrs: table, ProbeInterval: 20 * time.Millisecond})
+	waitHealth(t, c, 0, func(h coord.Health) bool { return h.State == coord.BreakerOpen },
+		"probes never opened the silent replica's breaker")
+	if h := c.Health()[0]; h.Queries != 0 {
+		t.Fatalf("the silent replica saw query traffic before its breaker opened: %+v", h)
+	}
 	res, err := c.Join(qctx(t), "a", "b", "")
 	if err != nil {
-		t.Fatalf("hedged join: %v", err)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("hedged join took %v; the hedge must beat the read ceiling", d)
+		t.Fatalf("join past a probe-opened silent replica: %v", err)
 	}
 	if res.ShardsOK != 2 {
 		t.Fatalf("ShardsOK = %d, want 2", res.ShardsOK)
 	}
 	want := f.singleJoin(t)
 	if len(res.Pairs) != len(want) {
-		t.Fatalf("hedged join has %d pairs, single-node has %d", len(res.Pairs), len(want))
+		t.Fatalf("join has %d pairs, single-node has %d", len(res.Pairs), len(want))
 	}
-	tot := c.Totals()
-	if tot.Hedges == 0 || tot.HedgesWon == 0 {
-		t.Fatalf("hedge counters %+v; want at least one hedge launched and won", tot)
-	}
-	// The silent loser was cancelled, not failed: a hedge must never
-	// charge a replica that simply lost the race.
-	if h := c.Health()[0]; h.Fails != 0 || h.State != coord.BreakerClosed {
-		t.Fatalf("silent replica was charged by the losing hedge: %+v", h)
+	for _, p := range res.Pairs {
+		if !want[p] {
+			t.Fatalf("pair %v not in the single-node join", p)
+		}
 	}
 }
 
-// TestFailoverProberRecovery pins the active-recovery loop end to end
-// with the passive cooldown disabled (hour-long): probes alone must
-// open a dead replica's breaker, a restart must re-enter rotation via a
+// TestFailoverProberRecovery pins the recovery loop end to end: probes
+// alone must open a dead replica's breaker, a restart must re-enter rotation via a
 // probe success (half-open), and the first real query closes it.
 func TestFailoverProberRecovery(t *testing.T) {
 	f := bootReplicatedFleet(t, 2, 1)
 	c := f.coordinator(t, coord.Config{
-		ProbeInterval:   15 * time.Millisecond,
-		BreakerCooldown: time.Hour, // passive recovery impossible; only the prober readmits
+		ProbeInterval: 15 * time.Millisecond,
 	})
 
 	f.kill(1, 0)

@@ -131,13 +131,15 @@ func TestCoordinatorSelectStreamDedupsUnbuffered(t *testing.T) {
 // rows stage per shard until the status line proves the stream
 // complete, so the partial result contains nothing from the cut shard
 // and the reported-missing tile can be re-queried and unioned in
-// without double-counting a single pair.
+// without double-counting a single pair. Every probe fails too, so the
+// prober never finds the cut shard alive and its tile is not retried.
 func TestCoordinatorFailedShardContributesNoRows(t *testing.T) {
 	f := bootFleet(t, 4)
 	inj := faultinject.New(7)
 	// Read sequence 12 lands inside some shard's data stream (greetings
 	// and timeout-arming consume the first 8 reads across the 4 shards).
 	inj.InjectAt(faultinject.SiteCoordRead, faultinject.KindDisconnect, 12)
+	inj.Inject(faultinject.SiteCoordProbe, faultinject.KindDisconnect, 1)
 	c := f.coordinator(t, coord.Config{Faults: inj})
 
 	res, err := c.Join(qctx(t), "a", "b", "")

@@ -71,7 +71,7 @@ type Gauges struct {
 	WatchdogCancels int64
 	Ingest          *ingest.Totals
 	// Shards is the coordinator's per-replica health snapshot (nil on a
-	// plain data node); Failover the coordinator's retry/hedge/probe
+	// plain data node); Failover the coordinator's retry and probe
 	// totals.
 	Shards   []coord.Health
 	Failover *coord.Totals
@@ -199,8 +199,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges Gauges) {
 	}
 	if t := gauges.Failover; t != nil {
 		g("spatiald_failover_retries_total", t.Retries)
-		g("spatiald_failover_hedges_total", t.Hedges)
-		g("spatiald_failover_hedges_won_total", t.HedgesWon)
 		g("spatiald_probe_checks_total", t.Probes)
 		g("spatiald_probe_failures_total", t.ProbeFails)
 	}

@@ -207,7 +207,7 @@ func TestMetricsPrometheus(t *testing.T) {
 				Fails: 5, ConsecFails: 3, Queries: 8},
 			{Tile: 2, Replica: 0, Role: "primary", Addr: "127.0.0.1:3", State: coord.BreakerHalfOpen, Fails: 1},
 		},
-		Failover: &coord.Totals{Retries: 2, Hedges: 3, HedgesWon: 1, Probes: 10, ProbeFails: 4},
+		Failover: &coord.Totals{Retries: 2, Probes: 10, ProbeFails: 4},
 		Ingest: &ingest.Totals{Tables: 1, Objects: 200, Pending: 7, Inserts: 210, Deletes: 10, NotFound: 1,
 			WALAppends: 220, WALBatches: 40, WALBytes: 65536, WALRotations: 2, WALSegments: 3,
 			WALTruncated: 1, WALRecovered: 5, WALTornBytes: 17, Compactions: 4, CompactMS: 250,
@@ -290,8 +290,6 @@ spatiald_shard_queries_total{tile="2",replica="0"} 0
 spatiald_shard_failures_total{tile="2",replica="0"} 1
 spatiald_shard_idle_connections{tile="2",replica="0"} 0
 spatiald_failover_retries_total 2
-spatiald_failover_hedges_total 3
-spatiald_failover_hedges_won_total 1
 spatiald_probe_checks_total 10
 spatiald_probe_failures_total 4
 spatiald_ingest_tables 1

@@ -178,7 +178,6 @@ func runCoordSoakPhase(t *testing.T, seed int64) {
 		Manifest:      m,
 		ReplicaAddrs:  table,
 		ProbeInterval: 20 * time.Millisecond,
-		HedgeDelay:    25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ const coordHelp = `coordinator commands:
 Responses stream "id <N>" / "pair <A> <B>" data lines with the stable
 global ids, one merged "stats <json>" line, and a summary. In a
 replicated deployment a failing replica is retried on the tile's next
-live replica (and optionally hedged); the answer degrades to "partial:"
+live replica, one attempt at a time; the answer degrades to "partial:"
 only when every replica of a tile is down or out of time — the lines
 above are valid but miss that tile.
 `
@@ -87,8 +87,8 @@ func (e *Engine) coordExec(ctx context.Context, cmd string, args []string, line 
 			fmt.Fprintln(out)
 		}
 		t := e.Coord.Totals()
-		fmt.Fprintf(out, "failover: retries=%d hedges=%d hedges_won=%d probes=%d probe_failures=%d\n",
-			t.Retries, t.Hedges, t.HedgesWon, t.Probes, t.ProbeFails)
+		fmt.Fprintf(out, "failover: retries=%d probes=%d probe_failures=%d\n",
+			t.Retries, t.Probes, t.ProbeFails)
 		return Result{Stats: query.Stats{Op: "shards"}}, nil
 	case "select":
 		return e.coordSelect(ctx, line, out)

@@ -7,7 +7,7 @@
 # a test function that exists),
 # race-enabled tests (the bench/ module included), the join executor's
 # concurrent failure paths, the stuck-query timers and the coordinator's
-# hedge and cancel paths ten times over under -race, one pass of each
+# cancel and stall paths ten times over under -race, one pass of each
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkColumnBuild a
 # whole layer's interval column, BenchmarkCompare the interval verdict
@@ -54,11 +54,11 @@ echo "== query executor failure paths, joins and selections (-race -count=10: ca
 # left behind shows only over repeats, and as a hang — hence the timeout.
 go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
 
-echo "== stuck-query timers and coordinator hedge/cancel paths (-race -count=10: kill at the threshold, sever after the grace, disarm; hedge loser closed, sink abort, stalled tile)"
+echo "== stuck-query timers and coordinator cancel paths (-race -count=10: kill at the threshold, sever after the grace, disarm; sink abort, stalled tile)"
 # Timer and cancel races: a kill or a close that fires after its query
 # returned, or a timer left armed, shows only over repeats.
 go test -race -count=10 -timeout 300s -run 'TestWatchdog' ./internal/server/
-go test -race -count=10 -timeout 300s -run 'TestFailoverHedgeBeatsSilentReplica|TestCoordinatorSinkFailureIsNotAShardFailure|TestStalledTileProbesForReadmission' ./internal/coord/
+go test -race -count=10 -timeout 300s -run 'TestCoordinatorSinkFailureIsNotAShardFailure|TestStalledTileProbesForReadmission' ./internal/coord/
 
 echo "== bench module (frozen; vet + tests: tier-1 does not see bench/)"
 # bench/ is its own module reaching the program through a replace
@@ -299,7 +299,7 @@ rm -rf "$SHDIR"
 
 echo "== failover smoke (2 tiles x 2 replicas, SIGKILL a replica, retries cover, prober readmits)"
 # Partition at replicas=2 and boot the four-process fleet behind a
-# hedging, probing coordinator. A SIGKILL'd replica must not degrade the
+# probing coordinator. A SIGKILL'd replica must not degrade the
 # answer: the next join has to complete from 2/2 shards with the pair set
 # line-identical to single-node (the coordinator fails over to the
 # surviving sibling). Then the corpse restarts on its pinned address and
@@ -334,7 +334,7 @@ done
 set -- $RADDRS
 VICTIM_ADDR=$1
 "$FODIR/spatiald" -addr 127.0.0.1:0 -http "" -coordinator "$FODIR/tiles" \
-	-shards "$1/$2,$3/$4" -shard-probe 50ms -shard-hedge 25ms -quiet >"$FODIR/coord.log" 2>&1 &
+	-shards "$1/$2,$3/$4" -shard-probe 50ms -quiet >"$FODIR/coord.log" 2>&1 &
 FOPIDS="$FOPIDS $!"
 FO_ADDR="$(bound_addr "$FODIR/coord.log")"
 fo_join() {
