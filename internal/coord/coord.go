@@ -211,9 +211,11 @@ type Coordinator struct {
 	probes     atomic.Int64
 	probeFails atomic.Int64
 
-	stopProbe chan struct{}
-	probeWG   sync.WaitGroup
-	closeOnce sync.Once
+	// probing ends when Close calls stopProbing; so does every probe
+	// still in flight, whose connection it closes.
+	probing     context.Context
+	stopProbing context.CancelFunc
+	probeWG     sync.WaitGroup
 }
 
 // New validates the manifest/address pairing and returns a Coordinator.
@@ -236,7 +238,7 @@ func New(cfg Config) (*Coordinator, error) {
 	} else if len(table) != n {
 		return nil, fmt.Errorf("coord: replica table covers %d tiles, manifest has %d", len(table), n)
 	}
-	c := &Coordinator{cfg: cfg, stopProbe: make(chan struct{})}
+	c := &Coordinator{cfg: cfg}
 	for t, addrs := range table {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("coord: tile %d has no replicas", t)
@@ -255,6 +257,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.tiles = append(c.tiles, reps)
 	}
+	c.probing, c.stopProbing = context.WithCancel(context.Background())
 	for _, reps := range c.tiles {
 		for _, r := range reps {
 			c.probeWG.Add(1)
@@ -289,9 +292,10 @@ func (c *Coordinator) Totals() Totals {
 	}
 }
 
-// Close stops the health prober and drops all pooled shard connections.
+// Close stops the health prober, cutting off any probe in flight, and
+// drops all pooled shard connections.
 func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() { close(c.stopProbe) })
+	c.stopProbing()
 	c.probeWG.Wait()
 	for _, reps := range c.tiles {
 		for _, r := range reps {
@@ -840,7 +844,7 @@ func (c *Coordinator) probeLoop(r *replica) {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stopProbe:
+		case <-c.probing.Done():
 			return
 		case <-t.C:
 		case <-r.kick:
@@ -849,7 +853,7 @@ func (c *Coordinator) probeLoop(r *replica) {
 		r.mu.Lock()
 		r.probesBegun++
 		r.mu.Unlock()
-		if err := r.probe(); err != nil {
+		if err := r.probe(c.probing); err != nil {
 			c.probeFails.Add(1)
 		}
 		r.mu.Lock()
@@ -977,8 +981,9 @@ func (r *replica) closeIdle() {
 // on the same address since they were pooled — so callers retry a
 // pooled connection's transport failure once on a fresh dial (after
 // scrubbing the pool, whose remaining connections are from the same
-// suspect epoch) before charging the replica's breaker.
-func (r *replica) acquire() (w *wireConn, pooled bool, err error) {
+// suspect epoch) before charging the replica's breaker. The end of ctx
+// cuts a fresh dial or its greeting off.
+func (r *replica) acquire(ctx context.Context) (w *wireConn, pooled bool, err error) {
 	r.mu.Lock()
 	if n := len(r.idle); n > 0 {
 		w := r.idle[n-1]
@@ -991,13 +996,18 @@ func (r *replica) acquire() (w *wireConn, pooled bool, err error) {
 	if f := r.cfg.Faults; f != nil && f.Disconnect(faultinject.SiteCoordDial) {
 		return nil, false, errors.New("injected dial fault")
 	}
-	conn, err := net.DialTimeout("tcp", r.addr, dialTimeout)
+	dialer := net.Dialer{Timeout: dialTimeout}
+	conn, err := dialer.DialContext(ctx, "tcp", r.addr)
 	if err != nil {
 		return nil, false, err
 	}
 	w = &wireConn{conn: conn, r: bufio.NewReaderSize(conn, readBufSize)}
 	conn.SetReadDeadline(time.Now().Add(dialTimeout))
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	greeting, err := w.readLine(r.cfg.Faults)
+	if !stop() && err == nil {
+		err = ctx.Err() // cut off as the greeting arrived: the connection is closed
+	}
 	if err != nil {
 		conn.Close()
 		return nil, false, fmt.Errorf("greeting: %w", err)
@@ -1018,22 +1028,31 @@ func (r *replica) release(w *wireConn) {
 // probe is one lightweight health check: acquire a connection (pooled
 // or fresh dial + greeting) and exchange a trivial command. Success
 // half-opens an open breaker; failure records like a query failure, so
-// a dead replica's breaker opens from probes alone.
-func (r *replica) probe() error {
+// a dead replica's breaker opens from probes alone. The end of ctx closes
+// the connection of the probe in flight, and a probe it cuts off is not
+// charged to the breaker: its failure says nothing of the replica.
+func (r *replica) probe(ctx context.Context) error {
 	since := r.epoch()
-	if f := r.cfg.Faults; f != nil && f.Disconnect(faultinject.SiteCoordProbe) {
-		err := errors.New("injected probe fault")
-		r.recordFailure(since, fmt.Errorf("probe: %w", err))
+	fail := func(err error) error {
+		if ctx.Err() == nil {
+			r.recordFailure(since, fmt.Errorf("probe: %w", err))
+		}
 		return err
 	}
+	if f := r.cfg.Faults; f != nil && f.Disconnect(faultinject.SiteCoordProbe) {
+		return fail(errors.New("injected probe fault"))
+	}
 	for attempt := 0; ; attempt++ {
-		w, pooled, err := r.acquire()
+		w, pooled, err := r.acquire(ctx)
 		if err != nil {
-			r.recordFailure(since, fmt.Errorf("probe: %w", err))
-			return err
+			return fail(err)
 		}
 		w.conn.SetDeadline(time.Now().Add(dialTimeout))
+		stop := context.AfterFunc(ctx, func() { w.conn.Close() })
 		status, err := w.exchange("layers", r.cfg.Faults)
+		if !stop() && err == nil {
+			err = ctx.Err() // cut off as the answer arrived: the connection is closed
+		}
 		if err != nil {
 			w.conn.Close()
 			if pooled && attempt == 0 {
@@ -1044,8 +1063,7 @@ func (r *replica) probe() error {
 				r.closeIdle()
 				continue
 			}
-			r.recordFailure(since, fmt.Errorf("probe: %w", err))
-			return err
+			return fail(err)
 		}
 		if !strings.HasPrefix(status, "ok") {
 			w.conn.Close()
@@ -1053,9 +1071,7 @@ func (r *replica) probe() error {
 				r.closeIdle() // a drained shard's session, as above
 				continue
 			}
-			err := fmt.Errorf("probe: %s", status)
-			r.recordFailure(since, err)
-			return err
+			return fail(errors.New(status))
 		}
 		r.release(w)
 		r.probeSuccess()
@@ -1189,7 +1205,7 @@ func drainRefusal(status string) bool { return status == "error: shutting down" 
 // innocent future query.
 func (r *replica) exchangeOnce(ctx context.Context, cmd string, budget time.Duration, m *merger, ans *shardAnswer) (w *wireConn, stop func() bool, start time.Time, status string, err error) {
 	for attempt := 0; ; attempt++ {
-		w, pooled, err := r.acquire()
+		w, pooled, err := r.acquire(ctx)
 		if err != nil {
 			return nil, nil, time.Time{}, "", err
 		}

@@ -18,6 +18,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -398,6 +399,47 @@ func stubSilentShard(t *testing.T) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestCloseCutsOffProbeInFlight: Close must not wait out the deadlines of
+// a probe stuck on a replica that greets and then goes silent. It closes
+// the probe's connection, the probe it cut off is not charged to the
+// replica's breaker, and no goroutine is left behind — the stub's session
+// included, which ends when the coordinator hangs up.
+func TestCloseCutsOffProbeInFlight(t *testing.T) {
+	stub := stubSilentShard(t)
+	baseline := runtime.NumGoroutine()
+	c, err := coord.New(coord.Config{
+		Manifest:      &partition.Manifest{GX: 1, GY: 1, Bounds: geom.R(0, 0, 100, 100)},
+		Addrs:         []string{stub},
+		ProbeInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Totals().Probes == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no probe began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	c.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a probe on a silent replica", took)
+	}
+	if h := c.Health()[0]; h.Fails != 0 || h.State != coord.BreakerClosed {
+		t.Errorf("the probe Close cut off was charged: %+v", h)
+	}
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before New\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestFailoverProbesOpenSilentReplica routes tile 0's primary slot to a

@@ -17,6 +17,8 @@
 package overlay
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -200,9 +202,7 @@ func spanAt(e geom.Segment, x0, x1 float64) spanEdge {
 }
 
 func sortSpans(dst []spanEdge) {
-	sort.Slice(dst, func(i, j int) bool {
-		return dst[i].y0+dst[i].y1 < dst[j].y0+dst[j].y1
-	})
+	slices.SortFunc(dst, func(a, b spanEdge) int { return cmp.Compare(a.y0+a.y1, b.y0+b.y1) })
 }
 
 // slabOverlap integrates the overlap of the two polygons' interiors over

@@ -3,8 +3,6 @@ package query
 import (
 	"context"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,6 +10,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/geom"
 	"repro/internal/interval"
+	"repro/internal/parallel"
 	"repro/internal/rtree"
 )
 
@@ -25,11 +24,12 @@ import (
 // filter stage runs dense and branch-light over whole batches, modeled on
 // 3DPipe's pipelined join framework), and the emit stage delivers refined
 // batches to a streaming sink as they complete — clients measure
-// time-to-first-row instead of time-to-last-row. One worker pool does all
-// of it — generates the candidates task by task (generate), then takes
-// each batch through filter and refine (runStages) — and a caller-owned
-// tester, or a pool of one, runs the same functions on the calling
-// goroutine. Either way the result — returned and streamed — is in
+// time-to-first-row instead of time-to-last-row. One worker pool
+// (parallel.Ordered) does all of it — generates the candidates task by
+// task (generate), then takes each batch through filter and refine
+// (runStages) — and hands results back on the calling goroutine in task
+// order; a caller-owned tester is a pool of one, which runs everything on
+// the calling goroutine. The result — returned and streamed — is in
 // candidate order, which is (A, B) order: candidates are born sorted.
 
 // JoinOptions configure a join or a selection: how it executes, what it
@@ -116,13 +116,6 @@ func (o JoinOptions) poolSize(tester *core.Tester) int {
 		n = min(o.Workers, maxWorkersPerCPU*n)
 	}
 	return n
-}
-
-func (o JoinOptions) newTester() *core.Tester {
-	if o.Tester != nil {
-		return o.Tester()
-	}
-	return core.NewTester(core.Config{DisableHardware: true})
 }
 
 // IntersectionJoinView returns all pairs (a from view a, b from view b)
@@ -337,13 +330,12 @@ const (
 // generate is the MBR join as an index-nested-loop: every outer polygon,
 // in index order, probes b's R-tree with its MBR (MBR distance
 // lower-bounds object distance, so the distance join loses no pair
-// either). The pool — the calling goroutine and workers-1 more — claims
-// tasks from an atomic counter; a task orders each of its polygons' mates
-// by inner id and writes its own slot, so the slots' concatenation is the
-// candidate list in (A, B) order with no sort over the list: an outer
-// polygon's pairs are consecutive, its vertices and edge index cache-hot
-// across its run. A join's outer side is a layer's objects, a selection's
-// its window alone.
+// either). The tasks run on the worker pool; a task orders each of its
+// polygons' mates by inner id, and the tasks' lists, concatenated in task
+// order, are the candidate list in (A, B) order with no sort over the
+// list: an outer polygon's pairs are consecutive, its vertices and edge
+// index cache-hot across its run. A join's outer side is a layer's
+// objects, a selection's its window alone.
 //
 // It returns the list and the number of candidates seen. The context is
 // looked at once per task and every 1024 index visits, and a probe stops
@@ -356,14 +348,16 @@ func generate(ctx context.Context, outer []*geom.Polygon, b *Layer, k joinKind, 
 	n := len(outer)
 	run := min(max(n/(genTasksPerWorker*workers), genMinRun), genMaxRun)
 	slots := make([][]Pair, (n+run-1)/run)
-	// What the pool's goroutines share, in one value: one allocation per
-	// call, which a selection pays on every request.
+	// What the tasks share, in one value: one allocation per call, which a
+	// selection pays on every request.
 	var pool struct {
-		next, seen   atomic.Int64
+		seen         atomic.Int64
 		over, ctxEnd atomic.Bool
-		wg           sync.WaitGroup
 	}
-	claim := func() {
+	probe := func(_ struct{}, t int) []Pair {
+		if ctx.Err() != nil {
+			pool.ctxEnd.Store(true)
+		}
 		var (
 			out             []Pair
 			a, from, visits int
@@ -381,41 +375,22 @@ func generate(ctx context.Context, outer []*geom.Polygon, b *Layer, k joinKind, 
 			}
 			return true
 		}
-		stopped := func() bool { return pool.over.Load() || pool.ctxEnd.Load() }
-		for !stopped() {
-			t := int(pool.next.Add(1)) - 1
-			if t >= len(slots) {
-				return
+		for a = t * run; a < min((t+1)*run, n) && !pool.over.Load() && !pool.ctxEnd.Load(); a++ {
+			from, before = len(out), pool.seen.Load()
+			if r := outer[a].Bounds(); k.within {
+				b.Index.SearchWithin(r, k.d, visit)
+			} else {
+				b.Index.Search(r, visit)
 			}
-			if ctx.Err() != nil {
-				pool.ctxEnd.Store(true)
-				return
+			sortPairsByOuter(out[from:]) // one outer id: by inner id
+			if total := pool.seen.Add(int64(len(out) - from)); budget > 0 && total > int64(budget) {
+				pool.over.Store(true)
 			}
-			out = nil
-			for a = t * run; a < min((t+1)*run, n) && !stopped(); a++ {
-				from, before = len(out), pool.seen.Load()
-				if r := outer[a].Bounds(); k.within {
-					b.Index.SearchWithin(r, k.d, visit)
-				} else {
-					b.Index.Search(r, visit)
-				}
-				sortPairsByOuter(out[from:]) // one outer id: by inner id
-				if total := pool.seen.Add(int64(len(out) - from)); budget > 0 && total > int64(budget) {
-					pool.over.Store(true)
-				}
-			}
-			slots[t] = out
 		}
+		return out
 	}
-	for range min(workers, len(slots)) - 1 {
-		pool.wg.Add(1)
-		go func() {
-			defer pool.wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	pool.wg.Wait()
+	parallel.Ordered(len(slots), workers, func() struct{} { return struct{}{} }, probe,
+		func(t int, out []Pair) { slots[t] = out })
 
 	total := int(pool.seen.Load())
 	switch {
@@ -436,7 +411,6 @@ func generate(ctx context.Context, outer []*geom.Polygon, b *Layer, k joinKind, 
 
 // pipeBatch is one candidate batch traveling through the stages.
 type pipeBatch struct {
-	seq   int
 	pairs []Pair
 	// keep is the per-pair verdict, filled in by the filter stage for
 	// resolved pairs and the refine stage for the rest; emission order is
@@ -444,24 +418,40 @@ type pipeBatch struct {
 	keep []bool
 	// undecided indexes into pairs the filter stage could not resolve.
 	undecided []int32
+	// complete is unset on a batch that never started or that the context
+	// interrupted: it is not emitted.
+	complete bool
 
-	// The batch's share of the stats record, summed at emit.
+	// The batch's share of the stats record, summed at emit: its stage
+	// costs and the counters of the tester that ran it.
 	preHits, preRejects          int
 	preTime, filterTime, refTime time.Duration
+	counters                     core.Stats
 }
 
-// stageWorker is one goroutine's refinement state: its tester, and the
-// software-only retry tester built on the first panic.
+// stageWorker is one pool worker's refinement state: the run it serves,
+// its tester, and the software-only retry tester built on the first panic.
 type stageWorker struct {
+	run   *stageRun
 	t, sw *core.Tester
 }
 
-// fold adds the worker's counters to the run's stats.
-func (w *stageWorker) fold(into *core.Stats) {
-	into.Add(w.t.Stats)
-	if w.sw != nil {
-		into.Add(w.sw.Stats)
+// stage is one pool task: batch i through filter, then refine while its
+// polygons are still in the worker's cache, unless the run has stopped.
+// What the worker's tester counted meanwhile travels with the batch to
+// emit; the tester keeps it too.
+func (w *stageWorker) stage(i int) pipeBatch {
+	r := w.run
+	b := pipeBatch{pairs: r.candidates[r.cuts[i]:r.cuts[i+1]]}
+	if r.stop.Load() || ended(r.ctx.Done()) {
+		return b
 	}
+	held := w.t.Stats
+	w.t.Stats = core.Stats{}
+	b.complete = w.filterBatch(r.ctx, &r.p, &b) && w.refineBatch(r.ctx, &r.p, &b)
+	b.counters, w.t.Stats = w.t.Stats, held
+	w.t.Stats.Add(b.counters)
+	return b
 }
 
 // safe runs one stage function with panic isolation: a panic never
@@ -469,8 +459,7 @@ func (w *stageWorker) fold(into *core.Stats) {
 func safe[T any](t *core.Tester, pr Pair, f func(*core.Tester, Pair) T) (v T, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			var zero T
-			v, panicked = zero, true
+			panicked = true // v was never assigned: it is the zero T
 		}
 	}()
 	return f(t, pr), false
@@ -499,6 +488,10 @@ func (w *stageWorker) retry(p *predicate, pr Pair, whole bool) bool {
 	if !panicked && v == core.VerdictUndecided {
 		keep, panicked = safe(w.sw, pr, p.refine)
 	}
+	// What the retry counted is the worker's: it goes to the worker's
+	// tester, and so to the batch.
+	w.t.Stats.Add(w.sw.Stats)
+	w.sw.Stats = core.Stats{}
 	if panicked {
 		w.t.Stats.Quarantined++
 		return false
@@ -588,54 +581,58 @@ func (w *stageWorker) refineBatch(ctx context.Context, p *predicate, b *pipeBatc
 	return true
 }
 
-// emitter is the emit stage: it appends each completed batch's hits to
-// the result, hands them to the sink, and sums the batch's share of the
-// stage costs and executor counters. It runs on the calling goroutine.
-type emitter struct {
+// stageRun is one runStages call, what its workers read and the emit
+// stage's state, in one allocation with room for a caller's tester's
+// worker and the cuts of a selection's one batch.
+type stageRun struct {
+	ctx        context.Context
+	p          predicate
+	candidates []Pair
+	cuts       []int       // batch i is candidates[cuts[i]:cuts[i+1]]
+	stop       atomic.Bool // set by a sink failure
+
 	sink    func([]Pair) error
 	results []Pair
 	stats   Stats
 	done    int   // pairs in emitted batches
 	sinkErr error // first sink failure; nothing is sunk after it
+
+	own  stageWorker
+	room [2]int
 }
 
-func (e *emitter) emit(b *pipeBatch) {
-	n := len(e.results)
+// emit is the emit stage, on the calling goroutine, batch after batch in
+// candidate order: it adds the batch's counters to the record and, for a
+// complete batch, its stage costs, appending its hits to the result and
+// handing them to the sink. A sink failure stops the run.
+func (r *stageRun) emit(_ int, b pipeBatch) {
+	r.stats.Stats.Add(b.counters)
+	if !b.complete {
+		return
+	}
+	n := len(r.results)
 	for i, keep := range b.keep {
 		if keep {
-			e.results = append(e.results, b.pairs[i])
+			r.results = append(r.results, b.pairs[i])
 		}
 	}
-	e.done += len(b.pairs)
-	e.stats.FilterHits += b.preHits
-	e.stats.FilterRejects += b.preRejects
-	e.stats.Compared += len(b.pairs) - b.preHits - b.preRejects
-	e.stats.IntermediateMS += ms(b.preTime)
-	e.stats.GeometryMS += ms(b.filterTime + b.refTime)
-	e.stats.PipelineBatches++
-	e.stats.PipelineFilterNS += int64(b.preTime + b.filterTime)
-	e.stats.PipelineRefineNS += int64(b.refTime)
-	if e.sink != nil && e.sinkErr == nil && len(e.results) > n {
-		if err := e.sink(e.results[n:]); err != nil {
-			e.sinkErr = err
+	r.done += len(b.pairs)
+	r.stats.FilterHits += b.preHits
+	r.stats.FilterRejects += b.preRejects
+	r.stats.Compared += len(b.pairs) - b.preHits - b.preRejects
+	r.stats.IntermediateMS += ms(b.preTime)
+	r.stats.GeometryMS += ms(b.filterTime + b.refTime)
+	r.stats.PipelineBatches++
+	r.stats.PipelineFilterNS += int64(b.preTime + b.filterTime)
+	r.stats.PipelineRefineNS += int64(b.refTime)
+	if r.sink != nil && r.sinkErr == nil && len(r.results) > n {
+		if err := r.sink(r.results[n:]); err != nil {
+			r.sinkErr = err
+			r.stop.Store(true)
 		} else {
-			e.stats.StreamRowsEmitted += int64(len(e.results) - n)
+			r.stats.StreamRowsEmitted += int64(len(r.results) - n)
 		}
 	}
-}
-
-// finish closes the stats record and types the interruption, if any: a
-// sink failure always (its rows never arrived), a dead context only when
-// it cost the result some batch.
-func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Stats, error) {
-	e.stats.Results = len(e.results)
-	var err error
-	if e.sinkErr != nil {
-		err = &PartialError{Op: op, Done: e.done, Total: total, Err: e.sinkErr}
-	} else if e.done < total && ctx.Err() != nil {
-		err = &PartialError{Op: op, Done: e.done, Total: total, Err: ctxCause(ctx)}
-	}
-	return e.results, e.stats, err
 }
 
 // runStages drives a candidate list through filter → refine → emit and
@@ -649,155 +646,56 @@ func (e *emitter) finish(ctx context.Context, op string, total int) ([]Pair, Sta
 // index — stay on one worker pass. A selection's candidates are all one
 // outer group, so its batches are 4× the nominal size.
 //
-// Inline: a caller-owned tester, or one effective worker, runs filter,
-// refine and emit batch after batch on the calling goroutine — no
-// goroutines, no channels. Pooled: a feeder goroutine cuts the batches
-// into a bounded work queue; each worker owns one tester, takes the next
-// batch, filters it, refines what that left undecided while the batch's
-// polygons are still in its core's cache, and queues it for the emit
-// stage — the calling goroutine — which restores sequence order and hands
-// each completed batch to the sink. With no per-stage pools no worker
-// idles while a batch waits, whichever stage is the slow one. Bounded
-// queues give backpressure end to end: a slow sink (a congested client
-// connection) stalls emit, which stalls the workers, which stall the
-// feeder, so in-flight memory stays proportional to workers × batch size,
-// never to the result set.
+// The batches are the pool's tasks: each worker owns one tester and takes
+// batch after batch through filter and refine (stage), so no worker idles
+// while a batch waits, whichever stage is the slow one; the calling
+// goroutine emits them in candidate order. A caller's tester is the pool's
+// one worker. The pool runs at most 2× its workers ahead of emit, so a
+// slow sink (a congested client) stalls the workers and in-flight memory
+// stays proportional to workers × batch size, never to the result set.
 //
-// Failure semantics are the same on both paths: a panicking stage
-// function goes through retry; ctx is checked per pair and an interrupted
-// batch is dropped whole, so a partial result is made of complete
-// batches; the pool winds down through channel closes — no goroutine
-// outlives the call. A sink error stops the run and surfaces as the
-// *PartialError cause.
+// Failure semantics: a panicking stage function goes through retry; ctx
+// is checked per pair and an interrupted batch is dropped whole, so a
+// partial result is made of complete batches; no goroutine outlives the
+// call. A sink error stops the run — no batch starts after it, finished
+// ones still drain into the result — and is the *PartialError cause.
 func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core.Tester, opt JoinOptions, spent Stats) ([]Pair, Stats, error) {
 	batch := opt.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultBatchSize
 	}
-	cut := func(lo int) int {
+	r := &stageRun{ctx: ctx, p: p, candidates: candidates, sink: opt.Sink, stats: spent}
+	r.cuts = r.room[:1]
+	if most := (len(candidates)+batch-1)/batch + 1; most > len(r.room) {
+		r.cuts = make([]int, 1, most)
+	}
+	for lo := 0; lo < len(candidates); lo = r.cuts[len(r.cuts)-1] {
 		hi := min(lo+batch, len(candidates))
 		limit := min(lo+4*batch, len(candidates))
 		for hi < limit && candidates[hi].A == candidates[hi-1].A {
 			hi++
 		}
-		return hi
+		r.cuts = append(r.cuts, hi)
 	}
-	e := emitter{sink: opt.Sink, stats: spent}
-
-	workers := min(opt.poolSize(tester), (len(candidates)+batch-1)/batch)
-	if workers <= 1 {
-		w := &stageWorker{t: tester}
-		var before core.Stats
-		if tester == nil {
-			w.t = opt.newTester()
-		} else {
-			// The caller's tester counts the run from zero, so fold reads
-			// what the run added; the counts it held come back under them.
-			before, tester.Stats = tester.Stats, core.Stats{}
-		}
-		for lo := 0; lo < len(candidates) && e.sinkErr == nil; {
-			b := &pipeBatch{pairs: candidates[lo:cut(lo)]}
-			if !w.filterBatch(ctx, &p, b) || !w.refineBatch(ctx, &p, b) {
-				break
-			}
-			e.emit(b)
-			lo += len(b.pairs)
-		}
-		w.fold(&e.stats.Stats)
+	parallel.Ordered(len(r.cuts)-1, opt.poolSize(tester), func() *stageWorker {
 		if tester != nil {
-			before.Add(e.stats.Stats)
-			tester.Stats = before
+			r.own = stageWorker{run: r, t: tester}
+			return &r.own
 		}
-		return e.finish(ctx, p.op, len(candidates))
-	}
-
-	pctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
-	// One slot per worker on either side of the pool: a batch is always
-	// waiting for a free worker, and a finished one never waits for emit.
-	workCh := make(chan *pipeBatch, workers)
-	emitCh := make(chan *pipeBatch, workers)
-	// What the pool's goroutines report, under mu: each worker's counters
-	// when it exits, and the deepest queue backlog seen.
-	var (
-		mu           sync.Mutex
-		workerStats  core.Stats
-		deepestQueue int64
-	)
-	sent := func(ch chan<- *pipeBatch) {
-		mu.Lock()
-		deepestQueue = max(deepestQueue, int64(len(ch)))
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &stageWorker{t: opt.newTester()}
-			for b := range workCh {
-				if pctx.Err() != nil || !w.filterBatch(pctx, &p, b) || !w.refineBatch(pctx, &p, b) {
-					continue
-				}
-				select {
-				case emitCh <- b:
-					sent(emitCh)
-				case <-pctx.Done():
-				}
-			}
-			mu.Lock()
-			w.fold(&workerStats)
-			mu.Unlock()
-		}()
-	}
-	// The feeder; it also closes the emit queue behind the last worker.
-	go func() {
-		for seq, lo := 0, 0; lo < len(candidates) && pctx.Err() == nil; seq++ {
-			b := &pipeBatch{seq: seq, pairs: candidates[lo:cut(lo)]}
-			select {
-			case workCh <- b:
-				sent(workCh)
-			case <-pctx.Done():
-			}
-			lo += len(b.pairs)
+		if opt.Tester != nil {
+			return &stageWorker{run: r, t: opt.Tester()}
 		}
-		close(workCh)
-		wg.Wait()
-		close(emitCh)
-	}()
+		return &stageWorker{run: r, t: core.NewTester(core.Config{DisableHardware: true})}
+	}, (*stageWorker).stage, r.emit)
 
-	// Emit, on the calling goroutine. Batches are re-sequenced so the
-	// stream (and the returned slice) follow candidate order; on wind-down
-	// the completed out-of-order tail still drains, ascending.
-	emit := func(b *pipeBatch) {
-		e.emit(b)
-		if e.sinkErr != nil {
-			cancel(e.sinkErr)
-		}
+	// The interruption, if any, is typed: a sink failure always (its rows
+	// never arrived), a dead context only when it cost the result a batch.
+	r.stats.Results = len(r.results)
+	switch {
+	case r.sinkErr != nil:
+		return r.results, r.stats, &PartialError{Op: p.op, Done: r.done, Total: len(candidates), Err: r.sinkErr}
+	case r.done < len(candidates) && ctx.Err() != nil:
+		return r.results, r.stats, &PartialError{Op: p.op, Done: r.done, Total: len(candidates), Err: ctxCause(ctx)}
 	}
-	pending := map[int]*pipeBatch{}
-	next := 0
-	for b := range emitCh {
-		pending[b.seq] = b
-		for nb, ok := pending[next]; ok; nb, ok = pending[next] {
-			delete(pending, next)
-			next++
-			emit(nb)
-		}
-	}
-	seqs := make([]int, 0, len(pending))
-	for s := range pending {
-		seqs = append(seqs, s)
-	}
-	sort.Ints(seqs)
-	for _, s := range seqs {
-		emit(pending[s])
-	}
-
-	// emitCh is closed: every worker has folded.
-	e.stats.Stats.Add(workerStats)
-	e.stats.PipelineQueueDepth = deepestQueue
-	return e.finish(ctx, p.op, len(candidates))
+	return r.results, r.stats, nil
 }

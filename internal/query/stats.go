@@ -38,13 +38,11 @@ type Stats struct {
 
 	// Executor counters (zero for kNN): batches that crossed the stages,
 	// time the filter and refine stages spent on them (summed over the
-	// workers), the deepest backlog seen on the work or emit queue (a
-	// gauge: Merge keeps the max), and rows handed to a streaming sink.
-	PipelineBatches    int64 `json:"pipeline_batches,omitempty"`
-	PipelineFilterNS   int64 `json:"pipeline_filter_ns,omitempty"`
-	PipelineRefineNS   int64 `json:"pipeline_refine_ns,omitempty"`
-	PipelineQueueDepth int64 `json:"pipeline_queue_depth,omitempty"`
-	StreamRowsEmitted  int64 `json:"stream_rows_emitted,omitempty"`
+	// workers), and rows handed to a streaming sink.
+	PipelineBatches   int64 `json:"pipeline_batches,omitempty"`
+	PipelineFilterNS  int64 `json:"pipeline_filter_ns,omitempty"`
+	PipelineRefineNS  int64 `json:"pipeline_refine_ns,omitempty"`
+	StreamRowsEmitted int64 `json:"stream_rows_emitted,omitempty"`
 
 	// Live-view composition (filled by serving layers when the query ran
 	// over an uncompacted snapshot ∪ delta view; zero for plain layers).
@@ -60,10 +58,10 @@ type Stats struct {
 }
 
 // Merge combines another query's statistics into s: every counter and
-// wall-clock field sums, PipelineQueueDepth keeps the max, SnapshotMMap
-// ORs, and Op is kept unless unset. Merge is associative and commutative
-// over the numeric fields, so a coordinator (or pjoin aggregator) can fold
-// per-shard records in any order. Results sums too — callers that
+// wall-clock field sums, SnapshotMMap ORs, and Op is kept unless unset.
+// Merge is associative and commutative over the numeric fields, so a
+// coordinator (or pjoin aggregator) can fold per-shard records in any
+// order. Results sums too — callers that
 // deduplicate merged result streams (e.g. a sharded select, where border
 // objects report from every overlapping tile) must overwrite Results with
 // the deduplicated count afterward.
@@ -83,7 +81,6 @@ func (s *Stats) Merge(o Stats) {
 	s.PipelineBatches += o.PipelineBatches
 	s.PipelineFilterNS += o.PipelineFilterNS
 	s.PipelineRefineNS += o.PipelineRefineNS
-	s.PipelineQueueDepth = max(s.PipelineQueueDepth, o.PipelineQueueDepth)
 	s.StreamRowsEmitted += o.StreamRowsEmitted
 	s.LiveDelta += o.LiveDelta
 	s.LiveTombstones += o.LiveTombstones

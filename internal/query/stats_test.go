@@ -59,10 +59,6 @@ func TestStatsMergeSumsEveryField(t *testing.T) {
 			switch av.Field(i).Kind() {
 			case reflect.Int, reflect.Int64:
 				want := av.Field(i).Int() + bv.Field(i).Int()
-				if name == "PipelineQueueDepth" {
-					// High-water-mark gauge: merges by max, not sum.
-					want = max(av.Field(i).Int(), bv.Field(i).Int())
-				}
 				if got := mv.Field(i).Int(); got != want {
 					t.Errorf("Merge dropped %s: got %d, want %d", name, got, want)
 				}
@@ -137,7 +133,7 @@ func TestStatsWireContract(t *testing.T) {
 		"filter_rejects", "geometry_ms", "hw_fallbacks", "hw_passed", "hw_rejects", "intermediate_filter_ms",
 		"interval_checks", "interval_inconclusive", "interval_rejects", "interval_true_hits", "live_delta",
 		"live_tombstones", "mbr_filter_ms", "mbr_rejects", "op", "panics", "pip_hits", "pipeline_batches",
-		"pipeline_filter_ns", "pipeline_queue_depth", "pipeline_refine_ns", "quarantined", "results",
+		"pipeline_filter_ns", "pipeline_refine_ns", "quarantined", "results",
 		"sig_checks", "sig_rejects", "snapshot_bytes", "snapshot_load_ms", "snapshot_mmap", "snapshot_sections",
 		"stream_rows_emitted", "sw_direct", "tests"}
 	if got := keys(fillStats(1)); !slices.Equal(got, full) {

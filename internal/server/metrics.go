@@ -174,7 +174,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges Gauges) {
 	g("spatiald_pipeline_batches_total", q.PipelineBatches)
 	g("spatiald_pipeline_filter_seconds_total", float64(q.PipelineFilterNS)/float64(time.Second))
 	g("spatiald_pipeline_refine_seconds_total", float64(q.PipelineRefineNS)/float64(time.Second))
-	g("spatiald_pipeline_queue_depth_max", q.PipelineQueueDepth)
 	g("spatiald_stream_rows_emitted_total", q.StreamRowsEmitted)
 	for _, h := range gauges.Shards {
 		up := 1

@@ -189,8 +189,8 @@ func TestMetricsPrometheus(t *testing.T) {
 	m.observe(query.Stats{Op: "load", SnapshotBytes: 1024, SnapshotSections: 7, SnapshotLoadMS: 0.25}, StatusOK, 0)
 	m.observe(query.Stats{Op: "shardjoin", Candidates: 50, Stats: core.Stats{Tests: 5, HWPassed: 1},
 		PipelineBatches: 4, PipelineFilterNS: 2_500_000_000, PipelineRefineNS: 500_000_000,
-		PipelineQueueDepth: 5, StreamRowsEmitted: 33, LiveDelta: 6, LiveTombstones: 2}, StatusOK, 0)
-	m.observe(query.Stats{Op: "shardselect", PipelineBatches: 1, PipelineQueueDepth: 3, StreamRowsEmitted: 4,
+		StreamRowsEmitted: 33, LiveDelta: 6, LiveTombstones: 2}, StatusOK, 0)
+	m.observe(query.Stats{Op: "shardselect", PipelineBatches: 1, StreamRowsEmitted: 4,
 		LiveDelta: 1}, StatusPartial, 0)
 	m.observeFailure(&query.PartialError{Op: "join", Err: &query.DeadlineError{Budget: time.Second}})
 
@@ -269,7 +269,6 @@ spatiald_live_tombstones_total 2
 spatiald_pipeline_batches_total 5
 spatiald_pipeline_filter_seconds_total 2.5
 spatiald_pipeline_refine_seconds_total 0.5
-spatiald_pipeline_queue_depth_max 5
 spatiald_stream_rows_emitted_total 37
 spatiald_shard_up{tile="0",replica="0",role="primary",addr="127.0.0.1:1"} 1
 spatiald_shard_breaker_state{tile="0",replica="0"} 0

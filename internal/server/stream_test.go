@@ -306,7 +306,6 @@ func TestHTTPStreamEndpoint(t *testing.T) {
 		"spatiald_pipeline_batches_total",
 		"spatiald_pipeline_filter_seconds_total",
 		"spatiald_pipeline_refine_seconds_total",
-		"spatiald_pipeline_queue_depth_max",
 		"spatiald_stream_rows_emitted_total",
 	} {
 		if !strings.Contains(body, name+" ") {

@@ -5,8 +5,8 @@
 # sets, methods called through an interface reaching only the reached
 # types that implement it, bar the listed //reach:keep ones, each naming
 # a test function that exists),
-# race-enabled tests (the bench/ module included), the join executor's
-# concurrent failure paths, the stuck-query timers and the coordinator's
+# race-enabled tests (the bench/ module included), the worker pool and
+# the join executor's concurrent failure paths, the stuck-query timers and the coordinator's
 # cancel and stall paths ten times over under -race, one pass of each
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkColumnBuild a
@@ -49,10 +49,11 @@ go run ./scripts/reach
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== query executor failure paths, joins and selections (-race -count=10: cancel in generation, mid-probe and mid-refine, late budget trip, failing sink)"
+echo "== worker pool and query executor failure paths, joins and selections (-race -count=10: the pool's order, bound and panic; cancel in generation, mid-probe and mid-refine, late budget trip, failing sink, one tester a worker)"
 # The blanket run above executes them once; a lost wake-up or a goroutine
 # left behind shows only over repeats, and as a hang — hence the timeout.
-go test -race -count=10 -timeout 120s -run TestExecutorConcurrency ./internal/query/
+go test -race -count=10 -timeout 120s ./internal/parallel/
+go test -race -count=10 -timeout 120s -run 'TestExecutorConcurrency|TestPipelineSinkErrorWindsDown|TestPipelineCancellationPartial|TestParallelCustomTester' ./internal/query/
 
 echo "== stuck-query timers and coordinator cancel paths (-race -count=10: kill at the threshold, sever after the grace, disarm; sink abort, stalled tile)"
 # Timer and cancel races: a kill or a close that fires after its query
