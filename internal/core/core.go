@@ -90,8 +90,9 @@ type Stats struct {
 
 	// Persisted-signature filter accounting (see raster.Signature and
 	// PairContext.PSig/QSig). A signature check runs after containment is
-	// excluded and before any rendering; a reject resolves the pair
-	// negative without touching the hardware filter or the software test.
+	// excluded and before any rendering — on a distance test only for a
+	// pair that carries no spans; a reject resolves the pair negative
+	// without touching the hardware filter or the software test.
 	SigChecks  int64 `json:"sig_checks,omitempty"`  // pair tests that consulted both objects' signatures
 	SigRejects int64 `json:"sig_rejects,omitempty"` // pairs resolved negative by signature disjointness
 
@@ -99,12 +100,14 @@ type Stats struct {
 	// PairContext.PIv/QIv). The three-valued interval verdict runs right
 	// after the MBR pre-test: a true hit resolves the pair POSITIVE with
 	// no refinement at all (something no v1 filter can do), a reject
-	// resolves it negative, and an inconclusive pair proceeds through the
-	// v1 path unchanged. TrueHits and Rejects join the resolution
+	// resolves it negative (on a distance test, disjointness from the
+	// d-dilated list too: PairContext.QNear), and an inconclusive pair
+	// proceeds to containment and, on an intersection test, the v1
+	// signature check. TrueHits and Rejects join the resolution
 	// partition; Checks and Inconclusive are observability counters.
 	IntervalChecks       int64 `json:"interval_checks,omitempty"`       // pair tests where both sides had spans
-	IntervalTrueHits     int64 `json:"interval_true_hits,omitempty"`    // pairs resolved positive by full/full overlap
-	IntervalRejects      int64 `json:"interval_rejects,omitempty"`      // pairs resolved negative by span disjointness
+	IntervalTrueHits     int64 `json:"interval_true_hits,omitempty"`    // pairs resolved positive by full/full or full/certain overlap
+	IntervalRejects      int64 `json:"interval_rejects,omitempty"`      // pairs resolved negative by span disjointness (d-dilated on a distance test)
 	IntervalInconclusive int64 `json:"interval_inconclusive,omitempty"` // interval checks that decided nothing
 
 	SWDirect    int64 `json:"sw_direct"`    // sent straight to software (threshold or disabled)
@@ -210,14 +213,22 @@ type PairContext struct {
 	// PIv and QIv are the objects' interval approximations on one shared
 	// interval.Grid (the caller guarantees both sides use the same grid —
 	// see query.Layer's column plumbing). When both are non-empty the
-	// three-valued verdict runs before any other geometry work: TrueHit
-	// reports the pair intersecting outright, Reject resolves it
-	// negative, Inconclusive falls through to the v1 signature path. With
-	// Grid set they also steer the exact software intersection test to
-	// the cells partial in both lists (see softwareIntersects). Immutable
-	// and shared like the other fields. Intersection only; distance tests
-	// ignore them.
+	// interval verdict runs before any other geometry work and replaces
+	// the signature check: on an intersection test TrueHit reports the
+	// pair intersecting outright and Reject resolves it negative; on a
+	// distance test TrueHit reports the pair within every d, and Reject
+	// with QNear resolves it negative. With Grid set they also steer the
+	// exact software intersection test to the cells partial in both lists
+	// (see softwareIntersects). Immutable and shared like the other fields.
 	PIv, QIv interval.Spans
+	// QNear is QIv's partial cells dilated by the cells a distance test's
+	// d spans on the grid (interval.Column.Dilate; QIv itself at d = 0),
+	// nil when d spans more than interval.MaxDilation cells. A P list that
+	// misses both QIv and QNear proves the pair more than d apart. Both
+	// objects must lie wholly inside the grid (interval.Column.Dilate says
+	// why), as the join's pair grid guarantees. Intersection tests ignore
+	// it.
+	QNear interval.Spans
 	// Grid is the interval.Grid PIv and QIv were rasterized on. A zero
 	// Grid (or spans missing on either side) leaves the software
 	// intersection test on the whole MBR intersection.
@@ -598,9 +609,11 @@ func (t *Tester) WithinDistanceCtx(p, q *geom.Polygon, d float64, pc PairContext
 	return t.RefineWithin(p, q, d, pc)
 }
 
-// FilterWithin is the within-distance filter stage: MBR distance pre-test,
-// containment, and d-expanded signature disjointness, none of which touch
-// the rendering context. See FilterIntersects for the stats contract.
+// FilterWithin is the within-distance filter stage: MBR distance
+// pre-test, the interval verdict (true hit, or reject through the
+// d-dilated list), containment, and, for a pair that carries no spans,
+// d-expanded signature disjointness — none of which touch the rendering
+// context. See FilterIntersects for the stats contract.
 func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Verdict {
 	if t.cfg.Faults != nil {
 		t.cfg.Faults.Apply(faultinject.SiteWithinDistance)
@@ -609,6 +622,27 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	if p.Bounds().DistSq(q.Bounds()) > geom.SqBound(d) {
 		t.Stats.MBRRejects++
 		return VerdictMiss
+	}
+
+	// Interval verdict, the paper's widen-by-D filter (§3.3) in interval
+	// form: regions that intersect are within every d, and a P list that
+	// misses Q's cover and Q's boundary cells widened by d's cells is
+	// farther than d from Q. It runs before containment, like the
+	// intersection test's, and takes the signature check's place.
+	spans := len(pc.PIv) > 0 && len(pc.QIv) > 0
+	if spans {
+		t.Stats.IntervalChecks++
+		switch interval.Compare(pc.PIv, pc.QIv) {
+		case interval.TrueHit:
+			t.Stats.IntervalTrueHits++
+			return VerdictHit
+		case interval.Reject:
+			if interval.Compare(pc.PIv, pc.QNear) == interval.Reject {
+				t.Stats.IntervalRejects++
+				return VerdictMiss
+			}
+		}
+		t.Stats.IntervalInconclusive++
 	}
 
 	// Containment makes the region distance zero but leaves boundaries
@@ -622,7 +656,7 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	// Persisted-signature filter: with containment excluded, within-d
 	// reduces to the boundaries coming within d, which the signatures
 	// refute when their d-expanded cells are disjoint.
-	if t.sigReject(p, q, d, pc) {
+	if !spans && t.sigReject(p, q, d, pc) {
 		return VerdictMiss
 	}
 	return VerdictUndecided

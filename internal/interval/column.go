@@ -70,15 +70,26 @@ func build(n int, g Grid, index func(id int, scratch *edgeindex.Index) *edgeinde
 		r  Rasterizer
 		ix edgeindex.Index
 	}
+	return gather(n, g, func() *worker { return new(worker) }, func(w *worker, dst Spans, id int) Spans {
+		return w.r.Append(dst, index(id, &w.ix), g)
+	})
+}
+
+// gather builds the column on g of objects 0..n-1 whose lists add
+// appends: the objects are split into contiguous chunks run on
+// runtime.GOMAXPROCS(0) workers, each with its own scratch from
+// newWorker, and the chunks' lists are joined in object order, so the
+// column is the same at any worker count.
+func gather[W any](n int, g Grid, newWorker func() *W, add func(w *W, dst Spans, id int) Spans) *Column {
 	type chunk struct {
 		counts []uint32
 		data   Spans
 	}
-	chunks := parallel.Chunks(n, func() *worker { return new(worker) }, func(w *worker, lo, hi int) chunk {
+	chunks := parallel.Chunks(n, newWorker, func(w *W, lo, hi int) chunk {
 		c := chunk{counts: make([]uint32, hi-lo)}
 		for id := lo; id < hi; id++ {
 			before := len(c.data)
-			c.data = w.r.Append(c.data, index(id, &w.ix), g)
+			c.data = add(w, c.data, id)
 			c.counts[id-lo] = uint32(len(c.data) - before)
 		}
 		return c

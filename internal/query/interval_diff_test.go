@@ -119,18 +119,23 @@ func TestIntervalJoinDifferentialSynthetic(t *testing.T) {
 }
 
 // TestIntervalConcurrentLazyBuild hammers one fresh layer pair with
-// concurrent joins at two different forced orders, so multiple goroutines
-// race into the per-(layer, grid) lazy interval construction. Meaningful
+// concurrent joins and within joins at two different forced orders, so
+// multiple goroutines race into the per-(layer, grid) lazy interval
+// construction and the per-(layer, grid, k) dilated lists. Meaningful
 // chiefly under -race: the per-entry once must publish each column
 // exactly once, and every join must still agree with the ablated answer.
 func TestIntervalConcurrentLazyBuild(t *testing.T) {
 	a := NewLayer(data.MustLoad("LANDC", 0.01))
 	b := NewLayer(data.MustLoad("LANDO", 0.01))
-	want, _, err := IntersectionJoinView(bg, a.View(), b.View(), swTester(), JoinOptions{NoIntervals: true})
-	if err != nil {
-		t.Fatal(err)
+	kinds := []joinKind{intersects, withinDistance(data.BaseD(a.Data, b.Data))}
+	var wants [2][]Pair
+	for i, k := range kinds {
+		want, _, err := joinViews(bg, a.View(), b.View(), k, swTester(), JoinOptions{NoIntervals: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = sortedPairs(want)
 	}
-	want = sortedPairs(want)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -142,7 +147,8 @@ func TestIntervalConcurrentLazyBuild(t *testing.T) {
 			if i%2 == 1 {
 				order = 8
 			}
-			got, _, err := pooledJoin(a, b, JoinOptions{
+			want := wants[i/2%2]
+			got, _, err := joinViews(bg, a.View(), b.View(), kinds[i/2%2], nil, JoinOptions{
 				Workers: 2, BatchSize: 64, Tester: swTester, IntervalOrder: order,
 			})
 			if err != nil {

@@ -326,15 +326,15 @@ func TestForceCopyDeltaOverlayParity(t *testing.T) {
 // TestJoinOutsideSnapshotGrid pins the grid-coverage precondition of the
 // interval reject. Rasterize clips an object that leaves its grid, so
 // interval.Compare's Reject is sound only when one of the two objects lies
-// wholly inside the grid their lists were built on. Here a live table
-// over LANDC gets two inserts that leave its snapshot's square: one far
-// outside it, and one bar that starts inside it and meets the other
-// layer's sloping arm only outside it. On a grid over LANDC's domain
-// alone the second pair is rejected: the clipped walk marks the arm's
-// outside edges where their lines reach the grid's edge, not where the
-// arm crosses the bar. The join
-// must return both pairs, with the base in memory and from a snapshot,
-// and the other layer likewise.
+// wholly inside the grid their lists were built on, and the within join's
+// d-dilated reject only when both do. Here a live table over LANDC gets
+// two inserts that leave its snapshot's square: one far outside it, and
+// one bar that starts inside it and meets the other layer's sloping arm
+// only outside it. On a grid over LANDC's domain alone the second pair is
+// rejected: the clipped walk marks the arm's outside edges where their
+// lines reach the grid's edge, not where the arm crosses the bar. The
+// join and the within join (at d = 2) must return both pairs, with the
+// base in memory and from a snapshot, and the other layer likewise.
 func TestJoinOutsideSnapshotGrid(t *testing.T) {
 	rect := func(x0, y0, x1, y1 float64) *geom.Polygon {
 		return geom.MustPolygon(geom.Pt(x0, y0), geom.Pt(x1, y0), geom.Pt(x1, y1), geom.Pt(x0, y1))
@@ -351,44 +351,46 @@ func TestJoinOutsideSnapshotGrid(t *testing.T) {
 	nA, nB := len(layerA.Data.Objects), len(layerB.Data.Objects)
 	wantPairs := []Pair{{A: nA, B: nB}, {A: nA + 1, B: nB + 1}}
 
-	oracle, _, err := IntersectionJoinView(bg, NewLayer(scratchState(layerA.Data, nil, inserts)).View(),
-		NewLayer(bData).View(), swTester(), JoinOptions{NoIntervals: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairsByOuter(oracle)
-
-	for _, baseSnap := range []bool{false, true} {
-		base := layerA
-		if baseSnap {
-			base = snapshotLayer(t, layerA.Data, false)
+	for _, k := range []joinKind{intersects, withinDistance(2)} {
+		oracle, _, err := joinViews(bg, NewLayer(scratchState(layerA.Data, nil, inserts)).View(),
+			NewLayer(bData).View(), k, swTester(), JoinOptions{NoIntervals: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		lv := NewLive(base, nil, 0, 0)
-		applyScript(t, lv, nil, inserts)
-		for _, bSnap := range []bool{false, true} {
-			b := NewLayer(bData)
-			if bSnap {
-				b = snapshotLayer(t, bData, false)
+		sortPairsByOuter(oracle)
+
+		for _, baseSnap := range []bool{false, true} {
+			base := layerA
+			if baseSnap {
+				base = snapshotLayer(t, layerA.Data, false)
 			}
-			name := fmt.Sprintf("base snapshot=%v, other snapshot=%v", baseSnap, bSnap)
-			got, st, err := IntersectionJoinView(bg, lv.View(), b.View(), swTester(), JoinOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.IntervalChecks == 0 {
-				t.Fatalf("%s: the interval filter never ran", name)
-			}
-			samePairs(t, name, got, oracle)
-			for _, want := range wantPairs {
-				if !slices.Contains(got, want) {
-					t.Errorf("%s: pair %v, which meets only outside the snapshot's square, missing", name, want)
+			lv := NewLive(base, nil, 0, 0)
+			applyScript(t, lv, nil, inserts)
+			for _, bSnap := range []bool{false, true} {
+				b := NewLayer(bData)
+				if bSnap {
+					b = snapshotLayer(t, bData, false)
 				}
+				name := fmt.Sprintf("%s: base snapshot=%v, other snapshot=%v", k.op, baseSnap, bSnap)
+				got, st, err := joinViews(bg, lv.View(), b.View(), k, swTester(), JoinOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.IntervalChecks == 0 {
+					t.Fatalf("%s: the interval filter never ran", name)
+				}
+				samePairs(t, name, got, oracle)
+				for _, want := range wantPairs {
+					if !slices.Contains(got, want) {
+						t.Errorf("%s: pair %v, which meets only outside the snapshot's square, missing", name, want)
+					}
+				}
+				gotP, _, err := joinViews(bg, lv.View(), b.View(), k, nil, JoinOptions{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePairs(t, name+" (pooled)", gotP, oracle)
 			}
-			gotP, _, err := PipelineIntersectionJoinView(bg, lv.View(), b.View(), JoinOptions{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePairs(t, name+" (pooled)", gotP, oracle)
 		}
 	}
 }

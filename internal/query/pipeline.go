@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,9 +86,9 @@ type JoinOptions struct {
 
 	// NoSignatures detaches the persisted raster-signature filter of
 	// snapshot-backed layers from a join, NoIntervals the v2
-	// interval-approximation filter from an intersection join (true hits
-	// and rejects; the v1 signature path then decides alone). Ablation and
-	// baseline knobs.
+	// interval-approximation filter from a join of either kind (true hits
+	// and rejects, the within join's d-dilated reject included; the v1
+	// signature path then decides alone). Ablation and baseline knobs.
 	NoSignatures, NoIntervals bool
 	// IntervalOrder forces the shared interval grid's order (2..15); 0
 	// derives it from the layers. No verb sets it.
@@ -174,11 +175,12 @@ type predicate struct {
 // bind resolves the per-pair inputs (edge indexes, signatures, interval
 // columns, hulls) of a join between layers a and b.
 func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
-	var iva, ivb *interval.Column
-	if !k.within { // distance tests ignore intervals
-		iva, ivb = intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
+	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
+	var near *interval.Column
+	if k.within && ivb != nil {
+		near = b.nearColumn(ivb.Grid, k.d)
 	}
-	pcFor := pairContexts(a, b, opt, iva, ivb)
+	pcFor := pairContexts(a, b, opt, iva, ivb, near)
 	d := k.d
 	p := predicate{
 		op: k.op,
@@ -423,10 +425,9 @@ type pipeBatch struct {
 	complete bool
 
 	// The batch's share of the stats record, summed at emit: its stage
-	// costs and the counters of the tester that ran it.
+	// costs. The testers' counters are summed once the run ends.
 	preHits, preRejects          int
 	preTime, filterTime, refTime time.Duration
-	counters                     core.Stats
 }
 
 // stageWorker is one pool worker's refinement state: the run it serves,
@@ -438,19 +439,13 @@ type stageWorker struct {
 
 // stage is one pool task: batch i through filter, then refine while its
 // polygons are still in the worker's cache, unless the run has stopped.
-// What the worker's tester counted meanwhile travels with the batch to
-// emit; the tester keeps it too.
 func (w *stageWorker) stage(i int) pipeBatch {
 	r := w.run
 	b := pipeBatch{pairs: r.candidates[r.cuts[i]:r.cuts[i+1]]}
 	if r.stop.Load() || ended(r.ctx.Done()) {
 		return b
 	}
-	held := w.t.Stats
-	w.t.Stats = core.Stats{}
 	b.complete = w.filterBatch(r.ctx, &r.p, &b) && w.refineBatch(r.ctx, &r.p, &b)
-	b.counters, w.t.Stats = w.t.Stats, held
-	w.t.Stats.Add(b.counters)
 	return b
 }
 
@@ -489,7 +484,7 @@ func (w *stageWorker) retry(p *predicate, pr Pair, whole bool) bool {
 		keep, panicked = safe(w.sw, pr, p.refine)
 	}
 	// What the retry counted is the worker's: it goes to the worker's
-	// tester, and so to the batch.
+	// tester, and so to the record.
 	w.t.Stats.Add(w.sw.Stats)
 	w.sw.Stats = core.Stats{}
 	if panicked {
@@ -591,22 +586,34 @@ type stageRun struct {
 	cuts       []int       // batch i is candidates[cuts[i]:cuts[i+1]]
 	stop       atomic.Bool // set by a sink failure
 
-	sink    func([]Pair) error
+	sink func([]Pair) error
+	// results holds the emitted hits in candidates' own array: batches
+	// are emitted in candidate order and keep a subsequence of their
+	// pairs, so the hits written so far end before the batch being read,
+	// and no worker reads a batch emit has passed.
 	results []Pair
-	stats   Stats
 	done    int   // pairs in emitted batches
 	sinkErr error // first sink failure; nothing is sunk after it
 
-	own  stageWorker
-	room [2]int
+	// What emit sums for the record: the prefilter's decisions, the stage
+	// costs, and the batches and rows it passed on.
+	preHits, preRejects, compared int
+	preTime, filterTime, refTime  time.Duration
+	batches, streamed             int64
+
+	// workers are the pool's own workers, whose testers' counters the
+	// record sums once the run ends; a caller's tester's worker is own.
+	mu      sync.Mutex
+	workers []*stageWorker
+	own     stageWorker
+	room    [2]int
 }
 
 // emit is the emit stage, on the calling goroutine, batch after batch in
-// candidate order: it adds the batch's counters to the record and, for a
-// complete batch, its stage costs, appending its hits to the result and
-// handing them to the sink. A sink failure stops the run.
+// candidate order: for a complete batch it adds the batch's stage costs
+// to the record, moves its hits to the result and hands them to the sink.
+// A sink failure stops the run.
 func (r *stageRun) emit(_ int, b pipeBatch) {
-	r.stats.Stats.Add(b.counters)
 	if !b.complete {
 		return
 	}
@@ -617,29 +624,28 @@ func (r *stageRun) emit(_ int, b pipeBatch) {
 		}
 	}
 	r.done += len(b.pairs)
-	r.stats.FilterHits += b.preHits
-	r.stats.FilterRejects += b.preRejects
-	r.stats.Compared += len(b.pairs) - b.preHits - b.preRejects
-	r.stats.IntermediateMS += ms(b.preTime)
-	r.stats.GeometryMS += ms(b.filterTime + b.refTime)
-	r.stats.PipelineBatches++
-	r.stats.PipelineFilterNS += int64(b.preTime + b.filterTime)
-	r.stats.PipelineRefineNS += int64(b.refTime)
+	r.preHits += b.preHits
+	r.preRejects += b.preRejects
+	r.compared += len(b.pairs) - b.preHits - b.preRejects
+	r.preTime += b.preTime
+	r.filterTime += b.filterTime
+	r.refTime += b.refTime
+	r.batches++
 	if r.sink != nil && r.sinkErr == nil && len(r.results) > n {
 		if err := r.sink(r.results[n:]); err != nil {
 			r.sinkErr = err
 			r.stop.Store(true)
 		} else {
-			r.stats.StreamRowsEmitted += int64(len(r.results) - n)
+			r.streamed += int64(len(r.results) - n)
 		}
 	}
 }
 
 // runStages drives a candidate list through filter → refine → emit and
-// returns the result pairs in candidate order and the stats record: the
-// stages' costs added to what the caller spent before them, and the
-// counters of every tester the run used — a caller's tester included,
-// which keeps them too.
+// returns the result pairs in candidate order, written over the
+// candidates' array, and the stats record: the stages' costs added to
+// what the caller spent before them, and the counters of every tester the
+// run used — a caller's tester included, which keeps them too.
 // Batches extend past the nominal size to the end of the current outer
 // object's run (bounded at 4×, so a monster outer group cannot serialize
 // the join) so one outer polygon's pairs — and its lazily built edge
@@ -664,7 +670,7 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 	if batch <= 0 {
 		batch = core.DefaultBatchSize
 	}
-	r := &stageRun{ctx: ctx, p: p, candidates: candidates, sink: opt.Sink, stats: spent}
+	r := &stageRun{ctx: ctx, p: p, candidates: candidates, sink: opt.Sink, results: candidates[:0]}
 	r.cuts = r.room[:1]
 	if most := (len(candidates)+batch-1)/batch + 1; most > len(r.room) {
 		r.cuts = make([]int, 1, most)
@@ -677,25 +683,54 @@ func runStages(ctx context.Context, candidates []Pair, p predicate, tester *core
 		}
 		r.cuts = append(r.cuts, hi)
 	}
+	// A caller's tester counts this run from zero, and gets its earlier
+	// counts back after.
+	var held core.Stats
+	if tester != nil {
+		held, tester.Stats = tester.Stats, core.Stats{}
+	}
 	parallel.Ordered(len(r.cuts)-1, opt.poolSize(tester), func() *stageWorker {
 		if tester != nil {
 			r.own = stageWorker{run: r, t: tester}
 			return &r.own
 		}
+		w := &stageWorker{run: r}
 		if opt.Tester != nil {
-			return &stageWorker{run: r, t: opt.Tester()}
+			w.t = opt.Tester()
+		} else {
+			w.t = core.NewTester(core.Config{DisableHardware: true})
 		}
-		return &stageWorker{run: r, t: core.NewTester(core.Config{DisableHardware: true})}
+		r.mu.Lock()
+		r.workers = append(r.workers, w)
+		r.mu.Unlock()
+		return w
 	}, (*stageWorker).stage, r.emit)
 
+	st := spent
+	if tester != nil {
+		st.Stats.Add(tester.Stats)
+		tester.Stats.Add(held)
+	}
+	for _, w := range r.workers {
+		st.Stats.Add(w.t.Stats)
+	}
+	st.FilterHits += r.preHits
+	st.FilterRejects += r.preRejects
+	st.Compared += r.compared
+	st.IntermediateMS += ms(r.preTime)
+	st.GeometryMS += ms(r.filterTime + r.refTime)
+	st.PipelineBatches += r.batches
+	st.PipelineFilterNS += int64(r.preTime + r.filterTime)
+	st.PipelineRefineNS += int64(r.refTime)
+	st.StreamRowsEmitted += r.streamed
+	st.Results = len(r.results)
 	// The interruption, if any, is typed: a sink failure always (its rows
 	// never arrived), a dead context only when it cost the result a batch.
-	r.stats.Results = len(r.results)
 	switch {
 	case r.sinkErr != nil:
-		return r.results, r.stats, &PartialError{Op: p.op, Done: r.done, Total: len(candidates), Err: r.sinkErr}
+		return r.results, st, &PartialError{Op: p.op, Done: r.done, Total: len(candidates), Err: r.sinkErr}
 	case r.done < len(candidates) && ctx.Err() != nil:
-		return r.results, r.stats, &PartialError{Op: p.op, Done: r.done, Total: len(candidates), Err: ctxCause(ctx)}
+		return r.results, st, &PartialError{Op: p.op, Done: r.done, Total: len(candidates), Err: ctxCause(ctx)}
 	}
-	return r.results, r.stats, nil
+	return r.results, st, nil
 }

@@ -264,10 +264,6 @@ func TestParallelJoinRecoversPanickingTester(t *testing.T) {
 // refine function, inline on a caller's tester and pooled.
 func stagesForms(t *testing.T, cfg core.Config, refine func(*core.Tester, Pair) bool,
 	check func(name string, got []Pair, stats core.Stats)) {
-	candidates := make([]Pair, 100)
-	for i := range candidates {
-		candidates[i] = Pair{i, i}
-	}
 	p := predicate{
 		op:     "test",
 		filter: func(*core.Tester, Pair) core.Verdict { return core.VerdictUndecided },
@@ -278,6 +274,10 @@ func stagesForms(t *testing.T, cfg core.Config, refine func(*core.Tester, Pair) 
 		var tester *core.Tester
 		if inline {
 			tester = opt.Tester()
+		}
+		candidates := make([]Pair, 100) // runStages writes its result over them
+		for i := range candidates {
+			candidates[i] = Pair{i, i}
 		}
 		got, st, err := runStages(bg, candidates, p, tester, opt, Stats{})
 		if err != nil {

@@ -30,6 +30,7 @@ package query
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -73,13 +74,14 @@ type Layer struct {
 	sigs []raster.Signature
 
 	// ivalCol is the persisted v2 interval column of a snapshot-backed
-	// layer (nil otherwise); ivalCache holds lazily built columns keyed by
-	// grid for layers (or grids) without a persisted one. Columns are
-	// immutable once built; the per-entry once makes concurrent queries on
-	// the same grid share one build. objStats caches the bounds/extent
-	// summary grid derivation needs.
+	// layer (nil otherwise); ivalCache holds the lazily built ones, keyed
+	// by grid and dilation (see ivalKey): columns on grids without a
+	// persisted one, and every dilated column. Columns are immutable once
+	// built; the per-entry once makes concurrent queries on the same key
+	// share one build. objStats caches the bounds/extent summary grid
+	// derivation needs.
 	ivalMu    sync.Mutex
-	ivalCache map[interval.Grid]*ivalEntry
+	ivalCache map[ivalKey]*ivalEntry
 	ivalCol   *interval.Column
 	statsOnce sync.Once
 	objBounds geom.Rect
@@ -135,9 +137,33 @@ func NewLayerFromSnapshot(s *store.Snapshot) (*Layer, error) {
 	return l, nil
 }
 
+// ivalKey names a cached column: the layer's column on grid g (k = 0),
+// or its partial cells dilated by k cells (k > 0, see nearColumn).
+type ivalKey struct {
+	g interval.Grid
+	k int
+}
+
 type ivalEntry struct {
 	once sync.Once
 	col  *interval.Column
+}
+
+// cached returns the column under key, built by build on the first
+// request; concurrent first requests share the one build.
+func (l *Layer) cached(key ivalKey, build func() *interval.Column) *interval.Column {
+	l.ivalMu.Lock()
+	if l.ivalCache == nil {
+		l.ivalCache = map[ivalKey]*ivalEntry{}
+	}
+	e := l.ivalCache[key]
+	if e == nil {
+		e = &ivalEntry{}
+		l.ivalCache[key] = e
+	}
+	l.ivalMu.Unlock()
+	e.once.Do(func() { e.col = build() })
+	return e.col
 }
 
 // objectStats caches the layer's MBR union and characteristic extent,
@@ -174,20 +200,30 @@ func (l *Layer) Intervals(g interval.Grid) *interval.Column {
 	if l.snap != nil && l.ivalCol == nil {
 		return nil
 	}
-	l.ivalMu.Lock()
-	if l.ivalCache == nil {
-		l.ivalCache = map[interval.Grid]*ivalEntry{}
-	}
-	e := l.ivalCache[g]
-	if e == nil {
-		e = &ivalEntry{}
-		l.ivalCache[g] = e
-	}
-	l.ivalMu.Unlock()
-	e.once.Do(func() {
-		e.col = interval.BuildIndexed(len(l.Data.Objects), l.EdgeIndex, g)
+	return l.cached(ivalKey{g: g}, func() *interval.Column {
+		return interval.BuildIndexed(len(l.Data.Objects), l.EdgeIndex, g)
 	})
-	return e.col
+}
+
+// nearColumn returns the inner side of a within-distance join's interval
+// reject on grid g: the layer's column there with each list's partial
+// cells dilated by k = ⌈d / cell⌉ cells (interval.Column.Dilate), built
+// once per (g, k) and cached beside the columns. Cells are powers of two
+// on canonical squares, so k cells span d exactly. At d = 0 the column
+// itself serves. It is nil when the layer has no column on g or k exceeds
+// interval.MaxDilation, and the join then runs no interval reject. The
+// reject needs both sides of every pair wholly inside g, which pairGrid's
+// union square guarantees.
+func (l *Layer) nearColumn(g interval.Grid, d float64) *interval.Column {
+	k := math.Ceil(d / g.CellSize())
+	col := l.Intervals(g)
+	switch {
+	case col == nil || !(k >= 0 && k <= interval.MaxDilation):
+		return nil
+	case k == 0:
+		return col
+	}
+	return l.cached(ivalKey{g, int(k)}, func() *interval.Column { return col.Dilate(int(k)) })
 }
 
 // pairGrid derives the shared interval grid for a join between a and b:
@@ -307,7 +343,7 @@ var selection = joinKind{op: "select"}
 // each candidate adds its own edge index.
 func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 	p := predicate{op: selection.op}
-	if opt.InteriorLevel >= 0 {
+	if level := opt.InteriorLevel; level >= 0 {
 		wb := window.Bounds()
 		var tiles struct {
 			once sync.Once
@@ -315,7 +351,7 @@ func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 		}
 		p.pre = func(pr Pair) core.Verdict {
 			if b := l.Data.Objects[pr.B].Bounds(); wb.ContainsRect(b) {
-				tiles.once.Do(func() { tiles.f = filter.NewInterior(window, opt.InteriorLevel) })
+				tiles.once.Do(func() { tiles.f = filter.NewInterior(window, level) })
 				if tiles.f.CoversRect(b) {
 					return core.VerdictHit
 				}
@@ -325,13 +361,11 @@ func bindSelection(l *Layer, window *geom.Polygon, opt JoinOptions) predicate {
 	}
 	var win struct { // the window's side of every pair
 		once sync.Once
-		pc   core.PairContext
+		ix   *edgeindex.Index
 	}
 	pcFor := func(pr Pair) core.PairContext {
-		win.once.Do(func() { win.pc = core.PairContext{PIndex: edgeindex.New(window)} })
-		pc := win.pc
-		pc.QIndex = l.EdgeIndex(pr.B)
-		return pc
+		win.once.Do(func() { win.ix = edgeindex.New(window) })
+		return core.PairContext{PIndex: win.ix, QIndex: l.EdgeIndex(pr.B)}
 	}
 	p.filter = func(t *core.Tester, pr Pair) core.Verdict {
 		return t.FilterIntersects(window, l.Data.Objects[pr.B], pcFor(pr))
@@ -366,9 +400,10 @@ func sortPairsByOuter(pairs []Pair) {
 // intervalColumns), attach the objects' v2 interval spans — always from
 // one shared grid, which is what makes them comparable — and that grid,
 // which narrows the exact software test to the cells partial in both; the
-// v1 signatures stay attached too and still decide pairs the interval
-// check leaves inconclusive.
-func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(Pair) core.PairContext {
+// v1 signatures stay attached too and still decide the intersection
+// pairs the interval check leaves inconclusive. near, on a
+// within-distance join, attaches b's dilated lists (Layer.nearColumn).
+func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb, near *interval.Column) func(Pair) core.PairContext {
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil
 	return func(pr Pair) core.PairContext {
@@ -381,6 +416,7 @@ func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb *interval.Column) func(
 		}
 		if ivals {
 			pc.PIv, pc.QIv, pc.Grid = iva.Spans(pr.A), ivb.Spans(pr.B), iva.Grid
+			pc.QNear = near.Spans(pr.B)
 		}
 		return pc
 	}

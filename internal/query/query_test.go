@@ -177,11 +177,10 @@ func oraclePairs(a, b *View, test func(p, q *geom.Polygon) bool) []Pair {
 // runOracleMatrix runs kind k — with each prefilter setting in pres — over
 // {inline with the caller's tester, pooled workers 1/2/8} × batch {1, 7,
 // 256} × tester {sw, hw res 8, hw res 16 + SWThreshold 100} × NoIntervals
-// (where the predicate reads it: knobs is 2 with, 1 without) × {layer
-// view, live view}, and checks each run against want: the pair set in
+// × {layer view, live view}, and checks each run against want: the pair set in
 // (A, B) order, the stage counts, and that the concatenated sink batches
 // are the returned slice.
-func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, want func(a, b *View) []Pair) {
+func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, want func(a, b *View) []Pair) {
 	for vname, a := range matrixViews(t) {
 		b := matrixB.View()
 		w := want(a, b)
@@ -194,7 +193,7 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 			for _, workers := range []int{-1, 1, 2, 8} { // -1: inline, caller's tester
 				for _, batch := range []int{1, 7, 256} {
 					for _, pre := range pres {
-						for knob := range knobs {
+						for knob := range 2 {
 							opt := pre
 							opt.Workers, opt.BatchSize = workers, batch
 							opt.Tester = func() *core.Tester { return core.NewTester(cfg) }
@@ -246,7 +245,7 @@ func runOracleMatrix(t *testing.T, k joinKind, pres []JoinOptions, knobs int, wa
 }
 
 func TestIntersectionJoinMatchesOracle(t *testing.T) {
-	runOracleMatrix(t, intersects, []JoinOptions{{}, {UseHullFilter: true}}, 2,
+	runOracleMatrix(t, intersects, []JoinOptions{{}, {UseHullFilter: true}},
 		func(a, b *View) []Pair { return oraclePairs(a, b, bruteIntersects) })
 }
 
@@ -265,7 +264,7 @@ func TestWithinDistanceJoinMatchesOracle(t *testing.T) {
 	baseD := data.BaseD(matrixA.Data, matrixB.Data)
 	for _, mult := range []float64{0.1, 1.0} {
 		d := baseD * mult
-		runOracleMatrix(t, withinDistance(d), pres, 1, func(a, b *View) []Pair {
+		runOracleMatrix(t, withinDistance(d), pres, func(a, b *View) []Pair {
 			return oraclePairs(a, b, func(p, q *geom.Polygon) bool { return dist.MinDistBrute(p, q) <= d })
 		})
 	}

@@ -1,0 +1,207 @@
+package query
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/data"
+	"repro/internal/dist"
+	"repro/internal/geom"
+	"repro/internal/interval"
+)
+
+// benchWithinD is the within_single workload's D (bench/README.md), on
+// WATER and PRISM at scale 0.1.
+const benchWithinD = 1.0
+
+// withinBenchLayers returns WATER and PRISM at the within_single scale as
+// snapshot layers, as the benchmark's server holds them.
+func withinBenchLayers(tb testing.TB) (water, prism *Layer) {
+	return snapshotLayer(tb, data.MustLoad("WATER", 0.1), false), snapshotLayer(tb, data.MustLoad("PRISM", 0.1), false)
+}
+
+// TestWithinBenchCounters pins what the within verb's filter decides on the
+// within_single join from snapshots: of the 10 686 candidates the interval
+// verdict reports 3 021 within outright and rejects 4 946, containment
+// decides 198, no signature is checked, and 2 521 pairs reach the
+// distance kernel. With intervals off the signature stage decides as
+// before. Both answer the same pairs.
+func TestWithinBenchCounters(t *testing.T) {
+	water, prism := withinBenchLayers(t)
+	on, st, err := PipelineWithinDistanceJoinView(bg, water.View(), prism.View(), benchWithinD, JoinOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := st.Tests - st.MBRRejects - st.IntervalTrueHits - st.IntervalRejects - st.PIPHits - st.SigRejects
+	got := [6]int64{int64(st.Candidates), st.IntervalTrueHits, st.IntervalRejects, st.PIPHits, st.SigChecks, kernel}
+	if want := [6]int64{10686, 3021, 4946, 198, 0, 2521}; got != want {
+		t.Errorf("candidates, interval true hits, interval rejects, containment hits, signature checks, kernel pairs = %v, want %v", got, want)
+	}
+	off, st, err := PipelineWithinDistanceJoinView(bg, water.View(), prism.View(), benchWithinD, JoinOptions{Workers: 2, NoIntervals: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IntervalChecks != 0 || st.SigChecks != 9554 || st.SigRejects != 4321 || st.PIPHits != 1132 {
+		t.Errorf("intervals off: %d interval checks, %d signature checks, %d rejects, %d containment hits; want 0, 9554, 4321, 1132",
+			st.IntervalChecks, st.SigChecks, st.SigRejects, st.PIPHits)
+	}
+	samePairs(t, "intervals on vs off", on, off)
+}
+
+// adversarialWithin places pairs whose distances sit exactly on cell
+// multiples, off them, on axes and on diagonals at offsets (x, 0) of a
+// layer pair whose grid is a 2^11-unit square: squares a whole number of
+// units apart on an axis and on a diagonal, touching at a corner, sharing
+// an edge, nested, and the staircases of the distance kernel's tests
+// (stairs and its complement) apart by fractions of a unit. Every
+// coordinate is a small dyadic rational, so distances and cell borders are
+// exact.
+func adversarialWithin() (a, b []*geom.Polygon) {
+	rect := func(x0, y0, x1, y1 float64) *geom.Polygon {
+		return geom.MustPolygon(geom.Pt(x0, y0), geom.Pt(x1, y0), geom.Pt(x1, y1), geom.Pt(x0, y1))
+	}
+	stairs := func(x, y, u float64, n int, dx, dy float64, under bool) *geom.Polygon {
+		var pts []geom.Point
+		if under {
+			x, y = x+dx, y+dy
+			pts = append(pts, geom.Pt(x+u, y), geom.Pt(x+float64(n)*u, y))
+			for k := n - 1; k > 0; k-- {
+				f := float64(k) * u
+				pts = append(pts, geom.Pt(x+f+u, y+f), geom.Pt(x+f, y+f))
+			}
+			return geom.MustPolygon(pts...)
+		}
+		for k := range n {
+			f := float64(k) * u
+			pts = append(pts, geom.Pt(x+f, y+f), geom.Pt(x+f+u, y+f))
+		}
+		top := float64(n) * u
+		return geom.MustPolygon(append(pts, geom.Pt(x+top, y+top), geom.Pt(x, y+top))...)
+	}
+	x := 16.0
+	add := func(p, q *geom.Polygon, width float64) {
+		a, b = append(a, p), append(b, q)
+		x += width + 16
+	}
+	for _, gap := range []float64{0, 0.5, 1, 1.5, 2, 3, 4, 8, 16} {
+		add(rect(x, 16, x+4, 20), rect(x+4+gap, 16, x+8+gap, 20), 8+gap)            // on an axis
+		add(rect(x, 16, x+4, 20), rect(x+4+gap, 20+gap, x+8+gap, 24+gap), 8+gap)    // corner to corner
+		add(rect(x, 16, x+3, 19), rect(x+3+gap, 19+gap/2, x+6+gap, 22+gap), 6+gap)  // off the diagonal
+		add(rect(x, 16.25, x+1, 17), rect(x+1+gap, 16.5, x+1.75+gap, 30), 1.75+gap) // off the cell grid
+	}
+	add(rect(x, 16, x+32, 48), rect(x+8, 24, x+9, 25), 32) // nested
+	add(rect(x, 16, x+32, 48), rect(x+2, 10, x+3, 16), 32) // sharing a border
+	// A square on the 8-unit lattice deep inside another: at order 8 it is
+	// one cell whose edges lie on the cell's borders, so its list holds no
+	// full or certain cell, and only its overlap with the outer square's
+	// cover keeps the pair from the reject.
+	x = math.Ceil(x/8) * 8
+	add(rect(x+24, 40, x+32, 48), rect(x, 16, x+64, 80), 64)
+	for _, u := range []float64{1, 0.25, 2} {
+		for _, t := range []float64{0, u / 4, u / 2, u, 2 * u} {
+			add(stairs(x, 16, u, 12, 0, 0, false), stairs(x, 16, u, 12, t, -t, true), 14*u)
+		}
+		add(stairs(x, 16, u, 12, 0, 0, false), stairs(x, 16, u, 12, u, 0, true), 14*u) // corners touch
+	}
+	return a, b
+}
+
+// TestWithinIntervalStageAdversarial runs the within join over
+// adversarialWithin with the interval stage on, at grid orders that put
+// cell borders on, between and off the pairs' edges and at d on, off and
+// below cell multiples, 0 and past MaxDilation, and compares it with
+// NoIntervals and with brute force (dist.MinDistBrute), inline and pooled.
+func TestWithinIntervalStageAdversarial(t *testing.T) {
+	pa, pb := adversarialWithin()
+	la, lb := NewLayer(&data.Dataset{Name: "A", Objects: pa}), NewLayer(&data.Dataset{Name: "B", Objects: pb})
+	g, ok := pairGrid(la, lb, 0)
+	if !ok || g.Size != 2048 {
+		t.Fatalf("pair grid %+v, want a 2048-unit square", g)
+	}
+	rejects, hits := int64(0), int64(0)
+	for _, order := range []int{8, 10, 11, 12} {
+		cell := 2048 / float64(int(1)<<order)
+		for _, d := range []float64{0, 0.25, 0.5, 1, 1.5, 2, 3, 4, cell, 2 * cell, cell * interval.MaxDilation, cell*interval.MaxDilation + 0.25, 16} {
+			var want []Pair
+			for i := range pa {
+				for j := range pb {
+					if dist.MinDistBrute(pa[i], pb[j]) <= d {
+						want = append(want, Pair{i, j})
+					}
+				}
+			}
+			name := fmt.Sprintf("order %d d %g", order, d)
+			off, _, err := WithinDistanceJoinView(bg, la.View(), lb.View(), d, swTester(), JoinOptions{IntervalOrder: order, NoIntervals: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePairs(t, name+" intervals off", off, want)
+			for _, workers := range []int{-1, 2} {
+				opt := JoinOptions{IntervalOrder: order, Workers: workers}
+				var got []Pair
+				var st Stats
+				if workers < 0 {
+					got, st, err = WithinDistanceJoinView(bg, la.View(), lb.View(), d, swTester(), opt)
+				} else {
+					got, st, err = PipelineWithinDistanceJoinView(bg, la.View(), lb.View(), d, opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePairs(t, fmt.Sprintf("%s workers %d", name, workers), got, want)
+				if st.IntervalChecks == 0 || st.SigChecks != 0 {
+					t.Fatalf("%s: %d interval checks, %d signature checks", name, st.IntervalChecks, st.SigChecks)
+				}
+				if k := math.Ceil(d / cell); k > interval.MaxDilation && st.IntervalRejects != 0 {
+					t.Fatalf("%s: k = %g past the cap, and the stage rejected %d pairs", name, k, st.IntervalRejects)
+				}
+				rejects += st.IntervalRejects
+				hits += st.IntervalTrueHits
+			}
+		}
+	}
+	if rejects == 0 || hits == 0 {
+		t.Fatalf("the stage decided %d rejects and %d true hits over the family; the test is vacuous", rejects, hits)
+	}
+}
+
+// BenchmarkWithinJoin times the within verb's join, pooled on WATER⋈PRISM
+// from snapshots at D = 1: one op is one warm join. The first join on the
+// layer pair pays the pair-grid builds; first_ms reports it, and
+// column_ms and dilate_ms PRISM's order-12 column and its dilated lists
+// built alone on fresh layers.
+func BenchmarkWithinJoin(b *testing.B) {
+	water, prism := withinBenchLayers(b)
+	join := func() int {
+		pairs, _, err := PipelineWithinDistanceJoinView(bg, water.View(), prism.View(), benchWithinD, JoinOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return len(pairs)
+	}
+	start := time.Now()
+	n := join()
+	first := time.Since(start)
+	_, fresh := withinBenchLayers(b)
+	g, ok := pairGrid(water, fresh, 0)
+	if !ok {
+		b.Fatal("no pair grid")
+	}
+	start = time.Now()
+	col := fresh.Intervals(g)
+	column := time.Since(start)
+	start = time.Now()
+	col.Dilate(int(math.Ceil(benchWithinD / g.CellSize())))
+	dilate := time.Since(start)
+	b.ResetTimer()
+	for range b.N {
+		if join() != n {
+			b.Fatal("result changed between joins")
+		}
+	}
+	b.ReportMetric(float64(first)/1e6, "first_ms")
+	b.ReportMetric(float64(column)/1e6, "column_ms")
+	b.ReportMetric(float64(dilate)/1e6, "dilate_ms")
+}

@@ -273,7 +273,7 @@ const Help = `commands:
   timeout <duration|off>            bound each query (e.g. timeout 2s)
   budget <n|off>                    cap MBR candidates per query
   pipeline on [batch]               candidate batch size of the join executor and the select row stream
-  intervals <on|off>                joins' v2 interval-approximation filter (off = v1 signature path)
+  intervals <on|off>                joins' and within joins' v2 interval filter (off = v1 signature path)
   batch <cmd>; <cmd>; ...           run N commands in one round trip under one admission slot
   partition <layer> <n> <dir> [m [r]]  split a layer into n spatial tiles under dir (replication margin m, r replicas per tile)
   shardselect <layer> <WKT>         shard-side select: emits "id <N>" lines with stable ids
@@ -540,12 +540,12 @@ func (e *Engine) setPipeline(args []string, out io.Writer) (Result, error) {
 	return Result{Stats: query.Stats{Op: "pipeline"}, Mutation: true}, nil
 }
 
-// setIntervals toggles the intersection joins' v2 interval-approximation
-// filter: intervals <on|off>. "off" falls back to the v1 raster-signature
-// path in join, pjoin and shardjoin (the ablation baseline); within,
-// shardwithin, select and shardselect run no interval stage at all.
-// Result sets are identical under both settings; only which filter
-// resolves each pair changes.
+// setIntervals toggles the joins' v2 interval-approximation filter:
+// intervals <on|off>. "off" falls back to the v1 raster-signature path in
+// join, pjoin, shardjoin, within and shardwithin (the ablation baseline);
+// select and shardselect run no interval stage at all. Result sets are
+// identical under both settings; only which filter resolves each pair
+// changes.
 func (e *Engine) setIntervals(args []string, out io.Writer) (Result, error) {
 	if len(args) != 1 {
 		return Result{}, fmt.Errorf("usage: intervals <on|off>")

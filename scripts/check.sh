@@ -14,6 +14,8 @@
 # over every join_single candidate pair, BenchmarkWithinRefine the
 # software tester's distance step over the benchmark's undecided within
 # pairs, BenchmarkWithinFilter its filter stage over all of them,
+# BenchmarkWithinJoin the pooled within join over the benchmark's layers
+# with its first-query builds timed apart,
 # BenchmarkSelect one in-process select over the benchmark's windows,
 # BenchmarkExecSelect the same select served through Engine.Exec on one
 # session, BenchmarkParsePolygonWKT the select verb's WKT parse,
@@ -27,7 +29,8 @@
 # (FuzzRasterize), the Hilbert tables against the loops they replaced
 # (FuzzHilbert), the walk over two lists' shared partial runs
 # (FuzzSharedPartial), the interval verdict against a cell-by-cell oracle
-# (FuzzCompare) and the signature kernel against the cell-by-cell
+# (FuzzCompare), the within join's list dilation against a cell-by-cell
+# oracle (FuzzDilate) and the signature kernel against the cell-by-cell
 # loop (FuzzSignaturesMayIntersect). Run from the repo root.
 #
 #   scripts/check.sh              # everything (~2-3 min)
@@ -55,6 +58,9 @@ echo "== worker pool and query executor failure paths, joins and selections (-ra
 go test -race -count=10 -timeout 120s ./internal/parallel/
 go test -race -count=10 -timeout 120s -run 'TestExecutorConcurrency|TestPipelineSinkErrorWindsDown|TestPipelineCancellationPartial|TestParallelCustomTester' ./internal/query/
 
+echo "== within join's interval stage (-race -count=3: the bench counters pooled, the adversarial family inline and pooled, the grid-coverage precondition; first requests share one dilated-list build)"
+go test -race -count=3 -timeout 300s -run 'TestWithinBenchCounters|TestWithinIntervalStageAdversarial|TestJoinOutsideSnapshotGrid' ./internal/query/
+
 echo "== stuck-query timers and coordinator cancel paths (-race -count=10: kill at the threshold, sever after the grace, disarm; sink abort, stalled tile)"
 # Timer and cancel races: a kill or a close that fires after its query
 # returned, or a timer left armed, shows only over repeats.
@@ -71,7 +77,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT|Overlay' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/ ./internal/overlay/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|WithinJoin|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT|Overlay' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/ ./internal/overlay/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -528,6 +534,7 @@ go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzHilbert -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzSharedPartial -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -fuzz FuzzCompare -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -fuzz FuzzDilate -fuzztime "$FUZZTIME"
 go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
 go test ./internal/shellcmd/ -fuzz FuzzExec -fuzztime "$FUZZTIME"
 
