@@ -85,37 +85,6 @@ func benchPairs(tb testing.TB, d float64) []benchPair {
 	return pairs
 }
 
-// BenchmarkWithinRefine times the software tester's RefineWithin over the
-// within_single candidates FilterWithin leaves undecided: the exact
-// distance step of every within verb. One op is one pass over those pairs.
-func BenchmarkWithinRefine(b *testing.B) {
-	t := NewTester(Config{DisableHardware: true})
-	var open []benchPair
-	for _, pr := range benchPairs(b, benchD) {
-		if t.FilterWithin(pr.p, pr.q, benchD, pr.pc) == VerdictUndecided {
-			open = append(open, pr)
-		}
-	}
-	pass := func() (within int) {
-		for _, pr := range open {
-			if t.RefineWithin(pr.p, pr.q, benchD, pr.pc) {
-				within++
-			}
-		}
-		return within
-	}
-	within := pass() // grows the tester's scratch: the timed passes are steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if pass() != within {
-			b.Fatal("verdicts changed between passes")
-		}
-	}
-	b.ReportMetric(float64(len(open)), "pairs/op")
-	b.ReportMetric(float64(within), "within/op")
-}
-
 // withinFilterCounts is what one FilterWithin pass over the within_single
 // candidates decides: how many pairs consulted both signatures, how many
 // the signatures rejected, and how many containment resolved.
@@ -147,22 +116,4 @@ func TestWithinFilterBenchCounts(t *testing.T) {
 	if got != want {
 		t.Fatalf("FilterWithin over the bench pairs counted %+v, want %+v", got, want)
 	}
-}
-
-// BenchmarkWithinFilter times the software tester's FilterWithin over
-// every within_single candidate: the MBR pre-test, the containment probe
-// and the d-expanded signature reject. One op is one pass.
-func BenchmarkWithinFilter(b *testing.B) {
-	t := NewTester(Config{DisableHardware: true})
-	pairs := benchPairs(b, benchD)
-	c := withinFilterPass(t, pairs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if withinFilterPass(t, pairs) != c {
-			b.Fatal("verdicts changed between passes")
-		}
-	}
-	b.ReportMetric(float64(c.sigChecks), "sig_checks/op")
-	b.ReportMetric(float64(c.sigRejects), "sig_rejects/op")
 }

@@ -216,19 +216,25 @@ type PairContext struct {
 	// interval verdict runs before any other geometry work and replaces
 	// the signature check: on an intersection test TrueHit reports the
 	// pair intersecting outright and Reject resolves it negative; on a
-	// distance test TrueHit reports the pair within every d, and Reject
-	// with QNear resolves it negative. With Grid set they also steer the
-	// exact software intersection test to the cells partial in both lists
-	// (see softwareIntersects). Immutable and shared like the other fields.
+	// distance test TrueHit — or, when Grid's cell diagonal is at most d,
+	// a cell full or certain in both lists — reports the pair within d,
+	// and Reject with QNear resolves it negative. With Grid set they also
+	// steer the exact software intersection test to the cells partial in
+	// both lists (see softwareIntersects). Immutable and shared like the
+	// other fields.
 	PIv, QIv interval.Spans
-	// QNear is QIv's partial cells dilated by the cells a distance test's
-	// d spans on the grid (interval.Column.Dilate; QIv itself at d = 0),
-	// nil when d spans more than interval.MaxDilation cells. A P list that
-	// misses both QIv and QNear proves the pair more than d apart. Both
-	// objects must lie wholly inside the grid (interval.Column.Dilate says
-	// why), as the join's pair grid guarantees. Intersection tests ignore
-	// it.
-	QNear interval.Spans
+	// QNear is Q's reject band for a distance test's d: QIv's partial
+	// cells dilated by the k = Grid.RejectDilation(d) cells d spans on the
+	// grid (interval.Column.Dilate, on blocks of a coarser order past
+	// interval.MaxDilation cells; QIv itself at k = 0). A P list that
+	// misses both QIv and QNear proves the pair more than d apart. QHit is
+	// Q's hit band: QIv's full and certain cells dilated by j =
+	// Grid.HitDilation(d) cells and labelled full
+	// (interval.Column.DilateHits), empty when j < 1; a P list that meets
+	// it in a full or certain cell proves the pair within d. Both objects
+	// must lie wholly inside the grid (interval.Column.Dilate says why),
+	// as the join's pair grid guarantees. Intersection tests ignore both.
+	QNear, QHit interval.Spans
 	// Grid is the interval.Grid PIv and QIv were rasterized on. A zero
 	// Grid (or spans missing on either side) leaves the software
 	// intersection test on the whole MBR intersection.
@@ -610,10 +616,11 @@ func (t *Tester) WithinDistanceCtx(p, q *geom.Polygon, d float64, pc PairContext
 }
 
 // FilterWithin is the within-distance filter stage: MBR distance
-// pre-test, the interval verdict (true hit, or reject through the
-// d-dilated list), containment, and, for a pair that carries no spans,
-// d-expanded signature disjointness — none of which touch the rendering
-// context. See FilterIntersects for the stats contract.
+// pre-test, the interval verdict (reject through the reject band, true
+// hit through the lists' shared cells or the hit band), containment, and,
+// for a pair that carries no spans, d-expanded signature disjointness —
+// none of which touch the rendering context. See FilterIntersects for
+// the stats contract.
 func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Verdict {
 	if t.cfg.Faults != nil {
 		t.cfg.Faults.Apply(faultinject.SiteWithinDistance)
@@ -625,22 +632,23 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	}
 
 	// Interval verdict, the paper's widen-by-D filter (§3.3) in interval
-	// form: regions that intersect are within every d, and a P list that
-	// misses Q's cover and Q's boundary cells widened by d's cells is
-	// farther than d from Q. It runs before containment, like the
-	// intersection test's, and takes the signature check's place.
+	// form: regions that intersect are within every d, and so are two
+	// objects with points in one cell whose diagonal d covers, or in cells
+	// Q's hit band joins; a P list that misses Q's cover and Q's boundary
+	// cells widened by d's cells is farther than d from Q. It runs before
+	// containment, like the intersection test's, and takes the signature
+	// check's place.
 	spans := len(pc.PIv) > 0 && len(pc.QIv) > 0
 	if spans {
 		t.Stats.IntervalChecks++
-		switch interval.Compare(pc.PIv, pc.QIv) {
-		case interval.TrueHit:
+		v := interval.CompareWithin(pc.PIv, pc.QIv, pc.Grid.HitDilation(d) >= 0)
+		if v == interval.Reject && interval.Disjoint(pc.PIv, pc.QNear) {
+			t.Stats.IntervalRejects++
+			return VerdictMiss
+		}
+		if v == interval.TrueHit || interval.CompareWithin(pc.PIv, pc.QHit, false) == interval.TrueHit {
 			t.Stats.IntervalTrueHits++
 			return VerdictHit
-		case interval.Reject:
-			if interval.Compare(pc.PIv, pc.QNear) == interval.Reject {
-				t.Stats.IntervalRejects++
-				return VerdictMiss
-			}
 		}
 		t.Stats.IntervalInconclusive++
 	}

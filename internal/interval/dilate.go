@@ -1,36 +1,85 @@
 package interval
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
-// MaxDilation is the most cells Dilate widens a list by: a
-// within-distance join whose d spans more cells of its grid skips the
-// interval reject.
-// A dilated list costs more to build and to compare the wider k is, while
-// a pair farther apart than its cells can show is mostly rejected by the
-// MBR distance test already.
+// MaxDilation is the most cells a band is widened by on the grid it is
+// built on: a reject band for a wider distance is built on 2^m-aligned
+// blocks, the cells of a coarser order, where it spans at most
+// MaxDilation of them, and a hit band stops at it. A band costs more to
+// build and to compare the wider it is, in cells, while a pair farther
+// apart than its cells can show is mostly rejected by the MBR distance
+// test already.
 const MaxDilation = 8
 
-// Dilate returns the column whose list for object id covers every grid
-// cell within k cells on both axes (the Chebyshev k-neighbourhood) of a
-// partial cell of c's list for id, clipped to the grid, as partial runs
-// only: lists in which no cell is full or certain, so Compare against one
-// returns Reject or Inconclusive, never TrueHit. An empty list makes no
-// claim (Compare is Inconclusive against it), and that is what an object
-// gets whose list has no partial cell or whose partial cells span more
-// than MaxWindowCells cells, and what every object gets when k exceeds
-// MaxDilation: no list Rasterize builds spans more, but a persisted one
-// may claim anything Validate accepts, and this bounds the bitmap.
+// RejectDilation returns the cells k a reject band for distance d widens
+// by on g (see Dilate): the smallest k with k·CellSize() ≥ d, capped at
+// the grid's side, past which a wider band covers nothing more. Cells are
+// powers of two on canonical squares, so the quotient is exact. A d that
+// is not a number ≥ 0, at which no pair passes a distance test's MBR
+// step, gets 0.
+func (g Grid) RejectDilation(d float64) int {
+	if !(d >= 0) {
+		return 0
+	}
+	return int(min(math.Ceil(d/g.CellSize()), float64(g.Cells())))
+}
+
+// HitDilation returns the cells j a hit band for distance d widens by on
+// g (see DilateHits): the largest j ≤ MaxDilation with
+// (j+1)·CellSize()·√2 ≤ d, so that two closed cells at most j apart on
+// each axis hold no two points farther apart than d, or −1 when one
+// cell's diagonal exceeds d (or g is not Valid). At 0 the band is the
+// list's own full and certain cells, which CompareWithin reads without
+// building one.
+func (g Grid) HitDilation(d float64) int {
+	if !g.Valid() || !(d >= 0) {
+		return -1
+	}
+	diag := g.CellSize() * math.Sqrt2
+	n := min(math.Floor(d/diag), MaxDilation+1)
+	for n >= 1 && n*diag > d { // the quotient rounded up
+		n--
+	}
+	for n <= MaxDilation && (n+1)*diag <= d { // or down
+		n++
+	}
+	return int(n) - 1
+}
+
+// Dilate returns the reject band for a distance of k cells: the column
+// whose list for object id covers every grid cell within k cells on both
+// axes (the Chebyshev k-neighbourhood) of a partial cell of c's list for
+// id, clipped to the grid, as partial runs only: lists in which no cell
+// is full or certain, so Compare against one returns Reject or
+// Inconclusive, never TrueHit. Past MaxDilation the band is built on
+// aligned 2^m×2^m blocks, m the least with ⌈k / 2^m⌉ ≤ MaxDilation: every
+// block within ⌈k / 2^m⌉ blocks of a block holding a partial cell, each
+// block a run of 4^m consecutive cells. An empty list makes no claim
+// (Compare is Inconclusive against it), and that is what an object gets
+// whose list has no partial cell or whose partial cells span more than
+// MaxWindowCells cells, or blocks: no list Rasterize builds spans more,
+// but a persisted one may claim anything Validate accepts, and this
+// bounds the bitmap.
 //
 // This is the paper's widen-by-D distance filter (§3.3) on interval
 // lists. With k·CellSize() ≥ d, a point p within d of a point q differs
 // from it by at most k cells on either axis, so when p's and q's cells are
 // in their objects' lists, p's cell is in the k-neighbourhood of q's
-// object's cover. That neighbourhood is the cover ∪ the dilated list: a
-// cell's eight neighbours touch it, so every neighbour of a full cell is
+// object's cover. That neighbourhood is the cover ∪ the band: a cell's
+// eight neighbours touch it, so every neighbour of a full cell is
 // covered, and on a king-move path from a full cell to an uncovered cell
 // within k of it the last covered cell is partial and within k of the
 // uncovered one. So Compare(P, Q) == Reject together with Compare(P,
-// Q's dilated list) == Reject proves P and Q more than d apart.
+// Q's band) == Reject proves P and Q more than d apart. The blocks keep
+// the argument one level up: p and q are at most ⌈k / 2^m⌉ blocks apart;
+// a block with a full cell and no partial one is all full (the cover
+// spreads from cell to neighbouring cell and none of them is partial);
+// and a king-move path of blocks from q's block to p's either meets a
+// block holding a partial cell, within ⌈k / 2^m⌉ of p's, or ends on an
+// all-full block, whose cells, p's among them, Q's list covers.
 //
 // The lists hold those cells when both objects lie wholly inside the
 // grid: a list then covers every cell its object's closed region touches.
@@ -46,8 +95,37 @@ const MaxDilation = 8
 // over runtime.GOMAXPROCS(0) workers like Build, and is the same at any
 // worker count.
 func (c *Column) Dilate(k int) *Column {
-	return gather(c.Len(), c.Grid, func() *dilater { return new(dilater) },
-		func(z *dilater, dst Spans, id int) Spans { return z.append(dst, c.Spans(id), c.Grid.Order, k) })
+	k = min(k, c.Grid.Cells())
+	m := 0
+	for k > MaxDilation<<m {
+		m++
+	}
+	return c.band((k+1<<m-1)>>m, m, false)
+}
+
+// DilateHits returns the hit band for j cells (j at most MaxDilation;
+// more dilates by MaxDilation): the column whose list for object id
+// covers every grid cell within j cells on both axes of a full or certain
+// cell of c's list for id, clipped to the grid, as full runs. A full or
+// certain cell holds a point of its object, so a full or certain cell of
+// P that the band covers lies at most j cells on each axis from one of
+// Q's, and holds a point at most (j+1)·CellSize()·√2 from a point of Q:
+// with j = HitDilation(d), Compare(P, Q's hit band) == TrueHit proves P
+// and Q within d. Unlike the reject band this needs no path argument and
+// holds for any lists, but its points must lie in their cells, so, like
+// the reject band, it is sound only for objects inside the grid. An
+// object whose full and certain cells span more than MaxWindowCells
+// cells gets an empty list, which makes no claim.
+func (c *Column) DilateHits(j int) *Column {
+	return c.band(min(j, MaxDilation), 0, true)
+}
+
+// band builds the column of c's lists dilated by k cells of the order
+// c.Grid.Order−m grid: the partial runs, labelled partial, or with hits
+// the full and certain ones, labelled full.
+func (c *Column) band(k, m int, hits bool) *Column {
+	return gather(c.Len(), c.Grid, func() *dilater { return &dilater{hits: hits} },
+		func(z *dilater, dst Spans, id int) Spans { return z.append(dst, c.Spans(id), c.Grid.Order, k, m) })
 }
 
 // hilbertBits[state<<1|half][b] is the 4×4 block in curve state state
@@ -72,6 +150,10 @@ var hilbertBits = func() (t [8][256]uint16) {
 // dilater widens one list at a time, keeping its bitmap and block buffer
 // between lists.
 type dilater struct {
+	// hits widens the full and certain runs and labels the band full (a
+	// hit band); otherwise it widens the partial runs, labelled partial
+	// (a reject band).
+	hits   bool
 	blocks []block
 	// bitmap holds the window's rows, row y at (y-y0)*stride; bit x&63 of
 	// word x>>6-wx0 of a row is cell (x, y). Words are aligned on the grid's
@@ -81,10 +163,12 @@ type dilater struct {
 	stride, wx0 int
 	y0, y1, wx1 int
 	// dst is the list being emitted from index from on; lo and hi are its
-	// last run's bounds.
+	// last run's bounds. shift is twice the levels the walk's grid lies
+	// above the list's: a walked cell is a run of 1<<shift of its cells.
 	dst    Spans
 	from   int
 	lo, hi uint32
+	shift  int
 }
 
 // block is an aligned 2^j×2^j square of cells at (x, y).
@@ -93,17 +177,34 @@ type block struct {
 	j    int
 }
 
-// append appends s dilated by k on the 2^order grid to dst.
-func (z *dilater) append(dst Spans, s Spans, order, k int) Spans {
-	// The aligned blocks of every partial run, and their bounding cells.
+// widens reports whether the run packed in v is one the band widens.
+func (z *dilater) widens(v uint64) bool {
+	if z.hits {
+		return v&(fullBit|certainBit) != 0
+	}
+	return v&fullBit == 0
+}
+
+// append appends s, a list on the 2^order grid, dilated by k cells of the
+// 2^(order−m) grid, to dst.
+func (z *dilater) append(dst Spans, s Spans, order, k, m int) Spans {
+	// The aligned blocks of every widened run, merged with the widened
+	// runs right after it, on the coarser grid, and their bounding cells.
+	order -= m
+	z.shift = 2 * m
 	z.blocks = z.blocks[:0]
 	x0, y0, x1, y1 := ^uint32(0), ^uint32(0), uint32(0), uint32(0)
+	var next uint32 // the first coarse cell not yet decoded
 	for i := 0; i < len(s); {
-		var lo, hi uint32
-		var full bool
-		if lo, hi, full, i = nextRun(s, i); full {
+		if !z.widens(s[i]) {
+			i++
 			continue
 		}
+		lo, hi, _ := unpack(s[i])
+		for i++; i < len(s) && z.widens(s[i]) && uint32(s[i]>>32) == hi+1; i++ {
+			_, hi, _ = unpack(s[i])
+		}
+		lo, hi = max(lo>>z.shift, next), hi>>z.shift
 		for lo <= hi {
 			j := min(bits.TrailingZeros32(lo), bits.Len32(hi-lo+1)-1, 2*order) / 2
 			x, y := XY(order-j, lo>>(2*j))
@@ -114,8 +215,9 @@ func (z *dilater) append(dst Spans, s Spans, order, k int) Spans {
 			x1, y1 = max(x1, x+side), max(y1, y+side)
 			lo += uint32(1) << (2 * j)
 		}
+		next = max(next, lo)
 	}
-	if len(z.blocks) == 0 || k > MaxDilation || uint64(x1-x0+1)*uint64(y1-y0+1) > MaxWindowCells {
+	if len(z.blocks) == 0 || uint64(x1-x0+1)*uint64(y1-y0+1) > MaxWindowCells {
 		return dst
 	}
 	// The window: the bounding cells widened by k, clipped to the grid.
@@ -262,13 +364,19 @@ func (z *dilater) probe(x, y uint32, j int) (set, unset bool) {
 	return or != 0, and != m
 }
 
-// emit appends run [lo, hi] as partial, extending the previous run when
-// it ends right before lo.
+// emit appends the cells of walked run [lo, hi], labelled full in a hit
+// band and partial in a reject band, extending the previous run when it
+// ends right before them.
 func (z *dilater) emit(lo, hi uint32) {
+	var flag uint64
+	if z.hits {
+		flag = fullBit
+	}
+	lo, hi = lo<<z.shift, (hi+1)<<z.shift-1
 	if n := len(z.dst); n > z.from && z.hi+1 == lo {
-		z.dst[n-1] = pack(z.lo, hi, 0)
+		z.dst[n-1] = pack(z.lo, hi, flag)
 	} else {
-		z.dst = append(z.dst, pack(lo, hi, 0))
+		z.dst = append(z.dst, pack(lo, hi, flag))
 		z.lo = lo
 	}
 	z.hi = hi

@@ -1,6 +1,7 @@
 package interval_test
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"testing"
@@ -204,43 +205,65 @@ func cellLabel(s interval.Spans, c uint32) int {
 	return uncovered
 }
 
-// FuzzCompare holds Compare to a cell-by-cell oracle on two random run
-// lists (fuzzGrid): each cell of the grid is labelled full, certain,
-// partial or uncovered in each list; a cell full in one list and full or
-// certain in the other is a true hit, else a cell covered by both leaves
-// the pair inconclusive, else the lists are disjoint. An empty list is
-// inconclusive.
+// FuzzCompare holds Compare, CompareWithin and Disjoint to a cell-by-cell
+// oracle on two random run lists (fuzzGrid): each cell of the grid is
+// labelled full, certain, partial or uncovered in each list; a cell full
+// in one list and full or certain in the other is a true hit — for
+// CompareWithin with cellWithin set, a cell full or certain in both —
+// else a cell covered by both leaves the pair inconclusive, else the
+// lists are disjoint. An empty list is inconclusive. Disjoint is whether
+// the lists are disjoint. The last two seeds put a few runs against
+// thirty, so CompareWithin gallops over most of the long list.
 func FuzzCompare(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 3, 4, 1, 0, 5, 2, 7})
 	f.Add([]byte{4, 9, 1, 255, 8, 40, 2, 200, 0, 255, 6, 3, 8, 1})
 	f.Add([]byte{2, 6, 10, 20, 11, 3, 40, 2, 10, 60, 0, 9})
 	f.Add([]byte{3, 8, 2, 5, 2, 3, 0, 4, 1, 2, 0, 9, 2, 6, 3, 5})
 	f.Add([]byte{3, 8, 2, 5, 2, 3, 0, 4, 2, 2, 0, 9, 2, 6, 2, 5})
+	long := bytes.Repeat([]byte{4, 1}, 30)
+	f.Add(append(append([]byte{4, 120}, long...), 252, 0, 252, 0))
+	f.Add(append(append([]byte{4, 8}, 254, 0, 7, 2), long...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 2 {
 			t.Skip()
 		}
 		g, sa, sb := fuzzGrid(b)
-		want := interval.Reject
-		if len(sa) == 0 || len(sb) == 0 {
-			want = interval.Inconclusive
-		}
-	cells:
-		for c := range uint32(1) << (2 * g.Order) {
-			switch la, lb := cellLabel(sa, c), cellLabel(sb, c); {
-			case la == uncovered || lb == uncovered:
-			case la == fullCell && lb != partialCell || lb == fullCell && la != partialCell:
-				want = interval.TrueHit
-				break cells
-			default:
+		for _, cellWithin := range []bool{false, true} {
+			want := interval.Reject
+			if len(sa) == 0 || len(sb) == 0 {
 				want = interval.Inconclusive
 			}
-		}
-		if got := interval.Compare(sa, sb); got != want {
-			t.Fatalf("Compare says %v, the cell oracle %v", got, want)
-		}
-		if got := interval.Compare(sb, sa); got != want {
-			t.Fatalf("Compare with the lists swapped says %v, the cell oracle %v", got, want)
+			held := func(l int) bool { return l == fullCell || l == certainCell }
+		cells:
+			for c := range uint32(1) << (2 * g.Order) {
+				switch la, lb := cellLabel(sa, c), cellLabel(sb, c); {
+				case la == uncovered || lb == uncovered:
+				case la == fullCell && lb != partialCell || lb == fullCell && la != partialCell,
+					cellWithin && held(la) && held(lb):
+					want = interval.TrueHit
+					break cells
+				default:
+					want = interval.Inconclusive
+				}
+			}
+			if got := interval.CompareWithin(sa, sb, cellWithin); got != want {
+				t.Fatalf("CompareWithin(cellWithin %v) says %v, the cell oracle %v", cellWithin, got, want)
+			}
+			if got := interval.CompareWithin(sb, sa, cellWithin); got != want {
+				t.Fatalf("CompareWithin(cellWithin %v) with the lists swapped says %v, the cell oracle %v", cellWithin, got, want)
+			}
+			if cellWithin {
+				continue
+			}
+			if got := interval.Disjoint(sa, sb); got != (want == interval.Reject) || interval.Disjoint(sb, sa) != got {
+				t.Fatalf("Disjoint says %v, the cell oracle %v", got, want)
+			}
+			if got := interval.Compare(sa, sb); got != want {
+				t.Fatalf("Compare says %v, the cell oracle %v", got, want)
+			}
+			if got := interval.Compare(sb, sa); got != want {
+				t.Fatalf("Compare with the lists swapped says %v, the cell oracle %v", got, want)
+			}
 		}
 	})
 }

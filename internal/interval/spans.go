@@ -177,6 +177,97 @@ func Compare(a, b Spans) Verdict {
 	return Reject
 }
 
+// CompareWithin is Compare for a distance test that a cell's diagonal
+// does not exceed (cellWithin; Grid.HitDilation(d) ≥ 0): a cell full or
+// certain in both lists is a true hit too, certain in both included. Each
+// such cell holds a point of its object, and two points of one closed
+// cell are at most its diagonal apart. Without cellWithin it gives
+// Compare's verdict. Unlike Compare it gallops: a run that ends before
+// the other list's current run skips ahead by doubling steps and a
+// binary search (skipTo), so the scan of a long list against a short or
+// distant one — P against a band of Q's, or the lists of a pair far apart
+// on the curve — costs about the short list's runs, not the long one's.
+func CompareWithin(a, b Spans, cellWithin bool) Verdict {
+	if len(a) == 0 || len(b) == 0 {
+		return Inconclusive
+	}
+	overlap := false
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		alo, ahi, af := unpack(a[i])
+		blo, bhi, bf := unpack(b[j])
+		if ahi < blo {
+			i = skipTo(a, i, blo)
+			continue
+		}
+		if bhi < alo {
+			j = skipTo(b, j, alo)
+			continue
+		}
+		// ah, bh: the cell holds a point of the object (full or certain).
+		ah, bh := af || a[i]&certainBit != 0, bf || b[j]&certainBit != 0
+		if af && bh || bf && ah || cellWithin && ah && bh {
+			return TrueHit
+		}
+		overlap = true
+		if ahi < bhi {
+			i++
+		} else {
+			j++
+		}
+	}
+	if overlap {
+		return Inconclusive
+	}
+	return Reject
+}
+
+// skipTo returns the index of the first run of s after i that ends at or
+// after cell c, or len(s), given that run i ends before c: steps of 1, 2,
+// 4, … and then a binary search between the last two. Runs are sorted
+// and disjoint, so their ends ascend.
+func skipTo(s Spans, i int, c uint32) int {
+	end := func(k int) uint32 { return uint32(s[k]>>1) & 0x3fffffff }
+	lo, step := i, 1
+	for lo+step < len(s) && end(lo+step) < c {
+		lo, step = lo+step, 2*step
+	}
+	hi := min(lo+step, len(s))
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); end(mid) < c {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// Disjoint reports whether Compare(a, b) is Reject: both lists non-empty
+// (an empty list makes no claim) and no cell in both, whatever its
+// labels. It stops at the first shared cell, where Compare scans on for a
+// true hit: the within verdict's reject-band test, whose band holds no
+// full or certain cell to find.
+func Disjoint(a, b Spans) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		alo, ahi, _ := unpack(a[i])
+		blo, bhi, _ := unpack(b[j])
+		switch {
+		case ahi < blo:
+			i++
+		case bhi < alo:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // SharedPartial merge-scans two span lists from grid g and calls yield,
 // in Hilbert order, with the data-space box of each overlap of a partial
 // run of a with a partial run of b: the bounding box of the overlap's

@@ -121,7 +121,7 @@ func TestIntervalJoinDifferentialSynthetic(t *testing.T) {
 // TestIntervalConcurrentLazyBuild hammers one fresh layer pair with
 // concurrent joins and within joins at two different forced orders, so
 // multiple goroutines race into the per-(layer, grid) lazy interval
-// construction and the per-(layer, grid, k) dilated lists. Meaningful
+// construction and the per-(layer, grid, k) reject and hit bands. Meaningful
 // chiefly under -race: the per-entry once must publish each column
 // exactly once, and every join must still agree with the ablated answer.
 func TestIntervalConcurrentLazyBuild(t *testing.T) {

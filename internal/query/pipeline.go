@@ -101,20 +101,19 @@ type DistanceFilterOptions = JoinOptions // for bench/ until a benchmark PR re-p
 type PipelineOptions = JoinOptions       // for bench/ until a benchmark PR re-points it
 type SelectionOptions = JoinOptions      // for bench/ until a benchmark PR re-points it
 
-// maxWorkersPerCPU bounds the pool at this multiple of GOMAXPROCS whatever
-// JoinOptions.Workers asks for: every worker owns a tester with its
-// raster buffer, and the count can arrive straight off the wire.
-const maxWorkersPerCPU = 4
-
 // poolSize is the worker count before the amount of work bounds it
-// further: one — the calling goroutine — when the caller owns the tester.
+// further: one — the calling goroutine — when the caller owns the tester,
+// else JoinOptions.Workers capped at GOMAXPROCS (GOMAXPROCS when 0). The
+// stages are CPU-bound, so a worker past the cores only waits for one,
+// and every worker owns a tester with its raster buffer while the count
+// can arrive straight off the wire.
 func (o JoinOptions) poolSize(tester *core.Tester) int {
 	if tester != nil {
 		return 1
 	}
 	n := runtime.GOMAXPROCS(0)
 	if o.Workers > 0 {
-		n = min(o.Workers, maxWorkersPerCPU*n)
+		n = min(o.Workers, n)
 	}
 	return n
 }
@@ -176,11 +175,11 @@ type predicate struct {
 // columns, hulls) of a join between layers a and b.
 func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
 	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
-	var near *interval.Column
+	var near, hit *interval.Column
 	if k.within && ivb != nil {
-		near = b.nearColumn(ivb.Grid, k.d)
+		near, hit = b.nearColumn(ivb.Grid, k.d), b.hitColumn(ivb.Grid, k.d)
 	}
-	pcFor := pairContexts(a, b, opt, iva, ivb, near)
+	pcFor := pairContexts(a, b, opt, iva, ivb, near, hit)
 	d := k.d
 	p := predicate{
 		op: k.op,

@@ -51,7 +51,7 @@ func pooledJoin(a, b *Layer, opt JoinOptions) ([]Pair, Stats, error) {
 
 // TestParallelCustomTester: the factory runs once per pool worker (so its
 // counter must be atomic), and only for the stages — generation builds no
-// tester.
+// tester. The pool is the 3 workers asked for, or GOMAXPROCS if fewer.
 func TestParallelCustomTester(t *testing.T) {
 	var made atomic.Int32
 	opt := JoinOptions{
@@ -65,14 +65,14 @@ func TestParallelCustomTester(t *testing.T) {
 	if _, _, err := PipelineIntersectionJoinView(bg, layerA.View(), layerB.View(), opt); err != nil {
 		t.Fatal(err)
 	}
-	if n := made.Load(); n != 3 {
-		t.Errorf("tester factory called %d times, want 3, one per worker", n)
+	if n, want := int(made.Load()), min(3, runtime.GOMAXPROCS(0)); n != want {
+		t.Errorf("tester factory called %d times, want %d, one per worker", n, want)
 	}
 }
 
 // TestWorkerCountClamped: a worker count off the wire cannot make the
-// executor build more testers than its per-CPU bound allows, and the
-// clamped run still answers exactly.
+// executor build more testers than GOMAXPROCS, and the clamped run still
+// answers exactly.
 func TestWorkerCountClamped(t *testing.T) {
 	var made atomic.Int32
 	opt := JoinOptions{
@@ -87,7 +87,7 @@ func TestWorkerCountClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, bound := int(made.Load()), maxWorkersPerCPU*runtime.GOMAXPROCS(0); n > bound {
+	if n, bound := int(made.Load()), runtime.GOMAXPROCS(0); n > bound {
 		t.Errorf("Workers 1<<20 built %d testers, bound %d", n, bound)
 	}
 	samePairs(t, "clamped", got, sortedPairs(softwareOracle(t)))

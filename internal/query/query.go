@@ -30,7 +30,6 @@ package query
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -138,10 +137,12 @@ func NewLayerFromSnapshot(s *store.Snapshot) (*Layer, error) {
 }
 
 // ivalKey names a cached column: the layer's column on grid g (k = 0),
-// or its partial cells dilated by k cells (k > 0, see nearColumn).
+// its reject band for k cells (k > 0, see nearColumn), or with hit its
+// hit band for k cells (see hitColumn).
 type ivalKey struct {
-	g interval.Grid
-	k int
+	g   interval.Grid
+	k   int
+	hit bool
 }
 
 type ivalEntry struct {
@@ -207,23 +208,37 @@ func (l *Layer) Intervals(g interval.Grid) *interval.Column {
 
 // nearColumn returns the inner side of a within-distance join's interval
 // reject on grid g: the layer's column there with each list's partial
-// cells dilated by k = ⌈d / cell⌉ cells (interval.Column.Dilate), built
-// once per (g, k) and cached beside the columns. Cells are powers of two
-// on canonical squares, so k cells span d exactly. At d = 0 the column
-// itself serves. It is nil when the layer has no column on g or k exceeds
-// interval.MaxDilation, and the join then runs no interval reject. The
-// reject needs both sides of every pair wholly inside g, which pairGrid's
-// union square guarantees.
+// cells dilated by k = g.RejectDilation(d) cells (interval.Column.Dilate,
+// on aligned blocks of a coarser order past interval.MaxDilation cells),
+// built once per (g, k) and cached beside the columns. Cells are powers
+// of two on canonical squares, so k cells span d exactly. At k = 0 the
+// column itself serves. It is nil only when the layer has no column on g.
+// The reject needs both sides of every pair wholly inside g, which
+// pairGrid's union square guarantees.
 func (l *Layer) nearColumn(g interval.Grid, d float64) *interval.Column {
-	k := math.Ceil(d / g.CellSize())
 	col := l.Intervals(g)
-	switch {
-	case col == nil || !(k >= 0 && k <= interval.MaxDilation):
-		return nil
-	case k == 0:
+	k := g.RejectDilation(d)
+	if col == nil || k == 0 {
 		return col
 	}
-	return l.cached(ivalKey{g, int(k)}, func() *interval.Column { return col.Dilate(int(k)) })
+	return l.cached(ivalKey{g: g, k: k}, func() *interval.Column { return col.Dilate(k) })
+}
+
+// hitColumn returns the inner side of a within-distance join's hit band
+// on grid g: the layer's column there with each list's full and certain
+// cells dilated by j = g.HitDilation(d) cells and labelled full
+// (interval.Column.DilateHits), built once per (g, j) and cached beside
+// the reject bands. It is nil when j < 1 — at j = 0 the verdict reads the
+// lists' shared cells itself (interval.CompareWithin) — or when the layer
+// has no column on g. Like the reject band it needs both sides of every
+// pair wholly inside g.
+func (l *Layer) hitColumn(g interval.Grid, d float64) *interval.Column {
+	col := l.Intervals(g)
+	j := g.HitDilation(d)
+	if col == nil || j < 1 {
+		return nil
+	}
+	return l.cached(ivalKey{g: g, k: j, hit: true}, func() *interval.Column { return col.DilateHits(j) })
 }
 
 // pairGrid derives the shared interval grid for a join between a and b:
@@ -401,9 +416,10 @@ func sortPairsByOuter(pairs []Pair) {
 // one shared grid, which is what makes them comparable — and that grid,
 // which narrows the exact software test to the cells partial in both; the
 // v1 signatures stay attached too and still decide the intersection
-// pairs the interval check leaves inconclusive. near, on a
-// within-distance join, attaches b's dilated lists (Layer.nearColumn).
-func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb, near *interval.Column) func(Pair) core.PairContext {
+// pairs the interval check leaves inconclusive. near and hit, on a
+// within-distance join, attach b's reject and hit bands (Layer.nearColumn,
+// Layer.hitColumn).
+func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb, near, hit *interval.Column) func(Pair) core.PairContext {
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil
 	return func(pr Pair) core.PairContext {
@@ -416,7 +432,7 @@ func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb, near *interval.Column)
 		}
 		if ivals {
 			pc.PIv, pc.QIv, pc.Grid = iva.Spans(pr.A), ivb.Spans(pr.B), iva.Grid
-			pc.QNear = near.Spans(pr.B)
+			pc.QNear, pc.QHit = near.Spans(pr.B), hit.Spans(pr.B)
 		}
 		return pc
 	}

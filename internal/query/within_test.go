@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/geom"
@@ -24,10 +25,11 @@ func withinBenchLayers(tb testing.TB) (water, prism *Layer) {
 
 // TestWithinBenchCounters pins what the within verb's filter decides on the
 // within_single join from snapshots: of the 10 686 candidates the interval
-// verdict reports 3 021 within outright and rejects 4 946, containment
-// decides 198, no signature is checked, and 2 521 pairs reach the
-// distance kernel. With intervals off the signature stage decides as
-// before. Both answer the same pairs.
+// verdict reports 4 403 within outright — a cell of the order-12 pair grid
+// (0.5 units, diagonal 0.71 ≤ D) full or certain in both lists suffices —
+// and rejects 4 946, containment decides none, no signature is checked,
+// and 1 337 pairs reach the distance kernel. With intervals off the
+// signature stage decides as before. Both answer the same pairs.
 func TestWithinBenchCounters(t *testing.T) {
 	water, prism := withinBenchLayers(t)
 	on, st, err := PipelineWithinDistanceJoinView(bg, water.View(), prism.View(), benchWithinD, JoinOptions{Workers: 2})
@@ -36,7 +38,7 @@ func TestWithinBenchCounters(t *testing.T) {
 	}
 	kernel := st.Tests - st.MBRRejects - st.IntervalTrueHits - st.IntervalRejects - st.PIPHits - st.SigRejects
 	got := [6]int64{int64(st.Candidates), st.IntervalTrueHits, st.IntervalRejects, st.PIPHits, st.SigChecks, kernel}
-	if want := [6]int64{10686, 3021, 4946, 198, 0, 2521}; got != want {
+	if want := [6]int64{10686, 4403, 4946, 0, 0, 1337}; got != want {
 		t.Errorf("candidates, interval true hits, interval rejects, containment hits, signature checks, kernel pairs = %v, want %v", got, want)
 	}
 	off, st, err := PipelineWithinDistanceJoinView(bg, water.View(), prism.View(), benchWithinD, JoinOptions{Workers: 2, NoIntervals: true})
@@ -105,14 +107,33 @@ func adversarialWithin() (a, b []*geom.Polygon) {
 		}
 		add(stairs(x, 16, u, 12, 0, 0, false), stairs(x, 16, u, 12, u, 0, true), 14*u) // corners touch
 	}
+	// A square in the notch of an L, gap units from both arms, in a row of
+	// its own: its MBR lies inside the L's, so only the interval reject can
+	// keep a pair this far apart from the kernel, at d past MaxDilation
+	// cells through the block band; the L is the inner side twice and the
+	// outer side twice.
+	for i, gap := range []float64{24, 40, 100, 140} {
+		x0 := 16 + 500*float64(i)
+		l := geom.MustPolygon(geom.Pt(x0, 200), geom.Pt(x0+400, 200), geom.Pt(x0+400, 240), geom.Pt(x0+40, 240),
+			geom.Pt(x0+40, 600), geom.Pt(x0, 600))
+		sq := rect(x0+40+gap, 240+gap, x0+48+gap, 248+gap)
+		if i%2 == 0 {
+			l, sq = sq, l
+		}
+		a, b = append(a, l), append(b, sq)
+	}
 	return a, b
 }
 
 // TestWithinIntervalStageAdversarial runs the within join over
 // adversarialWithin with the interval stage on, at grid orders that put
 // cell borders on, between and off the pairs' edges and at d on, off and
-// below cell multiples, 0 and past MaxDilation, and compares it with
-// NoIntervals and with brute force (dist.MinDistBrute), inline and pooled.
+// below cell multiples, 0, one ulp on each side of the hit band's edges
+// (j+1)·cell·√2 for j = 0, 1, 2, and of 8 and 9 cells, where the reject
+// band turns to blocks, and compares it with NoIntervals and with brute
+// force (dist.MinDistBrute), inline and pooled. Over the family the hit
+// band must decide more at each edge than one ulp below it, and the block
+// band must reject.
 func TestWithinIntervalStageAdversarial(t *testing.T) {
 	pa, pb := adversarialWithin()
 	la, lb := NewLayer(&data.Dataset{Name: "A", Objects: pa}), NewLayer(&data.Dataset{Name: "B", Objects: pb})
@@ -120,10 +141,17 @@ func TestWithinIntervalStageAdversarial(t *testing.T) {
 	if !ok || g.Size != 2048 {
 		t.Fatalf("pair grid %+v, want a 2048-unit square", g)
 	}
-	rejects, hits := int64(0), int64(0)
+	around := func(e float64) []float64 { return []float64{math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1))} }
+	var rejects, hits, blockRejects int64
+	var hitsAt, hitsBelow [3]int64
 	for _, order := range []int{8, 10, 11, 12} {
 		cell := 2048 / float64(int(1)<<order)
-		for _, d := range []float64{0, 0.25, 0.5, 1, 1.5, 2, 3, 4, cell, 2 * cell, cell * interval.MaxDilation, cell*interval.MaxDilation + 0.25, 16} {
+		ds := []float64{0, 0.25, 0.5, 1, 1.5, 2, 3, 4, cell, 2 * cell, cell * interval.MaxDilation, cell*interval.MaxDilation + 0.25, 16}
+		for j := range 3 {
+			ds = append(ds, around(float64(j+1)*(cell*math.Sqrt2))...)
+		}
+		ds = append(append(ds, around(8*cell)...), around(9*cell)...)
+		for _, d := range ds {
 			var want []Pair
 			for i := range pa {
 				for j := range pb {
@@ -132,7 +160,7 @@ func TestWithinIntervalStageAdversarial(t *testing.T) {
 					}
 				}
 			}
-			name := fmt.Sprintf("order %d d %g", order, d)
+			name := fmt.Sprintf("order %d d %v", order, d)
 			off, _, err := WithinDistanceJoinView(bg, la.View(), lb.View(), d, swTester(), JoinOptions{IntervalOrder: order, NoIntervals: true})
 			if err != nil {
 				t.Fatal(err)
@@ -154,16 +182,31 @@ func TestWithinIntervalStageAdversarial(t *testing.T) {
 				if st.IntervalChecks == 0 || st.SigChecks != 0 {
 					t.Fatalf("%s: %d interval checks, %d signature checks", name, st.IntervalChecks, st.SigChecks)
 				}
-				if k := math.Ceil(d / cell); k > interval.MaxDilation && st.IntervalRejects != 0 {
-					t.Fatalf("%s: k = %g past the cap, and the stage rejected %d pairs", name, k, st.IntervalRejects)
-				}
 				rejects += st.IntervalRejects
 				hits += st.IntervalTrueHits
+				if d > cell*interval.MaxDilation {
+					blockRejects += st.IntervalRejects
+				}
+				for j := range 3 {
+					switch e := float64(j+1) * (cell * math.Sqrt2); d {
+					case e:
+						hitsAt[j] += st.IntervalTrueHits
+					case math.Nextafter(e, 0):
+						hitsBelow[j] += st.IntervalTrueHits
+					}
+				}
 			}
 		}
 	}
-	if rejects == 0 || hits == 0 {
-		t.Fatalf("the stage decided %d rejects and %d true hits over the family; the test is vacuous", rejects, hits)
+	if rejects == 0 || hits == 0 || blockRejects == 0 {
+		t.Fatalf("the stage decided %d rejects (%d past MaxDilation cells) and %d true hits over the family; the test is vacuous",
+			rejects, blockRejects, hits)
+	}
+	for j := range 3 {
+		if hitsAt[j] <= hitsBelow[j] {
+			t.Errorf("at d = %d·cell·√2 the stage reported %d true hits, one ulp below %d: the hit band for j = %d decided nothing",
+				j+1, hitsAt[j], hitsBelow[j], j)
+		}
 	}
 }
 
@@ -193,7 +236,7 @@ func BenchmarkWithinJoin(b *testing.B) {
 	col := fresh.Intervals(g)
 	column := time.Since(start)
 	start = time.Now()
-	col.Dilate(int(math.Ceil(benchWithinD / g.CellSize())))
+	col.Dilate(g.RejectDilation(benchWithinD))
 	dilate := time.Since(start)
 	b.ResetTimer()
 	for range b.N {
@@ -204,4 +247,81 @@ func BenchmarkWithinJoin(b *testing.B) {
 	b.ReportMetric(float64(first)/1e6, "first_ms")
 	b.ReportMetric(float64(column)/1e6, "column_ms")
 	b.ReportMetric(float64(dilate)/1e6, "dilate_ms")
+}
+
+// servedWithin returns the within_single candidates in the executor's
+// order and the predicate the within verb binds for them: pair-grid
+// columns, reject band and hit band, edge indexes and signatures as
+// bind attaches them.
+func servedWithin(tb testing.TB) (predicate, []Pair) {
+	water, prism := withinBenchLayers(tb)
+	k := withinDistance(benchWithinD)
+	pairs, _, err := generate(bg, water.Data.Objects, prism, k, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return k.bind(water, prism, JoinOptions{}), pairs
+}
+
+// BenchmarkWithinRefine times the software tester's RefineWithin over the
+// within_single candidates the served filter leaves undecided: the exact
+// distance step of every within verb. One op is one pass over those pairs.
+func BenchmarkWithinRefine(b *testing.B) {
+	p, pairs := servedWithin(b)
+	t := swTester()
+	var open []Pair
+	for _, pr := range pairs {
+		if p.filter(t, pr) == core.VerdictUndecided {
+			open = append(open, pr)
+		}
+	}
+	pass := func() (within int) {
+		for _, pr := range open {
+			if p.refine(t, pr) {
+				within++
+			}
+		}
+		return within
+	}
+	within := pass() // grows the tester's scratch: the timed passes are steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if pass() != within {
+			b.Fatal("verdicts changed between passes")
+		}
+	}
+	b.ReportMetric(float64(len(open)), "pairs/op")
+	b.ReportMetric(float64(within), "within/op")
+}
+
+// BenchmarkWithinFilter times the software tester's FilterWithin over
+// every within_single candidate as the within verb binds it: the MBR
+// pre-test, the interval verdict with both bands and the containment
+// probe. One op is one pass.
+func BenchmarkWithinFilter(b *testing.B) {
+	p, pairs := servedWithin(b)
+	t := swTester()
+	pass := func() (open int) {
+		for _, pr := range pairs {
+			if p.filter(t, pr) == core.VerdictUndecided {
+				open++
+			}
+		}
+		return open
+	}
+	before := t.Stats
+	open := pass()
+	hits, rejects := t.Stats.IntervalTrueHits-before.IntervalTrueHits, t.Stats.IntervalRejects-before.IntervalRejects
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if pass() != open {
+			b.Fatal("verdicts changed between passes")
+		}
+	}
+	b.ReportMetric(float64(len(pairs)), "pairs/op")
+	b.ReportMetric(float64(hits), "true_hits/op")
+	b.ReportMetric(float64(rejects), "rejects/op")
+	b.ReportMetric(float64(open), "open/op")
 }

@@ -12,8 +12,9 @@
 # rasterizer beside the area oracle it replaced, BenchmarkColumnBuild a
 # whole layer's interval column, BenchmarkCompare the interval verdict
 # over every join_single candidate pair, BenchmarkWithinRefine the
-# software tester's distance step over the benchmark's undecided within
-# pairs, BenchmarkWithinFilter its filter stage over all of them,
+# software tester's distance step over the within pairs the served filter
+# leaves undecided, BenchmarkWithinFilter the served filter stage over all
+# of them,
 # BenchmarkWithinJoin the pooled within join over the benchmark's layers
 # with its first-query builds timed apart,
 # BenchmarkSelect one in-process select over the benchmark's windows,
@@ -28,12 +29,14 @@
 # rasterizer's cell walk, the interval rasterizer against its oracle
 # (FuzzRasterize), the Hilbert tables against the loops they replaced
 # (FuzzHilbert), the walk over two lists' shared partial runs
-# (FuzzSharedPartial), the interval verdict against a cell-by-cell oracle
-# (FuzzCompare), the within join's list dilation against a cell-by-cell
-# oracle (FuzzDilate) and the signature kernel against the cell-by-cell
-# loop (FuzzSignaturesMayIntersect). Run from the repo root.
+# (FuzzSharedPartial), the interval verdict and its within form against a
+# cell-by-cell oracle (FuzzCompare),
+# the within join's reject band against a cell-by-cell oracle
+# (FuzzDilate), its hit band and its reject band on blocks past
+# MaxDilation (FuzzBands), and the signature kernel against the
+# cell-by-cell loop (FuzzSignaturesMayIntersect). Run from the repo root.
 #
-#   scripts/check.sh              # everything (~2-3 min)
+#   scripts/check.sh              # everything (9 min 14 s on 2 vCPU, go1.24)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
 set -eu
 
@@ -520,22 +523,25 @@ trap - EXIT
 rm -rf "$MDDIR"
 
 echo "== fuzz smoke (${FUZZTIME} each)"
-go test ./internal/data/ -fuzz FuzzDataRead -fuzztime "$FUZZTIME"
-go test ./internal/data/ -fuzz FuzzWKTParse -fuzztime "$FUZZTIME"
-go test ./internal/geom/ -fuzz FuzzParsePolygonWKT -fuzztime "$FUZZTIME"
-go test ./internal/store/ -fuzz FuzzSnapshotOpen -fuzztime "$FUZZTIME"
-go test ./internal/store/ -fuzz FuzzIntervalSection -fuzztime "$FUZZTIME"
-go test ./internal/wal/ -fuzz FuzzWALOpen -fuzztime "$FUZZTIME"
-go test ./internal/dist/ -fuzz FuzzBoundaryWithin -fuzztime "$FUZZTIME"
-go test ./internal/dist/ -fuzz FuzzMinDist -fuzztime "$FUZZTIME"
-go test ./internal/raster/ -fuzz FuzzCoverageSuperset -fuzztime "$FUZZTIME"
-go test ./internal/raster/ -fuzz FuzzSignaturesMayIntersect -fuzztime "$FUZZTIME"
-go test ./internal/interval/ -fuzz FuzzRasterize -fuzztime "$FUZZTIME"
-go test ./internal/interval/ -fuzz FuzzHilbert -fuzztime "$FUZZTIME"
-go test ./internal/interval/ -fuzz FuzzSharedPartial -fuzztime "$FUZZTIME"
-go test ./internal/interval/ -fuzz FuzzCompare -fuzztime "$FUZZTIME"
-go test ./internal/interval/ -fuzz FuzzDilate -fuzztime "$FUZZTIME"
-go test ./internal/coord/ -fuzz FuzzParseRow -fuzztime "$FUZZTIME"
-go test ./internal/shellcmd/ -fuzz FuzzExec -fuzztime "$FUZZTIME"
+# -run names the target alone: its seed corpus still runs, but not the
+# package's unit tests, which the race step ran already.
+go test ./internal/data/ -run '^FuzzDataRead$' -fuzz '^FuzzDataRead$' -fuzztime "$FUZZTIME"
+go test ./internal/data/ -run '^FuzzWKTParse$' -fuzz '^FuzzWKTParse$' -fuzztime "$FUZZTIME"
+go test ./internal/geom/ -run '^FuzzParsePolygonWKT$' -fuzz '^FuzzParsePolygonWKT$' -fuzztime "$FUZZTIME"
+go test ./internal/store/ -run '^FuzzSnapshotOpen$' -fuzz '^FuzzSnapshotOpen$' -fuzztime "$FUZZTIME"
+go test ./internal/store/ -run '^FuzzIntervalSection$' -fuzz '^FuzzIntervalSection$' -fuzztime "$FUZZTIME"
+go test ./internal/wal/ -run '^FuzzWALOpen$' -fuzz '^FuzzWALOpen$' -fuzztime "$FUZZTIME"
+go test ./internal/dist/ -run '^FuzzBoundaryWithin$' -fuzz '^FuzzBoundaryWithin$' -fuzztime "$FUZZTIME"
+go test ./internal/dist/ -run '^FuzzMinDist$' -fuzz '^FuzzMinDist$' -fuzztime "$FUZZTIME"
+go test ./internal/raster/ -run '^FuzzCoverageSuperset$' -fuzz '^FuzzCoverageSuperset$' -fuzztime "$FUZZTIME"
+go test ./internal/raster/ -run '^FuzzSignaturesMayIntersect$' -fuzz '^FuzzSignaturesMayIntersect$' -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -run '^FuzzRasterize$' -fuzz '^FuzzRasterize$' -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -run '^FuzzHilbert$' -fuzz '^FuzzHilbert$' -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -run '^FuzzSharedPartial$' -fuzz '^FuzzSharedPartial$' -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -run '^FuzzCompare$' -fuzz '^FuzzCompare$' -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -run '^FuzzDilate$' -fuzz '^FuzzDilate$' -fuzztime "$FUZZTIME"
+go test ./internal/interval/ -run '^FuzzBands$' -fuzz '^FuzzBands$' -fuzztime "$FUZZTIME"
+go test ./internal/coord/ -run '^FuzzParseRow$' -fuzz '^FuzzParseRow$' -fuzztime "$FUZZTIME"
+go test ./internal/shellcmd/ -run '^FuzzExec$' -fuzz '^FuzzExec$' -fuzztime "$FUZZTIME"
 
 echo "== all checks passed"
