@@ -78,20 +78,20 @@ func TestWithinDistanceSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestNarrowedIntersectsAllocFree is the same contract for the software
-// test narrowed to the shared partial cells (PairContext.Grid set), over
-// the bench pairs it refines: the walk over the span lists, the per-box
-// collections and the cross tests reuse the tester's scratch.
-func TestNarrowedIntersectsAllocFree(t *testing.T) {
+// TestSpannedIntersectsAllocFree is the same contract over the bench
+// pairs that carry spans and reach refinement: the interval verdict and
+// the distance kernel on the layers' edge indexes, or the card, reuse the
+// tester's scratch.
+func TestSpannedIntersectsAllocFree(t *testing.T) {
 	var pairs []spannedPair
 	probe := NewTester(Config{DisableHardware: true})
 	for _, sp := range benchSpannedPairs(t) {
-		if probe.FilterIntersects(sp.p, sp.q, sp.pc) == VerdictUndecided && narrows(sp.pc, sp.p.Bounds().Intersection(sp.q.Bounds())) {
+		if probe.FilterIntersects(sp.p, sp.q, sp.pc) == VerdictUndecided {
 			pairs = append(pairs, sp)
 		}
 	}
 	if len(pairs) == 0 {
-		t.Fatal("no bench pair reaches the narrowed test")
+		t.Fatal("no bench pair reaches refinement")
 	}
 	for _, cfg := range []Config{{DisableHardware: true}, {SWThreshold: DefaultSWThreshold}} {
 		tester := NewTester(cfg)
@@ -102,7 +102,7 @@ func TestNarrowedIntersectsAllocFree(t *testing.T) {
 		}
 		run()
 		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-			t.Errorf("%+v: narrowed Intersects allocates %.1f times per round of %d pairs, want 0", cfg, allocs, len(pairs))
+			t.Errorf("%+v: Intersects allocates %.1f times per round of %d spanned pairs, want 0", cfg, allocs, len(pairs))
 		}
 	}
 }

@@ -111,7 +111,7 @@ func vertexBorderPairs() []spannedPair {
 // TestFullCertainSound holds the full/certain true hit to the exact
 // predicate: every pair Compare calls a true hit that its full/full rule
 // alone would not must intersect. The pairs are the join_single layers on
-// their persisted grid, the narrowed test's adversarial family (shapes on
+// their persisted grid, the spanned adversarial family (shapes on
 // cell borders and the kernels' staircases) and thin triangles with an
 // apex on, an ulp off and cellEps off cell borders beside shapes on a
 // grid.

@@ -9,6 +9,13 @@
 // hardware filter is inconclusive or the required line width exceeds the
 // hardware limit.
 //
+// Intersection is within at d = 0: one filter body (MBR, interval
+// verdict, containment, signatures) serves both tests, and off the card
+// (a software-only tester, or a pair under SWThreshold) one exact test,
+// the distance kernel (dist.Scratch), decides what it leaves — at d = 0
+// by whether some edge pair intersects. The plane sweep stays only as
+// the card's confirm.
+//
 // Both tests are exact: the hardware step only ever rejects pairs whose
 // negative answer is guaranteed by the conservative rasterization
 // properties of the renderer, so the combined result always equals the
@@ -90,9 +97,9 @@ type Stats struct {
 
 	// Persisted-signature filter accounting (see raster.Signature and
 	// PairContext.PSig/QSig). A signature check runs after containment is
-	// excluded and before any rendering — on a distance test only for a
-	// pair that carries no spans; a reject resolves the pair negative
-	// without touching the hardware filter or the software test.
+	// excluded and before any rendering, only for a pair that carries no
+	// spans; a reject resolves the pair negative without touching the
+	// hardware filter or the software test.
 	SigChecks  int64 `json:"sig_checks,omitempty"`  // pair tests that consulted both objects' signatures
 	SigRejects int64 `json:"sig_rejects,omitempty"` // pairs resolved negative by signature disjointness
 
@@ -100,11 +107,11 @@ type Stats struct {
 	// PairContext.PIv/QIv). The three-valued interval verdict runs right
 	// after the MBR pre-test: a true hit resolves the pair POSITIVE with
 	// no refinement at all (something no v1 filter can do), a reject
-	// resolves it negative (on a distance test, disjointness from the
-	// d-dilated list too: PairContext.QNear), and an inconclusive pair
-	// proceeds to containment and, on an intersection test, the v1
-	// signature check. TrueHits and Rejects join the resolution
-	// partition; Checks and Inconclusive are observability counters.
+	// resolves it negative (for d > 0, disjointness from the d-dilated
+	// list too: PairContext.QNear), and an inconclusive pair proceeds to
+	// containment; a pair with spans skips the v1 signature check. TrueHits
+	// and Rejects join the resolution partition; Checks and Inconclusive
+	// are observability counters.
 	IntervalChecks       int64 `json:"interval_checks,omitempty"`       // pair tests where both sides had spans
 	IntervalTrueHits     int64 `json:"interval_true_hits,omitempty"`    // pairs resolved positive by full/full or full/certain overlap
 	IntervalRejects      int64 `json:"interval_rejects,omitempty"`      // pairs resolved negative by span disjointness (d-dilated on a distance test)
@@ -127,20 +134,13 @@ type Stats struct {
 
 	// Edge-index effectiveness (see internal/edgeindex and PairContext),
 	// counted where candidate edges are collected: the card's edge sets on
-	// both predicates and the software intersection test. The distance
-	// kernel descends the same hierarchies but is not counted here. A
-	// software intersection test narrowed to the shared partial cells
-	// (PairContext.Grid) counts one hit per pair when any of its
-	// collections used an index, and per indexed side the edges never
-	// examined over all its cell boxes (edges − examined, at least 0).
+	// both predicates, so on the card path only. The distance kernel,
+	// every software test's exact step, descends the same hierarchies but
+	// is not counted here.
 	EdgeIndexHits         int64 `json:"edge_index_hits"`          // pair-level edge collections that went through at least one edge index
 	EdgeIndexSkippedEdges int64 `json:"edge_index_skipped_edges"` // edges those collections' hierarchies pruned unexamined
 
-	// Wall-clock decomposition of the refinement work, not serialized. A
-	// narrowed software intersection test is one SWTime span, its
-	// per-cell-box collections included, so CollectTime counts only
-	// collections over the MBR intersection (the card's, and the
-	// unnarrowed software test's or its fallback's).
+	// Wall-clock decomposition of the refinement work, not serialized.
 	HWTime      time.Duration `json:"-"` // rendering + buffer search
 	SWTime      time.Duration `json:"-"` // software segment / distance tests
 	CollectTime time.Duration `json:"-"` // candidate-edge collection over the MBR intersection
@@ -178,12 +178,13 @@ type Tester struct {
 	ctx   *raster.Context
 	Stats Stats
 
-	// Scratch buffers for the per-pair candidate edge sets, reused across
-	// tests to keep the hot path allocation-free.
+	// Scratch buffers for the card's per-pair candidate edge sets, reused
+	// across tests to keep the hot path allocation-free.
 	redBuf, blueBuf []geom.Segment
-	// sweeper reuses the plane sweep's working storage across pair tests.
+	// sweeper reuses the plane sweep's working storage across the card's
+	// confirms.
 	sweeper sweep.Sweeper
-	// distScratch reuses the software distance test's working storage.
+	// distScratch reuses the exact software test's working storage.
 	distScratch dist.Scratch
 }
 
@@ -214,14 +215,11 @@ type PairContext struct {
 	// interval.Grid (the caller guarantees both sides use the same grid —
 	// see query.Layer's column plumbing). When both are non-empty the
 	// interval verdict runs before any other geometry work and replaces
-	// the signature check: on an intersection test TrueHit reports the
-	// pair intersecting outright and Reject resolves it negative; on a
-	// distance test TrueHit — or, when Grid's cell diagonal is at most d,
-	// a cell full or certain in both lists — reports the pair within d,
-	// and Reject with QNear resolves it negative. With Grid set they also
-	// steer the exact software intersection test to the cells partial in
-	// both lists (see softwareIntersects). Immutable and shared like the
-	// other fields.
+	// the signature check: TrueHit — or, when Grid's cell diagonal is at
+	// most d, a cell full or certain in both lists — reports the pair
+	// within d (at d = 0: intersecting), and Reject, with QNear for
+	// d > 0, resolves it negative. Immutable and shared like the other
+	// fields.
 	PIv, QIv interval.Spans
 	// QNear is Q's reject band for a distance test's d: QIv's partial
 	// cells dilated by the k = Grid.RejectDilation(d) cells d spans on the
@@ -233,11 +231,13 @@ type PairContext struct {
 	// (interval.Column.DilateHits), empty when j < 1; a P list that meets
 	// it in a full or certain cell proves the pair within d. Both objects
 	// must lie wholly inside the grid (interval.Column.Dilate says why),
-	// as the join's pair grid guarantees. Intersection tests ignore both.
+	// as the join's pair grid guarantees. At d = 0 (intersection) the
+	// filter reads neither: the reject band is QIv and there is no hit
+	// band.
 	QNear, QHit interval.Spans
-	// Grid is the interval.Grid PIv and QIv were rasterized on. A zero
-	// Grid (or spans missing on either side) leaves the software
-	// intersection test on the whole MBR intersection.
+	// Grid is the interval.Grid PIv and QIv were rasterized on; the filter
+	// reads its cell size for the within verdict's cell diagonal
+	// (Grid.HitDilation) at d > 0.
 	Grid interval.Grid
 }
 
@@ -294,9 +294,10 @@ const (
 )
 
 // IntersectsCtx is Intersects with shared per-object derived data: edge
-// indexes in pc replace the linear candidate-edge scans on both the
-// hardware and the direct-software path. The verdict is identical for any
-// pc — the indexes return exactly the edge sets the scan would.
+// indexes in pc replace the linear candidate-edge scans on the hardware
+// path and the hierarchies the software test would build. The verdict is
+// identical for any pc — the indexes return exactly the edge sets the
+// scan would.
 func (t *Tester) IntersectsCtx(p, q *geom.Polygon, pc PairContext) bool {
 	switch t.FilterIntersects(p, q, pc) {
 	case VerdictHit:
@@ -307,72 +308,36 @@ func (t *Tester) IntersectsCtx(p, q *geom.Polygon, pc PairContext) bool {
 	return t.RefineIntersects(p, q, pc)
 }
 
-// FilterIntersects runs the cheap, render-free front of Algorithm 3.1 —
-// MBR pre-test, the interval verdict (true hit or reject), point-in-polygon
-// containment, persisted-signature disjointness — and reports whether the
-// pair is resolved or must go to RefineIntersects. It is the pipeline's
-// filter stage: dense, branch-light work that touches no rendering
-// context, run over a whole batch before RefineIntersects takes on the
-// expensive edge tests. Exactly one Refine call per Undecided verdict
-// keeps the Stats resolution partition (Tests == sum of the resolution
-// counters) intact even when a panicked pair is retried on another tester
-// and the stats are summed afterwards.
+// FilterIntersects is FilterWithin at d = 0 under the intersection
+// test's own fault site: the MBR pre-test, the interval verdict,
+// point-in-polygon containment and, for a pair without spans,
+// persisted-signature disjointness. It is the pipeline's filter stage:
+// dense, branch-light work that touches no rendering context, run over a
+// whole batch before RefineIntersects takes on the expensive edge tests.
+// Exactly one Refine call per Undecided verdict keeps the Stats resolution
+// partition (Tests == sum of the resolution counters) intact even when a
+// panicked pair is retried on another tester and the stats are summed
+// afterwards.
 func (t *Tester) FilterIntersects(p, q *geom.Polygon, pc PairContext) Verdict {
 	// The fault hook runs before any counter moves, so an injected panic
 	// leaves the Stats partition (Tests == sum of resolution paths) intact.
 	if t.cfg.Faults != nil {
 		t.cfg.Faults.Apply(faultinject.SiteIntersects)
 	}
-	t.Stats.Tests++
-	if !p.Bounds().Intersects(q.Bounds()) {
-		t.Stats.MBRRejects++
-		return VerdictMiss
-	}
-
-	// Interval-approximation verdict (v2 filter): sound in both
-	// directions — a full/full cell overlap proves intersection, span
-	// disjointness proves the regions (interiors included) are disjoint —
-	// so it runs before the containment test; only inconclusive pairs pay
-	// for the rest of the filter chain.
-	if len(pc.PIv) > 0 && len(pc.QIv) > 0 {
-		t.Stats.IntervalChecks++
-		switch interval.Compare(pc.PIv, pc.QIv) {
-		case interval.TrueHit:
-			t.Stats.IntervalTrueHits++
-			return VerdictHit
-		case interval.Reject:
-			t.Stats.IntervalRejects++
-			return VerdictMiss
-		}
-		t.Stats.IntervalInconclusive++
-	}
-
-	// Step 1: software point-in-polygon test, both directions. Linear and
-	// cache friendly; also the only step that can see containment, which
-	// the edge rendering cannot.
-	if containmentPossible(p, q, pc) {
-		t.Stats.PIPHits++
-		return VerdictHit
-	}
-
-	// Persisted-signature filter: with containment excluded, the predicate
-	// reduces to a boundary intersection, which disjoint signatures refute
-	// outright — no rendering, no software test.
-	if t.sigReject(p, q, 0, pc) {
-		return VerdictMiss
-	}
-	return VerdictUndecided
+	return t.filter(p, q, 0, pc)
 }
 
-// RefineIntersects decides a pair FilterIntersects left Undecided on the
-// card path (refine), drawing the edges that touch the MBR intersection
+// RefineIntersects decides a pair FilterIntersects left Undecided. Its
+// exact test is RefineWithin's at d = 0, the distance kernel asking
+// whether some edge pair intersects (dist.Scratch.BoundaryWithin); on the
+// card path (refine) it draws the edges that touch the MBR intersection
 // (§3.2) — only they can take part in a boundary intersection — and
-// confirming a drawn pair by the cross test on them. Callers must not
+// confirms a drawn pair by the cross test on them. Callers must not
 // invoke it on pairs the filter resolved — the stats partition counts
 // each test exactly once.
 func (t *Tester) RefineIntersects(p, q *geom.Polygon, pc PairContext) bool {
 	return t.refine(p, q, pc,
-		func() bool { return t.softwareIntersects(p, q, pc) },
+		func() bool { return t.boundaryWithin(p, q, 0, pc) },
 		func() (geom.Rect, float64, bool) {
 			window := p.Bounds().Intersection(q.Bounds())
 			t.ctx.SetViewport(window)
@@ -422,103 +387,6 @@ func (t *Tester) refine(p, q *geom.Polygon, pc PairContext, exact func() bool,
 	// Inconclusive: step 3, the exact test.
 	t.Stats.HWPassed++
 	return confirm(red, blue)
-}
-
-// softwareIntersects decides an intersection test entirely in software,
-// knowing that containment has been excluded (FilterIntersects), so the
-// regions intersect exactly when the boundaries cross or touch. Shared by
-// the SWThreshold fast path and the software-only tester.
-//
-// When the pair carries interval spans on a valid grid and the MBR
-// intersection lies on that grid, only the cells partial in both lists
-// are searched (sharedCellsIntersect); otherwise — or past maxSharedRuns
-// runs — the edges touching the whole MBR intersection are collected,
-// the same (possibly index-collected) restricted edge sets the hardware
-// path uses.
-func (t *Tester) softwareIntersects(p, q *geom.Polygon, pc PairContext) bool {
-	window := p.Bounds().Intersection(q.Bounds())
-	if narrows(pc, window) {
-		if hit, decided := t.sharedCellsIntersect(p, q, window, pc); decided {
-			return hit
-		}
-	}
-	red, blue := t.collectPair(p, q, window, pc)
-	return len(red) > 0 && len(blue) > 0 && t.timedCross(red, blue)
-}
-
-// maxSharedRuns bounds the shared partial runs sharedCellsIntersect
-// searches before it hands the pair to one collection over the MBR
-// intersection: a pair whose boundaries run side by side through many
-// cells without crossing then costs at most this many small searches on
-// top of the unnarrowed test.
-const maxSharedRuns = 32
-
-// narrows reports whether the software test can search only the cells
-// partial in both of pc's span lists: both lists are present, their grid
-// is valid, and window lies inside the grid's square, so every point of
-// it falls in a cell the lists speak for.
-func narrows(pc PairContext, window geom.Rect) bool {
-	g := pc.Grid
-	return len(pc.PIv) > 0 && len(pc.QIv) > 0 && g.Valid() &&
-		window.MinX >= g.MinX && window.MinY >= g.MinY &&
-		window.MaxX <= g.MinX+g.Size && window.MaxY <= g.MinY+g.Size
-}
-
-// sharedCellsIntersect is the exact boundary test restricted to the cells
-// partial in both pc.PIv and pc.QIv. The boundary walk under Rasterize
-// marks partial every closed cell a boundary point touches, so every point
-// where the two boundaries cross or touch lies in such a cell, in the MBR
-// intersection, and so in one of the boxes interval.SharedPartial yields
-// clipped to window; an edge through that point touches the box. Each
-// box's edges are collected and cross-tested in Hilbert order, and the
-// first crossing decides true. With no crossing in any box the boundaries
-// are disjoint and the verdict is false — no collection at all when the
-// lists share no partial run. After maxSharedRuns boxes without a
-// crossing it gives up (decided false) and the caller falls back to the
-// MBR intersection; the pair's counters are then the unnarrowed test's.
-func (t *Tester) sharedCellsIntersect(p, q *geom.Polygon, window geom.Rect, pc PairContext) (hit, decided bool) {
-	start := time.Now()
-	var examinedP, examinedQ, runs int
-	var indexedP, indexedQ bool
-	capped := false
-	interval.SharedPartial(pc.PIv, pc.QIv, pc.Grid, func(box geom.Rect) bool {
-		if runs == maxSharedRuns {
-			capped = true
-			return false
-		}
-		runs++
-		box = box.Intersection(window)
-		if box.IsEmpty() {
-			return true
-		}
-		red, n, ix := collectSide(t.redBuf, p, pc.PIndex, box)
-		t.redBuf = red[:0]
-		examinedP += n
-		indexedP = indexedP || ix
-		if len(red) == 0 {
-			return true
-		}
-		blue, n, ix := collectSide(t.blueBuf, q, pc.QIndex, box)
-		t.blueBuf = blue[:0]
-		examinedQ += n
-		indexedQ = indexedQ || ix
-		hit = len(blue) > 0 && t.crossIntersects(red, blue)
-		return !hit
-	})
-	t.Stats.SWTime += time.Since(start)
-	if capped {
-		return false, false
-	}
-	if indexedP || indexedQ {
-		t.Stats.EdgeIndexHits++
-	}
-	if indexedP {
-		t.Stats.EdgeIndexSkippedEdges += int64(max(0, p.NumEdges()-examinedP))
-	}
-	if indexedQ {
-		t.Stats.EdgeIndexSkippedEdges += int64(max(0, q.NumEdges()-examinedQ))
-	}
-	return hit, true
 }
 
 // sigReject consults the pair's persisted raster signatures and reports
@@ -625,6 +493,11 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	if t.cfg.Faults != nil {
 		t.cfg.Faults.Apply(faultinject.SiteWithinDistance)
 	}
+	return t.filter(p, q, d, pc)
+}
+
+// filter is the one filter body of both tests; intersection is d = 0.
+func (t *Tester) filter(p, q *geom.Polygon, d float64, pc PairContext) Verdict {
 	t.Stats.Tests++
 	if p.Bounds().DistSq(q.Bounds()) > geom.SqBound(d) {
 		t.Stats.MBRRejects++
@@ -635,14 +508,15 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 	// form: regions that intersect are within every d, and so are two
 	// objects with points in one cell whose diagonal d covers, or in cells
 	// Q's hit band joins; a P list that misses Q's cover and Q's boundary
-	// cells widened by d's cells is farther than d from Q. It runs before
-	// containment, like the intersection test's, and takes the signature
-	// check's place.
+	// cells widened by d's cells is farther than d from Q. At d = 0 the
+	// reject band is Q's list itself, so the verdict's reject is the
+	// band's, and there is no hit band. Sound in both directions, it runs
+	// before containment and takes the signature check's place.
 	spans := len(pc.PIv) > 0 && len(pc.QIv) > 0
 	if spans {
 		t.Stats.IntervalChecks++
-		v := interval.CompareWithin(pc.PIv, pc.QIv, pc.Grid.HitDilation(d) >= 0)
-		if v == interval.Reject && interval.Disjoint(pc.PIv, pc.QNear) {
+		v := interval.CompareWithin(pc.PIv, pc.QIv, d > 0 && pc.Grid.HitDilation(d) >= 0)
+		if v == interval.Reject && (d == 0 || interval.Disjoint(pc.PIv, pc.QNear)) {
 			t.Stats.IntervalRejects++
 			return VerdictMiss
 		}
@@ -653,9 +527,9 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 		t.Stats.IntervalInconclusive++
 	}
 
-	// Containment makes the region distance zero but leaves boundaries
-	// arbitrarily far apart, so it must be handled before edge rendering,
-	// exactly as in Algorithm 3.1.
+	// Step 1 of Algorithm 3.1, point-in-polygon both ways: containment
+	// makes the region distance zero but leaves boundaries arbitrarily far
+	// apart, which no edge test can see.
 	if containmentPossible(p, q, pc) {
 		t.Stats.PIPHits++
 		return VerdictHit
@@ -679,14 +553,7 @@ func (t *Tester) FilterWithin(p, q *geom.Polygon, d float64, pc PairContext) Ver
 // is uniform so that d maps to one line width on both axes, padded by one
 // ulp-scale epsilon so pairs at exactly d stay covered.
 func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
-	// The exact test: with containment excluded, the kernel's boundary
-	// distance is the region distance, crossing boundaries included.
-	exact := func() bool {
-		start := time.Now()
-		within := t.distScratch.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, dist.Options{})
-		t.Stats.SWTime += time.Since(start)
-		return within
-	}
+	exact := func() bool { return t.boundaryWithin(p, q, d, pc) }
 	return t.refine(p, q, pc, exact,
 		func() (geom.Rect, float64, bool) {
 			small := p.Bounds()
@@ -699,6 +566,17 @@ func (t *Tester) RefineWithin(p, q *geom.Polygon, d float64, pc PairContext) boo
 			return region, widthPx, widthPx <= raster.MaxLineWidth
 		},
 		func(_, _ []geom.Segment) bool { return exact() })
+}
+
+// boundaryWithin is the exact software test of both predicates, counted
+// under SWTime: with containment excluded the kernel's boundary distance
+// is the region distance, crossing boundaries included, and at d = 0 it
+// asks whether some edge pair intersects.
+func (t *Tester) boundaryWithin(p, q *geom.Polygon, d float64, pc PairContext) bool {
+	start := time.Now()
+	within := t.distScratch.BoundaryWithin(p, q, pc.PIndex, pc.QIndex, d, dist.Options{})
+	t.Stats.SWTime += time.Since(start)
+	return within
 }
 
 // hwOverlap runs the hardware overlap test (Algorithm 3.1 steps 2.1–2.8)

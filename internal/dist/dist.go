@@ -18,9 +18,13 @@
 // larger box, until two leaves meet. There each side's few edges are first
 // screened against the other leaf's box, and the surviving pairs go
 // through Segment.DistSq. Under a finite D the bound is geom.SqBound(D) and
-// the first pair within it ends the search. For an unbounded minimum
-// (MinDist, k nearest neighbours) the bound shrinks to the best distance
-// found so far and nearer children go first.
+// the first pair within it ends the search. At a bound of 0 (D = 0, the
+// intersection test) a leaf pair is decided by Segment.Intersects alone,
+// the predicate of the all-pairs cross test (sweep.CrossIntersectsBrute):
+// DistSq's projection can round to 0 for two segments Intersects calls
+// apart, and it computes four point distances that a bound of 0 does not
+// need. For an unbounded minimum (MinDist, k nearest neighbours) the bound
+// shrinks to the best distance found so far and nearer children go first.
 //
 // The box skip cannot drop a pair: every edge lies in its leaf's box and
 // every box in its ancestors', so the gap between two boxes lower-bounds
@@ -168,11 +172,19 @@ func (s *Scratch) BoundaryWithin(p, q *geom.Polygon, pix, qix *edgeindex.Index, 
 // minimum: limit shrinks to each closer pair found, so when the search
 // ends s.limit is the squared minimum boundary distance if it is at most
 // the limit it started with.
+//
+// The Scratch keeps no reference to the pair once the search ends: a
+// long-lived Scratch must not keep a dropped layer's polygons or boxes
+// alive.
 func (s *Scratch) search(p, q *geom.Polygon, pix, qix *edgeindex.Index, limit, exit float64) bool {
 	x, y := s.side(0, p, pix), s.side(1, q, qix)
 	s.limit, s.exit, s.ordered = limit, exit, exit < limit
 	a, b := x.root(), y.root()
-	return a.box.DistSq(b.box) <= s.limit && s.visit(x, y, a, b)
+	found := a.box.DistSq(b.box) <= s.limit && s.visit(x, y, a, b)
+	s.sides = [2]side{}
+	s.built[0].Release()
+	s.built[1].Release()
+	return found
 }
 
 // side loads side k of the pair: the levels of ix when it indexes p, else
@@ -245,13 +257,24 @@ func (s *Scratch) visit(x, y *side, a, b node) bool {
 
 // leaves searches the edge pairs of two leaves whose boxes are within the
 // bound: each side's edges within the bound of the other leaf's box, then
-// Segment.DistSq on every pair whose edge boxes are within it too.
+// Segment.DistSq on every pair whose edge boxes are within it too — at a
+// bound of 0, Segment.Intersects.
 func (s *Scratch) leaves(x, y *side, a, b node) bool {
 	xe := x.screen(s.xe[:0], a.i, b.box, s.limit)
 	if len(xe) == 0 {
 		return false
 	}
 	ye := y.screen(s.ye[:0], b.i, a.box, s.limit)
+	if s.limit == 0 {
+		for _, e := range xe {
+			for _, f := range ye {
+				if e.box.Intersects(f.box) && e.seg.Intersects(f.seg) {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	for _, e := range xe {
 		for _, f := range ye {
 			if e.box.DistSq(f.box) > s.limit {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/edgeindex"
 	"repro/internal/geom"
+	"repro/internal/sweep"
 )
 
 // FuzzBoundaryWithin checks the kernel against the brute-force oracle on
@@ -15,7 +16,10 @@ import (
 // distance, and the raw kernel the thresholded brute boundary distance,
 // whichever index each side comes with — none, edgeindex.New, one rebuilt
 // from its flattened boxes, or another polygon's, which must be ignored
-// (flags bits 0–1 pick p's, bits 2–3 q's).
+// (flags bits 0–1 pick p's, bits 2–3 q's). At a squared bound of 0 the
+// kernel asks the intersection predicate, so there the oracles are the
+// all-pairs cross test, after WithinDistance's region step for the
+// region test.
 func FuzzBoundaryWithin(f *testing.F) {
 	f.Add(int64(1), uint16(8), uint16(12), 5.0, 0.0, 1.0, uint8(0))
 	f.Add(int64(2), uint16(200), uint16(300), 3.0, 1.0, 0.25, uint8(5))
@@ -28,14 +32,18 @@ func FuzzBoundaryWithin(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		p := star(rng, 0, 0, 1+rng.Float64()*3, 3+int(n1%800))
 		q := star(rng, dx, dy, 1+rng.Float64()*3, 3+int(n2%800))
-		d0 := MinDistBrute(p, q)
-		if got := WithinDistance(p, q, d, Options{}); got != (d0 <= d) {
+		d0, b0 := MinDistBrute(p, q), boundaryDistBrute(p, q)
+		region, boundary := d0 <= d, b0 <= d
+		if geom.SqBound(d) == 0 {
+			boundary = crossBrute(p, q)
+			region = sweep.PolygonsIntersect(p, q, sweep.Options{}) || boundary
+		}
+		if got := WithinDistance(p, q, d, Options{}); got != region {
 			t.Fatalf("WithinDistance(d=%v) = %v, brute distance %v", d, got, d0)
 		}
 		pix, qix := indexFor(p, q, flags), indexFor(q, p, flags>>2)
 		var s Scratch
-		b0 := boundaryDistBrute(p, q)
-		if got := s.BoundaryWithin(p, q, pix, qix, d, Options{}); got != (b0 <= d) {
+		if got := s.BoundaryWithin(p, q, pix, qix, d, Options{}); got != boundary {
 			t.Fatalf("BoundaryWithin(d=%v, flags %d) = %v, brute boundary distance %v", d, flags, got, b0)
 		}
 	})

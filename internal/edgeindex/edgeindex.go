@@ -130,6 +130,14 @@ func (ix *Index) carve() {
 // time.
 func runs(n int) int { return (n + Fanout - 1) / Fanout }
 
+// Release drops ix's polygon and hierarchy but keeps its storage for the
+// next Build, so that an index a scratch reuses keeps no polygon alive
+// between builds. Like Build, it is only for an index the caller owns
+// alone.
+func (ix *Index) Release() {
+	ix.poly, ix.levels = nil, ix.levels[:0]
+}
+
 // Polygon returns the indexed polygon.
 func (ix *Index) Polygon() *geom.Polygon { return ix.poly }
 

@@ -144,9 +144,14 @@ func gap(lo1, hi1, lo2, hi2 float64) float64 {
 // squared distance x, x <= SqBound(d) decides exactly as math.Sqrt(x) <= d
 // would: squared-space comparisons against it cannot lose a pair at
 // exactly distance d to the rounding of d*d. A negative or NaN d bounds
-// nothing (-1 is below every squared distance).
+// nothing (-1 is below every squared distance). d = 0, the intersection
+// test's bound, returns 0 at once: the search would take the square root
+// of a subnormal, which costs the processor a microcode assist.
 func SqBound(d float64) float64 {
-	if !(d >= 0) {
+	if !(d > 0) {
+		if d == 0 {
+			return 0
+		}
 		return -1
 	}
 	s := d * d

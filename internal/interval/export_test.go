@@ -1,5 +1,5 @@
 package interval
 
 // CellEps exposes the rasterizer's outward slack to the external tests,
-// which rebuild SharedPartial's boxes cell by cell.
+// which recount the cells a boundary crosses at other slacks.
 const CellEps = cellEps

@@ -516,8 +516,10 @@ func TestCertainFailsOldReaders(t *testing.T) {
 var verdictSink interval.Verdict
 
 // BenchmarkCompare merge-scans every MBR-intersecting pair of LANDC⋈LANDO
-// 0.2 on the grid both persist, the join_single candidates. One op is one
-// pass over all 39 106 pairs; ns/pair is the cost of one Compare.
+// 0.2 on the grid both persist, the join_single candidates, with the scan
+// the join's verdict runs (Compare, which is CompareWithin without the
+// cell clause). One op is one pass over all 39 106 pairs; ns/pair is the
+// cost of one Compare.
 func BenchmarkCompare(b *testing.B) {
 	da, db := data.MustLoad("LANDC", 0.2), data.MustLoad("LANDO", 0.2)
 	g := mustGrid(b, da.Objects, 0)

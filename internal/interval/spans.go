@@ -108,10 +108,9 @@ func (s Spans) Validate(order int) error {
 }
 
 // Compare merge-scans two span lists from the same grid and returns the
-// three-valued verdict. Cost is linear in the sum of both lists' runs (a
-// true hit stops the scan early); no allocation. Lists from different
-// grids must not be compared — the layer plumbing guarantees both sides
-// share one Grid.
+// three-valued verdict: CompareWithin without cellWithin, the same scan.
+// Lists from different grids must not be compared — the layer plumbing
+// guarantees both sides share one Grid.
 //
 // Rasterize clips an object that leaves its grid, and the clipped walk
 // does not keep what lies outside, so two objects that meet only outside
@@ -128,6 +127,23 @@ func (s Spans) Validate(order int) error {
 // A's closed region, so the regions intersect. Two certain cells prove
 // nothing: two boundaries through one cell need not meet.
 func Compare(a, b Spans) Verdict {
+	return CompareWithin(a, b, false)
+}
+
+// CompareWithin merge-scans two span lists and returns Compare's verdict,
+// for a distance test that a cell's diagonal does not exceed (cellWithin;
+// Grid.HitDilation(d) ≥ 0) with one more true hit: a cell full or certain
+// in both lists, certain in both included. Each such cell holds a point
+// of its object, and two points of one closed cell are at most its
+// diagonal apart. A true hit stops the scan early; no allocation.
+//
+// The scan gallops: a run that ends before the other list's current run
+// steps to the next, and when that one ends before it too, skips ahead by
+// doubling steps and a binary search (skipTo). So the scan of a long list
+// against a short or distant one — P against a band of Q's, or the lists
+// of a pair far apart on the curve — costs about the short list's runs,
+// not the long one's, while lists that interleave cost one step a run.
+func CompareWithin(a, b Spans, cellWithin bool) Verdict {
 	if len(a) == 0 || len(b) == 0 {
 		return Inconclusive
 	}
@@ -137,83 +153,46 @@ func Compare(a, b Spans) Verdict {
 	blo, bhi, bf := unpack(b[0])
 	for {
 		if ahi < blo {
-			i++
-			if i == len(a) {
+			if i++; i == len(a) {
 				break
 			}
-			alo, ahi, af = unpack(a[i])
+			if alo, ahi, af = unpack(a[i]); ahi < blo {
+				if i = skipTo(a, i, blo); i == len(a) {
+					break
+				}
+				alo, ahi, af = unpack(a[i])
+			}
 			continue
 		}
 		if bhi < alo {
-			j++
-			if j == len(b) {
+			if j++; j == len(b) {
 				break
 			}
-			blo, bhi, bf = unpack(b[j])
-			continue
-		}
-		// Runs overlap: at least one cell is covered by both objects.
-		if af && (bf || b[j]&certainBit != 0) || bf && a[i]&certainBit != 0 {
-			return TrueHit
-		}
-		overlap = true
-		if ahi < bhi {
-			i++
-			if i == len(a) {
-				break
+			if blo, bhi, bf = unpack(b[j]); bhi < alo {
+				if j = skipTo(b, j, alo); j == len(b) {
+					break
+				}
+				blo, bhi, bf = unpack(b[j])
 			}
-			alo, ahi, af = unpack(a[i])
-		} else {
-			j++
-			if j == len(b) {
-				break
-			}
-			blo, bhi, bf = unpack(b[j])
-		}
-	}
-	if overlap {
-		return Inconclusive
-	}
-	return Reject
-}
-
-// CompareWithin is Compare for a distance test that a cell's diagonal
-// does not exceed (cellWithin; Grid.HitDilation(d) ≥ 0): a cell full or
-// certain in both lists is a true hit too, certain in both included. Each
-// such cell holds a point of its object, and two points of one closed
-// cell are at most its diagonal apart. Without cellWithin it gives
-// Compare's verdict. Unlike Compare it gallops: a run that ends before
-// the other list's current run skips ahead by doubling steps and a
-// binary search (skipTo), so the scan of a long list against a short or
-// distant one — P against a band of Q's, or the lists of a pair far apart
-// on the curve — costs about the short list's runs, not the long one's.
-func CompareWithin(a, b Spans, cellWithin bool) Verdict {
-	if len(a) == 0 || len(b) == 0 {
-		return Inconclusive
-	}
-	overlap := false
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		alo, ahi, af := unpack(a[i])
-		blo, bhi, bf := unpack(b[j])
-		if ahi < blo {
-			i = skipTo(a, i, blo)
 			continue
 		}
-		if bhi < alo {
-			j = skipTo(b, j, alo)
-			continue
-		}
-		// ah, bh: the cell holds a point of the object (full or certain).
+		// Runs overlap: at least one cell is covered by both objects. ah,
+		// bh: the cell holds a point of the object (full or certain).
 		ah, bh := af || a[i]&certainBit != 0, bf || b[j]&certainBit != 0
 		if af && bh || bf && ah || cellWithin && ah && bh {
 			return TrueHit
 		}
 		overlap = true
 		if ahi < bhi {
-			i++
+			if i++; i == len(a) {
+				break
+			}
+			alo, ahi, af = unpack(a[i])
 		} else {
-			j++
+			if j++; j == len(b) {
+				break
+			}
+			blo, bhi, bf = unpack(b[j])
 		}
 	}
 	if overlap {
@@ -222,19 +201,21 @@ func CompareWithin(a, b Spans, cellWithin bool) Verdict {
 	return Reject
 }
 
+// runEnd returns the last cell of the packed run v.
+func runEnd(v uint64) uint32 { return uint32(v>>1) & 0x3fffffff }
+
 // skipTo returns the index of the first run of s after i that ends at or
 // after cell c, or len(s), given that run i ends before c: steps of 1, 2,
 // 4, … and then a binary search between the last two. Runs are sorted
 // and disjoint, so their ends ascend.
 func skipTo(s Spans, i int, c uint32) int {
-	end := func(k int) uint32 { return uint32(s[k]>>1) & 0x3fffffff }
 	lo, step := i, 1
-	for lo+step < len(s) && end(lo+step) < c {
+	for lo+step < len(s) && runEnd(s[lo+step]) < c {
 		lo, step = lo+step, 2*step
 	}
 	hi := min(lo+step, len(s))
 	for lo+1 < hi {
-		if mid := int(uint(lo+hi) >> 1); end(mid) < c {
+		if mid := int(uint(lo+hi) >> 1); runEnd(s[mid]) < c {
 			lo = mid
 		} else {
 			hi = mid
@@ -266,86 +247,6 @@ func Disjoint(a, b Spans) bool {
 		}
 	}
 	return true
-}
-
-// SharedPartial merge-scans two span lists from grid g and calls yield,
-// in Hilbert order, with the data-space box of each overlap of a partial
-// run of a with a partial run of b: the bounding box of the overlap's
-// closed cells, rounded outward by cellEps as Rasterize rounds, so every
-// point Rasterize attributes to one of those cells lies in the box.
-// Adjacent partial runs, which differ only in the certain flag, are
-// merged first, so the boxes are those of the runs the boundary walk
-// marked. It stops when yield returns false and reports whether the walk
-// ran to the end. Every cell partial in both lists lies in some yielded
-// box; since the boundary walk marks every closed cell a boundary point
-// touches, every point where the two objects' boundaries cross or touch
-// does too. No allocation; yield is only called, never retained.
-func SharedPartial(a, b Spans, g Grid, yield func(geom.Rect) bool) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return true
-	}
-	alo, ahi, af, i := nextRun(a, 0)
-	blo, bhi, bf, j := nextRun(b, 0)
-	for {
-		if !af && !bf && alo <= bhi && blo <= ahi {
-			if !yield(g.runBox(max(alo, blo), min(ahi, bhi))) {
-				return false
-			}
-		}
-		if ahi < bhi {
-			if i == len(a) {
-				return true
-			}
-			alo, ahi, af, i = nextRun(a, i)
-		} else {
-			if j == len(b) {
-				return true
-			}
-			blo, bhi, bf, j = nextRun(b, j)
-		}
-	}
-}
-
-// nextRun decodes the run at s[i], extended over the partial runs that
-// directly follow a partial one, and returns the index after it.
-func nextRun(s Spans, i int) (lo, hi uint32, full bool, next int) {
-	lo, hi, full = unpack(s[i])
-	for i++; !full && i < len(s); i++ {
-		nlo, nhi, nfull := unpack(s[i])
-		if nfull || nlo != hi+1 {
-			break
-		}
-		hi = nhi
-	}
-	return lo, hi, full, i
-}
-
-// runBox returns the outward-rounded data-space bounding box of the cells
-// lo..hi. The run is split into aligned blocks of 4^k consecutive indexes;
-// since D nests (D(order, x, y) >> 2k == D(order-k, x >> k, y >> k)), such a
-// block is the aligned 2^k square whose corner is XY(order-k, lo >> 2k) << k,
-// so one XY call per block decodes it — at most two blocks per level.
-func (g Grid) runBox(lo, hi uint32) geom.Rect {
-	x0, y0, x1, y1 := ^uint32(0), ^uint32(0), uint32(0), uint32(0)
-	for lo <= hi {
-		k := min(bits.TrailingZeros32(lo)/2, g.Order)
-		for k > 0 && hi-lo < uint32(1)<<(2*k)-1 {
-			k--
-		}
-		x, y := XY(g.Order-k, lo>>(2*k))
-		x, y = x<<k, y<<k
-		side := uint32(1)<<k - 1
-		x0, y0 = min(x0, x), min(y0, y)
-		x1, y1 = max(x1, x+side), max(y1, y+side)
-		lo += uint32(1) << (2 * k)
-	}
-	cs := g.CellSize()
-	return geom.Rect{
-		MinX: g.MinX + (float64(x0)-cellEps)*cs,
-		MinY: g.MinY + (float64(y0)-cellEps)*cs,
-		MaxX: g.MinX + (float64(x1+1)+cellEps)*cs,
-		MaxY: g.MinY + (float64(y1+1)+cellEps)*cs,
-	}
 }
 
 // Rasterize computes p's span list on g. Its cost follows the boundary,

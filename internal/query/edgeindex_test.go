@@ -70,21 +70,37 @@ func TestEdgeIndexSharedAcrossWorkers(t *testing.T) {
 // TestSelectionUsesQueryIndex checks a selection against a complex query
 // polygon still matches the oracle when the query-side index is active
 // (built once, for the first candidate that reaches the tester) and that
-// index stats actually flow: on layers with indexed objects some hits must
-// register.
+// the candidates it refines reach the tester with the layer's cached
+// edge indexes: on a fresh layer, after one select, every candidate the
+// filter leaves to refinement has its index hydrated, and some of those
+// indexes hold a hierarchy the distance kernel descends.
 func TestSelectionUsesQueryIndex(t *testing.T) {
 	queries := data.MustLoad("STATES50", 1)
 	q := queries.Objects[0]
+	layer := NewLayer(layerA.Data)
 	tester := core.NewTester(core.Config{DisableHardware: true})
-	got, _, err := IntersectionSelectView(bg, layerA.View(), q, tester, JoinOptions{InteriorLevel: -1})
+	got, _, err := IntersectionSelectView(bg, layer.View(), q, tester, JoinOptions{InteriorLevel: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameIDs(t, "select", got, oracleSelect(layerA, q))
-	if tester.Stats.EdgeIndexHits == 0 {
-		t.Error("selection refinement recorded no edge-index hits")
+	sameIDs(t, "select", got, oracleSelect(layer, q))
+	probe := core.NewTester(core.Config{DisableHardware: true})
+	refined, indexed := 0, 0
+	for id, p := range layer.Data.Objects {
+		if probe.FilterIntersects(q, p, core.PairContext{}) != core.VerdictUndecided {
+			continue
+		}
+		refined++
+		ix := layer.edgeIdx[id].Load()
+		if ix == nil || ix.Polygon() != p {
+			t.Fatalf("object %d was refined without the layer's cached edge index", id)
+		}
+		if ix.Indexed() {
+			indexed++
+		}
 	}
-	if tester.Stats.EdgeIndexSkippedEdges == 0 {
-		t.Error("selection refinement recorded no skipped edges")
+	if refined == 0 || indexed == 0 || tester.Stats.SWDirect != int64(refined) {
+		t.Fatalf("%d candidates refined (%d with a hierarchy), the tester counted %d: the test is vacuous or the counts disagree",
+			refined, indexed, tester.Stats.SWDirect)
 	}
 }

@@ -172,11 +172,13 @@ type predicate struct {
 }
 
 // bind resolves the per-pair inputs (edge indexes, signatures, interval
-// columns, hulls) of a join between layers a and b.
+// columns and b's bands, hulls) of a join between layers a and b. An
+// intersection join is a within join at d = 0, where the reject band is
+// b's column itself and there is no hit band.
 func (k joinKind) bind(a, b *Layer, opt JoinOptions) predicate {
 	iva, ivb := intervalColumns(a, b, opt.NoIntervals, opt.IntervalOrder)
 	var near, hit *interval.Column
-	if k.within && ivb != nil {
+	if ivb != nil {
 		near, hit = b.nearColumn(ivb.Grid, k.d), b.hitColumn(ivb.Grid, k.d)
 	}
 	pcFor := pairContexts(a, b, opt, iva, ivb, near, hit)

@@ -413,12 +413,10 @@ func sortPairsByOuter(pairs []Pair) {
 // them; the tester's bounds check makes a one-sided or absent signature
 // merely inconclusive. iva and ivb, when both non-nil (see
 // intervalColumns), attach the objects' v2 interval spans — always from
-// one shared grid, which is what makes them comparable — and that grid,
-// which narrows the exact software test to the cells partial in both; the
-// v1 signatures stay attached too and still decide the intersection
-// pairs the interval check leaves inconclusive. near and hit, on a
-// within-distance join, attach b's reject and hit bands (Layer.nearColumn,
-// Layer.hitColumn).
+// one shared grid, which is what makes them comparable — and that grid;
+// the v1 signatures stay attached too and decide the pairs where one
+// side has no spans. near and hit attach b's reject and hit bands
+// (Layer.nearColumn, Layer.hitColumn).
 func pairContexts(a, b *Layer, opt JoinOptions, iva, ivb, near, hit *interval.Column) func(Pair) core.PairContext {
 	sigA, sigB := a.sigs != nil && !opt.NoSignatures, b.sigs != nil && !opt.NoSignatures
 	ivals := iva != nil && ivb != nil

@@ -148,13 +148,14 @@ func TestSnapshotLayerQueriesBitIdentical(t *testing.T) {
 }
 
 // TestSnapshotLayerSignatureAblation pins the ablation knob and that the
-// persisted signatures are actually consulted when enabled.
+// persisted signatures are actually consulted when enabled, on a join
+// without the interval stage, whose spans take the signatures' place.
 func TestSnapshotLayerSignatureAblation(t *testing.T) {
 	snapA := snapshotLayer(t, layerA.Data, false)
 	snapB := snapshotLayer(t, layerB.Data, false)
 
 	with := swTester()
-	if _, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), with, JoinOptions{}); err != nil {
+	if _, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), with, JoinOptions{NoIntervals: true}); err != nil {
 		t.Fatal(err)
 	}
 	if with.Stats.SigChecks == 0 {
@@ -162,7 +163,7 @@ func TestSnapshotLayerSignatureAblation(t *testing.T) {
 	}
 
 	without := swTester()
-	if _, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), without, JoinOptions{NoSignatures: true}); err != nil {
+	if _, _, err := IntersectionJoinView(bg, snapA.View(), snapB.View(), without, JoinOptions{NoIntervals: true, NoSignatures: true}); err != nil {
 		t.Fatal(err)
 	}
 	if without.Stats.SigChecks != 0 {

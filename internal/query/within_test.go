@@ -268,31 +268,36 @@ func servedWithin(tb testing.TB) (predicate, []Pair) {
 // distance step of every within verb. One op is one pass over those pairs.
 func BenchmarkWithinRefine(b *testing.B) {
 	p, pairs := servedWithin(b)
-	t := swTester()
+	benchRefine(b, swTester(), p, pairs)
+}
+
+// benchRefine times t's refine step of p over the pairs its filter
+// leaves undecided, one pass an op.
+func benchRefine(b *testing.B, t *core.Tester, p predicate, pairs []Pair) {
 	var open []Pair
 	for _, pr := range pairs {
 		if p.filter(t, pr) == core.VerdictUndecided {
 			open = append(open, pr)
 		}
 	}
-	pass := func() (within int) {
+	pass := func() (hits int) {
 		for _, pr := range open {
 			if p.refine(t, pr) {
-				within++
+				hits++
 			}
 		}
-		return within
+		return hits
 	}
-	within := pass() // grows the tester's scratch: the timed passes are steady state
+	hits := pass() // grows the tester's scratch: the timed passes are steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if pass() != within {
+		if pass() != hits {
 			b.Fatal("verdicts changed between passes")
 		}
 	}
 	b.ReportMetric(float64(len(open)), "pairs/op")
-	b.ReportMetric(float64(within), "within/op")
+	b.ReportMetric(float64(hits), "hits/op")
 }
 
 // BenchmarkWithinFilter times the software tester's FilterWithin over
@@ -301,7 +306,12 @@ func BenchmarkWithinRefine(b *testing.B) {
 // probe. One op is one pass.
 func BenchmarkWithinFilter(b *testing.B) {
 	p, pairs := servedWithin(b)
-	t := swTester()
+	benchFilter(b, swTester(), p, pairs)
+}
+
+// benchFilter times t's filter step of p over every pair, one pass an
+// op.
+func benchFilter(b *testing.B, t *core.Tester, p predicate, pairs []Pair) {
 	pass := func() (open int) {
 		for _, pr := range pairs {
 			if p.filter(t, pr) == core.VerdictUndecided {
@@ -324,4 +334,61 @@ func BenchmarkWithinFilter(b *testing.B) {
 	b.ReportMetric(float64(hits), "true_hits/op")
 	b.ReportMetric(float64(rejects), "rejects/op")
 	b.ReportMetric(float64(open), "open/op")
+}
+
+// joinBenchLayers returns LANDC and LANDO at the join_single scale as
+// snapshot layers, as the benchmark's server holds them.
+func joinBenchLayers(tb testing.TB) (landc, lando *Layer) {
+	return snapshotLayer(tb, data.MustLoad("LANDC", 0.2), false), snapshotLayer(tb, data.MustLoad("LANDO", 0.2), false)
+}
+
+// TestJoinBenchCounters pins what the join verb's filter decides on the
+// join_single join from snapshots, where intersection is the within test
+// at d = 0: of the 39 106 candidates the interval verdict reports 17 235
+// intersecting outright and rejects 15 679, containment decides 551, no
+// signature is checked — every pair carries spans — and 5 641 pairs reach
+// the distance kernel, which finds 2 890 of them intersecting: 20 676
+// results.
+func TestJoinBenchCounters(t *testing.T) {
+	landc, lando := joinBenchLayers(t)
+	pairs, st, err := PipelineIntersectionJoinView(bg, landc.View(), lando.View(), JoinOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := st.Tests - st.MBRRejects - st.IntervalTrueHits - st.IntervalRejects - st.PIPHits - st.SigRejects
+	got := [7]int64{int64(st.Candidates), st.IntervalTrueHits, st.IntervalRejects, st.PIPHits, st.SigChecks, kernel, int64(len(pairs))}
+	if want := [7]int64{39106, 17235, 15679, 551, 0, 5641, 20676}; got != want {
+		t.Errorf("candidates, interval true hits, interval rejects, containment hits, signature checks, kernel pairs, results = %v, want %v", got, want)
+	}
+}
+
+// servedJoin returns the join_single candidates in the executor's order
+// and the predicate the join verb binds for them: pair-grid columns,
+// the reject band at d = 0 (the column itself), edge indexes and
+// signatures as bind attaches them.
+func servedJoin(tb testing.TB) (predicate, []Pair) {
+	landc, lando := joinBenchLayers(tb)
+	pairs, _, err := generate(bg, landc.Data.Objects, lando, intersects, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return intersects.bind(landc, lando, JoinOptions{}), pairs
+}
+
+// BenchmarkJoinRefine times the verbs' software-only tester's
+// RefineIntersects over the join_single candidates the served filter
+// leaves undecided: the distance kernel at d = 0, the exact step of every
+// join verb. One op is one pass over those pairs.
+func BenchmarkJoinRefine(b *testing.B) {
+	p, pairs := servedJoin(b)
+	benchRefine(b, core.NewTester(core.Config{DisableHardware: true}), p, pairs)
+}
+
+// BenchmarkJoinFilter times the verbs' software-only tester's
+// FilterIntersects over every join_single candidate as the join verb
+// binds it: the MBR pre-test, the interval verdict and the containment
+// probe. One op is one pass.
+func BenchmarkJoinFilter(b *testing.B) {
+	p, pairs := servedJoin(b)
+	benchFilter(b, core.NewTester(core.Config{DisableHardware: true}), p, pairs)
 }

@@ -92,9 +92,9 @@ type Settings struct {
 	// selection sink's flush granularity; zero means
 	// core.DefaultBatchSize.
 	BatchSize int
-	// NoIntervals ablates the intersection joins' v2
-	// interval-approximation filter back to the v1 raster-signature path.
-	// Within-distance joins and selections run no interval stage.
+	// NoIntervals ablates the joins' v2 interval-approximation filter —
+	// intersection and within-distance alike — back to the v1
+	// raster-signature path. Selections run no interval stage.
 	// Differential knob for the intervals verb.
 	NoIntervals bool
 }

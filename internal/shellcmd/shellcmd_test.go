@@ -274,13 +274,21 @@ func TestSaveLoadSnapshot(t *testing.T) {
 		t.Fatalf("layers provenance missing: %q", out)
 	}
 
-	// The warm layer answers queries identically to the built one.
+	// The warm layer answers queries identically to the built one, and a
+	// snapshot saved without intervals joins through its persisted
+	// signatures, which spans otherwise replace.
 	_, built := exec(t, e, "join land land sw")
 	_, warm := exec(t, e, "join warm warm sw")
 	if built.Stats.Results != warm.Stats.Results {
 		t.Fatalf("warm join %d results, built %d", warm.Stats.Results, built.Stats.Results)
 	}
-	if warm.Stats.SigChecks == 0 {
+	exec(t, e, "save land landv1 nointervals")
+	exec(t, e, "load v1 landv1")
+	_, v1 := exec(t, e, "join v1 v1 sw")
+	if v1.Stats.Results != built.Stats.Results {
+		t.Fatalf("nointervals snapshot join %d results, built %d", v1.Stats.Results, built.Stats.Results)
+	}
+	if v1.Stats.SigChecks == 0 {
 		t.Fatal("warm join never consulted persisted signatures")
 	}
 

@@ -11,10 +11,12 @@
 # kernel micro-benchmark (BenchmarkRasterize times the interval
 # rasterizer beside the area oracle it replaced, BenchmarkColumnBuild a
 # whole layer's interval column, BenchmarkCompare the interval verdict
-# over every join_single candidate pair, BenchmarkWithinRefine the
+# over every join_single candidate pair (the one scan the join and within
+# verdicts share), BenchmarkWithinRefine the
 # software tester's distance step over the within pairs the served filter
 # leaves undecided, BenchmarkWithinFilter the served filter stage over all
-# of them,
+# of them, BenchmarkJoinRefine and BenchmarkJoinFilter the same two stages
+# of the served intersection join (the kernel at d = 0),
 # BenchmarkWithinJoin the pooled within join over the benchmark's layers
 # with its first-query builds timed apart,
 # BenchmarkSelect one in-process select over the benchmark's windows,
@@ -25,18 +27,18 @@
 # short fuzz smoke pass over the input parsers, the polygon WKT parser
 # against the parser it replaced (FuzzParsePolygonWKT), the wire
 # command grammar (FuzzExec), the wire row parser, the distance kernel
-# bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist), the
+# bounded and unbounded (FuzzBoundaryWithin, FuzzMinDist) and at d = 0
+# against the all-pairs cross test (FuzzBoundaryWithinZero), the
 # rasterizer's cell walk, the interval rasterizer against its oracle
 # (FuzzRasterize), the Hilbert tables against the loops they replaced
-# (FuzzHilbert), the walk over two lists' shared partial runs
-# (FuzzSharedPartial), the interval verdict and its within form against a
+# (FuzzHilbert), the interval verdict and its within form against a
 # cell-by-cell oracle (FuzzCompare),
 # the within join's reject band against a cell-by-cell oracle
 # (FuzzDilate), its hit band and its reject band on blocks past
 # MaxDilation (FuzzBands), and the signature kernel against the
 # cell-by-cell loop (FuzzSignaturesMayIntersect). Run from the repo root.
 #
-#   scripts/check.sh              # everything (9 min 14 s on 2 vCPU, go1.24)
+#   scripts/check.sh              # everything (8 min 39 s on 2 vCPU, go1.24)
 #   FUZZTIME=30s scripts/check.sh # longer fuzz pass
 set -eu
 
@@ -61,8 +63,8 @@ echo "== worker pool and query executor failure paths, joins and selections (-ra
 go test -race -count=10 -timeout 120s ./internal/parallel/
 go test -race -count=10 -timeout 120s -run 'TestExecutorConcurrency|TestPipelineSinkErrorWindsDown|TestPipelineCancellationPartial|TestParallelCustomTester' ./internal/query/
 
-echo "== within join's interval stage (-race -count=3: the bench counters pooled, the adversarial family inline and pooled, the grid-coverage precondition; first requests share one dilated-list build)"
-go test -race -count=3 -timeout 300s -run 'TestWithinBenchCounters|TestWithinIntervalStageAdversarial|TestJoinOutsideSnapshotGrid' ./internal/query/
+echo "== the joins' interval stage (-race -count=3: the within and intersection bench counters pooled, the adversarial family inline and pooled, the grid-coverage precondition; first requests share one dilated-list build)"
+go test -race -count=3 -timeout 300s -run 'TestWithinBenchCounters|TestJoinBenchCounters|TestWithinIntervalStageAdversarial|TestJoinOutsideSnapshotGrid' ./internal/query/
 
 echo "== stuck-query timers and coordinator cancel paths (-race -count=10: kill at the threshold, sever after the grace, disarm; sink abort, stalled tile)"
 # Timer and cancel races: a kill or a close that fires after its query
@@ -80,7 +82,7 @@ git diff --quiet HEAD -- bench BENCHMARK.json || { echo "bench/ or BENCHMARK.jso
 (cd bench && go vet ./... && go test ./...)
 
 echo "== kernel micro-benchmark smoke (one pass each)"
-go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|WithinJoin|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT|Overlay' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/ ./internal/overlay/
+go test -run '^$' -bench 'BoundaryWithin|WithinRefine|WithinFilter|WithinJoin|JoinRefine|JoinFilter|ContainsPoint|DrawSegment|HWTestCycle|Rasterize|ColumnBuild|Compare|Select|ExecSelect|ParsePolygonWKT|Overlay' -benchtime 1x ./internal/dist/ ./internal/core/ ./internal/geom/ ./internal/raster/ ./internal/interval/ ./internal/query/ ./internal/shellcmd/ ./internal/overlay/
 
 echo "== spatiald e2e (concurrent clients, drain, fault containment)"
 go test -race -count 1 ./internal/server/ -run 'TestE2EConcurrentClients|TestShutdownDrainsPartialResults|TestFault'
@@ -533,11 +535,11 @@ go test ./internal/store/ -run '^FuzzIntervalSection$' -fuzz '^FuzzIntervalSecti
 go test ./internal/wal/ -run '^FuzzWALOpen$' -fuzz '^FuzzWALOpen$' -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -run '^FuzzBoundaryWithin$' -fuzz '^FuzzBoundaryWithin$' -fuzztime "$FUZZTIME"
 go test ./internal/dist/ -run '^FuzzMinDist$' -fuzz '^FuzzMinDist$' -fuzztime "$FUZZTIME"
+go test ./internal/dist/ -run '^FuzzBoundaryWithinZero$' -fuzz '^FuzzBoundaryWithinZero$' -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -run '^FuzzCoverageSuperset$' -fuzz '^FuzzCoverageSuperset$' -fuzztime "$FUZZTIME"
 go test ./internal/raster/ -run '^FuzzSignaturesMayIntersect$' -fuzz '^FuzzSignaturesMayIntersect$' -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -run '^FuzzRasterize$' -fuzz '^FuzzRasterize$' -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -run '^FuzzHilbert$' -fuzz '^FuzzHilbert$' -fuzztime "$FUZZTIME"
-go test ./internal/interval/ -run '^FuzzSharedPartial$' -fuzz '^FuzzSharedPartial$' -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -run '^FuzzCompare$' -fuzz '^FuzzCompare$' -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -run '^FuzzDilate$' -fuzz '^FuzzDilate$' -fuzztime "$FUZZTIME"
 go test ./internal/interval/ -run '^FuzzBands$' -fuzz '^FuzzBands$' -fuzztime "$FUZZTIME"
